@@ -5,9 +5,9 @@ masked federations (``popgen``), moment estimators computable from masked
 shards (``moments``), plug-in clientwise predictors (``plugin``), linear
 imputation including the iterated federated variant (``impute``), ridge on
 completed data plus the local baseline (``ridge``), closed-form risk and
-bound oracles (``oracle``), message-level protocol simulation with exact
-communication accounting (``fedsim``), and a config-driven experiment runner
-(``cli``).
+bound oracles (``oracle``), protocol runs that log every message of those
+algorithms for exact communication accounting (``fedsim``), and a
+config-driven experiment runner (``cli``).
 """
 from .model import (
     ClientSpec,
@@ -16,7 +16,6 @@ from .model import (
     CommLog,
     Dataset,
     FeaturePattern,
-    MaskedSample,
     MomentPair,
     Provenance,
     crop_matrix,
@@ -36,6 +35,7 @@ from .moments import (
     CoObservationCounts,
     LocalMoments,
     aggregate_zero_imputed,
+    coobservation_counts,
     cw_moments,
     debias_moments,
     empirical_coobservation,

@@ -34,18 +34,19 @@ import os
 import sys
 import time
 from dataclasses import dataclass, field, replace
+from functools import partial
 from importlib import resources
 
 import numpy as np
 
 from . import oracle
 from .impute import ImputerKind, apply_imputer, fit_optimal_imputer, fit_zero_imputer
-from .model import ClientSpec, FeaturePattern, validate_federation
+from .model import ClientSpec, ClientwisePredictor, FeaturePattern, MomentPair, validate_federation
 from .moments import cw_moments, debias_moments
 from .plugin import PluginConfig, build_clientwise_plugin
 from .popgen import PopulationSpec, co_observation_matrix, draw_bernoulli_patterns, sample_dataset
 from .ridge import estimate_m, itr_predictor, local_learning
-from .fedsim import ProtocolSpec, replay_comm_schedule, run_protocol
+from .fedsim import ProtocolResult, ProtocolSpec, replay_comm_schedule, run_protocol
 
 __all__ = ["ConfigError", "load_config", "validate_config", "run_experiment", "main"]
 
@@ -56,17 +57,6 @@ SCENARIOS = (
     "local_vs_federated",
     "typical_case_sweep",
     "comm_audit",
-)
-
-METHODS = (
-    "plugin_debias",
-    "plugin_cw",
-    "itr_zero",
-    "itr_opt",
-    "itr_cw",
-    "itr_ice",
-    "local",
-    "fedavg",
 )
 
 DEFAULT_METHODS = {
@@ -428,118 +418,119 @@ def _build_clients(cfg: ExperimentConfig, tau: float | None, rng: np.random.Gene
 
 
 @dataclass(frozen=True)
-class _MethodOutput:
-    mc_risk: float | None = None
-    mc_stderr: float | None = None
-    oracle_risk: float | None = None
+class _Fit:
+    """One method's predictor plus the values reported next to its risk."""
+
+    predictor: ClientwisePredictor
+    oracle_risk: float
     bound_value: float | None = None
-    comm_up: int = 0
-    comm_down: int = 0
+    protocols: tuple[ProtocolResult, ...] = ()
 
 
-def _itr_common(pop, clients, data, imputer, kind_for_bound, lam, mc_rng, n_test):
-    completed = apply_imputer(imputer, data)
-    res = run_protocol(ProtocolSpec(kind="one_shot_ridge", lam=lam), completed)
-    m_hat = estimate_m(data)
-    predictor = itr_predictor(imputer, res.artifact, trunc_m=m_hat)
-    mc = oracle.monte_carlo_risk(predictor, pop, clients, n_test, mc_rng)
-    out = {
-        "mc_risk": mc.risk,
-        "mc_stderr": mc.stderr,
-        "comm_up": res.comm.total_floats("up"),
-        "comm_down": res.comm.total_floats("down"),
+def _comm_columns(protocols) -> dict:
+    return {
+        "comm_floats_up": sum(r.comm.total_floats("up") for r in protocols),
+        "comm_floats_down": sum(r.comm.total_floats("down") for r in protocols),
     }
-    if kind_for_bound is not None:
-        report = oracle.itr_bound(pop, clients, kind_for_bound, lam, data.n, m_hat)
-        out["oracle_risk"] = report.r_star_reference
-        out["bound_value"] = report.bound_value
-    else:
-        out["oracle_risk"] = oracle.oracle_global_risk(pop, clients)
-    return out
 
 
-def _run_method(method, pop, clients, data, lam, n_test, mc_rng, params) -> _MethodOutput:
-    if method in ("plugin_debias", "plugin_cw"):
-        res = run_protocol(ProtocolSpec(kind="one_shot_moments"), data)
-        art = res.artifact
-        if method == "plugin_debias":
-            pair = debias_moments(art.pair, co_observation_matrix(clients))
-        else:
-            pair = cw_moments(art.pair, art.counts)
-        predictor = build_clientwise_plugin(pair, clients, PluginConfig())
-        mc = oracle.monte_carlo_risk(predictor, pop, clients, n_test, mc_rng)
-        return _MethodOutput(
-            mc_risk=mc.risk,
-            mc_stderr=mc.stderr,
-            oracle_risk=oracle.oracle_global_risk(pop, clients),
-            comm_up=res.comm.total_floats("up"),
-            comm_down=res.comm.total_floats("down"),
-        )
-    if method == "itr_zero":
-        out = _itr_common(pop, clients, data, fit_zero_imputer(clients), ImputerKind.ZERO, lam, mc_rng, n_test)
-        return _MethodOutput(**out)
-    if method == "itr_opt":
-        imputer = fit_optimal_imputer(pop.sigma, clients, source="population")
-        out = _itr_common(pop, clients, data, imputer, ImputerKind.OPTIMAL_LINEAR, lam, mc_rng, n_test)
-        return _MethodOutput(**out)
-    if method == "itr_cw":
-        res = run_protocol(ProtocolSpec(kind="one_shot_moments"), data)
-        pair = cw_moments(res.artifact.pair, res.artifact.counts)
-        imputer = fit_optimal_imputer(pair.sigma, clients, source="cw")
-        out = _itr_common(pop, clients, data, imputer, None, lam, mc_rng, n_test)
-        out["comm_up"] += res.comm.total_floats("up")
-        out["comm_down"] += res.comm.total_floats("down")
-        return _MethodOutput(**out)
-    if method == "itr_ice":
-        rounds = int(params.get("ice_rounds", 3))
-        res = run_protocol(ProtocolSpec(kind="federated_ice", ice_rounds=rounds), data)
-        completed = res.artifact
-        ridge_res = run_protocol(ProtocolSpec(kind="one_shot_ridge", lam=lam), completed)
-        m_hat = estimate_m(data)
-        predictor = itr_predictor(completed.imputer, ridge_res.artifact, trunc_m=m_hat)
-        mc = oracle.monte_carlo_risk(predictor, pop, clients, n_test, mc_rng)
-        return _MethodOutput(
-            mc_risk=mc.risk,
-            mc_stderr=mc.stderr,
-            oracle_risk=oracle.oracle_global_risk(pop, clients),
-            comm_up=res.comm.total_floats("up") + ridge_res.comm.total_floats("up"),
-            comm_down=res.comm.total_floats("down") + ridge_res.comm.total_floats("down"),
-        )
-    if method == "fedavg":
-        imputer = fit_zero_imputer(clients)
-        completed = apply_imputer(imputer, data)
-        spec = ProtocolSpec(
-            kind="fedavg_ridge",
-            lam=lam,
-            rounds=int(params.get("rounds", 200)),
-            local_steps=int(params.get("local_steps", 1)),
-        )
-        res = run_protocol(spec, completed)
-        m_hat = estimate_m(data)
-        predictor = itr_predictor(imputer, res.artifact, trunc_m=m_hat)
-        mc = oracle.monte_carlo_risk(predictor, pop, clients, n_test, mc_rng)
-        ip = oracle.imputed_population_covariance(pop, clients, ImputerKind.ZERO)
-        return _MethodOutput(
-            mc_risk=mc.risk,
-            mc_stderr=mc.stderr,
-            oracle_risk=oracle.imputed_oracle_risk(pop, ip),
-            comm_up=res.comm.total_floats("up"),
-            comm_down=res.comm.total_floats("down"),
-        )
-    if method == "local":
-        m_hat = estimate_m(data)
-        predictor = local_learning(data, lam, trunc_m=m_hat)
-        mc = oracle.monte_carlo_risk(predictor, pop, clients, n_test, mc_rng)
-        bound = None
-        if pop.m_bound is not None:
-            bound = oracle.local_bound_terms(pop, clients, lam, data.n, pop.m_bound).upper_bound
-        return _MethodOutput(
-            mc_risk=mc.risk,
-            mc_stderr=mc.stderr,
-            oracle_risk=oracle.oracle_global_risk(pop, clients),
-            bound_value=bound,
-        )
-    raise ValueError(f"unknown method {method!r}")
+def _one_shot_moments(data) -> ProtocolResult:
+    return run_protocol(ProtocolSpec(kind="one_shot_moments"), data)
+
+
+def _debiased(art, clients) -> MomentPair:
+    return debias_moments(art.pair, co_observation_matrix(clients))
+
+
+def _componentwise(art, clients) -> MomentPair:
+    return cw_moments(art.pair, art.counts)
+
+
+# Moment-pair estimator behind each plug-in method.
+_PLUGIN_PAIRS = {"plugin_debias": _debiased, "plugin_cw": _componentwise}
+
+
+def _fit_plugin(pair_of, pop, clients, data, lam, params) -> _Fit:
+    moments = _one_shot_moments(data)
+    predictor = build_clientwise_plugin(pair_of(moments.artifact, clients), clients, PluginConfig())
+    return _Fit(predictor, oracle.oracle_global_risk(pop, clients), protocols=(moments,))
+
+
+def _itr(imputer, completed, pop, clients, data, lam, bound_kind=None, protocols=()) -> _Fit:
+    """Closed-form ridge on completed data, folded back through the imputer."""
+    ridge = run_protocol(ProtocolSpec(kind="one_shot_ridge", lam=lam), completed)
+    m_hat = estimate_m(data)
+    predictor = itr_predictor(imputer, ridge.artifact, trunc_m=m_hat)
+    protocols = protocols + (ridge,)
+    if bound_kind is None:
+        return _Fit(predictor, oracle.oracle_global_risk(pop, clients), protocols=protocols)
+    report = oracle.itr_bound(pop, clients, bound_kind, lam, data.n, m_hat)
+    return _Fit(predictor, report.r_star_reference, report.bound_value, protocols)
+
+
+def _fit_itr_zero(pop, clients, data, lam, params) -> _Fit:
+    imputer = fit_zero_imputer(clients)
+    return _itr(imputer, apply_imputer(imputer, data), pop, clients, data, lam, ImputerKind.ZERO)
+
+
+def _fit_itr_opt(pop, clients, data, lam, params) -> _Fit:
+    imputer = fit_optimal_imputer(pop.sigma, clients, source="population")
+    return _itr(imputer, apply_imputer(imputer, data), pop, clients, data, lam, ImputerKind.OPTIMAL_LINEAR)
+
+
+def _fit_itr_cw(pop, clients, data, lam, params) -> _Fit:
+    moments = _one_shot_moments(data)
+    imputer = fit_optimal_imputer(_componentwise(moments.artifact, clients).sigma, clients, source="cw")
+    return _itr(imputer, apply_imputer(imputer, data), pop, clients, data, lam, protocols=(moments,))
+
+
+def _fit_itr_ice(pop, clients, data, lam, params) -> _Fit:
+    ice = run_protocol(ProtocolSpec(kind="federated_ice", ice_rounds=int(params.get("ice_rounds", 3))), data)
+    return _itr(ice.artifact.imputer, ice.artifact, pop, clients, data, lam, protocols=(ice,))
+
+
+def _fit_fedavg(pop, clients, data, lam, params) -> _Fit:
+    imputer = fit_zero_imputer(clients)
+    spec = ProtocolSpec(
+        kind="fedavg_ridge",
+        lam=lam,
+        rounds=int(params.get("rounds", 200)),
+        local_steps=int(params.get("local_steps", 1)),
+    )
+    res = run_protocol(spec, apply_imputer(imputer, data))
+    predictor = itr_predictor(imputer, res.artifact, trunc_m=estimate_m(data))
+    ip = oracle.imputed_population_covariance(pop, clients, ImputerKind.ZERO)
+    return _Fit(predictor, oracle.imputed_oracle_risk(pop, ip), protocols=(res,))
+
+
+def _fit_local(pop, clients, data, lam, params) -> _Fit:
+    predictor = local_learning(data, lam, trunc_m=estimate_m(data))
+    bound = None
+    if pop.m_bound is not None:
+        bound = oracle.local_bound_terms(pop, clients, lam, data.n, pop.m_bound).upper_bound
+    return _Fit(predictor, oracle.oracle_global_risk(pop, clients), bound)
+
+
+# Every predictor-producing method, in the order configs list them.
+_METHOD_FITS = {
+    "plugin_debias": partial(_fit_plugin, _debiased),
+    "plugin_cw": partial(_fit_plugin, _componentwise),
+    "itr_zero": _fit_itr_zero,
+    "itr_opt": _fit_itr_opt,
+    "itr_cw": _fit_itr_cw,
+    "itr_ice": _fit_itr_ice,
+    "local": _fit_local,
+    "fedavg": _fit_fedavg,
+}
+METHODS = tuple(_METHOD_FITS)
+
+
+def _run_method(method, pop, clients, data, lam, n_test, mc_rng, params) -> dict:
+    fit = _METHOD_FITS[method](pop, clients, data, lam, params)
+    mc = oracle.monte_carlo_risk(fit.predictor, pop, clients, n_test, mc_rng)
+    return {"method": method, "mc_risk": mc.risk, "mc_stderr": mc.stderr,
+            "oracle_risk": fit.oracle_risk, "bound_value": fit.bound_value,
+            "excess_risk": mc.risk - fit.oracle_risk, **_comm_columns(fit.protocols)}
 
 
 @dataclass(frozen=True)
@@ -588,9 +579,8 @@ def _run_item(cfg: ExperimentConfig, item: _WorkItem) -> list[dict]:
         data = sample_dataset(pop, clients, n, np.random.default_rng(data_ss))
         ice_rounds = int(cfg.params.get("ice_rounds", 3))
         rounds = int(cfg.params.get("rounds", 5))
-        local_steps = int(cfg.params.get("local_steps", 1))
         completed = apply_imputer(fit_zero_imputer(clients), data)
-        nonempty = sum(1 for c in clients if np.count_nonzero(data.client_ids == c.id))
+        nonempty = len(completed.shard_ids())
         for kind in cfg.methods:
             spec = ProtocolSpec(
                 kind=kind,
@@ -619,34 +609,23 @@ def _run_item(cfg: ExperimentConfig, item: _WorkItem) -> list[dict]:
     if cfg.scenario == "new_client_generalization":
         new_pattern = FeaturePattern.from_one_based(cfg.params["new_pattern"], pop.d)
         probe = (ClientSpec(id=max(c.id for c in clients) + 1, pattern=new_pattern, rho=1.0),)
+        moments = _one_shot_moments(data)
+        o = oracle.oracle_local_risk(pop, new_pattern)
         for method, mss in zip(cfg.methods, mc_streams):
-            res = run_protocol(ProtocolSpec(kind="one_shot_moments"), data)
-            if method == "plugin_debias":
-                pair = debias_moments(res.artifact.pair, co_observation_matrix(clients))
-            elif method == "plugin_cw":
-                pair = cw_moments(res.artifact.pair, res.artifact.counts)
-            else:
+            if method not in _PLUGIN_PAIRS:
                 raise ValueError(f"method {method!r} not usable for new-client evaluation")
+            pair = _PLUGIN_PAIRS[method](moments.artifact, clients)
             predictor = build_clientwise_plugin(pair, probe, PluginConfig())
             if probe[0].id in predictor.unidentifiable:
                 raise RuntimeError("new pattern touches unidentified moment entries")
             mc = oracle.monte_carlo_risk(predictor, pop, probe, cfg.n_test, np.random.default_rng(mss))
-            o = oracle.oracle_local_risk(pop, new_pattern)
             rows.append({**base, "method": method, "mc_risk": mc.risk, "mc_stderr": mc.stderr,
-                         "oracle_risk": o, "excess_risk": mc.risk - o,
-                         "comm_floats_up": res.comm.total_floats("up"),
-                         "comm_floats_down": res.comm.total_floats("down")})
+                         "oracle_risk": o, "excess_risk": mc.risk - o, **_comm_columns((moments,))})
         return rows
 
     for method, mss in zip(cfg.methods, mc_streams):
-        out = _run_method(method, pop, clients, data, item.lam, cfg.n_test, np.random.default_rng(mss), cfg.params)
-        excess = None
-        if out.mc_risk is not None and out.oracle_risk is not None:
-            excess = out.mc_risk - out.oracle_risk
-        rows.append({**base, "method": method, "mc_risk": out.mc_risk, "mc_stderr": out.mc_stderr,
-                     "oracle_risk": out.oracle_risk, "bound_value": out.bound_value,
-                     "excess_risk": excess,
-                     "comm_floats_up": out.comm_up, "comm_floats_down": out.comm_down})
+        rows.append({**base, **_run_method(method, pop, clients, data, item.lam, cfg.n_test,
+                                           np.random.default_rng(mss), cfg.params)})
     return rows
 
 

@@ -1,46 +1,42 @@
-"""In-process federation simulator with exact communication accounting.
+"""Federated protocol runs with exact communication accounting.
 
-Four protocols over simulated clients and a server:
+Each protocol is one library algorithm, already written over per-client
+shards; ``run_protocol`` calls it and logs every message it implies:
 
-* one_shot_moments: masked shards in, pooled zero-imputed MomentPair out.
-* one_shot_ridge: completed shards in, closed-form ridge coefficients out.
-* federated_ice: masked shards in, iteratively completed dataset out.
-* fedavg_ridge: completed shards in, iteratively averaged coefficients out.
+* one_shot_moments: ``moments.local_moments_by_client`` folded by
+  ``aggregate_zero_imputed``; masked shards in, the pooled zero-imputed
+  MomentPair and the co-observation counts out.
+* one_shot_ridge: ``ridge.ridge_closed_form``; completed shards in,
+  closed-form ridge coefficients out.
+* federated_ice: ``impute.federated_ice``; masked shards in, iteratively
+  completed dataset out.
+* fedavg_ridge: ``ridge.fedavg_ridge`` over ``split_by_client``; completed
+  shards in, iteratively averaged coefficients out.
 
-Raw rows never leave their owning ``SimClient``; every payload dataclass
-carries only aggregates whose size depends on d (and rounds), never on the
-local sample count. Every transfer is logged with its exact float64 slot
-count; pattern bitmasks sent at registration are counted in bits, separately
-from floats. ``replay_comm_schedule`` predicts the totals in closed form and
-``run_protocol`` must match it exactly, which the test suite enforces.
+Every message carries only aggregates whose size depends on d (and rounds),
+never on the local sample count. Each transfer is logged with its exact
+float64 slot count; pattern bitmasks sent at registration are counted in
+bits, separately from floats. ``replay_comm_schedule`` predicts the totals
+in closed form and the logged totals must match it exactly, which the test
+suite enforces.
 
-Uplink payload layout for one_shot_moments (wire format v1, shared with the
-moments module): [n_k][upper-tri sigma sums][gamma sums][pattern hash],
-d(d+1)/2 + d + 2 floats per client. Aggregated-moment and coefficient
-broadcasts are counted once (a broadcast channel); fedavg coefficient
-exchanges are counted per client in both directions. Shard sizes, client
-ids, and round indices are session metadata, not counted. All server folds
-run in ascending client-id order, so protocol results agree bitwise with the
-corresponding in-memory module functions.
+Uplink payload layout for one_shot_moments (wire format v2, shared with the
+moments module): [n_k][upper-tri sigma sums][gamma sums], d(d+1)/2 + d + 1
+floats per client. Aggregated-moment and coefficient broadcasts are counted
+once (a broadcast channel); fedavg coefficient exchanges are counted per
+client in both directions. Masked-data protocols log every client of the
+federation, including those that drew no rows; completed-data protocols log
+only non-empty shards. Shard sizes, client ids, and round indices are
+session metadata, not counted.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
-from ._linalg import pinv_solve, spectral_radius
-from .impute import ImputedDataset, fit_zero_imputer, optimal_block_map, ImputationMap, ImputerKind
-from .model import ClientSpec, CommLog, Dataset, MomentPair, Provenance
-from .moments import (
-    CoObservationCounts,
-    LocalMoments,
-    local_zero_imputed_moments,
-    pack_upper,
-    pattern_hash,
-    unpack_upper,
-)
-from .ridge import local_gradient_steps
+from .impute import ImputedDataset, federated_ice
+from .model import CommLog, Dataset, MomentPair
+from .moments import CoObservationCounts, aggregate_zero_imputed, coobservation_counts, local_moments_by_client
+from .ridge import fedavg_ridge, ridge_closed_form, split_by_client
 
 __all__ = [
     "PROTOCOL_KINDS",
@@ -50,15 +46,6 @@ __all__ = [
     "SchedulePrediction",
     "replay_comm_schedule",
     "run_protocol",
-    "SimClient",
-    "PatternRegistration",
-    "MomentUpload",
-    "MomentBroadcast",
-    "RidgeStatsUpload",
-    "SecondMomentUpload",
-    "SigmaBroadcast",
-    "ThetaUpload",
-    "ThetaBroadcast",
 ]
 
 PROTOCOL_KINDS = ("one_shot_moments", "one_shot_ridge", "federated_ice", "fedavg_ridge")
@@ -74,7 +61,6 @@ class ProtocolSpec:
     ice_rounds: int = 0
     rounds: int = 0
     local_steps: int = 1
-    step_size: float | None = None
 
     def __post_init__(self) -> None:
         if self.kind not in PROTOCOL_KINDS:
@@ -83,146 +69,6 @@ class ProtocolSpec:
             raise ValueError("lam must be >= 0")
         if self.ice_rounds < 0 or self.rounds < 0 or self.local_steps < 1:
             raise ValueError("ice_rounds/rounds must be >= 0 and local_steps >= 1")
-
-
-@dataclass(frozen=True)
-class PatternRegistration:
-    client_id: int
-    bitmask: tuple[int, ...]
-
-    def float_count(self) -> int:
-        return 0
-
-    def bit_count(self) -> int:
-        return len(self.bitmask)
-
-
-@dataclass(frozen=True)
-class MomentUpload:
-    client_id: int
-    count: float
-    sigma_upper: np.ndarray
-    gamma_sum: np.ndarray
-    hash_slot: float
-
-    def float_count(self) -> int:
-        return 2 + self.sigma_upper.size + self.gamma_sum.size
-
-
-@dataclass(frozen=True)
-class MomentBroadcast:
-    sigma_upper: np.ndarray
-    gamma: np.ndarray
-
-    def float_count(self) -> int:
-        return self.sigma_upper.size + self.gamma.size
-
-
-@dataclass(frozen=True)
-class RidgeStatsUpload:
-    client_id: int
-    count: float
-    sigma_upper: np.ndarray
-    gamma_sum: np.ndarray
-
-    def float_count(self) -> int:
-        return 1 + self.sigma_upper.size + self.gamma_sum.size
-
-
-@dataclass(frozen=True)
-class SecondMomentUpload:
-    client_id: int
-    sigma_upper: np.ndarray
-
-    def float_count(self) -> int:
-        return self.sigma_upper.size
-
-
-@dataclass(frozen=True)
-class SigmaBroadcast:
-    sigma_upper: np.ndarray
-
-    def float_count(self) -> int:
-        return self.sigma_upper.size
-
-
-@dataclass(frozen=True)
-class ThetaUpload:
-    client_id: int
-    theta: np.ndarray
-
-    def float_count(self) -> int:
-        return self.theta.size
-
-
-@dataclass(frozen=True)
-class ThetaBroadcast:
-    theta: np.ndarray
-
-    def float_count(self) -> int:
-        return self.theta.size
-
-
-@dataclass
-class SimClient:
-    """One participant. Row-level arrays are private and never serialized."""
-
-    spec: ClientSpec
-    _x_obs: np.ndarray
-    _y: np.ndarray
-    _x_full: np.ndarray | None = None
-    _row_index: np.ndarray | None = None
-    _ice_map: np.ndarray | None = None
-
-    @property
-    def n_k(self) -> int:
-        return len(self._y)
-
-    def register(self) -> PatternRegistration:
-        return PatternRegistration(self.spec.id, tuple(int(b) for b in self.spec.pattern.mask()))
-
-    def moment_upload(self) -> MomentUpload:
-        lm = local_zero_imputed_moments(self._x_obs, self._y, self.spec.pattern)
-        return MomentUpload(
-            client_id=self.spec.id,
-            count=float(lm.count),
-            sigma_upper=pack_upper(lm.sigma_sum),
-            gamma_sum=lm.gamma_sum.copy(),
-            hash_slot=pattern_hash(self.spec.pattern),
-        )
-
-    def ridge_stats_upload(self) -> RidgeStatsUpload:
-        x, y = self._x_full, self._y
-        block = x.T @ x
-        return RidgeStatsUpload(
-            client_id=self.spec.id,
-            count=float(len(y)),
-            sigma_upper=pack_upper((block + block.T) / 2.0),
-            gamma_sum=x.T @ y,
-        )
-
-    def ice_init_zero(self) -> None:
-        d = self.spec.pattern.d
-        x = np.zeros((self.n_k, d))
-        if self.spec.pattern.observed:
-            x[:, list(self.spec.pattern.observed)] = self._x_obs
-        self._x_full = x
-
-    def ice_moment_upload(self) -> SecondMomentUpload:
-        block = self._x_full.T @ self._x_full
-        return SecondMomentUpload(self.spec.id, pack_upper((block + block.T) / 2.0))
-
-    def ice_refresh(self, bcast: SigmaBroadcast) -> None:
-        sigma = unpack_upper(bcast.sigma_upper, self.spec.pattern.d)
-        s = optimal_block_map(sigma, self.spec.pattern)
-        self._ice_map = s
-        mis = list(self.spec.pattern.missing)
-        if mis and self.n_k:
-            self._x_full[:, mis] = self._x_obs @ s.T
-
-    def fedavg_update(self, bcast: ThetaBroadcast, lam: float, local_steps: int, step_size: float) -> ThetaUpload:
-        theta = local_gradient_steps(bcast.theta, self._x_full, self._y, lam, local_steps, step_size)
-        return ThetaUpload(self.spec.id, theta)
 
 
 @dataclass(frozen=True)
@@ -260,7 +106,7 @@ def replay_comm_schedule(spec: ProtocolSpec, k: int, d: int) -> SchedulePredicti
         raise ValueError("need k >= 1 and d >= 1")
     tri = d * (d + 1) // 2
     if spec.kind == "one_shot_moments":
-        return SchedulePrediction(spec.kind, k * (tri + d + 2), tri + d, k * d)
+        return SchedulePrediction(spec.kind, k * (tri + d + 1), tri + d, k * d)
     if spec.kind == "one_shot_ridge":
         return SchedulePrediction(spec.kind, k * (tri + d + 1), d, 0)
     if spec.kind == "federated_ice":
@@ -270,184 +116,71 @@ def replay_comm_schedule(spec: ProtocolSpec, k: int, d: int) -> SchedulePredicti
     return SchedulePrediction(spec.kind, t * k * d, t * k * d, 0)
 
 
-def _masked_clients(data: Dataset) -> list[SimClient]:
-    out = []
-    for c in sorted(data.clients, key=lambda c: c.id):
-        rows = data.rows_of(c.id)
-        out.append(
-            SimClient(spec=c, _x_obs=data.x_obs_of(c.id), _y=data.y[rows], _row_index=rows)
-        )
-    return out
-
-
-def _completed_clients(data: ImputedDataset) -> list[SimClient]:
-    out = []
-    for c in sorted(data.clients, key=lambda c: c.id):
-        rows = np.flatnonzero(data.client_ids == c.id)
-        if len(rows) == 0:
-            continue
-        out.append(
-            SimClient(spec=c, _x_obs=np.zeros((len(rows), 0)), _y=data.y[rows], _x_full=data.x[rows], _row_index=rows)
-        )
-    return out
-
-
-def _send(comm: CommLog, round_: int, direction: str, payload, description: str) -> None:
-    comm.record(round_, direction, payload.float_count(), description, bits=payload.bit_count() if hasattr(payload, "bit_count") else 0)
-
-
-def _run_one_shot_moments(data: Dataset, comm: CommLog) -> OneShotMomentsArtifact:
-    clients = _masked_clients(data)
+def _one_shot_moments(data: Dataset, comm: CommLog, ids: list[int]) -> OneShotMomentsArtifact:
     d = data.d
-    counts = np.zeros((d, d), dtype=np.int64)
-    locals_: list[LocalMoments] = []
-    for cl in clients:
-        _send(comm, 0, "up", cl.register(), f"pattern registration from client {cl.spec.id}")
-    for cl in clients:
-        up = cl.moment_upload()
-        _send(comm, 1, "up", up, f"zero-imputed moment sums from client {cl.spec.id}")
-        locals_.append(
-            LocalMoments(
-                sigma_sum=unpack_upper(up.sigma_upper, d),
-                gamma_sum=up.gamma_sum,
-                count=int(up.count),
-            )
-        )
-        m = cl.spec.pattern.mask().astype(np.int64)
-        counts += int(up.count) * np.outer(m, m)
-    n = sum(lm.count for lm in locals_)
-    if n == 0:
-        raise ValueError("no samples across the federation")
-    sigma_sum = np.zeros((d, d))
-    gamma_sum = np.zeros(d)
-    for lm in locals_:
-        sigma_sum += lm.sigma_sum
-        gamma_sum += lm.gamma_sum
-    pair = MomentPair(sigma_sum / n, gamma_sum / n, Provenance.ZERO_IMPUTED)
-    bcast = MomentBroadcast(pack_upper(pair.sigma), pair.gamma)
-    _send(comm, 1, "down", bcast, "broadcast aggregated moment pair")
-    return OneShotMomentsArtifact(pair=pair, counts=CoObservationCounts(counts=counts, n=n))
+    tri = d * (d + 1) // 2
+    locals_ = local_moments_by_client(data)
+    pair = aggregate_zero_imputed(locals_)
+    counts = coobservation_counts(data.clients, {cid: lm.count for cid, lm in locals_.items()})
+    for cid in ids:
+        comm.record(1, "up", 1 + tri + d, f"zero-imputed moment sums from client {cid}")
+    comm.record(1, "down", tri + d, "broadcast aggregated moment pair")
+    return OneShotMomentsArtifact(pair=pair, counts=counts)
 
 
-def _run_one_shot_ridge(data: ImputedDataset, spec: ProtocolSpec, comm: CommLog) -> np.ndarray:
-    clients = _completed_clients(data)
-    if not clients:
-        raise ValueError("no non-empty shards")
+def _federated_ice(data: Dataset, spec: ProtocolSpec, comm: CommLog, ids: list[int]) -> ImputedDataset:
+    tri = data.d * (data.d + 1) // 2
+    res = federated_ice(data, spec.ice_rounds)
+    for t in range(1, res.rounds_run + 1):
+        for cid in ids:
+            comm.record(t, "up", tri, f"completed second-moment sums from client {cid}")
+        comm.record(t, "down", tri, "broadcast pooled second-moment estimate")
+    return res.imputed
+
+
+def _one_shot_ridge(data: ImputedDataset, spec: ProtocolSpec, comm: CommLog):
     d = data.d
-    sigma_sum = np.zeros((d, d))
-    gamma_sum = np.zeros(d)
-    n = 0
-    for cl in clients:
-        up = cl.ridge_stats_upload()
-        _send(comm, 1, "up", up, f"completed-data moment sums from client {cl.spec.id}")
-        sigma_sum += unpack_upper(up.sigma_upper, d)
-        gamma_sum += up.gamma_sum
-        n += int(up.count)
-    sigma = sigma_sum / n
-    gamma = gamma_sum / n
-    if spec.lam == 0:
-        theta = pinv_solve(sigma, gamma)
-    else:
-        theta = np.linalg.solve(sigma + spec.lam * np.eye(d), gamma)
-    _send(comm, 1, "down", ThetaBroadcast(theta), "broadcast ridge coefficients")
+    theta = ridge_closed_form(data, spec.lam)
+    for cid in data.shard_ids():
+        comm.record(1, "up", 1 + d * (d + 1) // 2 + d, f"completed-data moment sums from client {cid}")
+    comm.record(1, "down", d, "broadcast ridge coefficients")
     return theta
 
 
-def _run_federated_ice(data: Dataset, spec: ProtocolSpec, comm: CommLog) -> ImputedDataset:
-    clients = _masked_clients(data)
-    d = data.d
-    for cl in clients:
-        _send(comm, 0, "up", cl.register(), f"pattern registration from client {cl.spec.id}")
-        cl.ice_init_zero()
-    n = data.n
-    if n == 0:
-        raise ValueError("no samples across the federation")
-    last_round = 0
-    for t in range(1, spec.ice_rounds + 1):
-        sigma_sum = np.zeros((d, d))
-        for cl in clients:
-            up = cl.ice_moment_upload()
-            _send(comm, t, "up", up, f"completed second-moment sums from client {cl.spec.id}")
-            if cl.n_k:
-                sigma_sum += unpack_upper(up.sigma_upper, d)
-        sigma_t = sigma_sum / n
-        bcast = SigmaBroadcast(pack_upper(sigma_t))
-        _send(comm, t, "down", bcast, "broadcast pooled second-moment estimate")
-        for cl in clients:
-            cl.ice_refresh(bcast)
-        last_round = t
-    x = np.zeros((n, d))
-    for cl in clients:
-        if cl.n_k:
-            x[cl._row_index] = cl._x_full
-    ran = spec.ice_rounds > 0
-    maps = {
-        cl.spec.id: (
-            cl._ice_map
-            if ran
-            else np.zeros((len(cl.spec.pattern.missing), cl.spec.pattern.size))
-        )
-        for cl in clients
-    }
-    final_map = ImputationMap(
-        kind=ImputerKind.ICE if ran else ImputerKind.ZERO,
-        maps=maps,
-        patterns={cl.spec.id: cl.spec.pattern for cl in clients},
-        source="ice" if ran else None,
-        round=last_round if ran else None,
-    )
-    return ImputedDataset(clients=data.clients, client_ids=data.client_ids, x=x, y=data.y, imputer=final_map)
-
-
-def _run_fedavg(data: ImputedDataset, spec: ProtocolSpec, comm: CommLog) -> np.ndarray:
-    clients = _completed_clients(data)
-    if not clients:
-        raise ValueError("no non-empty shards")
-    d = data.d
-    k = len(clients)
-    n = sum(cl.n_k for cl in clients)
-    sigma = np.zeros((d, d))
-    for cl in clients:
-        sigma += cl._x_full.T @ cl._x_full
-    sigma /= n
-    step = spec.step_size if spec.step_size is not None else 1.0 / (spectral_radius(sigma) + spec.lam)
-    weights = [cl.n_k / n for cl in clients]
-    theta = np.zeros(d)
-    for t in range(1, spec.rounds + 1):
-        bcast = ThetaBroadcast(theta)
-        comm.record(t, "down", k * d, "server coefficients to each client")
-        uploads = [cl.fedavg_update(bcast, spec.lam, spec.local_steps, step) for cl in clients]
-        comm.record(t, "up", k * d, "client coefficients after local steps")
-        new_theta = np.zeros(d)
-        for w, up in zip(weights, uploads):
-            new_theta += w * up.theta
-        theta = new_theta
-    return theta
+def _fedavg_ridge(data: ImputedDataset, spec: ProtocolSpec, comm: CommLog):
+    shards = split_by_client(data)
+    res = fedavg_ridge(shards, spec.lam, spec.rounds, spec.local_steps)
+    floats = len(shards) * data.d
+    for t in range(1, res.rounds_run + 1):
+        comm.record(t, "down", floats, "server coefficients to each client")
+        comm.record(t, "up", floats, "client coefficients after local steps")
+    return res.theta
 
 
 def run_protocol(spec: ProtocolSpec, data) -> ProtocolResult:
-    """Execute one protocol over simulated clients, logging every transfer.
+    """Run one protocol's library algorithm and log every transfer.
 
-    one_shot_moments and federated_ice take a masked ``Dataset``;
-    one_shot_ridge and fedavg_ridge take a completed ``ImputedDataset``.
-    Results agree bitwise with the corresponding in-memory functions
-    (moments aggregation, closed-form ridge, iterated completion, averaged
-    descent) because the server folds identical partial aggregates in the
-    same order.
+    one_shot_moments and federated_ice take a masked ``Dataset`` and start
+    with one pattern registration per client; one_shot_ridge and
+    fedavg_ridge take a completed ``ImputedDataset``. The artifact is
+    exactly what the library function returns.
     """
     comm = CommLog()
     if spec.kind in ("one_shot_moments", "federated_ice"):
         if not isinstance(data, Dataset):
             raise TypeError(f"{spec.kind} needs a masked Dataset, got {type(data).__name__}")
+        ids = sorted(c.id for c in data.clients)
+        for cid in ids:
+            comm.record(0, "up", 0, f"pattern registration from client {cid}", bits=data.d)
         if spec.kind == "one_shot_moments":
-            artifact = _run_one_shot_moments(data, comm)
+            artifact = _one_shot_moments(data, comm, ids)
         else:
-            artifact = _run_federated_ice(data, spec, comm)
+            artifact = _federated_ice(data, spec, comm, ids)
     else:
         if not isinstance(data, ImputedDataset):
             raise TypeError(f"{spec.kind} needs an ImputedDataset, got {type(data).__name__}")
         if spec.kind == "one_shot_ridge":
-            artifact = _run_one_shot_ridge(data, spec, comm)
+            artifact = _one_shot_ridge(data, spec, comm)
         else:
-            artifact = _run_fedavg(data, spec, comm)
+            artifact = _fedavg_ridge(data, spec, comm)
     return ProtocolResult(kind=spec.kind, artifact=artifact, comm=comm)

@@ -9,9 +9,11 @@ computable from any full covariance estimate (exact or component-wise).
 ``federated_ice`` alternates between re-estimating the full second-moment
 matrix of the currently completed data and refreshing every client's map
 from it. Raw (uncentered) second moments are used throughout, matching the
-zero-imputation initial round. Per round the protocol costs d(d+1)/2 floats
-of aggregated second moments up and the same broadcast down; that aggregate
-accounting is what the returned CommLog records.
+zero-imputation initial round. It is written over per-client shards, the way
+the federated protocol runs: each client completes its own rows and reports
+second-moment sums, the server folds them in client-id order and returns the
+pooled estimate. ``fedsim.run_protocol`` runs this same function and logs
+the messages it implies.
 """
 from __future__ import annotations
 
@@ -22,8 +24,7 @@ from typing import Mapping
 import numpy as np
 
 from ._linalg import DEFAULT_PINV_RTOL, pinv
-from .model import ClientSpec, CommLog, Dataset, FeaturePattern, validate_federation
-from .moments import imputed_data_moments
+from .model import ClientSpec, Dataset, FeaturePattern, validate_federation
 
 __all__ = [
     "ImputerKind",
@@ -171,9 +172,21 @@ class ImputedDataset:
     def d(self) -> int:
         return self.x.shape[1]
 
+    def shard_ids(self) -> tuple[int, ...]:
+        """Ids of the clients that own at least one row, ascending."""
+        return tuple(int(i) for i in np.unique(self.client_ids))
+
     def shard(self, client_id: int) -> tuple[np.ndarray, np.ndarray]:
         rows = np.flatnonzero(self.client_ids == client_id)
         return self.x[rows], self.y[rows]
+
+
+def _checked_map(imputer: ImputationMap, client: ClientSpec) -> np.ndarray:
+    if client.id not in imputer.maps:
+        raise KeyError(f"imputer lacks a map for client {client.id}")
+    if imputer.patterns[client.id] != client.pattern:
+        raise ValueError(f"client {client.id}: imputer fitted for a different pattern")
+    return imputer.maps[client.id]
 
 
 def apply_imputer(imputer: ImputationMap, data: Dataset) -> ImputedDataset:
@@ -185,10 +198,7 @@ def apply_imputer(imputer: ImputationMap, data: Dataset) -> ImputedDataset:
     """
     x = data.x_filled.copy()
     for c in data.clients:
-        if c.id not in imputer.maps:
-            raise KeyError(f"imputer lacks a map for client {c.id}")
-        if imputer.patterns[c.id] != c.pattern:
-            raise ValueError(f"client {c.id}: imputer fitted for a different pattern")
+        s = _checked_map(imputer, c)
         mis = list(c.pattern.missing)
         if not mis:
             continue
@@ -196,17 +206,16 @@ def apply_imputer(imputer: ImputationMap, data: Dataset) -> ImputedDataset:
         if len(rows) == 0:
             continue
         x_obs = data.x_obs_of(c.id)
-        x[np.ix_(rows, mis)] = x_obs @ imputer.maps[c.id].T
+        x[np.ix_(rows, mis)] = x_obs @ s.T
     return ImputedDataset(clients=data.clients, client_ids=data.client_ids, x=x, y=data.y, imputer=imputer)
 
 
 @dataclass(frozen=True)
 class IceResult:
-    """Final completed data, per-round moment estimates, and comm totals."""
+    """Final completed data and the per-round moment estimates."""
 
     imputed: ImputedDataset
     sigma_trace: tuple[np.ndarray, ...]
-    comm: CommLog
     rounds_run: int
     stopped_early: bool
 
@@ -220,54 +229,79 @@ def federated_ice(
 ) -> IceResult:
     """Iterated conditional-expectation completion over a federation.
 
-    Each round re-estimates the raw second-moment matrix of the currently
-    completed data (client partial sums folded in id order, as a simulated
-    server would) and refreshes every client's optimal block map from it.
-    ``rounds`` = 0 returns the initial completion unchanged. When
-    ``early_stop_rms`` is set, iteration stops once the RMS change over
-    imputed entries falls below it, and the result records the stop.
+    Every client builds its observed block and its completed block once,
+    completed by ``init`` (zeros when absent). Each round the clients'
+    symmetrized Gram sums are folded in ascending id order into the raw
+    second-moment estimate, every client's optimal block map is refreshed
+    from it, and each client overwrites its missing columns with
+    x_obs @ S_k^T. Clients without rows upload nothing but zeros and are
+    skipped in the fold. ``rounds`` = 0 returns the initial completion
+    unchanged. When ``early_stop_rms`` is set, iteration stops once the RMS
+    change over imputed entries falls below it, and the result records the
+    stop.
     """
     if rounds < 0:
         raise ValueError(f"rounds must be >= 0, got {rounds}")
-    current = apply_imputer(init if init is not None else fit_zero_imputer(data.clients), data)
+    if data.n == 0:
+        raise ValueError("no samples across the federation")
+    d = data.d
+    clients = sorted(data.clients, key=lambda c: c.id)
+    shards = []  # (client, rows, observed block, completed block)
+    for c in clients:
+        rows = data.rows_of(c.id)
+        x_obs = data.x_obs_of(c.id)
+        x_k = np.zeros((len(rows), d))
+        if c.pattern.observed:
+            x_k[:, list(c.pattern.observed)] = x_obs
+        if init is not None:
+            s = _checked_map(init, c)
+            if c.pattern.missing and len(rows):
+                x_k[:, list(c.pattern.missing)] = x_obs @ s.T
+        shards.append((c, rows, x_obs, x_k))
+    n_missing = sum(len(c.pattern.missing) * len(rows) for c, rows, _, _ in shards)
     trace: list[np.ndarray] = []
-    comm = CommLog()
-    n_missing = sum(
-        len(c.pattern.missing) * int(np.count_nonzero(data.client_ids == c.id)) for c in data.clients
-    )
-    per_round = data.d * (data.d + 1) // 2
+    maps: dict[int, np.ndarray] = {}
     stopped = False
     run = 0
-    last_map: ImputationMap | None = current.imputer
-    x = current.x
     for t in range(1, rounds + 1):
-        sigma_t, _ = imputed_data_moments(x, data.client_ids)
+        sigma_sum = np.zeros((d, d))
+        for _, rows, _, x_k in shards:
+            if len(rows):
+                block = x_k.T @ x_k
+                sigma_sum += (block + block.T) / 2.0
+        sigma_t = sigma_sum / data.n
         trace.append(sigma_t)
-        comm.record(t, "up", per_round, "aggregated second moments of completed data")
-        comm.record(t, "down", per_round, "broadcast second-moment estimate")
-        maps = {c.id: optimal_block_map(sigma_t, c.pattern, rtol=rtol) for c in data.clients}
-        last_map = ImputationMap(
-            kind=ImputerKind.ICE,
-            maps=maps,
-            patterns={c.id: c.pattern for c in data.clients},
-            source="ice",
-            round=t,
-            zero_filled=frozenset(
-                c.id for c in data.clients if c.pattern.is_empty and c.pattern.missing
-            ),
-        )
-        new_x = apply_imputer(last_map, data).x
+        maps = {c.id: optimal_block_map(sigma_t, c.pattern, rtol=rtol) for c in clients}
+        squared_change = 0.0
+        for c, rows, x_obs, x_k in shards:
+            mis = list(c.pattern.missing)
+            if not mis or not len(rows):
+                continue
+            new = x_obs @ maps[c.id].T
+            if early_stop_rms is not None:
+                delta = new - x_k[:, mis]
+                squared_change += float(np.sum(delta * delta))
+            x_k[:, mis] = new
+            del new  # one refresh temporary alive at a time keeps peak memory down
         run = t
         if early_stop_rms is not None:
-            rms = 0.0
-            if n_missing:
-                delta = new_x - x
-                rms = float(np.sqrt(np.sum(delta * delta) / n_missing))
-            x = new_x
+            rms = float(np.sqrt(squared_change / n_missing)) if n_missing else 0.0
             if rms < early_stop_rms:
                 stopped = True
                 break
-        else:
-            x = new_x
-    final = ImputedDataset(clients=data.clients, client_ids=data.client_ids, x=x, y=data.y, imputer=last_map)
-    return IceResult(imputed=final, sigma_trace=tuple(trace), comm=comm, rounds_run=run, stopped_early=stopped)
+    if run:
+        imputer = ImputationMap(
+            kind=ImputerKind.ICE,
+            maps=maps,
+            patterns={c.id: c.pattern for c in clients},
+            source="ice",
+            round=run,
+            zero_filled=frozenset(c.id for c in clients if c.pattern.is_empty and c.pattern.missing),
+        )
+    else:
+        imputer = init if init is not None else fit_zero_imputer(data.clients)
+    x = np.zeros((data.n, d))
+    for _, rows, _, x_k in shards:
+        x[rows] = x_k
+    final = ImputedDataset(clients=data.clients, client_ids=data.client_ids, x=x, y=data.y, imputer=imputer)
+    return IceResult(imputed=final, sigma_trace=tuple(trace), rounds_run=run, stopped_early=stopped)

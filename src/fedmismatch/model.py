@@ -13,14 +13,13 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Iterator, Mapping
+from typing import Mapping
 
 import numpy as np
 
 __all__ = [
     "FeaturePattern",
     "ClientSpec",
-    "MaskedSample",
     "Dataset",
     "Provenance",
     "MomentPair",
@@ -145,15 +144,6 @@ def validate_federation(clients) -> tuple[ClientSpec, ...]:
 
 
 @dataclass(frozen=True)
-class MaskedSample:
-    """One observation: owning client, observed covariates, response."""
-
-    client_id: int
-    x_obs: np.ndarray
-    y: float
-
-
-@dataclass(frozen=True)
 class Dataset:
     """Masked sample collection, stored column-filled for vectorized math.
 
@@ -215,15 +205,6 @@ class Dataset:
 
     def y_of(self, client_id: int) -> np.ndarray:
         return self.y[self.rows_of(client_id)]
-
-    def sample(self, i: int) -> MaskedSample:
-        cid = int(self.client_ids[i])
-        pattern = self.client_by_id(cid).pattern
-        return MaskedSample(cid, crop_vector(self.x_filled[i], pattern), float(self.y[i]))
-
-    def iter_samples(self) -> Iterator[MaskedSample]:
-        for i in range(self.n):
-            yield self.sample(i)
 
 
 class Provenance(enum.Enum):
@@ -352,9 +333,6 @@ class CommLog:
 
     def record(self, round: int, direction: str, floats: int, description: str, bits: int = 0) -> None:
         self.events.append(CommEvent(round, direction, int(floats), description, int(bits)))
-
-    def extend(self, other: "CommLog") -> None:
-        self.events.extend(other.events)
 
     def total_floats(self, direction: str | None = None) -> int:
         return sum(e.floats for e in self.events if direction is None or e.direction == direction)

@@ -15,15 +15,16 @@ Three estimators of (E[X X^T], E[X Y]) from blockwise-masked samples:
 Entries whose (empirical or population) co-observation weight is zero are
 left at 0.0 and marked uncovered in the coverage mask.
 
-Wire format (version 1): each client uploads sums, not averages, so
+Wire format (version 2): each client uploads sums, not averages, so
 aggregation is exact and associative. Payload slots, in order:
-``[n_k] [upper-tri sigma sums, row-major] [gamma sums] [pattern hash]``,
-which is d(d+1)/2 + d + 2 floats. The pattern bitmask itself is sent once at
+``[n_k] [upper-tri sigma sums, row-major] [gamma sums]``, which is
+d(d+1)/2 + d + 1 floats. The pattern bitmask itself is sent once at
 registration and accounted as d bits, separately from float counts.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Mapping
 
 import numpy as np
 
@@ -35,13 +36,13 @@ __all__ = [
     "local_zero_imputed_moments",
     "local_moments_by_client",
     "aggregate_zero_imputed",
+    "coobservation_counts",
     "empirical_coobservation",
     "debias_moments",
     "cw_moments",
     "imputed_data_moments",
     "pack_upper",
     "unpack_upper",
-    "pattern_hash",
 ]
 
 
@@ -145,22 +146,35 @@ class CoObservationCounts:
         return self.counts.shape[0]
 
 
+def coobservation_counts(clients, sizes: Mapping[int, int]) -> CoObservationCounts:
+    """N = sum_k n_k m_k m_k^T from patterns and per-client sample counts.
+
+    ``sizes`` maps client id to n_k; absent ids count as zero rows.
+    """
+    clients = tuple(clients)
+    d = clients[0].pattern.d
+    counts = np.zeros((d, d), dtype=np.int64)
+    n = 0
+    for c in clients:
+        n_k = int(sizes.get(c.id, 0))
+        if n_k:
+            m = c.pattern.mask().astype(np.int64)
+            counts += n_k * np.outer(m, m)
+            n += n_k
+    return CoObservationCounts(counts=counts, n=n)
+
+
 def empirical_coobservation(data: Dataset) -> tuple[np.ndarray, CoObservationCounts]:
     """Empirical co-observation frequencies Pi_hat = N / n and the counts.
 
     Computable from patterns and per-client sample counts alone; no
     covariate values are touched.
     """
-    d = data.d
-    counts = np.zeros((d, d), dtype=np.int64)
-    for c in data.clients:
-        n_k = int(np.count_nonzero(data.client_ids == c.id))
-        if n_k:
-            m = c.pattern.mask().astype(np.int64)
-            counts += n_k * np.outer(m, m)
     if data.n == 0:
         raise ValueError("empty dataset has no co-observation frequencies")
-    return counts / data.n, CoObservationCounts(counts=counts, n=data.n)
+    sizes = {c.id: int(np.count_nonzero(data.client_ids == c.id)) for c in data.clients}
+    counts = coobservation_counts(data.clients, sizes)
+    return counts.counts / counts.n, counts
 
 
 def debias_moments(zero: MomentPair, pi: np.ndarray) -> MomentPair:
@@ -206,8 +220,7 @@ def imputed_data_moments(
     """Averages (X^T X / n, X^T y / n) folded client-by-client.
 
     Partial sums are computed per client and folded in ascending client-id
-    order, matching the simulated server exactly, so in-memory and federated
-    paths agree bitwise.
+    order, the order in which a server folds client uploads.
     """
     x = np.asarray(x, dtype=np.float64)
     ids = np.asarray(client_ids)
@@ -246,10 +259,3 @@ def unpack_upper(v: np.ndarray, d: int) -> np.ndarray:
     out.T[iu] = v
     return out
 
-
-def pattern_hash(pattern: FeaturePattern) -> float:
-    """Bitmask folded into one float slot for the upload payload."""
-    h = 0
-    for i in pattern.observed:
-        h |= 1 << (i % 52)
-    return float(h)

@@ -26,7 +26,7 @@ import numpy as np
 
 from ._linalg import DEFAULT_PINV_RTOL, pinv_solve, spectral_radius
 from .impute import ImputationMap, ImputedDataset
-from .model import ClientwisePredictor, CommLog, Dataset
+from .model import ClientwisePredictor, Dataset
 from .moments import imputed_data_moments
 
 __all__ = [
@@ -56,12 +56,7 @@ def ridge_closed_form(data: ImputedDataset, lam: float, rtol: float = DEFAULT_PI
 
 def split_by_client(data: ImputedDataset) -> list[tuple[np.ndarray, np.ndarray]]:
     """(x_k, y_k) shards in ascending client-id order; empty shards skipped."""
-    shards = []
-    for c in sorted(data.clients, key=lambda c: c.id):
-        xk, yk = data.shard(c.id)
-        if len(yk):
-            shards.append((xk, yk))
-    return shards
+    return [data.shard(cid) for cid in data.shard_ids()]
 
 
 def local_gradient_steps(
@@ -84,7 +79,6 @@ def local_gradient_steps(
 @dataclass(frozen=True)
 class FedAvgResult:
     theta: np.ndarray
-    comm: CommLog
     objective_trace: tuple[float, ...]
     diverged: bool
     rounds_run: int
@@ -95,16 +89,15 @@ def fedavg_ridge(
     lam: float,
     rounds: int,
     local_steps: int = 1,
-    step_size: float | None = None,
     stop_tol: float | None = None,
 ) -> FedAvgResult:
     """Federated averaging on the global ridge objective.
 
-    The default step size 1 / (lambda_max(sigma_hat) + lambda) guarantees a
+    The step size 1 / (lambda_max(sigma_hat) + lambda) guarantees a
     non-increasing objective for single local steps. Ten consecutive
     objective increases abort the run with ``diverged`` set. ``stop_tol``
     optionally stops once the server iterate moves less than that in L2.
-    Per round the log records K * d floats up and K * d floats down.
+    Shards are visited and averaged in the given order.
     """
     if rounds < 0 or local_steps < 1:
         raise ValueError("need rounds >= 0 and local_steps >= 1")
@@ -119,8 +112,7 @@ def fedavg_ridge(
     for xk, _ in shards:
         sigma += xk.T @ xk
     sigma /= n
-    if step_size is None:
-        step_size = 1.0 / (spectral_radius(sigma) + lam)
+    step_size = 1.0 / (spectral_radius(sigma) + lam)
 
     def objective(theta: np.ndarray) -> float:
         val = 0.0
@@ -130,18 +122,14 @@ def fedavg_ridge(
         return val / (2 * n) + lam / 2 * float(theta @ theta)
 
     theta = np.zeros(d)
-    comm = CommLog()
     trace = [objective(theta)]
     increases = 0
     diverged = False
     run = 0
-    k = len(shards)
     for t in range(1, rounds + 1):
-        comm.record(t, "down", k * d, "broadcast server coefficients to each client")
         locals_ = [
             local_gradient_steps(theta, xk, yk, lam, local_steps, step_size) for xk, yk in shards
         ]
-        comm.record(t, "up", k * d, "client coefficients after local steps")
         new_theta = np.zeros(d)
         for w, th in zip(weights, locals_):
             new_theta += w * th
@@ -156,7 +144,7 @@ def fedavg_ridge(
             break
         if stop_tol is not None and moved <= stop_tol:
             break
-    return FedAvgResult(theta=theta, comm=comm, objective_trace=tuple(trace), diverged=diverged, rounds_run=run)
+    return FedAvgResult(theta=theta, objective_trace=tuple(trace), diverged=diverged, rounds_run=run)
 
 
 def truncate(values, m: float):

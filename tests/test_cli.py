@@ -186,7 +186,7 @@ class TestRunExperiment:
         results, _ = run_experiment(cfg, str(tmp_path))
         rows = {r["method"]: r for r in _read_rows(results)}
         tri = 4 * 5 // 2
-        assert int(rows["one_shot_moments"]["comm_floats_up"]) == 3 * (tri + 4 + 2)
+        assert int(rows["one_shot_moments"]["comm_floats_up"]) == 3 * (tri + 4 + 1)
         assert int(rows["one_shot_moments"]["comm_floats_down"]) == tri + 4
         assert int(rows["one_shot_ridge"]["comm_floats_up"]) == 3 * (tri + 4 + 1)
         assert int(rows["one_shot_ridge"]["comm_floats_down"]) == 4

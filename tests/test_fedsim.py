@@ -4,14 +4,13 @@ import pytest
 
 from fedmismatch.fedsim import (
     PROTOCOL_KINDS,
-    MomentUpload,
     ProtocolSpec,
     replay_comm_schedule,
     run_protocol,
 )
-from fedmismatch.impute import apply_imputer, fit_zero_imputer
+from fedmismatch.impute import ImputedDataset, apply_imputer, fit_zero_imputer
 from fedmismatch.impute import federated_ice as ice_in_memory
-from fedmismatch.model import ClientSpec, FeaturePattern
+from fedmismatch.model import ClientSpec, Dataset, FeaturePattern
 from fedmismatch.moments import aggregate_zero_imputed, empirical_coobservation, local_moments_by_client
 from fedmismatch.popgen import sample_dataset
 from fedmismatch.ridge import fedavg_ridge, ridge_closed_form, split_by_client
@@ -32,9 +31,39 @@ def _completed(seed, d=4, n=120, clients=None):
     return apply_imputer(fit_zero_imputer(data.clients), data)
 
 
+def _sparse_federation(seed, d=4):
+    """Four clients: client 2 drew no rows and client 3 observes nothing."""
+    rng = seeded(seed)
+    pop = random_population(rng, d)
+    clients = (
+        ClientSpec(id=1, pattern=FeaturePattern.from_one_based([1, 3], d), rho=0.25),
+        ClientSpec(id=2, pattern=FeaturePattern.from_one_based([2, 4], d), rho=0.25),
+        ClientSpec(id=3, pattern=FeaturePattern.empty(d), rho=0.25),
+        ClientSpec(id=4, pattern=FeaturePattern.from_one_based([2, 3, 4], d), rho=0.25),
+    )
+    drawn = sample_dataset(pop, clients, 90, rng)
+    keep = drawn.client_ids != 2
+    data = Dataset(
+        clients=clients, client_ids=drawn.client_ids[keep], x_filled=drawn.x_filled[keep], y=drawn.y[keep]
+    )
+    assert len(data.rows_of(2)) == 0 and len(data.rows_of(3)) > 0
+    return data
+
+
+def _library_artifact(spec, data):
+    """What the library function returns for the payload run_protocol gets."""
+    if spec.kind == "one_shot_moments":
+        return aggregate_zero_imputed(local_moments_by_client(data)), empirical_coobservation(data)[1]
+    if spec.kind == "federated_ice":
+        return ice_in_memory(data, rounds=spec.ice_rounds).imputed
+    if spec.kind == "one_shot_ridge":
+        return ridge_closed_form(data, spec.lam)
+    return fedavg_ridge(split_by_client(data), lam=spec.lam, rounds=spec.rounds).theta
+
+
 class TestTransportTransparency:
-    """The protocol artifacts equal the in-memory computations bitwise:
-    simulation changes who holds which array, never a single float."""
+    """The protocol artifacts equal the library computations bitwise:
+    accounting never changes a single float."""
 
     def test_one_shot_moments(self):
         data = _masked(501)
@@ -70,6 +99,35 @@ class TestTransportTransparency:
         assert np.array_equal(res.artifact, want.theta)
 
 
+    @pytest.mark.parametrize("kind", PROTOCOL_KINDS)
+    def test_empty_and_unobserving_clients(self, kind):
+        data = _sparse_federation(515)
+        spec = ProtocolSpec(kind=kind, lam=0.3, ice_rounds=3, rounds=4)
+        masked = kind in ("one_shot_moments", "federated_ice")
+        payload = data if masked else apply_imputer(fit_zero_imputer(data.clients), data)
+        res = run_protocol(spec, payload)
+        want = _library_artifact(spec, payload)
+        if kind == "one_shot_moments":
+            pair, counts = want
+            assert np.array_equal(res.artifact.pair.sigma, pair.sigma)
+            assert np.array_equal(res.artifact.pair.gamma, pair.gamma)
+            assert np.array_equal(res.artifact.counts.counts, counts.counts)
+            assert res.artifact.counts.n == counts.n
+        elif kind == "federated_ice":
+            assert np.array_equal(res.artifact.x, want.x)
+            assert res.artifact.imputer.maps.keys() == want.imputer.maps.keys()
+            for cid, s in want.imputer.maps.items():
+                assert np.array_equal(res.artifact.imputer.maps[cid], s)
+        else:
+            assert np.array_equal(res.artifact, want)
+        # Masked-data protocols log all four clients; completed-data ones
+        # log the three non-empty shards.
+        pred = replay_comm_schedule(spec, 4 if masked else 3, data.d)
+        assert res.comm.total_floats("up") == pred.up_floats
+        assert res.comm.total_floats("down") == pred.down_floats
+        assert res.comm.total_bits() == pred.registration_bits
+
+
 class TestPayloadAudit:
     def test_schedules_independent_of_sample_counts(self):
         # Payload sizes scale with d and rounds only; shipping ten times the
@@ -94,17 +152,27 @@ class TestPayloadAudit:
         tri = 5 * 6 // 2
         for e in res.comm.events:
             if e.direction == "up" and e.floats:
-                assert e.floats == tri + 5 + 2
+                assert e.floats == tri + 5 + 1
 
-    def test_payload_float_count_matches_contents(self):
-        up = MomentUpload(
-            client_id=1,
-            count=3.0,
-            sigma_upper=np.zeros(10),
-            gamma_sum=np.zeros(4),
-            hash_slot=0.5,
-        )
-        assert up.float_count() == 2 + 10 + 4
+    def test_every_event_has_its_message_size(self):
+        # Per message: registrations carry d bits and no floats, and every
+        # float payload has the size its contents dictate.
+        d, tri = 4, 4 * 5 // 2
+        clients = section3_clients(d)
+        k = len(clients)
+        sizes = {
+            "one_shot_moments": {(0, "up"): (0, d), (1, "up"): (tri + d + 1, 0), (1, "down"): (tri + d, 0)},
+            "one_shot_ridge": {(1, "up"): (tri + d + 1, 0), (1, "down"): (d, 0)},
+            "federated_ice": {(0, "up"): (0, d), **{(t, io): (tri, 0) for t in (1, 2) for io in ("up", "down")}},
+            "fedavg_ridge": {(t, io): (k * d, 0) for t in (1, 2) for io in ("up", "down")},
+        }
+        for kind, want in sizes.items():
+            build = _masked if kind in ("one_shot_moments", "federated_ice") else _completed
+            payload = build(516, d, 60, clients)
+            res = run_protocol(ProtocolSpec(kind=kind, lam=0.1, ice_rounds=2, rounds=2), payload)
+            assert {(e.round, e.direction) for e in res.comm.events} == set(want), kind
+            for e in res.comm.events:
+                assert (e.floats, e.bits) == want[(e.round, e.direction)], (kind, e)
 
 
 class TestReplayMatchesRun:
@@ -140,12 +208,12 @@ class TestReplayMatchesRun:
 
 class TestPinnedTotals:
     def test_one_shot_moments_k3_d4(self):
-        # 3 clients * (10 upper-tri + 4 gamma + count + hash) = 48 up,
+        # 3 clients * (10 upper-tri + 4 gamma + count) = 45 up,
         # 10 + 4 = 14 down, 3 * 4 registration bits.
         clients = random_clients(seeded(510), 4, 3)
         data = _masked(510, 4, 90, clients)
         res = run_protocol(ProtocolSpec(kind="one_shot_moments"), data)
-        assert res.comm.total_floats("up") == 48
+        assert res.comm.total_floats("up") == 45
         assert res.comm.total_floats("down") == 14
         assert res.comm.total_bits("up") == 12
 
@@ -158,6 +226,32 @@ class TestPinnedTotals:
         res = run_protocol(ProtocolSpec(kind="fedavg_ridge", lam=0.1, rounds=7), data)
         assert res.comm.total_floats("up") == 7 * 2 * 5
         assert res.comm.total_floats("down") == 7 * 2 * 5
+
+    def test_fedavg_comm_per_round(self):
+        clients = (
+            ClientSpec(id=1, pattern=FeaturePattern.full(3), rho=0.5),
+            ClientSpec(id=2, pattern=FeaturePattern.full(3), rho=0.5),
+        )
+        data = ImputedDataset(
+            clients=clients,
+            client_ids=np.array([1, 1, 1, 2, 2, 2]),
+            x=np.vstack([np.eye(3), np.eye(3)]),
+            y=np.ones(6),
+        )
+        res = run_protocol(ProtocolSpec(kind="fedavg_ridge", lam=0.1, rounds=7), data)
+        assert res.comm.total_floats("up") == 7 * 2 * 3
+        assert res.comm.total_floats("down") == 7 * 2 * 3
+
+    def test_ice_comm_totals(self):
+        # Every client uploads its second-moment sums each round: K * T * tri
+        # up, one T * tri broadcast down.
+        rng = seeded(213)
+        pop = random_population(rng, 4)
+        data = sample_dataset(pop, section3_clients(), 40, rng)
+        res = run_protocol(ProtocolSpec(kind="federated_ice", ice_rounds=3), data)
+        tri = 4 * 5 // 2
+        assert res.comm.total_floats("up") == 2 * 3 * tri
+        assert res.comm.total_floats("down") == 3 * tri
 
     def test_ice_round_totals(self):
         data = _masked(512, 4, 50)

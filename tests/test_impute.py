@@ -166,7 +166,6 @@ class TestFederatedIce:
         assert res.rounds_run == 0
         assert res.sigma_trace == ()
         assert np.array_equal(res.imputed.x, data.x_filled)
-        assert res.comm.total_floats() == 0
 
     def test_full_pattern_trace_constant(self):
         # Nothing is missing, so every round re-estimates the same matrix
@@ -221,15 +220,6 @@ class TestFederatedIce:
         assert res.rounds_run < 50
         loose = federated_ice(data, rounds=2, early_stop_rms=None)
         assert not loose.stopped_early
-
-    def test_comm_totals(self):
-        rng = seeded(213)
-        pop = random_population(rng, 4)
-        data = sample_dataset(pop, section3_clients(), 40, rng)
-        res = federated_ice(data, rounds=3)
-        tri = 4 * 5 // 2
-        assert res.comm.total_floats("up") == 3 * tri
-        assert res.comm.total_floats("down") == 3 * tri
 
     def test_negative_rounds_rejected(self):
         rng = seeded(214)

@@ -145,14 +145,6 @@ class TestDataset:
         np.testing.assert_array_equal(ds.x_obs_of(1), [[1.0, 2.0], [9.0, 10.0]])
         np.testing.assert_array_equal(ds.y_of(2), [0.2, 0.3])
 
-    def test_sample_views(self):
-        ds = self._data()
-        s = ds.sample(1)
-        assert s.client_id == 2
-        np.testing.assert_array_equal(s.x_obs, [3.0, 4.0, 5.0])
-        assert s.y == 0.2
-        assert len(list(ds.iter_samples())) == 4
-
     def test_unknown_client_rows_rejected(self):
         clients = _two_clients()
         with pytest.raises(ValueError, match="unknown client"):

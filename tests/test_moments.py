@@ -16,7 +16,7 @@ from fedmismatch import (
     sample_dataset,
 )
 from fedmismatch.model import Provenance
-from fedmismatch.moments import imputed_data_moments, pack_upper, pattern_hash, unpack_upper
+from fedmismatch.moments import imputed_data_moments, pack_upper, unpack_upper
 
 from support import seeded
 from test_popgen import section3_clients
@@ -265,9 +265,3 @@ class TestWireFormat:
     def test_unpack_length_checked(self):
         with pytest.raises(ValueError):
             unpack_upper(np.zeros(4), 3)
-
-    def test_pattern_hash_separates_small_patterns(self):
-        d = 10
-        seen = {pattern_hash(FeaturePattern((i,), d)) for i in range(d)}
-        assert len(seen) == d
-        assert pattern_hash(FeaturePattern.empty(d)) == 0.0

@@ -99,11 +99,6 @@ class TestFedAvg:
         assert res.rounds_run == 0
         assert len(res.objective_trace) == 1
 
-    def test_comm_per_round(self):
-        res = fedavg_ridge([(np.eye(3), np.ones(3)), (np.eye(3), np.ones(3))], lam=0.1, rounds=7)
-        assert res.comm.total_floats("up") == 7 * 2 * 3
-        assert res.comm.total_floats("down") == 7 * 2 * 3
-
     def test_empty_shard_rejected(self):
         with pytest.raises(ValueError, match="empty shards"):
             fedavg_ridge([(np.eye(2), np.ones(2)), (np.zeros((0, 2)), np.zeros(0))], lam=0.1, rounds=1)
