@@ -20,6 +20,7 @@ from .model import (
     Provenance,
     crop_matrix,
     crop_vector,
+    group_rows,
     validate_federation,
 )
 from .popgen import (
@@ -39,6 +40,7 @@ from .moments import (
     cw_moments,
     debias_moments,
     empirical_coobservation,
+    gram_fold,
     imputed_data_moments,
     local_moments_by_client,
     local_zero_imputed_moments,
@@ -68,7 +70,6 @@ from .ridge import (
     itr_predictor,
     local_learning,
     ridge_closed_form,
-    split_by_client,
     truncate,
 )
 from .oracle import (

@@ -6,42 +6,24 @@ import numpy as np
 DEFAULT_PINV_RTOL = 1e-10
 
 
-def signed_svd(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """SVD with a fixed sign convention for reproducibility.
-
-    Each left singular vector is flipped so its largest-magnitude entry is
-    positive; the matching right vector is flipped with it, which leaves the
-    factorization valid.
-    """
-    u, s, vt = np.linalg.svd(np.asarray(a, dtype=np.float64))
-    for j in range(u.shape[1]):
-        col = u[:, j]
-        pivot = col[np.argmax(np.abs(col))]
-        if pivot < 0:
-            u[:, j] = -col
-            if j < vt.shape[0]:
-                vt[j, :] = -vt[j, :]
-    return u, s, vt
-
-
-def pinv(a: np.ndarray, rtol: float = DEFAULT_PINV_RTOL) -> np.ndarray:
+def pinv(a: np.ndarray) -> np.ndarray:
     """Moore-Penrose pseudoinverse with relative singular-value cutoff.
 
-    Singular values below rtol * sigma_max are treated as zero. The 0 x 0
+    Singular values below DEFAULT_PINV_RTOL * sigma_max are treated as zero. The 0 x 0
     and empty cases return matching empty shapes.
     """
     a = np.asarray(a, dtype=np.float64)
     if a.size == 0:
         return np.zeros(a.T.shape)
-    u, s, vt = signed_svd(a)
-    cut = rtol * s[0] if s.size and s[0] > 0 else 0.0
+    u, s, vt = np.linalg.svd(a)
+    cut = DEFAULT_PINV_RTOL * s[0] if s.size and s[0] > 0 else 0.0
     inv = np.where(s > cut, 1.0 / np.where(s > cut, s, 1.0), 0.0)
     return (vt.T * inv) @ u.T
 
 
-def pinv_solve(a: np.ndarray, b: np.ndarray, rtol: float = DEFAULT_PINV_RTOL) -> np.ndarray:
+def pinv_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Minimum-norm solution of a x = b via the cutoff pseudoinverse."""
-    return pinv(a, rtol=rtol) @ np.asarray(b, dtype=np.float64)
+    return pinv(a) @ np.asarray(b, dtype=np.float64)
 
 
 def psd_clip(a: np.ndarray) -> np.ndarray:

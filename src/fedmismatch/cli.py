@@ -580,7 +580,7 @@ def _run_item(cfg: ExperimentConfig, item: _WorkItem) -> list[dict]:
         ice_rounds = int(cfg.params.get("ice_rounds", 3))
         rounds = int(cfg.params.get("rounds", 5))
         completed = apply_imputer(fit_zero_imputer(clients), data)
-        nonempty = len(completed.shard_ids())
+        nonempty = len(completed.shard_rows)
         for kind in cfg.methods:
             spec = ProtocolSpec(
                 kind=kind,

@@ -10,8 +10,8 @@ shards; ``run_protocol`` calls it and logs every message it implies:
   closed-form ridge coefficients out.
 * federated_ice: ``impute.federated_ice``; masked shards in, iteratively
   completed dataset out.
-* fedavg_ridge: ``ridge.fedavg_ridge`` over ``split_by_client``; completed
-  shards in, iteratively averaged coefficients out.
+* fedavg_ridge: ``ridge.fedavg_ridge`` over ``ImputedDataset.shards``;
+  completed shards in, iteratively averaged coefficients out.
 
 Every message carries only aggregates whose size depends on d (and rounds),
 never on the local sample count. Each transfer is logged with its exact
@@ -36,7 +36,7 @@ from dataclasses import dataclass
 from .impute import ImputedDataset, federated_ice
 from .model import CommLog, Dataset, MomentPair
 from .moments import CoObservationCounts, aggregate_zero_imputed, coobservation_counts, local_moments_by_client
-from .ridge import fedavg_ridge, ridge_closed_form, split_by_client
+from .ridge import fedavg_ridge, ridge_closed_form
 
 __all__ = [
     "PROTOCOL_KINDS",
@@ -141,14 +141,14 @@ def _federated_ice(data: Dataset, spec: ProtocolSpec, comm: CommLog, ids: list[i
 def _one_shot_ridge(data: ImputedDataset, spec: ProtocolSpec, comm: CommLog):
     d = data.d
     theta = ridge_closed_form(data, spec.lam)
-    for cid in data.shard_ids():
+    for cid in data.shard_rows:
         comm.record(1, "up", 1 + d * (d + 1) // 2 + d, f"completed-data moment sums from client {cid}")
     comm.record(1, "down", d, "broadcast ridge coefficients")
     return theta
 
 
 def _fedavg_ridge(data: ImputedDataset, spec: ProtocolSpec, comm: CommLog):
-    shards = split_by_client(data)
+    shards = list(data.shards())
     res = fedavg_ridge(shards, spec.lam, spec.rounds, spec.local_steps)
     floats = len(shards) * data.d
     for t in range(1, res.rounds_run + 1):

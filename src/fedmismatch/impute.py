@@ -19,12 +19,13 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Iterator, Mapping
 
 import numpy as np
 
-from ._linalg import DEFAULT_PINV_RTOL, pinv
-from .model import ClientSpec, Dataset, FeaturePattern, validate_federation
+from ._linalg import pinv
+from .model import ClientSpec, Dataset, FeaturePattern, group_rows, validate_federation
+from .moments import gram_fold
 
 __all__ = [
     "ImputerKind",
@@ -101,7 +102,7 @@ def fit_zero_imputer(clients) -> ImputationMap:
     )
 
 
-def optimal_block_map(sigma: np.ndarray, pattern: FeaturePattern, rtol: float = DEFAULT_PINV_RTOL) -> np.ndarray:
+def optimal_block_map(sigma: np.ndarray, pattern: FeaturePattern) -> np.ndarray:
     """S = sigma[mis, obs] sigma[obs, obs]^+ for one pattern."""
     sigma = np.asarray(sigma, dtype=np.float64)
     obs = list(pattern.observed)
@@ -112,14 +113,13 @@ def optimal_block_map(sigma: np.ndarray, pattern: FeaturePattern, rtol: float = 
         return np.zeros((len(mis), 0))
     s_oo = sigma[np.ix_(obs, obs)]
     s_mo = sigma[np.ix_(mis, obs)]
-    return s_mo @ pinv(s_oo, rtol=rtol)
+    return s_mo @ pinv(s_oo)
 
 
 def fit_optimal_imputer(
     sigma: np.ndarray,
     clients,
     source: str = "population",
-    rtol: float = DEFAULT_PINV_RTOL,
 ) -> ImputationMap:
     """Best linear completion maps from a full covariance estimate.
 
@@ -131,7 +131,7 @@ def fit_optimal_imputer(
     maps: dict[int, np.ndarray] = {}
     flagged: set[int] = set()
     for c in clients:
-        maps[c.id] = optimal_block_map(sigma, c.pattern, rtol=rtol)
+        maps[c.id] = optimal_block_map(sigma, c.pattern)
         if c.pattern.is_empty and c.pattern.missing:
             flagged.add(c.id)
     return ImputationMap(
@@ -145,7 +145,8 @@ def fit_optimal_imputer(
 
 @dataclass(frozen=True)
 class ImputedDataset:
-    """Completed design matrix plus the untouched responses and ownership."""
+    """Completed design matrix plus the untouched responses and ownership,
+    grouped by client once, on construction (``shard_rows``, as ``Dataset``)."""
 
     clients: tuple[ClientSpec, ...]
     client_ids: np.ndarray
@@ -163,6 +164,7 @@ class ImputedDataset:
         object.__setattr__(self, "x", x)
         object.__setattr__(self, "y", y)
         object.__setattr__(self, "client_ids", ids)
+        object.__setattr__(self, "shard_rows", group_rows(ids))
 
     @property
     def n(self) -> int:
@@ -172,13 +174,11 @@ class ImputedDataset:
     def d(self) -> int:
         return self.x.shape[1]
 
-    def shard_ids(self) -> tuple[int, ...]:
-        """Ids of the clients that own at least one row, ascending."""
-        return tuple(int(i) for i in np.unique(self.client_ids))
-
-    def shard(self, client_id: int) -> tuple[np.ndarray, np.ndarray]:
-        rows = np.flatnonzero(self.client_ids == client_id)
-        return self.x[rows], self.y[rows]
+    def shards(self) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+        """(x_k, y_k) copies of each non-empty shard, in ascending client-id
+        order, made one at a time as the caller advances."""
+        for rows in self.shard_rows.values():
+            yield self.x[rows], self.y[rows]
 
 
 def _checked_map(imputer: ImputationMap, client: ClientSpec) -> np.ndarray:
@@ -203,8 +203,6 @@ def apply_imputer(imputer: ImputationMap, data: Dataset) -> ImputedDataset:
         if not mis:
             continue
         rows = data.rows_of(c.id)
-        if len(rows) == 0:
-            continue
         x_obs = data.x_obs_of(c.id)
         x[np.ix_(rows, mis)] = x_obs @ s.T
     return ImputedDataset(clients=data.clients, client_ids=data.client_ids, x=x, y=data.y, imputer=imputer)
@@ -224,18 +222,17 @@ def federated_ice(
     data: Dataset,
     rounds: int,
     init: ImputationMap | None = None,
-    rtol: float = DEFAULT_PINV_RTOL,
     early_stop_rms: float | None = None,
 ) -> IceResult:
     """Iterated conditional-expectation completion over a federation.
 
-    Every client builds its observed block and its completed block once,
-    completed by ``init`` (zeros when absent). Each round the clients'
-    symmetrized Gram sums are folded in ascending id order into the raw
-    second-moment estimate, every client's optimal block map is refreshed
-    from it, and each client overwrites its missing columns with
-    x_obs @ S_k^T. Clients without rows upload nothing but zeros and are
-    skipped in the fold. ``rounds`` = 0 returns the initial completion
+    Every client builds its completed block once, completed by ``init``
+    (zeros when absent); its observed columns stay verbatim in that block.
+    Each round the clients' symmetrized Gram sums are folded in ascending id
+    order (``moments.gram_fold``) into the raw second-moment estimate, every
+    client's optimal block map is refreshed from it, and each client
+    overwrites its missing columns with x_obs @ S_k^T. Clients without rows
+    add zero sums. ``rounds`` = 0 returns the initial completion
     unchanged. When ``early_stop_rms`` is set, iteration stops once the RMS
     change over imputed entries falls below it, and the result records the
     stop.
@@ -246,7 +243,7 @@ def federated_ice(
         raise ValueError("no samples across the federation")
     d = data.d
     clients = sorted(data.clients, key=lambda c: c.id)
-    shards = []  # (client, rows, observed block, completed block)
+    shards = []  # (client, rows, completed block); observed columns are read back from it
     for c in clients:
         rows = data.rows_of(c.id)
         x_obs = data.x_obs_of(c.id)
@@ -257,27 +254,24 @@ def federated_ice(
             s = _checked_map(init, c)
             if c.pattern.missing and len(rows):
                 x_k[:, list(c.pattern.missing)] = x_obs @ s.T
-        shards.append((c, rows, x_obs, x_k))
-    n_missing = sum(len(c.pattern.missing) * len(rows) for c, rows, _, _ in shards)
+        del x_obs
+        shards.append((c, rows, x_k))
+    n_missing = sum(len(c.pattern.missing) * len(rows) for c, rows, _ in shards)
     trace: list[np.ndarray] = []
     maps: dict[int, np.ndarray] = {}
     stopped = False
     run = 0
     for t in range(1, rounds + 1):
-        sigma_sum = np.zeros((d, d))
-        for _, rows, _, x_k in shards:
-            if len(rows):
-                block = x_k.T @ x_k
-                sigma_sum += (block + block.T) / 2.0
+        sigma_sum, _ = gram_fold(((x_k, None) for _, _, x_k in shards), d)
         sigma_t = sigma_sum / data.n
         trace.append(sigma_t)
-        maps = {c.id: optimal_block_map(sigma_t, c.pattern, rtol=rtol) for c in clients}
+        maps = {c.id: optimal_block_map(sigma_t, c.pattern) for c in clients}
         squared_change = 0.0
-        for c, rows, x_obs, x_k in shards:
+        for c, rows, x_k in shards:
             mis = list(c.pattern.missing)
             if not mis or not len(rows):
                 continue
-            new = x_obs @ maps[c.id].T
+            new = x_k[:, list(c.pattern.observed)] @ maps[c.id].T
             if early_stop_rms is not None:
                 delta = new - x_k[:, mis]
                 squared_change += float(np.sum(delta * delta))
@@ -301,7 +295,8 @@ def federated_ice(
     else:
         imputer = init if init is not None else fit_zero_imputer(data.clients)
     x = np.zeros((data.n, d))
-    for _, rows, _, x_k in shards:
+    for i, (_, rows, x_k) in enumerate(shards):
         x[rows] = x_k
+        shards[i] = None  # release each shard once it is in the output
     final = ImputedDataset(clients=data.clients, client_ids=data.client_ids, x=x, y=data.y, imputer=imputer)
     return IceResult(imputed=final, sigma_trace=tuple(trace), rounds_run=run, stopped_early=stopped)

@@ -26,6 +26,7 @@ __all__ = [
     "ClientwisePredictor",
     "CommEvent",
     "CommLog",
+    "group_rows",
     "crop_vector",
     "crop_matrix",
     "validate_federation",
@@ -143,6 +144,24 @@ def validate_federation(clients) -> tuple[ClientSpec, ...]:
     return clients
 
 
+def group_rows(client_ids: np.ndarray) -> dict[int, np.ndarray]:
+    """Rows owned by each present client id, from one stable argsort.
+
+    Keys are the distinct ids in ascending order; each value holds that id's
+    row indices in ascending order, the same array ``np.flatnonzero`` would
+    give. The row arrays are read-only views of one shared sort order.
+    """
+    ids = np.asarray(client_ids, dtype=np.int64)
+    order = np.argsort(ids, kind="stable")
+    order.flags.writeable = False
+    keys, starts = np.unique(ids[order], return_index=True)
+    return dict(zip(keys.tolist(), np.split(order, starts[1:])))
+
+
+_NO_ROWS = np.zeros(0, dtype=np.intp)
+_NO_ROWS.flags.writeable = False
+
+
 @dataclass(frozen=True)
 class Dataset:
     """Masked sample collection, stored column-filled for vectorized math.
@@ -150,6 +169,10 @@ class Dataset:
     ``x_filled`` is (n, d) with zeros at unobserved coordinates; which zeros
     are structural is always decided by the owning client's pattern, never by
     the stored value. Only observed coordinates are ever meaningful.
+
+    Rows are grouped by client once, on construction: ``shard_rows`` maps
+    each id that owns rows, in ascending id order, to its ascending row
+    indices (read-only arrays), and every per-client accessor reads it.
     """
 
     clients: tuple[ClientSpec, ...]
@@ -170,13 +193,15 @@ class Dataset:
         d = clients[0].pattern.d
         if x.shape[1] != d:
             raise ValueError(f"x_filled has {x.shape[1]} columns, clients expect {d}")
-        known = {c.id for c in clients}
-        present = set(np.unique(ids).tolist())
-        if not present <= known:
-            raise ValueError(f"rows reference unknown client ids {sorted(present - known)}")
+        by_id = {c.id: c for c in clients}
+        shard_rows = group_rows(ids)
+        if not shard_rows.keys() <= by_id.keys():
+            raise ValueError(f"rows reference unknown client ids {sorted(shard_rows.keys() - by_id.keys())}")
         object.__setattr__(self, "client_ids", ids)
         object.__setattr__(self, "x_filled", x)
         object.__setattr__(self, "y", y)
+        object.__setattr__(self, "shard_rows", shard_rows)
+        object.__setattr__(self, "_by_id", by_id)
 
     @property
     def n(self) -> int:
@@ -187,19 +212,19 @@ class Dataset:
         return self.clients[0].pattern.d
 
     def client_by_id(self, client_id: int) -> ClientSpec:
-        for c in self.clients:
-            if c.id == client_id:
-                return c
-        raise KeyError(f"no client with id {client_id}")
+        try:
+            return self._by_id[client_id]
+        except KeyError:
+            raise KeyError(f"no client with id {client_id}") from None
 
     def rows_of(self, client_id: int) -> np.ndarray:
         self.client_by_id(client_id)
-        return np.flatnonzero(self.client_ids == client_id)
+        return self.shard_rows.get(client_id, _NO_ROWS)
 
     def x_obs_of(self, client_id: int) -> np.ndarray:
         """(n_k, |obs|) observed block of one client's rows."""
         c = self.client_by_id(client_id)
-        rows = np.flatnonzero(self.client_ids == client_id)
+        rows = self.shard_rows.get(client_id, _NO_ROWS)
         cols = list(c.pattern.observed)
         return self.x_filled[np.ix_(rows, cols)] if cols else self.x_filled[rows, :0]
 

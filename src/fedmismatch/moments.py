@@ -24,7 +24,7 @@ registration and accounted as d bits, separately from float counts.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Iterable, Mapping
 
 import numpy as np
 
@@ -40,9 +40,8 @@ __all__ = [
     "empirical_coobservation",
     "debias_moments",
     "cw_moments",
+    "gram_fold",
     "imputed_data_moments",
-    "pack_upper",
-    "unpack_upper",
 ]
 
 
@@ -90,11 +89,9 @@ def local_zero_imputed_moments(x_obs: np.ndarray, y: np.ndarray, pattern: Featur
     gamma_sum = np.zeros(d)
     if x_obs.shape[0] and pattern.observed:
         idx = list(pattern.observed)
-        block = x_obs.T @ x_obs
-        # Symmetrize at the source so the packed upper-triangle wire format
-        # loses nothing; matrix products are not exactly symmetric in floats.
-        sigma_sum[np.ix_(idx, idx)] = (block + block.T) / 2.0
-        gamma_sum[idx] = x_obs.T @ y
+        # gram_fold symmetrizes at the source, so the packed upper-triangle
+        # wire format loses nothing.
+        sigma_sum[np.ix_(idx, idx)], gamma_sum[idx] = gram_fold([(x_obs, y)], pattern.size)
     return LocalMoments(sigma_sum=sigma_sum, gamma_sum=gamma_sum, count=x_obs.shape[0])
 
 
@@ -172,7 +169,7 @@ def empirical_coobservation(data: Dataset) -> tuple[np.ndarray, CoObservationCou
     """
     if data.n == 0:
         raise ValueError("empty dataset has no co-observation frequencies")
-    sizes = {c.id: int(np.count_nonzero(data.client_ids == c.id)) for c in data.clients}
+    sizes = {cid: len(rows) for cid, rows in data.shard_rows.items()}
     counts = coobservation_counts(data.clients, sizes)
     return counts.counts / counts.n, counts
 
@@ -212,50 +209,30 @@ def cw_moments(zero: MomentPair, counts: CoObservationCounts) -> MomentPair:
     return MomentPair(sigma, gamma, Provenance.COMPONENT_WISE, coverage=covered)
 
 
-def imputed_data_moments(
-    x: np.ndarray,
-    client_ids: np.ndarray,
-    y: np.ndarray | None = None,
-) -> tuple[np.ndarray, np.ndarray | None]:
-    """Averages (X^T X / n, X^T y / n) folded client-by-client.
+def gram_fold(shards: Iterable[tuple[np.ndarray, np.ndarray | None]], d: int) -> tuple[np.ndarray, np.ndarray]:
+    """Sums of X_k^T X_k and X_k^T y_k over (x_k, y_k) shards, in the given order.
+
+    Each Gram block is symmetrized before it is added, so the sum is exactly
+    symmetric; a shard whose y_k is None adds nothing to the second sum.
+    Feeding shards from a generator keeps one shard copy alive at a time.
+    """
+    sigma_sum = np.zeros((d, d))
+    gamma_sum = np.zeros(d)
+    for xk, yk in shards:
+        block = xk.T @ xk
+        sigma_sum += (block + block.T) / 2.0
+        if yk is not None:
+            gamma_sum += xk.T @ yk
+    return sigma_sum, gamma_sum
+
+
+def imputed_data_moments(data) -> tuple[np.ndarray, np.ndarray]:
+    """Averages (X^T X / n, X^T y / n) of an ``ImputedDataset``.
 
     Partial sums are computed per client and folded in ascending client-id
     order, the order in which a server folds client uploads.
     """
-    x = np.asarray(x, dtype=np.float64)
-    ids = np.asarray(client_ids)
-    n = x.shape[0]
-    if n == 0:
+    if data.n == 0:
         raise ValueError("no rows")
-    d = x.shape[1]
-    sigma_sum = np.zeros((d, d))
-    gamma_sum = np.zeros(d) if y is not None else None
-    for cid in np.unique(ids):
-        rows = np.flatnonzero(ids == cid)
-        xk = x[rows]
-        block = xk.T @ xk
-        sigma_sum += (block + block.T) / 2.0
-        if y is not None:
-            gamma_sum += xk.T @ np.asarray(y, dtype=np.float64)[rows]
-    return sigma_sum / n, (gamma_sum / n if y is not None else None)
-
-
-def pack_upper(a: np.ndarray) -> np.ndarray:
-    """Row-major upper triangle (including diagonal) of a symmetric matrix."""
-    a = np.asarray(a, dtype=np.float64)
-    d = a.shape[0]
-    iu = np.triu_indices(d)
-    return a[iu]
-
-
-def unpack_upper(v: np.ndarray, d: int) -> np.ndarray:
-    """Inverse of pack_upper: rebuild the full symmetric matrix."""
-    v = np.asarray(v, dtype=np.float64)
-    if v.shape != (d * (d + 1) // 2,):
-        raise ValueError(f"expected {d * (d + 1) // 2} packed entries, got {v.shape}")
-    out = np.zeros((d, d))
-    iu = np.triu_indices(d)
-    out[iu] = v
-    out.T[iu] = v
-    return out
-
+    sigma_sum, gamma_sum = gram_fold(data.shards(), data.d)
+    return sigma_sum / data.n, gamma_sum / data.n

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._linalg import DEFAULT_PINV_RTOL, pinv_solve, psd_clip, spectral_radius
+from ._linalg import pinv_solve, psd_clip, spectral_radius
 from .model import ClientwisePredictor, FeaturePattern, MomentPair, crop_matrix, crop_vector
 
 __all__ = [
@@ -33,7 +33,7 @@ __all__ = [
 class PluginConfig:
     """Inversion policy for cropped moment systems.
 
-    inversion "pinv": pseudoinverse with relative cutoff ``pinv_rtol``.
+    inversion "pinv": pseudoinverse with the relative cutoff DEFAULT_PINV_RTOL.
     inversion "ridged": solve (A + ridge_eps I) theta = b.
     ``psd_projection`` clips negative eigenvalues of the cropped matrix
     before inversion (off by default; estimators are used as produced).
@@ -41,7 +41,6 @@ class PluginConfig:
     """
 
     inversion: str = "pinv"
-    pinv_rtol: float = DEFAULT_PINV_RTOL
     ridge_eps: float = 1e-8
     psd_projection: bool = False
     constraint_l: float | None = None
@@ -79,7 +78,7 @@ def crop_predictor(
         return np.zeros(0)
     if cfg.inversion == "ridged":
         return np.linalg.solve(a + cfg.ridge_eps * np.eye(pattern.size), b)
-    return pinv_solve(a, b, rtol=cfg.pinv_rtol)
+    return pinv_solve(a, b)
 
 
 @dataclass(frozen=True)
@@ -136,7 +135,7 @@ def constrained_crop_predictor(
         return ConstrainedFit(np.zeros(0), True, 0, 0.0)
     lam_max = spectral_radius(a)
     step = 1.0 / lam_max if lam_max > 0 else 1.0
-    starts = [_project_ball(pinv_solve(a, b, rtol=cfg.pinv_rtol), radius)]
+    starts = [_project_ball(pinv_solve(a, b), radius)]
     if np.linalg.norm(b) > 0:
         starts.append(b / np.linalg.norm(b) * radius)
     w, q = np.linalg.eigh((a + a.T) / 2.0)

@@ -24,16 +24,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._linalg import DEFAULT_PINV_RTOL, pinv_solve, spectral_radius
+from ._linalg import pinv_solve, spectral_radius
 from .impute import ImputationMap, ImputedDataset
 from .model import ClientwisePredictor, Dataset
-from .moments import imputed_data_moments
+from .moments import gram_fold, imputed_data_moments
 
 __all__ = [
     "ridge_closed_form",
     "FedAvgResult",
     "fedavg_ridge",
-    "split_by_client",
     "truncate",
     "estimate_m",
     "itr_predictor",
@@ -41,22 +40,17 @@ __all__ = [
 ]
 
 
-def ridge_closed_form(data: ImputedDataset, lam: float, rtol: float = DEFAULT_PINV_RTOL) -> np.ndarray:
+def ridge_closed_form(data: ImputedDataset, lam: float) -> np.ndarray:
     """One-shot ridge coefficients from completed-data moments.
 
     lambda = 0 returns the minimum-norm least-squares solution.
     """
     if lam < 0:
         raise ValueError(f"lambda must be >= 0, got {lam}")
-    sigma, gamma = imputed_data_moments(data.x, data.client_ids, data.y)
+    sigma, gamma = imputed_data_moments(data)
     if lam == 0:
-        return pinv_solve(sigma, gamma, rtol=rtol)
+        return pinv_solve(sigma, gamma)
     return np.linalg.solve(sigma + lam * np.eye(data.d), gamma)
-
-
-def split_by_client(data: ImputedDataset) -> list[tuple[np.ndarray, np.ndarray]]:
-    """(x_k, y_k) shards in ascending client-id order; empty shards skipped."""
-    return [data.shard(cid) for cid in data.shard_ids()]
 
 
 def local_gradient_steps(
@@ -108,10 +102,7 @@ def fedavg_ridge(
     if any(len(y) == 0 for _, y in shards):
         raise ValueError("empty shards are not allowed; drop them before calling")
     weights = np.array([len(y) / n for _, y in shards])
-    sigma = np.zeros((d, d))
-    for xk, _ in shards:
-        sigma += xk.T @ xk
-    sigma /= n
+    sigma = gram_fold(shards, d)[0] / n
     step_size = 1.0 / (spectral_radius(sigma) + lam)
 
     def objective(theta: np.ndarray) -> float:
@@ -188,7 +179,6 @@ def local_learning(
     lam: float,
     rho_source: str = "true",
     trunc_m: float | None = None,
-    rtol: float = DEFAULT_PINV_RTOL,
 ) -> ClientwisePredictor:
     """Per-client ridge on own samples only, penalty scaled by 1 / share.
 
@@ -215,7 +205,7 @@ def local_learning(
         rho = c.rho if rho_source == "true" else n_k / data.n
         lam_k = lam / rho
         if lam_k == 0:
-            thetas[c.id] = pinv_solve(sigma_k, gamma_k, rtol=rtol)
+            thetas[c.id] = pinv_solve(sigma_k, gamma_k)
         else:
             thetas[c.id] = np.linalg.solve(sigma_k + lam_k * np.eye(c.pattern.size), gamma_k)
     return ClientwisePredictor(thetas=thetas, trunc_m=trunc_m)

@@ -13,7 +13,7 @@ from fedmismatch.impute import federated_ice as ice_in_memory
 from fedmismatch.model import ClientSpec, Dataset, FeaturePattern
 from fedmismatch.moments import aggregate_zero_imputed, empirical_coobservation, local_moments_by_client
 from fedmismatch.popgen import sample_dataset
-from fedmismatch.ridge import fedavg_ridge, ridge_closed_form, split_by_client
+from fedmismatch.ridge import fedavg_ridge, ridge_closed_form
 
 from support import random_clients, random_population, seeded
 from test_popgen import section3_clients
@@ -58,7 +58,7 @@ def _library_artifact(spec, data):
         return ice_in_memory(data, rounds=spec.ice_rounds).imputed
     if spec.kind == "one_shot_ridge":
         return ridge_closed_form(data, spec.lam)
-    return fedavg_ridge(split_by_client(data), lam=spec.lam, rounds=spec.rounds).theta
+    return fedavg_ridge(list(data.shards()), lam=spec.lam, rounds=spec.rounds).theta
 
 
 class TestTransportTransparency:
@@ -95,7 +95,7 @@ class TestTransportTransparency:
     def test_fedavg(self):
         data = _completed(505)
         res = run_protocol(ProtocolSpec(kind="fedavg_ridge", lam=0.2, rounds=5), data)
-        want = fedavg_ridge(split_by_client(data), lam=0.2, rounds=5)
+        want = fedavg_ridge(list(data.shards()), lam=0.2, rounds=5)
         assert np.array_equal(res.artifact, want.theta)
 
 

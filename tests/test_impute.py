@@ -151,10 +151,13 @@ class TestApplyImputer:
         pop = random_population(rng, 4)
         data = sample_dataset(pop, section3_clients(), 60, rng)
         out = apply_imputer(fit_zero_imputer(data.clients), data)
-        x1, y1 = out.shard(1)
-        rows = data.rows_of(1)
-        assert np.array_equal(x1, out.x[rows])
-        assert np.array_equal(y1, out.y[rows])
+        shards = list(out.shards())
+        owners = [cid for cid in sorted(c.id for c in data.clients) if np.any(data.client_ids == cid)]
+        assert len(shards) == len(owners)
+        for cid, (xk, yk) in zip(owners, shards):
+            rows = np.flatnonzero(data.client_ids == cid)
+            assert np.array_equal(xk, out.x[rows])
+            assert np.array_equal(yk, out.y[rows])
 
 
 class TestFederatedIce:
@@ -203,7 +206,7 @@ class TestFederatedIce:
         data = sample_dataset(pop, clients, 300, rng)
         res = federated_ice(data, rounds=500, early_stop_rms=1e-12)
         assert res.stopped_early
-        sigma, _ = imputed_data_moments(res.imputed.x, data.client_ids)
+        sigma, _ = imputed_data_moments(res.imputed)
         maps = {c.id: optimal_block_map(sigma, c.pattern) for c in clients}
         imp = ImputationMap(
             kind=ImputerKind.ICE, maps=maps, patterns={c.id: c.pattern for c in clients}

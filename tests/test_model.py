@@ -145,6 +145,28 @@ class TestDataset:
         np.testing.assert_array_equal(ds.x_obs_of(1), [[1.0, 2.0], [9.0, 10.0]])
         np.testing.assert_array_equal(ds.y_of(2), [0.2, 0.3])
 
+    def test_index_matches_row_scan(self):
+        # interleaved ids, clients declared out of id order, client 9 drew no rows
+        clients = (
+            ClientSpec(id=5, pattern=FeaturePattern.from_one_based([1, 3], 3), rho=0.4),
+            ClientSpec(id=2, pattern=FeaturePattern.from_one_based([2], 3), rho=0.4),
+            ClientSpec(id=9, pattern=FeaturePattern.full(3), rho=0.2),
+        )
+        ids = np.array([5, 2, 2, 5, 2, 5, 5])
+        rng = np.random.default_rng(0)
+        ds = Dataset(clients=clients, client_ids=ids, x_filled=rng.standard_normal((7, 3)), y=rng.standard_normal(7))
+        assert list(ds.shard_rows) == [2, 5]
+        for c in clients:
+            rows = ds.rows_of(c.id)
+            np.testing.assert_array_equal(rows, np.flatnonzero(ids == c.id))
+            np.testing.assert_array_equal(ds.x_obs_of(c.id), ds.x_filled[np.ix_(rows, list(c.pattern.observed))])
+            np.testing.assert_array_equal(ds.y_of(c.id), ds.y[rows])
+            with pytest.raises(ValueError):
+                rows[:] = 0
+        for accessor in (ds.rows_of, ds.x_obs_of, ds.y_of, ds.client_by_id):
+            with pytest.raises(KeyError):
+                accessor(7)
+
     def test_unknown_client_rows_rejected(self):
         clients = _two_clients()
         with pytest.raises(ValueError, match="unknown client"):

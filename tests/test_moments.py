@@ -16,7 +16,8 @@ from fedmismatch import (
     sample_dataset,
 )
 from fedmismatch.model import Provenance
-from fedmismatch.moments import imputed_data_moments, pack_upper, unpack_upper
+from fedmismatch.impute import ImputedDataset
+from fedmismatch.moments import imputed_data_moments
 
 from support import seeded
 from test_popgen import section3_clients
@@ -242,26 +243,14 @@ class TestImputedDataMoments:
         x = rng.standard_normal((40, 3))
         y = rng.standard_normal(40)
         ids = rng.integers(1, 4, size=40)
-        sigma, gamma = imputed_data_moments(x, ids, y)
+        clients = tuple(ClientSpec(id=k, pattern=FeaturePattern.full(3), rho=1 / 3) for k in (1, 2, 3))
+        sigma, gamma = imputed_data_moments(ImputedDataset(clients=clients, client_ids=ids, x=x, y=y))
         np.testing.assert_allclose(sigma, x.T @ x / 40, atol=1e-13)
         np.testing.assert_allclose(gamma, x.T @ y / 40, atol=1e-13)
 
     def test_no_rows_rejected(self):
+        clients = (ClientSpec(id=1, pattern=FeaturePattern.full(2), rho=1.0),)
+        empty = ImputedDataset(clients=clients, client_ids=np.zeros(0), x=np.zeros((0, 2)), y=np.zeros(0))
         with pytest.raises(ValueError):
-            imputed_data_moments(np.zeros((0, 2)), np.zeros(0))
+            imputed_data_moments(empty)
 
-
-class TestWireFormat:
-    @settings(max_examples=50)
-    @given(st.integers(1, 8))
-    def test_pack_roundtrip(self, d):
-        rng = np.random.default_rng(d)
-        a = rng.standard_normal((d, d))
-        a = (a + a.T) / 2.0
-        packed = pack_upper(a)
-        assert packed.shape == (d * (d + 1) // 2,)
-        np.testing.assert_array_equal(unpack_upper(packed, d), a)
-
-    def test_unpack_length_checked(self):
-        with pytest.raises(ValueError):
-            unpack_upper(np.zeros(4), 3)

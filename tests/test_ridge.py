@@ -13,7 +13,6 @@ from fedmismatch.ridge import (
     itr_predictor,
     local_learning,
     ridge_closed_form,
-    split_by_client,
     truncate,
 )
 
@@ -116,7 +115,7 @@ class TestFedAvg:
             x=np.arange(6.0).reshape(3, 2),
             y=np.array([1.0, 2.0, 3.0]),
         )
-        shards = split_by_client(data)
+        shards = list(data.shards())
         assert len(shards) == 1
         assert np.array_equal(shards[0][0], data.x)
 
