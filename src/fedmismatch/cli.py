@@ -17,6 +17,14 @@ FEDMISMATCH_OUT environment variable, else the working directory):
 * ``<prefix>_manifest.json``: the parsed config echoed back with the root
   seed actually used.
 
+What a scenario accepts lives in one table, ``_SCENARIOS``: the methods a
+config may list and their defaults, the grid keys it needs, its integer
+``scenario_params`` with their defaults and minimums, and the function that
+turns one work item into rows. ``validate`` and ``run`` both parse through
+it, so a config that validates cannot fail at run time because of its own
+fields; what can still fail is a sampled degenerate case, such as a client
+that drew no rows.
+
 Every work item (replicate x grid point) derives its generators from
 ``SeedSequence(root_seed, spawn_key=(replicate, grid_index))`` and splits
 them into pattern, data, and evaluation streams, so items are independent
@@ -34,39 +42,22 @@ import os
 import sys
 import time
 from dataclasses import dataclass, field, replace
-from functools import partial
+from functools import cached_property, partial
 from importlib import resources
+from typing import Callable
 
 import numpy as np
 
 from . import oracle
 from .impute import ImputerKind, apply_imputer, fit_optimal_imputer, fit_zero_imputer
-from .model import ClientSpec, ClientwisePredictor, FeaturePattern, MomentPair, validate_federation
+from .model import ClientSpec, ClientwisePredictor, Dataset, FeaturePattern, MomentPair, validate_federation
 from .moments import cw_moments, debias_moments
 from .plugin import PluginConfig, build_clientwise_plugin
 from .popgen import PopulationSpec, co_observation_matrix, draw_bernoulli_patterns, sample_dataset
 from .ridge import estimate_m, itr_predictor, local_learning
-from .fedsim import ProtocolResult, ProtocolSpec, replay_comm_schedule, run_protocol
+from .fedsim import PROTOCOL_KINDS, ProtocolResult, ProtocolSpec, replay_comm_schedule, run_protocol
 
 __all__ = ["ConfigError", "load_config", "validate_config", "run_experiment", "main"]
-
-SCENARIOS = (
-    "consistency_sweep",
-    "new_client_generalization",
-    "bound_verification",
-    "local_vs_federated",
-    "typical_case_sweep",
-    "comm_audit",
-)
-
-DEFAULT_METHODS = {
-    "consistency_sweep": ("plugin_debias", "plugin_cw"),
-    "new_client_generalization": ("plugin_cw",),
-    "bound_verification": ("itr_zero", "itr_opt"),
-    "local_vs_federated": ("local", "itr_zero"),
-    "typical_case_sweep": ("typical_zero_bias",),
-    "comm_audit": ("one_shot_moments", "one_shot_ridge", "federated_ice", "fedavg_ridge"),
-}
 
 RESULT_COLUMNS = (
     "scenario",
@@ -117,7 +108,7 @@ class ExperimentConfig:
     root_seed: int
     replicates: int
     prefix: str
-    params: dict = field(default_factory=dict)
+    params: dict = field(default_factory=dict)  # typed scenario_params, defaults filled in
 
 
 def load_config(path: str) -> dict:
@@ -131,257 +122,226 @@ def load_config(path: str) -> dict:
     return raw
 
 
-def _build_sigma(spec, d: int, problems: list[str]) -> np.ndarray:
+class _Invalid(Exception):
+    """One field-level problem; it ends the parse of the part of the config it occurs in."""
+
+
+def _obj(parent: dict, path: str, required: bool = False) -> dict:
+    """The sub-object at ``path``; {} when it is absent and optional."""
+    key = path.rpartition(".")[2]
+    if key not in parent and not required:
+        return {}
+    value = parent.get(key)
+    if not isinstance(value, dict):
+        raise _Invalid(f"{path}: required object missing" if value is None
+                       else f"{path}: need an object, got {value!r}")
+    return value
+
+
+def _number(value, path: str, *, integer: bool = False, lo=None):
+    """``value`` as a finite float, or as an int when ``integer`` (JSON integers only; bools are neither)."""
+    if isinstance(value, bool):
+        ok = False
+    elif integer:
+        ok = isinstance(value, int)
+    else:
+        ok = isinstance(value, (int, float)) and abs(value) <= sys.float_info.max
+    if not ok or (lo is not None and value < lo):
+        bound = "" if lo is None else f" >= {lo}"
+        raise _Invalid(f"{path}: need {'an integer' if integer else 'a finite number'}{bound}, got {value!r}")
+    return value if integer else float(value)
+
+
+def _array(value, shape: tuple[int, ...], path: str, need: str) -> np.ndarray:
+    """Nested JSON lists of numbers as a float array of ``shape``."""
+    cells = np.array(value, dtype=object)
+    if cells.shape != shape:
+        raise _Invalid(f"{path}: {need}")
+    return np.array([_number(v, path) for v in cells.flat]).reshape(shape)
+
+
+def _pattern(value, d: int, path: str) -> FeaturePattern:
+    """A pattern from a JSON list of 1-based indices."""
+    if not isinstance(value, list):
+        raise _Invalid(f"{path}: need a list of 1-based indices, got {value!r}")
+    indices = [_number(i, path, integer=True) for i in value]
+    try:
+        return FeaturePattern.from_one_based(indices, d)
+    except ValueError as exc:
+        raise _Invalid(f"{path}: {exc}") from exc
+
+
+def _build_sigma(spec: dict, d: int) -> np.ndarray:
     kind = spec.get("kind", "identity")
     if kind == "identity":
         return np.eye(d)
     if kind == "equicorrelated":
-        c = float(spec.get("rho", 0.0))
+        c = _number(spec.get("rho", 0.0), "population.sigma.rho")
         if not (-1.0 / max(d - 1, 1) < c < 1.0):
-            problems.append(f"population.sigma.rho: {c} gives a non-PSD matrix at d={d}")
-            return np.eye(d)
+            raise _Invalid(f"population.sigma.rho: {c} gives a non-PSD matrix at d={d}")
         return (1 - c) * np.eye(d) + c * np.ones((d, d))
     if kind == "toeplitz":
-        decay = float(spec.get("decay", 0.5))
+        decay = _number(spec.get("decay", 0.5), "population.sigma.decay")
         if not (0.0 <= abs(decay) < 1.0):
-            problems.append(f"population.sigma.decay: need |decay| < 1, got {decay}")
-            return np.eye(d)
+            raise _Invalid(f"population.sigma.decay: need |decay| < 1, got {decay}")
         idx = np.arange(d)
         return decay ** np.abs(idx[:, None] - idx[None, :])
     if kind == "explicit":
-        rows = spec.get("rows")
-        arr = np.asarray(rows, dtype=np.float64) if rows is not None else None
-        if arr is None or arr.shape != (d, d):
-            problems.append(f"population.sigma.rows: need a {d}x{d} matrix")
-            return np.eye(d)
-        return arr
-    problems.append(f"population.sigma.kind: unknown kind {kind!r}")
-    return np.eye(d)
+        return _array(spec.get("rows"), (d, d), "population.sigma.rows", f"need a {d}x{d} matrix")
+    raise _Invalid(f"population.sigma.kind: unknown kind {kind!r}")
 
 
-def _build_theta(spec, d: int, problems: list[str]) -> np.ndarray:
+def _build_theta(spec: dict, d: int) -> np.ndarray:
     kind = spec.get("kind", "ones")
-    scale = float(spec.get("scale", 1.0))
+    scale = _number(spec.get("scale", 1.0), "population.theta_star.scale")
     if kind == "ones":
         return scale * np.ones(d)
     if kind == "alternating":
         return scale * np.array([1.0 if i % 2 == 0 else -1.0 for i in range(d)])
     if kind == "explicit":
-        values = spec.get("values")
-        arr = np.asarray(values, dtype=np.float64) if values is not None else None
-        if arr is None or arr.shape != (d,):
-            problems.append(f"population.theta_star.values: need length {d}")
-            return np.ones(d)
-        return scale * arr
-    problems.append(f"population.theta_star.kind: unknown kind {kind!r}")
-    return np.ones(d)
+        return scale * _array(spec.get("values"), (d,), "population.theta_star.values", f"need length {d}")
+    raise _Invalid(f"population.theta_star.kind: unknown kind {kind!r}")
 
 
-def _parse_population(raw: dict, problems: list[str]) -> PopulationSpec | None:
-    pop = raw.get("population")
-    if not isinstance(pop, dict):
-        problems.append("population: required object missing")
-        return None
-    d = pop.get("d")
-    if not isinstance(d, int) or d < 1:
-        problems.append(f"population.d: need an integer >= 1, got {d!r}")
-        return None
-    sigma = _build_sigma(pop.get("sigma", {}), d, problems)
-    theta = _build_theta(pop.get("theta_star", {}), d, problems)
-    noise = pop.get("noise", {"kind": "gaussian", "sigma2": 1.0})
+def _parse_population(raw: dict) -> PopulationSpec:
+    pop = _obj(raw, "population", required=True)
+    d = _number(pop.get("d"), "population.d", integer=True, lo=1)
+    sigma = _build_sigma(_obj(pop, "population.sigma"), d)
+    theta = _build_theta(_obj(pop, "population.theta_star"), d)
+    noise = _obj(pop, "population.noise")
     design = pop.get("design", "gaussian")
     if design not in ("gaussian", "sphere"):
-        problems.append(f"population.design: unknown design {design!r}")
-        return None
+        raise _Invalid(f"population.design: unknown design {design!r}")
     nkind = noise.get("kind", "gaussian")
+    if nkind not in ("gaussian", "uniform"):
+        raise _Invalid(f"population.noise.kind: unknown kind {nkind!r}")
+    key = "sigma2" if nkind == "gaussian" else "halfwidth"
+    value = _number(noise.get(key, 1.0), f"population.noise.{key}")
     try:
         if nkind == "gaussian":
-            sigma2 = float(noise.get("sigma2", 1.0))
-            return PopulationSpec(d=d, sigma=sigma, theta_star=theta, sigma2=sigma2, design=design)
-        if nkind == "uniform":
-            a = float(noise.get("halfwidth", 1.0))
-            if design == "sphere":
-                return PopulationSpec.bounded(sigma, theta, noise_halfwidth=a)
-            return PopulationSpec(
-                d=d, sigma=sigma, theta_star=theta, sigma2=a * a / 3.0,
-                noise="uniform", design=design, noise_halfwidth=a,
-            )
-        problems.append(f"population.noise.kind: unknown kind {nkind!r}")
+            return PopulationSpec(d=d, sigma=sigma, theta_star=theta, sigma2=value, design=design)
+        if design == "sphere":
+            return PopulationSpec.bounded(sigma, theta, noise_halfwidth=value)
+        return PopulationSpec(
+            d=d, sigma=sigma, theta_star=theta, sigma2=value * value / 3.0,
+            noise="uniform", design=design, noise_halfwidth=value,
+        )
     except ValueError as exc:
-        problems.append(f"population: {exc}")
-    return None
+        raise _Invalid(f"population: {exc}") from exc
 
 
-def _parse_federation(raw: dict, d: int | None, problems: list[str]) -> FederationConfig | None:
-    fed = raw.get("clients")
-    if not isinstance(fed, dict):
-        problems.append("clients: required object missing")
-        return None
-    k = fed.get("k")
-    if not isinstance(k, int) or k < 1:
-        problems.append(f"clients.k: need an integer >= 1, got {k!r}")
-        return None
+def _parse_federation(raw: dict, d: int | None) -> FederationConfig | None:
+    fed = _obj(raw, "clients", required=True)
+    k = _number(fed.get("k"), "clients.k", integer=True, lo=1)
     rho_spec = fed.get("rho", "uniform")
     if rho_spec == "uniform":
         rho = tuple(1.0 / k for _ in range(k))
     else:
-        rho = tuple(float(r) for r in rho_spec) if isinstance(rho_spec, list) else ()
-        if len(rho) != k:
-            problems.append(f"clients.rho: need {k} entries or 'uniform'")
-            return None
+        if not isinstance(rho_spec, list) or len(rho_spec) != k:
+            raise _Invalid(f"clients.rho: need {k} entries or 'uniform'")
+        rho = tuple(_number(r, "clients.rho") for r in rho_spec)
         if any(not (0.0 < r <= 1.0) for r in rho):
-            problems.append("clients.rho: every share must lie in (0, 1]")
-            return None
+            raise _Invalid("clients.rho: every share must lie in (0, 1]")
         if abs(sum(rho) - 1.0) > 1e-12:
-            problems.append(f"clients.rho: shares sum to {sum(rho)!r}, not 1 within 1e-12")
-            return None
-    pat = fed.get("patterns", {})
+            raise _Invalid(f"clients.rho: shares sum to {sum(rho)!r}, not 1 within 1e-12")
+    pat = _obj(fed, "clients.patterns")
     kind = pat.get("kind")
     if kind == "explicit":
         if d is None:
             return None
         obs_lists = pat.get("observed")
         if not isinstance(obs_lists, list) or len(obs_lists) != k:
-            problems.append(f"clients.patterns.observed: need {k} index lists")
-            return None
-        pats = []
-        for i, obs in enumerate(obs_lists):
-            try:
-                pats.append(FeaturePattern.from_one_based(obs, d))
-            except ValueError as exc:
-                problems.append(f"clients.patterns.observed[{i}]: {exc}")
-        if len(pats) != k:
-            return None
-        return FederationConfig(k=k, rho=rho, pattern_kind="explicit", explicit=tuple(pats))
+            raise _Invalid(f"clients.patterns.observed: need {k} index lists")
+        pats = tuple(_pattern(obs, d, f"clients.patterns.observed[{i}]") for i, obs in enumerate(obs_lists))
+        return FederationConfig(k=k, rho=rho, pattern_kind="explicit", explicit=pats)
     if kind == "bernoulli":
         tau = pat.get("tau")
-        if tau is not None and not (0.0 < float(tau) <= 1.0):
-            problems.append(f"clients.patterns.tau: must lie in (0, 1], got {tau}")
-            return None
+        if tau is not None and not (0.0 < _number(tau, "clients.patterns.tau") <= 1.0):
+            raise _Invalid(f"clients.patterns.tau: must lie in (0, 1], got {tau}")
         return FederationConfig(k=k, rho=rho, pattern_kind="bernoulli", tau=None if tau is None else float(tau))
-    problems.append(f"clients.patterns.kind: need 'explicit' or 'bernoulli', got {kind!r}")
-    return None
+    raise _Invalid(f"clients.patterns.kind: need 'explicit' or 'bernoulli', got {kind!r}")
 
 
 def _parse_config(raw: dict) -> tuple[ExperimentConfig | None, list[str]]:
     problems: list[str] = []
-    scenario = raw.get("scenario")
-    if scenario not in SCENARIOS:
-        problems.append(f"scenario: need one of {SCENARIOS}, got {scenario!r}")
-        scenario = None
-    pop = _parse_population(raw, problems)
-    fed = _parse_federation(raw, pop.d if pop else None, problems)
-    grid = raw.get("grid", {})
-    if not isinstance(grid, dict):
-        problems.append("grid: must be an object")
-        grid = {}
 
-    def _num_list(key, caster, lo=None):
+    def collect(parse, *args, **kwargs):
+        try:
+            return parse(*args, **kwargs)
+        except _Invalid as exc:
+            problems.append(str(exc))
+            return None
+
+    scenario = raw.get("scenario")
+    entry = _SCENARIOS.get(scenario) if isinstance(scenario, str) else None
+    if entry is None:
+        problems.append(f"scenario: need one of {tuple(_SCENARIOS)}, got {scenario!r}")
+    pop = collect(_parse_population, raw)
+    fed = collect(_parse_federation, raw, pop.d if pop else None)
+    grid = collect(_obj, raw, "grid") or {}
+
+    def _num_list(key, **kind):
         vals = grid.get(key)
         if vals is None:
             return ()
         if not isinstance(vals, list) or not vals:
             problems.append(f"grid.{key}: must be a non-empty list")
             return ()
-        out = []
-        for v in vals:
-            try:
-                c = caster(v)
-            except (TypeError, ValueError):
-                problems.append(f"grid.{key}: bad entry {v!r}")
-                continue
-            if lo is not None and c < lo:
-                problems.append(f"grid.{key}: entry {v!r} below {lo}")
-                continue
-            out.append(c)
-        return tuple(out)
+        out = [collect(_number, v, f"grid.{key}", **kind) for v in vals]
+        return tuple(v for v in out if v is not None)
 
-    grid_n = _num_list("n", int, 1)
-    grid_lam = _num_list("lam", float, 0.0)
-    grid_tau = _num_list("tau", float)
-    for t in grid_tau:
+    axes = {"n": _num_list("n", integer=True, lo=1), "lam": _num_list("lam", lo=0.0), "tau": _num_list("tau")}
+    for t in axes["tau"]:
         if not (0.0 < t <= 1.0):
             problems.append(f"grid.tau: entry {t} outside (0, 1]")
 
     methods_raw = raw.get("methods")
-    if methods_raw is None and scenario is not None:
-        methods = DEFAULT_METHODS[scenario]
+    if methods_raw is None:
+        methods = entry.defaults if entry else ()
     elif isinstance(methods_raw, list) and methods_raw:
         methods = tuple(str(m) for m in methods_raw)
     else:
         problems.append("methods: must be a non-empty list when given")
         methods = ()
-    if scenario not in ("typical_case_sweep", "comm_audit"):
-        for m in methods:
-            if m not in METHODS:
-                problems.append(f"methods: unknown method {m!r}")
 
-    mc = raw.get("mc", {})
-    n_test = mc.get("n_test", 10_000) if isinstance(mc, dict) else 10_000
-    if not isinstance(n_test, int) or n_test < 2:
-        problems.append(f"mc.n_test: need an integer >= 2, got {n_test!r}")
-        n_test = 2
-
-    seeds = raw.get("seeds", {})
-    root = seeds.get("root", 0) if isinstance(seeds, dict) else 0
-    reps = seeds.get("replicates", 1) if isinstance(seeds, dict) else 1
-    if not isinstance(root, int) or root < 0:
-        problems.append(f"seeds.root: need an integer >= 0, got {root!r}")
-        root = 0
-    if not isinstance(reps, int) or reps < 1:
-        problems.append(f"seeds.replicates: need an integer >= 1, got {reps!r}")
-        reps = 1
-
-    output = raw.get("output", {})
-    prefix = output.get("prefix", "experiment") if isinstance(output, dict) else "experiment"
+    mc = collect(_obj, raw, "mc") or {}
+    n_test = collect(_number, mc.get("n_test", 10_000), "mc.n_test", integer=True, lo=2)
+    seeds = collect(_obj, raw, "seeds") or {}
+    root = collect(_number, seeds.get("root", 0), "seeds.root", integer=True, lo=0)
+    reps = collect(_number, seeds.get("replicates", 1), "seeds.replicates", integer=True, lo=1)
+    output = collect(_obj, raw, "output") or {}
+    prefix = output.get("prefix", "experiment")
     if not isinstance(prefix, str) or not prefix:
         problems.append("output.prefix: must be a non-empty string")
-        prefix = "experiment"
+    raw_params = collect(_obj, raw, "scenario_params") or {}
 
-    params = raw.get("scenario_params", {})
-    if not isinstance(params, dict):
-        problems.append("scenario_params: must be an object")
-        params = {}
-
-    # Scenario-level requirements.
-    if scenario in ("consistency_sweep", "new_client_generalization", "bound_verification", "local_vs_federated"):
-        if not grid_n:
-            problems.append(f"grid.n: required for scenario {scenario}")
-    if scenario in ("bound_verification", "local_vs_federated") and not grid_lam:
-        problems.append(f"grid.lam: required for scenario {scenario}")
-    if scenario == "typical_case_sweep":
-        if not grid_tau:
-            problems.append("grid.tau: required for scenario typical_case_sweep")
-        if not grid_lam:
-            problems.append("grid.lam: required for scenario typical_case_sweep")
-        if fed and fed.pattern_kind != "bernoulli":
-            problems.append("clients.patterns: typical_case_sweep needs bernoulli patterns")
-        if pop is not None and np.max(np.abs(np.diag(pop.sigma) - 1.0)) > 1e-12:
-            problems.append("population.sigma: typical_case_sweep needs unit diagonal")
-    if scenario == "new_client_generalization":
-        new_pat = params.get("new_pattern")
-        if not isinstance(new_pat, list) or not new_pat:
-            problems.append("scenario_params.new_pattern: required 1-based index list")
-        elif pop is not None:
-            try:
-                FeaturePattern.from_one_based(new_pat, pop.d)
-            except ValueError as exc:
-                problems.append(f"scenario_params.new_pattern: {exc}")
-    if fed is not None and grid_tau and fed.pattern_kind != "bernoulli":
+    params: dict = {}
+    if entry is not None:
+        for m in methods:
+            if m not in entry.methods:
+                problems.append(f"methods: unknown method {m!r} for scenario {scenario}, need some of {entry.methods}")
+        for key in entry.grid:
+            if not axes[key]:
+                problems.append(f"grid.{key}: required for scenario {scenario}")
+        for name, (default, lo) in entry.params.items():
+            params[name] = collect(_number, raw_params.get(name, default), f"scenario_params.{name}",
+                                   integer=True, lo=lo)
+        params.update(collect(entry.check, raw_params, pop, fed) or {})
+    if fed is not None and axes["tau"] and fed.pattern_kind != "bernoulli":
         problems.append("grid.tau: only meaningful with bernoulli patterns")
-    if fed is not None and fed.pattern_kind == "bernoulli" and not grid_tau and fed.tau is None:
+    if fed is not None and fed.pattern_kind == "bernoulli" and not axes["tau"] and fed.tau is None:
         problems.append("clients.patterns.tau: required when grid.tau is absent")
 
-    if problems or scenario is None or pop is None or fed is None:
+    if problems:
         return None, problems
     cfg = ExperimentConfig(
         scenario=scenario,
         population=pop,
         federation=fed,
         methods=methods,
-        grid_n=grid_n,
-        grid_lam=grid_lam or (0.0,),
-        grid_tau=grid_tau,
+        grid_n=axes["n"],
+        grid_lam=axes["lam"] or (0.0,),
+        grid_tau=axes["tau"],
         n_test=n_test,
         root_seed=root,
         replicates=reps,
@@ -417,6 +377,23 @@ def _build_clients(cfg: ExperimentConfig, tau: float | None, rng: np.random.Gene
     return validate_federation(clients)
 
 
+@dataclass
+class _Context:
+    """One work item's fitting inputs. Plug-ins are fitted on ``clients`` and served to ``served``, which
+    every risk is taken over; ``moments`` runs the one-shot moment protocol once, on first use."""
+
+    pop: PopulationSpec
+    clients: tuple[ClientSpec, ...]
+    served: tuple[ClientSpec, ...]
+    data: Dataset
+    lam: float
+    params: dict
+
+    @cached_property
+    def moments(self) -> ProtocolResult:
+        return run_protocol(ProtocolSpec(kind="one_shot_moments"), self.data)
+
+
 @dataclass(frozen=True)
 class _Fit:
     """One method's predictor plus the values reported next to its risk."""
@@ -425,17 +402,6 @@ class _Fit:
     oracle_risk: float
     bound_value: float | None = None
     protocols: tuple[ProtocolResult, ...] = ()
-
-
-def _comm_columns(protocols) -> dict:
-    return {
-        "comm_floats_up": sum(r.comm.total_floats("up") for r in protocols),
-        "comm_floats_down": sum(r.comm.total_floats("down") for r in protocols),
-    }
-
-
-def _one_shot_moments(data) -> ProtocolResult:
-    return run_protocol(ProtocolSpec(kind="one_shot_moments"), data)
 
 
 def _debiased(art, clients) -> MomentPair:
@@ -450,14 +416,14 @@ def _componentwise(art, clients) -> MomentPair:
 _PLUGIN_PAIRS = {"plugin_debias": _debiased, "plugin_cw": _componentwise}
 
 
-def _fit_plugin(pair_of, pop, clients, data, lam, params) -> _Fit:
-    moments = _one_shot_moments(data)
-    predictor = build_clientwise_plugin(pair_of(moments.artifact, clients), clients, PluginConfig())
-    return _Fit(predictor, oracle.oracle_global_risk(pop, clients), protocols=(moments,))
+def _fit_plugin(pair_of, ctx: _Context) -> _Fit:
+    predictor = build_clientwise_plugin(pair_of(ctx.moments.artifact, ctx.clients), ctx.served, PluginConfig())
+    return _Fit(predictor, oracle.oracle_global_risk(ctx.pop, ctx.served), protocols=(ctx.moments,))
 
 
-def _itr(imputer, completed, pop, clients, data, lam, bound_kind=None, protocols=()) -> _Fit:
+def _itr(imputer, completed, ctx: _Context, bound_kind=None, protocols=()) -> _Fit:
     """Closed-form ridge on completed data, folded back through the imputer."""
+    pop, clients, data, lam = ctx.pop, ctx.clients, ctx.data, ctx.lam
     ridge = run_protocol(ProtocolSpec(kind="one_shot_ridge", lam=lam), completed)
     m_hat = estimate_m(data)
     predictor = itr_predictor(imputer, ridge.artifact, trunc_m=m_hat)
@@ -468,47 +434,44 @@ def _itr(imputer, completed, pop, clients, data, lam, bound_kind=None, protocols
     return _Fit(predictor, report.r_star_reference, report.bound_value, protocols)
 
 
-def _fit_itr_zero(pop, clients, data, lam, params) -> _Fit:
-    imputer = fit_zero_imputer(clients)
-    return _itr(imputer, apply_imputer(imputer, data), pop, clients, data, lam, ImputerKind.ZERO)
+def _fit_itr_zero(ctx: _Context) -> _Fit:
+    imputer = fit_zero_imputer(ctx.clients)
+    return _itr(imputer, apply_imputer(imputer, ctx.data), ctx, ImputerKind.ZERO)
 
 
-def _fit_itr_opt(pop, clients, data, lam, params) -> _Fit:
-    imputer = fit_optimal_imputer(pop.sigma, clients, source="population")
-    return _itr(imputer, apply_imputer(imputer, data), pop, clients, data, lam, ImputerKind.OPTIMAL_LINEAR)
+def _fit_itr_opt(ctx: _Context) -> _Fit:
+    imputer = fit_optimal_imputer(ctx.pop.sigma, ctx.clients, source="population")
+    return _itr(imputer, apply_imputer(imputer, ctx.data), ctx, ImputerKind.OPTIMAL_LINEAR)
 
 
-def _fit_itr_cw(pop, clients, data, lam, params) -> _Fit:
-    moments = _one_shot_moments(data)
-    imputer = fit_optimal_imputer(_componentwise(moments.artifact, clients).sigma, clients, source="cw")
-    return _itr(imputer, apply_imputer(imputer, data), pop, clients, data, lam, protocols=(moments,))
+def _fit_itr_cw(ctx: _Context) -> _Fit:
+    imputer = fit_optimal_imputer(_componentwise(ctx.moments.artifact, ctx.clients).sigma, ctx.clients, source="cw")
+    return _itr(imputer, apply_imputer(imputer, ctx.data), ctx, protocols=(ctx.moments,))
 
 
-def _fit_itr_ice(pop, clients, data, lam, params) -> _Fit:
-    ice = run_protocol(ProtocolSpec(kind="federated_ice", ice_rounds=int(params.get("ice_rounds", 3))), data)
-    return _itr(ice.artifact.imputer, ice.artifact, pop, clients, data, lam, protocols=(ice,))
+def _fit_itr_ice(ctx: _Context) -> _Fit:
+    ice = run_protocol(ProtocolSpec(kind="federated_ice", ice_rounds=ctx.params["ice_rounds"]), ctx.data)
+    return _itr(ice.artifact.imputer, ice.artifact, ctx, protocols=(ice,))
 
 
-def _fit_fedavg(pop, clients, data, lam, params) -> _Fit:
-    imputer = fit_zero_imputer(clients)
+def _fit_fedavg(ctx: _Context) -> _Fit:
+    imputer = fit_zero_imputer(ctx.clients)
     spec = ProtocolSpec(
-        kind="fedavg_ridge",
-        lam=lam,
-        rounds=int(params.get("rounds", 200)),
-        local_steps=int(params.get("local_steps", 1)),
+        kind="fedavg_ridge", lam=ctx.lam, rounds=ctx.params["rounds"], local_steps=ctx.params["local_steps"]
     )
-    res = run_protocol(spec, apply_imputer(imputer, data))
-    predictor = itr_predictor(imputer, res.artifact, trunc_m=estimate_m(data))
-    ip = oracle.imputed_population_covariance(pop, clients, ImputerKind.ZERO)
-    return _Fit(predictor, oracle.imputed_oracle_risk(pop, ip), protocols=(res,))
+    res = run_protocol(spec, apply_imputer(imputer, ctx.data))
+    predictor = itr_predictor(imputer, res.artifact, trunc_m=estimate_m(ctx.data))
+    ip = oracle.imputed_population_covariance(ctx.pop, ctx.clients, ImputerKind.ZERO)
+    return _Fit(predictor, oracle.imputed_oracle_risk(ctx.pop, ip), protocols=(res,))
 
 
-def _fit_local(pop, clients, data, lam, params) -> _Fit:
-    predictor = local_learning(data, lam, trunc_m=estimate_m(data))
+def _fit_local(ctx: _Context) -> _Fit:
+    pop, data = ctx.pop, ctx.data
+    predictor = local_learning(data, ctx.lam, trunc_m=estimate_m(data))
     bound = None
     if pop.m_bound is not None:
-        bound = oracle.local_bound_terms(pop, clients, lam, data.n, pop.m_bound).upper_bound
-    return _Fit(predictor, oracle.oracle_global_risk(pop, clients), bound)
+        bound = oracle.local_bound_terms(pop, ctx.clients, ctx.lam, data.n, pop.m_bound).upper_bound
+    return _Fit(predictor, oracle.oracle_global_risk(pop, ctx.clients), bound)
 
 
 # Every predictor-producing method, in the order configs list them.
@@ -522,15 +485,6 @@ _METHOD_FITS = {
     "local": _fit_local,
     "fedavg": _fit_fedavg,
 }
-METHODS = tuple(_METHOD_FITS)
-
-
-def _run_method(method, pop, clients, data, lam, n_test, mc_rng, params) -> dict:
-    fit = _METHOD_FITS[method](pop, clients, data, lam, params)
-    mc = oracle.monte_carlo_risk(fit.predictor, pop, clients, n_test, mc_rng)
-    return {"method": method, "mc_risk": mc.risk, "mc_stderr": mc.stderr,
-            "oracle_risk": fit.oracle_risk, "bound_value": fit.bound_value,
-            "excess_risk": mc.risk - fit.oracle_risk, **_comm_columns(fit.protocols)}
 
 
 @dataclass(frozen=True)
@@ -542,6 +496,119 @@ class _WorkItem:
     tau: float | None
 
 
+def _mc_rows(cfg: ExperimentConfig, item: _WorkItem, clients, data_ss, mc_root, served=None) -> list[dict]:
+    """Fit every listed method on one sample and score each on its own Monte-Carlo stream."""
+    pop = cfg.population
+    data = sample_dataset(pop, clients, item.n, np.random.default_rng(data_ss))
+    ctx = _Context(pop, clients, served or clients, data, item.lam, cfg.params)
+    rows = []
+    for method, mss in zip(cfg.methods, mc_root.spawn(len(cfg.methods))):
+        fit = _METHOD_FITS[method](ctx)
+        mc = oracle.monte_carlo_risk(fit.predictor, pop, ctx.served, cfg.n_test, np.random.default_rng(mss))
+        rows.append({"method": method, "mc_risk": mc.risk, "mc_stderr": mc.stderr,
+                     "oracle_risk": fit.oracle_risk, "bound_value": fit.bound_value,
+                     "excess_risk": mc.risk - fit.oracle_risk,
+                     "comm_floats_up": sum(r.comm.total_floats("up") for r in fit.protocols),
+                     "comm_floats_down": sum(r.comm.total_floats("down") for r in fit.protocols)})
+    return rows
+
+
+def _new_client_rows(cfg: ExperimentConfig, item: _WorkItem, clients, data_ss, mc_root) -> list[dict]:
+    """The plug-ins served to one client with the unseen pattern, which the risk is taken over."""
+    probe = ClientSpec(id=max(c.id for c in clients) + 1, pattern=cfg.params["new_pattern"], rho=1.0)
+    return _mc_rows(cfg, item, clients, data_ss, mc_root, served=(probe,))
+
+
+def _typical_rows(cfg: ExperimentConfig, item: _WorkItem, clients, data_ss, mc_root) -> list[dict]:
+    """Zero-imputed optimum against the typical-case penalty-inflation bound; no sampling."""
+    pop = cfg.population
+    ip = oracle.imputed_population_covariance(pop, clients, ImputerKind.ZERO)
+    lhs = oracle.imputed_oracle_risk(pop, ip) + oracle.ridge_bias(ip.sigma, ip.theta_prime, item.lam)
+    lam_prime = oracle.typical_case_lambda_prime(item.lam, item.tau)
+    rhs = pop.sigma2 + oracle.ridge_bias(pop.sigma, pop.theta_star, lam_prime)
+    return [{"method": "typical_zero_bias", "oracle_risk": lhs, "bound_value": rhs,
+             "comm_floats_up": 0, "comm_floats_down": 0}]
+
+
+def _audit_rows(cfg: ExperimentConfig, item: _WorkItem, clients, data_ss, mc_root) -> list[dict]:
+    """Run each listed protocol once and hold its logged totals to the closed-form schedule."""
+    pop = cfg.population
+    n = item.n if item.n is not None else 32
+    data = sample_dataset(pop, clients, n, np.random.default_rng(data_ss))
+    completed = apply_imputer(fit_zero_imputer(clients), data)
+    rows = []
+    for kind in cfg.methods:
+        spec = ProtocolSpec(kind=kind, lam=item.lam,
+                            ice_rounds=cfg.params["ice_rounds"] if kind == "federated_ice" else 0,
+                            rounds=cfg.params["rounds"] if kind == "fedavg_ridge" else 0)
+        masked = kind in ("one_shot_moments", "federated_ice")
+        res = run_protocol(spec, data if masked else completed)
+        predicted = replay_comm_schedule(spec, len(clients) if masked else len(completed.shard_rows), pop.d)
+        got_up = res.comm.total_floats("up")
+        got_down = res.comm.total_floats("down")
+        if (got_up, got_down) != (predicted.up_floats, predicted.down_floats):
+            raise RuntimeError(
+                f"comm audit mismatch for {kind}: logged ({got_up}, {got_down}), "
+                f"predicted ({predicted.up_floats}, {predicted.down_floats})"
+            )
+        rows.append({"n": n, "method": kind, "comm_floats_up": got_up, "comm_floats_down": got_down})
+    return rows
+
+
+def _check_new_client(raw_params, pop, fed) -> dict:
+    """The unseen pattern must name features that some client observes together."""
+    value = raw_params.get("new_pattern")
+    if not isinstance(value, list) or not value:
+        raise _Invalid("scenario_params.new_pattern: required 1-based index list")
+    if pop is None:
+        return {}
+    pattern = _pattern(value, pop.d, "scenario_params.new_pattern")
+    if fed is not None and fed.pattern_kind == "explicit":
+        covered = sum(np.outer(p.mask(), p.mask()) for p in fed.explicit)
+        if not covered[np.ix_(pattern.observed, pattern.observed)].all():
+            raise _Invalid("scenario_params.new_pattern: holds a feature pair that no client observes together")
+    return {"new_pattern": pattern}
+
+
+def _check_typical(raw_params, pop, fed) -> dict:
+    if fed is not None and fed.pattern_kind != "bernoulli":
+        raise _Invalid("clients.patterns: typical_case_sweep needs bernoulli patterns")
+    if pop is not None and np.max(np.abs(np.diag(pop.sigma) - 1.0)) > 1e-12:
+        raise _Invalid("population.sigma: typical_case_sweep needs unit diagonal")
+    return {}
+
+
+@dataclass(frozen=True)
+class _Scenario:
+    """What one scenario accepts and how one of its work items becomes rows."""
+
+    methods: tuple[str, ...]  # what ``methods`` may list
+    defaults: tuple[str, ...]  # what runs when ``methods`` is absent
+    grid: tuple[str, ...]  # grid keys that must be given
+    params: dict[str, tuple[int, int]]  # integer scenario_params: name -> (default, minimum)
+    rows: Callable[..., list[dict]]  # (cfg, item, clients, data_ss, mc_root) -> rows without the base columns
+    check: Callable[..., dict] = lambda *_: {}  # (raw_params, pop, fed) -> further typed params
+
+
+_SWEEP_PARAMS = {"ice_rounds": (3, 0), "rounds": (200, 0), "local_steps": (1, 1)}
+
+
+def _sweep(defaults: tuple[str, ...], grid: tuple[str, ...]) -> _Scenario:
+    return _Scenario(tuple(_METHOD_FITS), defaults, grid, _SWEEP_PARAMS, _mc_rows)
+
+
+_SCENARIOS = {
+    "consistency_sweep": _sweep(("plugin_debias", "plugin_cw"), ("n",)),
+    "new_client_generalization": _Scenario(
+        tuple(_PLUGIN_PAIRS), ("plugin_cw",), ("n",), {}, _new_client_rows, _check_new_client),
+    "bound_verification": _sweep(("itr_zero", "itr_opt"), ("n", "lam")),
+    "local_vs_federated": _sweep(("local", "itr_zero"), ("n", "lam")),
+    "typical_case_sweep": _Scenario(
+        ("typical_zero_bias",), ("typical_zero_bias",), ("tau", "lam"), {}, _typical_rows, _check_typical),
+    "comm_audit": _Scenario(PROTOCOL_KINDS, PROTOCOL_KINDS, (), {"ice_rounds": (3, 0), "rounds": (5, 0)}, _audit_rows),
+}
+
+
 def _grid_points(cfg: ExperimentConfig) -> list[tuple[int | None, float, float | None]]:
     taus = cfg.grid_tau if cfg.grid_tau else (None,)
     ns = cfg.grid_n if cfg.grid_n else (None,)
@@ -551,82 +618,18 @@ def _grid_points(cfg: ExperimentConfig) -> list[tuple[int | None, float, float |
 def _run_item(cfg: ExperimentConfig, item: _WorkItem) -> list[dict]:
     ss = np.random.SeedSequence(cfg.root_seed, spawn_key=(item.rep, item.gi))
     pat_ss, data_ss, mc_root = ss.spawn(3)
-    pop = cfg.population
     clients = _build_clients(cfg, item.tau, np.random.default_rng(pat_ss))
     base = {
         "scenario": cfg.scenario,
         "seed": item.rep,
         "n": item.n,
-        "d": pop.d,
+        "d": cfg.population.d,
         "k": cfg.federation.k,
         "tau": item.tau if cfg.federation.pattern_kind == "bernoulli" else None,
         "lambda": item.lam,
     }
-    rows: list[dict] = []
-
-    if cfg.scenario == "typical_case_sweep":
-        ip = oracle.imputed_population_covariance(pop, clients, ImputerKind.ZERO)
-        lhs = oracle.imputed_oracle_risk(pop, ip) + oracle.ridge_bias(ip.sigma, ip.theta_prime, item.lam)
-        tau = item.tau if item.tau is not None else cfg.federation.tau
-        lam_prime = oracle.typical_case_lambda_prime(item.lam, tau)
-        rhs = pop.sigma2 + oracle.ridge_bias(pop.sigma, pop.theta_star, lam_prime)
-        rows.append({**base, "method": "typical_zero_bias", "oracle_risk": lhs, "bound_value": rhs,
-                     "comm_floats_up": 0, "comm_floats_down": 0})
-        return rows
-
-    if cfg.scenario == "comm_audit":
-        n = item.n if item.n is not None else 32
-        data = sample_dataset(pop, clients, n, np.random.default_rng(data_ss))
-        ice_rounds = int(cfg.params.get("ice_rounds", 3))
-        rounds = int(cfg.params.get("rounds", 5))
-        completed = apply_imputer(fit_zero_imputer(clients), data)
-        nonempty = len(completed.shard_rows)
-        for kind in cfg.methods:
-            spec = ProtocolSpec(
-                kind=kind,
-                lam=item.lam,
-                ice_rounds=ice_rounds if kind == "federated_ice" else 0,
-                rounds=rounds if kind == "fedavg_ridge" else 0,
-            )
-            payload = data if kind in ("one_shot_moments", "federated_ice") else completed
-            res = run_protocol(spec, payload)
-            k_for_replay = len(clients) if kind in ("one_shot_moments", "federated_ice") else nonempty
-            predicted = replay_comm_schedule(spec, k_for_replay, pop.d)
-            got_up = res.comm.total_floats("up")
-            got_down = res.comm.total_floats("down")
-            if (got_up, got_down) != (predicted.up_floats, predicted.down_floats):
-                raise RuntimeError(
-                    f"comm audit mismatch for {kind}: logged ({got_up}, {got_down}), "
-                    f"predicted ({predicted.up_floats}, {predicted.down_floats})"
-                )
-            rows.append({**base, "n": n, "method": kind,
-                         "comm_floats_up": got_up, "comm_floats_down": got_down})
-        return rows
-
-    data = sample_dataset(pop, clients, item.n, np.random.default_rng(data_ss))
-    mc_streams = mc_root.spawn(len(cfg.methods))
-
-    if cfg.scenario == "new_client_generalization":
-        new_pattern = FeaturePattern.from_one_based(cfg.params["new_pattern"], pop.d)
-        probe = (ClientSpec(id=max(c.id for c in clients) + 1, pattern=new_pattern, rho=1.0),)
-        moments = _one_shot_moments(data)
-        o = oracle.oracle_local_risk(pop, new_pattern)
-        for method, mss in zip(cfg.methods, mc_streams):
-            if method not in _PLUGIN_PAIRS:
-                raise ValueError(f"method {method!r} not usable for new-client evaluation")
-            pair = _PLUGIN_PAIRS[method](moments.artifact, clients)
-            predictor = build_clientwise_plugin(pair, probe, PluginConfig())
-            if probe[0].id in predictor.unidentifiable:
-                raise RuntimeError("new pattern touches unidentified moment entries")
-            mc = oracle.monte_carlo_risk(predictor, pop, probe, cfg.n_test, np.random.default_rng(mss))
-            rows.append({**base, "method": method, "mc_risk": mc.risk, "mc_stderr": mc.stderr,
-                         "oracle_risk": o, "excess_risk": mc.risk - o, **_comm_columns((moments,))})
-        return rows
-
-    for method, mss in zip(cfg.methods, mc_streams):
-        rows.append({**base, **_run_method(method, pop, clients, data, item.lam, cfg.n_test,
-                                           np.random.default_rng(mss), cfg.params)})
-    return rows
+    rows = _SCENARIOS[cfg.scenario].rows(cfg, item, clients, data_ss, mc_root)
+    return [{**base, **row} for row in rows]
 
 
 def _fmt(value) -> str:
@@ -648,6 +651,8 @@ def run_experiment(
     threads: int = 1,
 ) -> tuple[str, str]:
     """Run one experiment config; returns (results_path, timings_path)."""
+    if threads < 1:
+        raise ValueError(f"threads must be >= 1, got {threads}")
     cfg = parse_config(raw)
     if seed is not None:
         cfg = replace(cfg, root_seed=int(seed))
@@ -664,12 +669,8 @@ def run_experiment(
         rows = _run_item(cfg, item)
         return item, rows, (time.perf_counter() - t0) * 1000.0
 
-    results = []
-    if threads > 1:
-        with concurrent.futures.ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(worker, items))
-    else:
-        results = [worker(item) for item in items]
+    with concurrent.futures.ThreadPoolExecutor(max_workers=threads) as pool:
+        results = list(pool.map(worker, items))
 
     keyed_rows = []
     timings = []
@@ -714,7 +715,7 @@ def main(argv=None) -> int:
     p_run.add_argument("config", help="path to a JSON experiment config")
     p_run.add_argument("--out", default=None, help="output directory (default: $FEDMISMATCH_OUT or cwd)")
     p_run.add_argument("--seed", type=int, default=None, help="override seeds.root")
-    p_run.add_argument("--threads", type=int, default=1, help="worker threads for independent items")
+    p_run.add_argument("--threads", type=int, default=1, help="worker threads for independent items (at least 1)")
     p_val = sub.add_parser("validate", help="check a config and report problems")
     p_val.add_argument("config", help="path to a JSON experiment config")
     p_pre = sub.add_parser("presets", help="preset operations")
@@ -728,12 +729,7 @@ def main(argv=None) -> int:
                 print(f"{p.name}\t{raw.get('scenario', '?')}\t{p}")
             return 0
         if args.command == "validate":
-            raw = load_config(args.config)
-            problems = validate_config(raw)
-            if problems:
-                for msg in problems:
-                    print(f"invalid: {msg}", file=sys.stderr)
-                return 1
+            parse_config(load_config(args.config))
             print("ok")
             return 0
         raw = load_config(args.config)

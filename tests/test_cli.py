@@ -4,6 +4,7 @@ import json
 import os
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fedmismatch.cli import (
     ConfigError,
@@ -49,6 +50,93 @@ def _write(tmp_path, cfg, name="cfg.json"):
 def _read_rows(path):
     with open(path, newline="", encoding="utf-8") as fh:
         return list(csv.DictReader(fh))
+
+
+def _probe(preset, *edits):
+    """A shipped preset with each (dotted field, value) edit applied."""
+    from fedmismatch.cli import _preset_paths
+
+    (path,) = [p for p in _preset_paths() if p.name == preset]
+    cfg = json.loads(path.read_text(encoding="utf-8"))
+    for field, value in edits:
+        *parents, key = field.split(".")
+        node = cfg
+        for name in parents:
+            node = node.setdefault(name, {})
+        node[key] = value
+    return cfg
+
+
+# Configs that name a method, parameter or pattern their scenario cannot run,
+# as (preset, edits, field the report must name). All but the last passed
+# validation and then aborted the run; the last ran and ignored its methods.
+SCENARIO_PROBES = {
+    "new_client_itr_method": ("new_client.json", [("methods", ["itr_zero"])], "methods"),
+    "comm_audit_plugin_method": ("comm_audit.json", [("methods", ["plugin_cw"])], "methods"),
+    "ice_rounds_string": (
+        "local_vs_federated.json",
+        [("methods", ["itr_ice"]), ("scenario_params.ice_rounds", "two")],
+        "scenario_params.ice_rounds",
+    ),
+    "fedavg_rounds_negative": (
+        "local_vs_federated.json",
+        [("methods", ["fedavg"]), ("scenario_params.rounds", -1)],
+        "scenario_params.rounds",
+    ),
+    "fedavg_local_steps_zero": (
+        "local_vs_federated.json",
+        [("methods", ["fedavg"]), ("scenario_params.local_steps", 0)],
+        "scenario_params.local_steps",
+    ),
+    "comm_audit_ice_rounds_negative": (
+        "comm_audit.json", [("scenario_params.ice_rounds", -1)], "scenario_params.ice_rounds"
+    ),
+    "comm_audit_rounds_null": ("comm_audit.json", [("scenario_params.rounds", None)], "scenario_params.rounds"),
+    "new_pattern_pair_never_observed": (
+        "new_client.json",
+        [("clients.patterns.observed", [[1, 2], [2, 3, 5], [1, 3, 4, 5]]), ("scenario_params.new_pattern", [2, 4])],
+        "scenario_params.new_pattern",
+    ),
+    "typical_case_foreign_methods": ("typical_case.json", [("methods", ["local", "fedavg"])], "methods"),
+}
+ABORTING_PROBES = [name for name in SCENARIO_PROBES if name != "typical_case_foreign_methods"]
+
+# Malformed JSON values: the first eight made validation raise, the last
+# four passed a bool or a truncated float as an integer.
+FIELD_PROBES = {
+    "patterns_not_object": ("consistency_sweep.json", [("clients.patterns", "x")], "clients.patterns"),
+    "noise_not_object": ("consistency_sweep.json", [("population.noise", "gauss")], "population.noise"),
+    "sigma_not_object": ("consistency_sweep.json", [("population.sigma", "identity")], "population.sigma"),
+    "theta_not_object": ("consistency_sweep.json", [("population.theta_star", 3)], "population.theta_star"),
+    "sigma_rho_string": ("new_client.json", [("population.sigma.rho", "a")], "population.sigma.rho"),
+    "pattern_tau_string": ("local_vs_federated.json", [("clients.patterns.tau", "a")], "clients.patterns.tau"),
+    "rho_strings": ("consistency_sweep.json", [("clients.rho", ["a", "b"])], "clients.rho"),
+    "sigma_rows_string": (
+        "typical_case.json",
+        [("population.d", 2), ("population.sigma", {"kind": "explicit", "rows": [[1, "a"], [0, 1]]})],
+        "population.sigma.rows",
+    ),
+    "grid_n_fraction": ("consistency_sweep.json", [("grid.n", [1.5, 200])], "grid.n"),
+    "grid_n_bool": ("consistency_sweep.json", [("grid.n", [True])], "grid.n"),
+    "replicates_bool": ("consistency_sweep.json", [("seeds.replicates", True)], "seeds.replicates"),
+    "k_bool": ("consistency_sweep.json", [("clients.k", True)], "clients.k"),
+}
+ALL_PROBES = {**SCENARIO_PROBES, **FIELD_PROBES}
+
+# Small JSON values; integers stay small so no mutated size allocates much.
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 40) | st.floats() | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.sampled_from(["kind", "rho", "rows", "values", "observed", "tau"]), inner, max_size=3),
+    max_leaves=10,
+)
+
+
+def _paths(node, prefix=()):
+    yield prefix
+    items = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    for key, child in items:
+        yield from _paths(child, prefix + (key,))
 
 
 class TestValidate:
@@ -113,6 +201,29 @@ class TestValidate:
             parse_config(cfg)
         assert exc.value.problems
 
+    @pytest.mark.parametrize("name", sorted(ALL_PROBES))
+    def test_probe_names_its_field(self, name, tmp_path, capsys):
+        preset, edits, field = ALL_PROBES[name]
+        cfg = _probe(preset, *edits)
+        assert any(p.startswith(f"{field}:") for p in validate_config(cfg)), validate_config(cfg)
+        assert main(["validate", _write(tmp_path, cfg)]) == 1
+        assert f"invalid: {field}:" in capsys.readouterr().err
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_mutated_preset_gets_a_report_not_an_exception(self, data):
+        from fedmismatch.cli import _preset_paths
+
+        preset = data.draw(st.sampled_from([p.name for p in _preset_paths()]))
+        cfg = _probe(preset)
+        *parents, key = data.draw(st.sampled_from([p for p in _paths(cfg) if p]))
+        node = cfg
+        for name in parents:
+            node = node[name]
+        node[key] = data.draw(_JSON)
+        if not validate_config(cfg):
+            assert parse_config(cfg).scenario == cfg["scenario"]
+
     def test_all_presets_are_clean(self):
         from fedmismatch.cli import _preset_paths
 
@@ -168,6 +279,27 @@ class TestRunExperiment:
         assert manifest["scenario"] == "consistency_sweep"
         assert manifest["root_seed"] == 5
         assert manifest["config"]["grid"] == cfg["grid"]
+
+    @pytest.mark.parametrize("threads", [0, -1])
+    def test_thread_count_below_one_rejected(self, tmp_path, threads):
+        with pytest.raises(ValueError, match="threads"):
+            run_experiment(_sweep_config(), str(tmp_path), threads=threads)
+
+    def test_plugins_share_one_moments_run_per_item(self, tmp_path, monkeypatch):
+        from fedmismatch import cli
+
+        kinds = []
+
+        def counting(spec, data):
+            kinds.append(spec.kind)
+            return run_protocol(spec, data)
+
+        run_protocol = cli.run_protocol
+        monkeypatch.setattr(cli, "run_protocol", counting)
+        cfg = _sweep_config(grid={"n": [60]}, seeds={"root": 9, "replicates": 1})
+        results, _ = run_experiment(cfg, str(tmp_path))
+        assert [r["method"] for r in _read_rows(results)] == ["plugin_cw", "plugin_debias"]
+        assert kinds == ["one_shot_moments"]
 
     def test_comm_audit_rows(self, tmp_path):
         cfg = {
@@ -266,6 +398,14 @@ class TestMain:
         rc = main(["run", _write(tmp_path, _sweep_config(scenario="nope"))])
         assert rc == 1
         assert "invalid:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name", ABORTING_PROBES)
+    def test_run_rejects_probe_before_running(self, name, tmp_path, capsys):
+        preset, edits, field = SCENARIO_PROBES[name]
+        rc = main(["run", _write(tmp_path, _probe(preset, *edits)), "--out", str(tmp_path / "out")])
+        assert rc == 1
+        assert f"invalid: {field}:" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_missing_file_exits_two(self, tmp_path, capsys):
         rc = main(["run", str(tmp_path / "absent.json")])
