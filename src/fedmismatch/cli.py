@@ -23,7 +23,8 @@ config may list and their defaults, the grid keys it needs, its integer
 turns one work item into rows. ``validate`` and ``run`` both parse through
 it, so a config that validates cannot fail at run time because of its own
 fields; what can still fail is a sampled degenerate case, such as a client
-that drew no rows.
+that drew no rows. ``population.d`` is capped at ``MAX_D`` (1024) and
+``clients.k`` at ``MAX_K`` (10,000).
 
 Every work item (replicate x grid point) derives its generators from
 ``SeedSequence(root_seed, spawn_key=(replicate, grid_index))`` and splits
@@ -58,6 +59,10 @@ from .ridge import estimate_m, itr_predictor, local_learning
 from .fedsim import PROTOCOL_KINDS, ProtocolResult, ProtocolSpec, replay_comm_schedule, run_protocol
 
 __all__ = ["ConfigError", "load_config", "validate_config", "run_experiment", "main"]
+
+# Largest population.d and clients.k a config may ask for; each client holds d x d moment sums.
+MAX_D = 1024
+MAX_K = 10_000
 
 RESULT_COLUMNS = (
     "scenario",
@@ -138,16 +143,17 @@ def _obj(parent: dict, path: str, required: bool = False) -> dict:
     return value
 
 
-def _number(value, path: str, *, integer: bool = False, lo=None):
-    """``value`` as a finite float, or as an int when ``integer`` (JSON integers only; bools are neither)."""
+def _number(value, path: str, *, integer: bool = False, lo=None, hi=None):
+    """``value`` as a finite float, or as an int when ``integer`` (JSON integers only; bools are neither),
+    within [lo, hi] where given."""
     if isinstance(value, bool):
         ok = False
     elif integer:
         ok = isinstance(value, int)
     else:
         ok = isinstance(value, (int, float)) and abs(value) <= sys.float_info.max
-    if not ok or (lo is not None and value < lo):
-        bound = "" if lo is None else f" >= {lo}"
+    if not ok or (lo is not None and value < lo) or (hi is not None and value > hi):
+        bound = f" in [{lo}, {hi}]" if hi is not None else ("" if lo is None else f" >= {lo}")
         raise _Invalid(f"{path}: need {'an integer' if integer else 'a finite number'}{bound}, got {value!r}")
     return value if integer else float(value)
 
@@ -205,7 +211,7 @@ def _build_theta(spec: dict, d: int) -> np.ndarray:
 
 def _parse_population(raw: dict) -> PopulationSpec:
     pop = _obj(raw, "population", required=True)
-    d = _number(pop.get("d"), "population.d", integer=True, lo=1)
+    d = _number(pop.get("d"), "population.d", integer=True, lo=1, hi=MAX_D)
     sigma = _build_sigma(_obj(pop, "population.sigma"), d)
     theta = _build_theta(_obj(pop, "population.theta_star"), d)
     noise = _obj(pop, "population.noise")
@@ -232,7 +238,7 @@ def _parse_population(raw: dict) -> PopulationSpec:
 
 def _parse_federation(raw: dict, d: int | None) -> FederationConfig | None:
     fed = _obj(raw, "clients", required=True)
-    k = _number(fed.get("k"), "clients.k", integer=True, lo=1)
+    k = _number(fed.get("k"), "clients.k", integer=True, lo=1, hi=MAX_K)
     rho_spec = fed.get("rho", "uniform")
     if rho_spec == "uniform":
         rho = tuple(1.0 / k for _ in range(k))
@@ -326,7 +332,7 @@ def _parse_config(raw: dict) -> tuple[ExperimentConfig | None, list[str]]:
         for name, (default, lo) in entry.params.items():
             params[name] = collect(_number, raw_params.get(name, default), f"scenario_params.{name}",
                                    integer=True, lo=lo)
-        params.update(collect(entry.check, raw_params, pop, fed) or {})
+        params.update(collect(entry.check, raw_params, pop, fed, axes) or {})
     if fed is not None and axes["tau"] and fed.pattern_kind != "bernoulli":
         problems.append("grid.tau: only meaningful with bernoulli patterns")
     if fed is not None and fed.pattern_kind == "bernoulli" and not axes["tau"] and fed.tau is None:
@@ -421,12 +427,12 @@ def _fit_plugin(pair_of, ctx: _Context) -> _Fit:
     return _Fit(predictor, oracle.oracle_global_risk(ctx.pop, ctx.served), protocols=(ctx.moments,))
 
 
-def _itr(imputer, completed, ctx: _Context, bound_kind=None, protocols=()) -> _Fit:
-    """Closed-form ridge on completed data, folded back through the imputer."""
+def _itr(completed, ctx: _Context, bound_kind=None, protocols=()) -> _Fit:
+    """Closed-form ridge on completed data, folded back through its imputer."""
     pop, clients, data, lam = ctx.pop, ctx.clients, ctx.data, ctx.lam
     ridge = run_protocol(ProtocolSpec(kind="one_shot_ridge", lam=lam), completed)
     m_hat = estimate_m(data)
-    predictor = itr_predictor(imputer, ridge.artifact, trunc_m=m_hat)
+    predictor = itr_predictor(completed.imputer, ridge.artifact, trunc_m=m_hat)
     protocols = protocols + (ridge,)
     if bound_kind is None:
         return _Fit(predictor, oracle.oracle_global_risk(pop, clients), protocols=protocols)
@@ -435,23 +441,22 @@ def _itr(imputer, completed, ctx: _Context, bound_kind=None, protocols=()) -> _F
 
 
 def _fit_itr_zero(ctx: _Context) -> _Fit:
-    imputer = fit_zero_imputer(ctx.clients)
-    return _itr(imputer, apply_imputer(imputer, ctx.data), ctx, ImputerKind.ZERO)
+    return _itr(apply_imputer(fit_zero_imputer(ctx.clients), ctx.data), ctx, ImputerKind.ZERO)
 
 
 def _fit_itr_opt(ctx: _Context) -> _Fit:
     imputer = fit_optimal_imputer(ctx.pop.sigma, ctx.clients, source="population")
-    return _itr(imputer, apply_imputer(imputer, ctx.data), ctx, ImputerKind.OPTIMAL_LINEAR)
+    return _itr(apply_imputer(imputer, ctx.data), ctx, ImputerKind.OPTIMAL_LINEAR)
 
 
 def _fit_itr_cw(ctx: _Context) -> _Fit:
     imputer = fit_optimal_imputer(_componentwise(ctx.moments.artifact, ctx.clients).sigma, ctx.clients, source="cw")
-    return _itr(imputer, apply_imputer(imputer, ctx.data), ctx, protocols=(ctx.moments,))
+    return _itr(apply_imputer(imputer, ctx.data), ctx, protocols=(ctx.moments,))
 
 
 def _fit_itr_ice(ctx: _Context) -> _Fit:
     ice = run_protocol(ProtocolSpec(kind="federated_ice", ice_rounds=ctx.params["ice_rounds"]), ctx.data)
-    return _itr(ice.artifact.imputer, ice.artifact, ctx, protocols=(ice,))
+    return _itr(ice.artifact, ctx, protocols=(ice,))
 
 
 def _fit_fedavg(ctx: _Context) -> _Fit:
@@ -555,7 +560,7 @@ def _audit_rows(cfg: ExperimentConfig, item: _WorkItem, clients, data_ss, mc_roo
     return rows
 
 
-def _check_new_client(raw_params, pop, fed) -> dict:
+def _check_new_client(raw_params, pop, fed, axes) -> dict:
     """The unseen pattern must name features that some client observes together."""
     value = raw_params.get("new_pattern")
     if not isinstance(value, list) or not value:
@@ -570,11 +575,17 @@ def _check_new_client(raw_params, pop, fed) -> dict:
     return {"new_pattern": pattern}
 
 
-def _check_typical(raw_params, pop, fed) -> dict:
+def _check_typical(raw_params, pop, fed, axes) -> dict:
     if fed is not None and fed.pattern_kind != "bernoulli":
         raise _Invalid("clients.patterns: typical_case_sweep needs bernoulli patterns")
     if pop is not None and np.max(np.abs(np.diag(pop.sigma) - 1.0)) > 1e-12:
         raise _Invalid("population.sigma: typical_case_sweep needs unit diagonal")
+    for tau in (t for t in axes["tau"] if 0.0 < t <= 1.0):
+        for lam in axes["lam"]:
+            try:
+                oracle.typical_case_lambda_prime(lam, tau)
+            except ValueError as exc:
+                raise _Invalid(f"grid.tau: entry {tau}: {exc}") from exc
     return {}
 
 
@@ -587,7 +598,7 @@ class _Scenario:
     grid: tuple[str, ...]  # grid keys that must be given
     params: dict[str, tuple[int, int]]  # integer scenario_params: name -> (default, minimum)
     rows: Callable[..., list[dict]]  # (cfg, item, clients, data_ss, mc_root) -> rows without the base columns
-    check: Callable[..., dict] = lambda *_: {}  # (raw_params, pop, fed) -> further typed params
+    check: Callable[..., dict] = lambda *_: {}  # (raw_params, pop, fed, grid axes) -> further typed params
 
 
 _SWEEP_PARAMS = {"ice_rounds": (3, 0), "rounds": (200, 0), "local_steps": (1, 1)}

@@ -1,15 +1,16 @@
 """Federated protocol runs with exact communication accounting.
 
 Each protocol is one library algorithm, already written over per-client
-shards; ``run_protocol`` calls it and logs every message it implies:
+sums or shards; ``run_protocol`` calls it and logs every message it implies:
 
 * one_shot_moments: ``moments.local_moments_by_client`` folded by
   ``aggregate_zero_imputed``; masked shards in, the pooled zero-imputed
   MomentPair and the co-observation counts out.
-* one_shot_ridge: ``ridge.ridge_closed_form``; completed shards in,
-  closed-form ridge coefficients out.
+* one_shot_ridge: ``ridge.ridge_closed_form``; a completed dataset in,
+  whose clients upload B_k^T G_k B_k and B_k^T g_k, closed-form ridge
+  coefficients out.
 * federated_ice: ``impute.federated_ice``; masked shards in, iteratively
-  completed dataset out.
+  completed dataset out; each round's upload is B_k^T G_k B_k.
 * fedavg_ridge: ``ridge.fedavg_ridge`` over ``ImputedDataset.shards``;
   completed shards in, iteratively averaged coefficients out.
 

@@ -6,26 +6,31 @@ ones with S_k x_obs. The optimal linear choice is the population regression
 of missing on observed coordinates, S_k = sigma[mis, obs] sigma[obs, obs]^+,
 computable from any full covariance estimate (exact or component-wise).
 
+A completed row is x_obs B_k, with B_k = [I | S_k^T] placed into d columns,
+so completed data has second moments B_k^T G_k B_k and B_k^T g_k, where
+clients compute G_k = x_obs^T x_obs and g_k = x_obs^T y once
+(``Dataset.local_moments``). An ``ImputedDataset`` is the masked data plus
+its map; completed rows are built only on demand, for FedAvg.
+
 ``federated_ice`` alternates between re-estimating the full second-moment
 matrix of the currently completed data and refreshing every client's map
 from it. Raw (uncentered) second moments are used throughout, matching the
-zero-imputation initial round. It is written over per-client shards, the way
-the federated protocol runs: each client completes its own rows and reports
-second-moment sums, the server folds them in client-id order and returns the
-pooled estimate. ``fedsim.run_protocol`` runs this same function and logs
+zero-imputation initial round. Each round every client reports B_k^T G_k B_k
+for its current map and the server folds them in client-id order; no client
+re-reads its rows. ``fedsim.run_protocol`` runs this same function and logs
 the messages it implies.
 """
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Iterator, Mapping
 
 import numpy as np
 
 from ._linalg import pinv
-from .model import ClientSpec, Dataset, FeaturePattern, group_rows, validate_federation
-from .moments import gram_fold
+from .model import Dataset, FeaturePattern, validate_federation
+from .moments import imputed_data_moments
 
 __all__ = [
     "ImputerKind",
@@ -78,16 +83,17 @@ class ImputationMap:
         object.__setattr__(self, "zero_filled", frozenset(self.zero_filled))
 
     def complete(self, client_id: int, x_obs: np.ndarray) -> np.ndarray:
-        """Fill one observed vector out to all d coordinates."""
+        """Fill one observed vector, or each row of an (m, |obs|) block, out to
+        all d coordinates."""
         if client_id not in self.maps:
             raise KeyError(f"no imputation map for client {client_id}")
         p = self.patterns[client_id]
         x_obs = np.asarray(x_obs, dtype=np.float64)
-        out = np.zeros(p.d)
+        out = np.zeros(x_obs.shape[:-1] + (p.d,))
         if p.observed:
-            out[list(p.observed)] = x_obs
+            out[..., list(p.observed)] = x_obs
         if p.missing:
-            out[list(p.missing)] = self.maps[client_id] @ x_obs
+            out[..., list(p.missing)] = x_obs @ self.maps[client_id].T
         return out
 
 
@@ -145,67 +151,56 @@ def fit_optimal_imputer(
 
 @dataclass(frozen=True)
 class ImputedDataset:
-    """Completed design matrix plus the untouched responses and ownership,
-    grouped by client once, on construction (``shard_rows``, as ``Dataset``)."""
+    """A masked ``Dataset`` plus a linear ``ImputationMap`` fitted for every
+    client's pattern. Fits read the clients' observed sums; the completed
+    matrix ``x`` and the completed ``shards()`` are built on each request,
+    for FedAvg and for inspection."""
 
-    clients: tuple[ClientSpec, ...]
-    client_ids: np.ndarray
-    x: np.ndarray
-    y: np.ndarray
-    imputer: ImputationMap | None = None
+    data: Dataset
+    imputer: ImputationMap
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "clients", validate_federation(self.clients))
-        x = np.asarray(self.x, dtype=np.float64)
-        y = np.asarray(self.y, dtype=np.float64)
-        ids = np.asarray(self.client_ids, dtype=np.int64)
-        if x.shape[0] != len(y) or len(ids) != len(y):
-            raise ValueError("row counts disagree")
-        object.__setattr__(self, "x", x)
-        object.__setattr__(self, "y", y)
-        object.__setattr__(self, "client_ids", ids)
-        object.__setattr__(self, "shard_rows", group_rows(ids))
+        for c in self.data.clients:
+            if c.id not in self.imputer.maps:
+                raise KeyError(f"imputer lacks a map for client {c.id}")
+            if self.imputer.patterns[c.id] != c.pattern:
+                raise ValueError(f"client {c.id}: imputer fitted for a different pattern")
+
+    @property
+    def y(self) -> np.ndarray:
+        return self.data.y
+
+    @property
+    def shard_rows(self) -> dict[int, np.ndarray]:
+        return self.data.shard_rows
 
     @property
     def n(self) -> int:
-        return len(self.y)
+        return self.data.n
 
     @property
     def d(self) -> int:
-        return self.x.shape[1]
+        return self.data.d
 
     def shards(self) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-        """(x_k, y_k) copies of each non-empty shard, in ascending client-id
-        order, made one at a time as the caller advances."""
-        for rows in self.shard_rows.values():
-            yield self.x[rows], self.y[rows]
+        """Completed (x_k, y_k) of each non-empty client, in ascending id
+        order, built one at a time as the caller advances."""
+        for cid in self.shard_rows:
+            yield self.imputer.complete(cid, self.data.x_obs_of(cid)), self.data.y_of(cid)
 
-
-def _checked_map(imputer: ImputationMap, client: ClientSpec) -> np.ndarray:
-    if client.id not in imputer.maps:
-        raise KeyError(f"imputer lacks a map for client {client.id}")
-    if imputer.patterns[client.id] != client.pattern:
-        raise ValueError(f"client {client.id}: imputer fitted for a different pattern")
-    return imputer.maps[client.id]
+    @property
+    def x(self) -> np.ndarray:
+        """The completed (n, d) design, in row order, built on each access."""
+        x = np.empty((self.n, self.d))
+        for rows, (x_k, _) in zip(self.shard_rows.values(), self.shards()):
+            x[rows] = x_k
+        return x
 
 
 def apply_imputer(imputer: ImputationMap, data: Dataset) -> ImputedDataset:
-    """Complete every row of a masked dataset.
-
-    Observed coordinates are copied bitwise; each client's missing block is
-    x_obs @ S_k^T. Row order is preserved, and the operation commutes with
-    row permutation for that reason.
-    """
-    x = data.x_filled.copy()
-    for c in data.clients:
-        s = _checked_map(imputer, c)
-        mis = list(c.pattern.missing)
-        if not mis:
-            continue
-        rows = data.rows_of(c.id)
-        x_obs = data.x_obs_of(c.id)
-        x[np.ix_(rows, mis)] = x_obs @ s.T
-    return ImputedDataset(clients=data.clients, client_ids=data.client_ids, x=x, y=data.y, imputer=imputer)
+    """Complete a masked dataset: observed coordinates stay bitwise, each
+    client's missing block is x_obs @ S_k^T. Nothing is copied."""
+    return ImputedDataset(data, imputer)
 
 
 @dataclass(frozen=True)
@@ -226,77 +221,39 @@ def federated_ice(
 ) -> IceResult:
     """Iterated conditional-expectation completion over a federation.
 
-    Every client builds its completed block once, completed by ``init``
-    (zeros when absent); its observed columns stay verbatim in that block.
-    Each round the clients' symmetrized Gram sums are folded in ascending id
-    order (``moments.gram_fold``) into the raw second-moment estimate, every
-    client's optimal block map is refreshed from it, and each client
-    overwrites its missing columns with x_obs @ S_k^T. Clients without rows
-    add zero sums. ``rounds`` = 0 returns the initial completion
-    unchanged. When ``early_stop_rms`` is set, iteration stops once the RMS
-    change over imputed entries falls below it, and the result records the
-    stop.
+    Iteration starts from ``init`` (zero maps when absent). Each round the
+    clients' completed Gram sums B_k^T G_k B_k under their current maps,
+    computed from their observed Grams G_k, are folded in ascending id order
+    into the raw second-moment estimate, and every client's optimal block map
+    is refreshed from it; no completed row is built. Clients without rows add
+    zero sums. ``rounds`` = 0 returns the initial completion. When
+    ``early_stop_rms`` is set, iteration stops once the RMS change over
+    imputed entries, sqrt(sum_k tr(dS_k G_k dS_k^T) / #entries) for map
+    changes dS_k, falls below it, and the result records the stop.
     """
     if rounds < 0:
         raise ValueError(f"rounds must be >= 0, got {rounds}")
     if data.n == 0:
         raise ValueError("no samples across the federation")
-    d = data.d
     clients = sorted(data.clients, key=lambda c: c.id)
-    shards = []  # (client, rows, completed block); observed columns are read back from it
-    for c in clients:
-        rows = data.rows_of(c.id)
-        x_obs = data.x_obs_of(c.id)
-        x_k = np.zeros((len(rows), d))
-        if c.pattern.observed:
-            x_k[:, list(c.pattern.observed)] = x_obs
-        if init is not None:
-            s = _checked_map(init, c)
-            if c.pattern.missing and len(rows):
-                x_k[:, list(c.pattern.missing)] = x_obs @ s.T
-        del x_obs
-        shards.append((c, rows, x_k))
-    n_missing = sum(len(c.pattern.missing) * len(rows) for c, rows, _ in shards)
+    current = ImputedDataset(data, init if init is not None else fit_zero_imputer(data.clients))
+    local = data.local_moments
+    n_missing = sum(len(c.pattern.missing) * local[c.id].count for c in clients)
     trace: list[np.ndarray] = []
-    maps: dict[int, np.ndarray] = {}
     stopped = False
-    run = 0
     for t in range(1, rounds + 1):
-        sigma_sum, _ = gram_fold(((x_k, None) for _, _, x_k in shards), d)
-        sigma_t = sigma_sum / data.n
+        sigma_t = imputed_data_moments(current)[0]
         trace.append(sigma_t)
-        maps = {c.id: optimal_block_map(sigma_t, c.pattern) for c in clients}
-        squared_change = 0.0
-        for c, rows, x_k in shards:
-            mis = list(c.pattern.missing)
-            if not mis or not len(rows):
-                continue
-            new = x_k[:, list(c.pattern.observed)] @ maps[c.id].T
-            if early_stop_rms is not None:
-                delta = new - x_k[:, mis]
-                squared_change += float(np.sum(delta * delta))
-            x_k[:, mis] = new
-            del new  # one refresh temporary alive at a time keeps peak memory down
-        run = t
+        imputer = replace(fit_optimal_imputer(sigma_t, clients, source="ice"), kind=ImputerKind.ICE, round=t)
         if early_stop_rms is not None:
-            rms = float(np.sqrt(squared_change / n_missing)) if n_missing else 0.0
-            if rms < early_stop_rms:
-                stopped = True
-                break
-    if run:
-        imputer = ImputationMap(
-            kind=ImputerKind.ICE,
-            maps=maps,
-            patterns={c.id: c.pattern for c in clients},
-            source="ice",
-            round=run,
-            zero_filled=frozenset(c.id for c in clients if c.pattern.is_empty and c.pattern.missing),
-        )
-    else:
-        imputer = init if init is not None else fit_zero_imputer(data.clients)
-    x = np.zeros((data.n, d))
-    for i, (_, rows, x_k) in enumerate(shards):
-        x[rows] = x_k
-        shards[i] = None  # release each shard once it is in the output
-    final = ImputedDataset(clients=data.clients, client_ids=data.client_ids, x=x, y=data.y, imputer=imputer)
-    return IceResult(imputed=final, sigma_trace=tuple(trace), rounds_run=run, stopped_early=stopped)
+            change = 0.0
+            for c in clients:
+                delta = imputer.maps[c.id] - current.imputer.maps[c.id]
+                obs = list(c.pattern.observed)
+                change += float(np.sum((delta @ local[c.id].sigma_sum[np.ix_(obs, obs)]) * delta))
+            # tr(dS G dS^T) >= 0; rounding can push an exact zero slightly below it
+            stopped = (float(np.sqrt(max(change, 0.0) / n_missing)) if n_missing else 0.0) < early_stop_rms
+        current = ImputedDataset(data, imputer)
+        if stopped:
+            break
+    return IceResult(imputed=current, sigma_trace=tuple(trace), rounds_run=len(trace), stopped_early=stopped)

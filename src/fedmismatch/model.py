@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Mapping
 
 import numpy as np
@@ -21,6 +22,7 @@ __all__ = [
     "FeaturePattern",
     "ClientSpec",
     "Dataset",
+    "LocalMoments",
     "Provenance",
     "MomentPair",
     "ClientwisePredictor",
@@ -158,6 +160,32 @@ def group_rows(client_ids: np.ndarray) -> dict[int, np.ndarray]:
     return dict(zip(keys.tolist(), np.split(order, starts[1:])))
 
 
+@dataclass(frozen=True)
+class LocalMoments:
+    """One client's contribution: moment *sums* plus the sample count.
+
+    Sums (not averages) are what travels in the simulated wire format;
+    ``sigma`` / ``gamma`` expose the local averages, with the n_k = 0
+    convention of all-zero moments.
+    """
+
+    sigma_sum: np.ndarray
+    gamma_sum: np.ndarray
+    count: int
+
+    @property
+    def d(self) -> int:
+        return self.sigma_sum.shape[0]
+
+    @property
+    def sigma(self) -> np.ndarray:
+        return self.sigma_sum / self.count if self.count else np.zeros_like(self.sigma_sum)
+
+    @property
+    def gamma(self) -> np.ndarray:
+        return self.gamma_sum / self.count if self.count else np.zeros_like(self.gamma_sum)
+
+
 _NO_ROWS = np.zeros(0, dtype=np.intp)
 _NO_ROWS.flags.writeable = False
 
@@ -173,6 +201,7 @@ class Dataset:
     Rows are grouped by client once, on construction: ``shard_rows`` maps
     each id that owns rows, in ascending id order, to its ascending row
     indices (read-only arrays), and every per-client accessor reads it.
+    Fits that need only second moments read ``local_moments`` instead.
     """
 
     clients: tuple[ClientSpec, ...]
@@ -230,6 +259,20 @@ class Dataset:
 
     def y_of(self, client_id: int) -> np.ndarray:
         return self.y[self.rows_of(client_id)]
+
+    @cached_property
+    def local_moments(self) -> dict[int, LocalMoments]:
+        """Each client's observed sums (n_k, G_k = x_obs^T x_obs, g_k = x_obs^T y)
+        in d coordinates, in ascending id order: one gather per client, on first
+        use; the arrays are read-only and shared."""
+        from .moments import local_zero_imputed_moments  # moments imports this module
+
+        out = {}
+        for c in sorted(self.clients, key=lambda c: c.id):
+            lm = local_zero_imputed_moments(self.x_obs_of(c.id), self.y_of(c.id), c.pattern)
+            lm.sigma_sum.flags.writeable = lm.gamma_sum.flags.writeable = False
+            out[c.id] = lm
+        return out
 
 
 class Provenance(enum.Enum):

@@ -28,7 +28,7 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
-from .model import Dataset, FeaturePattern, MomentPair, Provenance
+from .model import Dataset, FeaturePattern, LocalMoments, MomentPair, Provenance
 
 __all__ = [
     "LocalMoments",
@@ -43,32 +43,6 @@ __all__ = [
     "gram_fold",
     "imputed_data_moments",
 ]
-
-
-@dataclass(frozen=True)
-class LocalMoments:
-    """One client's contribution: moment *sums* plus the sample count.
-
-    Sums (not averages) are what travels in the simulated wire format;
-    ``sigma`` / ``gamma`` expose the local averages, with the n_k = 0
-    convention of all-zero moments.
-    """
-
-    sigma_sum: np.ndarray
-    gamma_sum: np.ndarray
-    count: int
-
-    @property
-    def d(self) -> int:
-        return self.sigma_sum.shape[0]
-
-    @property
-    def sigma(self) -> np.ndarray:
-        return self.sigma_sum / self.count if self.count else np.zeros_like(self.sigma_sum)
-
-    @property
-    def gamma(self) -> np.ndarray:
-        return self.gamma_sum / self.count if self.count else np.zeros_like(self.gamma_sum)
 
 
 def local_zero_imputed_moments(x_obs: np.ndarray, y: np.ndarray, pattern: FeaturePattern) -> LocalMoments:
@@ -96,11 +70,8 @@ def local_zero_imputed_moments(x_obs: np.ndarray, y: np.ndarray, pattern: Featur
 
 
 def local_moments_by_client(data: Dataset) -> dict[int, LocalMoments]:
-    """Per-client local moments, keyed and ordered by ascending client id."""
-    out: dict[int, LocalMoments] = {}
-    for c in sorted(data.clients, key=lambda c: c.id):
-        out[c.id] = local_zero_imputed_moments(data.x_obs_of(c.id), data.y_of(c.id), c.pattern)
-    return out
+    """Per-client local moments in ascending id order: ``data.local_moments``, computed once per dataset."""
+    return data.local_moments
 
 
 def aggregate_zero_imputed(locals_: list[LocalMoments] | dict[int, LocalMoments]) -> MomentPair:
@@ -227,12 +198,21 @@ def gram_fold(shards: Iterable[tuple[np.ndarray, np.ndarray | None]], d: int) ->
 
 
 def imputed_data_moments(data) -> tuple[np.ndarray, np.ndarray]:
-    """Averages (X^T X / n, X^T y / n) of an ``ImputedDataset``.
-
-    Partial sums are computed per client and folded in ascending client-id
-    order, the order in which a server folds client uploads.
+    """Averages (X^T X / n, X^T y / n) of an ``ImputedDataset``, from its
+    clients' observed sums alone: a row completed by S_k is x_obs B_k, so
+    client k adds B_k^T G_k B_k and B_k^T g_k, O(d^3) whatever n_k. Clients
+    are folded in ascending id order, as a server folds uploads, each Gram
+    block symmetrized before it is added, as in ``gram_fold``.
     """
     if data.n == 0:
         raise ValueError("no rows")
-    sigma_sum, gamma_sum = gram_fold(data.shards(), data.d)
+    d = data.d
+    sigma_sum = np.zeros((d, d))
+    gamma_sum = np.zeros(d)
+    for cid, lm in data.data.local_moments.items():
+        # B_k in d coordinates: its rows at unobserved coordinates are zero, like those of sigma_sum.
+        b = data.imputer.complete(cid, np.eye(d)[:, list(data.imputer.patterns[cid].observed)])
+        block = b.T @ lm.sigma_sum @ b
+        sigma_sum += (block + block.T) / 2.0
+        gamma_sum += b.T @ lm.gamma_sum
     return sigma_sum / data.n, gamma_sum / data.n

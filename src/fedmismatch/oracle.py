@@ -20,6 +20,7 @@ the test suite):
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from typing import Mapping
 
@@ -335,12 +336,18 @@ def local_bound_terms(pop: PopulationSpec, clients, lam: float, n: int, m: float
 
 
 def typical_case_lambda_prime(lam: float, tau: float) -> float:
-    """Penalty inflation under Bernoulli(tau) patterns: lam / tau^2 + (1 - tau) / tau."""
+    """Penalty inflation under Bernoulli(tau) patterns: lam / tau^2 + (1 - tau) / tau,
+    a ValueError when that is not a finite float (a tiny tau)."""
     if not (0.0 < tau <= 1.0):
         raise ValueError(f"tau must lie in (0, 1], got {tau}")
     if lam < 0:
         raise ValueError(f"lambda must be >= 0, got {lam}")
-    return float(lam / (tau * tau) + (1.0 - tau) / tau)
+    tau2 = tau * tau  # underflows to 0 below tau ~ 1e-162
+    inflation = 0.0 if lam == 0 else (lam / tau2 if tau2 else math.inf)
+    value = inflation + (1.0 - tau) / tau
+    if not math.isfinite(value):
+        raise ValueError(f"lambda' is not finite at lambda={lam}, tau={tau}")
+    return float(value)
 
 
 @dataclass(frozen=True)

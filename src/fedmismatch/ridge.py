@@ -15,8 +15,9 @@ the closed-form solution; with more local steps the fixed point can drift by
 the usual client heterogeneity bias, which is why local_steps defaults to 1.
 
 ``local_learning`` is the no-sharing baseline: each client ridge-regresses
-on its own observed block with penalty lambda / rho_k, and clients that drew
-no samples predict zero.
+on its own observed block with penalty lambda / rho_k, from its observed
+sums (``Dataset.local_moments``), and clients that drew no samples predict
+zero.
 """
 from __future__ import annotations
 
@@ -26,7 +27,7 @@ import numpy as np
 
 from ._linalg import pinv_solve, spectral_radius
 from .impute import ImputationMap, ImputedDataset
-from .model import ClientwisePredictor, Dataset
+from .model import ClientwisePredictor, Dataset, crop_matrix, crop_vector
 from .moments import gram_fold, imputed_data_moments
 
 __all__ = [
@@ -193,16 +194,13 @@ def local_learning(
         raise ValueError(f"rho_source must be 'true' or 'empirical', got {rho_source!r}")
     thetas: dict[int, np.ndarray] = {}
     for c in data.clients:
-        rows = data.rows_of(c.id)
-        n_k = len(rows)
-        if n_k == 0:
+        lm = data.local_moments[c.id]
+        if lm.count == 0:
             thetas[c.id] = np.zeros(c.pattern.size)
             continue
-        x = data.x_obs_of(c.id)
-        y = data.y_of(c.id)
-        sigma_k = x.T @ x / n_k
-        gamma_k = x.T @ y / n_k
-        rho = c.rho if rho_source == "true" else n_k / data.n
+        sigma_k = crop_matrix(lm.sigma, c.pattern, c.pattern)
+        gamma_k = crop_vector(lm.gamma, c.pattern)
+        rho = c.rho if rho_source == "true" else lm.count / data.n
         lam_k = lam / rho
         if lam_k == 0:
             thetas[c.id] = pinv_solve(sigma_k, gamma_k)

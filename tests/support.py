@@ -135,3 +135,40 @@ def completion_matrix(sigma: np.ndarray, pattern: FeaturePattern) -> np.ndarray:
 
 def seeded(seed: int) -> np.random.Generator:
     return np.random.default_rng(seed)
+
+
+def reference_ice(data, rounds: int, init=None, early_stop_rms: float | None = None):
+    """Federated ICE over materialized completed rows: every round folds
+    X_k^T X_k of each client's completed block in ascending id order,
+    refreshes every map, and rewrites the missing columns, measuring the RMS
+    change over imputed entries directly.
+
+    Returns (sigma_trace, final maps, rounds_run, stopped_early).
+    """
+    from fedmismatch.impute import optimal_block_map
+
+    d = data.d
+    clients = sorted(data.clients, key=lambda c: c.id)
+    blocks = {}
+    for c in clients:
+        x_k = np.zeros((len(data.rows_of(c.id)), d))
+        x_k[:, list(c.pattern.observed)] = data.x_obs_of(c.id)
+        if init is not None:
+            x_k[:, list(c.pattern.missing)] = data.x_obs_of(c.id) @ init.maps[c.id].T
+        blocks[c.id] = x_k
+    n_missing = sum(len(c.pattern.missing) * len(blocks[c.id]) for c in clients)
+    trace, maps, stopped = [], {}, False
+    for _ in range(rounds):
+        sigma = sum((blocks[c.id].T @ blocks[c.id] for c in clients), np.zeros((d, d))) / data.n
+        trace.append(sigma)
+        maps = {c.id: optimal_block_map(sigma, c.pattern) for c in clients}
+        change = 0.0
+        for c in clients:
+            obs, mis = list(c.pattern.observed), list(c.pattern.missing)
+            new = blocks[c.id][:, obs] @ maps[c.id].T
+            change += float(np.sum((new - blocks[c.id][:, mis]) ** 2))
+            blocks[c.id][:, mis] = new
+        if early_stop_rms is not None and (np.sqrt(change / n_missing) if n_missing else 0.0) < early_stop_rms:
+            stopped = True
+            break
+    return trace, maps, len(trace), stopped

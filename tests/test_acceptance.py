@@ -16,13 +16,12 @@ import numpy as np
 
 from fedmismatch.cli import _preset_paths, run_experiment
 from fedmismatch.impute import (
-    ImputedDataset,
     ImputerKind,
     apply_imputer,
     fit_optimal_imputer,
     fit_zero_imputer,
 )
-from fedmismatch.model import ClientSpec, FeaturePattern, crop_matrix, validate_federation
+from fedmismatch.model import ClientSpec, Dataset, FeaturePattern, crop_matrix, validate_federation
 from fedmismatch.moments import (
     aggregate_zero_imputed,
     cw_moments,
@@ -408,7 +407,7 @@ def test_c08_fedavg_reaches_closed_form():
     x = rng.standard_normal((n, d))
     y = x @ rng.standard_normal(d) + 0.3 * rng.standard_normal(n)
     clients = (ClientSpec(id=1, pattern=FeaturePattern.full(d), rho=1.0),)
-    pooled = ImputedDataset(clients=clients, client_ids=np.ones(n, dtype=int), x=x, y=y)
+    pooled = apply_imputer(fit_zero_imputer(clients), Dataset(clients=clients, client_ids=np.ones(n, dtype=int), x_filled=x, y=y))
     want = ridge_closed_form(pooled, lam)
     worst_err = 0.0
     worst_rounds = 0

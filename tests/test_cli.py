@@ -97,12 +97,14 @@ SCENARIO_PROBES = {
         [("clients.patterns.observed", [[1, 2], [2, 3, 5], [1, 3, 4, 5]]), ("scenario_params.new_pattern", [2, 4])],
         "scenario_params.new_pattern",
     ),
+    "typical_case_tiny_tau": ("typical_case.json", [("grid.tau", [1e-300])], "grid.tau"),
     "typical_case_foreign_methods": ("typical_case.json", [("methods", ["local", "fedavg"])], "methods"),
 }
 ABORTING_PROBES = [name for name in SCENARIO_PROBES if name != "typical_case_foreign_methods"]
 
-# Malformed JSON values: the first eight made validation raise, the last
-# four passed a bool or a truncated float as an integer.
+# Malformed JSON values: the first ten made validation raise (the ninth and
+# tenth from numpy and from 1.0 / k), the last four passed a bool or a
+# truncated float as an integer.
 FIELD_PROBES = {
     "patterns_not_object": ("consistency_sweep.json", [("clients.patterns", "x")], "clients.patterns"),
     "noise_not_object": ("consistency_sweep.json", [("population.noise", "gauss")], "population.noise"),
@@ -116,6 +118,8 @@ FIELD_PROBES = {
         [("population.d", 2), ("population.sigma", {"kind": "explicit", "rows": [[1, "a"], [0, 1]]})],
         "population.sigma.rows",
     ),
+    "d_beyond_cap": ("consistency_sweep.json", [("population.d", 10**400)], "population.d"),
+    "k_beyond_cap": ("consistency_sweep.json", [("clients.k", 10**400)], "clients.k"),
     "grid_n_fraction": ("consistency_sweep.json", [("grid.n", [1.5, 200])], "grid.n"),
     "grid_n_bool": ("consistency_sweep.json", [("grid.n", [True])], "grid.n"),
     "replicates_bool": ("consistency_sweep.json", [("seeds.replicates", True)], "seeds.replicates"),

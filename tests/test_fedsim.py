@@ -8,7 +8,7 @@ from fedmismatch.fedsim import (
     replay_comm_schedule,
     run_protocol,
 )
-from fedmismatch.impute import ImputedDataset, apply_imputer, fit_zero_imputer
+from fedmismatch.impute import apply_imputer, fit_zero_imputer
 from fedmismatch.impute import federated_ice as ice_in_memory
 from fedmismatch.model import ClientSpec, Dataset, FeaturePattern
 from fedmismatch.moments import aggregate_zero_imputed, empirical_coobservation, local_moments_by_client
@@ -232,12 +232,12 @@ class TestPinnedTotals:
             ClientSpec(id=1, pattern=FeaturePattern.full(3), rho=0.5),
             ClientSpec(id=2, pattern=FeaturePattern.full(3), rho=0.5),
         )
-        data = ImputedDataset(
+        data = apply_imputer(fit_zero_imputer(clients), Dataset(
             clients=clients,
             client_ids=np.array([1, 1, 1, 2, 2, 2]),
-            x=np.vstack([np.eye(3), np.eye(3)]),
+            x_filled=np.vstack([np.eye(3), np.eye(3)]),
             y=np.ones(6),
-        )
+        ))
         res = run_protocol(ProtocolSpec(kind="fedavg_ridge", lam=0.1, rounds=7), data)
         assert res.comm.total_floats("up") == 7 * 2 * 3
         assert res.comm.total_floats("down") == 7 * 2 * 3

@@ -1,4 +1,6 @@
 """Tests for per-client linear completion and iterated federated fitting."""
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -11,11 +13,12 @@ from fedmismatch.impute import (
     fit_zero_imputer,
     optimal_block_map,
 )
-from fedmismatch.model import ClientSpec, FeaturePattern
-from fedmismatch.moments import imputed_data_moments
+from fedmismatch.model import ClientSpec, Dataset, FeaturePattern
+from fedmismatch.moments import gram_fold, imputed_data_moments
 from fedmismatch.popgen import sample_dataset
+from fedmismatch.ridge import ridge_closed_form
 
-from support import random_clients, random_population, seeded
+from support import random_clients, random_pattern, random_population, random_psd, reference_ice, seeded
 from test_popgen import section3_clients
 
 
@@ -238,3 +241,65 @@ class TestFederatedIce:
         res = federated_ice(data, rounds=2)
         assert res.imputed.imputer.kind is ImputerKind.ICE
         assert res.imputed.imputer.round == 2
+
+
+def _mixed_federation(seed, n=240):
+    """Six clients on random d: one full, one observing nothing, one that
+    drew no rows, three random patterns (one of them possibly empty)."""
+    rng = seeded(seed)
+    d = int(rng.integers(3, 7))
+    pop = random_population(rng, d)
+    patterns = [FeaturePattern.full(d), FeaturePattern.empty(d), random_pattern(rng, d)]
+    patterns += [random_pattern(rng, d, nonempty=False) for _ in range(3)]
+    clients = tuple(ClientSpec(id=10 - i, pattern=p, rho=1 / 6) for i, p in enumerate(patterns))
+    drawn = sample_dataset(pop, clients, n, rng)
+    keep = drawn.client_ids != 8
+    data = Dataset(clients=clients, client_ids=drawn.client_ids[keep], x_filled=drawn.x_filled[keep], y=drawn.y[keep])
+    return rng, data
+
+
+def _assert_rel_close(got, want, rel=1e-12):
+    scale = max(float(np.max(np.abs(want))), 1e-300)
+    assert float(np.max(np.abs(got - want))) <= rel * scale
+
+
+class TestSufficientStatistics:
+    """ITR and ICE read each client's observed sums; the completed rows they
+    stand for are built here only to check them."""
+
+    @pytest.mark.parametrize("seed", [230, 231, 232, 233])
+    def test_moments_and_ice_match_materialized_rows(self, seed):
+        rng, data = _mixed_federation(seed)
+        assert len(data.rows_of(8)) == 0 and len(data.rows_of(9)) > 0
+        inits = [None, fit_optimal_imputer(random_psd(rng, data.d), data.clients, source="test")]
+        stops = 0
+        for init in inits:
+            for rounds in range(6):
+                for early_stop_rms in (None, 1e-1, 1e-2):
+                    res = federated_ice(data, rounds, init=init, early_stop_rms=early_stop_rms)
+                    trace, maps, run, stopped = reference_ice(data, rounds, init, early_stop_rms)
+                    assert (res.rounds_run, res.stopped_early) == (run, stopped)
+                    stops += stopped
+                    for got, want in zip(res.sigma_trace, trace, strict=True):
+                        _assert_rel_close(got, want)
+                    for cid, s in maps.items():
+                        np.testing.assert_allclose(res.imputed.imputer.maps[cid], s, rtol=1e-9, atol=1e-12)
+                    sigma, gamma = imputed_data_moments(res.imputed)
+                    sigma_sum, gamma_sum = gram_fold(res.imputed.shards(), data.d)
+                    _assert_rel_close(sigma, sigma_sum / data.n)
+                    _assert_rel_close(gamma, gamma_sum / data.n)
+        assert stops  # the early-stop path was exercised
+
+    def test_ice_and_ridge_allocate_no_completed_matrix(self):
+        n, d = 50_000, 32
+        rng = seeded(234)
+        clients = random_clients(rng, d, 4)
+        data = sample_dataset(random_population(rng, d), clients, n, rng)
+        tracemalloc.start()
+        try:
+            res = federated_ice(data, rounds=3)
+            ridge_closed_form(res.imputed, 0.5)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < n * d * 8, peak

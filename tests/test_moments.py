@@ -16,7 +16,8 @@ from fedmismatch import (
     sample_dataset,
 )
 from fedmismatch.model import Provenance
-from fedmismatch.impute import ImputedDataset
+from fedmismatch.impute import apply_imputer, fit_zero_imputer
+from fedmismatch.model import Dataset
 from fedmismatch.moments import imputed_data_moments
 
 from support import seeded
@@ -244,13 +245,13 @@ class TestImputedDataMoments:
         y = rng.standard_normal(40)
         ids = rng.integers(1, 4, size=40)
         clients = tuple(ClientSpec(id=k, pattern=FeaturePattern.full(3), rho=1 / 3) for k in (1, 2, 3))
-        sigma, gamma = imputed_data_moments(ImputedDataset(clients=clients, client_ids=ids, x=x, y=y))
+        sigma, gamma = imputed_data_moments(apply_imputer(fit_zero_imputer(clients), Dataset(clients=clients, client_ids=ids, x_filled=x, y=y)))
         np.testing.assert_allclose(sigma, x.T @ x / 40, atol=1e-13)
         np.testing.assert_allclose(gamma, x.T @ y / 40, atol=1e-13)
 
     def test_no_rows_rejected(self):
         clients = (ClientSpec(id=1, pattern=FeaturePattern.full(2), rho=1.0),)
-        empty = ImputedDataset(clients=clients, client_ids=np.zeros(0), x=np.zeros((0, 2)), y=np.zeros(0))
+        empty = apply_imputer(fit_zero_imputer(clients), Dataset(clients=clients, client_ids=np.zeros(0), x_filled=np.zeros((0, 2)), y=np.zeros(0)))
         with pytest.raises(ValueError):
             imputed_data_moments(empty)
 

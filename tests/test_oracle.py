@@ -383,6 +383,16 @@ class TestTypicalCaseLambdaPrime:
         with pytest.raises(ValueError):
             typical_case_lambda_prime(-0.1, 0.5)
 
+    def test_non_finite_value_is_a_value_error(self):
+        # tau^2 underflows to zero: this raised ZeroDivisionError
+        with pytest.raises(ValueError, match="not finite"):
+            typical_case_lambda_prime(0.1, 1e-300)
+        # 1 / tau overflows
+        with pytest.raises(ValueError, match="not finite"):
+            typical_case_lambda_prime(0.0, 5e-324)
+        # without a penalty the inflation term vanishes and the rest is finite
+        assert typical_case_lambda_prime(0.0, 1e-300) == pytest.approx(1e300)
+
 
 def _oracle_predictor(pop, clients):
     return ClientwisePredictor(

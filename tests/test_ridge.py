@@ -3,7 +3,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from fedmismatch.impute import ImputedDataset, apply_imputer, fit_optimal_imputer, fit_zero_imputer
+from fedmismatch.impute import apply_imputer, fit_optimal_imputer, fit_zero_imputer
 from fedmismatch.model import ClientSpec, Dataset, FeaturePattern
 from fedmismatch.oracle import best_local_coefficients
 from fedmismatch.popgen import PopulationSpec, sample_dataset
@@ -24,7 +24,8 @@ def _completed(x, y, d=None):
     x = np.asarray(x, dtype=float)
     d = d if d is not None else x.shape[1]
     clients = (ClientSpec(id=1, pattern=FeaturePattern.full(d), rho=1.0),)
-    return ImputedDataset(clients=clients, client_ids=np.ones(len(y), dtype=int), x=x, y=np.asarray(y, dtype=float))
+    data = Dataset(clients=clients, client_ids=np.ones(len(y), dtype=int), x_filled=x, y=np.asarray(y, dtype=float))
+    return apply_imputer(fit_zero_imputer(clients), data)
 
 
 class TestRidgeClosedForm:
@@ -109,12 +110,12 @@ class TestFedAvg:
             ClientSpec(id=3, pattern=FeaturePattern.full(2), rho=0.5),
             ClientSpec(id=1, pattern=FeaturePattern.full(2), rho=0.5),
         )
-        data = ImputedDataset(
+        data = apply_imputer(fit_zero_imputer(clients), Dataset(
             clients=clients,
             client_ids=np.array([3, 3, 3]),
-            x=np.arange(6.0).reshape(3, 2),
+            x_filled=np.arange(6.0).reshape(3, 2),
             y=np.array([1.0, 2.0, 3.0]),
-        )
+        ))
         shards = list(data.shards())
         assert len(shards) == 1
         assert np.array_equal(shards[0][0], data.x)
