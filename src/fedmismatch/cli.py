@@ -23,8 +23,10 @@ config may list and their defaults, the grid keys it needs, its integer
 turns one work item into rows. ``validate`` and ``run`` both parse through
 it, so a config that validates cannot fail at run time because of its own
 fields; what can still fail is a sampled degenerate case, such as a client
-that drew no rows. ``population.d`` is capped at ``MAX_D`` (1024) and
-``clients.k`` at ``MAX_K`` (10,000).
+that drew no rows. ``population.d`` is capped at ``MAX_D`` (1024),
+``clients.k`` at ``MAX_K`` (10,000) and ``seeds.replicates`` at
+``MAX_REPLICATES`` (10,000); each ``grid.n`` entry and ``mc.n_test`` may
+ask for at most ``MAX_CELLS`` (10**8) float64 cells of n x d data.
 
 Every work item (replicate x grid point) derives its generators from
 ``SeedSequence(root_seed, spawn_key=(replicate, grid_index))`` and splits
@@ -63,6 +65,9 @@ __all__ = ["ConfigError", "load_config", "validate_config", "run_experiment", "m
 # Largest population.d and clients.k a config may ask for; each client holds d x d moment sums.
 MAX_D = 1024
 MAX_K = 10_000
+# Largest n x d sample (training or Monte-Carlo) a config may ask for, in float64 cells.
+MAX_CELLS = 10**8
+MAX_REPLICATES = 10_000
 
 RESULT_COLUMNS = (
     "scenario",
@@ -120,7 +125,7 @@ def load_config(path: str) -> dict:
     with open(path, "r", encoding="utf-8") as fh:
         try:
             raw = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # malformed JSON, or an integer past Python's digit limit
             raise ConfigError([f"config is not valid JSON: {exc}"]) from exc
     if not isinstance(raw, dict):
         raise ConfigError(["config root must be a JSON object"])
@@ -296,7 +301,8 @@ def _parse_config(raw: dict) -> tuple[ExperimentConfig | None, list[str]]:
         out = [collect(_number, v, f"grid.{key}", **kind) for v in vals]
         return tuple(v for v in out if v is not None)
 
-    axes = {"n": _num_list("n", integer=True, lo=1), "lam": _num_list("lam", lo=0.0), "tau": _num_list("tau")}
+    max_rows = MAX_CELLS // (pop.d if pop else 1)
+    axes = {"n": _num_list("n", integer=True, lo=1, hi=max_rows), "lam": _num_list("lam", lo=0.0), "tau": _num_list("tau")}
     for t in axes["tau"]:
         if not (0.0 < t <= 1.0):
             problems.append(f"grid.tau: entry {t} outside (0, 1]")
@@ -311,10 +317,10 @@ def _parse_config(raw: dict) -> tuple[ExperimentConfig | None, list[str]]:
         methods = ()
 
     mc = collect(_obj, raw, "mc") or {}
-    n_test = collect(_number, mc.get("n_test", 10_000), "mc.n_test", integer=True, lo=2)
+    n_test = collect(_number, mc.get("n_test", 10_000), "mc.n_test", integer=True, lo=2, hi=max_rows)
     seeds = collect(_obj, raw, "seeds") or {}
     root = collect(_number, seeds.get("root", 0), "seeds.root", integer=True, lo=0)
-    reps = collect(_number, seeds.get("replicates", 1), "seeds.replicates", integer=True, lo=1)
+    reps = collect(_number, seeds.get("replicates", 1), "seeds.replicates", integer=True, lo=1, hi=MAX_REPLICATES)
     output = collect(_obj, raw, "output") or {}
     prefix = output.get("prefix", "experiment")
     if not isinstance(prefix, str) or not prefix:

@@ -1,7 +1,7 @@
 """Federated protocol runs with exact communication accounting.
 
 Each protocol is one library algorithm, already written over per-client
-sums or shards; ``run_protocol`` calls it and logs every message it implies:
+sums; ``run_protocol`` calls it and logs every message it implies:
 
 * one_shot_moments: ``moments.local_moments_by_client`` folded by
   ``aggregate_zero_imputed``; masked shards in, the pooled zero-imputed
@@ -11,8 +11,9 @@ sums or shards; ``run_protocol`` calls it and logs every message it implies:
   coefficients out.
 * federated_ice: ``impute.federated_ice``; masked shards in, iteratively
   completed dataset out; each round's upload is B_k^T G_k B_k.
-* fedavg_ridge: ``ridge.fedavg_ridge`` over ``ImputedDataset.shards``;
-  completed shards in, iteratively averaged coefficients out.
+* fedavg_ridge: ``ridge.fedavg_ridge``; a completed dataset in, whose
+  clients run local steps from their completed sums B_k^T G_k B_k and
+  B_k^T g_k, iteratively averaged coefficients out.
 
 Every message carries only aggregates whose size depends on d (and rounds),
 never on the local sample count. Each transfer is logged with its exact
@@ -27,7 +28,7 @@ floats per client. Aggregated-moment and coefficient broadcasts are counted
 once (a broadcast channel); fedavg coefficient exchanges are counted per
 client in both directions. Masked-data protocols log every client of the
 federation, including those that drew no rows; completed-data protocols log
-only non-empty shards. Shard sizes, client ids, and round indices are
+only the clients that own rows. Shard sizes, client ids, and round indices are
 session metadata, not counted.
 """
 from __future__ import annotations
@@ -99,7 +100,7 @@ def replay_comm_schedule(spec: ProtocolSpec, k: int, d: int) -> SchedulePredicti
     """Predict exact float/bit totals without running anything.
 
     ``k`` is the federation size for masked-data protocols
-    (one_shot_moments, federated_ice) and the number of non-empty shards for
+    (one_shot_moments, federated_ice) and the number of clients that own rows for
     completed-data protocols (one_shot_ridge, fedavg_ridge), matching what
     ``run_protocol`` logs.
     """
@@ -149,9 +150,8 @@ def _one_shot_ridge(data: ImputedDataset, spec: ProtocolSpec, comm: CommLog):
 
 
 def _fedavg_ridge(data: ImputedDataset, spec: ProtocolSpec, comm: CommLog):
-    shards = list(data.shards())
-    res = fedavg_ridge(shards, spec.lam, spec.rounds, spec.local_steps)
-    floats = len(shards) * data.d
+    res = fedavg_ridge(data, spec.lam, spec.rounds, spec.local_steps)
+    floats = len(data.shard_rows) * data.d
     for t in range(1, res.rounds_run + 1):
         comm.record(t, "down", floats, "server coefficients to each client")
         comm.record(t, "up", floats, "client coefficients after local steps")

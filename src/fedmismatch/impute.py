@@ -10,7 +10,9 @@ A completed row is x_obs B_k, with B_k = [I | S_k^T] placed into d columns,
 so completed data has second moments B_k^T G_k B_k and B_k^T g_k, where
 clients compute G_k = x_obs^T x_obs and g_k = x_obs^T y once
 (``Dataset.local_moments``). An ``ImputedDataset`` is the masked data plus
-its map; completed rows are built only on demand, for FedAvg.
+its map; every completed-data fit (closed-form ridge, FedAvg, ICE) reads
+these per-client sums (``moments.completed_sums``), and completed rows are
+built only for inspection.
 
 ``federated_ice`` alternates between re-estimating the full second-moment
 matrix of the currently completed data and refreshing every client's map
@@ -24,7 +26,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, replace
-from typing import Iterator, Mapping
+from typing import Mapping
 
 import numpy as np
 
@@ -152,9 +154,9 @@ def fit_optimal_imputer(
 @dataclass(frozen=True)
 class ImputedDataset:
     """A masked ``Dataset`` plus a linear ``ImputationMap`` fitted for every
-    client's pattern. Fits read the clients' observed sums; the completed
-    matrix ``x`` and the completed ``shards()`` are built on each request,
-    for FedAvg and for inspection."""
+    client's pattern. Fits read the clients' observed sums; only the
+    completed matrix ``x`` builds completed rows, on each access, for tests
+    and inspection."""
 
     data: Dataset
     imputer: ImputationMap
@@ -182,18 +184,12 @@ class ImputedDataset:
     def d(self) -> int:
         return self.data.d
 
-    def shards(self) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-        """Completed (x_k, y_k) of each non-empty client, in ascending id
-        order, built one at a time as the caller advances."""
-        for cid in self.shard_rows:
-            yield self.imputer.complete(cid, self.data.x_obs_of(cid)), self.data.y_of(cid)
-
     @property
     def x(self) -> np.ndarray:
         """The completed (n, d) design, in row order, built on each access."""
         x = np.empty((self.n, self.d))
-        for rows, (x_k, _) in zip(self.shard_rows.values(), self.shards()):
-            x[rows] = x_k
+        for cid, rows in self.shard_rows.items():
+            x[rows] = self.imputer.complete(cid, self.data.x_obs_of(cid))
         return x
 
 

@@ -24,7 +24,7 @@ registration and accounted as d bits, separately from float counts.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Iterable, Iterator, Mapping
 
 import numpy as np
 
@@ -41,6 +41,7 @@ __all__ = [
     "debias_moments",
     "cw_moments",
     "gram_fold",
+    "completed_sums",
     "imputed_data_moments",
 ]
 
@@ -185,7 +186,6 @@ def gram_fold(shards: Iterable[tuple[np.ndarray, np.ndarray | None]], d: int) ->
 
     Each Gram block is symmetrized before it is added, so the sum is exactly
     symmetric; a shard whose y_k is None adds nothing to the second sum.
-    Feeding shards from a generator keeps one shard copy alive at a time.
     """
     sigma_sum = np.zeros((d, d))
     gamma_sum = np.zeros(d)
@@ -197,22 +197,30 @@ def gram_fold(shards: Iterable[tuple[np.ndarray, np.ndarray | None]], d: int) ->
     return sigma_sum, gamma_sum
 
 
-def imputed_data_moments(data) -> tuple[np.ndarray, np.ndarray]:
-    """Averages (X^T X / n, X^T y / n) of an ``ImputedDataset``, from its
-    clients' observed sums alone: a row completed by S_k is x_obs B_k, so
-    client k adds B_k^T G_k B_k and B_k^T g_k, O(d^3) whatever n_k. Clients
-    are folded in ascending id order, as a server folds uploads, each Gram
-    block symmetrized before it is added, as in ``gram_fold``.
+def completed_sums(data) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
+    """Each client's completed-data sums (n_k, B_k^T G_k B_k, B_k^T g_k) of an
+    ``ImputedDataset``, in ascending id order, clients without rows included
+    (as zero sums). A row completed by S_k is x_obs B_k, so these come from
+    the client's observed sums alone, O(d^3) whatever n_k; each Gram block is
+    symmetrized, as in ``gram_fold``.
     """
-    if data.n == 0:
-        raise ValueError("no rows")
     d = data.d
-    sigma_sum = np.zeros((d, d))
-    gamma_sum = np.zeros(d)
     for cid, lm in data.data.local_moments.items():
         # B_k in d coordinates: its rows at unobserved coordinates are zero, like those of sigma_sum.
         b = data.imputer.complete(cid, np.eye(d)[:, list(data.imputer.patterns[cid].observed)])
         block = b.T @ lm.sigma_sum @ b
-        sigma_sum += (block + block.T) / 2.0
-        gamma_sum += b.T @ lm.gamma_sum
+        yield lm.count, (block + block.T) / 2.0, b.T @ lm.gamma_sum
+
+
+def imputed_data_moments(data) -> tuple[np.ndarray, np.ndarray]:
+    """Averages (X^T X / n, X^T y / n) of an ``ImputedDataset``: its
+    ``completed_sums`` folded in ascending id order, as a server folds
+    uploads."""
+    if data.n == 0:
+        raise ValueError("no rows")
+    sigma_sum = np.zeros((data.d, data.d))
+    gamma_sum = np.zeros(data.d)
+    for _, gram, cross in completed_sums(data):
+        sigma_sum += gram
+        gamma_sum += cross
     return sigma_sum / data.n, gamma_sum / data.n

@@ -1,8 +1,10 @@
 """Ridge regression on completed data, federated averaging, local baseline.
 
-The one-shot estimator solves (sigma_hat + lambda I) theta = gamma_hat with
-sigma_hat, gamma_hat the raw moments of the completed data. lambda = 0 falls
-back to the minimum-norm solution through the cutoff pseudoinverse.
+Every completed-data fit reads the clients' completed sums
+(``moments.completed_sums``); no completed row is built. The one-shot
+estimator solves (sigma_hat + lambda I) theta = gamma_hat with sigma_hat,
+gamma_hat the raw moments of the completed data. lambda = 0 falls back to
+the minimum-norm solution through the cutoff pseudoinverse.
 
 ``fedavg_ridge`` minimizes the same objective,
 
@@ -28,7 +30,7 @@ import numpy as np
 from ._linalg import pinv_solve, spectral_radius
 from .impute import ImputationMap, ImputedDataset
 from .model import ClientwisePredictor, Dataset, crop_matrix, crop_vector
-from .moments import gram_fold, imputed_data_moments
+from .moments import completed_sums, imputed_data_moments
 
 __all__ = [
     "ridge_closed_form",
@@ -54,23 +56,6 @@ def ridge_closed_form(data: ImputedDataset, lam: float) -> np.ndarray:
     return np.linalg.solve(sigma + lam * np.eye(data.d), gamma)
 
 
-def local_gradient_steps(
-    theta: np.ndarray,
-    x: np.ndarray,
-    y: np.ndarray,
-    lam: float,
-    steps: int,
-    step_size: float,
-) -> np.ndarray:
-    """Full-batch gradient steps on one shard's normalized ridge objective."""
-    theta = theta.copy()
-    n_k = len(y)
-    for _ in range(steps):
-        grad = x.T @ (x @ theta - y) / n_k + lam * theta
-        theta = theta - step_size * grad
-    return theta
-
-
 @dataclass(frozen=True)
 class FedAvgResult:
     theta: np.ndarray
@@ -80,38 +65,48 @@ class FedAvgResult:
 
 
 def fedavg_ridge(
-    shards: list[tuple[np.ndarray, np.ndarray]],
+    data: ImputedDataset,
     lam: float,
     rounds: int,
     local_steps: int = 1,
     stop_tol: float | None = None,
 ) -> FedAvgResult:
-    """Federated averaging on the global ridge objective.
+    """Federated averaging on the global ridge objective over the clients
+    that own rows.
 
-    The step size 1 / (lambda_max(sigma_hat) + lambda) guarantees a
+    The step size eta = 1 / (lambda_max(sigma_hat) + lambda) guarantees a
     non-increasing objective for single local steps. Ten consecutive
     objective increases abort the run with ``diverged`` set. ``stop_tol``
     optionally stops once the server iterate moves less than that in L2.
-    Shards are visited and averaged in the given order.
+
+    Client k's local step is theta -> M_k theta + eta g_k / n_k with
+    M_k = I - eta (G_k / n_k + lambda I), where G_k and g_k are its
+    ``completed_sums``; its s local steps are the affine map A_k = M_k^s,
+    b_k = sum_{j<s} M_k^j eta g_k / n_k, and a round is their n_k / n
+    weighted average, computed once. The objective needs only the pooled
+    sums: (theta^T sigma theta - 2 gamma^T theta + y^T y) / (2n) + lambda/2 ||theta||^2.
     """
     if rounds < 0 or local_steps < 1:
         raise ValueError("need rounds >= 0 and local_steps >= 1")
-    if not shards:
-        raise ValueError("no shards")
-    d = shards[0][0].shape[1]
-    n = sum(len(y) for _, y in shards)
-    if any(len(y) == 0 for _, y in shards):
-        raise ValueError("empty shards are not allowed; drop them before calling")
-    weights = np.array([len(y) / n for _, y in shards])
-    sigma = gram_fold(shards, d)[0] / n
+    sigma, gamma = imputed_data_moments(data)
+    d, n = data.d, data.n
     step_size = 1.0 / (spectral_radius(sigma) + lam)
+    eye = np.eye(d)
+    a_bar = np.zeros((d, d))
+    b_bar = np.zeros(d)
+    for n_k, gram, cross in completed_sums(data):
+        if n_k == 0:
+            continue
+        m_k = eye - step_size * (gram / n_k + lam * eye)
+        a_k, b_k = eye, np.zeros(d)
+        for _ in range(local_steps):
+            a_k, b_k = m_k @ a_k, m_k @ b_k + step_size * cross / n_k
+        a_bar += n_k / n * a_k
+        b_bar += n_k / n * b_k
+    yy = float(data.y @ data.y) / n
 
     def objective(theta: np.ndarray) -> float:
-        val = 0.0
-        for xk, yk in shards:
-            r = yk - xk @ theta
-            val += float(r @ r)
-        return val / (2 * n) + lam / 2 * float(theta @ theta)
+        return (float(theta @ sigma @ theta) - 2 * float(gamma @ theta) + yy) / 2 + lam / 2 * float(theta @ theta)
 
     theta = np.zeros(d)
     trace = [objective(theta)]
@@ -119,12 +114,7 @@ def fedavg_ridge(
     diverged = False
     run = 0
     for t in range(1, rounds + 1):
-        locals_ = [
-            local_gradient_steps(theta, xk, yk, lam, local_steps, step_size) for xk, yk in shards
-        ]
-        new_theta = np.zeros(d)
-        for w, th in zip(weights, locals_):
-            new_theta += w * th
+        new_theta = a_bar @ theta + b_bar
         moved = float(np.linalg.norm(new_theta - theta))
         theta = new_theta
         run = t

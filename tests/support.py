@@ -9,7 +9,16 @@ from __future__ import annotations
 
 import numpy as np
 
-from fedmismatch import ClientSpec, FeaturePattern, PopulationSpec, validate_federation
+from fedmismatch import (
+    ClientSpec,
+    Dataset,
+    FeaturePattern,
+    PopulationSpec,
+    apply_imputer,
+    fit_zero_imputer,
+    sample_dataset,
+    validate_federation,
+)
 
 
 def random_psd(rng: np.random.Generator, d: int, ridge: float = 0.3) -> np.ndarray:
@@ -39,6 +48,32 @@ def random_population(rng: np.random.Generator, d: int, ridge: float = 0.3) -> P
     return PopulationSpec.gaussian(
         random_psd(rng, d, ridge), rng.standard_normal(d), sigma2=float(rng.random() + 0.1)
     )
+
+
+def mixed_federation(seed, n=240):
+    """Six clients on random d: one full, one observing nothing, one that
+    drew no rows, three random patterns (one of them possibly empty)."""
+    rng = seeded(seed)
+    d = int(rng.integers(3, 7))
+    pop = random_population(rng, d)
+    patterns = [FeaturePattern.full(d), FeaturePattern.empty(d), random_pattern(rng, d)]
+    patterns += [random_pattern(rng, d, nonempty=False) for _ in range(3)]
+    clients = tuple(ClientSpec(id=10 - i, pattern=p, rho=1 / 6) for i, p in enumerate(patterns))
+    drawn = sample_dataset(pop, clients, n, rng)
+    keep = drawn.client_ids != 8
+    data = Dataset(clients=clients, client_ids=drawn.client_ids[keep], x_filled=drawn.x_filled[keep], y=drawn.y[keep])
+    return rng, data
+
+
+def sharded(x, y, bounds):
+    """Completed data in which rows bounds[i]:bounds[i + 1] belong to one
+    full-pattern client, with ids 1, 2, ... in shard order."""
+    x = np.asarray(x, dtype=np.float64)
+    k = len(bounds) - 1
+    clients = tuple(ClientSpec(id=i + 1, pattern=FeaturePattern.full(x.shape[1]), rho=1 / k) for i in range(k))
+    ids = np.repeat(np.arange(1, k + 1), np.diff(bounds))
+    data = Dataset(clients=clients, client_ids=ids, x_filled=x, y=np.asarray(y, dtype=np.float64))
+    return apply_imputer(fit_zero_imputer(clients), data)
 
 
 def gd_quadratic_min(a: np.ndarray, b: np.ndarray, iters: int = 2000) -> np.ndarray:
@@ -172,3 +207,45 @@ def reference_ice(data, rounds: int, init=None, early_stop_rms: float | None = N
             stopped = True
             break
     return trace, maps, len(trace), stopped
+
+
+def reference_fedavg(data, lam: float, rounds: int, local_steps: int = 1, stop_tol: float | None = None):
+    """Federated averaging over materialized completed rows: every round each
+    client that owns rows takes ``local_steps`` full-batch gradient steps on
+    its own completed block from the server iterate, the server averages
+    them with weights n_k / n in ascending id order, and the objective sums
+    every client's squared residuals. Step size and stopping rules are those
+    of ``ridge.fedavg_ridge``.
+
+    Returns (theta, objective_trace, diverged, rounds_run).
+    """
+    x = data.x
+    shards = [(x[rows], data.y[rows]) for rows in data.shard_rows.values()]
+    n, d = data.n, data.d
+    sigma = sum((xk.T @ xk for xk, _ in shards), np.zeros((d, d))) / n
+    step = 1.0 / (float(np.max(np.abs(np.linalg.eigvalsh((sigma + sigma.T) / 2.0)))) + lam)
+
+    def objective(theta):
+        residual = sum(float(np.sum((yk - xk @ theta) ** 2)) for xk, yk in shards)
+        return residual / (2 * n) + lam / 2 * float(theta @ theta)
+
+    theta = np.zeros(d)
+    trace = [objective(theta)]
+    increases, diverged, run = 0, False, 0
+    for t in range(1, rounds + 1):
+        new = np.zeros(d)
+        for xk, yk in shards:
+            local = theta
+            for _ in range(local_steps):
+                local = local - step * (xk.T @ (xk @ local - yk) / len(yk) + lam * local)
+            new += len(yk) / n * local
+        moved = float(np.linalg.norm(new - theta))
+        theta, run = new, t
+        trace.append(objective(theta))
+        increases = increases + 1 if trace[-1] > trace[-2] else 0
+        if increases >= 10:
+            diverged = True
+            break
+        if stop_tol is not None and moved <= stop_tol:
+            break
+    return theta, trace, diverged, run

@@ -57,6 +57,7 @@ from support import (
     random_clients,
     random_population,
     seeded,
+    sharded,
 )
 
 import json
@@ -416,8 +417,7 @@ def test_c08_fedavg_reaches_closed_form():
         k = int(rng.integers(1, 7))
         cuts = np.sort(rng.choice(np.arange(1, n), size=k - 1, replace=False)) if k > 1 else np.array([], dtype=int)
         bounds = [0, *cuts.tolist(), n]
-        shards = [(x[a:b], y[a:b]) for a, b in zip(bounds[:-1], bounds[1:])]
-        res = fedavg_ridge(shards, lam=lam, rounds=10_000, stop_tol=1e-13)
+        res = fedavg_ridge(sharded(x, y, bounds), lam=lam, rounds=10_000, stop_tol=1e-13)
         err = float(np.linalg.norm(res.theta - want))
         worst_err = max(worst_err, err)
         worst_rounds = max(worst_rounds, res.rounds_run)

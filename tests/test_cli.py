@@ -2,6 +2,7 @@
 import csv
 import json
 import os
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -103,8 +104,9 @@ SCENARIO_PROBES = {
 ABORTING_PROBES = [name for name in SCENARIO_PROBES if name != "typical_case_foreign_methods"]
 
 # Malformed JSON values: the first ten made validation raise (the ninth and
-# tenth from numpy and from 1.0 / k), the last four passed a bool or a
-# truncated float as an integer.
+# tenth from numpy and from 1.0 / k), the next four passed a bool or a
+# truncated float as an integer, and the last three validated, then made
+# the run fail converting n or n_test, or run on past a minute.
 FIELD_PROBES = {
     "patterns_not_object": ("consistency_sweep.json", [("clients.patterns", "x")], "clients.patterns"),
     "noise_not_object": ("consistency_sweep.json", [("population.noise", "gauss")], "population.noise"),
@@ -124,6 +126,9 @@ FIELD_PROBES = {
     "grid_n_bool": ("consistency_sweep.json", [("grid.n", [True])], "grid.n"),
     "replicates_bool": ("consistency_sweep.json", [("seeds.replicates", True)], "seeds.replicates"),
     "k_bool": ("consistency_sweep.json", [("clients.k", True)], "clients.k"),
+    "grid_n_beyond_cells": ("consistency_sweep.json", [("grid.n", [10**400])], "grid.n"),
+    "n_test_beyond_cells": ("consistency_sweep.json", [("mc.n_test", 10**400)], "mc.n_test"),
+    "replicates_beyond_cap": ("consistency_sweep.json", [("seeds.replicates", 10**400)], "seeds.replicates"),
 }
 ALL_PROBES = {**SCENARIO_PROBES, **FIELD_PROBES}
 
@@ -236,6 +241,13 @@ class TestValidate:
         for p in paths:
             raw = json.loads(p.read_text(encoding="utf-8"))
             assert validate_config(raw) == [], p.name
+
+    def test_benchmark_configs_are_clean(self):
+        # The largest, wide_features, asks for 200,000 x 64 cells.
+        paths = sorted((Path(__file__).parent.parent / "perfbench" / "configs").glob("*.json"))
+        assert len(paths) == 2
+        for p in paths:
+            assert validate_config(json.loads(p.read_text(encoding="utf-8"))) == [], p.name
 
 
 class TestRunExperiment:
@@ -422,6 +434,14 @@ class TestMain:
         rc = main(["validate", str(path)])
         assert rc == 1
         assert "not valid JSON" in capsys.readouterr().err
+
+    def test_integer_past_digit_limit_exits_one(self, tmp_path, capsys):
+        # Python refuses to parse integer literals beyond 4300 digits.
+        text = json.dumps(_sweep_config()).replace('"replicates": 2', '"replicates": 1' + "0" * 5000)
+        path = tmp_path / "huge.json"
+        path.write_text(text, encoding="utf-8")
+        assert main(["validate", str(path)]) == 1
+        assert capsys.readouterr().err.startswith("invalid: config is not valid JSON")
 
     def test_out_dir_from_environment(self, tmp_path, capsys, monkeypatch):
         out = tmp_path / "envout"

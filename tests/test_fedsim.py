@@ -58,7 +58,7 @@ def _library_artifact(spec, data):
         return ice_in_memory(data, rounds=spec.ice_rounds).imputed
     if spec.kind == "one_shot_ridge":
         return ridge_closed_form(data, spec.lam)
-    return fedavg_ridge(list(data.shards()), lam=spec.lam, rounds=spec.rounds).theta
+    return fedavg_ridge(data, lam=spec.lam, rounds=spec.rounds).theta
 
 
 class TestTransportTransparency:
@@ -95,7 +95,7 @@ class TestTransportTransparency:
     def test_fedavg(self):
         data = _completed(505)
         res = run_protocol(ProtocolSpec(kind="fedavg_ridge", lam=0.2, rounds=5), data)
-        want = fedavg_ridge(list(data.shards()), lam=0.2, rounds=5)
+        want = fedavg_ridge(data, lam=0.2, rounds=5)
         assert np.array_equal(res.artifact, want.theta)
 
 

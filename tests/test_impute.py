@@ -13,12 +13,12 @@ from fedmismatch.impute import (
     fit_zero_imputer,
     optimal_block_map,
 )
-from fedmismatch.model import ClientSpec, Dataset, FeaturePattern
-from fedmismatch.moments import gram_fold, imputed_data_moments
+from fedmismatch.model import ClientSpec, FeaturePattern
+from fedmismatch.moments import completed_sums, gram_fold, imputed_data_moments
 from fedmismatch.popgen import sample_dataset
 from fedmismatch.ridge import ridge_closed_form
 
-from support import random_clients, random_pattern, random_population, random_psd, reference_ice, seeded
+from support import mixed_federation, random_clients, random_population, random_psd, reference_ice, seeded
 from test_popgen import section3_clients
 
 
@@ -154,13 +154,14 @@ class TestApplyImputer:
         pop = random_population(rng, 4)
         data = sample_dataset(pop, section3_clients(), 60, rng)
         out = apply_imputer(fit_zero_imputer(data.clients), data)
-        shards = list(out.shards())
-        owners = [cid for cid in sorted(c.id for c in data.clients) if np.any(data.client_ids == cid)]
-        assert len(shards) == len(owners)
-        for cid, (xk, yk) in zip(owners, shards):
+        sums = list(completed_sums(out))
+        ids = sorted(c.id for c in data.clients)
+        assert len(sums) == len(ids)
+        for cid, (n_k, gram, cross) in zip(ids, sums):
             rows = np.flatnonzero(data.client_ids == cid)
-            assert np.array_equal(xk, out.x[rows])
-            assert np.array_equal(yk, out.y[rows])
+            assert n_k == len(rows)
+            _assert_rel_close(gram, out.x[rows].T @ out.x[rows])
+            _assert_rel_close(cross, out.x[rows].T @ out.y[rows])
 
 
 class TestFederatedIce:
@@ -243,21 +244,6 @@ class TestFederatedIce:
         assert res.imputed.imputer.round == 2
 
 
-def _mixed_federation(seed, n=240):
-    """Six clients on random d: one full, one observing nothing, one that
-    drew no rows, three random patterns (one of them possibly empty)."""
-    rng = seeded(seed)
-    d = int(rng.integers(3, 7))
-    pop = random_population(rng, d)
-    patterns = [FeaturePattern.full(d), FeaturePattern.empty(d), random_pattern(rng, d)]
-    patterns += [random_pattern(rng, d, nonempty=False) for _ in range(3)]
-    clients = tuple(ClientSpec(id=10 - i, pattern=p, rho=1 / 6) for i, p in enumerate(patterns))
-    drawn = sample_dataset(pop, clients, n, rng)
-    keep = drawn.client_ids != 8
-    data = Dataset(clients=clients, client_ids=drawn.client_ids[keep], x_filled=drawn.x_filled[keep], y=drawn.y[keep])
-    return rng, data
-
-
 def _assert_rel_close(got, want, rel=1e-12):
     scale = max(float(np.max(np.abs(want))), 1e-300)
     assert float(np.max(np.abs(got - want))) <= rel * scale
@@ -269,7 +255,7 @@ class TestSufficientStatistics:
 
     @pytest.mark.parametrize("seed", [230, 231, 232, 233])
     def test_moments_and_ice_match_materialized_rows(self, seed):
-        rng, data = _mixed_federation(seed)
+        rng, data = mixed_federation(seed)
         assert len(data.rows_of(8)) == 0 and len(data.rows_of(9)) > 0
         inits = [None, fit_optimal_imputer(random_psd(rng, data.d), data.clients, source="test")]
         stops = 0
@@ -285,7 +271,10 @@ class TestSufficientStatistics:
                     for cid, s in maps.items():
                         np.testing.assert_allclose(res.imputed.imputer.maps[cid], s, rtol=1e-9, atol=1e-12)
                     sigma, gamma = imputed_data_moments(res.imputed)
-                    sigma_sum, gamma_sum = gram_fold(res.imputed.shards(), data.d)
+                    x = res.imputed.x
+                    sigma_sum, gamma_sum = gram_fold(
+                        [(x[rows], data.y[rows]) for rows in data.shard_rows.values()], data.d
+                    )
                     _assert_rel_close(sigma, sigma_sum / data.n)
                     _assert_rel_close(gamma, gamma_sum / data.n)
         assert stops  # the early-stop path was exercised

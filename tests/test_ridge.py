@@ -5,6 +5,7 @@ from hypothesis import given, strategies as st
 
 from fedmismatch.impute import apply_imputer, fit_optimal_imputer, fit_zero_imputer
 from fedmismatch.model import ClientSpec, Dataset, FeaturePattern
+from fedmismatch.moments import completed_sums
 from fedmismatch.oracle import best_local_coefficients
 from fedmismatch.popgen import PopulationSpec, sample_dataset
 from fedmismatch.ridge import (
@@ -16,7 +17,16 @@ from fedmismatch.ridge import (
     truncate,
 )
 
-from support import gd_ridge_fit, random_clients, random_population, seeded
+from support import (
+    gd_ridge_fit,
+    mixed_federation,
+    random_clients,
+    random_population,
+    random_psd,
+    reference_fedavg,
+    seeded,
+    sharded,
+)
 from test_popgen import section3_clients
 
 
@@ -66,7 +76,7 @@ class TestFedAvg:
         x = rng.standard_normal((80, 3))
         y = rng.standard_normal(80)
         data = _completed(x, y)
-        res = fedavg_ridge([(x, y)], lam=0.3, rounds=100_000, stop_tol=1e-14)
+        res = fedavg_ridge(data, lam=0.3, rounds=100_000, stop_tol=1e-14)
         assert not res.diverged
         assert np.allclose(res.theta, ridge_closed_form(data, 0.3), atol=1e-8)
 
@@ -79,31 +89,31 @@ class TestFedAvg:
         y = rng.standard_normal(90)
         want = ridge_closed_form(_completed(x, y), 0.1)
         for cuts in ([30, 60], [10, 25, 70], [45]):
-            shards = [
-                (x[a:b], y[a:b]) for a, b in zip([0] + cuts, cuts + [90])
-            ]
-            res = fedavg_ridge(shards, lam=0.1, rounds=200_000, stop_tol=1e-14)
+            res = fedavg_ridge(sharded(x, y, [0, *cuts, 90]), lam=0.1, rounds=200_000, stop_tol=1e-14)
             assert np.allclose(res.theta, want, atol=1e-6)
 
     def test_objective_trace_non_increasing(self):
         rng = seeded(304)
         x = rng.standard_normal((50, 3))
         y = rng.standard_normal(50)
-        res = fedavg_ridge([(x[:25], y[:25]), (x[25:], y[25:])], lam=0.2, rounds=200)
+        res = fedavg_ridge(sharded(x, y, [0, 25, 50]), lam=0.2, rounds=200)
         trace = np.asarray(res.objective_trace)
         assert np.all(np.diff(trace) <= 1e-12)
 
     def test_zero_rounds_returns_zeros(self):
-        res = fedavg_ridge([(np.eye(2), np.ones(2))], lam=0.1, rounds=0)
+        res = fedavg_ridge(sharded(np.eye(2), np.ones(2), [0, 2]), lam=0.1, rounds=0)
         assert res.theta == pytest.approx([0.0, 0.0])
         assert res.rounds_run == 0
         assert len(res.objective_trace) == 1
 
-    def test_empty_shard_rejected(self):
-        with pytest.raises(ValueError, match="empty shards"):
-            fedavg_ridge([(np.eye(2), np.ones(2)), (np.zeros((0, 2)), np.zeros(0))], lam=0.1, rounds=1)
-        with pytest.raises(ValueError, match="no shards"):
-            fedavg_ridge([], lam=0.1, rounds=1)
+    def test_empty_clients_skipped_no_rows_rejected(self):
+        x, y = np.arange(6.0).reshape(3, 2), np.array([1.0, 2.0, 3.0])
+        with_empty = fedavg_ridge(sharded(x, y, [0, 0, 3, 3]), lam=0.1, rounds=5)
+        alone = fedavg_ridge(sharded(x, y, [0, 3]), lam=0.1, rounds=5)
+        assert np.array_equal(with_empty.theta, alone.theta)
+        assert with_empty.objective_trace == alone.objective_trace
+        with pytest.raises(ValueError, match="no rows"):
+            fedavg_ridge(sharded(np.zeros((0, 2)), np.zeros(0), [0, 0]), lam=0.1, rounds=1)
 
     def test_split_by_client_skips_empty_and_sorts(self):
         clients = (
@@ -116,9 +126,63 @@ class TestFedAvg:
             x_filled=np.arange(6.0).reshape(3, 2),
             y=np.array([1.0, 2.0, 3.0]),
         ))
-        shards = list(data.shards())
-        assert len(shards) == 1
-        assert np.array_equal(shards[0][0], data.x)
+        (n_1, gram_1, _), (n_3, gram_3, _) = completed_sums(data)
+        assert (n_1, n_3) == (0, 3)
+        assert not gram_1.any()
+        assert np.array_equal(gram_3, data.x.T @ data.x)
+
+    @pytest.mark.parametrize("seed", [240, 241, 242, 243])
+    def test_affine_map_matches_per_step_reference(self, seed):
+        # Federations with a full client, an empty-pattern client and a
+        # client without rows, under zero and regression imputation.
+        rng, masked = mixed_federation(seed)
+        imputers = [fit_zero_imputer(masked.clients), fit_optimal_imputer(random_psd(rng, masked.d), masked.clients)]
+        stopped = 0
+        for imputer in imputers:
+            data = apply_imputer(imputer, masked)
+            for local_steps in (1, 2, 5):
+                for rounds in (0, 1, 7, 60):
+                    for stop_tol in (None, 1e-3):
+                        res = fedavg_ridge(data, 0.3, rounds, local_steps, stop_tol)
+                        theta, trace, diverged, run = reference_fedavg(data, 0.3, rounds, local_steps, stop_tol)
+                        assert (res.rounds_run, res.diverged) == (run, diverged)
+                        stopped += run < rounds
+                        _assert_rel_close(res.theta, theta)
+                        _assert_rel_close(np.asarray(res.objective_trace), np.asarray(trace))
+        assert stopped  # the stop_tol path was exercised
+
+    @pytest.mark.parametrize("local_steps", [2, 5])
+    def test_divergence_matches_per_step_reference(self, local_steps):
+        # A small client with large rows: several local steps at the global
+        # step size overshoot on it, and the run is flagged after ten
+        # consecutive objective increases.
+        rng = seeded(305)
+        x = rng.standard_normal((60, 3))
+        y = rng.standard_normal(60)
+        x[:3] *= 30.0
+        data = sharded(x, y, [0, 3, 60])
+        res = fedavg_ridge(data, 0.1, 200, local_steps)
+        theta, trace, diverged, run = reference_fedavg(data, 0.1, 200, local_steps)
+        assert res.diverged and diverged and res.rounds_run == run == 10
+        _assert_rel_close(res.theta, theta)
+        _assert_rel_close(np.asarray(res.objective_trace), np.asarray(trace))
+
+    def test_long_converged_run_is_not_diverged(self):
+        # Near the optimum the objective moves by rounding only and rises now
+        # and then, but never ten rounds in a row.
+        rng = seeded(306)
+        clients = random_clients(rng, 8, 300, nonempty=False)
+        masked = sample_dataset(random_population(rng, 8), clients, 3000, rng)
+        data = apply_imputer(fit_optimal_imputer(random_psd(rng, 8), clients), masked)
+        res = fedavg_ridge(data, lam=0.05, rounds=3000)
+        assert not res.diverged and res.rounds_run == 3000
+        assert np.any(np.diff(res.objective_trace) > 0)
+        assert np.allclose(res.theta, ridge_closed_form(data, 0.05), atol=1e-10)
+
+
+def _assert_rel_close(got, want, rel=1e-12):
+    scale = max(float(np.max(np.abs(want))), 1e-300)
+    assert float(np.max(np.abs(got - want))) <= rel * scale
 
 
 class TestTruncate:
