@@ -31,9 +31,10 @@ ask for at most ``MAX_CELLS`` (10**8) float64 cells of n x d data.
 Every work item (replicate x grid point) derives its generators from
 ``SeedSequence(root_seed, spawn_key=(replicate, grid_index))`` and splits
 them into pattern, data, and evaluation streams, so items are independent
-and any thread count produces identical results. Rows are sorted before
-writing. Exit codes: 0 success, 1 config validation failure, 2 runtime
-error.
+and any thread count produces identical results. The evaluation stream
+draws one Monte-Carlo test sample per item, which scores every method.
+Rows are sorted before writing. Exit codes: 0 success, 1 config validation
+failure, 2 runtime error.
 """
 from __future__ import annotations
 
@@ -333,7 +334,7 @@ def _parse_config(raw: dict) -> tuple[ExperimentConfig | None, list[str]]:
             if m not in entry.methods:
                 problems.append(f"methods: unknown method {m!r} for scenario {scenario}, need some of {entry.methods}")
         for key in entry.grid:
-            if not axes[key]:
+            if grid.get(key) is None:  # a given list already had each bad entry reported
                 problems.append(f"grid.{key}: required for scenario {scenario}")
         for name, (default, lo) in entry.params.items():
             params[name] = collect(_number, raw_params.get(name, default), f"scenario_params.{name}",
@@ -507,30 +508,33 @@ class _WorkItem:
     tau: float | None
 
 
-def _mc_rows(cfg: ExperimentConfig, item: _WorkItem, clients, data_ss, mc_root, served=None) -> list[dict]:
-    """Fit every listed method on one sample and score each on its own Monte-Carlo stream."""
+def _mc_rows(cfg: ExperimentConfig, item: _WorkItem, clients, data_ss, mc_ss, served=None) -> list[dict]:
+    """Fit every listed method on one sample and score all of them on one shared Monte-Carlo sample.
+
+    The test sample comes from ``mc_ss`` alone, so a method's row does not
+    depend on which other methods are listed or where it sits in the list.
+    """
     pop = cfg.population
     data = sample_dataset(pop, clients, item.n, np.random.default_rng(data_ss))
     ctx = _Context(pop, clients, served or clients, data, item.lam, cfg.params)
-    rows = []
-    for method, mss in zip(cfg.methods, mc_root.spawn(len(cfg.methods))):
-        fit = _METHOD_FITS[method](ctx)
-        mc = oracle.monte_carlo_risk(fit.predictor, pop, ctx.served, cfg.n_test, np.random.default_rng(mss))
-        rows.append({"method": method, "mc_risk": mc.risk, "mc_stderr": mc.stderr,
-                     "oracle_risk": fit.oracle_risk, "bound_value": fit.bound_value,
-                     "excess_risk": mc.risk - fit.oracle_risk,
-                     "comm_floats_up": sum(r.comm.total_floats("up") for r in fit.protocols),
-                     "comm_floats_down": sum(r.comm.total_floats("down") for r in fit.protocols)})
-    return rows
+    fits = [_METHOD_FITS[method](ctx) for method in cfg.methods]
+    risks = oracle.monte_carlo_risk([f.predictor for f in fits], pop, ctx.served, cfg.n_test,
+                                    np.random.default_rng(mc_ss))
+    return [{"method": method, "mc_risk": mc.risk, "mc_stderr": mc.stderr,
+             "oracle_risk": fit.oracle_risk, "bound_value": fit.bound_value,
+             "excess_risk": mc.risk - fit.oracle_risk,
+             "comm_floats_up": sum(r.comm.total_floats("up") for r in fit.protocols),
+             "comm_floats_down": sum(r.comm.total_floats("down") for r in fit.protocols)}
+            for method, fit, mc in zip(cfg.methods, fits, risks)]
 
 
-def _new_client_rows(cfg: ExperimentConfig, item: _WorkItem, clients, data_ss, mc_root) -> list[dict]:
+def _new_client_rows(cfg: ExperimentConfig, item: _WorkItem, clients, data_ss, mc_ss) -> list[dict]:
     """The plug-ins served to one client with the unseen pattern, which the risk is taken over."""
     probe = ClientSpec(id=max(c.id for c in clients) + 1, pattern=cfg.params["new_pattern"], rho=1.0)
-    return _mc_rows(cfg, item, clients, data_ss, mc_root, served=(probe,))
+    return _mc_rows(cfg, item, clients, data_ss, mc_ss, served=(probe,))
 
 
-def _typical_rows(cfg: ExperimentConfig, item: _WorkItem, clients, data_ss, mc_root) -> list[dict]:
+def _typical_rows(cfg: ExperimentConfig, item: _WorkItem, clients, data_ss, mc_ss) -> list[dict]:
     """Zero-imputed optimum against the typical-case penalty-inflation bound; no sampling."""
     pop = cfg.population
     ip = oracle.imputed_population_covariance(pop, clients, ImputerKind.ZERO)
@@ -541,7 +545,7 @@ def _typical_rows(cfg: ExperimentConfig, item: _WorkItem, clients, data_ss, mc_r
              "comm_floats_up": 0, "comm_floats_down": 0}]
 
 
-def _audit_rows(cfg: ExperimentConfig, item: _WorkItem, clients, data_ss, mc_root) -> list[dict]:
+def _audit_rows(cfg: ExperimentConfig, item: _WorkItem, clients, data_ss, mc_ss) -> list[dict]:
     """Run each listed protocol once and hold its logged totals to the closed-form schedule."""
     pop = cfg.population
     n = item.n if item.n is not None else 32
@@ -603,7 +607,7 @@ class _Scenario:
     defaults: tuple[str, ...]  # what runs when ``methods`` is absent
     grid: tuple[str, ...]  # grid keys that must be given
     params: dict[str, tuple[int, int]]  # integer scenario_params: name -> (default, minimum)
-    rows: Callable[..., list[dict]]  # (cfg, item, clients, data_ss, mc_root) -> rows without the base columns
+    rows: Callable[..., list[dict]]  # (cfg, item, clients, data_ss, mc_ss) -> rows without the base columns
     check: Callable[..., dict] = lambda *_: {}  # (raw_params, pop, fed, grid axes) -> further typed params
 
 
@@ -634,7 +638,7 @@ def _grid_points(cfg: ExperimentConfig) -> list[tuple[int | None, float, float |
 
 def _run_item(cfg: ExperimentConfig, item: _WorkItem) -> list[dict]:
     ss = np.random.SeedSequence(cfg.root_seed, spawn_key=(item.rep, item.gi))
-    pat_ss, data_ss, mc_root = ss.spawn(3)
+    pat_ss, data_ss, mc_ss = ss.spawn(3)
     clients = _build_clients(cfg, item.tau, np.random.default_rng(pat_ss))
     base = {
         "scenario": cfg.scenario,
@@ -645,7 +649,7 @@ def _run_item(cfg: ExperimentConfig, item: _WorkItem) -> list[dict]:
         "tau": item.tau if cfg.federation.pattern_kind == "bernoulli" else None,
         "lambda": item.lam,
     }
-    rows = _SCENARIOS[cfg.scenario].rows(cfg, item, clients, data_ss, mc_root)
+    rows = _SCENARIOS[cfg.scenario].rows(cfg, item, clients, data_ss, mc_ss)
     return [{**base, **row} for row in rows]
 
 

@@ -22,14 +22,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Mapping
+from typing import Mapping, Sequence
 
 import numpy as np
 
 from ._linalg import pinv, pinv_solve
 from .impute import ImputerKind
-from .model import ClientSpec, FeaturePattern, crop_matrix, crop_vector, validate_federation, ClientwisePredictor
-from .popgen import PopulationSpec, co_observation_matrix, population_gamma, sample_dataset
+from .model import FeaturePattern, crop_matrix, crop_vector, validate_federation, ClientwisePredictor
+from .popgen import PopulationSpec, _draw_rows, co_observation_matrix, population_gamma
 
 __all__ = [
     "best_local_coefficients",
@@ -393,32 +393,40 @@ def _apportion(n: int, weights: list[float]) -> list[int]:
 
 
 def monte_carlo_risk(
-    predictor: ClientwisePredictor,
+    predictors: Sequence[ClientwisePredictor],
     pop: PopulationSpec,
     clients,
     n_mc: int,
     rng: np.random.Generator,
-) -> MCRisk:
-    """Estimate the deployment risk of a clientwise predictor by simulation.
+) -> list[MCRisk]:
+    """Estimate the deployment risk of clientwise predictors by simulation.
 
-    Fresh draws are stratified over clients in ascending id order with
-    largest-remainder counts proportional to rho, so the global estimate
-    decomposes exactly as sum_k rho_k * conditional risk_k over the same
-    draws. Evaluating a single pattern (a would-be new client) is the
-    special case of one client with rho = 1.
+    One test sample of n_mc draws is stratified over clients in ascending id
+    order with largest-remainder counts proportional to rho, drawn at once
+    (all covariates, then all noise), and every predictor is scored on it:
+    the result holds one ``MCRisk`` per predictor, in order, and each equals
+    what scoring that predictor alone at the same seed gives. Each
+    global estimate decomposes exactly as sum_k rho_k * conditional risk_k
+    over the same draws. Evaluating a single pattern (a would-be new client)
+    is the special case of one client with rho = 1.
     """
-    clients = sorted(validate_federation(clients), key=lambda c: c.id)
+    clients = tuple(sorted(validate_federation(clients), key=lambda c: c.id))
     if n_mc < 2:
         raise ValueError(f"need n_mc >= 2, got {n_mc}")
     counts = _apportion(n_mc, [c.rho for c in clients])
+    sample = _draw_rows(pop, clients, np.repeat(np.arange(len(clients)), counts), rng)
+    strata = [(c, sample.x_obs_of(c.id), sample.y_of(c.id)) for c in clients]
+    return [_score(predictor, strata, n_mc) for predictor in predictors]
+
+
+def _score(predictor: ClientwisePredictor, strata, n_mc: int) -> MCRisk:
+    """Squared-error risk of one predictor over (client, observed block, response) strata."""
     per_client: dict[int, PerClientRisk] = {}
     risk = 0.0
     pooled = []
-    for c, m_k in zip(clients, counts):
-        solo = ClientSpec(id=c.id, pattern=c.pattern, rho=1.0)
-        ds = sample_dataset(pop, (solo,), m_k, rng)
-        pred = predictor.predict_many(c.id, ds.x_obs_of(c.id))
-        sq = (ds.y - pred) ** 2
+    for c, x_obs, y in strata:
+        m_k = len(y)
+        sq = (y - predictor.predict_many(c.id, x_obs)) ** 2
         mean_k = float(sq.mean())
         stderr_k = float(np.std(sq, ddof=1) / np.sqrt(m_k)) if m_k > 1 else float("nan")
         per_client[c.id] = PerClientRisk(risk=mean_k, stderr=stderr_k, draws=m_k)

@@ -6,10 +6,12 @@ client label H drawn independently of (X, Y) with P(H = k) = rho_k. Each
 stored sample keeps only the coordinates observed by its client.
 
 Determinism: every sampler takes a numpy Generator and touches it in a fixed
-documented order, so equal seeds give bitwise-equal datasets. Replicate-level
-parallelism should derive child seeds with ``spawn_rngs`` (SeedSequence.spawn)
-or ``numpy.random.SeedSequence(root, spawn_key=...)``; both rules are stable
-across processes.
+documented order, so equal seeds give bitwise-equal datasets. A sample is
+drawn as labels (``sample_dataset`` only; a stratified Monte-Carlo sample
+fixes them in advance), then all covariates in one call, then all noise.
+Replicate-level parallelism should derive child seeds with ``spawn_rngs``
+(SeedSequence.spawn) or ``numpy.random.SeedSequence(root, spawn_key=...)``;
+both rules are stable across processes.
 """
 from __future__ import annotations
 
@@ -127,7 +129,8 @@ def _draw_x(pop: PopulationSpec, n: int, rng: np.random.Generator) -> np.ndarray
     if pop.design == "sphere":
         norms = np.linalg.norm(z, axis=1, keepdims=True)
         norms[norms == 0] = 1.0
-        z = z / norms * np.sqrt(pop.d)
+        z /= norms
+        z *= np.sqrt(pop.d)
     return z @ pop.sqrt_sigma
 
 
@@ -135,6 +138,25 @@ def _draw_noise(pop: PopulationSpec, n: int, rng: np.random.Generator) -> np.nda
     if pop.noise == "uniform":
         return rng.uniform(-pop.noise_halfwidth, pop.noise_halfwidth, size=n)
     return np.sqrt(pop.sigma2) * rng.standard_normal(n)
+
+
+def _draw_rows(pop: PopulationSpec, clients: tuple[ClientSpec, ...], positions: np.ndarray,
+               rng: np.random.Generator) -> Dataset:
+    """One row per entry of ``positions`` (an index into ``clients``).
+
+    Draws all covariates in one call, then all noise, forms the response and
+    zeroes each row's unobserved coordinates in place.
+    """
+    if clients[0].pattern.d != pop.d:
+        raise ValueError("clients and population disagree on dimension")
+    n = len(positions)
+    x = _draw_x(pop, n, rng)
+    eps = _draw_noise(pop, n, rng)
+    y = x @ pop.theta_star + eps
+    masks = np.stack([c.pattern.mask() for c in clients])
+    ids = np.array([c.id for c in clients], dtype=np.int64)
+    x *= masks[positions]
+    return Dataset(clients=clients, client_ids=ids[positions], x_filled=x, y=y)
 
 
 def sample_dataset(
@@ -147,22 +169,15 @@ def sample_dataset(
 
     Draw order is fixed (labels, then covariates, then noise) so a given
     seed reproduces the dataset bitwise. Labels are categorical over the
-    clients in the order given, with probabilities rho.
+    clients in the order given, with probabilities rho; the rest of the
+    draw is ``_draw_rows``.
     """
     clients = validate_federation(clients)
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
-    if clients[0].pattern.d != pop.d:
-        raise ValueError("clients and population disagree on dimension")
     rho = np.array([c.rho for c in clients], dtype=np.float64)
     positions = rng.choice(len(clients), size=n, p=rho / rho.sum())
-    x = _draw_x(pop, n, rng)
-    eps = _draw_noise(pop, n, rng)
-    y = x @ pop.theta_star + eps
-    masks = np.stack([c.pattern.mask() for c in clients])
-    ids = np.array([c.id for c in clients], dtype=np.int64)
-    x_filled = x * masks[positions]
-    return Dataset(clients=clients, client_ids=ids[positions], x_filled=x_filled, y=y)
+    return _draw_rows(pop, clients, positions, rng)
 
 
 def co_observation_matrix(clients) -> np.ndarray:

@@ -275,7 +275,7 @@ def test_c04_imputed_ridge_risk_certificates():
                     completed = apply_imputer(imputer, data)
                     m_hat = estimate_m(data)
                     predictor = itr_predictor(imputer, ridge_closed_form(completed, lam), trunc_m=m_hat)
-                    mc = oracle.monte_carlo_risk(predictor, pop, clients, 100_000, mc_rng)
+                    mc = oracle.monte_carlo_risk([predictor], pop, clients, 100_000, mc_rng)[0]
                     report = oracle.itr_bound(pop, clients, kind, lam, n, m_hat).with_mc(mc.risk, mc.stderr)
                     margin = report.bound_value + 3 * mc.stderr - mc.risk
                     worst_margin = max(worst_margin, -margin)
@@ -444,10 +444,10 @@ def _tuned_test_risk(method, pop, clients, data, lam_grid, valid_rng, test_rng, 
             predictor = itr_predictor(imputer, ridge_closed_form(completed, lam), trunc_m=m_hat)
         else:
             predictor = local_learning(data, lam, trunc_m=m_hat)
-        score = oracle.monte_carlo_risk(predictor, pop, clients, n_eval, valid_rng).risk
+        score = oracle.monte_carlo_risk([predictor], pop, clients, n_eval, valid_rng)[0].risk
         if best is None or score < best[0]:
             best = (score, predictor)
-    return oracle.monte_carlo_risk(best[1], pop, clients, n_eval, test_rng).risk
+    return oracle.monte_carlo_risk([best[1]], pop, clients, n_eval, test_rng)[0].risk
 
 
 def test_c09_local_vs_federated_crossover():
@@ -528,7 +528,7 @@ def test_c10_empty_client_risk_floor():
         data_rng, mc_rng = (np.random.default_rng(c) for c in ss.spawn(2))
         data = sample_dataset(pop, clients, n, data_rng)
         predictor = local_learning(data, 0.5, trunc_m=estimate_m(data))
-        risks.append(oracle.monte_carlo_risk(predictor, pop, clients, 4000, mc_rng).risk)
+        risks.append(oracle.monte_carlo_risk([predictor], pop, clients, 4000, mc_rng)[0].risk)
     mean_risk = float(np.mean(risks))
     stderr = float(np.std(risks, ddof=1) / np.sqrt(len(risks)))
     elapsed = time.perf_counter() - t0

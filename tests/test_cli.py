@@ -105,8 +105,9 @@ ABORTING_PROBES = [name for name in SCENARIO_PROBES if name != "typical_case_for
 
 # Malformed JSON values: the first ten made validation raise (the ninth and
 # tenth from numpy and from 1.0 / k), the next four passed a bool or a
-# truncated float as an integer, and the last three validated, then made
-# the run fail converting n or n_test, or run on past a minute.
+# truncated float as an integer, the next three validated, then made the
+# run fail converting n or n_test, or run on past a minute, and the last two
+# were also reported as a missing axis. Each must be reported exactly once.
 FIELD_PROBES = {
     "patterns_not_object": ("consistency_sweep.json", [("clients.patterns", "x")], "clients.patterns"),
     "noise_not_object": ("consistency_sweep.json", [("population.noise", "gauss")], "population.noise"),
@@ -129,6 +130,8 @@ FIELD_PROBES = {
     "grid_n_beyond_cells": ("consistency_sweep.json", [("grid.n", [10**400])], "grid.n"),
     "n_test_beyond_cells": ("consistency_sweep.json", [("mc.n_test", 10**400)], "mc.n_test"),
     "replicates_beyond_cap": ("consistency_sweep.json", [("seeds.replicates", 10**400)], "seeds.replicates"),
+    "grid_n_only_entry_beyond_cells": ("consistency_sweep.json", [("grid.n", [10**9])], "grid.n"),
+    "grid_n_empty": ("consistency_sweep.json", [("grid.n", [])], "grid.n"),
 }
 ALL_PROBES = {**SCENARIO_PROBES, **FIELD_PROBES}
 
@@ -217,6 +220,12 @@ class TestValidate:
         assert any(p.startswith(f"{field}:") for p in validate_config(cfg)), validate_config(cfg)
         assert main(["validate", _write(tmp_path, cfg)]) == 1
         assert f"invalid: {field}:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name", sorted(FIELD_PROBES))
+    def test_field_probe_is_reported_once(self, name):
+        preset, edits, field = FIELD_PROBES[name]
+        problems = validate_config(_probe(preset, *edits))
+        assert len([p for p in problems if p.startswith(f"{field}:")]) == 1, problems
 
     @settings(max_examples=150, deadline=None)
     @given(st.data())
@@ -316,6 +325,29 @@ class TestRunExperiment:
         results, _ = run_experiment(cfg, str(tmp_path))
         assert [r["method"] for r in _read_rows(results)] == ["plugin_cw", "plugin_debias"]
         assert kinds == ["one_shot_moments"]
+
+    def test_rows_do_not_depend_on_the_other_listed_methods(self, tmp_path):
+        methods = ["local", "itr_zero", "itr_opt", "itr_cw", "itr_ice", "fedavg", "plugin_debias", "plugin_cw"]
+        col = RESULT_COLUMNS.index("method")
+
+        def lines_by_method(listed, name):
+            cfg = _sweep_config(scenario="local_vs_federated", methods=listed,
+                                grid={"n": [120], "lam": [0.3]}, scenario_params={"rounds": 20})
+            results, _ = run_experiment(cfg, str(tmp_path / name))
+            by_method = {}
+            for line in open(results, "rb").read().splitlines()[1:]:
+                by_method.setdefault(line.split(b",")[col].decode(), []).append(line)
+            return by_method
+
+        full = lines_by_method(methods, "full")
+        assert sorted(full) == sorted(methods)
+        variants = {"reversed": methods[::-1], "first_dropped": methods[1:], "last_dropped": methods[:-1],
+                    "two_kept": ["plugin_cw", "itr_zero"]}
+        for name, listed in variants.items():
+            got = lines_by_method(listed, name)
+            assert sorted(got) == sorted(listed)
+            for method, lines in got.items():
+                assert lines == full[method], (name, method)
 
     def test_comm_audit_rows(self, tmp_path):
         cfg = {

@@ -5,6 +5,7 @@ import pytest
 from fedmismatch.impute import ImputerKind
 from fedmismatch.model import ClientSpec, ClientwisePredictor, FeaturePattern
 from fedmismatch.oracle import (
+    _apportion,
     best_local_coefficients,
     effective_dimension,
     imputed_oracle_risk,
@@ -406,14 +407,14 @@ class TestMonteCarloRisk:
         pop = random_population(rng, 4)
         clients = section3_clients()
         zero = ClientwisePredictor(thetas={c.id: np.zeros(c.pattern.size) for c in clients})
-        mc = monte_carlo_risk(zero, pop, clients, 40_000, rng)
+        mc = monte_carlo_risk([zero], pop, clients, 40_000, rng)[0]
         assert abs(mc.risk - pop.e_y2) <= 4 * mc.stderr
 
     def test_oracle_predictor_attains_oracle_risk(self):
         rng = seeded(423)
         pop = random_population(rng, 4)
         clients = section3_clients()
-        mc = monte_carlo_risk(_oracle_predictor(pop, clients), pop, clients, 40_000, rng)
+        mc = monte_carlo_risk([_oracle_predictor(pop, clients)], pop, clients, 40_000, rng)[0]
         se = np.sqrt(sum(c.rho**2 * mc.per_client[c.id].stderr ** 2 for c in clients))
         assert abs(mc.risk - oracle_global_risk(pop, clients)) <= 4 * se
 
@@ -421,7 +422,7 @@ class TestMonteCarloRisk:
         rng = seeded(424)
         pop = random_population(rng, 4)
         clients = section3_clients()
-        mc = monte_carlo_risk(_oracle_predictor(pop, clients), pop, clients, 1001, rng)
+        mc = monte_carlo_risk([_oracle_predictor(pop, clients)], pop, clients, 1001, rng)[0]
         recomposed = sum(c.rho * mc.per_client[c.id].risk for c in clients)
         assert mc.risk == pytest.approx(recomposed, abs=1e-15)
         assert sum(p.draws for p in mc.per_client.values()) == 1001
@@ -435,7 +436,7 @@ class TestMonteCarloRisk:
             ClientSpec(id=2, pattern=FeaturePattern.from_one_based([1], 3), rho=0.29),
             ClientSpec(id=3, pattern=FeaturePattern.from_one_based([2], 3), rho=0.10),
         )
-        mc = monte_carlo_risk(_oracle_predictor(pop, clients), pop, clients, 1000, rng)
+        mc = monte_carlo_risk([_oracle_predictor(pop, clients)], pop, clients, 1000, rng)[0]
         for c in clients:
             assert abs(mc.per_client[c.id].draws - 1000 * c.rho) <= 1.0
             assert mc.per_client[c.id].draws >= 1
@@ -444,8 +445,8 @@ class TestMonteCarloRisk:
         pop = random_population(seeded(426), 4)
         clients = section3_clients()
         pred = _oracle_predictor(pop, clients)
-        a = monte_carlo_risk(pred, pop, clients, 500, seeded(99))
-        b = monte_carlo_risk(pred, pop, clients, 500, seeded(99))
+        a = monte_carlo_risk([pred], pop, clients, 500, seeded(99))[0]
+        b = monte_carlo_risk([pred], pop, clients, 500, seeded(99))[0]
         assert a.risk == b.risk
         assert a.stderr == b.stderr
 
@@ -453,12 +454,34 @@ class TestMonteCarloRisk:
         pop = random_population(seeded(427), 4)
         clients = section3_clients()
         pred = _oracle_predictor(pop, clients)
-        a = monte_carlo_risk(pred, pop, clients, 500, seeded(7))
-        b = monte_carlo_risk(pred, pop, tuple(reversed(clients)), 500, seeded(7))
+        a = monte_carlo_risk([pred], pop, clients, 500, seeded(7))[0]
+        b = monte_carlo_risk([pred], pop, tuple(reversed(clients)), 500, seeded(7))[0]
         assert a.risk == b.risk
+
+    def test_shared_sample_scores_each_predictor_as_alone(self):
+        rng = seeded(429)
+        pop = random_population(rng, 5)
+        clients = random_clients(rng, 5, 4)
+        preds = [
+            _oracle_predictor(pop, clients),
+            ClientwisePredictor(thetas={c.id: np.zeros(c.pattern.size) for c in clients}),
+            ClientwisePredictor(thetas={c.id: rng.standard_normal(c.pattern.size) for c in clients}, trunc_m=0.5),
+        ]
+        counts = _apportion(777, [c.rho for c in sorted(clients, key=lambda c: c.id)])
+
+        def bits(mc):
+            per = {k: (p.risk.hex(), p.stderr.hex(), p.draws) for k, p in mc.per_client.items()}
+            return mc.risk.hex(), mc.stderr.hex(), mc.draws, per
+
+        together = monte_carlo_risk(preds, pop, clients, 777, seeded(11))
+        assert len(together) == len(preds)
+        for pred, mc in zip(preds, together):
+            assert bits(mc) == bits(monte_carlo_risk([pred], pop, clients, 777, seeded(11))[0])
+            assert [mc.per_client[c.id].draws for c in sorted(clients, key=lambda c: c.id)] == counts
+        assert len({mc.risk for mc in together}) == len(preds)
 
     def test_tiny_budget_rejected(self):
         pop = random_population(seeded(428), 2)
         clients = (ClientSpec(id=1, pattern=FeaturePattern.full(2), rho=1.0),)
         with pytest.raises(ValueError):
-            monte_carlo_risk(_oracle_predictor(pop, clients), pop, clients, 1, seeded(1))
+            monte_carlo_risk([_oracle_predictor(pop, clients)], pop, clients, 1, seeded(1))[0]

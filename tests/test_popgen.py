@@ -14,7 +14,7 @@ from fedmismatch import (
 )
 from fedmismatch.model import Provenance
 
-from support import seeded
+from support import random_clients, seeded
 
 
 def section3_clients(d=4):
@@ -117,6 +117,37 @@ class TestSampleDataset:
         # sphere normalization keeps E[X X^T] = sigma exactly; check by MC
         emp = ds.x_filled.T @ ds.x_filled / ds.n
         assert np.max(np.abs(emp - pop.sigma)) < 0.05
+
+
+    @pytest.mark.parametrize("design", ["gaussian", "sphere"])
+    def test_matches_out_of_place_expressions(self, design):
+        """In-place sphere scaling and masking give the bytes of the plain expressions."""
+        sigma = np.eye(5) + 0.3
+        theta = np.array([1.0, -2.0, 0.5, 0.0, 3.0])
+        if design == "sphere":
+            pop = PopulationSpec.bounded(sigma, theta, noise_halfwidth=0.7)
+        else:
+            pop = PopulationSpec.gaussian(sigma, theta, sigma2=0.7)
+        clients = random_clients(seeded(8), 5, 4)
+        ds = sample_dataset(pop, clients, 3000, seeded(9))
+
+        rng = seeded(9)
+        rho = np.array([c.rho for c in clients])
+        positions = rng.choice(len(clients), size=3000, p=rho / rho.sum())
+        z = rng.standard_normal((3000, 5))
+        if design == "sphere":
+            norms = np.linalg.norm(z, axis=1, keepdims=True)
+            norms[norms == 0] = 1.0
+            z = z / norms * np.sqrt(5)
+            eps = rng.uniform(-0.7, 0.7, size=3000)
+        else:
+            eps = np.sqrt(0.7) * rng.standard_normal(3000)
+        x = z @ pop.sqrt_sigma
+        y = x @ pop.theta_star + eps
+        masks = np.stack([c.pattern.mask() for c in clients])
+        assert ds.x_filled.tobytes() == (x * masks[positions]).tobytes()
+        assert ds.y.tobytes() == y.tobytes()
+        assert ds.client_ids.tolist() == [clients[i].id for i in positions]
 
 
 class TestCoObservation:
