@@ -42,7 +42,6 @@ from .moments import (
     empirical_coobservation,
     gram_fold,
     imputed_data_moments,
-    local_moments_by_client,
     local_zero_imputed_moments,
 )
 from .plugin import (

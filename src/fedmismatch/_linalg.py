@@ -26,24 +26,29 @@ def pinv_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return pinv(a) @ np.asarray(b, dtype=np.float64)
 
 
+def ridge_solve(a: np.ndarray, b: np.ndarray, lam: float) -> np.ndarray:
+    """(a + lam I)^{-1} b; at lam = 0 the minimum-norm solution pinv(a) b."""
+    if lam == 0:
+        return pinv_solve(a, b)
+    return np.linalg.solve(a + lam * np.eye(len(b)), b)
+
+
+def _clipped_eigen_map(a: np.ndarray, f) -> np.ndarray:
+    """Q f(max(W, 0)) Q^T for the symmetrized a = Q W Q^T, symmetrized again."""
+    a = np.asarray(a, dtype=np.float64)
+    w, q = np.linalg.eigh((a + a.T) / 2.0)
+    out = (q * f(np.clip(w, 0.0, None))) @ q.T
+    return (out + out.T) / 2.0
+
+
 def psd_clip(a: np.ndarray) -> np.ndarray:
     """Project a symmetric matrix onto the PSD cone by eigenvalue clipping."""
-    a = np.asarray(a, dtype=np.float64)
-    a = (a + a.T) / 2.0
-    w, q = np.linalg.eigh(a)
-    w = np.clip(w, 0.0, None)
-    out = (q * w) @ q.T
-    return (out + out.T) / 2.0
+    return _clipped_eigen_map(a, lambda w: w)
 
 
 def sym_sqrt(a: np.ndarray) -> np.ndarray:
     """Symmetric PSD square root; tiny negative eigenvalues are clipped."""
-    a = np.asarray(a, dtype=np.float64)
-    a = (a + a.T) / 2.0
-    w, q = np.linalg.eigh(a)
-    w = np.clip(w, 0.0, None)
-    out = (q * np.sqrt(w)) @ q.T
-    return (out + out.T) / 2.0
+    return _clipped_eigen_map(a, np.sqrt)
 
 
 def spectral_radius(a: np.ndarray) -> float:

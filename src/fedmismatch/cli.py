@@ -676,7 +676,10 @@ def run_experiment(
         raise ValueError(f"threads must be >= 1, got {threads}")
     cfg = parse_config(raw)
     if seed is not None:
-        cfg = replace(cfg, root_seed=int(seed))
+        try:
+            cfg = replace(cfg, root_seed=_number(seed, "--seed", integer=True, lo=0))
+        except _Invalid as exc:
+            raise ConfigError([str(exc)]) from exc
     os.makedirs(out_dir, exist_ok=True)
     points = _grid_points(cfg)
     items = [

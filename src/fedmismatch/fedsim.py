@@ -3,7 +3,7 @@
 Each protocol is one library algorithm, already written over per-client
 sums; ``run_protocol`` calls it and logs every message it implies:
 
-* one_shot_moments: ``moments.local_moments_by_client`` folded by
+* one_shot_moments: ``Dataset.local_moments`` folded by
   ``aggregate_zero_imputed``; masked shards in, the pooled zero-imputed
   MomentPair and the co-observation counts out.
 * one_shot_ridge: ``ridge.ridge_closed_form``; a completed dataset in,
@@ -37,7 +37,7 @@ from dataclasses import dataclass
 
 from .impute import ImputedDataset, federated_ice
 from .model import CommLog, Dataset, MomentPair
-from .moments import CoObservationCounts, aggregate_zero_imputed, coobservation_counts, local_moments_by_client
+from .moments import CoObservationCounts, aggregate_zero_imputed, coobservation_counts
 from .ridge import fedavg_ridge, ridge_closed_form
 
 __all__ = [
@@ -121,7 +121,7 @@ def replay_comm_schedule(spec: ProtocolSpec, k: int, d: int) -> SchedulePredicti
 def _one_shot_moments(data: Dataset, comm: CommLog, ids: list[int]) -> OneShotMomentsArtifact:
     d = data.d
     tri = d * (d + 1) // 2
-    locals_ = local_moments_by_client(data)
+    locals_ = data.local_moments
     pair = aggregate_zero_imputed(locals_)
     counts = coobservation_counts(data.clients, {cid: lm.count for cid, lm in locals_.items()})
     for cid in ids:

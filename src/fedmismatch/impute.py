@@ -3,16 +3,17 @@
 An imputation map assigns each client a matrix S_k of shape (|mis|, |obs|);
 the completed vector keeps observed coordinates verbatim and fills missing
 ones with S_k x_obs. The optimal linear choice is the population regression
-of missing on observed coordinates, S_k = sigma[mis, obs] sigma[obs, obs]^+,
-computable from any full covariance estimate (exact or component-wise).
+of missing on observed coordinates, S_k = sigma[mis, obs] sigma[obs, obs]^+
+(``optimal_block_map``), from any full covariance estimate.
 
-A completed row is x_obs B_k, with B_k = [I | S_k^T] placed into d columns,
-so completed data has second moments B_k^T G_k B_k and B_k^T g_k, where
-clients compute G_k = x_obs^T x_obs and g_k = x_obs^T y once
-(``Dataset.local_moments``). An ``ImputedDataset`` is the masked data plus
-its map; every completed-data fit (closed-form ridge, FedAvg, ICE) reads
-these per-client sums (``moments.completed_sums``), and completed rows are
-built only for inspection.
+A completed row is x_obs B_k, with B_k = [I | S_k^T] placed into d columns.
+``ImputationMap.complete_moments`` maps any (sigma, gamma) to (B_k^T sigma
+B_k, B_k^T gamma): on a client's observed sums G_k = x_obs^T x_obs and
+g_k = x_obs^T y (``Dataset.local_moments``) it gives the completed-data sums
+every fit (closed-form ridge, FedAvg, ICE) reads (``moments.completed_sums``),
+and on population moments the oracle's imputed-population moments. An
+``ImputedDataset`` is the masked data plus its map; completed rows are built
+only for inspection.
 
 ``federated_ice`` alternates between re-estimating the full second-moment
 matrix of the currently completed data and refreshing every client's map
@@ -97,6 +98,15 @@ class ImputationMap:
         if p.missing:
             out[..., list(p.missing)] = x_obs @ self.maps[client_id].T
         return out
+
+    def complete_moments(self, client_id: int, sigma: np.ndarray, gamma: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(sym(B^T sigma B), B^T gamma), B the client's completion in d coordinates:
+        row j completes e_j, and rows at missing j are zero, so only the observed
+        blocks of ``sigma`` and ``gamma`` are read."""
+        d = self.patterns[client_id].d
+        b = self.complete(client_id, np.eye(d)[:, list(self.patterns[client_id].observed)])
+        block = b.T @ sigma @ b
+        return (block + block.T) / 2.0, b.T @ gamma
 
 
 def fit_zero_imputer(clients) -> ImputationMap:

@@ -34,7 +34,6 @@ __all__ = [
     "LocalMoments",
     "CoObservationCounts",
     "local_zero_imputed_moments",
-    "local_moments_by_client",
     "aggregate_zero_imputed",
     "coobservation_counts",
     "empirical_coobservation",
@@ -68,11 +67,6 @@ def local_zero_imputed_moments(x_obs: np.ndarray, y: np.ndarray, pattern: Featur
         # wire format loses nothing.
         sigma_sum[np.ix_(idx, idx)], gamma_sum[idx] = gram_fold([(x_obs, y)], pattern.size)
     return LocalMoments(sigma_sum=sigma_sum, gamma_sum=gamma_sum, count=x_obs.shape[0])
-
-
-def local_moments_by_client(data: Dataset) -> dict[int, LocalMoments]:
-    """Per-client local moments in ascending id order: ``data.local_moments``, computed once per dataset."""
-    return data.local_moments
 
 
 def aggregate_zero_imputed(locals_: list[LocalMoments] | dict[int, LocalMoments]) -> MomentPair:
@@ -200,16 +194,13 @@ def gram_fold(shards: Iterable[tuple[np.ndarray, np.ndarray | None]], d: int) ->
 def completed_sums(data) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
     """Each client's completed-data sums (n_k, B_k^T G_k B_k, B_k^T g_k) of an
     ``ImputedDataset``, in ascending id order, clients without rows included
-    (as zero sums). A row completed by S_k is x_obs B_k, so these come from
-    the client's observed sums alone, O(d^3) whatever n_k; each Gram block is
-    symmetrized, as in ``gram_fold``.
+    (as zero sums). A row completed by S_k is x_obs B_k, so these are
+    ``ImputationMap.complete_moments`` of the client's observed sums, O(d^3)
+    whatever n_k; each Gram block is symmetrized, as in ``gram_fold``. The
+    population oracle folds the same map over the population moments.
     """
-    d = data.d
     for cid, lm in data.data.local_moments.items():
-        # B_k in d coordinates: its rows at unobserved coordinates are zero, like those of sigma_sum.
-        b = data.imputer.complete(cid, np.eye(d)[:, list(data.imputer.patterns[cid].observed)])
-        block = b.T @ lm.sigma_sum @ b
-        yield lm.count, (block + block.T) / 2.0, b.T @ lm.gamma_sum
+        yield (lm.count, *data.imputer.complete_moments(cid, lm.sigma_sum, lm.gamma_sum))
 
 
 def imputed_data_moments(data) -> tuple[np.ndarray, np.ndarray]:

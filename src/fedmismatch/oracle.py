@@ -4,7 +4,11 @@ Everything here works at the population level: given the exact law of
 (X, Y, H), compute best attainable risks, the ridge bias and effective
 dimension that drive excess-risk bounds, and the population moments of
 imputed features. ``monte_carlo_risk`` is the bridge to finite-sample
-evaluation of fitted predictors.
+evaluation of fitted predictors. The imputed-population moments are the
+rho-weighted fold of ``ImputationMap.complete_moments`` over the population
+moments, the same completion algebra the fits apply to client sums, and
+every regression of missing on observed coordinates is
+``impute.optimal_block_map``.
 
 Key facts used throughout (all checkable against brute force, and checked in
 the test suite):
@@ -26,10 +30,10 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from ._linalg import pinv, pinv_solve
-from .impute import ImputerKind
+from ._linalg import pinv_solve
+from .impute import ImputerKind, fit_optimal_imputer, fit_zero_imputer, optimal_block_map
 from .model import FeaturePattern, crop_matrix, crop_vector, validate_federation, ClientwisePredictor
-from .popgen import PopulationSpec, _draw_rows, co_observation_matrix, population_gamma
+from .popgen import PopulationSpec, _draw_rows, population_gamma
 
 __all__ = [
     "best_local_coefficients",
@@ -56,9 +60,9 @@ def best_local_coefficients(pop: PopulationSpec, pattern: FeaturePattern) -> np.
     """Population-optimal linear coefficients over one observed block.
 
     Returns sigma[O,O]^+ gamma[O]. On well-conditioned blocks the
-    equivalent representation theta_obs + sigma[O,O]^{-1} sigma[O,mis]
-    theta_mis is also evaluated and must agree to 1e-10; disagreement means
-    the inputs are inconsistent and raises.
+    equivalent representation theta_obs + S^T theta_mis, with S the
+    ``optimal_block_map`` of the pattern, is also evaluated and must agree
+    to 1e-10; disagreement means the inputs are inconsistent and raises.
     """
     if pattern.is_empty:
         return np.zeros(0)
@@ -67,34 +71,23 @@ def best_local_coefficients(pop: PopulationSpec, pattern: FeaturePattern) -> np.
     theta1 = pinv_solve(s_oo, crop_vector(gamma, pattern))
     sv = np.linalg.svd(s_oo, compute_uv=False)
     if sv[0] > 0 and sv[-1] / sv[0] > 1e-4:
-        obs = list(pattern.observed)
-        mis = list(pattern.missing)
-        theta2 = pop.theta_star[obs].copy()
-        if mis:
-            s_om = pop.sigma[np.ix_(obs, mis)]
-            theta2 = theta2 + pinv(s_oo) @ s_om @ pop.theta_star[mis]
+        s = optimal_block_map(pop.sigma, pattern)
+        theta2 = pop.theta_star[list(pattern.observed)] + s.T @ pop.theta_star[list(pattern.missing)]
         if np.max(np.abs(theta1 - theta2)) > 1e-10 * max(1.0, float(np.max(np.abs(theta2)))):
             raise RuntimeError("the two closed forms for local coefficients disagree")
     return theta1
 
 
 def schur_complement(sigma: np.ndarray, pattern: FeaturePattern) -> np.ndarray:
-    """sigma[M,M] - sigma[M,O] sigma[O,O]^+ sigma[O,M] over the missing set.
+    """sigma[M,M] - S sigma[O,M] over the missing set, with S =
+    sigma[M,O] sigma[O,O]^+ the ``optimal_block_map`` of the pattern.
 
     Full patterns give a 0 x 0 matrix; an empty observed set gives
     sigma[M,M] itself.
     """
     sigma = np.asarray(sigma, dtype=np.float64)
-    obs = list(pattern.observed)
     mis = list(pattern.missing)
-    if not mis:
-        return np.zeros((0, 0))
-    s_mm = sigma[np.ix_(mis, mis)]
-    if not obs:
-        return s_mm
-    s_mo = sigma[np.ix_(mis, obs)]
-    s_oo = sigma[np.ix_(obs, obs)]
-    v = s_mm - s_mo @ pinv(s_oo) @ s_mo.T
+    v = sigma[np.ix_(mis, mis)] - optimal_block_map(sigma, pattern) @ sigma[np.ix_(list(pattern.observed), mis)]
     return (v + v.T) / 2.0
 
 
@@ -154,48 +147,32 @@ class ImputedPopulation:
 
 
 def imputed_population_covariance(pop: PopulationSpec, clients, kind: ImputerKind) -> ImputedPopulation:
-    """Exact moments of the imputed feature vector under a fitted-free map.
+    """Exact moments of the imputed feature vector under a population-fitted map.
 
-    ZERO: sigma_I = Pi . sigma entrywise, gamma_I = diag(Pi) . gamma, and
-    theta_prime is the minimum-norm solution of sigma_I t = gamma_I.
-
-    OPTIMAL_LINEAR (population source): blockwise mixture over clients of
-    [sigma_oo, sigma_om; sigma_mo, sigma_mo sigma_oo^+ sigma_om], with
-    gamma_I the matching mixture of completed cross-moments; theta_star
-    itself stays optimal, so theta_prime = theta_star.
+    sigma_I and gamma_I are the rho-weighted fold, in the given client order,
+    of ``complete_moments(c.id, pop.sigma, gamma)`` under
+    ``fit_zero_imputer`` (ZERO; this equals (Pi . sigma, diag(Pi) . gamma))
+    or ``fit_optimal_imputer(pop.sigma, ...)`` (OPTIMAL_LINEAR). For ZERO,
+    theta_prime is the minimum-norm solution of sigma_I t = gamma_I; for
+    OPTIMAL_LINEAR, theta_star itself stays optimal, so theta_prime =
+    theta_star. ICE has no population map and raises.
     """
     clients = validate_federation(clients)
-    gamma = population_gamma(pop)
     if kind == ImputerKind.ZERO:
-        pi = co_observation_matrix(clients)
-        sigma_i = pi * pop.sigma
-        gamma_i = np.diag(pi) * gamma
-        theta_prime = pinv_solve(sigma_i, gamma_i)
-        return ImputedPopulation(kind, sigma_i, gamma_i, theta_prime)
-    if kind == ImputerKind.OPTIMAL_LINEAR:
-        d = pop.d
-        sigma_i = np.zeros((d, d))
-        gamma_i = np.zeros(d)
-        for c in clients:
-            obs = list(c.pattern.observed)
-            mis = list(c.pattern.missing)
-            block = np.zeros((d, d))
-            g = np.zeros(d)
-            if obs:
-                block[np.ix_(obs, obs)] = pop.sigma[np.ix_(obs, obs)]
-                g[obs] = gamma[obs]
-            if obs and mis:
-                s_om = pop.sigma[np.ix_(obs, mis)]
-                s_oo_inv = pinv(pop.sigma[np.ix_(obs, obs)])
-                block[np.ix_(obs, mis)] = s_om
-                block[np.ix_(mis, obs)] = s_om.T
-                block[np.ix_(mis, mis)] = s_om.T @ s_oo_inv @ s_om
-                g[mis] = s_om.T @ s_oo_inv @ gamma[obs]
-            sigma_i += c.rho * block
-            gamma_i += c.rho * g
-        sigma_i = (sigma_i + sigma_i.T) / 2.0
-        return ImputedPopulation(kind, sigma_i, gamma_i, pop.theta_star.copy())
-    raise ValueError(f"no population moments for imputer kind {kind}")
+        imputer = fit_zero_imputer(clients)
+    elif kind == ImputerKind.OPTIMAL_LINEAR:
+        imputer = fit_optimal_imputer(pop.sigma, clients)
+    else:
+        raise ValueError(f"no population moments for imputer kind {kind}")
+    gamma = population_gamma(pop)
+    sigma_i = np.zeros((pop.d, pop.d))
+    gamma_i = np.zeros(pop.d)
+    for c in clients:
+        gram, cross = imputer.complete_moments(c.id, pop.sigma, gamma)
+        sigma_i += c.rho * gram
+        gamma_i += c.rho * cross
+    theta_prime = pinv_solve(sigma_i, gamma_i) if kind == ImputerKind.ZERO else pop.theta_star.copy()
+    return ImputedPopulation(kind, sigma_i, gamma_i, theta_prime)
 
 
 def imputed_oracle_risk(pop: PopulationSpec, ip: ImputedPopulation) -> float:
@@ -217,8 +194,6 @@ class BoundReport:
     n: int
     m: float
     r_star_reference: float
-    r_star_global: float
-    per_client_r_star: Mapping[int, float]
     b_lambda: float
     d_lambda: float
     bound_value: float
@@ -254,16 +229,12 @@ def itr_bound(
     r_ref = imputed_oracle_risk(pop, ip)
     b = ridge_bias(ip.sigma, ip.theta_prime, lam)
     d_eff = effective_dimension(ip.sigma, lam)
-    per_client = {c.id: oracle_local_risk(pop, c.pattern) for c in clients}
-    r_global = float(sum(c.rho * per_client[c.id] for c in clients))
     return BoundReport(
         kind=kind,
         lam=float(lam),
         n=int(n),
         m=float(m),
         r_star_reference=r_ref,
-        r_star_global=r_global,
-        per_client_r_star=per_client,
         b_lambda=b,
         d_lambda=d_eff,
         bound_value=float(r_ref + b + 8.0 * m * m / n * d_eff),
@@ -274,10 +245,10 @@ def itr_bound(
 class LocalLearningBounds:
     """Floor and ceiling for the risk of the no-sharing baseline.
 
-    lower_bound = e0, the empty-client floor: clients that draw no samples
-    predict zero and pay the full second moment of the response.
-    upper_bound adds the estimation and approximation terms of the
-    share-weighted local ridge fits.
+    ``e0`` is the floor: clients that draw no samples predict zero and pay
+    the full second moment of the response. ``upper_bound`` adds the
+    estimation and approximation terms of the share-weighted local ridge
+    fits.
     """
 
     lam: float
@@ -286,7 +257,6 @@ class LocalLearningBounds:
     e0: float
     sum_local_dims: float
     weighted_local_floor: float
-    lower_bound: float
     upper_bound: float
     per_client: Mapping[int, tuple[float, float, float, float]]
 
@@ -329,7 +299,6 @@ def local_bound_terms(pop: PopulationSpec, clients, lam: float, n: int, m: float
         e0=e0,
         sum_local_dims=sum_d,
         weighted_local_floor=floor,
-        lower_bound=e0,
         upper_bound=upper,
         per_client=per_client,
     )

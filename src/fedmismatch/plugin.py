@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._linalg import pinv_solve, psd_clip, spectral_radius
+from ._linalg import pinv_solve, psd_clip, ridge_solve, spectral_radius
 from .model import ClientwisePredictor, FeaturePattern, MomentPair, crop_matrix, crop_vector
 
 __all__ = [
@@ -76,9 +76,7 @@ def crop_predictor(
     a, b = _cropped_system(moments, pattern, cfg)
     if pattern.is_empty:
         return np.zeros(0)
-    if cfg.inversion == "ridged":
-        return np.linalg.solve(a + cfg.ridge_eps * np.eye(pattern.size), b)
-    return pinv_solve(a, b)
+    return ridge_solve(a, b, cfg.ridge_eps if cfg.inversion == "ridged" else 0.0)
 
 
 @dataclass(frozen=True)

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._linalg import pinv_solve, spectral_radius
+from ._linalg import ridge_solve, spectral_radius
 from .impute import ImputationMap, ImputedDataset
 from .model import ClientwisePredictor, Dataset, crop_matrix, crop_vector
 from .moments import completed_sums, imputed_data_moments
@@ -50,10 +50,7 @@ def ridge_closed_form(data: ImputedDataset, lam: float) -> np.ndarray:
     """
     if lam < 0:
         raise ValueError(f"lambda must be >= 0, got {lam}")
-    sigma, gamma = imputed_data_moments(data)
-    if lam == 0:
-        return pinv_solve(sigma, gamma)
-    return np.linalg.solve(sigma + lam * np.eye(data.d), gamma)
+    return ridge_solve(*imputed_data_moments(data), lam)
 
 
 @dataclass(frozen=True)
@@ -191,9 +188,5 @@ def local_learning(
         sigma_k = crop_matrix(lm.sigma, c.pattern, c.pattern)
         gamma_k = crop_vector(lm.gamma, c.pattern)
         rho = c.rho if rho_source == "true" else lm.count / data.n
-        lam_k = lam / rho
-        if lam_k == 0:
-            thetas[c.id] = pinv_solve(sigma_k, gamma_k)
-        else:
-            thetas[c.id] = np.linalg.solve(sigma_k + lam_k * np.eye(c.pattern.size), gamma_k)
+        thetas[c.id] = ridge_solve(sigma_k, gamma_k, lam / rho)
     return ClientwisePredictor(thetas=thetas, trunc_m=trunc_m)

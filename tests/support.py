@@ -13,9 +13,11 @@ from fedmismatch import (
     ClientSpec,
     Dataset,
     FeaturePattern,
+    ImputerKind,
     PopulationSpec,
     apply_imputer,
     fit_zero_imputer,
+    population_gamma,
     sample_dataset,
     validate_federation,
 )
@@ -166,6 +168,43 @@ def completion_matrix(sigma: np.ndarray, pattern: FeaturePattern) -> np.ndarray:
         s = sigma[np.ix_(mis, obs)] @ np.linalg.solve(sigma[np.ix_(obs, obs)], np.eye(len(obs)))
         t[np.ix_(mis, obs)] = s
     return t
+
+
+def reference_imputed_population(pop: PopulationSpec, clients, kind: ImputerKind) -> tuple[np.ndarray, np.ndarray]:
+    """(sigma_I, gamma_I) of the imputed feature vector, assembled block by block.
+
+    ZERO: (Pi . sigma, diag(Pi) . gamma) with Pi = sum_k rho_k m_k m_k^T.
+    OPTIMAL_LINEAR: the rho-weighted mixture of [sigma_oo, sigma_om; sigma_mo,
+    sigma_mo sigma_oo^+ sigma_om] and of [gamma_o; sigma_mo sigma_oo^+ gamma_o],
+    with numpy's pseudoinverse cut at 1e-10 relative, as the package cuts.
+    """
+    d = pop.d
+    gamma = population_gamma(pop)
+    if kind == ImputerKind.ZERO:
+        pi = sum((c.rho * np.outer(c.pattern.mask(), c.pattern.mask()) for c in clients), np.zeros((d, d)))
+        return pi * pop.sigma, np.diag(pi) * gamma
+    sigma_i, gamma_i = np.zeros((d, d)), np.zeros(d)
+    for c in clients:
+        obs, mis = list(c.pattern.observed), list(c.pattern.missing)
+        block, g = np.zeros((d, d)), np.zeros(d)
+        block[np.ix_(obs, obs)] = pop.sigma[np.ix_(obs, obs)]
+        g[obs] = gamma[obs]
+        if obs and mis:
+            s_om = pop.sigma[np.ix_(obs, mis)]
+            s_oo_inv = np.linalg.pinv(pop.sigma[np.ix_(obs, obs)], 1e-10)
+            block[np.ix_(obs, mis)] = s_om
+            block[np.ix_(mis, obs)] = s_om.T
+            block[np.ix_(mis, mis)] = s_om.T @ s_oo_inv @ s_om
+            g[mis] = s_om.T @ s_oo_inv @ gamma[obs]
+        sigma_i += c.rho * block
+        gamma_i += c.rho * g
+    return (sigma_i + sigma_i.T) / 2.0, gamma_i
+
+
+def assert_rel_close(got, want, rel=1e-12):
+    """max |got - want| <= rel * max |want|; an all-zero ``want`` needs ``got`` zero."""
+    scale = max(float(np.max(np.abs(want))), 1e-300)
+    assert float(np.max(np.abs(got - want))) <= rel * scale
 
 
 def seeded(seed: int) -> np.random.Generator:

@@ -27,7 +27,6 @@ from fedmismatch.moments import (
     cw_moments,
     debias_moments,
     empirical_coobservation,
-    local_moments_by_client,
     local_zero_imputed_moments,
 )
 from fedmismatch import oracle
@@ -224,7 +223,7 @@ def test_c03_plugin_consistency_and_new_pattern():
         errs = np.zeros((len(eval_patterns), seeds))
         for s in range(seeds):
             data = sample_dataset(pop, clients, n, seeded(3000 + 7 * s + j))
-            pair0 = aggregate_zero_imputed(local_moments_by_client(data))
+            pair0 = aggregate_zero_imputed(data.local_moments)
             _, counts = empirical_coobservation(data)
             pair = cw_moments(pair0, counts)
             for i, (p, tgt) in enumerate(zip(eval_patterns, targets)):

@@ -493,6 +493,13 @@ class TestMain:
         a = (tmp_path / "s7" / "sweeptest_results.csv").read_bytes()
         assert a == (tmp_path / "s8" / "sweeptest_results.csv").read_bytes()
 
+    def test_negative_seed_flag_exits_one_before_writing(self, tmp_path, capsys):
+        path = _write(tmp_path, _sweep_config(grid={"n": [40]}))
+        out = tmp_path / "neg"
+        assert main(["run", path, "--out", str(out), "--seed", "-1"]) == 1
+        assert capsys.readouterr().err.strip() == "invalid: --seed: need an integer >= 0, got -1"
+        assert not out.exists()
+
     def test_presets_list(self, capsys):
         rc = main(["presets", "list"])
         assert rc == 0

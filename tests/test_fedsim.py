@@ -11,7 +11,7 @@ from fedmismatch.fedsim import (
 from fedmismatch.impute import apply_imputer, fit_zero_imputer
 from fedmismatch.impute import federated_ice as ice_in_memory
 from fedmismatch.model import ClientSpec, Dataset, FeaturePattern
-from fedmismatch.moments import aggregate_zero_imputed, empirical_coobservation, local_moments_by_client
+from fedmismatch.moments import aggregate_zero_imputed, empirical_coobservation
 from fedmismatch.popgen import sample_dataset
 from fedmismatch.ridge import fedavg_ridge, ridge_closed_form
 
@@ -53,7 +53,7 @@ def _sparse_federation(seed, d=4):
 def _library_artifact(spec, data):
     """What the library function returns for the payload run_protocol gets."""
     if spec.kind == "one_shot_moments":
-        return aggregate_zero_imputed(local_moments_by_client(data)), empirical_coobservation(data)[1]
+        return aggregate_zero_imputed(data.local_moments), empirical_coobservation(data)[1]
     if spec.kind == "federated_ice":
         return ice_in_memory(data, rounds=spec.ice_rounds).imputed
     if spec.kind == "one_shot_ridge":
@@ -68,7 +68,7 @@ class TestTransportTransparency:
     def test_one_shot_moments(self):
         data = _masked(501)
         res = run_protocol(ProtocolSpec(kind="one_shot_moments"), data)
-        want = aggregate_zero_imputed(local_moments_by_client(data))
+        want = aggregate_zero_imputed(data.local_moments)
         assert np.array_equal(res.artifact.pair.sigma, want.sigma)
         assert np.array_equal(res.artifact.pair.gamma, want.gamma)
         _, counts = empirical_coobservation(data)

@@ -18,7 +18,15 @@ from fedmismatch.moments import completed_sums, gram_fold, imputed_data_moments
 from fedmismatch.popgen import sample_dataset
 from fedmismatch.ridge import ridge_closed_form
 
-from support import mixed_federation, random_clients, random_population, random_psd, reference_ice, seeded
+from support import (
+    assert_rel_close,
+    mixed_federation,
+    random_clients,
+    random_population,
+    random_psd,
+    reference_ice,
+    seeded,
+)
 from test_popgen import section3_clients
 
 
@@ -160,8 +168,8 @@ class TestApplyImputer:
         for cid, (n_k, gram, cross) in zip(ids, sums):
             rows = np.flatnonzero(data.client_ids == cid)
             assert n_k == len(rows)
-            _assert_rel_close(gram, out.x[rows].T @ out.x[rows])
-            _assert_rel_close(cross, out.x[rows].T @ out.y[rows])
+            assert_rel_close(gram, out.x[rows].T @ out.x[rows])
+            assert_rel_close(cross, out.x[rows].T @ out.y[rows])
 
 
 class TestFederatedIce:
@@ -244,9 +252,35 @@ class TestFederatedIce:
         assert res.imputed.imputer.round == 2
 
 
-def _assert_rel_close(got, want, rel=1e-12):
-    scale = max(float(np.max(np.abs(want))), 1e-300)
-    assert float(np.max(np.abs(got - want))) <= rel * scale
+class TestCompleteMoments:
+    """``complete_moments`` is the one completion fold: the fits apply it to
+    client sums and the population oracle to population moments."""
+
+    def test_zero_map_restricts_to_observed_block_bitwise(self):
+        rng = seeded(235)
+        for _ in range(30):
+            d = int(rng.integers(1, 7))
+            sigma, gamma = random_psd(rng, d), rng.standard_normal(d)
+            imp = fit_zero_imputer(random_clients(rng, d, int(rng.integers(1, 5)), nonempty=False))
+            for cid, p in imp.patterns.items():
+                gram, cross = imp.complete_moments(cid, sigma, gamma)
+                obs = list(p.observed)
+                want_gram, want_cross = np.zeros((d, d)), np.zeros(d)
+                want_gram[np.ix_(obs, obs)] = sigma[np.ix_(obs, obs)]
+                want_cross[obs] = gamma[obs]
+                assert np.array_equal(gram, want_gram) and np.array_equal(cross, want_cross)
+
+    @pytest.mark.parametrize("seed", [236, 237, 238])
+    def test_equals_moments_of_completed_rows(self, seed):
+        rng, data = mixed_federation(seed)
+        assert len(data.rows_of(8)) == 0
+        pop = random_population(rng, data.d)
+        for imp in (fit_zero_imputer(data.clients), fit_optimal_imputer(pop.sigma, data.clients)):
+            for cid, lm in data.local_moments.items():
+                rows = imp.complete(cid, data.x_obs_of(cid))
+                gram, cross = imp.complete_moments(cid, lm.sigma_sum, lm.gamma_sum)
+                assert_rel_close(gram, rows.T @ rows)
+                assert_rel_close(cross, rows.T @ data.y_of(cid))
 
 
 class TestSufficientStatistics:
@@ -267,7 +301,7 @@ class TestSufficientStatistics:
                     assert (res.rounds_run, res.stopped_early) == (run, stopped)
                     stops += stopped
                     for got, want in zip(res.sigma_trace, trace, strict=True):
-                        _assert_rel_close(got, want)
+                        assert_rel_close(got, want)
                     for cid, s in maps.items():
                         np.testing.assert_allclose(res.imputed.imputer.maps[cid], s, rtol=1e-9, atol=1e-12)
                     sigma, gamma = imputed_data_moments(res.imputed)
@@ -275,8 +309,8 @@ class TestSufficientStatistics:
                     sigma_sum, gamma_sum = gram_fold(
                         [(x[rows], data.y[rows]) for rows in data.shard_rows.values()], data.d
                     )
-                    _assert_rel_close(sigma, sigma_sum / data.n)
-                    _assert_rel_close(gamma, gamma_sum / data.n)
+                    assert_rel_close(sigma, sigma_sum / data.n)
+                    assert_rel_close(gamma, gamma_sum / data.n)
         assert stops  # the early-stop path was exercised
 
     def test_ice_and_ridge_allocate_no_completed_matrix(self):

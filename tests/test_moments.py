@@ -11,7 +11,6 @@ from fedmismatch import (
     cw_moments,
     debias_moments,
     empirical_coobservation,
-    local_moments_by_client,
     local_zero_imputed_moments,
     sample_dataset,
 )
@@ -99,7 +98,7 @@ class TestAggregate:
         acc2 = np.zeros((2, 2))
         for _ in range(reps):
             ds = sample_dataset(pop, clients, 25, rng)
-            s = aggregate_zero_imputed(local_moments_by_client(ds)).sigma
+            s = aggregate_zero_imputed(ds.local_moments).sigma
             acc += s
             acc2 += s * s
         mean = acc / reps
@@ -180,7 +179,7 @@ class TestDebias:
         acc2 = np.zeros((2, 2))
         for _ in range(reps):
             ds = sample_dataset(pop, clients, 30, rng)
-            s = debias_moments(aggregate_zero_imputed(local_moments_by_client(ds)), pi).sigma
+            s = debias_moments(aggregate_zero_imputed(ds.local_moments), pi).sigma
             acc += s
             acc2 += s * s
         mean = acc / reps
@@ -193,7 +192,7 @@ class TestComponentWise:
         pop = PopulationSpec.gaussian(np.eye(2), np.ones(2))
         clients = (ClientSpec(id=1, pattern=FeaturePattern.full(2), rho=1.0),)
         ds = sample_dataset(pop, clients, 60, seeded(7))
-        pair = aggregate_zero_imputed(local_moments_by_client(ds))
+        pair = aggregate_zero_imputed(ds.local_moments)
         _, counts = empirical_coobservation(ds)
         cw = cw_moments(pair, counts)
         np.testing.assert_allclose(cw.sigma, pair.sigma, atol=1e-14)
@@ -206,7 +205,7 @@ class TestComponentWise:
         )
         pop = PopulationSpec.gaussian(np.eye(2), np.zeros(2))
         ds = sample_dataset(pop, clients, 40, seeded(8))
-        pair = aggregate_zero_imputed(local_moments_by_client(ds))
+        pair = aggregate_zero_imputed(ds.local_moments)
         _, counts = empirical_coobservation(ds)
         cw = cw_moments(pair, counts)
         assert cw.sigma[0, 1] == 0.0
@@ -220,7 +219,7 @@ class TestComponentWise:
             ClientSpec(id=2, pattern=FeaturePattern.from_one_based([2, 3], 3), rho=0.5),
         )
         ds = sample_dataset(pop, clients, 80, seeded(9))
-        pair = aggregate_zero_imputed(local_moments_by_client(ds))
+        pair = aggregate_zero_imputed(ds.local_moments)
         _, counts = empirical_coobservation(ds)
         cw = cw_moments(pair, counts)
         masks = {c.id: c.pattern.mask() for c in clients}

@@ -7,7 +7,6 @@ from fedmismatch.moments import (
     aggregate_zero_imputed,
     debias_moments,
     empirical_coobservation,
-    local_moments_by_client,
 )
 from fedmismatch.oracle import best_local_coefficients
 from fedmismatch.plugin import (
@@ -165,7 +164,7 @@ class TestBuildClientwisePlugin:
         clients = section3_clients()
         pop = random_population(seeded(103), 4)
         data = sample_dataset(pop, clients, 600, seeded(104))
-        agg = aggregate_zero_imputed(local_moments_by_client(data))
+        agg = aggregate_zero_imputed(data.local_moments)
         pihat, _ = empirical_coobservation(data)
         moments = debias_moments(agg, pihat)
         probes = clients + (
@@ -190,7 +189,7 @@ class TestBuildClientwisePlugin:
         pop = random_population(rng, 3)
         clients = (ClientSpec(id=1, pattern=FeaturePattern.full(3), rho=1.0),)
         data = sample_dataset(pop, clients, 400, rng)
-        agg = aggregate_zero_imputed(local_moments_by_client(data))
+        agg = aggregate_zero_imputed(data.local_moments)
         pred = build_clientwise_plugin(agg, clients)
         x, y = data.x_filled, data.y
         ols, *_ = np.linalg.lstsq(x.T @ x / 400, x.T @ y / 400, rcond=None)
