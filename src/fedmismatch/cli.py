@@ -30,16 +30,18 @@ ask for at most ``MAX_CELLS`` (10**8) float64 cells of n x d data.
 
 Every work item (replicate x grid point) derives its generators from
 ``SeedSequence(root_seed, spawn_key=(replicate, grid_index))`` and splits
-them into pattern, data, and evaluation streams, so items are independent
-and any thread count produces identical results. The evaluation stream
-draws one Monte-Carlo test sample per item, which scores every method.
+them into pattern, data, and evaluation streams, so items are independent.
+Items run in order; ``--threads`` is the width of one thread pool for array
+work inside an item (sampling and per-client sums, see ``_parallel``), which
+splits that work the same way at any width, so any thread count produces
+identical results. The evaluation stream draws one Monte-Carlo test sample
+per item, which scores every method.
 Rows are sorted before writing. Exit codes: 0 success, 1 config validation
 failure, 2 runtime error.
 """
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import csv
 import json
 import os
@@ -53,6 +55,7 @@ from typing import Callable
 import numpy as np
 
 from . import oracle
+from ._parallel import workers
 from .impute import ImputerKind, apply_imputer, fit_optimal_imputer, fit_zero_imputer
 from .model import ClientSpec, ClientwisePredictor, Dataset, FeaturePattern, MomentPair, validate_federation
 from .moments import cw_moments, debias_moments
@@ -688,20 +691,14 @@ def run_experiment(
         for gi, (n, lam, tau) in enumerate(points)
     ]
 
-    def worker(item: _WorkItem):
-        t0 = time.perf_counter()
-        rows = _run_item(cfg, item)
-        return item, rows, (time.perf_counter() - t0) * 1000.0
-
-    with concurrent.futures.ThreadPoolExecutor(max_workers=threads) as pool:
-        results = list(pool.map(worker, items))
-
     keyed_rows = []
     timings = []
-    for item, rows, wall in results:
-        for r in rows:
-            keyed_rows.append(((r["method"], item.gi, item.rep), r))
-        timings.append(((item.gi, item.rep), wall))
+    with workers(threads):
+        for item in items:
+            t0 = time.perf_counter()
+            for r in _run_item(cfg, item):
+                keyed_rows.append(((r["method"], item.gi, item.rep), r))
+            timings.append(((item.gi, item.rep), (time.perf_counter() - t0) * 1000.0))
     keyed_rows.sort(key=lambda kr: kr[0])
     timings.sort(key=lambda kv: kv[0])
 
@@ -739,7 +736,7 @@ def main(argv=None) -> int:
     p_run.add_argument("config", help="path to a JSON experiment config")
     p_run.add_argument("--out", default=None, help="output directory (default: $FEDMISMATCH_OUT or cwd)")
     p_run.add_argument("--seed", type=int, default=None, help="override seeds.root")
-    p_run.add_argument("--threads", type=int, default=1, help="worker threads for independent items (at least 1)")
+    p_run.add_argument("--threads", type=int, default=1, help="threads for array work inside a work item (sampling, per-client sums); items run in order (at least 1)")
     p_val = sub.add_parser("validate", help="check a config and report problems")
     p_val.add_argument("config", help="path to a JSON experiment config")
     p_pre = sub.add_parser("presets", help="preset operations")

@@ -122,16 +122,18 @@ def fit_zero_imputer(clients) -> ImputationMap:
 
 def optimal_block_map(sigma: np.ndarray, pattern: FeaturePattern) -> np.ndarray:
     """S = sigma[mis, obs] sigma[obs, obs]^+ for one pattern."""
+    if not pattern.missing or not pattern.observed:
+        return np.zeros((len(pattern.missing), pattern.size))
+    return _pinv_and_block_map(sigma, pattern)[1]
+
+
+def _pinv_and_block_map(sigma: np.ndarray, pattern: FeaturePattern) -> tuple[np.ndarray, np.ndarray]:
+    """(sigma[obs, obs]^+, S) from one pseudo-inverse, none for an empty block;
+    the only place S is formed."""
     sigma = np.asarray(sigma, dtype=np.float64)
     obs = list(pattern.observed)
-    mis = list(pattern.missing)
-    if not mis:
-        return np.zeros((0, len(obs)))
-    if not obs:
-        return np.zeros((len(mis), 0))
-    s_oo = sigma[np.ix_(obs, obs)]
-    s_mo = sigma[np.ix_(mis, obs)]
-    return s_mo @ pinv(s_oo)
+    p_oo = pinv(sigma[np.ix_(obs, obs)]) if obs else np.zeros((0, 0))
+    return p_oo, sigma[np.ix_(list(pattern.missing), obs)] @ p_oo
 
 
 def fit_optimal_imputer(

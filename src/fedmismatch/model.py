@@ -18,6 +18,8 @@ from typing import Mapping
 
 import numpy as np
 
+from ._parallel import BLOCK_ROWS, map_ordered
+
 __all__ = [
     "FeaturePattern",
     "ClientSpec",
@@ -264,15 +266,19 @@ class Dataset:
     def local_moments(self) -> dict[int, LocalMoments]:
         """Each client's observed sums (n_k, G_k = x_obs^T x_obs, g_k = x_obs^T y)
         in d coordinates, in ascending id order: one gather per client, on first
-        use; the arrays are read-only and shared."""
+        use, spread over the ``_parallel.workers`` pool if one is current and
+        the sample holds more than ``BLOCK_ROWS`` rows; the arrays are
+        read-only and shared."""
         from .moments import local_zero_imputed_moments  # moments imports this module
 
-        out = {}
-        for c in sorted(self.clients, key=lambda c: c.id):
+        def fold(c: ClientSpec) -> LocalMoments:
             lm = local_zero_imputed_moments(self.x_obs_of(c.id), self.y_of(c.id), c.pattern)
             lm.sigma_sum.flags.writeable = lm.gamma_sum.flags.writeable = False
-            out[c.id] = lm
-        return out
+            return lm
+
+        clients = sorted(self.clients, key=lambda c: c.id)
+        folds = map_ordered(fold, clients) if self.n > BLOCK_ROWS else [fold(c) for c in clients]
+        return dict(zip([c.id for c in clients], folds))
 
 
 class Provenance(enum.Enum):

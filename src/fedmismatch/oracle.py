@@ -31,8 +31,8 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from ._linalg import pinv_solve
-from .impute import ImputerKind, fit_optimal_imputer, fit_zero_imputer, optimal_block_map
-from .model import FeaturePattern, crop_matrix, crop_vector, validate_federation, ClientwisePredictor
+from .impute import ImputerKind, _pinv_and_block_map, fit_optimal_imputer, fit_zero_imputer, optimal_block_map
+from .model import FeaturePattern, crop_matrix, validate_federation, ClientwisePredictor
 from .popgen import PopulationSpec, _draw_rows, population_gamma
 
 __all__ = [
@@ -64,18 +64,23 @@ def best_local_coefficients(pop: PopulationSpec, pattern: FeaturePattern) -> np.
     ``optimal_block_map`` of the pattern, is also evaluated and must agree
     to 1e-10; disagreement means the inputs are inconsistent and raises.
     """
-    if pattern.is_empty:
-        return np.zeros(0)
-    s_oo = crop_matrix(pop.sigma, pattern, pattern)
-    gamma = population_gamma(pop)
-    theta1 = pinv_solve(s_oo, crop_vector(gamma, pattern))
-    sv = np.linalg.svd(s_oo, compute_uv=False)
+    return _local_oracle(pop, pattern)[0]
+
+
+def _local_oracle(pop: PopulationSpec, pattern: FeaturePattern) -> tuple[np.ndarray, float]:
+    """(``best_local_coefficients``, ``oracle_local_risk``) of one pattern from
+    one pseudo-inverse of sigma[O,O], which feeds the coefficients and the
+    ``optimal_block_map`` S = sigma[M,O] sigma[O,O]^+ alike."""
+    obs = list(pattern.observed)
+    p_oo, s_map = _pinv_and_block_map(pop.sigma, pattern)
+    theta1 = p_oo @ population_gamma(pop)[obs]
+    # An empty block has nothing to cross-check.
+    sv = np.linalg.svd(pop.sigma[np.ix_(obs, obs)], compute_uv=False) if obs else np.zeros(1)
     if sv[0] > 0 and sv[-1] / sv[0] > 1e-4:
-        s = optimal_block_map(pop.sigma, pattern)
-        theta2 = pop.theta_star[list(pattern.observed)] + s.T @ pop.theta_star[list(pattern.missing)]
+        theta2 = pop.theta_star[obs] + s_map.T @ pop.theta_star[list(pattern.missing)]
         if np.max(np.abs(theta1 - theta2)) > 1e-10 * max(1.0, float(np.max(np.abs(theta2)))):
             raise RuntimeError("the two closed forms for local coefficients disagree")
-    return theta1
+    return theta1, _attainable_risk(pop, pattern, s_map)
 
 
 def schur_complement(sigma: np.ndarray, pattern: FeaturePattern) -> np.ndarray:
@@ -86,16 +91,24 @@ def schur_complement(sigma: np.ndarray, pattern: FeaturePattern) -> np.ndarray:
     sigma[M,M] itself.
     """
     sigma = np.asarray(sigma, dtype=np.float64)
+    return _schur(sigma, pattern, optimal_block_map(sigma, pattern))
+
+
+def _schur(sigma: np.ndarray, pattern: FeaturePattern, s_map: np.ndarray) -> np.ndarray:
     mis = list(pattern.missing)
-    v = sigma[np.ix_(mis, mis)] - optimal_block_map(sigma, pattern) @ sigma[np.ix_(list(pattern.observed), mis)]
+    v = sigma[np.ix_(mis, mis)] - s_map @ sigma[np.ix_(list(pattern.observed), mis)]
     return (v + v.T) / 2.0
 
 
 def oracle_local_risk(pop: PopulationSpec, pattern: FeaturePattern) -> float:
     """Best attainable squared-error risk when only this block is seen."""
-    v = schur_complement(pop.sigma, pattern)
+    return _attainable_risk(pop, pattern, optimal_block_map(pop.sigma, pattern))
+
+
+def _attainable_risk(pop: PopulationSpec, pattern: FeaturePattern, s_map: np.ndarray) -> float:
+    """sigma2 + theta_mis . V theta_mis, V the Schur complement from S = ``s_map``."""
     t_mis = pop.theta_star[list(pattern.missing)]
-    return float(pop.sigma2 + t_mis @ v @ t_mis)
+    return float(pop.sigma2 + t_mis @ _schur(pop.sigma, pattern, s_map) @ t_mis)
 
 
 def oracle_global_risk(pop: PopulationSpec, clients) -> float:
@@ -284,8 +297,7 @@ def local_bound_terms(pop: PopulationSpec, clients, lam: float, n: int, m: float
     for c in clients:
         lam_k = lam / c.rho
         s_oo = crop_matrix(pop.sigma, c.pattern, c.pattern)
-        theta_k = best_local_coefficients(pop, c.pattern)
-        r_k = oracle_local_risk(pop, c.pattern)
+        theta_k, r_k = _local_oracle(pop, c.pattern)
         b_k = ridge_bias(s_oo, theta_k, lam_k) if c.pattern.size else 0.0
         d_k = effective_dimension(s_oo, lam_k) if c.pattern.size else 0.0
         per_client[c.id] = (r_k, b_k, d_k, lam_k)

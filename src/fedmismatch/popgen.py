@@ -8,7 +8,10 @@ stored sample keeps only the coordinates observed by its client.
 Determinism: every sampler takes a numpy Generator and touches it in a fixed
 documented order, so equal seeds give bitwise-equal datasets. A sample is
 drawn as labels (``sample_dataset`` only; a stratified Monte-Carlo sample
-fixes them in advance), then all covariates in one call, then all noise.
+fixes them in advance), then the covariates, then all noise. Covariates are
+drawn in row blocks of a fixed size, which consume the stream exactly as one
+call for all of them would; pool threads may transform a block while the
+next is drawn, and the result does not depend on the thread count.
 Replicate-level parallelism should derive child seeds with ``spawn_rngs``
 (SeedSequence.spawn) or ``numpy.random.SeedSequence(root, spawn_key=...)``;
 both rules are stable across processes.
@@ -20,6 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._linalg import check_psd, sym_sqrt
+from ._parallel import BLOCK_ROWS, map_ordered
 from .model import ClientSpec, FeaturePattern, Dataset, MomentPair, Provenance, validate_federation
 
 __all__ = [
@@ -124,14 +128,27 @@ def draw_bernoulli_patterns(k: int, d: int, tau: float, rng: np.random.Generator
     return [FeaturePattern(tuple(np.flatnonzero(row).tolist()), d) for row in hits]
 
 
-def _draw_x(pop: PopulationSpec, n: int, rng: np.random.Generator) -> np.ndarray:
-    z = rng.standard_normal((n, pop.d))
+def _row_blocks(n: int) -> list[tuple[int, int]]:
+    """(lo, hi) row ranges of the covariate blocks of an n-row sample.
+
+    Blocks hold ``BLOCK_ROWS`` rows whatever the thread count, and the last
+    one takes the remainder, so no block is a single row unless the sample
+    is: a one-row product goes through a different BLAS routine and rounds
+    differently from the same row inside a larger one.
+    """
+    cuts = list(range(BLOCK_ROWS, n - BLOCK_ROWS + 1, BLOCK_ROWS))
+    return list(zip([0, *cuts], [*cuts, n]))
+
+
+def _transform_block(pop: PopulationSpec, z: np.ndarray, out: np.ndarray) -> None:
+    """Write to ``out`` the covariate rows made from standard-normal draws z,
+    which a sphere design rescales in place."""
     if pop.design == "sphere":
         norms = np.linalg.norm(z, axis=1, keepdims=True)
         norms[norms == 0] = 1.0
         z /= norms
         z *= np.sqrt(pop.d)
-    return z @ pop.sqrt_sigma
+    np.matmul(z, pop.sqrt_sigma, out=out)
 
 
 def _draw_noise(pop: PopulationSpec, n: int, rng: np.random.Generator) -> np.ndarray:
@@ -144,18 +161,35 @@ def _draw_rows(pop: PopulationSpec, clients: tuple[ClientSpec, ...], positions: 
                rng: np.random.Generator) -> Dataset:
     """One row per entry of ``positions`` (an index into ``clients``).
 
-    Draws all covariates in one call, then all noise, forms the response and
-    zeroes each row's unobserved coordinates in place.
+    The calling thread draws the covariates block by block (``_row_blocks``),
+    then all noise, so the stream is consumed exactly as by one call for all
+    covariates; with a ``_parallel.workers`` pool, pool threads transform
+    each block while the next is drawn. The response is one product over
+    all rows (a threaded BLAS splits a product by its row count, so a
+    blocked one could round differently); each row's unobserved coordinates
+    are then zeroed in place, block by block.
     """
     if clients[0].pattern.d != pop.d:
         raise ValueError("clients and population disagree on dimension")
     n = len(positions)
-    x = _draw_x(pop, n, rng)
+    blocks = _row_blocks(n)
+    x = np.empty((n, pop.d))
+
+    def transform(block) -> None:
+        lo, hi, z = block
+        _transform_block(pop, z, x[lo:hi])
+
+    draws = ((lo, hi, rng.standard_normal((hi - lo, pop.d))) for lo, hi in blocks)
+    if len(blocks) > 1:
+        map_ordered(transform, draws)
+    else:
+        transform(next(draws))
     eps = _draw_noise(pop, n, rng)
     y = x @ pop.theta_star + eps
     masks = np.stack([c.pattern.mask() for c in clients])
     ids = np.array([c.id for c in clients], dtype=np.int64)
-    x *= masks[positions]
+    for lo, hi in blocks:
+        x[lo:hi] *= masks[positions[lo:hi]]
     return Dataset(clients=clients, client_ids=ids[positions], x_filled=x, y=y)
 
 

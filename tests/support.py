@@ -211,6 +211,29 @@ def seeded(seed: int) -> np.random.Generator:
     return np.random.default_rng(seed)
 
 
+def reference_draw_rows(pop: PopulationSpec, clients, positions: np.ndarray, rng: np.random.Generator) -> Dataset:
+    """The one-shot sampler the blocked ``popgen._draw_rows`` must reproduce
+    bytewise: all covariates in one call, then all noise, the response, then
+    the mask over all rows."""
+    n = len(positions)
+    z = rng.standard_normal((n, pop.d))
+    if pop.design == "sphere":
+        norms = np.linalg.norm(z, axis=1, keepdims=True)
+        norms[norms == 0] = 1.0
+        z /= norms
+        z *= np.sqrt(pop.d)
+    x = z @ pop.sqrt_sigma
+    if pop.noise == "uniform":
+        eps = rng.uniform(-pop.noise_halfwidth, pop.noise_halfwidth, size=n)
+    else:
+        eps = np.sqrt(pop.sigma2) * rng.standard_normal(n)
+    y = x @ pop.theta_star + eps
+    masks = np.stack([c.pattern.mask() for c in clients])
+    ids = np.array([c.id for c in clients], dtype=np.int64)
+    x *= masks[positions]
+    return Dataset(clients=clients, client_ids=ids[positions], x_filled=x, y=y)
+
+
 def reference_ice(data, rounds: int, init=None, early_stop_rms: float | None = None):
     """Federated ICE over materialized completed rows: every round folds
     X_k^T X_k of each client's completed block in ascending id order,

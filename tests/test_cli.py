@@ -1,12 +1,16 @@
 """Tests for the config-driven experiment runner."""
 import csv
+import itertools
 import json
 import os
+import threading
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from fedmismatch import popgen
+from fedmismatch._parallel import BLOCK_ROWS
 from fedmismatch.cli import (
     ConfigError,
     RESULT_COLUMNS,
@@ -40,6 +44,27 @@ def _sweep_config(**over):
     }
     cfg.update(over)
     return cfg
+
+
+def _pipelined_config():
+    """One local_vs_federated item whose training sample spans three covariate
+    blocks, so ``--threads 2`` transforms blocks on pool threads."""
+    return {
+        "scenario": "local_vs_federated",
+        "population": {
+            "d": 16,
+            "sigma": {"kind": "toeplitz", "decay": 0.5},
+            "theta_star": {"kind": "ones", "scale": 0.6},
+            "noise": {"kind": "uniform", "halfwidth": 1.0},
+            "design": "sphere",
+        },
+        "clients": {"k": 4, "rho": "uniform", "patterns": {"kind": "bernoulli", "tau": 0.7}},
+        "grid": {"n": [3 * BLOCK_ROWS + 5], "lam": [0.5]},
+        "methods": ["local", "itr_zero", "plugin_cw", "itr_ice"],
+        "mc": {"n_test": 2000},
+        "seeds": {"root": 4, "replicates": 1},
+        "output": {"prefix": "pipelined"},
+    }
 
 
 def _write(tmp_path, cfg, name="cfg.json"):
@@ -287,6 +312,40 @@ class TestRunExperiment:
         blob = open(a, "rb").read()
         assert blob == open(b, "rb").read()
         assert blob == open(c, "rb").read()
+
+    def test_thread_invariant_where_the_sampler_pipelines(self, tmp_path):
+        cfg = _pipelined_config()
+        one, _ = run_experiment(cfg, str(tmp_path / "one"), threads=1)
+        two, _ = run_experiment(cfg, str(tmp_path / "two"), threads=2)
+        assert len(_read_rows(one)) == 4
+        assert Path(one).read_bytes() == Path(two).read_bytes()
+
+    def test_failed_block_raises_and_leaves_nothing_running(self, tmp_path, monkeypatch, capsys):
+        transform = popgen._transform_block
+        calls = itertools.count()
+        running = []
+
+        def failing_second(*args):
+            running.append(1)
+            try:
+                if next(calls) == 1:
+                    raise RuntimeError("block transform failed")
+                transform(*args)
+            finally:
+                running.pop()
+
+        monkeypatch.setattr(popgen, "_transform_block", failing_second)
+        before = threading.active_count()
+        with pytest.raises(RuntimeError, match="block transform failed"):
+            run_experiment(_pipelined_config(), str(tmp_path / "a"), threads=2)
+        assert not running
+        assert threading.active_count() == before
+        calls = itertools.count()
+        path = _write(tmp_path, _pipelined_config())
+        assert main(["run", path, "--out", str(tmp_path / "b"), "--threads", "2"]) == 2
+        assert capsys.readouterr().err == "error: block transform failed\n"
+        assert not running
+        assert threading.active_count() == before
 
     def test_seed_override_matches_inline_seed(self, tmp_path):
         cfg = _sweep_config()

@@ -1,3 +1,8 @@
+import itertools
+import sys
+import threading
+import time
+
 import numpy as np
 import pytest
 
@@ -12,9 +17,11 @@ from fedmismatch import (
     sample_dataset,
     spawn_rngs,
 )
-from fedmismatch.model import Provenance
+from fedmismatch import popgen
+from fedmismatch._parallel import BLOCK_ROWS, workers
+from fedmismatch.model import Dataset, Provenance
 
-from support import random_clients, seeded
+from support import random_clients, reference_draw_rows, seeded
 
 
 def section3_clients(d=4):
@@ -148,6 +155,101 @@ class TestSampleDataset:
         assert ds.x_filled.tobytes() == (x * masks[positions]).tobytes()
         assert ds.y.tobytes() == y.tobytes()
         assert ds.client_ids.tolist() == [clients[i].id for i in positions]
+
+
+@pytest.fixture
+def short_switch():
+    """Switch the GIL every 10 us, so pool threads interleave as finely as they can."""
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        yield
+    finally:
+        sys.setswitchinterval(interval)
+
+
+class TestBlockedSampler:
+    """Covariates come in blocks of BLOCK_ROWS rows, transformed on pool threads
+    while the next block is drawn; the bytes are those of the one-shot draw.
+    Five threads are more than the cores of a small machine."""
+
+    @staticmethod
+    def population(design):
+        d = 16
+        idx = np.arange(d)
+        sigma = 0.5 ** np.abs(idx[:, None] - idx[None, :])
+        theta = np.linspace(-1.0, 1.0, d)
+        if design == "sphere":
+            return PopulationSpec.bounded(sigma, theta, noise_halfwidth=0.7)
+        return PopulationSpec.gaussian(sigma, theta, sigma2=0.7)
+
+    @pytest.mark.parametrize("threads", [1, 2, 5])
+    @pytest.mark.parametrize("design", ["gaussian", "sphere"])
+    def test_matches_one_shot_draw(self, design, threads, monkeypatch, short_switch):
+        pop = self.population(design)
+        clients = random_clients(seeded(10), pop.d, 4)
+        rho = np.array([c.rho for c in clients])
+        transform = popgen._transform_block
+        pooled = []
+
+        def recording(*args):
+            pooled.append(threading.current_thread() is not threading.main_thread())
+            transform(*args)
+
+        monkeypatch.setattr(popgen, "_transform_block", recording)
+        for n in (0, 1, BLOCK_ROWS - 1, BLOCK_ROWS, BLOCK_ROWS + 1, 3 * BLOCK_ROWS + 5):
+            pooled.clear()
+            with workers(threads):
+                got = sample_dataset(pop, clients, n, seeded(11))
+            rng = seeded(11)
+            positions = rng.choice(len(clients), size=n, p=rho / rho.sum())
+            want = reference_draw_rows(pop, clients, positions, rng)
+            for field in ("x_filled", "y", "client_ids"):
+                np.testing.assert_array_equal(getattr(got, field), getattr(want, field))
+                assert getattr(got, field).tobytes() == getattr(want, field).tobytes()
+            assert len(pooled) == max(1, n // BLOCK_ROWS)
+            assert any(pooled) == (threads > 1 and n >= 2 * BLOCK_ROWS)
+
+    def test_failed_block_surfaces_once_no_block_runs(self, monkeypatch):
+        pop = self.population("sphere")
+        clients = random_clients(seeded(10), pop.d, 4)
+        transform = popgen._transform_block
+        calls = itertools.count()
+        running = []
+
+        def failing_second(*args):
+            running.append(1)
+            try:
+                if next(calls) == 1:
+                    raise RuntimeError("block transform failed")
+                time.sleep(0.05)
+                transform(*args)
+            finally:
+                running.pop()
+
+        monkeypatch.setattr(popgen, "_transform_block", failing_second)
+        with workers(2):
+            with pytest.raises(RuntimeError, match="block transform failed"):
+                sample_dataset(pop, clients, 6 * BLOCK_ROWS, seeded(11))
+            assert not running
+
+    @pytest.mark.parametrize("threads", [2, 5])
+    def test_local_moments_pooled_equal_serial(self, threads, short_switch):
+        pop = self.population("sphere")
+        clients = random_clients(seeded(12), pop.d, 5)
+        drawn = sample_dataset(pop, clients, 3 * BLOCK_ROWS + 5, seeded(13))
+
+        def fresh():
+            return Dataset(clients=clients, client_ids=drawn.client_ids, x_filled=drawn.x_filled, y=drawn.y)
+
+        serial = fresh().local_moments
+        with workers(threads):
+            pooled = fresh().local_moments
+        assert list(pooled) == list(serial) == sorted(c.id for c in clients)
+        for cid, lm in serial.items():
+            assert pooled[cid].count == lm.count
+            assert pooled[cid].sigma_sum.tobytes() == lm.sigma_sum.tobytes()
+            assert pooled[cid].gamma_sum.tobytes() == lm.gamma_sum.tobytes()
 
 
 class TestCoObservation:
