@@ -7,6 +7,9 @@ closed forms and these slower paths is what the oracle tests certify.
 """
 from __future__ import annotations
 
+import itertools
+import time
+
 import numpy as np
 
 from fedmismatch import (
@@ -21,6 +24,7 @@ from fedmismatch import (
     sample_dataset,
     validate_federation,
 )
+from fedmismatch import popgen
 
 
 def random_psd(rng: np.random.Generator, d: int, ridge: float = 0.3) -> np.ndarray:
@@ -209,6 +213,28 @@ def assert_rel_close(got, want, rel=1e-12):
 
 def seeded(seed: int) -> np.random.Generator:
     return np.random.default_rng(seed)
+
+
+def fail_second_block(monkeypatch, delay: float = 0.0) -> list:
+    """Make ``popgen._transform_block`` raise "block transform failed" on its
+    second call, the others first sleeping ``delay`` s; returns a list that
+    holds one entry per call still running."""
+    transform = popgen._transform_block
+    calls = itertools.count()
+    running: list = []
+
+    def failing(*args):
+        running.append(1)
+        try:
+            if next(calls) == 1:
+                raise RuntimeError("block transform failed")
+            time.sleep(delay)
+            transform(*args)
+        finally:
+            running.pop()
+
+    monkeypatch.setattr(popgen, "_transform_block", failing)
+    return running
 
 
 def reference_draw_rows(pop: PopulationSpec, clients, positions: np.ndarray, rng: np.random.Generator) -> Dataset:

@@ -1,6 +1,5 @@
 """Tests for the config-driven experiment runner."""
 import csv
-import itertools
 import json
 import os
 import threading
@@ -9,7 +8,6 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fedmismatch import popgen
 from fedmismatch._parallel import BLOCK_ROWS
 from fedmismatch.cli import (
     ConfigError,
@@ -20,6 +18,8 @@ from fedmismatch.cli import (
     run_experiment,
     validate_config,
 )
+
+from support import fail_second_block
 
 
 def _sweep_config(**over):
@@ -321,26 +321,14 @@ class TestRunExperiment:
         assert Path(one).read_bytes() == Path(two).read_bytes()
 
     def test_failed_block_raises_and_leaves_nothing_running(self, tmp_path, monkeypatch, capsys):
-        transform = popgen._transform_block
-        calls = itertools.count()
-        running = []
-
-        def failing_second(*args):
-            running.append(1)
-            try:
-                if next(calls) == 1:
-                    raise RuntimeError("block transform failed")
-                transform(*args)
-            finally:
-                running.pop()
-
-        monkeypatch.setattr(popgen, "_transform_block", failing_second)
         before = threading.active_count()
+        running = fail_second_block(monkeypatch)
         with pytest.raises(RuntimeError, match="block transform failed"):
             run_experiment(_pipelined_config(), str(tmp_path / "a"), threads=2)
         assert not running
         assert threading.active_count() == before
-        calls = itertools.count()
+        monkeypatch.undo()
+        running = fail_second_block(monkeypatch)
         path = _write(tmp_path, _pipelined_config())
         assert main(["run", path, "--out", str(tmp_path / "b"), "--threads", "2"]) == 2
         assert capsys.readouterr().err == "error: block transform failed\n"

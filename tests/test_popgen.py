@@ -1,7 +1,5 @@
-import itertools
 import sys
 import threading
-import time
 
 import numpy as np
 import pytest
@@ -21,7 +19,7 @@ from fedmismatch import popgen
 from fedmismatch._parallel import BLOCK_ROWS, workers
 from fedmismatch.model import Dataset, Provenance
 
-from support import random_clients, reference_draw_rows, seeded
+from support import fail_second_block, random_clients, reference_draw_rows, seeded
 
 
 def section3_clients(d=4):
@@ -213,21 +211,7 @@ class TestBlockedSampler:
     def test_failed_block_surfaces_once_no_block_runs(self, monkeypatch):
         pop = self.population("sphere")
         clients = random_clients(seeded(10), pop.d, 4)
-        transform = popgen._transform_block
-        calls = itertools.count()
-        running = []
-
-        def failing_second(*args):
-            running.append(1)
-            try:
-                if next(calls) == 1:
-                    raise RuntimeError("block transform failed")
-                time.sleep(0.05)
-                transform(*args)
-            finally:
-                running.pop()
-
-        monkeypatch.setattr(popgen, "_transform_block", failing_second)
+        running = fail_second_block(monkeypatch, delay=0.05)
         with workers(2):
             with pytest.raises(RuntimeError, match="block transform failed"):
                 sample_dataset(pop, clients, 6 * BLOCK_ROWS, seeded(11))
