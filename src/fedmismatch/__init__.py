@@ -30,7 +30,6 @@ from .popgen import (
     population_gamma,
     population_moment_pair,
     sample_dataset,
-    spawn_rngs,
 )
 from .moments import (
     CoObservationCounts,

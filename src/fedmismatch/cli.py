@@ -70,6 +70,7 @@ __all__ = ["ConfigError", "load_config", "validate_config", "run_experiment", "m
 MAX_D = 1024
 MAX_K = 10_000
 # Largest n x d sample (training or Monte-Carlo) a config may ask for, in float64 cells.
+# A sample holds each client's observed cells, at most n x d of them.
 MAX_CELLS = 10**8
 MAX_REPLICATES = 10_000
 

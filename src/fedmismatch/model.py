@@ -8,6 +8,8 @@ Conventions used throughout the package:
 * Client ids are opaque integer keys (presets number them 1..K).
 * All types are treated as immutable after construction. ``CommLog`` is the
   one append-only builder; a finished log should not be mutated further.
+* A ``Dataset`` is stored in the federated layout: one contiguous array of
+  observed coordinates per client, never an (n, d) matrix of the sample.
 """
 from __future__ import annotations
 
@@ -74,7 +76,7 @@ class FeaturePattern:
     def one_based(self) -> tuple[int, ...]:
         return tuple(i + 1 for i in self.observed)
 
-    @property
+    @cached_property
     def missing(self) -> tuple[int, ...]:
         obs = set(self.observed)
         return tuple(i for i in range(self.d) if i not in obs)
@@ -194,11 +196,13 @@ _NO_ROWS.flags.writeable = False
 
 @dataclass(frozen=True)
 class Dataset:
-    """Masked sample collection, stored column-filled for vectorized math.
+    """A federated sample, stored as each client's observed rows.
 
-    ``x_filled`` is (n, d) with zeros at unobserved coordinates; which zeros
-    are structural is always decided by the owning client's pattern, never by
-    the stored value. Only observed coordinates are ever meaningful.
+    ``x_obs`` maps every client id to that client's (n_k, |obs|) float64
+    array: the observed coordinates of its rows, in ascending row order, one
+    read-only C-contiguous array per client. ``client_ids`` and ``y`` stay in
+    sample row order. No (n, d) matrix is held: ``x_filled`` builds the
+    zero-filled one on access, and ``from_filled`` builds a dataset from one.
 
     Rows are grouped by client once, on construction: ``shard_rows`` maps
     each id that owns rows, in ascending id order, to its ascending row
@@ -208,31 +212,55 @@ class Dataset:
 
     clients: tuple[ClientSpec, ...]
     client_ids: np.ndarray
-    x_filled: np.ndarray
+    x_obs: Mapping[int, np.ndarray]
     y: np.ndarray
 
     def __post_init__(self) -> None:
         clients = validate_federation(self.clients)
         object.__setattr__(self, "clients", clients)
         ids = np.asarray(self.client_ids, dtype=np.int64)
-        x = np.asarray(self.x_filled, dtype=np.float64)
         y = np.asarray(self.y, dtype=np.float64)
-        if x.ndim != 2 or y.ndim != 1 or ids.ndim != 1:
-            raise ValueError("client_ids and y must be 1-d, x_filled 2-d")
-        if not (len(ids) == len(y) == x.shape[0]):
-            raise ValueError("row counts disagree across client_ids, x_filled, y")
-        d = clients[0].pattern.d
-        if x.shape[1] != d:
-            raise ValueError(f"x_filled has {x.shape[1]} columns, clients expect {d}")
+        if y.ndim != 1 or ids.ndim != 1:
+            raise ValueError("client_ids and y must be 1-d")
+        if len(ids) != len(y):
+            raise ValueError("row counts disagree across client_ids and y")
         by_id = {c.id: c for c in clients}
         shard_rows = group_rows(ids)
         if not shard_rows.keys() <= by_id.keys():
             raise ValueError(f"rows reference unknown client ids {sorted(shard_rows.keys() - by_id.keys())}")
+        if not self.x_obs.keys() <= by_id.keys():
+            raise ValueError(f"x_obs has blocks for unknown client ids {sorted(self.x_obs.keys() - by_id.keys())}")
+        blocks = {}
+        for c in clients:
+            want = (len(shard_rows.get(c.id, _NO_ROWS)), c.pattern.size)
+            block = self.x_obs.get(c.id, np.empty(want) if not want[0] else None)
+            block = np.ascontiguousarray(block, dtype=np.float64).view()
+            if block.shape != want:
+                raise ValueError(f"client {c.id}: observed block must be {want}, got {block.shape}")
+            block.flags.writeable = False
+            blocks[c.id] = block
         object.__setattr__(self, "client_ids", ids)
-        object.__setattr__(self, "x_filled", x)
+        object.__setattr__(self, "x_obs", blocks)
         object.__setattr__(self, "y", y)
         object.__setattr__(self, "shard_rows", shard_rows)
         object.__setattr__(self, "_by_id", by_id)
+
+    @classmethod
+    def from_filled(cls, clients, client_ids, x_filled, y) -> "Dataset":
+        """The dataset whose rows are those of an (n, d) matrix: each row keeps
+        the coordinates its client observes, and the rest are ignored."""
+        clients = validate_federation(clients)
+        x = np.asarray(x_filled, dtype=np.float64)
+        ids = np.asarray(client_ids, dtype=np.int64)
+        d = clients[0].pattern.d
+        if x.ndim != 2 or x.shape[1] != d:
+            raise ValueError(f"x_filled must be (n, {d}), got {x.shape}")
+        if ids.shape != (x.shape[0],):
+            raise ValueError("row counts disagree across client_ids and x_filled")
+        shard_rows = group_rows(ids)
+        x_obs = {c.id: x[np.ix_(rows, list(c.pattern.observed))]
+                 for c in clients if (rows := shard_rows.get(c.id)) is not None}
+        return cls(clients=clients, client_ids=ids, x_obs=x_obs, y=y)
 
     @property
     def n(self) -> int:
@@ -253,19 +281,27 @@ class Dataset:
         return self.shard_rows.get(client_id, _NO_ROWS)
 
     def x_obs_of(self, client_id: int) -> np.ndarray:
-        """(n_k, |obs|) observed block of one client's rows."""
-        c = self.client_by_id(client_id)
-        rows = self.shard_rows.get(client_id, _NO_ROWS)
-        cols = list(c.pattern.observed)
-        return self.x_filled[np.ix_(rows, cols)] if cols else self.x_filled[rows, :0]
+        """(n_k, |obs|) observed block of one client's rows, as stored."""
+        self.client_by_id(client_id)
+        return self.x_obs[client_id]
 
     def y_of(self, client_id: int) -> np.ndarray:
         return self.y[self.rows_of(client_id)]
 
+    @property
+    def x_filled(self) -> np.ndarray:
+        """The (n, d) matrix with each row's observed coordinates and zeros
+        elsewhere, built on each access."""
+        x = np.zeros((self.n, self.d))
+        for c in self.clients:
+            if c.pattern.observed:
+                x[np.ix_(self.rows_of(c.id), list(c.pattern.observed))] = self.x_obs[c.id]
+        return x
+
     @cached_property
     def local_moments(self) -> dict[int, LocalMoments]:
         """Each client's observed sums (n_k, G_k = x_obs^T x_obs, g_k = x_obs^T y)
-        in d coordinates, in ascending id order: one gather per client, on first
+        in d coordinates, in ascending id order: one fold per client, on first
         use, spread over the ``_parallel.workers`` pool if one is current and
         the sample holds more than ``BLOCK_ROWS`` rows; the arrays are
         read-only and shared."""

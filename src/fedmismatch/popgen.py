@@ -3,18 +3,22 @@
 The data model: a full covariate vector X in R^d with E[X X^T] = sigma, a
 response Y = theta_star . X + eps with E[eps] = 0, Var(eps) = sigma2, and a
 client label H drawn independently of (X, Y) with P(H = k) = rho_k. Each
-stored sample keeps only the coordinates observed by its client.
+stored sample keeps only the coordinates observed by its client: a sample is
+a ``Dataset`` of per-client observed blocks, and no (n, d) matrix of it is
+ever held.
 
 Determinism: every sampler takes a numpy Generator and touches it in a fixed
 documented order, so equal seeds give bitwise-equal datasets. A sample is
 drawn as labels (``sample_dataset`` only; a stratified Monte-Carlo sample
 fixes them in advance), then the covariates, then all noise. Covariates are
 drawn in row blocks of a fixed size, which consume the stream exactly as one
-call for all of them would; pool threads may transform a block while the
-next is drawn, and the result does not depend on the thread count.
-Replicate-level parallelism should derive child seeds with ``spawn_rngs``
-(SeedSequence.spawn) or ``numpy.random.SeedSequence(root, spawn_key=...)``;
-both rules are stable across processes.
+call for all of them would. Each block is transformed, gives its rows'
+noise-free responses, and writes its rows' observed coordinates into the
+clients' arrays at offsets fixed by the labels; pool threads may do this
+while the next block is drawn, and since the writes are disjoint the result
+does not depend on the thread count. Replicate-level parallelism should
+derive child seeds with ``numpy.random.SeedSequence(root, spawn_key=...)``,
+which is stable across processes.
 """
 from __future__ import annotations
 
@@ -33,7 +37,6 @@ __all__ = [
     "co_observation_matrix",
     "population_gamma",
     "population_moment_pair",
-    "spawn_rngs",
 ]
 
 
@@ -141,14 +144,14 @@ def _row_blocks(n: int) -> list[tuple[int, int]]:
 
 
 def _transform_block(pop: PopulationSpec, z: np.ndarray, out: np.ndarray) -> None:
-    """Write to ``out`` the covariate rows made from standard-normal draws z,
-    which a sphere design rescales in place."""
-    if pop.design == "sphere":
-        norms = np.linalg.norm(z, axis=1, keepdims=True)
-        norms[norms == 0] = 1.0
-        z /= norms
-        z *= np.sqrt(pop.d)
+    """Write to ``out`` the covariate rows made from standard-normal draws z:
+    one product with sigma^{1/2}, which a sphere design then scales row by
+    row by sqrt(d) / ||z||."""
     np.matmul(z, pop.sqrt_sigma, out=out)
+    if pop.design == "sphere":
+        norms = np.sqrt(np.einsum("ij,ij->i", z, z))
+        norms[norms == 0] = 1.0
+        out *= (np.sqrt(pop.d) / norms)[:, None]
 
 
 def _draw_noise(pop: PopulationSpec, n: int, rng: np.random.Generator) -> np.ndarray:
@@ -163,34 +166,47 @@ def _draw_rows(pop: PopulationSpec, clients: tuple[ClientSpec, ...], positions: 
 
     The calling thread draws the covariates block by block (``_row_blocks``),
     then all noise, so the stream is consumed exactly as by one call for all
-    covariates; with a ``_parallel.workers`` pool, pool threads transform
-    each block while the next is drawn. The response is one product over
-    all rows (a threaded BLAS splits a product by its row count, so a
-    blocked one could round differently); each row's unobserved coordinates
-    are then zeroed in place, block by block.
+    covariates. The labels fix, before any covariate is drawn, how many rows
+    of each block every client owns and where in that client's array they
+    go. Each block is then transformed, its noise-free responses written,
+    its rows stably sorted by client and each client's observed columns
+    copied to that client's array; with a ``_parallel.workers`` pool, pool
+    threads do this while the next block is drawn.
     """
     if clients[0].pattern.d != pop.d:
         raise ValueError("clients and population disagree on dimension")
     n = len(positions)
     blocks = _row_blocks(n)
-    x = np.empty((n, pop.d))
+    counts = np.stack([np.bincount(positions[lo:hi], minlength=len(clients)) for lo, hi in blocks])
+    offsets = (np.cumsum(counts, axis=0) - counts).tolist()
+    cols = [np.array(c.pattern.observed, dtype=np.intp) for c in clients]
+    x_obs = [np.empty((total, len(col))) for total, col in zip(counts.sum(axis=0).tolist(), cols)]
+    response = np.empty(n)
 
-    def transform(block) -> None:
-        lo, hi, z = block
-        _transform_block(pop, z, x[lo:hi])
+    # Every index below is in range; mode="clip" only spares ``take`` the
+    # buffered copy of ``out`` that its default mode makes.
+    def write(block) -> None:
+        b, z = block
+        lo, hi = blocks[b]
+        x = np.empty_like(z)
+        _transform_block(pop, z, x)
+        np.matmul(x, pop.theta_star, out=response[lo:hi])
+        x.take(np.argsort(positions[lo:hi], kind="stable"), axis=0, out=z, mode="clip")
+        ends = np.cumsum(counts[b]).tolist()
+        for k, (start, end) in enumerate(zip([0, *ends], ends)):
+            if end > start and len(cols[k]):
+                at = offsets[b][k]
+                z[start:end].take(cols[k], axis=1, out=x_obs[k][at:at + end - start], mode="clip")
 
-    draws = ((lo, hi, rng.standard_normal((hi - lo, pop.d))) for lo, hi in blocks)
+    draws = ((b, rng.standard_normal((hi - lo, pop.d))) for b, (lo, hi) in enumerate(blocks))
     if len(blocks) > 1:
-        map_ordered(transform, draws)
+        map_ordered(write, draws)
     else:
-        transform(next(draws))
-    eps = _draw_noise(pop, n, rng)
-    y = x @ pop.theta_star + eps
-    masks = np.stack([c.pattern.mask() for c in clients])
+        write(next(draws))
+    response += _draw_noise(pop, n, rng)
     ids = np.array([c.id for c in clients], dtype=np.int64)
-    for lo, hi in blocks:
-        x[lo:hi] *= masks[positions[lo:hi]]
-    return Dataset(clients=clients, client_ids=ids[positions], x_filled=x, y=y)
+    return Dataset(clients=clients, client_ids=ids[positions],
+                   x_obs={c.id: block for c, block in zip(clients, x_obs)}, y=response)
 
 
 def sample_dataset(
@@ -234,8 +250,3 @@ def population_moment_pair(pop: PopulationSpec) -> MomentPair:
     """Exact moments as a MomentPair, for oracle-driven estimators."""
     return MomentPair(pop.sigma, population_gamma(pop), Provenance.POPULATION)
 
-
-def spawn_rngs(root_seed: int, count: int) -> list[np.random.Generator]:
-    """Independent child generators for replicate-level parallelism."""
-    seq = np.random.SeedSequence(root_seed)
-    return [np.random.default_rng(child) for child in seq.spawn(count)]

@@ -67,7 +67,7 @@ def mixed_federation(seed, n=240):
     clients = tuple(ClientSpec(id=10 - i, pattern=p, rho=1 / 6) for i, p in enumerate(patterns))
     drawn = sample_dataset(pop, clients, n, rng)
     keep = drawn.client_ids != 8
-    data = Dataset(clients=clients, client_ids=drawn.client_ids[keep], x_filled=drawn.x_filled[keep], y=drawn.y[keep])
+    data = Dataset.from_filled(clients=clients, client_ids=drawn.client_ids[keep], x_filled=drawn.x_filled[keep], y=drawn.y[keep])
     return rng, data
 
 
@@ -78,7 +78,7 @@ def sharded(x, y, bounds):
     k = len(bounds) - 1
     clients = tuple(ClientSpec(id=i + 1, pattern=FeaturePattern.full(x.shape[1]), rho=1 / k) for i in range(k))
     ids = np.repeat(np.arange(1, k + 1), np.diff(bounds))
-    data = Dataset(clients=clients, client_ids=ids, x_filled=x, y=np.asarray(y, dtype=np.float64))
+    data = Dataset.from_filled(clients=clients, client_ids=ids, x_filled=x, y=np.asarray(y, dtype=np.float64))
     return apply_imputer(fit_zero_imputer(clients), data)
 
 
@@ -239,25 +239,23 @@ def fail_second_block(monkeypatch, delay: float = 0.0) -> list:
 
 def reference_draw_rows(pop: PopulationSpec, clients, positions: np.ndarray, rng: np.random.Generator) -> Dataset:
     """The one-shot sampler the blocked ``popgen._draw_rows`` must reproduce
-    bytewise: all covariates in one call, then all noise, the response, then
-    the mask over all rows."""
+    bytewise: all covariates in one call (a sphere design scales each row of
+    the product by sqrt(d) / ||z||), then all noise, the response, then each
+    row's observed coordinates kept from the (n, d) matrix."""
     n = len(positions)
     z = rng.standard_normal((n, pop.d))
-    if pop.design == "sphere":
-        norms = np.linalg.norm(z, axis=1, keepdims=True)
-        norms[norms == 0] = 1.0
-        z /= norms
-        z *= np.sqrt(pop.d)
     x = z @ pop.sqrt_sigma
+    if pop.design == "sphere":
+        norms = np.sqrt(np.einsum("ij,ij->i", z, z))
+        norms[norms == 0] = 1.0
+        x *= (np.sqrt(pop.d) / norms)[:, None]
     if pop.noise == "uniform":
         eps = rng.uniform(-pop.noise_halfwidth, pop.noise_halfwidth, size=n)
     else:
         eps = np.sqrt(pop.sigma2) * rng.standard_normal(n)
     y = x @ pop.theta_star + eps
-    masks = np.stack([c.pattern.mask() for c in clients])
     ids = np.array([c.id for c in clients], dtype=np.int64)
-    x *= masks[positions]
-    return Dataset(clients=clients, client_ids=ids[positions], x_filled=x, y=y)
+    return Dataset.from_filled(clients=clients, client_ids=ids[positions], x_filled=x, y=y)
 
 
 def reference_ice(data, rounds: int, init=None, early_stop_rms: float | None = None):

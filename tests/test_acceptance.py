@@ -407,7 +407,7 @@ def test_c08_fedavg_reaches_closed_form():
     x = rng.standard_normal((n, d))
     y = x @ rng.standard_normal(d) + 0.3 * rng.standard_normal(n)
     clients = (ClientSpec(id=1, pattern=FeaturePattern.full(d), rho=1.0),)
-    pooled = apply_imputer(fit_zero_imputer(clients), Dataset(clients=clients, client_ids=np.ones(n, dtype=int), x_filled=x, y=y))
+    pooled = apply_imputer(fit_zero_imputer(clients), Dataset.from_filled(clients=clients, client_ids=np.ones(n, dtype=int), x_filled=x, y=y))
     want = ridge_closed_form(pooled, lam)
     worst_err = 0.0
     worst_rounds = 0

@@ -309,9 +309,9 @@ class TestRunExperiment:
         a, _ = run_experiment(cfg, str(tmp_path / "a"))
         b, _ = run_experiment(cfg, str(tmp_path / "b"))
         c, _ = run_experiment(cfg, str(tmp_path / "c"), threads=4)
-        blob = open(a, "rb").read()
-        assert blob == open(b, "rb").read()
-        assert blob == open(c, "rb").read()
+        blob = Path(a).read_bytes()
+        assert blob == Path(b).read_bytes()
+        assert blob == Path(c).read_bytes()
 
     def test_thread_invariant_where_the_sampler_pipelines(self, tmp_path):
         cfg = _pipelined_config()
@@ -340,9 +340,9 @@ class TestRunExperiment:
         over, _ = run_experiment(cfg, str(tmp_path / "o"), seed=123)
         inline = _sweep_config(seeds={"root": 123, "replicates": 2})
         want, _ = run_experiment(inline, str(tmp_path / "w"))
-        assert open(over, "rb").read() == open(want, "rb").read()
+        assert Path(over).read_bytes() == Path(want).read_bytes()
         base, _ = run_experiment(cfg, str(tmp_path / "z"))
-        assert open(over, "rb").read() != open(base, "rb").read()
+        assert Path(over).read_bytes() != Path(base).read_bytes()
 
     def test_manifest_written(self, tmp_path):
         cfg = _sweep_config()
@@ -382,7 +382,7 @@ class TestRunExperiment:
                                 grid={"n": [120], "lam": [0.3]}, scenario_params={"rounds": 20})
             results, _ = run_experiment(cfg, str(tmp_path / name))
             by_method = {}
-            for line in open(results, "rb").read().splitlines()[1:]:
+            for line in Path(results).read_bytes().splitlines()[1:]:
                 by_method.setdefault(line.split(b",")[col].decode(), []).append(line)
             return by_method
 

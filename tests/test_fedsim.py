@@ -43,7 +43,7 @@ def _sparse_federation(seed, d=4):
     )
     drawn = sample_dataset(pop, clients, 90, rng)
     keep = drawn.client_ids != 2
-    data = Dataset(
+    data = Dataset.from_filled(
         clients=clients, client_ids=drawn.client_ids[keep], x_filled=drawn.x_filled[keep], y=drawn.y[keep]
     )
     assert len(data.rows_of(2)) == 0 and len(data.rows_of(3)) > 0
@@ -232,7 +232,7 @@ class TestPinnedTotals:
             ClientSpec(id=1, pattern=FeaturePattern.full(3), rho=0.5),
             ClientSpec(id=2, pattern=FeaturePattern.full(3), rho=0.5),
         )
-        data = apply_imputer(fit_zero_imputer(clients), Dataset(
+        data = apply_imputer(fit_zero_imputer(clients), Dataset.from_filled(
             clients=clients,
             client_ids=np.array([1, 1, 1, 2, 2, 2]),
             x_filled=np.vstack([np.eye(3), np.eye(3)]),

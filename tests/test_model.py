@@ -51,6 +51,11 @@ class TestFeaturePattern:
         p = FeaturePattern(tuple(sorted(obs)), d)
         assert sorted(p.observed + p.missing) == list(range(d))
 
+    def test_missing_computed_once_and_not_compared(self):
+        p, q = FeaturePattern((0, 2), 4), FeaturePattern((0, 2), 4)
+        assert p.missing is p.missing == (1, 3)
+        assert p == q and hash(p) == hash(q) and len({p, q}) == 1
+
 
 class TestCropOps:
     def test_crop_vector_examples(self):
@@ -136,7 +141,7 @@ class TestDataset:
             ]
         )
         y = np.array([0.1, 0.2, 0.3, 0.4])
-        return Dataset(clients=clients, client_ids=ids, x_filled=x, y=y)
+        return Dataset.from_filled(clients=clients, client_ids=ids, x_filled=x, y=y)
 
     def test_accessors(self):
         ds = self._data()
@@ -154,7 +159,7 @@ class TestDataset:
         )
         ids = np.array([5, 2, 2, 5, 2, 5, 5])
         rng = np.random.default_rng(0)
-        ds = Dataset(clients=clients, client_ids=ids, x_filled=rng.standard_normal((7, 3)), y=rng.standard_normal(7))
+        ds = Dataset.from_filled(clients=clients, client_ids=ids, x_filled=rng.standard_normal((7, 3)), y=rng.standard_normal(7))
         assert list(ds.shard_rows) == [2, 5]
         for c in clients:
             rows = ds.rows_of(c.id)
@@ -170,12 +175,33 @@ class TestDataset:
     def test_unknown_client_rows_rejected(self):
         clients = _two_clients()
         with pytest.raises(ValueError, match="unknown client"):
-            Dataset(clients=clients, client_ids=np.array([7]), x_filled=np.zeros((1, 4)), y=np.zeros(1))
+            Dataset.from_filled(clients=clients, client_ids=np.array([7]), x_filled=np.zeros((1, 4)), y=np.zeros(1))
 
     def test_row_count_mismatch(self):
         clients = _two_clients()
         with pytest.raises(ValueError):
-            Dataset(clients=clients, client_ids=np.array([1, 2]), x_filled=np.zeros((1, 4)), y=np.zeros(1))
+            Dataset.from_filled(clients=clients, client_ids=np.array([1, 2]), x_filled=np.zeros((1, 4)), y=np.zeros(1))
+
+    def test_stores_one_read_only_block_per_client(self):
+        ds = self._data()
+        assert list(ds.x_obs) == [1, 2]
+        for c in ds.clients:
+            block = ds.x_obs_of(c.id)
+            assert block is ds.x_obs[c.id]
+            assert block.flags.c_contiguous and not block.flags.writeable
+        again = Dataset(clients=ds.clients, client_ids=ds.client_ids, x_obs=ds.x_obs, y=ds.y)
+        assert again.x_filled.tobytes() == ds.x_filled.tobytes()
+        np.testing.assert_array_equal(ds.x_filled[1], [0.0, 3.0, 4.0, 5.0])
+
+    def test_blocks_checked_against_rows_and_patterns(self):
+        clients = _two_clients()
+        ids, y = np.array([1, 2, 2]), np.zeros(3)
+        good = {1: np.zeros((1, 2)), 2: np.zeros((2, 3))}
+        # a client that drew no rows may leave its block out
+        assert Dataset(clients=clients, client_ids=np.array([2, 2]), x_obs={2: good[2]}, y=y[:2]).x_obs_of(1).shape == (0, 2)
+        for blocks in ({**good, 1: np.zeros((2, 2))}, {**good, 2: np.zeros((2, 4))}, {2: good[2]}, {**good, 7: np.zeros((0, 1))}):
+            with pytest.raises(ValueError):
+                Dataset(clients=clients, client_ids=ids, x_obs=blocks, y=y)
 
 
 class TestMomentPair:

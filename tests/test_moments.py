@@ -121,7 +121,7 @@ class TestEmpiricalCoobservation:
         ids = np.array([1] * 500 + [2] * 500)
         from fedmismatch.model import Dataset
 
-        ds = Dataset(clients=clients, client_ids=ids, x_filled=np.zeros((n, 4)), y=np.zeros(n))
+        ds = Dataset.from_filled(clients=clients, client_ids=ids, x_filled=np.zeros((n, 4)), y=np.zeros(n))
         pi_hat, counts = empirical_coobservation(ds)
         assert pi_hat[0, 2] == 0.5
         assert counts.counts[0, 2] == 500
@@ -132,7 +132,7 @@ class TestEmpiricalCoobservation:
         )
         from fedmismatch.model import Dataset
 
-        ds = Dataset(clients=clients, client_ids=np.array([1]), x_filled=np.zeros((1, 2)), y=np.zeros(1))
+        ds = Dataset.from_filled(clients=clients, client_ids=np.array([1]), x_filled=np.zeros((1, 2)), y=np.zeros(1))
         pi_hat, _ = empirical_coobservation(ds)
         np.testing.assert_array_equal(pi_hat, [[0.0, 0.0], [0.0, 1.0]])
 
@@ -244,13 +244,13 @@ class TestImputedDataMoments:
         y = rng.standard_normal(40)
         ids = rng.integers(1, 4, size=40)
         clients = tuple(ClientSpec(id=k, pattern=FeaturePattern.full(3), rho=1 / 3) for k in (1, 2, 3))
-        sigma, gamma = imputed_data_moments(apply_imputer(fit_zero_imputer(clients), Dataset(clients=clients, client_ids=ids, x_filled=x, y=y)))
+        sigma, gamma = imputed_data_moments(apply_imputer(fit_zero_imputer(clients), Dataset.from_filled(clients=clients, client_ids=ids, x_filled=x, y=y)))
         np.testing.assert_allclose(sigma, x.T @ x / 40, atol=1e-13)
         np.testing.assert_allclose(gamma, x.T @ y / 40, atol=1e-13)
 
     def test_no_rows_rejected(self):
         clients = (ClientSpec(id=1, pattern=FeaturePattern.full(2), rho=1.0),)
-        empty = apply_imputer(fit_zero_imputer(clients), Dataset(clients=clients, client_ids=np.zeros(0), x_filled=np.zeros((0, 2)), y=np.zeros(0)))
+        empty = apply_imputer(fit_zero_imputer(clients), Dataset.from_filled(clients=clients, client_ids=np.zeros(0), x_filled=np.zeros((0, 2)), y=np.zeros(0)))
         with pytest.raises(ValueError):
             imputed_data_moments(empty)
 

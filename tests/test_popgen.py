@@ -1,5 +1,6 @@
 import sys
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,7 +14,6 @@ from fedmismatch import (
     population_gamma,
     population_moment_pair,
     sample_dataset,
-    spawn_rngs,
 )
 from fedmismatch import popgen
 from fedmismatch._parallel import BLOCK_ROWS, workers
@@ -126,7 +126,7 @@ class TestSampleDataset:
 
     @pytest.mark.parametrize("design", ["gaussian", "sphere"])
     def test_matches_out_of_place_expressions(self, design):
-        """In-place sphere scaling and masking give the bytes of the plain expressions."""
+        """In-place sphere scaling and per-client blocks give the bytes of the plain expressions."""
         sigma = np.eye(5) + 0.3
         theta = np.array([1.0, -2.0, 0.5, 0.0, 3.0])
         if design == "sphere":
@@ -140,17 +140,16 @@ class TestSampleDataset:
         rho = np.array([c.rho for c in clients])
         positions = rng.choice(len(clients), size=3000, p=rho / rho.sum())
         z = rng.standard_normal((3000, 5))
+        x = z @ pop.sqrt_sigma
         if design == "sphere":
-            norms = np.linalg.norm(z, axis=1, keepdims=True)
-            norms[norms == 0] = 1.0
-            z = z / norms * np.sqrt(5)
+            x = x * (np.sqrt(5) / np.sqrt(np.einsum("ij,ij->i", z, z)))[:, None]
             eps = rng.uniform(-0.7, 0.7, size=3000)
         else:
             eps = np.sqrt(0.7) * rng.standard_normal(3000)
-        x = z @ pop.sqrt_sigma
         y = x @ pop.theta_star + eps
-        masks = np.stack([c.pattern.mask() for c in clients])
-        assert ds.x_filled.tobytes() == (x * masks[positions]).tobytes()
+        for k, c in enumerate(clients):
+            rows = np.flatnonzero(positions == k)
+            assert ds.x_obs_of(c.id).tobytes() == x[np.ix_(rows, list(c.pattern.observed))].tobytes()
         assert ds.y.tobytes() == y.tobytes()
         assert ds.client_ids.tolist() == [clients[i].id for i in positions]
 
@@ -167,9 +166,10 @@ def short_switch():
 
 
 class TestBlockedSampler:
-    """Covariates come in blocks of BLOCK_ROWS rows, transformed on pool threads
-    while the next block is drawn; the bytes are those of the one-shot draw.
-    Five threads are more than the cores of a small machine."""
+    """Covariates come in blocks of BLOCK_ROWS rows, each transformed and
+    written into the clients' arrays on pool threads while the next block is
+    drawn; the bytes are those of the one-shot draw. Five threads are more
+    than the cores of a small machine."""
 
     @staticmethod
     def population(design):
@@ -181,11 +181,22 @@ class TestBlockedSampler:
             return PopulationSpec.bounded(sigma, theta, noise_halfwidth=0.7)
         return PopulationSpec.gaussian(sigma, theta, sigma2=0.7)
 
+    @staticmethod
+    def federation(d):
+        """Four random patterns, one client that observes nothing and one
+        whose share is too small to draw a row at these sizes."""
+        base = random_clients(seeded(10), d, 4)
+        return (
+            *(ClientSpec(id=c.id, pattern=c.pattern, rho=0.8 * c.rho) for c in base),
+            ClientSpec(id=5, pattern=FeaturePattern.empty(d), rho=0.2 - 1e-9),
+            ClientSpec(id=6, pattern=FeaturePattern.from_one_based([2, 5], d), rho=1e-9),
+        )
+
     @pytest.mark.parametrize("threads", [1, 2, 5])
     @pytest.mark.parametrize("design", ["gaussian", "sphere"])
     def test_matches_one_shot_draw(self, design, threads, monkeypatch, short_switch):
         pop = self.population(design)
-        clients = random_clients(seeded(10), pop.d, 4)
+        clients = self.federation(pop.d)
         rho = np.array([c.rho for c in clients])
         transform = popgen._transform_block
         pooled = []
@@ -197,25 +208,51 @@ class TestBlockedSampler:
         monkeypatch.setattr(popgen, "_transform_block", recording)
         for n in (0, 1, BLOCK_ROWS - 1, BLOCK_ROWS, BLOCK_ROWS + 1, 3 * BLOCK_ROWS + 5):
             pooled.clear()
+            got_rng = seeded(11)
             with workers(threads):
-                got = sample_dataset(pop, clients, n, seeded(11))
+                got = sample_dataset(pop, clients, n, got_rng)
             rng = seeded(11)
             positions = rng.choice(len(clients), size=n, p=rho / rho.sum())
             want = reference_draw_rows(pop, clients, positions, rng)
-            for field in ("x_filled", "y", "client_ids"):
-                np.testing.assert_array_equal(getattr(got, field), getattr(want, field))
+            assert len(got.rows_of(6)) == 0
+            for c in clients:
+                block = got.x_obs_of(c.id)
+                assert block.shape == (len(want.rows_of(c.id)), c.pattern.size)
+                assert block.flags.c_contiguous and not block.flags.writeable
+                assert block.tobytes() == want.x_obs_of(c.id).tobytes()
+            for field in ("y", "client_ids"):
                 assert getattr(got, field).tobytes() == getattr(want, field).tobytes()
+            assert got_rng.standard_normal(4).tobytes() == rng.standard_normal(4).tobytes()
             assert len(pooled) == max(1, n // BLOCK_ROWS)
             assert any(pooled) == (threads > 1 and n >= 2 * BLOCK_ROWS)
 
-    def test_failed_block_surfaces_once_no_block_runs(self, monkeypatch):
-        pop = self.population("sphere")
-        clients = random_clients(seeded(10), pop.d, 4)
-        running = fail_second_block(monkeypatch, delay=0.05)
-        with workers(2):
-            with pytest.raises(RuntimeError, match="block transform failed"):
-                sample_dataset(pop, clients, 6 * BLOCK_ROWS, seeded(11))
-            assert not running
+    def test_failed_block_surfaces_once_no_block_runs(self):
+        for design in ("gaussian", "sphere"):
+            pop = self.population(design)
+            for threads in (1, 2):
+                with pytest.MonkeyPatch.context() as mp, workers(threads):
+                    running = fail_second_block(mp, delay=0.05)
+                    with pytest.raises(RuntimeError, match="block transform failed"):
+                        sample_dataset(pop, self.federation(pop.d), 6 * BLOCK_ROWS, seeded(11))
+                    assert not running
+
+    def test_sampling_holds_no_n_by_d_matrix(self):
+        """Sampling and folding the client sums trace less memory than the
+        (n, d) matrix of the sample would take."""
+        d, n = 64, 12 * BLOCK_ROWS
+        pop = PopulationSpec.gaussian(np.eye(d), np.ones(d), sigma2=1.0)
+        clients = tuple(
+            ClientSpec(id=k + 1, pattern=FeaturePattern(tuple(range(16 * k, 16 * k + 16)), d), rho=0.25)
+            for k in range(4)
+        )
+        tracemalloc.start()
+        try:
+            data = sample_dataset(pop, clients, n, seeded(14))
+            assert sorted(data.local_moments) == [1, 2, 3, 4]
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.75 * n * d * 8
 
     @pytest.mark.parametrize("threads", [2, 5])
     def test_local_moments_pooled_equal_serial(self, threads, short_switch):
@@ -224,7 +261,7 @@ class TestBlockedSampler:
         drawn = sample_dataset(pop, clients, 3 * BLOCK_ROWS + 5, seeded(13))
 
         def fresh():
-            return Dataset(clients=clients, client_ids=drawn.client_ids, x_filled=drawn.x_filled, y=drawn.y)
+            return Dataset.from_filled(clients=clients, client_ids=drawn.client_ids, x_filled=drawn.x_filled, y=drawn.y)
 
         serial = fresh().local_moments
         with workers(threads):
@@ -268,11 +305,3 @@ class TestPopulationMoments:
         mp = population_moment_pair(PopulationSpec.gaussian(np.eye(2), np.ones(2)))
         assert mp.provenance is Provenance.POPULATION
 
-
-def test_spawn_rngs_are_independent_and_stable():
-    a = spawn_rngs(42, 3)
-    b = spawn_rngs(42, 3)
-    for ga, gb in zip(a, b):
-        assert ga.random() == gb.random()
-    draws = [g.random() for g in spawn_rngs(42, 3)]
-    assert len(set(draws)) == 3

@@ -34,7 +34,7 @@ def _completed(x, y, d=None):
     x = np.asarray(x, dtype=float)
     d = d if d is not None else x.shape[1]
     clients = (ClientSpec(id=1, pattern=FeaturePattern.full(d), rho=1.0),)
-    data = Dataset(clients=clients, client_ids=np.ones(len(y), dtype=int), x_filled=x, y=np.asarray(y, dtype=float))
+    data = Dataset.from_filled(clients=clients, client_ids=np.ones(len(y), dtype=int), x_filled=x, y=np.asarray(y, dtype=float))
     return apply_imputer(fit_zero_imputer(clients), data)
 
 
@@ -120,7 +120,7 @@ class TestFedAvg:
             ClientSpec(id=3, pattern=FeaturePattern.full(2), rho=0.5),
             ClientSpec(id=1, pattern=FeaturePattern.full(2), rho=0.5),
         )
-        data = apply_imputer(fit_zero_imputer(clients), Dataset(
+        data = apply_imputer(fit_zero_imputer(clients), Dataset.from_filled(
             clients=clients,
             client_ids=np.array([3, 3, 3]),
             x_filled=np.arange(6.0).reshape(3, 2),
@@ -299,7 +299,7 @@ class TestLocalLearning:
             ClientSpec(id=1, pattern=FeaturePattern.full(2), rho=0.5),
             ClientSpec(id=2, pattern=FeaturePattern.from_one_based([1], 2), rho=0.5),
         )
-        data = Dataset(
+        data = Dataset.from_filled(
             clients=clients,
             client_ids=np.array([1, 1, 1]),
             x_filled=np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]]),
