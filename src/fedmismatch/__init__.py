@@ -43,13 +43,7 @@ from .moments import (
     imputed_data_moments,
     local_zero_imputed_moments,
 )
-from .plugin import (
-    ConstrainedFit,
-    PluginConfig,
-    build_clientwise_plugin,
-    constrained_crop_predictor,
-    crop_predictor,
-)
+from .plugin import build_clientwise_plugin, crop_predictor
 from .impute import (
     IceResult,
     ImputationMap,
@@ -68,7 +62,6 @@ from .ridge import (
     itr_predictor,
     local_learning,
     ridge_closed_form,
-    truncate,
 )
 from .oracle import (
     BoundReport,

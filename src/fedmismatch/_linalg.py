@@ -33,22 +33,13 @@ def ridge_solve(a: np.ndarray, b: np.ndarray, lam: float) -> np.ndarray:
     return np.linalg.solve(a + lam * np.eye(len(b)), b)
 
 
-def _clipped_eigen_map(a: np.ndarray, f) -> np.ndarray:
-    """Q f(max(W, 0)) Q^T for the symmetrized a = Q W Q^T, symmetrized again."""
+def sym_sqrt(a: np.ndarray) -> np.ndarray:
+    """Symmetric PSD square root Q sqrt(max(W, 0)) Q^T of the symmetrized
+    a = Q W Q^T, symmetrized again; tiny negative eigenvalues are clipped."""
     a = np.asarray(a, dtype=np.float64)
     w, q = np.linalg.eigh((a + a.T) / 2.0)
-    out = (q * f(np.clip(w, 0.0, None))) @ q.T
+    out = (q * np.sqrt(np.clip(w, 0.0, None))) @ q.T
     return (out + out.T) / 2.0
-
-
-def psd_clip(a: np.ndarray) -> np.ndarray:
-    """Project a symmetric matrix onto the PSD cone by eigenvalue clipping."""
-    return _clipped_eigen_map(a, lambda w: w)
-
-
-def sym_sqrt(a: np.ndarray) -> np.ndarray:
-    """Symmetric PSD square root; tiny negative eigenvalues are clipped."""
-    return _clipped_eigen_map(a, np.sqrt)
 
 
 def spectral_radius(a: np.ndarray) -> float:

@@ -59,7 +59,7 @@ from ._parallel import workers
 from .impute import ImputerKind, apply_imputer, fit_optimal_imputer, fit_zero_imputer
 from .model import ClientSpec, ClientwisePredictor, Dataset, FeaturePattern, MomentPair, validate_federation
 from .moments import cw_moments, debias_moments
-from .plugin import PluginConfig, build_clientwise_plugin
+from .plugin import build_clientwise_plugin
 from .popgen import PopulationSpec, co_observation_matrix, draw_bernoulli_patterns, sample_dataset
 from .ridge import estimate_m, itr_predictor, local_learning
 from .fedsim import PROTOCOL_KINDS, ProtocolResult, ProtocolSpec, replay_comm_schedule, run_protocol
@@ -434,7 +434,7 @@ _PLUGIN_PAIRS = {"plugin_debias": _debiased, "plugin_cw": _componentwise}
 
 
 def _fit_plugin(pair_of, ctx: _Context) -> _Fit:
-    predictor = build_clientwise_plugin(pair_of(ctx.moments.artifact, ctx.clients), ctx.served, PluginConfig())
+    predictor = build_clientwise_plugin(pair_of(ctx.moments.artifact, ctx.clients), ctx.served)
     return _Fit(predictor, oracle.oracle_global_risk(ctx.pop, ctx.served), protocols=(ctx.moments,))
 
 
@@ -456,12 +456,12 @@ def _fit_itr_zero(ctx: _Context) -> _Fit:
 
 
 def _fit_itr_opt(ctx: _Context) -> _Fit:
-    imputer = fit_optimal_imputer(ctx.pop.sigma, ctx.clients, source="population")
+    imputer = fit_optimal_imputer(ctx.pop.sigma, ctx.clients)
     return _itr(apply_imputer(imputer, ctx.data), ctx, ImputerKind.OPTIMAL_LINEAR)
 
 
 def _fit_itr_cw(ctx: _Context) -> _Fit:
-    imputer = fit_optimal_imputer(_componentwise(ctx.moments.artifact, ctx.clients).sigma, ctx.clients, source="cw")
+    imputer = fit_optimal_imputer(_componentwise(ctx.moments.artifact, ctx.clients).sigma, ctx.clients)
     return _itr(apply_imputer(imputer, ctx.data), ctx, protocols=(ctx.moments,))
 
 

@@ -58,16 +58,14 @@ class ImputerKind(enum.Enum):
 class ImputationMap:
     """Per-client linear completion maps.
 
-    ``maps[k]`` is (|mis(k)|, |obs(k)|). ``source`` names where the
-    covariance came from ("population", "cw", ...), ``round`` tags iterated
-    fits, and ``zero_filled`` lists clients that observe nothing and
-    therefore fall back to zero imputation.
+    ``maps[k]`` is (|mis(k)|, |obs(k)|). ``round`` tags iterated fits, and
+    ``zero_filled`` lists clients that observe nothing and therefore fall
+    back to zero imputation.
     """
 
     kind: ImputerKind
     maps: Mapping[int, np.ndarray]
     patterns: Mapping[int, FeaturePattern]
-    source: str | None = None
     round: int | None = None
     zero_filled: frozenset[int] = frozenset()
 
@@ -136,11 +134,7 @@ def _pinv_and_block_map(sigma: np.ndarray, pattern: FeaturePattern) -> tuple[np.
     return p_oo, sigma[np.ix_(list(pattern.missing), obs)] @ p_oo
 
 
-def fit_optimal_imputer(
-    sigma: np.ndarray,
-    clients,
-    source: str = "population",
-) -> ImputationMap:
+def fit_optimal_imputer(sigma: np.ndarray, clients) -> ImputationMap:
     """Best linear completion maps from a full covariance estimate.
 
     ``sigma`` may be the population covariance or any estimate of it (a
@@ -158,7 +152,6 @@ def fit_optimal_imputer(
         kind=ImputerKind.OPTIMAL_LINEAR,
         maps=maps,
         patterns={c.id: c.pattern for c in clients},
-        source=source,
         zero_filled=frozenset(flagged),
     )
 
@@ -252,7 +245,7 @@ def federated_ice(
     for t in range(1, rounds + 1):
         sigma_t = imputed_data_moments(current)[0]
         trace.append(sigma_t)
-        imputer = replace(fit_optimal_imputer(sigma_t, clients, source="ice"), kind=ImputerKind.ICE, round=t)
+        imputer = replace(fit_optimal_imputer(sigma_t, clients), kind=ImputerKind.ICE, round=t)
         if early_stop_rms is not None:
             change = 0.0
             for c in clients:

@@ -62,8 +62,16 @@ class FeaturePattern:
 
     @classmethod
     def from_one_based(cls, indices, d: int) -> "FeaturePattern":
-        """Build a pattern from 1-based external indices."""
-        return cls(tuple(sorted(int(i) - 1 for i in indices)), d)
+        """Build a pattern from 1-based external indices, which any error
+        names as given."""
+        seen: set[int] = set()
+        for i in map(int, indices):
+            if not 1 <= i <= d:
+                raise ValueError(f"index {i} outside [1, {d}]")
+            if i in seen:
+                raise ValueError(f"index {i} listed twice")
+            seen.add(i)
+        return cls(tuple(sorted(i - 1 for i in seen)), d)
 
     @classmethod
     def full(cls, d: int) -> "FeaturePattern":

@@ -20,6 +20,9 @@ the usual client heterogeneity bias, which is why local_steps defaults to 1.
 on its own observed block with penalty lambda / rho_k, from its observed
 sums (``Dataset.local_moments``), and clients that drew no samples predict
 zero.
+
+``estimate_m`` gives the truncation level max |y|; predictors clip to it
+through ``ClientwisePredictor.trunc_m``, the only truncation step.
 """
 from __future__ import annotations
 
@@ -36,7 +39,6 @@ __all__ = [
     "ridge_closed_form",
     "FedAvgResult",
     "fedavg_ridge",
-    "truncate",
     "estimate_m",
     "itr_predictor",
     "local_learning",
@@ -126,13 +128,6 @@ def fedavg_ridge(
     return FedAvgResult(theta=theta, objective_trace=tuple(trace), diverged=diverged, rounds_run=run)
 
 
-def truncate(values, m: float):
-    """Clip predictions to [-m, m]; m = 0 collapses everything to zero."""
-    if m < 0:
-        raise ValueError(f"truncation level must be >= 0, got {m}")
-    return np.clip(values, -m, m)
-
-
 def estimate_m(data) -> float:
     """Data-driven truncation level: the largest observed |y|."""
     y = np.asarray(data.y if hasattr(data, "y") else data, dtype=np.float64)
@@ -162,23 +157,15 @@ def itr_predictor(imputer: ImputationMap, theta: np.ndarray, trunc_m: float | No
     return ClientwisePredictor(thetas=thetas, trunc_m=trunc_m)
 
 
-def local_learning(
-    data: Dataset,
-    lam: float,
-    rho_source: str = "true",
-    trunc_m: float | None = None,
-) -> ClientwisePredictor:
-    """Per-client ridge on own samples only, penalty scaled by 1 / share.
+def local_learning(data: Dataset, lam: float, trunc_m: float | None = None) -> ClientwisePredictor:
+    """Per-client ridge on own samples only, penalty lambda / rho_k with the
+    declared share rho_k.
 
-    ``rho_source`` picks the share estimate: "true" uses the declared
-    client shares, "empirical" uses n_k / n. Clients with no samples (or lambda_k
-    effectively infinite) predict zero. lambda = 0 uses the minimum-norm
+    Clients with no samples predict zero. lambda = 0 uses the minimum-norm
     solution per client.
     """
     if lam < 0:
         raise ValueError(f"lambda must be >= 0, got {lam}")
-    if rho_source not in ("true", "empirical"):
-        raise ValueError(f"rho_source must be 'true' or 'empirical', got {rho_source!r}")
     thetas: dict[int, np.ndarray] = {}
     for c in data.clients:
         lm = data.local_moments[c.id]
@@ -187,6 +174,5 @@ def local_learning(
             continue
         sigma_k = crop_matrix(lm.sigma, c.pattern, c.pattern)
         gamma_k = crop_vector(lm.gamma, c.pattern)
-        rho = c.rho if rho_source == "true" else lm.count / data.n
-        thetas[c.id] = ridge_solve(sigma_k, gamma_k, lam / rho)
+        thetas[c.id] = ridge_solve(sigma_k, gamma_k, lam / c.rho)
     return ClientwisePredictor(thetas=thetas, trunc_m=trunc_m)

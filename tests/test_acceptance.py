@@ -11,6 +11,7 @@ frozen seed, or a closed-form inequality with 1e-9 class slack. Wall-clock
 ceilings are part of the criteria and asserted.
 """
 import time
+from pathlib import Path
 
 import numpy as np
 
@@ -592,8 +593,8 @@ def test_c12_preset_determinism(tmp_path):
         raw = json.loads(p.read_text(encoding="utf-8"))
         a, _ = run_experiment(raw, str(tmp_path / f"{p.name}-a"))
         b, _ = run_experiment(raw, str(tmp_path / f"{p.name}-b"))
-        content = open(a, "rb").read()
-        same = content == open(b, "rb").read() and content.count(b"\n") > 1
+        content = Path(a).read_bytes()
+        same = content == Path(b).read_bytes() and content.count(b"\n") > 1
         all_same = all_same and same
         names.append(p.name)
     elapsed = time.perf_counter() - t0

@@ -252,6 +252,27 @@ class TestValidate:
         problems = validate_config(_probe(preset, *edits))
         assert len([p for p in problems if p.startswith(f"{field}:")]) == 1, problems
 
+    # Configs give pattern indices 1-based; each report names the index as
+    # given, never the 0-based tuple the pattern stores.
+    @pytest.mark.parametrize(
+        ("preset", "field", "value", "path", "phrase", "zero_based"),
+        [
+            ("consistency_sweep.json", "clients.patterns.observed", [[1, 1], [2, 3, 4]],
+             "clients.patterns.observed[0]", "index 1 listed twice", "(0, 0)"),
+            ("consistency_sweep.json", "clients.patterns.observed", [[2, 9], [2, 3, 4]],
+             "clients.patterns.observed[0]", "index 9 outside [1, 4]", "(1, 8)"),
+            ("consistency_sweep.json", "clients.patterns.observed", [[0, 2], [2, 3, 4]],
+             "clients.patterns.observed[0]", "index 0 outside [1, 4]", "(-1, 1)"),
+            ("new_client.json", "scenario_params.new_pattern", [3, 3],
+             "scenario_params.new_pattern", "index 3 listed twice", "(2, 2)"),
+        ],
+        ids=["duplicate", "beyond_d", "zero", "new_pattern_duplicate"],
+    )
+    def test_pattern_index_reported_one_based(self, preset, field, value, path, phrase, zero_based):
+        problems = [p for p in validate_config(_probe(preset, (field, value))) if p.startswith(f"{path}:")]
+        assert len(problems) == 1, problems
+        assert phrase in problems[0] and zero_based not in problems[0], problems
+
     @settings(max_examples=150, deadline=None)
     @given(st.data())
     def test_mutated_preset_gets_a_report_not_an_exception(self, data):

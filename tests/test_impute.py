@@ -291,7 +291,7 @@ class TestSufficientStatistics:
     def test_moments_and_ice_match_materialized_rows(self, seed):
         rng, data = mixed_federation(seed)
         assert len(data.rows_of(8)) == 0 and len(data.rows_of(9)) > 0
-        inits = [None, fit_optimal_imputer(random_psd(rng, data.d), data.clients, source="test")]
+        inits = [None, fit_optimal_imputer(random_psd(rng, data.d), data.clients)]
         stops = 0
         for init in inits:
             for rounds in range(6):

@@ -9,13 +9,7 @@ from fedmismatch.moments import (
     empirical_coobservation,
 )
 from fedmismatch.oracle import best_local_coefficients
-from fedmismatch.plugin import (
-    ConstrainedFit,
-    PluginConfig,
-    build_clientwise_plugin,
-    constrained_crop_predictor,
-    crop_predictor,
-)
+from fedmismatch.plugin import build_clientwise_plugin, crop_predictor
 from fedmismatch.popgen import population_moment_pair, sample_dataset
 
 from support import random_clients, random_population, seeded
@@ -65,95 +59,16 @@ class TestCropPredictor:
             want = best_local_coefficients(pop, pattern)
             assert np.allclose(got, want, atol=1e-10)
 
-    def test_ridged_inversion_close_to_pinv_on_pd_system(self):
+    def test_pd_system_solves_exactly(self):
         pair = _pair([[2.0, 0.0], [0.0, 4.0]], [2.0, 8.0])
-        plain = crop_predictor(pair, FeaturePattern.full(2))
-        ridged = crop_predictor(pair, FeaturePattern.full(2), PluginConfig(inversion="ridged", ridge_eps=1e-10))
-        assert np.allclose(plain, ridged, atol=1e-8)
-        assert plain == pytest.approx([1.0, 2.0])
+        assert crop_predictor(pair, FeaturePattern.full(2)) == pytest.approx([1.0, 2.0])
 
-    def test_psd_projection_repairs_negative_block(self):
-        # The cropped 1x1 block is -0.5; clipping makes it 0 and the pinv of
-        # 0 maps everything to the zero coefficient.
+    def test_negative_block_inverted_as_produced(self):
+        # Component-wise moments need not be PSD: the cropped 1x1 block -0.5
+        # is pseudo-inverted as it stands, giving 1 / -0.5.
         pair = _pair([[-0.5, 0.0], [0.0, 1.0]], [1.0, 1.0])
-        cfg = PluginConfig(psd_projection=True)
-        theta = crop_predictor(pair, FeaturePattern.from_one_based([1], 2), cfg)
-        assert theta == pytest.approx([0.0])
-
-
-class TestPluginConfig:
-    def test_rejects_unknown_inversion(self):
-        with pytest.raises(ValueError):
-            PluginConfig(inversion="cholesky")
-
-    def test_rejects_nonpositive_ridge_eps(self):
-        with pytest.raises(ValueError):
-            PluginConfig(inversion="ridged", ridge_eps=0.0)
-
-    def test_rejects_nonpositive_constraint(self):
-        with pytest.raises(ValueError):
-            PluginConfig(constraint_l=-1.0)
-
-
-def _grid_search_disk(a, b, radius, steps=2001):
-    """Dense minimizer of theta.A theta - 2 b.theta over a 2-d disk."""
-    best_obj, best_theta = np.inf, None
-    # Interior grid plus the boundary circle; the boundary matters when A is
-    # indefinite because the minimum then sits at norm exactly radius.
-    xs = np.linspace(-radius, radius, steps)
-    for t1 in xs:
-        rem = radius * radius - t1 * t1
-        if rem < 0:
-            continue
-        for t2 in (-np.sqrt(rem), 0.0, np.sqrt(rem)):
-            th = np.array([t1, t2])
-            obj = th @ a @ th - 2 * b @ th
-            if obj < best_obj:
-                best_obj, best_theta = obj, th
-    angles = np.linspace(0, 2 * np.pi, steps)
-    for ang in angles:
-        th = radius * np.array([np.cos(ang), np.sin(ang)])
-        obj = th @ a @ th - 2 * b @ th
-        if obj < best_obj:
-            best_obj, best_theta = obj, th
-    return best_obj, best_theta
-
-
-class TestConstrainedFit:
-    def test_interior_solution(self):
-        pair = _pair([[1.0]], [2.0])
-        fit = constrained_crop_predictor(pair, FeaturePattern.full(1), radius=10.0)
-        assert isinstance(fit, ConstrainedFit)
-        assert fit.converged
-        assert fit.theta == pytest.approx([2.0], abs=1e-6)
-
-    def test_active_constraint_projects(self):
-        pair = _pair([[1.0]], [2.0])
-        fit = constrained_crop_predictor(pair, FeaturePattern.full(1), radius=1.0)
-        assert fit.theta == pytest.approx([1.0], abs=1e-6)
-        assert fit.objective == pytest.approx(1.0 - 4.0, abs=1e-6)
-
-    def test_indefinite_matrix_matches_grid_search(self):
-        # Eigenvalues of A are 3 and -1, so the objective is unbounded below
-        # without the ball and the constrained minimum lies on the boundary.
-        a = np.array([[1.0, 2.0], [2.0, 1.0]])
-        b = np.array([0.5, -0.5])
-        pair = _pair(a, b)
-        fit = constrained_crop_predictor(pair, FeaturePattern.full(2), radius=1.0)
-        grid_obj, _ = _grid_search_disk(a, b, 1.0)
-        assert float(np.linalg.norm(fit.theta)) <= 1.0 + 1e-9
-        assert fit.objective <= grid_obj + 1e-3
-
-    def test_rejects_nonpositive_radius(self):
-        pair = _pair(np.eye(1), [1.0])
-        with pytest.raises(ValueError):
-            constrained_crop_predictor(pair, FeaturePattern.full(1), radius=0.0)
-
-    def test_empty_pattern_trivial(self):
-        pair = _pair(np.eye(2), [1.0, 1.0])
-        fit = constrained_crop_predictor(pair, FeaturePattern.empty(2), radius=1.0)
-        assert fit.theta.shape == (0,)
-        assert fit.objective == 0.0
+        theta = crop_predictor(pair, FeaturePattern.from_one_based([1], 2))
+        assert theta == pytest.approx([-2.0])
 
 
 class TestBuildClientwisePlugin:
@@ -200,15 +115,6 @@ class TestBuildClientwisePlugin:
         bad = (ClientSpec(id=1, pattern=FeaturePattern.full(3), rho=1.0),)
         with pytest.raises(ValueError, match="dimension"):
             build_clientwise_plugin(pair, bad)
-
-    def test_constraint_bounds_every_client(self):
-        rng = seeded(107)
-        pop = random_population(rng, 4)
-        clients = random_clients(rng, 4, 3)
-        cfg = PluginConfig(constraint_l=0.25)
-        pred = build_clientwise_plugin(population_moment_pair(pop), clients, cfg)
-        for theta in pred.thetas.values():
-            assert float(np.linalg.norm(theta)) <= 0.25 + 1e-9
 
     def test_trunc_m_passed_through(self):
         pair = _pair(np.eye(2), [1.0, 1.0])

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from fedmismatch.impute import apply_imputer, fit_optimal_imputer, fit_zero_imputer
-from fedmismatch.model import ClientSpec, Dataset, FeaturePattern
+from fedmismatch.model import ClientSpec, ClientwisePredictor, Dataset, FeaturePattern
 from fedmismatch.moments import completed_sums
 from fedmismatch.oracle import best_local_coefficients
 from fedmismatch.popgen import PopulationSpec, sample_dataset
@@ -14,7 +14,6 @@ from fedmismatch.ridge import (
     itr_predictor,
     local_learning,
     ridge_closed_form,
-    truncate,
 )
 
 from support import (
@@ -186,23 +185,30 @@ def _assert_rel_close(got, want, rel=1e-12):
 
 
 class TestTruncate:
+    """Truncation is the clip ``ClientwisePredictor.predict_many`` applies
+    at ``trunc_m``."""
+
+    @staticmethod
+    def _clip(vals, m):
+        # One client whose coefficient 1 passes each value through unclipped.
+        pred = ClientwisePredictor(thetas={1: np.ones(1)}, trunc_m=m)
+        return pred.predict_many(1, np.asarray(vals, dtype=np.float64).reshape(-1, 1))
+
     def test_pins(self):
-        assert truncate(2.0, 1.0) == pytest.approx(1.0)
-        assert truncate(-3.0, 1.0) == pytest.approx(-1.0)
-        assert truncate(0.5, 1.0) == pytest.approx(0.5)
+        assert self._clip([2.0, -3.0, 0.5], 1.0) == pytest.approx([1.0, -1.0, 0.5])
 
     def test_negative_level_rejected(self):
-        with pytest.raises(ValueError):
-            truncate(1.0, -1.0)
+        with pytest.raises(ValueError, match="truncation level"):
+            ClientwisePredictor(thetas={1: np.ones(1)}, trunc_m=-1.0)
 
     @given(
         st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=10),
         st.floats(0.0, 1e3),
     )
     def test_bounded_and_idempotent(self, vals, m):
-        out = truncate(np.array(vals), m)
+        out = self._clip(vals, m)
         assert np.all(np.abs(out) <= m)
-        assert np.array_equal(truncate(out, m), out)
+        assert np.array_equal(self._clip(out, m), out)
 
 
 class TestEstimateM:
@@ -282,18 +288,6 @@ class TestLocalLearning:
         want = np.linalg.solve(x.T @ x / n1 + (0.6 / 0.5) * np.eye(2), x.T @ y / n1)
         assert np.allclose(pred.thetas[1], want, atol=1e-12)
 
-    def test_empirical_share(self):
-        rng = seeded(309)
-        pop = random_population(rng, 4)
-        clients = section3_clients()
-        data = sample_dataset(pop, clients, 150, rng)
-        pred = local_learning(data, lam=0.6, rho_source="empirical")
-        n1 = len(data.rows_of(1))
-        x = data.x_obs_of(1)
-        y = data.y_of(1)
-        want = np.linalg.solve(x.T @ x / n1 + (0.6 / (n1 / 150)) * np.eye(2), x.T @ y / n1)
-        assert np.allclose(pred.thetas[1], want, atol=1e-12)
-
     def test_client_without_samples_predicts_zero(self):
         clients = (
             ClientSpec(id=1, pattern=FeaturePattern.full(2), rho=0.5),
@@ -321,12 +315,10 @@ class TestLocalLearning:
             want = best_local_coefficients(pop, c.pattern)
             assert np.allclose(pred.thetas[c.id], want, atol=0.03)
 
-    def test_rho_source_validated(self):
+    def test_negative_lambda_rejected(self):
         rng = seeded(311)
         pop = random_population(rng, 2)
         clients = (ClientSpec(id=1, pattern=FeaturePattern.full(2), rho=1.0),)
         data = sample_dataset(pop, clients, 10, rng)
-        with pytest.raises(ValueError, match="rho_source"):
-            local_learning(data, lam=0.1, rho_source="guess")
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="lambda must be >= 0"):
             local_learning(data, lam=-1.0)
