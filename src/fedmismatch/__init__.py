@@ -17,7 +17,6 @@ from .model import (
     Dataset,
     FeaturePattern,
     MomentPair,
-    Provenance,
     crop_matrix,
     crop_vector,
     group_rows,
@@ -45,7 +44,6 @@ from .moments import (
 )
 from .plugin import build_clientwise_plugin, crop_predictor
 from .impute import (
-    IceResult,
     ImputationMap,
     ImputedDataset,
     ImputerKind,

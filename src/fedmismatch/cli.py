@@ -62,7 +62,7 @@ from .moments import cw_moments, debias_moments
 from .plugin import build_clientwise_plugin
 from .popgen import PopulationSpec, co_observation_matrix, draw_bernoulli_patterns, sample_dataset
 from .ridge import estimate_m, itr_predictor, local_learning
-from .fedsim import PROTOCOL_KINDS, ProtocolResult, ProtocolSpec, replay_comm_schedule, run_protocol
+from .fedsim import MASKED_PROTOCOLS, PROTOCOL_KINDS, ProtocolResult, ProtocolSpec, replay_comm_schedule, run_protocol
 
 __all__ = ["ConfigError", "load_config", "validate_config", "run_experiment", "main"]
 
@@ -330,6 +330,8 @@ def _parse_config(raw: dict) -> tuple[ExperimentConfig | None, list[str]]:
     prefix = output.get("prefix", "experiment")
     if not isinstance(prefix, str) or not prefix:
         problems.append("output.prefix: must be a non-empty string")
+    elif prefix in (".", "..") or any(sep and sep in prefix for sep in ("/", os.sep, os.altsep)):
+        problems.append(f"output.prefix: {prefix!r} must be a file name, not a path")
     raw_params = collect(_obj, raw, "scenario_params") or {}
 
     params: dict = {}
@@ -560,7 +562,7 @@ def _audit_rows(cfg: ExperimentConfig, item: _WorkItem, clients, data_ss, mc_ss)
         spec = ProtocolSpec(kind=kind, lam=item.lam,
                             ice_rounds=cfg.params["ice_rounds"] if kind == "federated_ice" else 0,
                             rounds=cfg.params["rounds"] if kind == "fedavg_ridge" else 0)
-        masked = kind in ("one_shot_moments", "federated_ice")
+        masked = kind in MASKED_PROTOCOLS
         res = run_protocol(spec, data if masked else completed)
         predicted = replay_comm_schedule(spec, len(clients) if masked else len(completed.shard_rows), pop.d)
         got_up = res.comm.total_floats("up")

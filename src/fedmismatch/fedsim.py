@@ -10,7 +10,8 @@ sums; ``run_protocol`` calls it and logs every message it implies:
   whose clients upload B_k^T G_k B_k and B_k^T g_k, closed-form ridge
   coefficients out.
 * federated_ice: ``impute.federated_ice``; masked shards in, iteratively
-  completed dataset out; each round's upload is B_k^T G_k B_k.
+  completed dataset out; each of its ``ice_rounds`` rounds uploads
+  B_k^T G_k B_k.
 * fedavg_ridge: ``ridge.fedavg_ridge``; a completed dataset in, whose
   clients run local steps from their completed sums B_k^T G_k B_k and
   B_k^T g_k, iteratively averaged coefficients out.
@@ -42,6 +43,7 @@ from .ridge import fedavg_ridge, ridge_closed_form
 
 __all__ = [
     "PROTOCOL_KINDS",
+    "MASKED_PROTOCOLS",
     "ProtocolSpec",
     "ProtocolResult",
     "OneShotMomentsArtifact",
@@ -51,6 +53,8 @@ __all__ = [
 ]
 
 PROTOCOL_KINDS = ("one_shot_moments", "one_shot_ridge", "federated_ice", "fedavg_ridge")
+# The protocols that take a masked ``Dataset``; the rest take an ``ImputedDataset``.
+MASKED_PROTOCOLS = ("one_shot_moments", "federated_ice")
 
 
 @dataclass(frozen=True)
@@ -132,12 +136,12 @@ def _one_shot_moments(data: Dataset, comm: CommLog, ids: list[int]) -> OneShotMo
 
 def _federated_ice(data: Dataset, spec: ProtocolSpec, comm: CommLog, ids: list[int]) -> ImputedDataset:
     tri = data.d * (data.d + 1) // 2
-    res = federated_ice(data, spec.ice_rounds)
-    for t in range(1, res.rounds_run + 1):
+    imputed = federated_ice(data, spec.ice_rounds)
+    for t in range(1, spec.ice_rounds + 1):
         for cid in ids:
             comm.record(t, "up", tri, f"completed second-moment sums from client {cid}")
         comm.record(t, "down", tri, "broadcast pooled second-moment estimate")
-    return res.imputed
+    return imputed
 
 
 def _one_shot_ridge(data: ImputedDataset, spec: ProtocolSpec, comm: CommLog):
@@ -167,7 +171,7 @@ def run_protocol(spec: ProtocolSpec, data) -> ProtocolResult:
     exactly what the library function returns.
     """
     comm = CommLog()
-    if spec.kind in ("one_shot_moments", "federated_ice"):
+    if spec.kind in MASKED_PROTOCOLS:
         if not isinstance(data, Dataset):
             raise TypeError(f"{spec.kind} needs a masked Dataset, got {type(data).__name__}")
         ids = sorted(c.id for c in data.clients)

@@ -15,18 +15,19 @@ and on population moments the oracle's imputed-population moments. An
 ``ImputedDataset`` is the masked data plus its map; completed rows are built
 only for inspection.
 
-``federated_ice`` alternates between re-estimating the full second-moment
-matrix of the currently completed data and refreshing every client's map
-from it. Raw (uncentered) second moments are used throughout, matching the
-zero-imputation initial round. Each round every client reports B_k^T G_k B_k
-for its current map and the server folds them in client-id order; no client
-re-reads its rows. ``fedsim.run_protocol`` runs this same function and logs
-the messages it implies.
+``federated_ice`` starts from zero imputation and, for a fixed number of
+rounds, alternates between re-estimating the full second-moment matrix of
+the currently completed data and refreshing every client's map from it.
+Raw (uncentered) second moments are used throughout, matching the
+zero-imputation start. Each round every client reports B_k^T G_k B_k for its
+current map and the server folds them in client-id order; no client re-reads
+its rows. ``fedsim.run_protocol`` runs this same function and logs the
+messages it implies.
 """
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Mapping
 
 import numpy as np
@@ -44,30 +45,22 @@ __all__ = [
     "optimal_block_map",
     "apply_imputer",
     "federated_ice",
-    "IceResult",
 ]
 
 
 class ImputerKind(enum.Enum):
+    """The population-fitted maps the oracle evaluates (``oracle.itr_bound``)."""
+
     ZERO = "zero"
     OPTIMAL_LINEAR = "optimal_linear"
-    ICE = "ice"
 
 
 @dataclass(frozen=True)
 class ImputationMap:
-    """Per-client linear completion maps.
+    """Per-client linear completion maps; ``maps[k]`` is (|mis(k)|, |obs(k)|)."""
 
-    ``maps[k]`` is (|mis(k)|, |obs(k)|). ``round`` tags iterated fits, and
-    ``zero_filled`` lists clients that observe nothing and therefore fall
-    back to zero imputation.
-    """
-
-    kind: ImputerKind
     maps: Mapping[int, np.ndarray]
     patterns: Mapping[int, FeaturePattern]
-    round: int | None = None
-    zero_filled: frozenset[int] = frozenset()
 
     def __post_init__(self) -> None:
         maps = {int(k): np.asarray(v, dtype=np.float64) for k, v in self.maps.items()}
@@ -81,7 +74,6 @@ class ImputationMap:
                 raise ValueError(f"client {k}: map shape {s.shape}, expected {want}")
         object.__setattr__(self, "maps", maps)
         object.__setattr__(self, "patterns", pats)
-        object.__setattr__(self, "zero_filled", frozenset(self.zero_filled))
 
     def complete(self, client_id: int, x_obs: np.ndarray) -> np.ndarray:
         """Fill one observed vector, or each row of an (m, |obs|) block, out to
@@ -111,11 +103,7 @@ def fit_zero_imputer(clients) -> ImputationMap:
     """Imputation by zeros: S_k = 0 for every client."""
     clients = validate_federation(clients)
     maps = {c.id: np.zeros((len(c.pattern.missing), c.pattern.size)) for c in clients}
-    return ImputationMap(
-        kind=ImputerKind.ZERO,
-        maps=maps,
-        patterns={c.id: c.pattern for c in clients},
-    )
+    return ImputationMap(maps=maps, patterns={c.id: c.pattern for c in clients})
 
 
 def optimal_block_map(sigma: np.ndarray, pattern: FeaturePattern) -> np.ndarray:
@@ -139,21 +127,11 @@ def fit_optimal_imputer(sigma: np.ndarray, clients) -> ImputationMap:
 
     ``sigma`` may be the population covariance or any estimate of it (a
     component-wise estimate is used as produced, never PSD-projected).
-    Clients observing nothing get a zero map and are flagged.
+    Clients observing nothing get a zero map.
     """
     clients = validate_federation(clients)
-    maps: dict[int, np.ndarray] = {}
-    flagged: set[int] = set()
-    for c in clients:
-        maps[c.id] = optimal_block_map(sigma, c.pattern)
-        if c.pattern.is_empty and c.pattern.missing:
-            flagged.add(c.id)
-    return ImputationMap(
-        kind=ImputerKind.OPTIMAL_LINEAR,
-        maps=maps,
-        patterns={c.id: c.pattern for c in clients},
-        zero_filled=frozenset(flagged),
-    )
+    return ImputationMap(maps={c.id: optimal_block_map(sigma, c.pattern) for c in clients},
+                         patterns={c.id: c.pattern for c in clients})
 
 
 @dataclass(frozen=True)
@@ -204,57 +182,21 @@ def apply_imputer(imputer: ImputationMap, data: Dataset) -> ImputedDataset:
     return ImputedDataset(data, imputer)
 
 
-@dataclass(frozen=True)
-class IceResult:
-    """Final completed data and the per-round moment estimates."""
-
-    imputed: ImputedDataset
-    sigma_trace: tuple[np.ndarray, ...]
-    rounds_run: int
-    stopped_early: bool
-
-
-def federated_ice(
-    data: Dataset,
-    rounds: int,
-    init: ImputationMap | None = None,
-    early_stop_rms: float | None = None,
-) -> IceResult:
+def federated_ice(data: Dataset, rounds: int) -> ImputedDataset:
     """Iterated conditional-expectation completion over a federation.
 
-    Iteration starts from ``init`` (zero maps when absent). Each round the
-    clients' completed Gram sums B_k^T G_k B_k under their current maps,
-    computed from their observed Grams G_k, are folded in ascending id order
-    into the raw second-moment estimate, and every client's optimal block map
-    is refreshed from it; no completed row is built. Clients without rows add
-    zero sums. ``rounds`` = 0 returns the initial completion. When
-    ``early_stop_rms`` is set, iteration stops once the RMS change over
-    imputed entries, sqrt(sum_k tr(dS_k G_k dS_k^T) / #entries) for map
-    changes dS_k, falls below it, and the result records the stop.
+    Iteration starts from zero maps and runs exactly ``rounds`` rounds. Each
+    round the clients' completed Gram sums B_k^T G_k B_k under their current
+    maps, computed from their observed Grams G_k, are folded in ascending id
+    order into the raw second-moment estimate, and every client's optimal
+    block map is refreshed from it; no completed row is built. Clients
+    without rows add zero sums. ``rounds`` = 0 returns the zero completion.
     """
     if rounds < 0:
         raise ValueError(f"rounds must be >= 0, got {rounds}")
     if data.n == 0:
         raise ValueError("no samples across the federation")
-    clients = sorted(data.clients, key=lambda c: c.id)
-    current = ImputedDataset(data, init if init is not None else fit_zero_imputer(data.clients))
-    local = data.local_moments
-    n_missing = sum(len(c.pattern.missing) * local[c.id].count for c in clients)
-    trace: list[np.ndarray] = []
-    stopped = False
-    for t in range(1, rounds + 1):
-        sigma_t = imputed_data_moments(current)[0]
-        trace.append(sigma_t)
-        imputer = replace(fit_optimal_imputer(sigma_t, clients), kind=ImputerKind.ICE, round=t)
-        if early_stop_rms is not None:
-            change = 0.0
-            for c in clients:
-                delta = imputer.maps[c.id] - current.imputer.maps[c.id]
-                obs = list(c.pattern.observed)
-                change += float(np.sum((delta @ local[c.id].sigma_sum[np.ix_(obs, obs)]) * delta))
-            # tr(dS G dS^T) >= 0; rounding can push an exact zero slightly below it
-            stopped = (float(np.sqrt(max(change, 0.0) / n_missing)) if n_missing else 0.0) < early_stop_rms
-        current = ImputedDataset(data, imputer)
-        if stopped:
-            break
-    return IceResult(imputed=current, sigma_trace=tuple(trace), rounds_run=len(trace), stopped_early=stopped)
+    current = ImputedDataset(data, fit_zero_imputer(data.clients))
+    for _ in range(rounds):
+        current = ImputedDataset(data, fit_optimal_imputer(imputed_data_moments(current)[0], data.clients))
+    return current

@@ -10,10 +10,11 @@ Conventions used throughout the package:
   one append-only builder; a finished log should not be mutated further.
 * A ``Dataset`` is stored in the federated layout: one contiguous array of
   observed coordinates per client, never an (n, d) matrix of the sample.
+* Values carry no tags of how they were made: a ``MomentPair`` is its
+  moments and coverage, whichever estimator produced it.
 """
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Mapping
@@ -27,7 +28,6 @@ __all__ = [
     "ClientSpec",
     "Dataset",
     "LocalMoments",
-    "Provenance",
     "MomentPair",
     "ClientwisePredictor",
     "CommEvent",
@@ -325,19 +325,9 @@ class Dataset:
         return dict(zip([c.id for c in clients], folds))
 
 
-class Provenance(enum.Enum):
-    """How a moment pair was produced; downstream code branches on this."""
-
-    ZERO_IMPUTED = "zero_imputed"
-    DEBIASED = "debiased"
-    COMPONENT_WISE = "component_wise"
-    IMPUTED_DATA = "imputed_data"
-    POPULATION = "population"
-
-
 @dataclass(frozen=True)
 class MomentPair:
-    """Second-moment matrix and cross-moment vector, plus provenance.
+    """Second-moment matrix and cross-moment vector.
 
     ``sigma`` is symmetrized to (A + A.T) / 2 on construction. ``coverage``
     is an optional boolean (d, d) mask marking entries actually identified by
@@ -347,7 +337,6 @@ class MomentPair:
 
     sigma: np.ndarray
     gamma: np.ndarray
-    provenance: Provenance
     coverage: np.ndarray | None = None
 
     def __post_init__(self) -> None:
@@ -400,9 +389,6 @@ class ClientwisePredictor:
         if self.trunc_m is not None and self.trunc_m < 0:
             raise ValueError(f"truncation level must be >= 0, got {self.trunc_m}")
         object.__setattr__(self, "unidentifiable", frozenset(self.unidentifiable))
-
-    def client_ids(self) -> tuple[int, ...]:
-        return tuple(sorted(self.thetas))
 
     def predict(self, client_id: int, x_obs: np.ndarray) -> float:
         return float(self.predict_many(client_id, np.asarray(x_obs)[None, :])[0])

@@ -28,7 +28,7 @@ from typing import Iterable, Iterator, Mapping
 
 import numpy as np
 
-from .model import Dataset, FeaturePattern, LocalMoments, MomentPair, Provenance
+from .model import Dataset, FeaturePattern, LocalMoments, MomentPair
 
 __all__ = [
     "LocalMoments",
@@ -94,7 +94,7 @@ def aggregate_zero_imputed(locals_: list[LocalMoments] | dict[int, LocalMoments]
         n += lm.count
     if n == 0:
         raise ValueError("total sample count is zero")
-    return MomentPair(sigma_sum / n, gamma_sum / n, Provenance.ZERO_IMPUTED)
+    return MomentPair(sigma_sum / n, gamma_sum / n)
 
 
 @dataclass(frozen=True)
@@ -149,12 +149,7 @@ def debias_moments(zero: MomentPair, pi: np.ndarray) -> MomentPair:
     pi = np.asarray(pi, dtype=np.float64)
     if pi.shape != zero.sigma.shape:
         raise ValueError(f"pi shape {pi.shape} != sigma shape {zero.sigma.shape}")
-    covered = pi > 0
-    sigma = np.where(covered, zero.sigma, 0.0) / np.where(covered, pi, 1.0)
-    diag = np.diag(pi)
-    diag_ok = diag > 0
-    gamma = np.where(diag_ok, zero.gamma, 0.0) / np.where(diag_ok, diag, 1.0)
-    return MomentPair(sigma, gamma, Provenance.DEBIASED, coverage=covered)
+    return _divide_covered(zero.sigma, zero.gamma, pi)
 
 
 def cw_moments(zero: MomentPair, counts: CoObservationCounts) -> MomentPair:
@@ -167,12 +162,17 @@ def cw_moments(zero: MomentPair, counts: CoObservationCounts) -> MomentPair:
     n_mat = np.asarray(counts.counts, dtype=np.float64)
     if n_mat.shape != zero.sigma.shape:
         raise ValueError(f"counts shape {n_mat.shape} != sigma shape {zero.sigma.shape}")
-    covered = n_mat > 0
-    sigma = np.where(covered, counts.n * zero.sigma, 0.0) / np.where(covered, n_mat, 1.0)
-    diag = np.diag(n_mat)
+    return _divide_covered(counts.n * zero.sigma, counts.n * zero.gamma, n_mat)
+
+
+def _divide_covered(sigma: np.ndarray, gamma: np.ndarray, weights: np.ndarray) -> MomentPair:
+    """sigma / weights and gamma / diag(weights) entrywise where the weight is
+    positive, 0.0 elsewhere; the positive entries of ``weights`` are the coverage."""
+    covered = weights > 0
+    diag = np.diag(weights)
     diag_ok = diag > 0
-    gamma = np.where(diag_ok, counts.n * zero.gamma, 0.0) / np.where(diag_ok, diag, 1.0)
-    return MomentPair(sigma, gamma, Provenance.COMPONENT_WISE, coverage=covered)
+    return MomentPair(np.where(covered, sigma, 0.0) / np.where(covered, weights, 1.0),
+                      np.where(diag_ok, gamma, 0.0) / np.where(diag_ok, diag, 1.0), coverage=covered)
 
 
 def gram_fold(shards: Iterable[tuple[np.ndarray, np.ndarray | None]], d: int) -> tuple[np.ndarray, np.ndarray]:

@@ -25,7 +25,7 @@ the test suite):
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -168,7 +168,7 @@ def imputed_population_covariance(pop: PopulationSpec, clients, kind: ImputerKin
     or ``fit_optimal_imputer(pop.sigma, ...)`` (OPTIMAL_LINEAR). For ZERO,
     theta_prime is the minimum-norm solution of sigma_I t = gamma_I; for
     OPTIMAL_LINEAR, theta_star itself stays optimal, so theta_prime =
-    theta_star. ICE has no population map and raises.
+    theta_star.
     """
     clients = validate_federation(clients)
     if kind == ImputerKind.ZERO:
@@ -199,7 +199,6 @@ class BoundReport:
     """Assembled excess-risk certificate for an impute-then-regress fit.
 
     ``bound_value`` = r_star_reference + b_lambda + (8 m^2 / n) d_lambda.
-    ``satisfied`` stays None until Monte Carlo numbers are attached.
     """
 
     kind: ImputerKind
@@ -210,13 +209,6 @@ class BoundReport:
     b_lambda: float
     d_lambda: float
     bound_value: float
-    mc_risk: float | None = None
-    mc_stderr: float | None = None
-    satisfied: bool | None = None
-
-    def with_mc(self, mc_risk: float, mc_stderr: float) -> "BoundReport":
-        ok = mc_risk <= self.bound_value + 3.0 * mc_stderr
-        return replace(self, mc_risk=float(mc_risk), mc_stderr=float(mc_stderr), satisfied=bool(ok))
 
 
 def itr_bound(

@@ -31,7 +31,7 @@ def crop_predictor(moments: MomentPair, pattern: FeaturePattern) -> np.ndarray:
     return pinv_solve(a, b) if b.size else np.zeros(0)
 
 
-def build_clientwise_plugin(moments: MomentPair, clients, trunc_m: float | None = None) -> ClientwisePredictor:
+def build_clientwise_plugin(moments: MomentPair, clients) -> ClientwisePredictor:
     """Plug-in coefficients for every client from one shared moment pair.
 
     Clients whose pattern touches an uncovered moment entry are flagged
@@ -47,4 +47,4 @@ def build_clientwise_plugin(moments: MomentPair, clients, trunc_m: float | None 
             thetas[c.id] = crop_predictor(moments, c.pattern)
         else:
             bad.add(c.id)
-    return ClientwisePredictor(thetas=thetas, trunc_m=trunc_m, unidentifiable=frozenset(bad))
+    return ClientwisePredictor(thetas=thetas, unidentifiable=frozenset(bad))

@@ -28,7 +28,7 @@ import numpy as np
 
 from ._linalg import check_psd, sym_sqrt
 from ._parallel import BLOCK_ROWS, map_ordered
-from .model import ClientSpec, FeaturePattern, Dataset, MomentPair, Provenance, validate_federation
+from .model import ClientSpec, FeaturePattern, Dataset, MomentPair, validate_federation
 
 __all__ = [
     "PopulationSpec",
@@ -248,5 +248,5 @@ def population_gamma(pop: PopulationSpec) -> np.ndarray:
 
 def population_moment_pair(pop: PopulationSpec) -> MomentPair:
     """Exact moments as a MomentPair, for oracle-driven estimators."""
-    return MomentPair(pop.sigma, population_gamma(pop), Provenance.POPULATION)
+    return MomentPair(pop.sigma, population_gamma(pop))
 

@@ -15,6 +15,8 @@ averaging. With one local step per round the averaged update is exactly
 centralized gradient descent for any sharding, so the iterates converge to
 the closed-form solution; with more local steps the fixed point can drift by
 the usual client heterogeneity bias, which is why local_steps defaults to 1.
+It runs every requested round unless the objective rises ten rounds in a
+row, which it reports as divergence.
 
 ``local_learning`` is the no-sharing baseline: each client ridge-regresses
 on its own observed block with penalty lambda / rho_k, from its observed
@@ -68,15 +70,13 @@ def fedavg_ridge(
     lam: float,
     rounds: int,
     local_steps: int = 1,
-    stop_tol: float | None = None,
 ) -> FedAvgResult:
     """Federated averaging on the global ridge objective over the clients
     that own rows.
 
     The step size eta = 1 / (lambda_max(sigma_hat) + lambda) guarantees a
     non-increasing objective for single local steps. Ten consecutive
-    objective increases abort the run with ``diverged`` set. ``stop_tol``
-    optionally stops once the server iterate moves less than that in L2.
+    objective increases abort the run with ``diverged`` set.
 
     Client k's local step is theta -> M_k theta + eta g_k / n_k with
     M_k = I - eta (G_k / n_k + lambda I), where G_k and g_k are its
@@ -110,22 +110,13 @@ def fedavg_ridge(
     theta = np.zeros(d)
     trace = [objective(theta)]
     increases = 0
-    diverged = False
-    run = 0
-    for t in range(1, rounds + 1):
-        new_theta = a_bar @ theta + b_bar
-        moved = float(np.linalg.norm(new_theta - theta))
-        theta = new_theta
-        run = t
-        obj = objective(theta)
-        increases = increases + 1 if obj > trace[-1] else 0
-        trace.append(obj)
+    for _ in range(rounds):
+        theta = a_bar @ theta + b_bar
+        trace.append(objective(theta))
+        increases = increases + 1 if trace[-1] > trace[-2] else 0
         if increases >= 10:
-            diverged = True
             break
-        if stop_tol is not None and moved <= stop_tol:
-            break
-    return FedAvgResult(theta=theta, objective_trace=tuple(trace), diverged=diverged, rounds_run=run)
+    return FedAvgResult(theta=theta, objective_trace=tuple(trace), diverged=increases >= 10, rounds_run=len(trace) - 1)
 
 
 def estimate_m(data) -> float:

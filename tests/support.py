@@ -258,13 +258,12 @@ def reference_draw_rows(pop: PopulationSpec, clients, positions: np.ndarray, rng
     return Dataset.from_filled(clients=clients, client_ids=ids[positions], x_filled=x, y=y)
 
 
-def reference_ice(data, rounds: int, init=None, early_stop_rms: float | None = None):
-    """Federated ICE over materialized completed rows: every round folds
-    X_k^T X_k of each client's completed block in ascending id order,
-    refreshes every map, and rewrites the missing columns, measuring the RMS
-    change over imputed entries directly.
+def reference_ice(data, rounds: int):
+    """Federated ICE over materialized completed rows: starting from zero
+    fills, every round folds X_k^T X_k of each client's completed block in
+    ascending id order, refreshes every map, and rewrites the missing columns.
 
-    Returns (sigma_trace, final maps, rounds_run, stopped_early).
+    Returns (per-round sigma estimates, final maps).
     """
     from fedmismatch.impute import optimal_block_map
 
@@ -274,33 +273,23 @@ def reference_ice(data, rounds: int, init=None, early_stop_rms: float | None = N
     for c in clients:
         x_k = np.zeros((len(data.rows_of(c.id)), d))
         x_k[:, list(c.pattern.observed)] = data.x_obs_of(c.id)
-        if init is not None:
-            x_k[:, list(c.pattern.missing)] = data.x_obs_of(c.id) @ init.maps[c.id].T
         blocks[c.id] = x_k
-    n_missing = sum(len(c.pattern.missing) * len(blocks[c.id]) for c in clients)
-    trace, maps, stopped = [], {}, False
+    trace, maps = [], {}
     for _ in range(rounds):
         sigma = sum((blocks[c.id].T @ blocks[c.id] for c in clients), np.zeros((d, d))) / data.n
         trace.append(sigma)
         maps = {c.id: optimal_block_map(sigma, c.pattern) for c in clients}
-        change = 0.0
         for c in clients:
-            obs, mis = list(c.pattern.observed), list(c.pattern.missing)
-            new = blocks[c.id][:, obs] @ maps[c.id].T
-            change += float(np.sum((new - blocks[c.id][:, mis]) ** 2))
-            blocks[c.id][:, mis] = new
-        if early_stop_rms is not None and (np.sqrt(change / n_missing) if n_missing else 0.0) < early_stop_rms:
-            stopped = True
-            break
-    return trace, maps, len(trace), stopped
+            blocks[c.id][:, list(c.pattern.missing)] = blocks[c.id][:, list(c.pattern.observed)] @ maps[c.id].T
+    return trace, maps
 
 
-def reference_fedavg(data, lam: float, rounds: int, local_steps: int = 1, stop_tol: float | None = None):
+def reference_fedavg(data, lam: float, rounds: int, local_steps: int = 1):
     """Federated averaging over materialized completed rows: every round each
     client that owns rows takes ``local_steps`` full-batch gradient steps on
     its own completed block from the server iterate, the server averages
     them with weights n_k / n in ascending id order, and the objective sums
-    every client's squared residuals. Step size and stopping rules are those
+    every client's squared residuals. Step size and divergence rule are those
     of ``ridge.fedavg_ridge``.
 
     Returns (theta, objective_trace, diverged, rounds_run).
@@ -325,13 +314,10 @@ def reference_fedavg(data, lam: float, rounds: int, local_steps: int = 1, stop_t
             for _ in range(local_steps):
                 local = local - step * (xk.T @ (xk @ local - yk) / len(yk) + lam * local)
             new += len(yk) / n * local
-        moved = float(np.linalg.norm(new - theta))
         theta, run = new, t
         trace.append(objective(theta))
         increases = increases + 1 if trace[-1] > trace[-2] else 0
         if increases >= 10:
             diverged = True
-            break
-        if stop_tol is not None and moved <= stop_tol:
             break
     return theta, trace, diverged, run

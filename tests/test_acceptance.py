@@ -276,11 +276,11 @@ def test_c04_imputed_ridge_risk_certificates():
                     m_hat = estimate_m(data)
                     predictor = itr_predictor(imputer, ridge_closed_form(completed, lam), trunc_m=m_hat)
                     mc = oracle.monte_carlo_risk([predictor], pop, clients, 100_000, mc_rng)[0]
-                    report = oracle.itr_bound(pop, clients, kind, lam, n, m_hat).with_mc(mc.risk, mc.stderr)
-                    margin = report.bound_value + 3 * mc.stderr - mc.risk
+                    bound_value = oracle.itr_bound(pop, clients, kind, lam, n, m_hat).bound_value
+                    margin = bound_value + 3 * mc.stderr - mc.risk
                     worst_margin = max(worst_margin, -margin)
                     checked += 1
-                    if not report.satisfied:
+                    if not mc.risk <= bound_value + 3.0 * mc.stderr:
                         break
     elapsed = time.perf_counter() - t0
     ok = worst_margin <= 0 and checked == 80 and elapsed < 180.0
@@ -413,19 +413,21 @@ def test_c08_fedavg_reaches_closed_form():
     worst_err = 0.0
     worst_rounds = 0
     monotone = True
+    diverged = False
     for _ in range(20):
         k = int(rng.integers(1, 7))
         cuts = np.sort(rng.choice(np.arange(1, n), size=k - 1, replace=False)) if k > 1 else np.array([], dtype=int)
         bounds = [0, *cuts.tolist(), n]
-        res = fedavg_ridge(sharded(x, y, bounds), lam=lam, rounds=10_000, stop_tol=1e-13)
+        res = fedavg_ridge(sharded(x, y, bounds), lam=lam, rounds=10_000)
         err = float(np.linalg.norm(res.theta - want))
         worst_err = max(worst_err, err)
         worst_rounds = max(worst_rounds, res.rounds_run)
+        diverged |= res.diverged
         trace = np.asarray(res.objective_trace)
         if np.any(np.diff(trace) > 1e-12 * max(1.0, trace[0])):
             monotone = False
     elapsed = time.perf_counter() - t0
-    ok = worst_err <= 1e-6 and worst_rounds <= 10_000 and monotone
+    ok = worst_err <= 1e-6 and worst_rounds <= 10_000 and monotone and not diverged
     _report(
         8,
         "federated averaging reaches closed form",

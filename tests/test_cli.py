@@ -126,7 +126,18 @@ SCENARIO_PROBES = {
     "typical_case_tiny_tau": ("typical_case.json", [("grid.tau", [1e-300])], "grid.tau"),
     "typical_case_foreign_methods": ("typical_case.json", [("methods", ["local", "fedavg"])], "methods"),
 }
-ABORTING_PROBES = [name for name in SCENARIO_PROBES if name != "typical_case_foreign_methods"]
+
+# Output prefixes that are paths, not file names. The first validated, ran
+# the whole sweep and then failed to write its results; the second wrote all
+# three files outside --out.
+PREFIX_PROBES = {
+    "prefix_with_subdir": ("typical_case.json", [("output.prefix", "sub/dir/x")], "output.prefix"),
+    "prefix_escapes_out": ("typical_case.json", [("output.prefix", "../escaped")], "output.prefix"),
+}
+ABORTING_PROBES = {
+    name: probe for name, probe in {**SCENARIO_PROBES, **PREFIX_PROBES}.items()
+    if name != "typical_case_foreign_methods"
+}
 
 # Malformed JSON values: the first ten made validation raise (the ninth and
 # tenth from numpy and from 1.0 / k), the next four passed a bool or a
@@ -158,7 +169,7 @@ FIELD_PROBES = {
     "grid_n_only_entry_beyond_cells": ("consistency_sweep.json", [("grid.n", [10**9])], "grid.n"),
     "grid_n_empty": ("consistency_sweep.json", [("grid.n", [])], "grid.n"),
 }
-ALL_PROBES = {**SCENARIO_PROBES, **FIELD_PROBES}
+ALL_PROBES = {**SCENARIO_PROBES, **FIELD_PROBES, **PREFIX_PROBES}
 
 # Small JSON values; integers stay small so no mutated size allocates much.
 _JSON = st.recursive(
@@ -517,11 +528,11 @@ class TestMain:
 
     @pytest.mark.parametrize("name", ABORTING_PROBES)
     def test_run_rejects_probe_before_running(self, name, tmp_path, capsys):
-        preset, edits, field = SCENARIO_PROBES[name]
+        preset, edits, field = ABORTING_PROBES[name]
         rc = main(["run", _write(tmp_path, _probe(preset, *edits)), "--out", str(tmp_path / "out")])
         assert rc == 1
         assert f"invalid: {field}:" in capsys.readouterr().err
-        assert not (tmp_path / "out").exists()
+        assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
 
     def test_missing_file_exits_two(self, tmp_path, capsys):
         rc = main(["run", str(tmp_path / "absent.json")])

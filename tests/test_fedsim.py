@@ -55,7 +55,7 @@ def _library_artifact(spec, data):
     if spec.kind == "one_shot_moments":
         return aggregate_zero_imputed(data.local_moments), empirical_coobservation(data)[1]
     if spec.kind == "federated_ice":
-        return ice_in_memory(data, rounds=spec.ice_rounds).imputed
+        return ice_in_memory(data, rounds=spec.ice_rounds)
     if spec.kind == "one_shot_ridge":
         return ridge_closed_form(data, spec.lam)
     return fedavg_ridge(data, lam=spec.lam, rounds=spec.rounds).theta
@@ -89,7 +89,7 @@ class TestTransportTransparency:
         data = _masked(504)
         res = run_protocol(ProtocolSpec(kind="federated_ice", ice_rounds=3), data)
         want = ice_in_memory(data, rounds=3)
-        assert np.array_equal(res.artifact.x, want.imputed.x)
+        assert np.array_equal(res.artifact.x, want.x)
         assert np.array_equal(res.artifact.y, data.y)
 
     def test_fedavg(self):

@@ -6,7 +6,6 @@ import pytest
 
 from fedmismatch.impute import (
     ImputationMap,
-    ImputerKind,
     apply_imputer,
     federated_ice,
     fit_optimal_imputer,
@@ -38,7 +37,6 @@ class TestZeroImputer:
     def test_maps_are_zero(self):
         clients = section3_clients()
         imp = fit_zero_imputer(clients)
-        assert imp.kind is ImputerKind.ZERO
         for c in clients:
             s = imp.maps[c.id]
             assert s.shape == (len(c.pattern.missing), c.pattern.size)
@@ -63,7 +61,6 @@ class TestOptimalImputer:
         # Independent coordinates carry no information about each other.
         clients = random_clients(seeded(201), 5, 3)
         imp = fit_optimal_imputer(np.eye(5), clients)
-        assert imp.kind is ImputerKind.OPTIMAL_LINEAR
         for s in imp.maps.values():
             assert not s.any()
 
@@ -75,13 +72,13 @@ class TestOptimalImputer:
         imp = fit_optimal_imputer(sigma, _one_client(pattern))
         assert imp.complete(1, np.array([2.0])) == pytest.approx([2.0, 1.0])
 
-    def test_empty_pattern_flagged_zero_filled(self):
+    def test_empty_pattern_gets_zero_map(self):
         clients = (
             ClientSpec(id=1, pattern=FeaturePattern.empty(2), rho=0.5),
             ClientSpec(id=2, pattern=FeaturePattern.full(2), rho=0.5),
         )
-        imp = fit_optimal_imputer(np.eye(2), clients)
-        assert imp.zero_filled == {1}
+        imp = fit_optimal_imputer(np.array([[1.0, 0.5], [0.5, 1.0]]), clients)
+        assert imp.maps[1].shape == (2, 0)
         assert imp.complete(1, np.zeros(0)) == pytest.approx([0.0, 0.0])
 
     def test_residual_mean_is_zero_gaussian(self):
@@ -102,11 +99,11 @@ class TestOptimalImputer:
     def test_map_shape_validation(self):
         pattern = FeaturePattern.from_one_based([1], 3)
         with pytest.raises(ValueError, match="map shape"):
-            ImputationMap(kind=ImputerKind.ZERO, maps={1: np.zeros((1, 1))}, patterns={1: pattern})
+            ImputationMap(maps={1: np.zeros((1, 1))}, patterns={1: pattern})
 
     def test_maps_patterns_id_mismatch(self):
         with pytest.raises(ValueError, match="same client ids"):
-            ImputationMap(kind=ImputerKind.ZERO, maps={1: np.zeros((0, 2))}, patterns={2: FeaturePattern.full(2)})
+            ImputationMap(maps={1: np.zeros((0, 2))}, patterns={2: FeaturePattern.full(2)})
 
 
 class TestApplyImputer:
@@ -117,7 +114,6 @@ class TestApplyImputer:
         out = apply_imputer(fit_zero_imputer(data.clients), data)
         assert np.array_equal(out.x, data.x_filled)
         assert np.array_equal(out.y, data.y)
-        assert out.imputer is not None and out.imputer.kind is ImputerKind.ZERO
 
     def test_observed_coordinates_bitwise_preserved(self):
         rng = seeded(204)
@@ -177,10 +173,7 @@ class TestFederatedIce:
         rng = seeded(209)
         pop = random_population(rng, 4)
         data = sample_dataset(pop, section3_clients(), 50, rng)
-        res = federated_ice(data, rounds=0)
-        assert res.rounds_run == 0
-        assert res.sigma_trace == ()
-        assert np.array_equal(res.imputed.x, data.x_filled)
+        assert np.array_equal(federated_ice(data, rounds=0).x, data.x_filled)
 
     def test_full_pattern_trace_constant(self):
         # Nothing is missing, so every round re-estimates the same matrix
@@ -188,53 +181,38 @@ class TestFederatedIce:
         rng = seeded(210)
         pop = random_population(rng, 3)
         data = sample_dataset(pop, _one_client(FeaturePattern.full(3)), 60, rng)
-        res = federated_ice(data, rounds=3)
-        assert res.rounds_run == 3
-        assert len(res.sigma_trace) == 3
-        for t in range(1, 3):
-            assert np.array_equal(res.sigma_trace[t], res.sigma_trace[0])
-        assert np.array_equal(res.imputed.x, data.x_filled)
+        first = imputed_data_moments(federated_ice(data, rounds=0))[0]
+        for rounds in range(1, 4):
+            res = federated_ice(data, rounds)
+            assert np.array_equal(imputed_data_moments(res)[0], first)
+            assert np.array_equal(res.x, data.x_filled)
 
     def test_single_client_any_init_is_fixed_point(self):
         # With one client the refreshed map is S sigma_oo sigma_oo^+ = S:
         # the completed data's cross block is S sigma_oo by construction, so
-        # whatever map produced the completion is already self-consistent.
+        # whatever map produced the completion is already self-consistent,
+        # and ICE, which starts from zero maps, keeps the zero completion.
         # Iteration only moves when several patterns feed the estimate.
         rng = seeded(211)
         pop = random_population(rng, 4)
         clients = _one_client(FeaturePattern.from_one_based([1, 3], 4))
         data = sample_dataset(pop, clients, 500, rng)
-        init = fit_optimal_imputer(pop.sigma, clients)
-        before = apply_imputer(init, data).x
-        res = federated_ice(data, rounds=3, init=init)
-        assert np.allclose(res.imputed.x, before, atol=1e-10)
-        for t in range(1, 3):
-            assert np.allclose(res.sigma_trace[t], res.sigma_trace[0], atol=1e-10)
+        for init in (fit_optimal_imputer(pop.sigma, clients), fit_zero_imputer(clients)):
+            sigma = imputed_data_moments(apply_imputer(init, data))[0]
+            np.testing.assert_allclose(fit_optimal_imputer(sigma, clients).maps[1], init.maps[1], atol=1e-10)
+        assert np.allclose(federated_ice(data, rounds=3).x, data.x_filled, atol=1e-10)
 
     def test_converged_state_is_self_consistent(self):
         rng = seeded(216)
         pop = random_population(rng, 4)
         clients = section3_clients()
         data = sample_dataset(pop, clients, 300, rng)
-        res = federated_ice(data, rounds=500, early_stop_rms=1e-12)
-        assert res.stopped_early
-        sigma, _ = imputed_data_moments(res.imputed)
+        res = federated_ice(data, rounds=500)
+        sigma, _ = imputed_data_moments(res)
         maps = {c.id: optimal_block_map(sigma, c.pattern) for c in clients}
-        imp = ImputationMap(
-            kind=ImputerKind.ICE, maps=maps, patterns={c.id: c.pattern for c in clients}
-        )
+        imp = ImputationMap(maps=maps, patterns={c.id: c.pattern for c in clients})
         again = apply_imputer(imp, data).x
-        assert np.allclose(again, res.imputed.x, atol=1e-9)
-
-    def test_early_stop(self):
-        rng = seeded(212)
-        pop = random_population(rng, 4)
-        data = sample_dataset(pop, section3_clients(), 200, rng)
-        res = federated_ice(data, rounds=50, early_stop_rms=1e-9)
-        assert res.stopped_early
-        assert res.rounds_run < 50
-        loose = federated_ice(data, rounds=2, early_stop_rms=None)
-        assert not loose.stopped_early
+        assert np.allclose(again, res.x, atol=1e-9)
 
     def test_negative_rounds_rejected(self):
         rng = seeded(214)
@@ -242,14 +220,6 @@ class TestFederatedIce:
         data = sample_dataset(pop, _one_client(FeaturePattern.full(3)), 10, rng)
         with pytest.raises(ValueError, match="rounds"):
             federated_ice(data, rounds=-1)
-
-    def test_final_imputer_tagged_with_round(self):
-        rng = seeded(215)
-        pop = random_population(rng, 4)
-        data = sample_dataset(pop, section3_clients(), 40, rng)
-        res = federated_ice(data, rounds=2)
-        assert res.imputed.imputer.kind is ImputerKind.ICE
-        assert res.imputed.imputer.round == 2
 
 
 class TestCompleteMoments:
@@ -291,27 +261,21 @@ class TestSufficientStatistics:
     def test_moments_and_ice_match_materialized_rows(self, seed):
         rng, data = mixed_federation(seed)
         assert len(data.rows_of(8)) == 0 and len(data.rows_of(9)) > 0
-        inits = [None, fit_optimal_imputer(random_psd(rng, data.d), data.clients)]
-        stops = 0
-        for init in inits:
-            for rounds in range(6):
-                for early_stop_rms in (None, 1e-1, 1e-2):
-                    res = federated_ice(data, rounds, init=init, early_stop_rms=early_stop_rms)
-                    trace, maps, run, stopped = reference_ice(data, rounds, init, early_stop_rms)
-                    assert (res.rounds_run, res.stopped_early) == (run, stopped)
-                    stops += stopped
-                    for got, want in zip(res.sigma_trace, trace, strict=True):
-                        assert_rel_close(got, want)
-                    for cid, s in maps.items():
-                        np.testing.assert_allclose(res.imputed.imputer.maps[cid], s, rtol=1e-9, atol=1e-12)
-                    sigma, gamma = imputed_data_moments(res.imputed)
-                    x = res.imputed.x
-                    sigma_sum, gamma_sum = gram_fold(
-                        [(x[rows], data.y[rows]) for rows in data.shard_rows.values()], data.d
-                    )
-                    assert_rel_close(sigma, sigma_sum / data.n)
-                    assert_rel_close(gamma, gamma_sum / data.n)
-        assert stops  # the early-stop path was exercised
+        trace, _ = reference_ice(data, 6)
+        for rounds in range(6):
+            res = federated_ice(data, rounds)
+            _, maps = reference_ice(data, rounds)
+            for cid, s in maps.items():
+                np.testing.assert_allclose(res.imputer.maps[cid], s, rtol=1e-9, atol=1e-12)
+            # The estimate of round rounds + 1 is the moment matrix of this completion.
+            sigma, gamma = imputed_data_moments(res)
+            assert_rel_close(sigma, trace[rounds])
+            x = res.x
+            sigma_sum, gamma_sum = gram_fold(
+                [(x[rows], data.y[rows]) for rows in data.shard_rows.values()], data.d
+            )
+            assert_rel_close(sigma, sigma_sum / data.n)
+            assert_rel_close(gamma, gamma_sum / data.n)
 
     def test_ice_and_ridge_allocate_no_completed_matrix(self):
         n, d = 50_000, 32
@@ -321,7 +285,7 @@ class TestSufficientStatistics:
         tracemalloc.start()
         try:
             res = federated_ice(data, rounds=3)
-            ridge_closed_form(res.imputed, 0.5)
+            ridge_closed_form(res, 0.5)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()

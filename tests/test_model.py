@@ -9,7 +9,6 @@ from fedmismatch import (
     Dataset,
     FeaturePattern,
     MomentPair,
-    Provenance,
     crop_matrix,
     crop_vector,
     validate_federation,
@@ -207,26 +206,26 @@ class TestDataset:
 class TestMomentPair:
     def test_symmetrizes(self):
         a = np.array([[1.0, 2.0], [0.0, 1.0]])
-        mp = MomentPair(a, np.zeros(2), Provenance.ZERO_IMPUTED)
+        mp = MomentPair(a, np.zeros(2))
         np.testing.assert_array_equal(mp.sigma, mp.sigma.T)
         assert mp.sigma[0, 1] == 1.0
 
     def test_coverage_and_covers(self):
         cov = np.array([[True, False], [False, True]])
-        mp = MomentPair(np.eye(2), np.zeros(2), Provenance.DEBIASED, coverage=cov)
+        mp = MomentPair(np.eye(2), np.zeros(2), coverage=cov)
         assert mp.covers(FeaturePattern.from_one_based([1], 2))
         assert not mp.covers(FeaturePattern.full(2))
         assert mp.covers(FeaturePattern.empty(2))
 
     def test_no_coverage_means_full(self):
-        mp = MomentPair(np.eye(2), np.zeros(2), Provenance.POPULATION)
+        mp = MomentPair(np.eye(2), np.zeros(2))
         assert mp.covers(FeaturePattern.full(2))
 
     def test_shape_checks(self):
         with pytest.raises(ValueError):
-            MomentPair(np.zeros((2, 3)), np.zeros(2), Provenance.POPULATION)
+            MomentPair(np.zeros((2, 3)), np.zeros(2))
         with pytest.raises(ValueError):
-            MomentPair(np.eye(2), np.zeros(3), Provenance.POPULATION)
+            MomentPair(np.eye(2), np.zeros(3))
 
 
 class TestClientwisePredictor:

@@ -14,7 +14,6 @@ from fedmismatch import (
     local_zero_imputed_moments,
     sample_dataset,
 )
-from fedmismatch.model import Provenance
 from fedmismatch.impute import apply_imputer, fit_zero_imputer
 from fedmismatch.model import Dataset
 from fedmismatch.moments import imputed_data_moments
@@ -58,7 +57,6 @@ class TestAggregate:
                                         FeaturePattern.from_one_based([1], 1))
         pair = aggregate_zero_imputed([lm])
         np.testing.assert_allclose(pair.sigma, lm.sigma)
-        assert pair.provenance is Provenance.ZERO_IMPUTED
 
     def test_equal_counts_average(self):
         p = FeaturePattern.full(1)
@@ -152,14 +150,14 @@ class TestDebias:
 
         sigma = np.zeros((2, 2))
         sigma[0, 1] = sigma[1, 0] = 0.2
-        pair = MomentPair(sigma, np.zeros(2), Provenance.ZERO_IMPUTED)
+        pair = MomentPair(sigma, np.zeros(2))
         pi = np.array([[1.0, 0.5], [0.5, 1.0]])
         assert debias_moments(pair, pi).sigma[0, 1] == pytest.approx(0.4)
 
     def test_uncovered_marked(self):
         from fedmismatch.model import MomentPair
 
-        pair = MomentPair(np.eye(2), np.ones(2), Provenance.ZERO_IMPUTED)
+        pair = MomentPair(np.eye(2), np.ones(2))
         pi = np.array([[1.0, 0.0], [0.0, 1.0]])
         out = debias_moments(pair, pi)
         assert out.sigma[0, 1] == 0.0

@@ -2,7 +2,7 @@
 import numpy as np
 import pytest
 
-from fedmismatch.model import ClientSpec, FeaturePattern, MomentPair, Provenance
+from fedmismatch.model import ClientSpec, FeaturePattern, MomentPair
 from fedmismatch.moments import (
     aggregate_zero_imputed,
     debias_moments,
@@ -20,7 +20,6 @@ def _pair(sigma, gamma, coverage=None):
     return MomentPair(
         sigma=np.asarray(sigma, dtype=float),
         gamma=np.asarray(gamma, dtype=float),
-        provenance=Provenance.POPULATION,
         coverage=coverage,
     )
 
@@ -115,9 +114,3 @@ class TestBuildClientwisePlugin:
         bad = (ClientSpec(id=1, pattern=FeaturePattern.full(3), rho=1.0),)
         with pytest.raises(ValueError, match="dimension"):
             build_clientwise_plugin(pair, bad)
-
-    def test_trunc_m_passed_through(self):
-        pair = _pair(np.eye(2), [1.0, 1.0])
-        clients = (ClientSpec(id=1, pattern=FeaturePattern.full(2), rho=1.0),)
-        pred = build_clientwise_plugin(pair, clients, trunc_m=2.5)
-        assert pred.trunc_m == 2.5

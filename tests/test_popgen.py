@@ -12,12 +12,11 @@ from fedmismatch import (
     co_observation_matrix,
     draw_bernoulli_patterns,
     population_gamma,
-    population_moment_pair,
     sample_dataset,
 )
 from fedmismatch import popgen
 from fedmismatch._parallel import BLOCK_ROWS, workers
-from fedmismatch.model import Dataset, Provenance
+from fedmismatch.model import Dataset
 
 from support import fail_second_block, random_clients, reference_draw_rows, seeded
 
@@ -300,8 +299,4 @@ class TestPopulationMoments:
         pop = PopulationSpec.gaussian(np.array([[1.0, 0.5], [0.5, 1.0]]), np.array([1.0, 1.0]))
         np.testing.assert_allclose(population_gamma(pop), [1.5, 1.5])
         assert np.all(population_gamma(PopulationSpec.gaussian(np.eye(2), np.zeros(2))) == 0.0)
-
-    def test_moment_pair_provenance(self):
-        mp = population_moment_pair(PopulationSpec.gaussian(np.eye(2), np.ones(2)))
-        assert mp.provenance is Provenance.POPULATION
 

@@ -75,7 +75,7 @@ class TestFedAvg:
         x = rng.standard_normal((80, 3))
         y = rng.standard_normal(80)
         data = _completed(x, y)
-        res = fedavg_ridge(data, lam=0.3, rounds=100_000, stop_tol=1e-14)
+        res = fedavg_ridge(data, lam=0.3, rounds=1_000)
         assert not res.diverged
         assert np.allclose(res.theta, ridge_closed_form(data, 0.3), atol=1e-8)
 
@@ -88,7 +88,7 @@ class TestFedAvg:
         y = rng.standard_normal(90)
         want = ridge_closed_form(_completed(x, y), 0.1)
         for cuts in ([30, 60], [10, 25, 70], [45]):
-            res = fedavg_ridge(sharded(x, y, [0, *cuts, 90]), lam=0.1, rounds=200_000, stop_tol=1e-14)
+            res = fedavg_ridge(sharded(x, y, [0, *cuts, 90]), lam=0.1, rounds=1_000)
             assert np.allclose(res.theta, want, atol=1e-6)
 
     def test_objective_trace_non_increasing(self):
@@ -136,19 +136,15 @@ class TestFedAvg:
         # client without rows, under zero and regression imputation.
         rng, masked = mixed_federation(seed)
         imputers = [fit_zero_imputer(masked.clients), fit_optimal_imputer(random_psd(rng, masked.d), masked.clients)]
-        stopped = 0
         for imputer in imputers:
             data = apply_imputer(imputer, masked)
             for local_steps in (1, 2, 5):
                 for rounds in (0, 1, 7, 60):
-                    for stop_tol in (None, 1e-3):
-                        res = fedavg_ridge(data, 0.3, rounds, local_steps, stop_tol)
-                        theta, trace, diverged, run = reference_fedavg(data, 0.3, rounds, local_steps, stop_tol)
-                        assert (res.rounds_run, res.diverged) == (run, diverged)
-                        stopped += run < rounds
-                        _assert_rel_close(res.theta, theta)
-                        _assert_rel_close(np.asarray(res.objective_trace), np.asarray(trace))
-        assert stopped  # the stop_tol path was exercised
+                    res = fedavg_ridge(data, 0.3, rounds, local_steps)
+                    theta, trace, diverged, run = reference_fedavg(data, 0.3, rounds, local_steps)
+                    assert (res.rounds_run, res.diverged) == (run, diverged)
+                    _assert_rel_close(res.theta, theta)
+                    _assert_rel_close(np.asarray(res.objective_trace), np.asarray(trace))
 
     @pytest.mark.parametrize("local_steps", [2, 5])
     def test_divergence_matches_per_step_reference(self, local_steps):
