@@ -24,21 +24,17 @@ from .model import (
 )
 from .popgen import (
     PopulationSpec,
-    co_observation_matrix,
     draw_bernoulli_patterns,
     population_gamma,
     population_moment_pair,
     sample_dataset,
 )
 from .moments import (
-    CoObservationCounts,
     LocalMoments,
     aggregate_zero_imputed,
-    coobservation_counts,
+    co_observation,
     cw_moments,
     debias_moments,
-    empirical_coobservation,
-    gram_fold,
     imputed_data_moments,
     local_zero_imputed_moments,
 )
@@ -47,7 +43,6 @@ from .impute import (
     ImputationMap,
     ImputedDataset,
     ImputerKind,
-    apply_imputer,
     federated_ice,
     fit_optimal_imputer,
     fit_zero_imputer,

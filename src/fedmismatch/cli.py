@@ -56,11 +56,11 @@ import numpy as np
 
 from . import oracle
 from ._parallel import workers
-from .impute import ImputerKind, apply_imputer, fit_optimal_imputer, fit_zero_imputer
+from .impute import ImputedDataset, ImputerKind, fit_optimal_imputer, fit_zero_imputer
 from .model import ClientSpec, ClientwisePredictor, Dataset, FeaturePattern, MomentPair, validate_federation
-from .moments import cw_moments, debias_moments
+from .moments import co_observation, cw_moments, debias_moments
 from .plugin import build_clientwise_plugin
-from .popgen import PopulationSpec, co_observation_matrix, draw_bernoulli_patterns, sample_dataset
+from .popgen import PopulationSpec, draw_bernoulli_patterns, sample_dataset
 from .ridge import estimate_m, itr_predictor, local_learning
 from .fedsim import MASKED_PROTOCOLS, PROTOCOL_KINDS, ProtocolResult, ProtocolSpec, replay_comm_schedule, run_protocol
 
@@ -424,11 +424,11 @@ class _Fit:
 
 
 def _debiased(art, clients) -> MomentPair:
-    return debias_moments(art.pair, co_observation_matrix(clients))
+    return debias_moments(art.pair, co_observation([c.pattern for c in clients], [c.rho for c in clients]))
 
 
 def _componentwise(art, clients) -> MomentPair:
-    return cw_moments(art.pair, art.counts)
+    return cw_moments(art.pair, art.counts, art.n)
 
 
 # Moment-pair estimator behind each plug-in method.
@@ -454,17 +454,17 @@ def _itr(completed, ctx: _Context, bound_kind=None, protocols=()) -> _Fit:
 
 
 def _fit_itr_zero(ctx: _Context) -> _Fit:
-    return _itr(apply_imputer(fit_zero_imputer(ctx.clients), ctx.data), ctx, ImputerKind.ZERO)
+    return _itr(ImputedDataset(ctx.data, fit_zero_imputer(ctx.clients)), ctx, ImputerKind.ZERO)
 
 
 def _fit_itr_opt(ctx: _Context) -> _Fit:
     imputer = fit_optimal_imputer(ctx.pop.sigma, ctx.clients)
-    return _itr(apply_imputer(imputer, ctx.data), ctx, ImputerKind.OPTIMAL_LINEAR)
+    return _itr(ImputedDataset(ctx.data, imputer), ctx, ImputerKind.OPTIMAL_LINEAR)
 
 
 def _fit_itr_cw(ctx: _Context) -> _Fit:
     imputer = fit_optimal_imputer(_componentwise(ctx.moments.artifact, ctx.clients).sigma, ctx.clients)
-    return _itr(apply_imputer(imputer, ctx.data), ctx, protocols=(ctx.moments,))
+    return _itr(ImputedDataset(ctx.data, imputer), ctx, protocols=(ctx.moments,))
 
 
 def _fit_itr_ice(ctx: _Context) -> _Fit:
@@ -477,7 +477,7 @@ def _fit_fedavg(ctx: _Context) -> _Fit:
     spec = ProtocolSpec(
         kind="fedavg_ridge", lam=ctx.lam, rounds=ctx.params["rounds"], local_steps=ctx.params["local_steps"]
     )
-    res = run_protocol(spec, apply_imputer(imputer, ctx.data))
+    res = run_protocol(spec, ImputedDataset(ctx.data, imputer))
     predictor = itr_predictor(imputer, res.artifact, trunc_m=estimate_m(ctx.data))
     ip = oracle.imputed_population_covariance(ctx.pop, ctx.clients, ImputerKind.ZERO)
     return _Fit(predictor, oracle.imputed_oracle_risk(ctx.pop, ip), protocols=(res,))
@@ -556,7 +556,7 @@ def _audit_rows(cfg: ExperimentConfig, item: _WorkItem, clients, data_ss, mc_ss)
     pop = cfg.population
     n = item.n if item.n is not None else 32
     data = sample_dataset(pop, clients, n, np.random.default_rng(data_ss))
-    completed = apply_imputer(fit_zero_imputer(clients), data)
+    completed = ImputedDataset(data, fit_zero_imputer(clients))
     rows = []
     for kind in cfg.methods:
         spec = ProtocolSpec(kind=kind, lam=item.lam,
@@ -585,7 +585,7 @@ def _check_new_client(raw_params, pop, fed, axes) -> dict:
         return {}
     pattern = _pattern(value, pop.d, "scenario_params.new_pattern")
     if fed is not None and fed.pattern_kind == "explicit":
-        covered = sum(np.outer(p.mask(), p.mask()) for p in fed.explicit)
+        covered = co_observation(fed.explicit, [1.0] * len(fed.explicit))
         if not covered[np.ix_(pattern.observed, pattern.observed)].all():
             raise _Invalid("scenario_params.new_pattern: holds a feature pair that no client observes together")
     return {"new_pattern": pattern}

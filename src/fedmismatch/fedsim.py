@@ -4,8 +4,9 @@ Each protocol is one library algorithm, already written over per-client
 sums; ``run_protocol`` calls it and logs every message it implies:
 
 * one_shot_moments: ``Dataset.local_moments`` folded by
-  ``aggregate_zero_imputed``; masked shards in, the pooled zero-imputed
-  MomentPair and the co-observation counts out.
+  ``aggregate_zero_imputed`` and the registered bitmasks by
+  ``co_observation`` with n_k weights; masked shards in, the pooled
+  zero-imputed MomentPair, the co-observation count matrix and n out.
 * one_shot_ridge: ``ridge.ridge_closed_form``; a completed dataset in,
   whose clients upload B_k^T G_k B_k and B_k^T g_k, closed-form ridge
   coefficients out.
@@ -36,9 +37,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .impute import ImputedDataset, federated_ice
 from .model import CommLog, Dataset, MomentPair
-from .moments import CoObservationCounts, aggregate_zero_imputed, coobservation_counts
+from .moments import aggregate_zero_imputed, co_observation
 from .ridge import fedavg_ridge, ridge_closed_form
 
 __all__ = [
@@ -59,8 +62,8 @@ MASKED_PROTOCOLS = ("one_shot_moments", "federated_ice")
 
 @dataclass(frozen=True)
 class ProtocolSpec:
-    """Which protocol to run and its knobs; irrelevant knobs must stay at
-    their defaults."""
+    """Which protocol to run and its knobs; a kind ignores the knobs it does
+    not use."""
 
     kind: str
     lam: float = 0.0
@@ -79,8 +82,12 @@ class ProtocolSpec:
 
 @dataclass(frozen=True)
 class OneShotMomentsArtifact:
+    """The pooled zero-imputed pair, the count matrix N[l, j] of rows
+    observing both l and j, and the total row count n."""
+
     pair: MomentPair
-    counts: CoObservationCounts
+    counts: np.ndarray
+    n: int
 
 
 @dataclass(frozen=True)
@@ -122,34 +129,34 @@ def replay_comm_schedule(spec: ProtocolSpec, k: int, d: int) -> SchedulePredicti
     return SchedulePrediction(spec.kind, t * k * d, t * k * d, 0)
 
 
-def _one_shot_moments(data: Dataset, comm: CommLog, ids: list[int]) -> OneShotMomentsArtifact:
+def _one_shot_moments(data: Dataset, comm: CommLog) -> OneShotMomentsArtifact:
     d = data.d
     tri = d * (d + 1) // 2
     locals_ = data.local_moments
-    pair = aggregate_zero_imputed(locals_)
-    counts = coobservation_counts(data.clients, {cid: lm.count for cid, lm in locals_.items()})
-    for cid in ids:
-        comm.record(1, "up", 1 + tri + d, f"zero-imputed moment sums from client {cid}")
-    comm.record(1, "down", tri + d, "broadcast aggregated moment pair")
-    return OneShotMomentsArtifact(pair=pair, counts=counts)
+    pair = aggregate_zero_imputed(locals_.values())
+    counts = co_observation([c.pattern for c in data.clients], [locals_[c.id].count for c in data.clients])
+    for _ in data.clients:
+        comm.record(1, "up", 1 + tri + d)
+    comm.record(1, "down", tri + d)
+    return OneShotMomentsArtifact(pair=pair, counts=counts, n=data.n)
 
 
-def _federated_ice(data: Dataset, spec: ProtocolSpec, comm: CommLog, ids: list[int]) -> ImputedDataset:
+def _federated_ice(data: Dataset, spec: ProtocolSpec, comm: CommLog) -> ImputedDataset:
     tri = data.d * (data.d + 1) // 2
     imputed = federated_ice(data, spec.ice_rounds)
     for t in range(1, spec.ice_rounds + 1):
-        for cid in ids:
-            comm.record(t, "up", tri, f"completed second-moment sums from client {cid}")
-        comm.record(t, "down", tri, "broadcast pooled second-moment estimate")
+        for _ in data.clients:
+            comm.record(t, "up", tri)
+        comm.record(t, "down", tri)
     return imputed
 
 
 def _one_shot_ridge(data: ImputedDataset, spec: ProtocolSpec, comm: CommLog):
     d = data.d
     theta = ridge_closed_form(data, spec.lam)
-    for cid in data.shard_rows:
-        comm.record(1, "up", 1 + d * (d + 1) // 2 + d, f"completed-data moment sums from client {cid}")
-    comm.record(1, "down", d, "broadcast ridge coefficients")
+    for _ in data.shard_rows:
+        comm.record(1, "up", 1 + d * (d + 1) // 2 + d)
+    comm.record(1, "down", d)
     return theta
 
 
@@ -157,8 +164,8 @@ def _fedavg_ridge(data: ImputedDataset, spec: ProtocolSpec, comm: CommLog):
     res = fedavg_ridge(data, spec.lam, spec.rounds, spec.local_steps)
     floats = len(data.shard_rows) * data.d
     for t in range(1, res.rounds_run + 1):
-        comm.record(t, "down", floats, "server coefficients to each client")
-        comm.record(t, "up", floats, "client coefficients after local steps")
+        comm.record(t, "down", floats)
+        comm.record(t, "up", floats)
     return res.theta
 
 
@@ -174,13 +181,12 @@ def run_protocol(spec: ProtocolSpec, data) -> ProtocolResult:
     if spec.kind in MASKED_PROTOCOLS:
         if not isinstance(data, Dataset):
             raise TypeError(f"{spec.kind} needs a masked Dataset, got {type(data).__name__}")
-        ids = sorted(c.id for c in data.clients)
-        for cid in ids:
-            comm.record(0, "up", 0, f"pattern registration from client {cid}", bits=data.d)
+        for _ in data.clients:
+            comm.record(0, "up", 0, bits=data.d)
         if spec.kind == "one_shot_moments":
-            artifact = _one_shot_moments(data, comm, ids)
+            artifact = _one_shot_moments(data, comm)
         else:
-            artifact = _federated_ice(data, spec, comm, ids)
+            artifact = _federated_ice(data, spec, comm)
     else:
         if not isinstance(data, ImputedDataset):
             raise TypeError(f"{spec.kind} needs an ImputedDataset, got {type(data).__name__}")

@@ -43,7 +43,6 @@ __all__ = [
     "fit_zero_imputer",
     "fit_optimal_imputer",
     "optimal_block_map",
-    "apply_imputer",
     "federated_ice",
 ]
 
@@ -137,9 +136,9 @@ def fit_optimal_imputer(sigma: np.ndarray, clients) -> ImputationMap:
 @dataclass(frozen=True)
 class ImputedDataset:
     """A masked ``Dataset`` plus a linear ``ImputationMap`` fitted for every
-    client's pattern. Fits read the clients' observed sums; only the
-    completed matrix ``x`` builds completed rows, on each access, for tests
-    and inspection."""
+    client's pattern; nothing is copied. Fits read the clients' observed
+    sums; only the completed matrix ``x`` builds completed rows, on each
+    access, for tests and inspection."""
 
     data: Dataset
     imputer: ImputationMap
@@ -176,12 +175,6 @@ class ImputedDataset:
         return x
 
 
-def apply_imputer(imputer: ImputationMap, data: Dataset) -> ImputedDataset:
-    """Complete a masked dataset: observed coordinates stay bitwise, each
-    client's missing block is x_obs @ S_k^T. Nothing is copied."""
-    return ImputedDataset(data, imputer)
-
-
 def federated_ice(data: Dataset, rounds: int) -> ImputedDataset:
     """Iterated conditional-expectation completion over a federation.
 
@@ -198,5 +191,5 @@ def federated_ice(data: Dataset, rounds: int) -> ImputedDataset:
         raise ValueError("no samples across the federation")
     current = ImputedDataset(data, fit_zero_imputer(data.clients))
     for _ in range(rounds):
-        current = ImputedDataset(data, fit_optimal_imputer(imputed_data_moments(current)[0], data.clients))
+        current = ImputedDataset(data, fit_optimal_imputer(imputed_data_moments(current).sigma, data.clients))
     return current

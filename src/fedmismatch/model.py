@@ -419,7 +419,6 @@ class CommEvent:
     round: int
     direction: str
     floats: int
-    description: str
     bits: int = 0
 
     def __post_init__(self) -> None:
@@ -435,8 +434,8 @@ class CommLog:
 
     events: list[CommEvent] = field(default_factory=list)
 
-    def record(self, round: int, direction: str, floats: int, description: str, bits: int = 0) -> None:
-        self.events.append(CommEvent(round, direction, int(floats), description, int(bits)))
+    def record(self, round: int, direction: str, floats: int, bits: int = 0) -> None:
+        self.events.append(CommEvent(round, direction, int(floats), int(bits)))
 
     def total_floats(self, direction: str | None = None) -> int:
         return sum(e.floats for e in self.events if direction is None or e.direction == direction)
@@ -446,7 +445,3 @@ class CommLog:
 
     def __len__(self) -> int:
         return len(self.events)
-
-    def to_rows(self) -> list[tuple[int, str, int, int, str]]:
-        """(round, direction, floats, bits, description) tuples for CSV dumps."""
-        return [(e.round, e.direction, e.floats, e.bits, e.description) for e in self.events]

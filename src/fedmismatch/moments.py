@@ -1,5 +1,13 @@
 """Moment estimators computable from masked data, and their wire format.
 
+Each client uploads its moment sums (``local_zero_imputed_moments``), and
+one fold, ``aggregate_zero_imputed``, pools any such uploads: observed sums
+into the zero-imputed estimator, completed sums (``completed_sums``) into
+the completed-data moments (``imputed_data_moments``). The pattern bitmasks
+m_k go through one other fold, ``co_observation``: sum_k w_k m_k m_k^T, the
+population co-observation matrix Pi with w_k = rho_k and the count matrix N
+with w_k = n_k.
+
 Three estimators of (E[X X^T], E[X Y]) from blockwise-masked samples:
 
 * zero-imputed: plain averages of (m . x)(m . x)^T and (m . x) y. Biased;
@@ -23,23 +31,19 @@ registration and accounted as d bits, separately from float counts.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Iterator
 
 import numpy as np
 
-from .model import Dataset, FeaturePattern, LocalMoments, MomentPair
+from .model import FeaturePattern, LocalMoments, MomentPair
 
 __all__ = [
     "LocalMoments",
-    "CoObservationCounts",
     "local_zero_imputed_moments",
     "aggregate_zero_imputed",
-    "coobservation_counts",
-    "empirical_coobservation",
+    "co_observation",
     "debias_moments",
     "cw_moments",
-    "gram_fold",
     "completed_sums",
     "imputed_data_moments",
 ]
@@ -63,23 +67,23 @@ def local_zero_imputed_moments(x_obs: np.ndarray, y: np.ndarray, pattern: Featur
     gamma_sum = np.zeros(d)
     if x_obs.shape[0] and pattern.observed:
         idx = list(pattern.observed)
-        # gram_fold symmetrizes at the source, so the packed upper-triangle
-        # wire format loses nothing.
-        sigma_sum[np.ix_(idx, idx)], gamma_sum[idx] = gram_fold([(x_obs, y)], pattern.size)
+        # Symmetrized at the source, so the packed upper-triangle wire format
+        # loses nothing.
+        block = x_obs.T @ x_obs
+        sigma_sum[np.ix_(idx, idx)] = (block + block.T) / 2.0
+        gamma_sum[idx] = x_obs.T @ y
     return LocalMoments(sigma_sum=sigma_sum, gamma_sum=gamma_sum, count=x_obs.shape[0])
 
 
-def aggregate_zero_imputed(locals_: list[LocalMoments] | dict[int, LocalMoments]) -> MomentPair:
-    """Pool local moment sums into the zero-imputed estimator.
+def aggregate_zero_imputed(locals_: Iterable[LocalMoments]) -> MomentPair:
+    """Pool moment sums, folded in the given order, into their averages.
 
-    Sums are folded in the given order (dicts: ascending key order), then
-    divided once by the total count, so the result is independent of how the
-    samples were sharded.
+    Sums are divided once by the total count, so the result is independent
+    of how the samples were sharded. This is the one server-side fold: it
+    pools observed sums into the zero-imputed estimator and completed sums
+    into the completed-data moments (``imputed_data_moments``).
     """
-    if isinstance(locals_, dict):
-        items = [locals_[k] for k in sorted(locals_)]
-    else:
-        items = list(locals_)
+    items = list(locals_)
     if not items:
         raise ValueError("nothing to aggregate")
     d = items[0].d
@@ -93,51 +97,26 @@ def aggregate_zero_imputed(locals_: list[LocalMoments] | dict[int, LocalMoments]
         gamma_sum += lm.gamma_sum
         n += lm.count
     if n == 0:
-        raise ValueError("total sample count is zero")
+        raise ValueError("no rows: the total sample count is zero")
     return MomentPair(sigma_sum / n, gamma_sum / n)
 
 
-@dataclass(frozen=True)
-class CoObservationCounts:
-    """N[l, j] = number of samples observing both l and j; n = total rows."""
+def co_observation(patterns: Iterable[FeaturePattern], weights: Iterable[float]) -> np.ndarray:
+    """sum_k w_k m_k m_k^T over the patterns' bitmasks m_k, in float64, folded
+    in the given order.
 
-    counts: np.ndarray
-    n: int
-
-    @property
-    def d(self) -> int:
-        return self.counts.shape[0]
-
-
-def coobservation_counts(clients, sizes: Mapping[int, int]) -> CoObservationCounts:
-    """N = sum_k n_k m_k m_k^T from patterns and per-client sample counts.
-
-    ``sizes`` maps client id to n_k; absent ids count as zero rows.
+    With w_k = rho_k this is the population co-observation matrix Pi; with
+    w_k = n_k it is the count matrix N of samples observing both coordinates
+    (exact while the counts stay below 2^53); with w_k = 1 it counts the
+    patterns. Only patterns and weights are read, never covariate values.
     """
-    clients = tuple(clients)
-    d = clients[0].pattern.d
-    counts = np.zeros((d, d), dtype=np.int64)
-    n = 0
-    for c in clients:
-        n_k = int(sizes.get(c.id, 0))
-        if n_k:
-            m = c.pattern.mask().astype(np.int64)
-            counts += n_k * np.outer(m, m)
-            n += n_k
-    return CoObservationCounts(counts=counts, n=n)
-
-
-def empirical_coobservation(data: Dataset) -> tuple[np.ndarray, CoObservationCounts]:
-    """Empirical co-observation frequencies Pi_hat = N / n and the counts.
-
-    Computable from patterns and per-client sample counts alone; no
-    covariate values are touched.
-    """
-    if data.n == 0:
-        raise ValueError("empty dataset has no co-observation frequencies")
-    sizes = {cid: len(rows) for cid, rows in data.shard_rows.items()}
-    counts = coobservation_counts(data.clients, sizes)
-    return counts.counts / counts.n, counts
+    patterns = list(patterns)
+    d = patterns[0].d
+    pi = np.zeros((d, d))
+    for p, w in zip(patterns, weights, strict=True):
+        m = p.mask().astype(np.float64)
+        pi += w * np.outer(m, m)
+    return pi
 
 
 def debias_moments(zero: MomentPair, pi: np.ndarray) -> MomentPair:
@@ -152,17 +131,18 @@ def debias_moments(zero: MomentPair, pi: np.ndarray) -> MomentPair:
     return _divide_covered(zero.sigma, zero.gamma, pi)
 
 
-def cw_moments(zero: MomentPair, counts: CoObservationCounts) -> MomentPair:
+def cw_moments(zero: MomentPair, counts: np.ndarray, n: int) -> MomentPair:
     """Component-wise estimator: each entry averaged over co-observing rows.
 
-    Computed as (n * zero-imputed entry) / N[l, j], which is the per-pair
-    sum divided by the per-pair count. Uncovered pairs (N = 0) stay 0.0.
-    The result need not be PSD.
+    ``counts`` is N (``co_observation`` with n_k weights) and ``n`` the total
+    row count. Computed as (n * zero-imputed entry) / N[l, j], which is the
+    per-pair sum divided by the per-pair count. Uncovered pairs (N = 0) stay
+    0.0. The result need not be PSD.
     """
-    n_mat = np.asarray(counts.counts, dtype=np.float64)
-    if n_mat.shape != zero.sigma.shape:
-        raise ValueError(f"counts shape {n_mat.shape} != sigma shape {zero.sigma.shape}")
-    return _divide_covered(counts.n * zero.sigma, counts.n * zero.gamma, n_mat)
+    counts = np.asarray(counts, dtype=np.float64)
+    if counts.shape != zero.sigma.shape:
+        raise ValueError(f"counts shape {counts.shape} != sigma shape {zero.sigma.shape}")
+    return _divide_covered(n * zero.sigma, n * zero.gamma, counts)
 
 
 def _divide_covered(sigma: np.ndarray, gamma: np.ndarray, weights: np.ndarray) -> MomentPair:
@@ -175,43 +155,20 @@ def _divide_covered(sigma: np.ndarray, gamma: np.ndarray, weights: np.ndarray) -
                       np.where(diag_ok, gamma, 0.0) / np.where(diag_ok, diag, 1.0), coverage=covered)
 
 
-def gram_fold(shards: Iterable[tuple[np.ndarray, np.ndarray | None]], d: int) -> tuple[np.ndarray, np.ndarray]:
-    """Sums of X_k^T X_k and X_k^T y_k over (x_k, y_k) shards, in the given order.
-
-    Each Gram block is symmetrized before it is added, so the sum is exactly
-    symmetric; a shard whose y_k is None adds nothing to the second sum.
-    """
-    sigma_sum = np.zeros((d, d))
-    gamma_sum = np.zeros(d)
-    for xk, yk in shards:
-        block = xk.T @ xk
-        sigma_sum += (block + block.T) / 2.0
-        if yk is not None:
-            gamma_sum += xk.T @ yk
-    return sigma_sum, gamma_sum
-
-
-def completed_sums(data) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
-    """Each client's completed-data sums (n_k, B_k^T G_k B_k, B_k^T g_k) of an
+def completed_sums(data) -> Iterator[LocalMoments]:
+    """Each client's completed-data sums (B_k^T G_k B_k, B_k^T g_k, n_k) of an
     ``ImputedDataset``, in ascending id order, clients without rows included
     (as zero sums). A row completed by S_k is x_obs B_k, so these are
     ``ImputationMap.complete_moments`` of the client's observed sums, O(d^3)
-    whatever n_k; each Gram block is symmetrized, as in ``gram_fold``. The
-    population oracle folds the same map over the population moments.
+    whatever n_k. The population oracle folds the same map over the
+    population moments.
     """
     for cid, lm in data.data.local_moments.items():
-        yield (lm.count, *data.imputer.complete_moments(cid, lm.sigma_sum, lm.gamma_sum))
+        yield LocalMoments(*data.imputer.complete_moments(cid, lm.sigma_sum, lm.gamma_sum), lm.count)
 
 
-def imputed_data_moments(data) -> tuple[np.ndarray, np.ndarray]:
+def imputed_data_moments(data) -> MomentPair:
     """Averages (X^T X / n, X^T y / n) of an ``ImputedDataset``: its
-    ``completed_sums`` folded in ascending id order, as a server folds
-    uploads."""
-    if data.n == 0:
-        raise ValueError("no rows")
-    sigma_sum = np.zeros((data.d, data.d))
-    gamma_sum = np.zeros(data.d)
-    for _, gram, cross in completed_sums(data):
-        sigma_sum += gram
-        gamma_sum += cross
-    return sigma_sum / data.n, gamma_sum / data.n
+    ``completed_sums`` pooled by ``aggregate_zero_imputed``, as a server
+    folds uploads."""
+    return aggregate_zero_imputed(completed_sums(data))

@@ -19,6 +19,10 @@ while the next block is drawn, and since the writes are disjoint the result
 does not depend on the thread count. Replicate-level parallelism should
 derive child seeds with ``numpy.random.SeedSequence(root, spawn_key=...)``,
 which is stable across processes.
+
+Only the law and the sampler live here: the population co-observation
+matrix Pi is ``moments.co_observation`` of the clients' patterns with
+weights rho_k.
 """
 from __future__ import annotations
 
@@ -34,7 +38,6 @@ __all__ = [
     "PopulationSpec",
     "draw_bernoulli_patterns",
     "sample_dataset",
-    "co_observation_matrix",
     "population_gamma",
     "population_moment_pair",
 ]
@@ -47,9 +50,10 @@ class PopulationSpec:
     design "gaussian": X = sigma^{1/2} Z with Z standard normal.
     design "sphere":   X = sigma^{1/2} U with U uniform on the sphere of
     radius sqrt(d), so E[X X^T] = sigma exactly and |theta_star . X| is
-    bounded by sqrt(d) * ||sigma^{1/2} theta_star||. Pairing "sphere" with
-    uniform noise on [-a, a] gives the almost-sure response bound ``m_bound``
-    = sqrt(d) * ||sigma^{1/2} theta_star|| + a.
+    bounded by sqrt(d) * ||sigma^{1/2} theta_star||. ``m_bound`` is derived,
+    never given: pairing "sphere" with uniform noise on [-a, a] gives the
+    almost-sure response bound sqrt(d) * ||sigma^{1/2} theta_star|| + a, and
+    every other design or noise leaves it None (Y is unbounded).
 
     noise "gaussian" has variance sigma2; "uniform" is uniform on
     [-noise_halfwidth, noise_halfwidth] with sigma2 = halfwidth^2 / 3.
@@ -62,7 +66,7 @@ class PopulationSpec:
     noise: str = "gaussian"
     design: str = "gaussian"
     noise_halfwidth: float | None = None
-    m_bound: float | None = None
+    m_bound: float | None = field(init=False)
     sqrt_sigma: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
@@ -88,7 +92,12 @@ class PopulationSpec:
             raise ValueError(f"noise variance must be >= 0, got {self.sigma2}")
         object.__setattr__(self, "sigma", s)
         object.__setattr__(self, "theta_star", t)
-        object.__setattr__(self, "sqrt_sigma", sym_sqrt(s))
+        root = sym_sqrt(s)
+        object.__setattr__(self, "sqrt_sigma", root)
+        m = None
+        if self.design == "sphere" and self.noise == "uniform":
+            m = float(np.sqrt(self.d) * np.linalg.norm(root @ t) + self.noise_halfwidth)
+        object.__setattr__(self, "m_bound", m)
 
     @classmethod
     def gaussian(cls, sigma: np.ndarray, theta_star: np.ndarray, sigma2: float = 1.0) -> "PopulationSpec":
@@ -97,23 +106,11 @@ class PopulationSpec:
 
     @classmethod
     def bounded(cls, sigma: np.ndarray, theta_star: np.ndarray, noise_halfwidth: float = 1.0) -> "PopulationSpec":
-        """Sphere design with uniform noise; fills in the response bound."""
+        """Sphere design with uniform noise, which has a response bound."""
         sigma = np.asarray(sigma, dtype=np.float64)
-        theta = np.asarray(theta_star, dtype=np.float64)
-        d = sigma.shape[0]
         a = float(noise_halfwidth)
-        root = sym_sqrt((sigma + sigma.T) / 2.0)
-        m = float(np.sqrt(d) * np.linalg.norm(root @ theta) + a)
-        return cls(
-            d=d,
-            sigma=sigma,
-            theta_star=theta,
-            sigma2=a * a / 3.0,
-            noise="uniform",
-            design="sphere",
-            noise_halfwidth=a,
-            m_bound=m,
-        )
+        return cls(d=sigma.shape[0], sigma=sigma, theta_star=theta_star, sigma2=a * a / 3.0,
+                   noise="uniform", design="sphere", noise_halfwidth=a)
 
     @property
     def e_y2(self) -> float:
@@ -228,17 +225,6 @@ def sample_dataset(
     rho = np.array([c.rho for c in clients], dtype=np.float64)
     positions = rng.choice(len(clients), size=n, p=rho / rho.sum())
     return _draw_rows(pop, clients, positions, rng)
-
-
-def co_observation_matrix(clients) -> np.ndarray:
-    """Pi with Pi[l, j] = sum of rho_k over clients observing both l and j."""
-    clients = validate_federation(clients)
-    d = clients[0].pattern.d
-    pi = np.zeros((d, d))
-    for c in clients:
-        m = c.pattern.mask().astype(np.float64)
-        pi += c.rho * np.outer(m, m)
-    return pi
 
 
 def population_gamma(pop: PopulationSpec) -> np.ndarray:

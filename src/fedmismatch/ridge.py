@@ -35,7 +35,7 @@ import numpy as np
 from ._linalg import ridge_solve, spectral_radius
 from .impute import ImputationMap, ImputedDataset
 from .model import ClientwisePredictor, Dataset, crop_matrix, crop_vector
-from .moments import completed_sums, imputed_data_moments
+from .moments import aggregate_zero_imputed, completed_sums, imputed_data_moments
 
 __all__ = [
     "ridge_closed_form",
@@ -54,7 +54,8 @@ def ridge_closed_form(data: ImputedDataset, lam: float) -> np.ndarray:
     """
     if lam < 0:
         raise ValueError(f"lambda must be >= 0, got {lam}")
-    return ridge_solve(*imputed_data_moments(data), lam)
+    pair = imputed_data_moments(data)
+    return ridge_solve(pair.sigma, pair.gamma, lam)
 
 
 @dataclass(frozen=True)
@@ -87,19 +88,22 @@ def fedavg_ridge(
     """
     if rounds < 0 or local_steps < 1:
         raise ValueError("need rounds >= 0 and local_steps >= 1")
-    sigma, gamma = imputed_data_moments(data)
+    sums = list(completed_sums(data))
+    pair = aggregate_zero_imputed(sums)
+    sigma, gamma = pair.sigma, pair.gamma
     d, n = data.d, data.n
     step_size = 1.0 / (spectral_radius(sigma) + lam)
     eye = np.eye(d)
     a_bar = np.zeros((d, d))
     b_bar = np.zeros(d)
-    for n_k, gram, cross in completed_sums(data):
+    for lm in sums:
+        n_k = lm.count
         if n_k == 0:
             continue
-        m_k = eye - step_size * (gram / n_k + lam * eye)
+        m_k = eye - step_size * (lm.sigma_sum / n_k + lam * eye)
         a_k, b_k = eye, np.zeros(d)
         for _ in range(local_steps):
-            a_k, b_k = m_k @ a_k, m_k @ b_k + step_size * cross / n_k
+            a_k, b_k = m_k @ a_k, m_k @ b_k + step_size * lm.gamma_sum / n_k
         a_bar += n_k / n * a_k
         b_bar += n_k / n * b_k
     yy = float(data.y @ data.y) / n

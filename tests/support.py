@@ -16,9 +16,10 @@ from fedmismatch import (
     ClientSpec,
     Dataset,
     FeaturePattern,
+    ImputedDataset,
     ImputerKind,
     PopulationSpec,
-    apply_imputer,
+    co_observation,
     fit_zero_imputer,
     population_gamma,
     sample_dataset,
@@ -71,6 +72,11 @@ def mixed_federation(seed, n=240):
     return rng, data
 
 
+def sample_counts(data) -> np.ndarray:
+    """N = ``co_observation`` with each client's row count n_k as its weight."""
+    return co_observation([c.pattern for c in data.clients], [data.local_moments[c.id].count for c in data.clients])
+
+
 def sharded(x, y, bounds):
     """Completed data in which rows bounds[i]:bounds[i + 1] belong to one
     full-pattern client, with ids 1, 2, ... in shard order."""
@@ -79,7 +85,7 @@ def sharded(x, y, bounds):
     clients = tuple(ClientSpec(id=i + 1, pattern=FeaturePattern.full(x.shape[1]), rho=1 / k) for i in range(k))
     ids = np.repeat(np.arange(1, k + 1), np.diff(bounds))
     data = Dataset.from_filled(clients=clients, client_ids=ids, x_filled=x, y=np.asarray(y, dtype=np.float64))
-    return apply_imputer(fit_zero_imputer(clients), data)
+    return ImputedDataset(data, fit_zero_imputer(clients))
 
 
 def gd_quadratic_min(a: np.ndarray, b: np.ndarray, iters: int = 2000) -> np.ndarray:

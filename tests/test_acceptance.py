@@ -17,17 +17,17 @@ import numpy as np
 
 from fedmismatch.cli import _preset_paths, run_experiment
 from fedmismatch.impute import (
+    ImputedDataset,
     ImputerKind,
-    apply_imputer,
     fit_optimal_imputer,
     fit_zero_imputer,
 )
 from fedmismatch.model import ClientSpec, Dataset, FeaturePattern, crop_matrix, validate_federation
 from fedmismatch.moments import (
     aggregate_zero_imputed,
+    co_observation,
     cw_moments,
     debias_moments,
-    empirical_coobservation,
     local_zero_imputed_moments,
 )
 from fedmismatch import oracle
@@ -35,7 +35,6 @@ from fedmismatch.fedsim import ProtocolSpec, replay_comm_schedule, run_protocol
 from fedmismatch.plugin import crop_predictor
 from fedmismatch.popgen import (
     PopulationSpec,
-    co_observation_matrix,
     draw_bernoulli_patterns,
     sample_dataset,
 )
@@ -56,6 +55,7 @@ from support import (
     gd_quadratic_min,
     random_clients,
     random_population,
+    sample_counts,
     seeded,
     sharded,
 )
@@ -154,7 +154,7 @@ def test_c02_moment_estimator_unbiasedness():
         FeaturePattern.from_one_based([2, 3, 4], d),
     )
     clients = _uniform_clients(patterns)
-    pi = co_observation_matrix(clients)
+    pi = co_observation(patterns, [c.rho for c in clients])
     chol = np.linalg.cholesky(sigma)
     rng = seeded(20260815)
     positions = rng.integers(0, 2, size=(reps, n))
@@ -224,9 +224,8 @@ def test_c03_plugin_consistency_and_new_pattern():
         errs = np.zeros((len(eval_patterns), seeds))
         for s in range(seeds):
             data = sample_dataset(pop, clients, n, seeded(3000 + 7 * s + j))
-            pair0 = aggregate_zero_imputed(data.local_moments)
-            _, counts = empirical_coobservation(data)
-            pair = cw_moments(pair0, counts)
+            pair0 = aggregate_zero_imputed(data.local_moments.values())
+            pair = cw_moments(pair0, sample_counts(data), data.n)
             for i, (p, tgt) in enumerate(zip(eval_patterns, targets)):
                 errs[i, s] = float(np.linalg.norm(crop_predictor(pair, p) - tgt))
         medians[:, j] = np.median(errs, axis=1)
@@ -272,7 +271,7 @@ def test_c04_imputed_ridge_risk_certificates():
                         if kind is ImputerKind.ZERO
                         else fit_optimal_imputer(pop.sigma, clients)
                     )
-                    completed = apply_imputer(imputer, data)
+                    completed = ImputedDataset(data, imputer)
                     m_hat = estimate_m(data)
                     predictor = itr_predictor(imputer, ridge_closed_form(completed, lam), trunc_m=m_hat)
                     mc = oracle.monte_carlo_risk([predictor], pop, clients, 100_000, mc_rng)[0]
@@ -408,7 +407,7 @@ def test_c08_fedavg_reaches_closed_form():
     x = rng.standard_normal((n, d))
     y = x @ rng.standard_normal(d) + 0.3 * rng.standard_normal(n)
     clients = (ClientSpec(id=1, pattern=FeaturePattern.full(d), rho=1.0),)
-    pooled = apply_imputer(fit_zero_imputer(clients), Dataset.from_filled(clients=clients, client_ids=np.ones(n, dtype=int), x_filled=x, y=y))
+    pooled = ImputedDataset(Dataset.from_filled(clients=clients, client_ids=np.ones(n, dtype=int), x_filled=x, y=y), fit_zero_imputer(clients))
     want = ridge_closed_form(pooled, lam)
     worst_err = 0.0
     worst_rounds = 0
@@ -442,7 +441,7 @@ def _tuned_test_risk(method, pop, clients, data, lam_grid, valid_rng, test_rng, 
     for lam in lam_grid:
         if method == "itr_zero":
             imputer = fit_zero_imputer(clients)
-            completed = apply_imputer(imputer, data)
+            completed = ImputedDataset(data, imputer)
             predictor = itr_predictor(imputer, ridge_closed_form(completed, lam), trunc_m=m_hat)
         else:
             predictor = local_learning(data, lam, trunc_m=m_hat)
@@ -556,7 +555,7 @@ def test_c11_communication_audit():
             pop = random_population(rng, d)
             clients = random_clients(rng, d, k)
             data = sample_dataset(pop, clients, 30, rng)
-            completed = apply_imputer(fit_zero_imputer(clients), data)
+            completed = ImputedDataset(data, fit_zero_imputer(clients))
             nonempty = sum(1 for c in clients if len(data.rows_of(c.id)))
             specs = [
                 (ProtocolSpec(kind="one_shot_moments"), data, k),

@@ -8,14 +8,14 @@ from fedmismatch.fedsim import (
     replay_comm_schedule,
     run_protocol,
 )
-from fedmismatch.impute import apply_imputer, fit_zero_imputer
+from fedmismatch.impute import ImputedDataset, fit_zero_imputer
 from fedmismatch.impute import federated_ice as ice_in_memory
 from fedmismatch.model import ClientSpec, Dataset, FeaturePattern
-from fedmismatch.moments import aggregate_zero_imputed, empirical_coobservation
+from fedmismatch.moments import aggregate_zero_imputed
 from fedmismatch.popgen import sample_dataset
 from fedmismatch.ridge import fedavg_ridge, ridge_closed_form
 
-from support import random_clients, random_population, seeded
+from support import random_clients, random_population, sample_counts, seeded
 from test_popgen import section3_clients
 
 
@@ -28,7 +28,7 @@ def _masked(seed, d=4, n=120, clients=None):
 
 def _completed(seed, d=4, n=120, clients=None):
     data = _masked(seed, d, n, clients)
-    return apply_imputer(fit_zero_imputer(data.clients), data)
+    return ImputedDataset(data, fit_zero_imputer(data.clients))
 
 
 def _sparse_federation(seed, d=4):
@@ -53,7 +53,7 @@ def _sparse_federation(seed, d=4):
 def _library_artifact(spec, data):
     """What the library function returns for the payload run_protocol gets."""
     if spec.kind == "one_shot_moments":
-        return aggregate_zero_imputed(data.local_moments), empirical_coobservation(data)[1]
+        return aggregate_zero_imputed(data.local_moments.values()), sample_counts(data)
     if spec.kind == "federated_ice":
         return ice_in_memory(data, rounds=spec.ice_rounds)
     if spec.kind == "one_shot_ridge":
@@ -68,12 +68,11 @@ class TestTransportTransparency:
     def test_one_shot_moments(self):
         data = _masked(501)
         res = run_protocol(ProtocolSpec(kind="one_shot_moments"), data)
-        want = aggregate_zero_imputed(data.local_moments)
+        want = aggregate_zero_imputed(data.local_moments.values())
         assert np.array_equal(res.artifact.pair.sigma, want.sigma)
         assert np.array_equal(res.artifact.pair.gamma, want.gamma)
-        _, counts = empirical_coobservation(data)
-        assert np.array_equal(res.artifact.counts.counts, counts.counts)
-        assert res.artifact.counts.n == counts.n
+        assert np.array_equal(res.artifact.counts, sample_counts(data))
+        assert res.artifact.n == data.n
 
     def test_one_shot_ridge(self):
         data = _completed(502)
@@ -104,15 +103,18 @@ class TestTransportTransparency:
         data = _sparse_federation(515)
         spec = ProtocolSpec(kind=kind, lam=0.3, ice_rounds=3, rounds=4)
         masked = kind in ("one_shot_moments", "federated_ice")
-        payload = data if masked else apply_imputer(fit_zero_imputer(data.clients), data)
+        payload = data if masked else ImputedDataset(data, fit_zero_imputer(data.clients))
         res = run_protocol(spec, payload)
         want = _library_artifact(spec, payload)
         if kind == "one_shot_moments":
             pair, counts = want
             assert np.array_equal(res.artifact.pair.sigma, pair.sigma)
             assert np.array_equal(res.artifact.pair.gamma, pair.gamma)
-            assert np.array_equal(res.artifact.counts.counts, counts.counts)
-            assert res.artifact.counts.n == counts.n
+            assert np.array_equal(res.artifact.counts, counts)
+            assert res.artifact.n == payload.n == sum(lm.count for lm in payload.local_moments.values())
+            # N[l, j] counts the rows observing both l and j, row by row
+            row_masks = np.array([data.client_by_id(int(cid)).pattern.mask() for cid in data.client_ids], dtype=np.int64)
+            assert np.array_equal(res.artifact.counts, row_masks.T @ row_masks)
         elif kind == "federated_ice":
             assert np.array_equal(res.artifact.x, want.x)
             assert res.artifact.imputer.maps.keys() == want.imputer.maps.keys()
@@ -183,7 +185,7 @@ class TestReplayMatchesRun:
                 pop = random_population(rng, d)
                 clients = random_clients(rng, d, k)
                 data = sample_dataset(pop, clients, 40, rng)
-                completed = apply_imputer(fit_zero_imputer(clients), data)
+                completed = ImputedDataset(data, fit_zero_imputer(clients))
                 nonempty = sum(1 for c in clients if len(data.rows_of(c.id)))
                 cases = [
                     (ProtocolSpec(kind="one_shot_moments"), data, k),
@@ -232,12 +234,12 @@ class TestPinnedTotals:
             ClientSpec(id=1, pattern=FeaturePattern.full(3), rho=0.5),
             ClientSpec(id=2, pattern=FeaturePattern.full(3), rho=0.5),
         )
-        data = apply_imputer(fit_zero_imputer(clients), Dataset.from_filled(
+        data = ImputedDataset(Dataset.from_filled(
             clients=clients,
             client_ids=np.array([1, 1, 1, 2, 2, 2]),
             x_filled=np.vstack([np.eye(3), np.eye(3)]),
             y=np.ones(6),
-        ))
+        ), fit_zero_imputer(clients))
         res = run_protocol(ProtocolSpec(kind="fedavg_ridge", lam=0.1, rounds=7), data)
         assert res.comm.total_floats("up") == 7 * 2 * 3
         assert res.comm.total_floats("down") == 7 * 2 * 3

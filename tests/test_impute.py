@@ -6,14 +6,19 @@ import pytest
 
 from fedmismatch.impute import (
     ImputationMap,
-    apply_imputer,
+    ImputedDataset,
     federated_ice,
     fit_optimal_imputer,
     fit_zero_imputer,
     optimal_block_map,
 )
 from fedmismatch.model import ClientSpec, FeaturePattern
-from fedmismatch.moments import completed_sums, gram_fold, imputed_data_moments
+from fedmismatch.moments import (
+    aggregate_zero_imputed,
+    completed_sums,
+    imputed_data_moments,
+    local_zero_imputed_moments,
+)
 from fedmismatch.popgen import sample_dataset
 from fedmismatch.ridge import ridge_closed_form
 
@@ -111,7 +116,7 @@ class TestApplyImputer:
         rng = seeded(203)
         pop = random_population(rng, 4)
         data = sample_dataset(pop, section3_clients(), 50, rng)
-        out = apply_imputer(fit_zero_imputer(data.clients), data)
+        out = ImputedDataset(data, fit_zero_imputer(data.clients))
         assert np.array_equal(out.x, data.x_filled)
         assert np.array_equal(out.y, data.y)
 
@@ -120,7 +125,7 @@ class TestApplyImputer:
         pop = random_population(rng, 4)
         clients = section3_clients()
         data = sample_dataset(pop, clients, 80, rng)
-        out = apply_imputer(fit_optimal_imputer(pop.sigma, clients), data)
+        out = ImputedDataset(data, fit_optimal_imputer(pop.sigma, clients))
         for c in clients:
             rows = data.rows_of(c.id)
             obs = list(c.pattern.observed)
@@ -131,7 +136,7 @@ class TestApplyImputer:
         pop = random_population(rng, 3)
         clients = _one_client(FeaturePattern.full(3))
         data = sample_dataset(pop, clients, 40, rng)
-        out = apply_imputer(fit_optimal_imputer(pop.sigma, clients), data)
+        out = ImputedDataset(data, fit_optimal_imputer(pop.sigma, clients))
         assert np.array_equal(out.x, data.x_filled)
 
     def test_missing_block_matches_map(self):
@@ -140,7 +145,7 @@ class TestApplyImputer:
         clients = _one_client(FeaturePattern.from_one_based([2, 4], 4))
         data = sample_dataset(pop, clients, 30, rng)
         imp = fit_optimal_imputer(pop.sigma, clients)
-        out = apply_imputer(imp, data)
+        out = ImputedDataset(data, imp)
         x_obs = data.x_obs_of(1)
         assert np.allclose(out.x[:, [0, 2]], x_obs @ imp.maps[1].T)
 
@@ -151,21 +156,21 @@ class TestApplyImputer:
         data = sample_dataset(pop, clients, 10, rng)
         other = fit_zero_imputer(_one_client(FeaturePattern.from_one_based([1, 3], 3)))
         with pytest.raises(ValueError, match="different pattern"):
-            apply_imputer(other, data)
+            ImputedDataset(data, other)
 
     def test_shard_splits_by_client(self):
         rng = seeded(208)
         pop = random_population(rng, 4)
         data = sample_dataset(pop, section3_clients(), 60, rng)
-        out = apply_imputer(fit_zero_imputer(data.clients), data)
+        out = ImputedDataset(data, fit_zero_imputer(data.clients))
         sums = list(completed_sums(out))
         ids = sorted(c.id for c in data.clients)
         assert len(sums) == len(ids)
-        for cid, (n_k, gram, cross) in zip(ids, sums):
+        for cid, lm in zip(ids, sums):
             rows = np.flatnonzero(data.client_ids == cid)
-            assert n_k == len(rows)
-            assert_rel_close(gram, out.x[rows].T @ out.x[rows])
-            assert_rel_close(cross, out.x[rows].T @ out.y[rows])
+            assert lm.count == len(rows)
+            assert_rel_close(lm.sigma_sum, out.x[rows].T @ out.x[rows])
+            assert_rel_close(lm.gamma_sum, out.x[rows].T @ out.y[rows])
 
 
 class TestFederatedIce:
@@ -181,10 +186,10 @@ class TestFederatedIce:
         rng = seeded(210)
         pop = random_population(rng, 3)
         data = sample_dataset(pop, _one_client(FeaturePattern.full(3)), 60, rng)
-        first = imputed_data_moments(federated_ice(data, rounds=0))[0]
+        first = imputed_data_moments(federated_ice(data, rounds=0)).sigma
         for rounds in range(1, 4):
             res = federated_ice(data, rounds)
-            assert np.array_equal(imputed_data_moments(res)[0], first)
+            assert np.array_equal(imputed_data_moments(res).sigma, first)
             assert np.array_equal(res.x, data.x_filled)
 
     def test_single_client_any_init_is_fixed_point(self):
@@ -198,7 +203,7 @@ class TestFederatedIce:
         clients = _one_client(FeaturePattern.from_one_based([1, 3], 4))
         data = sample_dataset(pop, clients, 500, rng)
         for init in (fit_optimal_imputer(pop.sigma, clients), fit_zero_imputer(clients)):
-            sigma = imputed_data_moments(apply_imputer(init, data))[0]
+            sigma = imputed_data_moments(ImputedDataset(data, init)).sigma
             np.testing.assert_allclose(fit_optimal_imputer(sigma, clients).maps[1], init.maps[1], atol=1e-10)
         assert np.allclose(federated_ice(data, rounds=3).x, data.x_filled, atol=1e-10)
 
@@ -208,10 +213,10 @@ class TestFederatedIce:
         clients = section3_clients()
         data = sample_dataset(pop, clients, 300, rng)
         res = federated_ice(data, rounds=500)
-        sigma, _ = imputed_data_moments(res)
+        sigma = imputed_data_moments(res).sigma
         maps = {c.id: optimal_block_map(sigma, c.pattern) for c in clients}
         imp = ImputationMap(maps=maps, patterns={c.id: c.pattern for c in clients})
-        again = apply_imputer(imp, data).x
+        again = ImputedDataset(data, imp).x
         assert np.allclose(again, res.x, atol=1e-9)
 
     def test_negative_rounds_rejected(self):
@@ -268,14 +273,14 @@ class TestSufficientStatistics:
             for cid, s in maps.items():
                 np.testing.assert_allclose(res.imputer.maps[cid], s, rtol=1e-9, atol=1e-12)
             # The estimate of round rounds + 1 is the moment matrix of this completion.
-            sigma, gamma = imputed_data_moments(res)
-            assert_rel_close(sigma, trace[rounds])
-            x = res.x
-            sigma_sum, gamma_sum = gram_fold(
-                [(x[rows], data.y[rows]) for rows in data.shard_rows.values()], data.d
+            pair = imputed_data_moments(res)
+            assert_rel_close(pair.sigma, trace[rounds])
+            x, full = res.x, FeaturePattern.full(data.d)
+            rows_pair = aggregate_zero_imputed(
+                local_zero_imputed_moments(x[rows], data.y[rows], full) for rows in data.shard_rows.values()
             )
-            assert_rel_close(sigma, sigma_sum / data.n)
-            assert_rel_close(gamma, gamma_sum / data.n)
+            assert_rel_close(pair.sigma, rows_pair.sigma)
+            assert_rel_close(pair.gamma, rows_pair.gamma)
 
     def test_ice_and_ridge_allocate_no_completed_matrix(self):
         n, d = 50_000, 32

@@ -251,21 +251,16 @@ class TestClientwisePredictor:
 class TestCommLog:
     def test_totals_by_direction(self):
         log = CommLog()
-        log.record(0, "up", 0, "registration", bits=4)
-        log.record(1, "up", 10, "payload")
-        log.record(1, "down", 7, "broadcast")
+        log.record(0, "up", 0, bits=4)
+        log.record(1, "up", 10)
+        log.record(1, "down", 7)
         assert log.total_floats("up") == 10
         assert log.total_floats("down") == 7
         assert log.total_floats() == 17
         assert log.total_bits() == 4
         assert len(log) == 3
 
-    def test_rows_export(self):
-        log = CommLog()
-        log.record(1, "down", 3, "x")
-        assert log.to_rows() == [(1, "down", 3, 0, "x")]
-
     def test_direction_validated(self):
         log = CommLog()
         with pytest.raises(ValueError):
-            log.record(0, "sideways", 1, "bad")
+            log.record(0, "sideways", 1)

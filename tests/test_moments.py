@@ -7,18 +7,17 @@ from fedmismatch import (
     FeaturePattern,
     PopulationSpec,
     aggregate_zero_imputed,
-    co_observation_matrix,
+    co_observation,
     cw_moments,
     debias_moments,
-    empirical_coobservation,
     local_zero_imputed_moments,
     sample_dataset,
 )
-from fedmismatch.impute import apply_imputer, fit_zero_imputer
+from fedmismatch.impute import ImputedDataset, fit_zero_imputer
 from fedmismatch.model import Dataset
 from fedmismatch.moments import imputed_data_moments
 
-from support import seeded
+from support import sample_counts, seeded
 from test_popgen import section3_clients
 
 
@@ -89,14 +88,14 @@ class TestAggregate:
             ClientSpec(id=1, pattern=FeaturePattern.from_one_based([1, 2], 2), rho=0.5),
             ClientSpec(id=2, pattern=FeaturePattern.from_one_based([2], 2), rho=0.5),
         )
-        target = co_observation_matrix(clients) * pop.sigma
+        target = co_observation([c.pattern for c in clients], [c.rho for c in clients]) * pop.sigma
         rng = seeded(3)
         reps = 2000
         acc = np.zeros((2, 2))
         acc2 = np.zeros((2, 2))
         for _ in range(reps):
             ds = sample_dataset(pop, clients, 25, rng)
-            s = aggregate_zero_imputed(ds.local_moments).sigma
+            s = aggregate_zero_imputed(ds.local_moments.values()).sigma
             acc += s
             acc2 += s * s
         mean = acc / reps
@@ -108,31 +107,33 @@ class TestEmpiricalCoobservation:
     def test_all_full(self):
         pop = PopulationSpec.gaussian(np.eye(2), np.zeros(2))
         clients = (ClientSpec(id=1, pattern=FeaturePattern.full(2), rho=1.0),)
-        pi_hat, counts = empirical_coobservation(sample_dataset(pop, clients, 10, seeded(4)))
-        np.testing.assert_array_equal(pi_hat, np.ones((2, 2)))
-        assert counts.n == 10
+        ds = sample_dataset(pop, clients, 10, seeded(4))
+        counts = sample_counts(ds)
+        np.testing.assert_array_equal(counts, np.full((2, 2), 10.0))
+        np.testing.assert_array_equal(counts / ds.n, np.ones((2, 2)))
 
     def test_section3_balanced_counts(self):
         # with n1 = n2 = 500 forced, Pi_hat[1,3] = 0.5 exactly
         clients = section3_clients()
         n = 1000
         ids = np.array([1] * 500 + [2] * 500)
-        from fedmismatch.model import Dataset
-
         ds = Dataset.from_filled(clients=clients, client_ids=ids, x_filled=np.zeros((n, 4)), y=np.zeros(n))
-        pi_hat, counts = empirical_coobservation(ds)
-        assert pi_hat[0, 2] == 0.5
-        assert counts.counts[0, 2] == 500
+        counts = sample_counts(ds)
+        assert counts.dtype == np.float64
+        assert counts[0, 2] / ds.n == 0.5
+        assert counts[0, 2] == 500
+        # the same integers as the int64 sum of n_k m_k m_k^T
+        masks = [c.pattern.mask().astype(np.int64) for c in clients]
+        assert np.array_equal(counts, 500 * np.outer(masks[0], masks[0]) + 500 * np.outer(masks[1], masks[1]))
 
     def test_single_sample_single_feature(self):
+        # client 2 observes both features but drew no rows: weight n_2 = 0
         clients = (
-            ClientSpec(id=1, pattern=FeaturePattern.from_one_based([2], 2), rho=1.0),
+            ClientSpec(id=1, pattern=FeaturePattern.from_one_based([2], 2), rho=0.5),
+            ClientSpec(id=2, pattern=FeaturePattern.full(2), rho=0.5),
         )
-        from fedmismatch.model import Dataset
-
         ds = Dataset.from_filled(clients=clients, client_ids=np.array([1]), x_filled=np.zeros((1, 2)), y=np.zeros(1))
-        pi_hat, _ = empirical_coobservation(ds)
-        np.testing.assert_array_equal(pi_hat, [[0.0, 0.0], [0.0, 1.0]])
+        np.testing.assert_array_equal(sample_counts(ds) / ds.n, [[0.0, 0.0], [0.0, 1.0]])
 
 
 class TestDebias:
@@ -170,14 +171,14 @@ class TestDebias:
             ClientSpec(id=1, pattern=FeaturePattern.full(2), rho=0.6),
             ClientSpec(id=2, pattern=FeaturePattern.from_one_based([1], 2), rho=0.4),
         )
-        pi = co_observation_matrix(clients)
+        pi = co_observation([c.pattern for c in clients], [c.rho for c in clients])
         rng = seeded(6)
         reps = 2000
         acc = np.zeros((2, 2))
         acc2 = np.zeros((2, 2))
         for _ in range(reps):
             ds = sample_dataset(pop, clients, 30, rng)
-            s = debias_moments(aggregate_zero_imputed(ds.local_moments), pi).sigma
+            s = debias_moments(aggregate_zero_imputed(ds.local_moments.values()), pi).sigma
             acc += s
             acc2 += s * s
         mean = acc / reps
@@ -190,9 +191,8 @@ class TestComponentWise:
         pop = PopulationSpec.gaussian(np.eye(2), np.ones(2))
         clients = (ClientSpec(id=1, pattern=FeaturePattern.full(2), rho=1.0),)
         ds = sample_dataset(pop, clients, 60, seeded(7))
-        pair = aggregate_zero_imputed(ds.local_moments)
-        _, counts = empirical_coobservation(ds)
-        cw = cw_moments(pair, counts)
+        pair = aggregate_zero_imputed(ds.local_moments.values())
+        cw = cw_moments(pair, sample_counts(ds), ds.n)
         np.testing.assert_allclose(cw.sigma, pair.sigma, atol=1e-14)
         np.testing.assert_allclose(cw.gamma, pair.gamma, atol=1e-14)
 
@@ -203,9 +203,8 @@ class TestComponentWise:
         )
         pop = PopulationSpec.gaussian(np.eye(2), np.zeros(2))
         ds = sample_dataset(pop, clients, 40, seeded(8))
-        pair = aggregate_zero_imputed(ds.local_moments)
-        _, counts = empirical_coobservation(ds)
-        cw = cw_moments(pair, counts)
+        pair = aggregate_zero_imputed(ds.local_moments.values())
+        cw = cw_moments(pair, sample_counts(ds), ds.n)
         assert cw.sigma[0, 1] == 0.0
         assert not cw.coverage[0, 1]
 
@@ -217,9 +216,8 @@ class TestComponentWise:
             ClientSpec(id=2, pattern=FeaturePattern.from_one_based([2, 3], 3), rho=0.5),
         )
         ds = sample_dataset(pop, clients, 80, seeded(9))
-        pair = aggregate_zero_imputed(ds.local_moments)
-        _, counts = empirical_coobservation(ds)
-        cw = cw_moments(pair, counts)
+        pair = aggregate_zero_imputed(ds.local_moments.values())
+        cw = cw_moments(pair, sample_counts(ds), ds.n)
         masks = {c.id: c.pattern.mask() for c in clients}
         for l in range(3):
             for j in range(3):
@@ -242,13 +240,13 @@ class TestImputedDataMoments:
         y = rng.standard_normal(40)
         ids = rng.integers(1, 4, size=40)
         clients = tuple(ClientSpec(id=k, pattern=FeaturePattern.full(3), rho=1 / 3) for k in (1, 2, 3))
-        sigma, gamma = imputed_data_moments(apply_imputer(fit_zero_imputer(clients), Dataset.from_filled(clients=clients, client_ids=ids, x_filled=x, y=y)))
-        np.testing.assert_allclose(sigma, x.T @ x / 40, atol=1e-13)
-        np.testing.assert_allclose(gamma, x.T @ y / 40, atol=1e-13)
+        pair = imputed_data_moments(ImputedDataset(Dataset.from_filled(clients=clients, client_ids=ids, x_filled=x, y=y), fit_zero_imputer(clients)))
+        np.testing.assert_allclose(pair.sigma, x.T @ x / 40, atol=1e-13)
+        np.testing.assert_allclose(pair.gamma, x.T @ y / 40, atol=1e-13)
 
     def test_no_rows_rejected(self):
         clients = (ClientSpec(id=1, pattern=FeaturePattern.full(2), rho=1.0),)
-        empty = apply_imputer(fit_zero_imputer(clients), Dataset.from_filled(clients=clients, client_ids=np.zeros(0), x_filled=np.zeros((0, 2)), y=np.zeros(0)))
+        empty = ImputedDataset(Dataset.from_filled(clients=clients, client_ids=np.zeros(0), x_filled=np.zeros((0, 2)), y=np.zeros(0)), fit_zero_imputer(clients))
         with pytest.raises(ValueError):
             imputed_data_moments(empty)
 

@@ -6,13 +6,12 @@ from fedmismatch.model import ClientSpec, FeaturePattern, MomentPair
 from fedmismatch.moments import (
     aggregate_zero_imputed,
     debias_moments,
-    empirical_coobservation,
 )
 from fedmismatch.oracle import best_local_coefficients
 from fedmismatch.plugin import build_clientwise_plugin, crop_predictor
 from fedmismatch.popgen import population_moment_pair, sample_dataset
 
-from support import random_clients, random_population, seeded
+from support import random_clients, random_population, sample_counts, seeded
 from test_popgen import section3_clients
 
 
@@ -78,8 +77,8 @@ class TestBuildClientwisePlugin:
         clients = section3_clients()
         pop = random_population(seeded(103), 4)
         data = sample_dataset(pop, clients, 600, seeded(104))
-        agg = aggregate_zero_imputed(data.local_moments)
-        pihat, _ = empirical_coobservation(data)
+        agg = aggregate_zero_imputed(data.local_moments.values())
+        pihat = sample_counts(data) / data.n
         moments = debias_moments(agg, pihat)
         probes = clients + (
             ClientSpec(id=3, pattern=FeaturePattern.from_one_based([3, 4], 4), rho=1.0),
@@ -103,7 +102,7 @@ class TestBuildClientwisePlugin:
         pop = random_population(rng, 3)
         clients = (ClientSpec(id=1, pattern=FeaturePattern.full(3), rho=1.0),)
         data = sample_dataset(pop, clients, 400, rng)
-        agg = aggregate_zero_imputed(data.local_moments)
+        agg = aggregate_zero_imputed(data.local_moments.values())
         pred = build_clientwise_plugin(agg, clients)
         x, y = data.x_filled, data.y
         ols, *_ = np.linalg.lstsq(x.T @ x / 400, x.T @ y / 400, rcond=None)

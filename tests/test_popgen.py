@@ -9,7 +9,7 @@ from fedmismatch import (
     ClientSpec,
     FeaturePattern,
     PopulationSpec,
-    co_observation_matrix,
+    co_observation,
     draw_bernoulli_patterns,
     population_gamma,
     sample_dataset,
@@ -44,6 +44,20 @@ class TestPopulationSpec:
         # sqrt(2) * ||theta|| + 1 with identity covariance
         assert pop.m_bound == pytest.approx(np.sqrt(2) * 5.0 + 1.0)
         assert pop.sigma2 == pytest.approx(1.0 / 3.0)
+
+    def test_response_bound_is_derived(self):
+        # The bound follows from the design and the noise; it cannot be given.
+        with pytest.raises(TypeError):
+            PopulationSpec(d=2, sigma=np.eye(2), theta_star=np.ones(2), sigma2=1.0, m_bound=0.1)
+        assert PopulationSpec(d=2, sigma=np.eye(2), theta_star=np.ones(2), sigma2=1.0).m_bound is None
+        assert PopulationSpec(d=2, sigma=np.eye(2), theta_star=np.ones(2), sigma2=1.0, design="sphere").m_bound is None
+        uniform = dict(sigma2=0.75, noise="uniform", noise_halfwidth=1.5)
+        assert PopulationSpec(d=2, sigma=np.eye(2), theta_star=np.ones(2), **uniform).m_bound is None
+        sigma = np.array([[2.0, 0.5], [0.5, 1.0]])
+        theta = np.array([1.0, -3.0])
+        built = PopulationSpec(d=2, sigma=sigma, theta_star=theta, design="sphere", **uniform)
+        assert built.m_bound == PopulationSpec.bounded(sigma, theta, noise_halfwidth=1.5).m_bound
+        assert built.m_bound == pytest.approx(np.sqrt(2) * np.linalg.norm(built.sqrt_sigma @ theta) + 1.5)
 
     def test_e_y2(self):
         pop = PopulationSpec.gaussian(2.0 * np.eye(2), np.array([1.0, 1.0]), sigma2=0.5)
@@ -272,17 +286,27 @@ class TestBlockedSampler:
             assert pooled[cid].gamma_sum.tobytes() == lm.gamma_sum.tobytes()
 
 
+def _population_pi(clients):
+    """Pi = co_observation with each client's share rho_k as its weight."""
+    return co_observation([c.pattern for c in clients], [c.rho for c in clients])
+
+
 class TestCoObservation:
     def test_section3_values(self):
-        pi = co_observation_matrix(section3_clients())
+        clients = section3_clients()
+        pi = _population_pi(clients)
         np.testing.assert_allclose(np.diag(pi), [0.5, 0.5, 1.0, 0.5])
         assert pi[0, 2] == 0.5  # features 1 and 3, both seen by client 1
         assert pi[0, 1] == 0.0  # features 1 and 2 never co-observed
         assert pi[1, 3] == 0.5
         assert pi[2, 3] == 0.5
+        # unit weights count the patterns observing each pair
+        ones = co_observation([c.pattern for c in clients], [1, 1])
+        assert ones.dtype == np.float64
+        np.testing.assert_array_equal(ones, 2 * pi)
 
     def test_full_single_client(self):
-        pi = co_observation_matrix((ClientSpec(id=1, pattern=FeaturePattern.full(3), rho=1.0),))
+        pi = _population_pi((ClientSpec(id=1, pattern=FeaturePattern.full(3), rho=1.0),))
         np.testing.assert_array_equal(pi, np.ones((3, 3)))
 
     def test_disjoint_patterns(self):
@@ -290,7 +314,12 @@ class TestCoObservation:
             ClientSpec(id=1, pattern=FeaturePattern.from_one_based([1], 2), rho=0.5),
             ClientSpec(id=2, pattern=FeaturePattern.from_one_based([2], 2), rho=0.5),
         )
-        assert co_observation_matrix(clients)[0, 1] == 0.0
+        assert _population_pi(clients)[0, 1] == 0.0
+        # an empty pattern adds nothing, whatever its weight
+        patterns = [c.pattern for c in clients] + [FeaturePattern.empty(2)]
+        np.testing.assert_array_equal(co_observation(patterns, [0.5, 0.3, 0.2]), np.diag([0.5, 0.3]))
+        with pytest.raises(ValueError):
+            co_observation(patterns, [0.5, 0.5])
 
 
 class TestPopulationMoments:

@@ -3,7 +3,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from fedmismatch.impute import apply_imputer, fit_optimal_imputer, fit_zero_imputer
+from fedmismatch.impute import ImputedDataset, fit_optimal_imputer, fit_zero_imputer
 from fedmismatch.model import ClientSpec, ClientwisePredictor, Dataset, FeaturePattern
 from fedmismatch.moments import completed_sums
 from fedmismatch.oracle import best_local_coefficients
@@ -34,7 +34,7 @@ def _completed(x, y, d=None):
     d = d if d is not None else x.shape[1]
     clients = (ClientSpec(id=1, pattern=FeaturePattern.full(d), rho=1.0),)
     data = Dataset.from_filled(clients=clients, client_ids=np.ones(len(y), dtype=int), x_filled=x, y=np.asarray(y, dtype=float))
-    return apply_imputer(fit_zero_imputer(clients), data)
+    return ImputedDataset(data, fit_zero_imputer(clients))
 
 
 class TestRidgeClosedForm:
@@ -119,16 +119,16 @@ class TestFedAvg:
             ClientSpec(id=3, pattern=FeaturePattern.full(2), rho=0.5),
             ClientSpec(id=1, pattern=FeaturePattern.full(2), rho=0.5),
         )
-        data = apply_imputer(fit_zero_imputer(clients), Dataset.from_filled(
+        data = ImputedDataset(Dataset.from_filled(
             clients=clients,
             client_ids=np.array([3, 3, 3]),
             x_filled=np.arange(6.0).reshape(3, 2),
             y=np.array([1.0, 2.0, 3.0]),
-        ))
-        (n_1, gram_1, _), (n_3, gram_3, _) = completed_sums(data)
-        assert (n_1, n_3) == (0, 3)
-        assert not gram_1.any()
-        assert np.array_equal(gram_3, data.x.T @ data.x)
+        ), fit_zero_imputer(clients))
+        first, third = completed_sums(data)
+        assert (first.count, third.count) == (0, 3)
+        assert not first.sigma_sum.any()
+        assert np.array_equal(third.sigma_sum, data.x.T @ data.x)
 
     @pytest.mark.parametrize("seed", [240, 241, 242, 243])
     def test_affine_map_matches_per_step_reference(self, seed):
@@ -137,7 +137,7 @@ class TestFedAvg:
         rng, masked = mixed_federation(seed)
         imputers = [fit_zero_imputer(masked.clients), fit_optimal_imputer(random_psd(rng, masked.d), masked.clients)]
         for imputer in imputers:
-            data = apply_imputer(imputer, masked)
+            data = ImputedDataset(masked, imputer)
             for local_steps in (1, 2, 5):
                 for rounds in (0, 1, 7, 60):
                     res = fedavg_ridge(data, 0.3, rounds, local_steps)
@@ -168,7 +168,7 @@ class TestFedAvg:
         rng = seeded(306)
         clients = random_clients(rng, 8, 300, nonempty=False)
         masked = sample_dataset(random_population(rng, 8), clients, 3000, rng)
-        data = apply_imputer(fit_optimal_imputer(random_psd(rng, 8), clients), masked)
+        data = ImputedDataset(masked, fit_optimal_imputer(random_psd(rng, 8), clients))
         res = fedavg_ridge(data, lam=0.05, rounds=3000)
         assert not res.diverged and res.rounds_run == 3000
         assert np.any(np.diff(res.objective_trace) > 0)
@@ -267,7 +267,7 @@ class TestLocalLearning:
         clients = (ClientSpec(id=1, pattern=FeaturePattern.full(3), rho=1.0),)
         data = sample_dataset(pop, clients, 100, rng)
         pred = local_learning(data, lam=0.4)
-        completed = apply_imputer(fit_zero_imputer(clients), data)
+        completed = ImputedDataset(data, fit_zero_imputer(clients))
         assert np.allclose(pred.thetas[1], ridge_closed_form(completed, 0.4), atol=1e-12)
 
     def test_share_scales_penalty(self):
