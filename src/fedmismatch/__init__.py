@@ -41,7 +41,6 @@ from .moments import (
 from .plugin import build_clientwise_plugin, crop_predictor
 from .impute import (
     ImputationMap,
-    ImputedDataset,
     ImputerKind,
     federated_ice,
     fit_optimal_imputer,

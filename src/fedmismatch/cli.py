@@ -56,7 +56,7 @@ import numpy as np
 
 from . import oracle
 from ._parallel import workers
-from .impute import ImputedDataset, ImputerKind, fit_optimal_imputer, fit_zero_imputer
+from .impute import ImputerKind, fit_optimal_imputer, fit_zero_imputer
 from .model import ClientSpec, ClientwisePredictor, Dataset, FeaturePattern, MomentPair, validate_federation
 from .moments import co_observation, cw_moments, debias_moments
 from .plugin import build_clientwise_plugin
@@ -440,12 +440,12 @@ def _fit_plugin(pair_of, ctx: _Context) -> _Fit:
     return _Fit(predictor, oracle.oracle_global_risk(ctx.pop, ctx.served), protocols=(ctx.moments,))
 
 
-def _itr(completed, ctx: _Context, bound_kind=None, protocols=()) -> _Fit:
-    """Closed-form ridge on completed data, folded back through its imputer."""
+def _itr(imputer, ctx: _Context, bound_kind=None, protocols=()) -> _Fit:
+    """Closed-form ridge on the data completed by ``imputer``, folded back through it."""
     pop, clients, data, lam = ctx.pop, ctx.clients, ctx.data, ctx.lam
-    ridge = run_protocol(ProtocolSpec(kind="one_shot_ridge", lam=lam), completed)
+    ridge = run_protocol(ProtocolSpec(kind="one_shot_ridge", lam=lam), data, imputer)
     m_hat = estimate_m(data)
-    predictor = itr_predictor(completed.imputer, ridge.artifact, trunc_m=m_hat)
+    predictor = itr_predictor(imputer, ridge.artifact, clients, trunc_m=m_hat)
     protocols = protocols + (ridge,)
     if bound_kind is None:
         return _Fit(predictor, oracle.oracle_global_risk(pop, clients), protocols=protocols)
@@ -454,17 +454,16 @@ def _itr(completed, ctx: _Context, bound_kind=None, protocols=()) -> _Fit:
 
 
 def _fit_itr_zero(ctx: _Context) -> _Fit:
-    return _itr(ImputedDataset(ctx.data, fit_zero_imputer(ctx.clients)), ctx, ImputerKind.ZERO)
+    return _itr(fit_zero_imputer(ctx.clients), ctx, ImputerKind.ZERO)
 
 
 def _fit_itr_opt(ctx: _Context) -> _Fit:
-    imputer = fit_optimal_imputer(ctx.pop.sigma, ctx.clients)
-    return _itr(ImputedDataset(ctx.data, imputer), ctx, ImputerKind.OPTIMAL_LINEAR)
+    return _itr(fit_optimal_imputer(ctx.pop.sigma, ctx.clients), ctx, ImputerKind.OPTIMAL_LINEAR)
 
 
 def _fit_itr_cw(ctx: _Context) -> _Fit:
     imputer = fit_optimal_imputer(_componentwise(ctx.moments.artifact, ctx.clients).sigma, ctx.clients)
-    return _itr(ImputedDataset(ctx.data, imputer), ctx, protocols=(ctx.moments,))
+    return _itr(imputer, ctx, protocols=(ctx.moments,))
 
 
 def _fit_itr_ice(ctx: _Context) -> _Fit:
@@ -477,8 +476,8 @@ def _fit_fedavg(ctx: _Context) -> _Fit:
     spec = ProtocolSpec(
         kind="fedavg_ridge", lam=ctx.lam, rounds=ctx.params["rounds"], local_steps=ctx.params["local_steps"]
     )
-    res = run_protocol(spec, ImputedDataset(ctx.data, imputer))
-    predictor = itr_predictor(imputer, res.artifact, trunc_m=estimate_m(ctx.data))
+    res = run_protocol(spec, ctx.data, imputer)
+    predictor = itr_predictor(imputer, res.artifact, ctx.clients, trunc_m=estimate_m(ctx.data))
     ip = oracle.imputed_population_covariance(ctx.pop, ctx.clients, ImputerKind.ZERO)
     return _Fit(predictor, oracle.imputed_oracle_risk(ctx.pop, ip), protocols=(res,))
 
@@ -556,15 +555,13 @@ def _audit_rows(cfg: ExperimentConfig, item: _WorkItem, clients, data_ss, mc_ss)
     pop = cfg.population
     n = item.n if item.n is not None else 32
     data = sample_dataset(pop, clients, n, np.random.default_rng(data_ss))
-    completed = ImputedDataset(data, fit_zero_imputer(clients))
+    imputer = fit_zero_imputer(clients)
     rows = []
     for kind in cfg.methods:
-        spec = ProtocolSpec(kind=kind, lam=item.lam,
-                            ice_rounds=cfg.params["ice_rounds"] if kind == "federated_ice" else 0,
-                            rounds=cfg.params["rounds"] if kind == "fedavg_ridge" else 0)
-        masked = kind in MASKED_PROTOCOLS
-        res = run_protocol(spec, data if masked else completed)
-        predicted = replay_comm_schedule(spec, len(clients) if masked else len(completed.shard_rows), pop.d)
+        spec = ProtocolSpec(kind=kind, lam=item.lam, ice_rounds=cfg.params["ice_rounds"], rounds=cfg.params["rounds"])
+        res = run_protocol(spec, data, imputer)
+        k = len(clients) if kind in MASKED_PROTOCOLS else len(data.shard_rows)
+        predicted = replay_comm_schedule(spec, k, pop.d)
         got_up = res.comm.total_floats("up")
         got_down = res.comm.total_floats("down")
         if (got_up, got_down) != (predicted.up_floats, predicted.down_floats):
@@ -678,14 +675,13 @@ def run_experiment(
     threads: int = 1,
 ) -> tuple[str, str]:
     """Run one experiment config; returns (results_path, timings_path)."""
-    if threads < 1:
-        raise ValueError(f"threads must be >= 1, got {threads}")
     cfg = parse_config(raw)
-    if seed is not None:
-        try:
+    try:
+        _number(threads, "--threads", integer=True, lo=1)
+        if seed is not None:
             cfg = replace(cfg, root_seed=_number(seed, "--seed", integer=True, lo=0))
-        except _Invalid as exc:
-            raise ConfigError([str(exc)]) from exc
+    except _Invalid as exc:
+        raise ConfigError([str(exc)]) from exc
     os.makedirs(out_dir, exist_ok=True)
     points = _grid_points(cfg)
     items = [

@@ -1,19 +1,20 @@
 """Federated protocol runs with exact communication accounting.
 
 Each protocol is one library algorithm, already written over per-client
-sums; ``run_protocol`` calls it and logs every message it implies:
+sums; ``run_protocol`` calls it on a masked ``Dataset`` and logs every
+message it implies:
 
 * one_shot_moments: ``Dataset.local_moments`` folded by
   ``aggregate_zero_imputed`` and the registered bitmasks by
-  ``co_observation`` with n_k weights; masked shards in, the pooled
-  zero-imputed MomentPair, the co-observation count matrix and n out.
-* one_shot_ridge: ``ridge.ridge_closed_form``; a completed dataset in,
-  whose clients upload B_k^T G_k B_k and B_k^T g_k, closed-form ridge
-  coefficients out.
-* federated_ice: ``impute.federated_ice``; masked shards in, iteratively
-  completed dataset out; each of its ``ice_rounds`` rounds uploads
+  ``co_observation`` with n_k weights; the pooled zero-imputed
+  MomentPair, the co-observation count matrix and n out.
+* one_shot_ridge: ``ridge.ridge_closed_form``; with an ``ImputationMap``,
+  whose completion each client applies to upload B_k^T G_k B_k and
+  B_k^T g_k, closed-form ridge coefficients out.
+* federated_ice: ``impute.federated_ice``; the iterated
+  ``ImputationMap`` out; each of its ``ice_rounds`` rounds uploads
   B_k^T G_k B_k.
-* fedavg_ridge: ``ridge.fedavg_ridge``; a completed dataset in, whose
+* fedavg_ridge: ``ridge.fedavg_ridge``; with an ``ImputationMap``, whose
   clients run local steps from their completed sums B_k^T G_k B_k and
   B_k^T g_k, iteratively averaged coefficients out.
 
@@ -39,7 +40,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .impute import ImputedDataset, federated_ice
+from .impute import ImputationMap, federated_ice
 from .model import CommLog, Dataset, MomentPair
 from .moments import aggregate_zero_imputed, co_observation
 from .ridge import fedavg_ridge, ridge_closed_form
@@ -56,7 +57,8 @@ __all__ = [
 ]
 
 PROTOCOL_KINDS = ("one_shot_moments", "one_shot_ridge", "federated_ice", "fedavg_ridge")
-# The protocols that take a masked ``Dataset``; the rest take an ``ImputedDataset``.
+# The protocols that register patterns and read no imputer; the rest complete
+# the data with one and log only the clients that own rows.
 MASKED_PROTOCOLS = ("one_shot_moments", "federated_ice")
 
 
@@ -141,27 +143,27 @@ def _one_shot_moments(data: Dataset, comm: CommLog) -> OneShotMomentsArtifact:
     return OneShotMomentsArtifact(pair=pair, counts=counts, n=data.n)
 
 
-def _federated_ice(data: Dataset, spec: ProtocolSpec, comm: CommLog) -> ImputedDataset:
+def _federated_ice(data: Dataset, spec: ProtocolSpec, comm: CommLog) -> ImputationMap:
     tri = data.d * (data.d + 1) // 2
-    imputed = federated_ice(data, spec.ice_rounds)
+    imputer = federated_ice(data, spec.ice_rounds)
     for t in range(1, spec.ice_rounds + 1):
         for _ in data.clients:
             comm.record(t, "up", tri)
         comm.record(t, "down", tri)
-    return imputed
+    return imputer
 
 
-def _one_shot_ridge(data: ImputedDataset, spec: ProtocolSpec, comm: CommLog):
+def _one_shot_ridge(data: Dataset, imputer: ImputationMap, spec: ProtocolSpec, comm: CommLog):
     d = data.d
-    theta = ridge_closed_form(data, spec.lam)
+    theta = ridge_closed_form(data, imputer, spec.lam)
     for _ in data.shard_rows:
         comm.record(1, "up", 1 + d * (d + 1) // 2 + d)
     comm.record(1, "down", d)
     return theta
 
 
-def _fedavg_ridge(data: ImputedDataset, spec: ProtocolSpec, comm: CommLog):
-    res = fedavg_ridge(data, spec.lam, spec.rounds, spec.local_steps)
+def _fedavg_ridge(data: Dataset, imputer: ImputationMap, spec: ProtocolSpec, comm: CommLog):
+    res = fedavg_ridge(data, imputer, spec.lam, spec.rounds, spec.local_steps)
     floats = len(data.shard_rows) * data.d
     for t in range(1, res.rounds_run + 1):
         comm.record(t, "down", floats)
@@ -169,29 +171,27 @@ def _fedavg_ridge(data: ImputedDataset, spec: ProtocolSpec, comm: CommLog):
     return res.theta
 
 
-def run_protocol(spec: ProtocolSpec, data) -> ProtocolResult:
-    """Run one protocol's library algorithm and log every transfer.
+def run_protocol(spec: ProtocolSpec, data: Dataset, imputer: ImputationMap | None = None) -> ProtocolResult:
+    """Run one protocol's library algorithm on a masked ``Dataset`` and log
+    every transfer.
 
-    one_shot_moments and federated_ice take a masked ``Dataset`` and start
-    with one pattern registration per client; one_shot_ridge and
-    fedavg_ridge take a completed ``ImputedDataset``. The artifact is
-    exactly what the library function returns.
+    one_shot_moments and federated_ice start with one pattern registration
+    per client and ignore ``imputer``; one_shot_ridge and fedavg_ridge
+    complete the data with ``imputer`` and raise ``TypeError`` without one.
+    The artifact is exactly what the library function returns.
     """
     comm = CommLog()
     if spec.kind in MASKED_PROTOCOLS:
-        if not isinstance(data, Dataset):
-            raise TypeError(f"{spec.kind} needs a masked Dataset, got {type(data).__name__}")
         for _ in data.clients:
             comm.record(0, "up", 0, bits=data.d)
-        if spec.kind == "one_shot_moments":
-            artifact = _one_shot_moments(data, comm)
-        else:
-            artifact = _federated_ice(data, spec, comm)
+    elif imputer is None:
+        raise TypeError(f"{spec.kind} needs an ImputationMap")
+    if spec.kind == "one_shot_moments":
+        artifact = _one_shot_moments(data, comm)
+    elif spec.kind == "federated_ice":
+        artifact = _federated_ice(data, spec, comm)
+    elif spec.kind == "one_shot_ridge":
+        artifact = _one_shot_ridge(data, imputer, spec, comm)
     else:
-        if not isinstance(data, ImputedDataset):
-            raise TypeError(f"{spec.kind} needs an ImputedDataset, got {type(data).__name__}")
-        if spec.kind == "one_shot_ridge":
-            artifact = _one_shot_ridge(data, spec, comm)
-        else:
-            artifact = _fedavg_ridge(data, spec, comm)
+        artifact = _fedavg_ridge(data, imputer, spec, comm)
     return ProtocolResult(kind=spec.kind, artifact=artifact, comm=comm)

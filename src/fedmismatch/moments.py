@@ -155,20 +155,22 @@ def _divide_covered(sigma: np.ndarray, gamma: np.ndarray, weights: np.ndarray) -
                       np.where(diag_ok, gamma, 0.0) / np.where(diag_ok, diag, 1.0), coverage=covered)
 
 
-def completed_sums(data) -> Iterator[LocalMoments]:
-    """Each client's completed-data sums (B_k^T G_k B_k, B_k^T g_k, n_k) of an
-    ``ImputedDataset``, in ascending id order, clients without rows included
-    (as zero sums). A row completed by S_k is x_obs B_k, so these are
-    ``ImputationMap.complete_moments`` of the client's observed sums, O(d^3)
-    whatever n_k. The population oracle folds the same map over the
-    population moments.
+def completed_sums(data, imputer) -> Iterator[LocalMoments]:
+    """Each client's completed-data sums (B_k^T G_k B_k, B_k^T g_k, n_k) of a
+    masked ``Dataset`` under an ``ImputationMap``, in ascending id order,
+    clients without rows included (as zero sums). A row completed by its
+    pattern's S is x_obs B_k, so these are ``ImputationMap.complete_moments``
+    of the client's observed sums, O(d^3) whatever n_k; a pattern without a
+    map raises ``KeyError``. The population oracle folds the same maps over
+    the population moments.
     """
-    for cid, lm in data.data.local_moments.items():
-        yield LocalMoments(*data.imputer.complete_moments(cid, lm.sigma_sum, lm.gamma_sum), lm.count)
+    for cid, lm in data.local_moments.items():
+        pattern = data.client_by_id(cid).pattern
+        yield LocalMoments(*imputer.complete_moments(pattern, lm.sigma_sum, lm.gamma_sum), lm.count)
 
 
-def imputed_data_moments(data) -> MomentPair:
-    """Averages (X^T X / n, X^T y / n) of an ``ImputedDataset``: its
-    ``completed_sums`` pooled by ``aggregate_zero_imputed``, as a server
+def imputed_data_moments(data, imputer) -> MomentPair:
+    """Averages (X^T X / n, X^T y / n) of the data completed by ``imputer``:
+    its ``completed_sums`` pooled by ``aggregate_zero_imputed``, as a server
     folds uploads."""
-    return aggregate_zero_imputed(completed_sums(data))
+    return aggregate_zero_imputed(completed_sums(data, imputer))

@@ -163,7 +163,7 @@ def imputed_population_covariance(pop: PopulationSpec, clients, kind: ImputerKin
     """Exact moments of the imputed feature vector under a population-fitted map.
 
     sigma_I and gamma_I are the rho-weighted fold, in the given client order,
-    of ``complete_moments(c.id, pop.sigma, gamma)`` under
+    of ``complete_moments(c.pattern, pop.sigma, gamma)`` under
     ``fit_zero_imputer`` (ZERO; this equals (Pi . sigma, diag(Pi) . gamma))
     or ``fit_optimal_imputer(pop.sigma, ...)`` (OPTIMAL_LINEAR). For ZERO,
     theta_prime is the minimum-norm solution of sigma_I t = gamma_I; for
@@ -181,7 +181,7 @@ def imputed_population_covariance(pop: PopulationSpec, clients, kind: ImputerKin
     sigma_i = np.zeros((pop.d, pop.d))
     gamma_i = np.zeros(pop.d)
     for c in clients:
-        gram, cross = imputer.complete_moments(c.id, pop.sigma, gamma)
+        gram, cross = imputer.complete_moments(c.pattern, pop.sigma, gamma)
         sigma_i += c.rho * gram
         gamma_i += c.rho * cross
     theta_prime = pinv_solve(sigma_i, gamma_i) if kind == ImputerKind.ZERO else pop.theta_star.copy()

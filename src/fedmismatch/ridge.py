@@ -1,6 +1,7 @@
 """Ridge regression on completed data, federated averaging, local baseline.
 
-Every completed-data fit reads the clients' completed sums
+Every completed-data fit takes the masked ``Dataset`` and an
+``ImputationMap`` side by side and reads the clients' completed sums
 (``moments.completed_sums``); no completed row is built. The one-shot
 estimator solves (sigma_hat + lambda I) theta = gamma_hat with sigma_hat,
 gamma_hat the raw moments of the completed data. lambda = 0 falls back to
@@ -33,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._linalg import ridge_solve, spectral_radius
-from .impute import ImputationMap, ImputedDataset
+from .impute import ImputationMap
 from .model import ClientwisePredictor, Dataset, crop_matrix, crop_vector
 from .moments import aggregate_zero_imputed, completed_sums, imputed_data_moments
 
@@ -47,14 +48,15 @@ __all__ = [
 ]
 
 
-def ridge_closed_form(data: ImputedDataset, lam: float) -> np.ndarray:
-    """One-shot ridge coefficients from completed-data moments.
+def ridge_closed_form(data: Dataset, imputer: ImputationMap, lam: float) -> np.ndarray:
+    """One-shot ridge coefficients from the moments of ``data`` completed by
+    ``imputer``.
 
     lambda = 0 returns the minimum-norm least-squares solution.
     """
     if lam < 0:
         raise ValueError(f"lambda must be >= 0, got {lam}")
-    pair = imputed_data_moments(data)
+    pair = imputed_data_moments(data, imputer)
     return ridge_solve(pair.sigma, pair.gamma, lam)
 
 
@@ -67,7 +69,8 @@ class FedAvgResult:
 
 
 def fedavg_ridge(
-    data: ImputedDataset,
+    data: Dataset,
+    imputer: ImputationMap,
     lam: float,
     rounds: int,
     local_steps: int = 1,
@@ -76,8 +79,10 @@ def fedavg_ridge(
     that own rows.
 
     The step size eta = 1 / (lambda_max(sigma_hat) + lambda) guarantees a
-    non-increasing objective for single local steps. Ten consecutive
-    objective increases abort the run with ``diverged`` set.
+    non-increasing objective for single local steps; when that sum is 0
+    (lambda = 0 and no client observes anything) the objective is constant
+    and eta = 0 keeps theta at 0. Ten consecutive objective increases abort
+    the run with ``diverged`` set.
 
     Client k's local step is theta -> M_k theta + eta g_k / n_k with
     M_k = I - eta (G_k / n_k + lambda I), where G_k and g_k are its
@@ -88,11 +93,12 @@ def fedavg_ridge(
     """
     if rounds < 0 or local_steps < 1:
         raise ValueError("need rounds >= 0 and local_steps >= 1")
-    sums = list(completed_sums(data))
+    sums = list(completed_sums(data, imputer))
     pair = aggregate_zero_imputed(sums)
     sigma, gamma = pair.sigma, pair.gamma
     d, n = data.d, data.n
-    step_size = 1.0 / (spectral_radius(sigma) + lam)
+    curvature = spectral_radius(sigma) + lam
+    step_size = 1.0 / curvature if curvature > 0 else 0.0
     eye = np.eye(d)
     a_bar = np.zeros((d, d))
     b_bar = np.zeros(d)
@@ -131,24 +137,28 @@ def estimate_m(data) -> float:
     return float(np.max(np.abs(y)))
 
 
-def itr_predictor(imputer: ImputationMap, theta: np.ndarray, trunc_m: float | None = None) -> ClientwisePredictor:
-    """Compose impute-then-regress into per-client effective coefficients.
+def itr_predictor(imputer: ImputationMap, theta: np.ndarray, clients,
+                  trunc_m: float | None = None) -> ClientwisePredictor:
+    """Compose impute-then-regress into effective coefficients for each of
+    ``clients``.
 
-    Predicting theta . complete(x_obs) equals (theta_obs + S_k^T theta_mis)
-    . x_obs, so each client gets that folded vector; truncation happens at
-    prediction time. Patterns absent from the imputer cannot be predicted.
+    Predicting theta . complete(x_obs) equals (theta_obs + S^T theta_mis)
+    . x_obs, S the map of the client's pattern, so each client gets that
+    folded vector; truncation happens at prediction time. A client whose
+    pattern has no map raises ``KeyError``.
     """
     theta = np.asarray(theta, dtype=np.float64)
     thetas: dict[int, np.ndarray] = {}
-    for cid, pattern in imputer.patterns.items():
+    for c in clients:
+        pattern, s = c.pattern, imputer.maps[c.pattern]
         if theta.shape != (pattern.d,):
             raise ValueError(f"theta must be ({pattern.d},), got {theta.shape}")
         obs = list(pattern.observed)
         mis = list(pattern.missing)
         eff = theta[obs] if obs else np.zeros(0)
         if mis:
-            eff = eff + imputer.maps[cid].T @ theta[mis]
-        thetas[cid] = eff
+            eff = eff + s.T @ theta[mis]
+        thetas[c.id] = eff
     return ClientwisePredictor(thetas=thetas, trunc_m=trunc_m)
 
 

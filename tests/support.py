@@ -16,7 +16,6 @@ from fedmismatch import (
     ClientSpec,
     Dataset,
     FeaturePattern,
-    ImputedDataset,
     ImputerKind,
     PopulationSpec,
     co_observation,
@@ -77,15 +76,25 @@ def sample_counts(data) -> np.ndarray:
     return co_observation([c.pattern for c in data.clients], [data.local_moments[c.id].count for c in data.clients])
 
 
+def completed_rows(data, imputer) -> np.ndarray:
+    """The (n, d) design of ``data`` completed by ``imputer``, in row order:
+    the rows the fits stand for, built only to check them."""
+    x = np.empty((data.n, data.d))
+    for c in data.clients:
+        x[data.rows_of(c.id)] = imputer.complete(c.pattern, data.x_obs_of(c.id))
+    return x
+
+
 def sharded(x, y, bounds):
-    """Completed data in which rows bounds[i]:bounds[i + 1] belong to one
-    full-pattern client, with ids 1, 2, ... in shard order."""
+    """(data, zero imputer) in which rows bounds[i]:bounds[i + 1] belong to one
+    full-pattern client, with ids 1, 2, ... in shard order, so the completed
+    rows are ``x`` itself."""
     x = np.asarray(x, dtype=np.float64)
     k = len(bounds) - 1
     clients = tuple(ClientSpec(id=i + 1, pattern=FeaturePattern.full(x.shape[1]), rho=1 / k) for i in range(k))
     ids = np.repeat(np.arange(1, k + 1), np.diff(bounds))
     data = Dataset.from_filled(clients=clients, client_ids=ids, x_filled=x, y=np.asarray(y, dtype=np.float64))
-    return ImputedDataset(data, fit_zero_imputer(clients))
+    return data, fit_zero_imputer(clients)
 
 
 def gd_quadratic_min(a: np.ndarray, b: np.ndarray, iters: int = 2000) -> np.ndarray:
@@ -290,7 +299,7 @@ def reference_ice(data, rounds: int):
     return trace, maps
 
 
-def reference_fedavg(data, lam: float, rounds: int, local_steps: int = 1):
+def reference_fedavg(data, imputer, lam: float, rounds: int, local_steps: int = 1):
     """Federated averaging over materialized completed rows: every round each
     client that owns rows takes ``local_steps`` full-batch gradient steps on
     its own completed block from the server iterate, the server averages
@@ -300,7 +309,7 @@ def reference_fedavg(data, lam: float, rounds: int, local_steps: int = 1):
 
     Returns (theta, objective_trace, diverged, rounds_run).
     """
-    x = data.x
+    x = completed_rows(data, imputer)
     shards = [(x[rows], data.y[rows]) for rows in data.shard_rows.values()]
     n, d = data.n, data.d
     sigma = sum((xk.T @ xk for xk, _ in shards), np.zeros((d, d))) / n

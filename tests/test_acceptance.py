@@ -17,7 +17,6 @@ import numpy as np
 
 from fedmismatch.cli import _preset_paths, run_experiment
 from fedmismatch.impute import (
-    ImputedDataset,
     ImputerKind,
     fit_optimal_imputer,
     fit_zero_imputer,
@@ -271,9 +270,8 @@ def test_c04_imputed_ridge_risk_certificates():
                         if kind is ImputerKind.ZERO
                         else fit_optimal_imputer(pop.sigma, clients)
                     )
-                    completed = ImputedDataset(data, imputer)
                     m_hat = estimate_m(data)
-                    predictor = itr_predictor(imputer, ridge_closed_form(completed, lam), trunc_m=m_hat)
+                    predictor = itr_predictor(imputer, ridge_closed_form(data, imputer, lam), clients, trunc_m=m_hat)
                     mc = oracle.monte_carlo_risk([predictor], pop, clients, 100_000, mc_rng)[0]
                     bound_value = oracle.itr_bound(pop, clients, kind, lam, n, m_hat).bound_value
                     margin = bound_value + 3 * mc.stderr - mc.risk
@@ -407,8 +405,8 @@ def test_c08_fedavg_reaches_closed_form():
     x = rng.standard_normal((n, d))
     y = x @ rng.standard_normal(d) + 0.3 * rng.standard_normal(n)
     clients = (ClientSpec(id=1, pattern=FeaturePattern.full(d), rho=1.0),)
-    pooled = ImputedDataset(Dataset.from_filled(clients=clients, client_ids=np.ones(n, dtype=int), x_filled=x, y=y), fit_zero_imputer(clients))
-    want = ridge_closed_form(pooled, lam)
+    pooled = Dataset.from_filled(clients=clients, client_ids=np.ones(n, dtype=int), x_filled=x, y=y)
+    want = ridge_closed_form(pooled, fit_zero_imputer(clients), lam)
     worst_err = 0.0
     worst_rounds = 0
     monotone = True
@@ -417,7 +415,7 @@ def test_c08_fedavg_reaches_closed_form():
         k = int(rng.integers(1, 7))
         cuts = np.sort(rng.choice(np.arange(1, n), size=k - 1, replace=False)) if k > 1 else np.array([], dtype=int)
         bounds = [0, *cuts.tolist(), n]
-        res = fedavg_ridge(sharded(x, y, bounds), lam=lam, rounds=10_000)
+        res = fedavg_ridge(*sharded(x, y, bounds), lam=lam, rounds=10_000)
         err = float(np.linalg.norm(res.theta - want))
         worst_err = max(worst_err, err)
         worst_rounds = max(worst_rounds, res.rounds_run)
@@ -441,8 +439,7 @@ def _tuned_test_risk(method, pop, clients, data, lam_grid, valid_rng, test_rng, 
     for lam in lam_grid:
         if method == "itr_zero":
             imputer = fit_zero_imputer(clients)
-            completed = ImputedDataset(data, imputer)
-            predictor = itr_predictor(imputer, ridge_closed_form(completed, lam), trunc_m=m_hat)
+            predictor = itr_predictor(imputer, ridge_closed_form(data, imputer, lam), clients, trunc_m=m_hat)
         else:
             predictor = local_learning(data, lam, trunc_m=m_hat)
         score = oracle.monte_carlo_risk([predictor], pop, clients, n_eval, valid_rng)[0].risk
@@ -555,18 +552,18 @@ def test_c11_communication_audit():
             pop = random_population(rng, d)
             clients = random_clients(rng, d, k)
             data = sample_dataset(pop, clients, 30, rng)
-            completed = ImputedDataset(data, fit_zero_imputer(clients))
+            imputer = fit_zero_imputer(clients)
             nonempty = sum(1 for c in clients if len(data.rows_of(c.id)))
             specs = [
-                (ProtocolSpec(kind="one_shot_moments"), data, k),
-                (ProtocolSpec(kind="one_shot_ridge", lam=0.1), completed, nonempty),
+                (ProtocolSpec(kind="one_shot_moments"), k),
+                (ProtocolSpec(kind="one_shot_ridge", lam=0.1), nonempty),
             ]
             for t in (0, 2, 5):
-                specs.append((ProtocolSpec(kind="federated_ice", ice_rounds=t), data, k))
+                specs.append((ProtocolSpec(kind="federated_ice", ice_rounds=t), k))
             for r in (1, 5):
-                specs.append((ProtocolSpec(kind="fedavg_ridge", lam=0.1, rounds=r), completed, nonempty))
-            for spec, payload, k_replay in specs:
-                res = run_protocol(spec, payload)
+                specs.append((ProtocolSpec(kind="fedavg_ridge", lam=0.1, rounds=r), nonempty))
+            for spec, k_replay in specs:
+                res = run_protocol(spec, data, imputer)
                 pred = replay_comm_schedule(spec, k_replay, d)
                 if (
                     res.comm.total_floats("up") != pred.up_floats

@@ -579,6 +579,32 @@ class TestMain:
         assert capsys.readouterr().err.strip() == "invalid: --seed: need an integer >= 0, got -1"
         assert not out.exists()
 
+    def test_zero_threads_flag_exits_one_before_writing(self, tmp_path, capsys):
+        path = _write(tmp_path, _sweep_config(grid={"n": [40]}))
+        out = tmp_path / "t0"
+        assert main(["run", path, "--out", str(out), "--threads", "0"]) == 1
+        assert capsys.readouterr().err.strip() == "invalid: --threads: need an integer >= 1, got 0"
+        assert not out.exists()
+
+    def test_fedavg_at_zero_lambda_with_nothing_observed(self, tmp_path, capsys):
+        # sigma_hat = 0 and lambda = 0 leave FedAvg's objective constant, so
+        # theta stays 0 for every round instead of the step size dividing by 0.
+        cfg = {
+            "scenario": "local_vs_federated",
+            "population": {"d": 2},
+            "clients": {"k": 2, "rho": "uniform", "patterns": {"kind": "explicit", "observed": [[], []]}},
+            "grid": {"n": [40], "lam": [0.0]},
+            "methods": ["fedavg"],
+            "mc": {"n_test": 500},
+            "seeds": {"root": 1},
+            "output": {"prefix": "fedavg0"},
+        }
+        assert main(["run", _write(tmp_path, cfg), "--out", str(tmp_path / "out")]) == 0
+        capsys.readouterr()
+        [row] = _read_rows(tmp_path / "out" / "fedavg0_results.csv")
+        assert row["method"] == "fedavg" and float(row["oracle_risk"]) == 3.0
+        assert (row["comm_floats_up"], row["comm_floats_down"]) == ("800", "800")
+
     def test_presets_list(self, capsys):
         rc = main(["presets", "list"])
         assert rc == 0

@@ -8,14 +8,14 @@ from fedmismatch.fedsim import (
     replay_comm_schedule,
     run_protocol,
 )
-from fedmismatch.impute import ImputedDataset, fit_zero_imputer
+from fedmismatch.impute import fit_zero_imputer
 from fedmismatch.impute import federated_ice as ice_in_memory
 from fedmismatch.model import ClientSpec, Dataset, FeaturePattern
 from fedmismatch.moments import aggregate_zero_imputed
 from fedmismatch.popgen import sample_dataset
 from fedmismatch.ridge import fedavg_ridge, ridge_closed_form
 
-from support import random_clients, random_population, sample_counts, seeded
+from support import completed_rows, random_clients, random_population, sample_counts, seeded
 from test_popgen import section3_clients
 
 
@@ -27,8 +27,9 @@ def _masked(seed, d=4, n=120, clients=None):
 
 
 def _completed(seed, d=4, n=120, clients=None):
+    """(masked data, zero imputer): what every protocol kind accepts."""
     data = _masked(seed, d, n, clients)
-    return ImputedDataset(data, fit_zero_imputer(data.clients))
+    return data, fit_zero_imputer(data.clients)
 
 
 def _sparse_federation(seed, d=4):
@@ -50,15 +51,15 @@ def _sparse_federation(seed, d=4):
     return data
 
 
-def _library_artifact(spec, data):
-    """What the library function returns for the payload run_protocol gets."""
+def _library_artifact(spec, data, imputer):
+    """What the library function returns for the arguments run_protocol gets."""
     if spec.kind == "one_shot_moments":
         return aggregate_zero_imputed(data.local_moments.values()), sample_counts(data)
     if spec.kind == "federated_ice":
         return ice_in_memory(data, rounds=spec.ice_rounds)
     if spec.kind == "one_shot_ridge":
-        return ridge_closed_form(data, spec.lam)
-    return fedavg_ridge(data, lam=spec.lam, rounds=spec.rounds).theta
+        return ridge_closed_form(data, imputer, spec.lam)
+    return fedavg_ridge(data, imputer, lam=spec.lam, rounds=spec.rounds).theta
 
 
 class TestTransportTransparency:
@@ -76,25 +77,24 @@ class TestTransportTransparency:
 
     def test_one_shot_ridge(self):
         data = _completed(502)
-        res = run_protocol(ProtocolSpec(kind="one_shot_ridge", lam=0.4), data)
-        assert np.array_equal(res.artifact, ridge_closed_form(data, 0.4))
+        res = run_protocol(ProtocolSpec(kind="one_shot_ridge", lam=0.4), *data)
+        assert np.array_equal(res.artifact, ridge_closed_form(*data, 0.4))
 
     def test_one_shot_ridge_min_norm(self):
         data = _completed(503)
-        res = run_protocol(ProtocolSpec(kind="one_shot_ridge", lam=0.0), data)
-        assert np.array_equal(res.artifact, ridge_closed_form(data, 0.0))
+        res = run_protocol(ProtocolSpec(kind="one_shot_ridge", lam=0.0), *data)
+        assert np.array_equal(res.artifact, ridge_closed_form(*data, 0.0))
 
     def test_federated_ice(self):
         data = _masked(504)
         res = run_protocol(ProtocolSpec(kind="federated_ice", ice_rounds=3), data)
         want = ice_in_memory(data, rounds=3)
-        assert np.array_equal(res.artifact.x, want.x)
-        assert np.array_equal(res.artifact.y, data.y)
+        assert np.array_equal(completed_rows(data, res.artifact), completed_rows(data, want))
 
     def test_fedavg(self):
         data = _completed(505)
-        res = run_protocol(ProtocolSpec(kind="fedavg_ridge", lam=0.2, rounds=5), data)
-        want = fedavg_ridge(data, lam=0.2, rounds=5)
+        res = run_protocol(ProtocolSpec(kind="fedavg_ridge", lam=0.2, rounds=5), *data)
+        want = fedavg_ridge(*data, lam=0.2, rounds=5)
         assert np.array_equal(res.artifact, want.theta)
 
 
@@ -103,23 +103,23 @@ class TestTransportTransparency:
         data = _sparse_federation(515)
         spec = ProtocolSpec(kind=kind, lam=0.3, ice_rounds=3, rounds=4)
         masked = kind in ("one_shot_moments", "federated_ice")
-        payload = data if masked else ImputedDataset(data, fit_zero_imputer(data.clients))
-        res = run_protocol(spec, payload)
-        want = _library_artifact(spec, payload)
+        imputer = fit_zero_imputer(data.clients)
+        res = run_protocol(spec, data, imputer)
+        want = _library_artifact(spec, data, imputer)
         if kind == "one_shot_moments":
             pair, counts = want
             assert np.array_equal(res.artifact.pair.sigma, pair.sigma)
             assert np.array_equal(res.artifact.pair.gamma, pair.gamma)
             assert np.array_equal(res.artifact.counts, counts)
-            assert res.artifact.n == payload.n == sum(lm.count for lm in payload.local_moments.values())
+            assert res.artifact.n == data.n == sum(lm.count for lm in data.local_moments.values())
             # N[l, j] counts the rows observing both l and j, row by row
             row_masks = np.array([data.client_by_id(int(cid)).pattern.mask() for cid in data.client_ids], dtype=np.int64)
             assert np.array_equal(res.artifact.counts, row_masks.T @ row_masks)
         elif kind == "federated_ice":
-            assert np.array_equal(res.artifact.x, want.x)
-            assert res.artifact.imputer.maps.keys() == want.imputer.maps.keys()
-            for cid, s in want.imputer.maps.items():
-                assert np.array_equal(res.artifact.imputer.maps[cid], s)
+            assert np.array_equal(completed_rows(data, res.artifact), completed_rows(data, want))
+            assert list(res.artifact.maps) == list(want.maps)
+            for p, s in want.maps.items():
+                assert np.array_equal(res.artifact.maps[p], s)
         else:
             assert np.array_equal(res.artifact, want)
         # Masked-data protocols log all four clients; completed-data ones
@@ -135,15 +135,10 @@ class TestPayloadAudit:
         # Payload sizes scale with d and rounds only; shipping ten times the
         # rows moves identical float counts.
         clients = section3_clients()
-        for kind, build in (
-            ("one_shot_moments", _masked),
-            ("federated_ice", _masked),
-            ("one_shot_ridge", _completed),
-            ("fedavg_ridge", _completed),
-        ):
+        for kind in PROTOCOL_KINDS:
             spec = ProtocolSpec(kind=kind, lam=0.1, ice_rounds=2, rounds=2)
-            small = run_protocol(spec, build(506, 4, 30, clients))
-            large = run_protocol(spec, build(507, 4, 300, clients))
+            small = run_protocol(spec, *_completed(506, 4, 30, clients))
+            large = run_protocol(spec, *_completed(507, 4, 300, clients))
             assert [(e.round, e.direction, e.floats, e.bits) for e in small.comm.events] == [
                 (e.round, e.direction, e.floats, e.bits) for e in large.comm.events
             ]
@@ -169,9 +164,7 @@ class TestPayloadAudit:
             "fedavg_ridge": {(t, io): (k * d, 0) for t in (1, 2) for io in ("up", "down")},
         }
         for kind, want in sizes.items():
-            build = _masked if kind in ("one_shot_moments", "federated_ice") else _completed
-            payload = build(516, d, 60, clients)
-            res = run_protocol(ProtocolSpec(kind=kind, lam=0.1, ice_rounds=2, rounds=2), payload)
+            res = run_protocol(ProtocolSpec(kind=kind, lam=0.1, ice_rounds=2, rounds=2), *_completed(516, d, 60, clients))
             assert {(e.round, e.direction) for e in res.comm.events} == set(want), kind
             for e in res.comm.events:
                 assert (e.floats, e.bits) == want[(e.round, e.direction)], (kind, e)
@@ -185,17 +178,17 @@ class TestReplayMatchesRun:
                 pop = random_population(rng, d)
                 clients = random_clients(rng, d, k)
                 data = sample_dataset(pop, clients, 40, rng)
-                completed = ImputedDataset(data, fit_zero_imputer(clients))
+                imputer = fit_zero_imputer(clients)
                 nonempty = sum(1 for c in clients if len(data.rows_of(c.id)))
                 cases = [
-                    (ProtocolSpec(kind="one_shot_moments"), data, k),
-                    (ProtocolSpec(kind="federated_ice", ice_rounds=0), data, k),
-                    (ProtocolSpec(kind="federated_ice", ice_rounds=3), data, k),
-                    (ProtocolSpec(kind="one_shot_ridge", lam=0.1), completed, nonempty),
-                    (ProtocolSpec(kind="fedavg_ridge", lam=0.1, rounds=4), completed, nonempty),
+                    (ProtocolSpec(kind="one_shot_moments"), k),
+                    (ProtocolSpec(kind="federated_ice", ice_rounds=0), k),
+                    (ProtocolSpec(kind="federated_ice", ice_rounds=3), k),
+                    (ProtocolSpec(kind="one_shot_ridge", lam=0.1), nonempty),
+                    (ProtocolSpec(kind="fedavg_ridge", lam=0.1, rounds=4), nonempty),
                 ]
-                for spec, payload, k_replay in cases:
-                    res = run_protocol(spec, payload)
+                for spec, k_replay in cases:
+                    res = run_protocol(spec, data, imputer)
                     pred = replay_comm_schedule(spec, k_replay, d)
                     assert res.comm.total_floats("up") == pred.up_floats, spec.kind
                     assert res.comm.total_floats("down") == pred.down_floats, spec.kind
@@ -225,7 +218,7 @@ class TestPinnedTotals:
             ClientSpec(id=2, pattern=FeaturePattern.full(5), rho=0.5),
         )
         data = _completed(511, 5, 60, clients)
-        res = run_protocol(ProtocolSpec(kind="fedavg_ridge", lam=0.1, rounds=7), data)
+        res = run_protocol(ProtocolSpec(kind="fedavg_ridge", lam=0.1, rounds=7), *data)
         assert res.comm.total_floats("up") == 7 * 2 * 5
         assert res.comm.total_floats("down") == 7 * 2 * 5
 
@@ -234,13 +227,13 @@ class TestPinnedTotals:
             ClientSpec(id=1, pattern=FeaturePattern.full(3), rho=0.5),
             ClientSpec(id=2, pattern=FeaturePattern.full(3), rho=0.5),
         )
-        data = ImputedDataset(Dataset.from_filled(
+        data = Dataset.from_filled(
             clients=clients,
             client_ids=np.array([1, 1, 1, 2, 2, 2]),
             x_filled=np.vstack([np.eye(3), np.eye(3)]),
             y=np.ones(6),
-        ), fit_zero_imputer(clients))
-        res = run_protocol(ProtocolSpec(kind="fedavg_ridge", lam=0.1, rounds=7), data)
+        )
+        res = run_protocol(ProtocolSpec(kind="fedavg_ridge", lam=0.1, rounds=7), data, fit_zero_imputer(clients))
         assert res.comm.total_floats("up") == 7 * 2 * 3
         assert res.comm.total_floats("down") == 7 * 2 * 3
 
@@ -267,7 +260,7 @@ class TestPinnedTotals:
         res = run_protocol(ProtocolSpec(kind="federated_ice", ice_rounds=0), data)
         assert res.comm.total_floats() == 0
         assert res.comm.total_bits() == 2 * 4
-        assert np.array_equal(res.artifact.x, data.x_filled)
+        assert np.array_equal(completed_rows(data, res.artifact), data.x_filled)
 
 
 class TestSpecValidation:
@@ -292,9 +285,8 @@ class TestSpecValidation:
         )
 
     def test_wrong_payload_type(self):
+        # The completed-data protocols need an imputer beside the masked data.
         masked = _masked(514)
-        completed = _completed(514)
-        with pytest.raises(TypeError):
-            run_protocol(ProtocolSpec(kind="one_shot_moments"), completed)
-        with pytest.raises(TypeError):
-            run_protocol(ProtocolSpec(kind="one_shot_ridge"), masked)
+        for kind in ("one_shot_ridge", "fedavg_ridge"):
+            with pytest.raises(TypeError, match="needs an ImputationMap"):
+                run_protocol(ProtocolSpec(kind=kind), masked)

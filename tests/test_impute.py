@@ -4,9 +4,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import fedmismatch.impute as impute
 from fedmismatch.impute import (
     ImputationMap,
-    ImputedDataset,
     federated_ice,
     fit_optimal_imputer,
     fit_zero_imputer,
@@ -24,6 +24,7 @@ from fedmismatch.ridge import ridge_closed_form
 
 from support import (
     assert_rel_close,
+    completed_rows,
     mixed_federation,
     random_clients,
     random_population,
@@ -43,22 +44,23 @@ class TestZeroImputer:
         clients = section3_clients()
         imp = fit_zero_imputer(clients)
         for c in clients:
-            s = imp.maps[c.id]
+            s = imp.maps[c.pattern]
             assert s.shape == (len(c.pattern.missing), c.pattern.size)
             assert not s.any()
 
     def test_full_pattern_map_is_empty(self):
         imp = fit_zero_imputer(_one_client(FeaturePattern.full(3)))
-        assert imp.maps[1].shape == (0, 3)
+        assert imp.maps[FeaturePattern.full(3)].shape == (0, 3)
 
     def test_complete_pads_with_zeros(self):
-        imp = fit_zero_imputer(_one_client(FeaturePattern.from_one_based([1], 3)))
-        assert imp.complete(1, np.array([2.0])) == pytest.approx([2.0, 0.0, 0.0])
+        pattern = FeaturePattern.from_one_based([1], 3)
+        imp = fit_zero_imputer(_one_client(pattern))
+        assert imp.complete(pattern, np.array([2.0])) == pytest.approx([2.0, 0.0, 0.0])
 
-    def test_complete_unknown_client(self):
+    def test_complete_unknown_pattern(self):
         imp = fit_zero_imputer(_one_client(FeaturePattern.full(2)))
-        with pytest.raises(KeyError):
-            imp.complete(9, np.zeros(2))
+        with pytest.raises(KeyError, match=r"pattern \(1,\)"):
+            imp.complete(FeaturePattern.from_one_based([1], 2), np.zeros(1))
 
 
 class TestOptimalImputer:
@@ -75,7 +77,7 @@ class TestOptimalImputer:
         s = optimal_block_map(sigma, pattern)
         assert s == pytest.approx(np.array([[0.5]]))
         imp = fit_optimal_imputer(sigma, _one_client(pattern))
-        assert imp.complete(1, np.array([2.0])) == pytest.approx([2.0, 1.0])
+        assert imp.complete(pattern, np.array([2.0])) == pytest.approx([2.0, 1.0])
 
     def test_empty_pattern_gets_zero_map(self):
         clients = (
@@ -83,8 +85,23 @@ class TestOptimalImputer:
             ClientSpec(id=2, pattern=FeaturePattern.full(2), rho=0.5),
         )
         imp = fit_optimal_imputer(np.array([[1.0, 0.5], [0.5, 1.0]]), clients)
-        assert imp.maps[1].shape == (2, 0)
-        assert imp.complete(1, np.zeros(0)) == pytest.approx([0.0, 0.0])
+        empty = FeaturePattern.empty(2)
+        assert imp.maps[empty].shape == (2, 0)
+        assert imp.complete(empty, np.zeros(0)) == pytest.approx([0.0, 0.0])
+
+    def test_shared_pattern_gets_one_map_from_one_pinv(self, monkeypatch):
+        pattern = FeaturePattern.from_one_based([1, 3], 4)
+        clients = tuple(ClientSpec(id=i, pattern=pattern, rho=0.5) for i in (1, 2))
+        calls, pinv = [], impute.pinv
+
+        def counting(a):
+            calls.append(a)
+            return pinv(a)
+
+        monkeypatch.setattr(impute, "pinv", counting)
+        imp = fit_optimal_imputer(random_psd(seeded(217), 4), clients)
+        assert list(imp.maps) == [pattern]
+        assert len(calls) == 1
 
     def test_residual_mean_is_zero_gaussian(self):
         # For jointly Gaussian X the fill s @ x_obs is the conditional mean,
@@ -104,11 +121,7 @@ class TestOptimalImputer:
     def test_map_shape_validation(self):
         pattern = FeaturePattern.from_one_based([1], 3)
         with pytest.raises(ValueError, match="map shape"):
-            ImputationMap(maps={1: np.zeros((1, 1))}, patterns={1: pattern})
-
-    def test_maps_patterns_id_mismatch(self):
-        with pytest.raises(ValueError, match="same client ids"):
-            ImputationMap(maps={1: np.zeros((0, 2))}, patterns={2: FeaturePattern.full(2)})
+            ImputationMap(maps={pattern: np.zeros((1, 1))})
 
 
 class TestApplyImputer:
@@ -116,61 +129,63 @@ class TestApplyImputer:
         rng = seeded(203)
         pop = random_population(rng, 4)
         data = sample_dataset(pop, section3_clients(), 50, rng)
-        out = ImputedDataset(data, fit_zero_imputer(data.clients))
-        assert np.array_equal(out.x, data.x_filled)
-        assert np.array_equal(out.y, data.y)
+        assert np.array_equal(completed_rows(data, fit_zero_imputer(data.clients)), data.x_filled)
 
     def test_observed_coordinates_bitwise_preserved(self):
         rng = seeded(204)
         pop = random_population(rng, 4)
         clients = section3_clients()
         data = sample_dataset(pop, clients, 80, rng)
-        out = ImputedDataset(data, fit_optimal_imputer(pop.sigma, clients))
+        x = completed_rows(data, fit_optimal_imputer(pop.sigma, clients))
         for c in clients:
             rows = data.rows_of(c.id)
             obs = list(c.pattern.observed)
-            assert np.array_equal(out.x[np.ix_(rows, obs)], data.x_filled[np.ix_(rows, obs)])
+            assert np.array_equal(x[np.ix_(rows, obs)], data.x_filled[np.ix_(rows, obs)])
 
     def test_full_pattern_identity(self):
         rng = seeded(205)
         pop = random_population(rng, 3)
         clients = _one_client(FeaturePattern.full(3))
         data = sample_dataset(pop, clients, 40, rng)
-        out = ImputedDataset(data, fit_optimal_imputer(pop.sigma, clients))
-        assert np.array_equal(out.x, data.x_filled)
+        assert np.array_equal(completed_rows(data, fit_optimal_imputer(pop.sigma, clients)), data.x_filled)
 
     def test_missing_block_matches_map(self):
         rng = seeded(206)
         pop = random_population(rng, 4)
-        clients = _one_client(FeaturePattern.from_one_based([2, 4], 4))
+        pattern = FeaturePattern.from_one_based([2, 4], 4)
+        clients = _one_client(pattern)
         data = sample_dataset(pop, clients, 30, rng)
         imp = fit_optimal_imputer(pop.sigma, clients)
-        out = ImputedDataset(data, imp)
         x_obs = data.x_obs_of(1)
-        assert np.allclose(out.x[:, [0, 2]], x_obs @ imp.maps[1].T)
+        assert np.allclose(completed_rows(data, imp)[:, [0, 2]], x_obs @ imp.maps[pattern].T)
 
     def test_pattern_mismatch_rejected(self):
         rng = seeded(207)
         pop = random_population(rng, 3)
         clients = _one_client(FeaturePattern.from_one_based([1, 2], 3))
         data = sample_dataset(pop, clients, 10, rng)
+        # Maps are keyed by pattern, so a map fitted for another pattern is
+        # simply absent for this client's.
         other = fit_zero_imputer(_one_client(FeaturePattern.from_one_based([1, 3], 3)))
-        with pytest.raises(ValueError, match="different pattern"):
-            ImputedDataset(data, other)
+        with pytest.raises(KeyError, match="no imputation map"):
+            list(completed_sums(data, other))
+        with pytest.raises(KeyError, match="no imputation map"):
+            ridge_closed_form(data, other, 0.1)
 
     def test_shard_splits_by_client(self):
         rng = seeded(208)
         pop = random_population(rng, 4)
         data = sample_dataset(pop, section3_clients(), 60, rng)
-        out = ImputedDataset(data, fit_zero_imputer(data.clients))
-        sums = list(completed_sums(out))
+        imp = fit_zero_imputer(data.clients)
+        sums = list(completed_sums(data, imp))
+        x = completed_rows(data, imp)
         ids = sorted(c.id for c in data.clients)
         assert len(sums) == len(ids)
         for cid, lm in zip(ids, sums):
             rows = np.flatnonzero(data.client_ids == cid)
             assert lm.count == len(rows)
-            assert_rel_close(lm.sigma_sum, out.x[rows].T @ out.x[rows])
-            assert_rel_close(lm.gamma_sum, out.x[rows].T @ out.y[rows])
+            assert_rel_close(lm.sigma_sum, x[rows].T @ x[rows])
+            assert_rel_close(lm.gamma_sum, x[rows].T @ data.y[rows])
 
 
 class TestFederatedIce:
@@ -178,7 +193,7 @@ class TestFederatedIce:
         rng = seeded(209)
         pop = random_population(rng, 4)
         data = sample_dataset(pop, section3_clients(), 50, rng)
-        assert np.array_equal(federated_ice(data, rounds=0).x, data.x_filled)
+        assert np.array_equal(completed_rows(data, federated_ice(data, rounds=0)), data.x_filled)
 
     def test_full_pattern_trace_constant(self):
         # Nothing is missing, so every round re-estimates the same matrix
@@ -186,11 +201,11 @@ class TestFederatedIce:
         rng = seeded(210)
         pop = random_population(rng, 3)
         data = sample_dataset(pop, _one_client(FeaturePattern.full(3)), 60, rng)
-        first = imputed_data_moments(federated_ice(data, rounds=0)).sigma
+        first = imputed_data_moments(data, federated_ice(data, rounds=0)).sigma
         for rounds in range(1, 4):
             res = federated_ice(data, rounds)
-            assert np.array_equal(imputed_data_moments(res).sigma, first)
-            assert np.array_equal(res.x, data.x_filled)
+            assert np.array_equal(imputed_data_moments(data, res).sigma, first)
+            assert np.array_equal(completed_rows(data, res), data.x_filled)
 
     def test_single_client_any_init_is_fixed_point(self):
         # With one client the refreshed map is S sigma_oo sigma_oo^+ = S:
@@ -200,12 +215,13 @@ class TestFederatedIce:
         # Iteration only moves when several patterns feed the estimate.
         rng = seeded(211)
         pop = random_population(rng, 4)
-        clients = _one_client(FeaturePattern.from_one_based([1, 3], 4))
+        pattern = FeaturePattern.from_one_based([1, 3], 4)
+        clients = _one_client(pattern)
         data = sample_dataset(pop, clients, 500, rng)
         for init in (fit_optimal_imputer(pop.sigma, clients), fit_zero_imputer(clients)):
-            sigma = imputed_data_moments(ImputedDataset(data, init)).sigma
-            np.testing.assert_allclose(fit_optimal_imputer(sigma, clients).maps[1], init.maps[1], atol=1e-10)
-        assert np.allclose(federated_ice(data, rounds=3).x, data.x_filled, atol=1e-10)
+            sigma = imputed_data_moments(data, init).sigma
+            np.testing.assert_allclose(fit_optimal_imputer(sigma, clients).maps[pattern], init.maps[pattern], atol=1e-10)
+        assert np.allclose(completed_rows(data, federated_ice(data, rounds=3)), data.x_filled, atol=1e-10)
 
     def test_converged_state_is_self_consistent(self):
         rng = seeded(216)
@@ -213,11 +229,9 @@ class TestFederatedIce:
         clients = section3_clients()
         data = sample_dataset(pop, clients, 300, rng)
         res = federated_ice(data, rounds=500)
-        sigma = imputed_data_moments(res).sigma
-        maps = {c.id: optimal_block_map(sigma, c.pattern) for c in clients}
-        imp = ImputationMap(maps=maps, patterns={c.id: c.pattern for c in clients})
-        again = ImputedDataset(data, imp).x
-        assert np.allclose(again, res.x, atol=1e-9)
+        sigma = imputed_data_moments(data, res).sigma
+        imp = ImputationMap({c.pattern: optimal_block_map(sigma, c.pattern) for c in clients})
+        assert np.allclose(completed_rows(data, imp), completed_rows(data, res), atol=1e-9)
 
     def test_negative_rounds_rejected(self):
         rng = seeded(214)
@@ -237,8 +251,8 @@ class TestCompleteMoments:
             d = int(rng.integers(1, 7))
             sigma, gamma = random_psd(rng, d), rng.standard_normal(d)
             imp = fit_zero_imputer(random_clients(rng, d, int(rng.integers(1, 5)), nonempty=False))
-            for cid, p in imp.patterns.items():
-                gram, cross = imp.complete_moments(cid, sigma, gamma)
+            for p in imp.maps:
+                gram, cross = imp.complete_moments(p, sigma, gamma)
                 obs = list(p.observed)
                 want_gram, want_cross = np.zeros((d, d)), np.zeros(d)
                 want_gram[np.ix_(obs, obs)] = sigma[np.ix_(obs, obs)]
@@ -252,8 +266,9 @@ class TestCompleteMoments:
         pop = random_population(rng, data.d)
         for imp in (fit_zero_imputer(data.clients), fit_optimal_imputer(pop.sigma, data.clients)):
             for cid, lm in data.local_moments.items():
-                rows = imp.complete(cid, data.x_obs_of(cid))
-                gram, cross = imp.complete_moments(cid, lm.sigma_sum, lm.gamma_sum)
+                p = data.client_by_id(cid).pattern
+                rows = imp.complete(p, data.x_obs_of(cid))
+                gram, cross = imp.complete_moments(p, lm.sigma_sum, lm.gamma_sum)
                 assert_rel_close(gram, rows.T @ rows)
                 assert_rel_close(cross, rows.T @ data.y_of(cid))
 
@@ -271,11 +286,11 @@ class TestSufficientStatistics:
             res = federated_ice(data, rounds)
             _, maps = reference_ice(data, rounds)
             for cid, s in maps.items():
-                np.testing.assert_allclose(res.imputer.maps[cid], s, rtol=1e-9, atol=1e-12)
+                np.testing.assert_allclose(res.maps[data.client_by_id(cid).pattern], s, rtol=1e-9, atol=1e-12)
             # The estimate of round rounds + 1 is the moment matrix of this completion.
-            pair = imputed_data_moments(res)
+            pair = imputed_data_moments(data, res)
             assert_rel_close(pair.sigma, trace[rounds])
-            x, full = res.x, FeaturePattern.full(data.d)
+            x, full = completed_rows(data, res), FeaturePattern.full(data.d)
             rows_pair = aggregate_zero_imputed(
                 local_zero_imputed_moments(x[rows], data.y[rows], full) for rows in data.shard_rows.values()
             )
@@ -290,7 +305,7 @@ class TestSufficientStatistics:
         tracemalloc.start()
         try:
             res = federated_ice(data, rounds=3)
-            ridge_closed_form(res, 0.5)
+            ridge_closed_form(data, res, 0.5)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()

@@ -13,7 +13,7 @@ from fedmismatch import (
     local_zero_imputed_moments,
     sample_dataset,
 )
-from fedmismatch.impute import ImputedDataset, fit_zero_imputer
+from fedmismatch.impute import fit_zero_imputer
 from fedmismatch.model import Dataset
 from fedmismatch.moments import imputed_data_moments
 
@@ -240,13 +240,14 @@ class TestImputedDataMoments:
         y = rng.standard_normal(40)
         ids = rng.integers(1, 4, size=40)
         clients = tuple(ClientSpec(id=k, pattern=FeaturePattern.full(3), rho=1 / 3) for k in (1, 2, 3))
-        pair = imputed_data_moments(ImputedDataset(Dataset.from_filled(clients=clients, client_ids=ids, x_filled=x, y=y), fit_zero_imputer(clients)))
+        data = Dataset.from_filled(clients=clients, client_ids=ids, x_filled=x, y=y)
+        pair = imputed_data_moments(data, fit_zero_imputer(clients))
         np.testing.assert_allclose(pair.sigma, x.T @ x / 40, atol=1e-13)
         np.testing.assert_allclose(pair.gamma, x.T @ y / 40, atol=1e-13)
 
     def test_no_rows_rejected(self):
         clients = (ClientSpec(id=1, pattern=FeaturePattern.full(2), rho=1.0),)
-        empty = ImputedDataset(Dataset.from_filled(clients=clients, client_ids=np.zeros(0), x_filled=np.zeros((0, 2)), y=np.zeros(0)), fit_zero_imputer(clients))
+        empty = Dataset.from_filled(clients=clients, client_ids=np.zeros(0), x_filled=np.zeros((0, 2)), y=np.zeros(0))
         with pytest.raises(ValueError):
-            imputed_data_moments(empty)
+            imputed_data_moments(empty, fit_zero_imputer(clients))
 

@@ -3,7 +3,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from fedmismatch.impute import ImputedDataset, fit_optimal_imputer, fit_zero_imputer
+from fedmismatch.impute import fit_optimal_imputer, fit_zero_imputer
 from fedmismatch.model import ClientSpec, ClientwisePredictor, Dataset, FeaturePattern
 from fedmismatch.moments import completed_sums
 from fedmismatch.oracle import best_local_coefficients
@@ -17,6 +17,7 @@ from fedmismatch.ridge import (
 )
 
 from support import (
+    completed_rows,
     gd_ridge_fit,
     mixed_federation,
     random_clients,
@@ -34,16 +35,16 @@ def _completed(x, y, d=None):
     d = d if d is not None else x.shape[1]
     clients = (ClientSpec(id=1, pattern=FeaturePattern.full(d), rho=1.0),)
     data = Dataset.from_filled(clients=clients, client_ids=np.ones(len(y), dtype=int), x_filled=x, y=np.asarray(y, dtype=float))
-    return ImputedDataset(data, fit_zero_imputer(clients))
+    return data, fit_zero_imputer(clients)
 
 
 class TestRidgeClosedForm:
     def test_scalar_pins(self):
         # One sample x = 2, y = 4: sigma_hat = 4, gamma_hat = 8.
         data = _completed([[2.0]], [4.0])
-        assert ridge_closed_form(data, 0.0) == pytest.approx([2.0])
-        assert ridge_closed_form(data, 4.0) == pytest.approx([1.0])
-        heavy = ridge_closed_form(data, 1e8)
+        assert ridge_closed_form(*data, 0.0) == pytest.approx([2.0])
+        assert ridge_closed_form(*data, 4.0) == pytest.approx([1.0])
+        heavy = ridge_closed_form(*data, 1e8)
         assert np.linalg.norm(heavy) <= 1e-6
 
     def test_matches_gradient_descent(self):
@@ -51,7 +52,7 @@ class TestRidgeClosedForm:
         for lam in (0.05, 0.5, 2.0):
             x = rng.standard_normal((60, 4))
             y = rng.standard_normal(60)
-            got = ridge_closed_form(_completed(x, y), lam)
+            got = ridge_closed_form(*_completed(x, y), lam)
             want = gd_ridge_fit(x, y, lam)
             assert np.allclose(got, want, atol=1e-7)
 
@@ -61,12 +62,12 @@ class TestRidgeClosedForm:
         # the weight equally.
         x = np.array([[1.0, 1.0], [2.0, 2.0], [3.0, 3.0]])
         y = np.array([2.0, 4.0, 6.0])
-        theta = ridge_closed_form(_completed(x, y), 0.0)
+        theta = ridge_closed_form(*_completed(x, y), 0.0)
         assert theta == pytest.approx([1.0, 1.0])
 
     def test_negative_lambda_rejected(self):
         with pytest.raises(ValueError):
-            ridge_closed_form(_completed([[1.0]], [1.0]), -0.1)
+            ridge_closed_form(*_completed([[1.0]], [1.0]), -0.1)
 
 
 class TestFedAvg:
@@ -75,9 +76,9 @@ class TestFedAvg:
         x = rng.standard_normal((80, 3))
         y = rng.standard_normal(80)
         data = _completed(x, y)
-        res = fedavg_ridge(data, lam=0.3, rounds=1_000)
+        res = fedavg_ridge(*data, lam=0.3, rounds=1_000)
         assert not res.diverged
-        assert np.allclose(res.theta, ridge_closed_form(data, 0.3), atol=1e-8)
+        assert np.allclose(res.theta, ridge_closed_form(*data, 0.3), atol=1e-8)
 
     def test_sharding_invariant_fixed_point(self):
         # One local step per round makes the averaged update identical to
@@ -86,49 +87,61 @@ class TestFedAvg:
         rng = seeded(303)
         x = rng.standard_normal((90, 4))
         y = rng.standard_normal(90)
-        want = ridge_closed_form(_completed(x, y), 0.1)
+        want = ridge_closed_form(*_completed(x, y), 0.1)
         for cuts in ([30, 60], [10, 25, 70], [45]):
-            res = fedavg_ridge(sharded(x, y, [0, *cuts, 90]), lam=0.1, rounds=1_000)
+            res = fedavg_ridge(*sharded(x, y, [0, *cuts, 90]), lam=0.1, rounds=1_000)
             assert np.allclose(res.theta, want, atol=1e-6)
 
     def test_objective_trace_non_increasing(self):
         rng = seeded(304)
         x = rng.standard_normal((50, 3))
         y = rng.standard_normal(50)
-        res = fedavg_ridge(sharded(x, y, [0, 25, 50]), lam=0.2, rounds=200)
+        res = fedavg_ridge(*sharded(x, y, [0, 25, 50]), lam=0.2, rounds=200)
         trace = np.asarray(res.objective_trace)
         assert np.all(np.diff(trace) <= 1e-12)
 
     def test_zero_rounds_returns_zeros(self):
-        res = fedavg_ridge(sharded(np.eye(2), np.ones(2), [0, 2]), lam=0.1, rounds=0)
+        res = fedavg_ridge(*sharded(np.eye(2), np.ones(2), [0, 2]), lam=0.1, rounds=0)
         assert res.theta == pytest.approx([0.0, 0.0])
         assert res.rounds_run == 0
         assert len(res.objective_trace) == 1
 
+    def test_nothing_observed_at_zero_lambda_keeps_theta_at_zero(self):
+        # sigma_hat = 0 and lambda = 0 make the objective constant, so the
+        # step size is 0 rather than 1 / 0.
+        clients = tuple(ClientSpec(id=i, pattern=FeaturePattern.empty(2), rho=0.5) for i in (1, 2))
+        data = Dataset.from_filled(clients=clients, client_ids=np.array([1, 2, 2]),
+                                   x_filled=np.ones((3, 2)), y=np.array([1.0, -2.0, 3.0]))
+        res = fedavg_ridge(data, fit_zero_imputer(clients), lam=0.0, rounds=4)
+        assert np.array_equal(res.theta, np.zeros(2))
+        assert not res.diverged and res.rounds_run == 4
+
     def test_empty_clients_skipped_no_rows_rejected(self):
         x, y = np.arange(6.0).reshape(3, 2), np.array([1.0, 2.0, 3.0])
-        with_empty = fedavg_ridge(sharded(x, y, [0, 0, 3, 3]), lam=0.1, rounds=5)
-        alone = fedavg_ridge(sharded(x, y, [0, 3]), lam=0.1, rounds=5)
+        with_empty = fedavg_ridge(*sharded(x, y, [0, 0, 3, 3]), lam=0.1, rounds=5)
+        alone = fedavg_ridge(*sharded(x, y, [0, 3]), lam=0.1, rounds=5)
         assert np.array_equal(with_empty.theta, alone.theta)
         assert with_empty.objective_trace == alone.objective_trace
         with pytest.raises(ValueError, match="no rows"):
-            fedavg_ridge(sharded(np.zeros((0, 2)), np.zeros(0), [0, 0]), lam=0.1, rounds=1)
+            fedavg_ridge(*sharded(np.zeros((0, 2)), np.zeros(0), [0, 0]), lam=0.1, rounds=1)
 
     def test_split_by_client_skips_empty_and_sorts(self):
         clients = (
             ClientSpec(id=3, pattern=FeaturePattern.full(2), rho=0.5),
             ClientSpec(id=1, pattern=FeaturePattern.full(2), rho=0.5),
         )
-        data = ImputedDataset(Dataset.from_filled(
+        data = Dataset.from_filled(
             clients=clients,
             client_ids=np.array([3, 3, 3]),
             x_filled=np.arange(6.0).reshape(3, 2),
             y=np.array([1.0, 2.0, 3.0]),
-        ), fit_zero_imputer(clients))
-        first, third = completed_sums(data)
+        )
+        imputer = fit_zero_imputer(clients)
+        first, third = completed_sums(data, imputer)
         assert (first.count, third.count) == (0, 3)
         assert not first.sigma_sum.any()
-        assert np.array_equal(third.sigma_sum, data.x.T @ data.x)
+        x = completed_rows(data, imputer)
+        assert np.array_equal(third.sigma_sum, x.T @ x)
 
     @pytest.mark.parametrize("seed", [240, 241, 242, 243])
     def test_affine_map_matches_per_step_reference(self, seed):
@@ -137,11 +150,10 @@ class TestFedAvg:
         rng, masked = mixed_federation(seed)
         imputers = [fit_zero_imputer(masked.clients), fit_optimal_imputer(random_psd(rng, masked.d), masked.clients)]
         for imputer in imputers:
-            data = ImputedDataset(masked, imputer)
             for local_steps in (1, 2, 5):
                 for rounds in (0, 1, 7, 60):
-                    res = fedavg_ridge(data, 0.3, rounds, local_steps)
-                    theta, trace, diverged, run = reference_fedavg(data, 0.3, rounds, local_steps)
+                    res = fedavg_ridge(masked, imputer, 0.3, rounds, local_steps)
+                    theta, trace, diverged, run = reference_fedavg(masked, imputer, 0.3, rounds, local_steps)
                     assert (res.rounds_run, res.diverged) == (run, diverged)
                     _assert_rel_close(res.theta, theta)
                     _assert_rel_close(np.asarray(res.objective_trace), np.asarray(trace))
@@ -156,8 +168,8 @@ class TestFedAvg:
         y = rng.standard_normal(60)
         x[:3] *= 30.0
         data = sharded(x, y, [0, 3, 60])
-        res = fedavg_ridge(data, 0.1, 200, local_steps)
-        theta, trace, diverged, run = reference_fedavg(data, 0.1, 200, local_steps)
+        res = fedavg_ridge(*data, 0.1, 200, local_steps)
+        theta, trace, diverged, run = reference_fedavg(*data, 0.1, 200, local_steps)
         assert res.diverged and diverged and res.rounds_run == run == 10
         _assert_rel_close(res.theta, theta)
         _assert_rel_close(np.asarray(res.objective_trace), np.asarray(trace))
@@ -168,11 +180,11 @@ class TestFedAvg:
         rng = seeded(306)
         clients = random_clients(rng, 8, 300, nonempty=False)
         masked = sample_dataset(random_population(rng, 8), clients, 3000, rng)
-        data = ImputedDataset(masked, fit_optimal_imputer(random_psd(rng, 8), clients))
-        res = fedavg_ridge(data, lam=0.05, rounds=3000)
+        imputer = fit_optimal_imputer(random_psd(rng, 8), clients)
+        res = fedavg_ridge(masked, imputer, lam=0.05, rounds=3000)
         assert not res.diverged and res.rounds_run == 3000
         assert np.any(np.diff(res.objective_trace) > 0)
-        assert np.allclose(res.theta, ridge_closed_form(data, 0.05), atol=1e-10)
+        assert np.allclose(res.theta, ridge_closed_form(masked, imputer, 0.05), atol=1e-10)
 
 
 def _assert_rel_close(got, want, rel=1e-12):
@@ -212,7 +224,7 @@ class TestEstimateM:
         assert estimate_m(np.array([1.0, -4.0, 2.0])) == 4.0
 
     def test_accepts_dataset_like(self):
-        data = _completed([[1.0], [1.0]], [3.0, -5.0])
+        data, _ = _completed([[1.0], [1.0]], [3.0, -5.0])
         assert estimate_m(data) == 5.0
 
     def test_empty_rejected(self):
@@ -232,7 +244,7 @@ class TestItrPredictor:
         clients = section3_clients()
         imp = fit_zero_imputer(clients)
         theta = np.array([1.0, 2.0, 3.0, 4.0])
-        pred = itr_predictor(imp, theta)
+        pred = itr_predictor(imp, theta, clients)
         assert pred.thetas[1] == pytest.approx([1.0, 3.0])
         assert pred.thetas[2] == pytest.approx([2.0, 3.0, 4.0])
 
@@ -244,20 +256,20 @@ class TestItrPredictor:
         pop = random_population(rng, 4)
         clients = random_clients(rng, 4, 3)
         imp = fit_optimal_imputer(pop.sigma, clients)
-        pred = itr_predictor(imp, pop.theta_star)
+        pred = itr_predictor(imp, pop.theta_star, clients)
         for c in clients:
             want = best_local_coefficients(pop, c.pattern)
             assert np.allclose(pred.thetas[c.id], want, atol=1e-10)
 
     def test_zero_truncation_kills_predictions(self):
         clients = section3_clients()
-        pred = itr_predictor(fit_zero_imputer(clients), np.ones(4), trunc_m=0.0)
+        pred = itr_predictor(fit_zero_imputer(clients), np.ones(4), clients, trunc_m=0.0)
         assert pred.predict(1, np.array([5.0, -2.0])) == 0.0
 
     def test_theta_shape_validated(self):
         clients = section3_clients()
         with pytest.raises(ValueError, match="theta"):
-            itr_predictor(fit_zero_imputer(clients), np.ones(3))
+            itr_predictor(fit_zero_imputer(clients), np.ones(3), clients)
 
 
 class TestLocalLearning:
@@ -267,8 +279,7 @@ class TestLocalLearning:
         clients = (ClientSpec(id=1, pattern=FeaturePattern.full(3), rho=1.0),)
         data = sample_dataset(pop, clients, 100, rng)
         pred = local_learning(data, lam=0.4)
-        completed = ImputedDataset(data, fit_zero_imputer(clients))
-        assert np.allclose(pred.thetas[1], ridge_closed_form(completed, 0.4), atol=1e-12)
+        assert np.allclose(pred.thetas[1], ridge_closed_form(data, fit_zero_imputer(clients), 0.4), atol=1e-12)
 
     def test_share_scales_penalty(self):
         # Client 1 holds half the population, so its effective penalty is
