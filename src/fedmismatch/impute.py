@@ -33,7 +33,7 @@ from typing import Mapping
 
 import numpy as np
 
-from ._linalg import pinv
+from ._linalg import SymEig, pinv
 from .model import Dataset, FeaturePattern, validate_federation
 from .moments import imputed_data_moments
 
@@ -102,16 +102,16 @@ def optimal_block_map(sigma: np.ndarray, pattern: FeaturePattern) -> np.ndarray:
     """S = sigma[mis, obs] sigma[obs, obs]^+ for one pattern."""
     if not pattern.missing or not pattern.observed:
         return np.zeros((len(pattern.missing), pattern.size))
-    return _pinv_and_block_map(sigma, pattern)[1]
+    return _factor_and_block_map(sigma, pattern)[1]
 
 
-def _pinv_and_block_map(sigma: np.ndarray, pattern: FeaturePattern) -> tuple[np.ndarray, np.ndarray]:
-    """(sigma[obs, obs]^+, S) from one pseudo-inverse, none for an empty block;
+def _factor_and_block_map(sigma: np.ndarray, pattern: FeaturePattern) -> tuple[SymEig, np.ndarray]:
+    """(the ``SymEig`` factor of sigma[obs, obs], S from its pseudo-inverse);
     the only place S is formed."""
     sigma = np.asarray(sigma, dtype=np.float64)
     obs = list(pattern.observed)
-    p_oo = pinv(sigma[np.ix_(obs, obs)]) if obs else np.zeros((0, 0))
-    return p_oo, sigma[np.ix_(list(pattern.missing), obs)] @ p_oo
+    factor = SymEig(sigma[np.ix_(obs, obs)])
+    return factor, sigma[np.ix_(list(pattern.missing), obs)] @ pinv(factor)
 
 
 def fit_optimal_imputer(sigma: np.ndarray, clients) -> ImputationMap:

@@ -30,9 +30,9 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from ._linalg import pinv_solve
-from .impute import ImputerKind, _pinv_and_block_map, fit_optimal_imputer, fit_zero_imputer, optimal_block_map
-from .model import FeaturePattern, crop_matrix, validate_federation, ClientwisePredictor
+from ._linalg import SymEig
+from .impute import ImputerKind, _factor_and_block_map, fit_optimal_imputer, fit_zero_imputer, optimal_block_map
+from .model import FeaturePattern, validate_federation, ClientwisePredictor
 from .popgen import PopulationSpec, _draw_rows, population_gamma
 
 __all__ = [
@@ -59,28 +59,29 @@ __all__ = [
 def best_local_coefficients(pop: PopulationSpec, pattern: FeaturePattern) -> np.ndarray:
     """Population-optimal linear coefficients over one observed block.
 
-    Returns sigma[O,O]^+ gamma[O]. On well-conditioned blocks the
-    equivalent representation theta_obs + S^T theta_mis, with S the
-    ``optimal_block_map`` of the pattern, is also evaluated and must agree
-    to 1e-10; disagreement means the inputs are inconsistent and raises.
+    Returns sigma[O,O]^+ gamma[O] from one ``eigh`` of sigma[O,O]. When
+    |w|min / |w|max > 1e-4 on that factor, the equivalent representation
+    theta_obs + S^T theta_mis, with S the ``optimal_block_map`` of the
+    pattern, is also evaluated and must agree to 1e-10; disagreement means
+    the inputs are inconsistent and raises.
     """
     return _local_oracle(pop, pattern)[0]
 
 
-def _local_oracle(pop: PopulationSpec, pattern: FeaturePattern) -> tuple[np.ndarray, float]:
-    """(``best_local_coefficients``, ``oracle_local_risk``) of one pattern from
-    one pseudo-inverse of sigma[O,O], which feeds the coefficients and the
-    ``optimal_block_map`` S = sigma[M,O] sigma[O,O]^+ alike."""
+def _local_oracle(pop: PopulationSpec, pattern: FeaturePattern) -> tuple[np.ndarray, float, SymEig]:
+    """(``best_local_coefficients``, ``oracle_local_risk``, ``SymEig`` of
+    sigma[O,O]) of one pattern; that one factor feeds the coefficients, the
+    conditioning guard and the ``optimal_block_map`` S alike."""
     obs = list(pattern.observed)
-    p_oo, s_map = _pinv_and_block_map(pop.sigma, pattern)
-    theta1 = p_oo @ population_gamma(pop)[obs]
+    factor, s_map = _factor_and_block_map(pop.sigma, pattern)
+    theta1 = factor.solve(population_gamma(pop)[obs])
     # An empty block has nothing to cross-check.
-    sv = np.linalg.svd(pop.sigma[np.ix_(obs, obs)], compute_uv=False) if obs else np.zeros(1)
-    if sv[0] > 0 and sv[-1] / sv[0] > 1e-4:
+    w = np.abs(factor.w)
+    if w.size and w.min() > 1e-4 * w.max():
         theta2 = pop.theta_star[obs] + s_map.T @ pop.theta_star[list(pattern.missing)]
         if np.max(np.abs(theta1 - theta2)) > 1e-10 * max(1.0, float(np.max(np.abs(theta2)))):
             raise RuntimeError("the two closed forms for local coefficients disagree")
-    return theta1, _attainable_risk(pop, pattern, s_map)
+    return theta1, _attainable_risk(pop, pattern, s_map), factor
 
 
 def schur_complement(sigma: np.ndarray, pattern: FeaturePattern) -> np.ndarray:
@@ -117,31 +118,31 @@ def oracle_global_risk(pop: PopulationSpec, clients) -> float:
     return float(sum(c.rho * oracle_local_risk(pop, c.pattern) for c in clients))
 
 
-def effective_dimension(sigma: np.ndarray, lam: float) -> float:
-    """trace(sigma (sigma + lam I)^{-1}); equals rank(sigma) at lam = 0."""
+def effective_dimension(sigma: np.ndarray | SymEig, lam: float) -> float:
+    """trace(sigma (sigma + lam I)^{-1}) from the clipped eigenvalues of the
+    symmetrized ``sigma`` or of its ``SymEig`` factor; at lam = 0 the rank,
+    the count of eigenvalues above 1e-12 times the largest."""
     if lam < 0:
         raise ValueError(f"lambda must be >= 0, got {lam}")
-    w = np.clip(np.linalg.eigvalsh(np.asarray(sigma, dtype=np.float64)), 0.0, None)
+    w = np.clip(SymEig.of(sigma).w, 0.0, None)
     if lam == 0:
-        tol = (w.max() if w.size else 0.0) * 1e-12
-        return float(np.count_nonzero(w > tol))
+        return float(np.count_nonzero(w > 1e-12 * np.max(w, initial=0.0)))
     return float(np.sum(w / (w + lam)))
 
 
-def ridge_bias(sigma: np.ndarray, theta_ref: np.ndarray, lam: float) -> float:
+def ridge_bias(sigma: np.ndarray | SymEig, theta_ref: np.ndarray, lam: float) -> float:
     """Value of inf_t { ||t - theta_ref||_sigma^2 + lam ||t||^2 }.
 
-    Closed form lam * ref . sigma (sigma + lam I)^{-1} ref, evaluated by
-    eigendecomposition; exactly 0.0 at lam = 0.
+    Closed form lam * ref . sigma (sigma + lam I)^{-1} ref, read from the
+    ``SymEig`` factor of ``sigma`` (or that factor); exactly 0.0 at lam = 0.
     """
     if lam < 0:
         raise ValueError(f"lambda must be >= 0, got {lam}")
     if lam == 0:
         return 0.0
-    sigma = np.asarray(sigma, dtype=np.float64)
-    w, q = np.linalg.eigh((sigma + sigma.T) / 2.0)
-    w = np.clip(w, 0.0, None)
-    c = q.T @ np.asarray(theta_ref, dtype=np.float64)
+    factor = SymEig.of(sigma)
+    w = np.clip(factor.w, 0.0, None)
+    c = factor.q.T @ np.asarray(theta_ref, dtype=np.float64)
     return float(np.sum(lam * w / (w + lam) * c * c))
 
 
@@ -184,7 +185,7 @@ def imputed_population_covariance(pop: PopulationSpec, clients, kind: ImputerKin
         gram, cross = imputer.complete_moments(c.pattern, pop.sigma, gamma)
         sigma_i += c.rho * gram
         gamma_i += c.rho * cross
-    theta_prime = pinv_solve(sigma_i, gamma_i) if kind == ImputerKind.ZERO else pop.theta_star.copy()
+    theta_prime = SymEig(sigma_i).solve(gamma_i) if kind == ImputerKind.ZERO else pop.theta_star.copy()
     return ImputedPopulation(kind, sigma_i, gamma_i, theta_prime)
 
 
@@ -232,8 +233,9 @@ def itr_bound(
     clients = validate_federation(clients)
     ip = imputed_population_covariance(pop, clients, kind)
     r_ref = imputed_oracle_risk(pop, ip)
-    b = ridge_bias(ip.sigma, ip.theta_prime, lam)
-    d_eff = effective_dimension(ip.sigma, lam)
+    factor = SymEig(ip.sigma)
+    b = ridge_bias(factor, ip.theta_prime, lam)
+    d_eff = effective_dimension(factor, lam)
     return BoundReport(
         kind=kind,
         lam=float(lam),
@@ -269,9 +271,9 @@ class LocalLearningBounds:
 def local_bound_terms(pop: PopulationSpec, clients, lam: float, n: int, m: float) -> LocalLearningBounds:
     """Assemble the local-learning risk floor and ceiling.
 
-    Per client: attainable risk, ridge bias at penalty lam / rho_k, and
-    effective dimension of the observed block at that penalty. The map in
-    ``per_client`` stores (r_star_k, b_k, d_k, lam_k).
+    Per client, from one ``eigh`` of sigma[O_k, O_k]: attainable risk, ridge
+    bias and effective dimension of the observed block at penalty lam /
+    rho_k. The map in ``per_client`` stores (r_star_k, b_k, d_k, lam_k).
 
     ``weighted_local_floor`` is sum_k rho_k (r_star_k + b_k), the optimum of
     local learning in which client k fits alone at penalty lam / rho_k. That
@@ -288,10 +290,9 @@ def local_bound_terms(pop: PopulationSpec, clients, lam: float, n: int, m: float
     floor = 0.0
     for c in clients:
         lam_k = lam / c.rho
-        s_oo = crop_matrix(pop.sigma, c.pattern, c.pattern)
-        theta_k, r_k = _local_oracle(pop, c.pattern)
-        b_k = ridge_bias(s_oo, theta_k, lam_k) if c.pattern.size else 0.0
-        d_k = effective_dimension(s_oo, lam_k) if c.pattern.size else 0.0
+        theta_k, r_k, s_oo = _local_oracle(pop, c.pattern)
+        b_k = ridge_bias(s_oo, theta_k, lam_k)
+        d_k = effective_dimension(s_oo, lam_k)
         per_client[c.id] = (r_k, b_k, d_k, lam_k)
         sum_d += d_k
         floor += c.rho * (r_k + b_k)

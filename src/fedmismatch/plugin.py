@@ -4,14 +4,15 @@ For a pattern O the plug-in coefficients are sigma[O, O]^+ gamma[O], the
 population-optimal linear predictor over the observed block when the moments
 are exact, and a consistent estimate when they converge entrywise. Because
 only cropped moments enter, the same moments serve every pattern, including
-ones never seen in training. Component-wise moments need not be PSD; they
-are inverted as produced, through the cutoff pseudoinverse.
+ones never seen in training. Each solve reads one ``eigh`` of the cropped
+block and cuts eigenvalues with |w| <= 1e-10 max|w|. Component-wise
+moments need not be PSD; they are inverted as produced.
 """
 from __future__ import annotations
 
 import numpy as np
 
-from ._linalg import pinv_solve
+from ._linalg import SymEig
 from .model import ClientwisePredictor, FeaturePattern, MomentPair, crop_matrix, crop_vector
 
 __all__ = [
@@ -27,8 +28,8 @@ def crop_predictor(moments: MomentPair, pattern: FeaturePattern) -> np.ndarray:
     Works for any pattern over the same d coordinates, seen in training or
     not.
     """
-    a, b = crop_matrix(moments.sigma, pattern, pattern), crop_vector(moments.gamma, pattern)
-    return pinv_solve(a, b) if b.size else np.zeros(0)
+    block = SymEig(crop_matrix(moments.sigma, pattern, pattern))
+    return block.solve(crop_vector(moments.gamma, pattern))
 
 
 def build_clientwise_plugin(moments: MomentPair, clients) -> ClientwisePredictor:

@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._linalg import check_psd, sym_sqrt
+from ._linalg import SymEig
 from ._parallel import BLOCK_ROWS, map_ordered
 from .model import ClientSpec, FeaturePattern, Dataset, MomentPair, validate_federation
 
@@ -77,7 +77,8 @@ class PopulationSpec:
         if t.shape != (self.d,):
             raise ValueError(f"theta_star must be ({self.d},), got {t.shape}")
         s = (s + s.T) / 2.0
-        check_psd(s, "sigma")
+        factor = SymEig(s)
+        factor.check_psd("sigma")
         if self.noise not in ("gaussian", "uniform"):
             raise ValueError(f"unknown noise kind {self.noise!r}")
         if self.design not in ("gaussian", "sphere"):
@@ -92,7 +93,7 @@ class PopulationSpec:
             raise ValueError(f"noise variance must be >= 0, got {self.sigma2}")
         object.__setattr__(self, "sigma", s)
         object.__setattr__(self, "theta_star", t)
-        root = sym_sqrt(s)
+        root = factor.sqrt()
         object.__setattr__(self, "sqrt_sigma", root)
         m = None
         if self.design == "sphere" and self.noise == "uniform":

@@ -4,8 +4,9 @@ Every completed-data fit takes the masked ``Dataset`` and an
 ``ImputationMap`` side by side and reads the clients' completed sums
 (``moments.completed_sums``); no completed row is built. The one-shot
 estimator solves (sigma_hat + lambda I) theta = gamma_hat with sigma_hat,
-gamma_hat the raw moments of the completed data. lambda = 0 falls back to
-the minimum-norm solution through the cutoff pseudoinverse.
+gamma_hat the raw moments of the completed data, through one ``eigh`` of
+sigma_hat for every lambda (``_linalg.SymEig``); lambda = 0 gives the
+minimum-norm solution, cutting eigenvalues with |w| <= 1e-10 max|w|.
 
 ``fedavg_ridge`` minimizes the same objective,
 
@@ -33,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._linalg import ridge_solve, spectral_radius
+from ._linalg import SymEig
 from .impute import ImputationMap
 from .model import ClientwisePredictor, Dataset, crop_matrix, crop_vector
 from .moments import aggregate_zero_imputed, completed_sums, imputed_data_moments
@@ -57,7 +58,7 @@ def ridge_closed_form(data: Dataset, imputer: ImputationMap, lam: float) -> np.n
     if lam < 0:
         raise ValueError(f"lambda must be >= 0, got {lam}")
     pair = imputed_data_moments(data, imputer)
-    return ridge_solve(pair.sigma, pair.gamma, lam)
+    return SymEig(pair.sigma).solve(pair.gamma, lam)
 
 
 @dataclass(frozen=True)
@@ -97,7 +98,7 @@ def fedavg_ridge(
     pair = aggregate_zero_imputed(sums)
     sigma, gamma = pair.sigma, pair.gamma
     d, n = data.d, data.n
-    curvature = spectral_radius(sigma) + lam
+    curvature = SymEig(sigma).radius() + lam
     step_size = 1.0 / curvature if curvature > 0 else 0.0
     eye = np.eye(d)
     a_bar = np.zeros((d, d))
@@ -179,5 +180,5 @@ def local_learning(data: Dataset, lam: float, trunc_m: float | None = None) -> C
             continue
         sigma_k = crop_matrix(lm.sigma, c.pattern, c.pattern)
         gamma_k = crop_vector(lm.gamma, c.pattern)
-        thetas[c.id] = ridge_solve(sigma_k, gamma_k, lam / c.rho)
+        thetas[c.id] = SymEig(sigma_k).solve(gamma_k, lam / c.rho)
     return ClientwisePredictor(thetas=thetas, trunc_m=trunc_m)

@@ -160,6 +160,14 @@ class TestEffectiveDimension:
         with pytest.raises(ValueError):
             effective_dimension(np.eye(2), -1.0)
 
+    def test_nonsymmetric_input_is_symmetrized(self):
+        # Read as its symmetric part [[2, .5], [.5, 2]] (eigenvalues 2.5 and
+        # 1.5), as ridge_bias reads it; the lower triangle alone gives 4/3.
+        sigma = np.array([[2.0, 1.0], [0.0, 2.0]])
+        got = effective_dimension(sigma, 1.0)
+        assert got == pytest.approx(2.5 / 3.5 + 1.5 / 2.5, abs=1e-12)
+        assert got == pytest.approx(brute_effective_dimension((sigma + sigma.T) / 2.0, 1.0), abs=1e-12)
+
     def test_matches_dense_trace(self):
         rng = seeded(407)
         for lam in (0.03, 0.4, 2.0):
