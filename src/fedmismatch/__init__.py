@@ -19,14 +19,12 @@ from .model import (
     MomentPair,
     crop_matrix,
     crop_vector,
-    group_rows,
     validate_federation,
 )
 from .popgen import (
     PopulationSpec,
     draw_bernoulli_patterns,
     population_gamma,
-    population_moment_pair,
     sample_dataset,
 )
 from .moments import (

@@ -62,7 +62,7 @@ from .moments import co_observation, cw_moments, debias_moments
 from .plugin import build_clientwise_plugin
 from .popgen import PopulationSpec, draw_bernoulli_patterns, sample_dataset
 from .ridge import estimate_m, itr_predictor, local_learning
-from .fedsim import MASKED_PROTOCOLS, PROTOCOL_KINDS, ProtocolResult, ProtocolSpec, replay_comm_schedule, run_protocol
+from .fedsim import PROTOCOL_KINDS, ProtocolResult, ProtocolSpec, _senders, replay_comm_schedule, run_protocol
 
 __all__ = ["ConfigError", "load_config", "validate_config", "run_experiment", "main"]
 
@@ -560,8 +560,7 @@ def _audit_rows(cfg: ExperimentConfig, item: _WorkItem, clients, data_ss, mc_ss)
     for kind in cfg.methods:
         spec = ProtocolSpec(kind=kind, lam=item.lam, ice_rounds=cfg.params["ice_rounds"], rounds=cfg.params["rounds"])
         res = run_protocol(spec, data, imputer)
-        k = len(clients) if kind in MASKED_PROTOCOLS else len(data.shard_rows)
-        predicted = replay_comm_schedule(spec, k, pop.d)
+        predicted = replay_comm_schedule(spec, _senders(kind, data), pop.d)
         got_up = res.comm.total_floats("up")
         got_down = res.comm.total_floats("down")
         if (got_up, got_down) != (predicted.up_floats, predicted.down_floats):

@@ -31,8 +31,8 @@ floats per client. Aggregated-moment and coefficient broadcasts are counted
 once (a broadcast channel); fedavg coefficient exchanges are counted per
 client in both directions. Masked-data protocols log every client of the
 federation, including those that drew no rows; completed-data protocols log
-only the clients that own rows. Shard sizes, client ids, and round indices are
-session metadata, not counted.
+only the clients that drew rows, those whose observed block is not empty.
+Shard sizes, client ids, and round indices are session metadata, not counted.
 """
 from __future__ import annotations
 
@@ -58,7 +58,7 @@ __all__ = [
 
 PROTOCOL_KINDS = ("one_shot_moments", "one_shot_ridge", "federated_ice", "fedavg_ridge")
 # The protocols that register patterns and read no imputer; the rest complete
-# the data with one and log only the clients that own rows.
+# the data with one and log only the clients that drew rows.
 MASKED_PROTOCOLS = ("one_shot_moments", "federated_ice")
 
 
@@ -94,7 +94,6 @@ class OneShotMomentsArtifact:
 
 @dataclass(frozen=True)
 class ProtocolResult:
-    kind: str
     artifact: object
     comm: CommLog
 
@@ -103,7 +102,6 @@ class ProtocolResult:
 class SchedulePrediction:
     """Closed-form transfer totals for one protocol run."""
 
-    kind: str
     up_floats: int
     down_floats: int
     registration_bits: int
@@ -113,22 +111,31 @@ def replay_comm_schedule(spec: ProtocolSpec, k: int, d: int) -> SchedulePredicti
     """Predict exact float/bit totals without running anything.
 
     ``k`` is the federation size for masked-data protocols
-    (one_shot_moments, federated_ice) and the number of clients that own rows for
-    completed-data protocols (one_shot_ridge, fedavg_ridge), matching what
-    ``run_protocol`` logs.
+    (one_shot_moments, federated_ice) and the number of clients that drew
+    rows for completed-data protocols (one_shot_ridge, fedavg_ridge):
+    ``_senders``, the count ``run_protocol`` logs.
     """
     if k < 1 or d < 1:
         raise ValueError("need k >= 1 and d >= 1")
     tri = d * (d + 1) // 2
     if spec.kind == "one_shot_moments":
-        return SchedulePrediction(spec.kind, k * (tri + d + 1), tri + d, k * d)
+        return SchedulePrediction(k * (tri + d + 1), tri + d, k * d)
     if spec.kind == "one_shot_ridge":
-        return SchedulePrediction(spec.kind, k * (tri + d + 1), d, 0)
+        return SchedulePrediction(k * (tri + d + 1), d, 0)
     if spec.kind == "federated_ice":
         t = spec.ice_rounds
-        return SchedulePrediction(spec.kind, k * t * tri, t * tri, k * d)
+        return SchedulePrediction(k * t * tri, t * tri, k * d)
     t = spec.rounds
-    return SchedulePrediction(spec.kind, t * k * d, t * k * d, 0)
+    return SchedulePrediction(t * k * d, t * k * d, 0)
+
+
+def _senders(kind: str, data: Dataset) -> int:
+    """How many clients a run of protocol ``kind`` on ``data`` logs: the
+    whole federation for masked-data protocols, else the clients whose
+    observed block is not empty."""
+    if kind in MASKED_PROTOCOLS:
+        return len(data.clients)
+    return sum(1 for block in data.x_obs.values() if len(block))
 
 
 def _one_shot_moments(data: Dataset, comm: CommLog) -> OneShotMomentsArtifact:
@@ -156,7 +163,7 @@ def _federated_ice(data: Dataset, spec: ProtocolSpec, comm: CommLog) -> Imputati
 def _one_shot_ridge(data: Dataset, imputer: ImputationMap, spec: ProtocolSpec, comm: CommLog):
     d = data.d
     theta = ridge_closed_form(data, imputer, spec.lam)
-    for _ in data.shard_rows:
+    for _ in range(_senders(spec.kind, data)):
         comm.record(1, "up", 1 + d * (d + 1) // 2 + d)
     comm.record(1, "down", d)
     return theta
@@ -164,7 +171,7 @@ def _one_shot_ridge(data: Dataset, imputer: ImputationMap, spec: ProtocolSpec, c
 
 def _fedavg_ridge(data: Dataset, imputer: ImputationMap, spec: ProtocolSpec, comm: CommLog):
     res = fedavg_ridge(data, imputer, spec.lam, spec.rounds, spec.local_steps)
-    floats = len(data.shard_rows) * data.d
+    floats = _senders(spec.kind, data) * data.d
     for t in range(1, res.rounds_run + 1):
         comm.record(t, "down", floats)
         comm.record(t, "up", floats)
@@ -194,4 +201,4 @@ def run_protocol(spec: ProtocolSpec, data: Dataset, imputer: ImputationMap | Non
         artifact = _one_shot_ridge(data, imputer, spec, comm)
     else:
         artifact = _fedavg_ridge(data, imputer, spec, comm)
-    return ProtocolResult(kind=spec.kind, artifact=artifact, comm=comm)
+    return ProtocolResult(artifact=artifact, comm=comm)

@@ -8,8 +8,9 @@ Conventions used throughout the package:
 * Client ids are opaque integer keys (presets number them 1..K).
 * All types are treated as immutable after construction. ``CommLog`` is the
   one append-only builder; a finished log should not be mutated further.
-* A ``Dataset`` is stored in the federated layout: one contiguous array of
-  observed coordinates per client, never an (n, d) matrix of the sample.
+* A ``Dataset`` is stored client-major, in the federated layout: one
+  contiguous array of observed coordinates per client and one response
+  vector in the same order, never an (n, d) matrix of the sample.
 * Values carry no tags of how they were made: a ``MomentPair`` is its
   moments and coverage, whichever estimator produced it.
 """
@@ -32,7 +33,6 @@ __all__ = [
     "ClientwisePredictor",
     "CommEvent",
     "CommLog",
-    "group_rows",
     "crop_vector",
     "crop_matrix",
     "validate_federation",
@@ -158,20 +158,6 @@ def validate_federation(clients) -> tuple[ClientSpec, ...]:
     return clients
 
 
-def group_rows(client_ids: np.ndarray) -> dict[int, np.ndarray]:
-    """Rows owned by each present client id, from one stable argsort.
-
-    Keys are the distinct ids in ascending order; each value holds that id's
-    row indices in ascending order, the same array ``np.flatnonzero`` would
-    give. The row arrays are read-only views of one shared sort order.
-    """
-    ids = np.asarray(client_ids, dtype=np.int64)
-    order = np.argsort(ids, kind="stable")
-    order.flags.writeable = False
-    keys, starts = np.unique(ids[order], return_index=True)
-    return dict(zip(keys.tolist(), np.split(order, starts[1:])))
-
-
 @dataclass(frozen=True)
 class LocalMoments:
     """One client's contribution: moment *sums* plus the sample count.
@@ -198,77 +184,48 @@ class LocalMoments:
         return self.gamma_sum / self.count if self.count else np.zeros_like(self.gamma_sum)
 
 
-_NO_ROWS = np.zeros(0, dtype=np.intp)
-_NO_ROWS.flags.writeable = False
-
-
 @dataclass(frozen=True)
 class Dataset:
-    """A federated sample, stored as each client's observed rows.
+    """A federated sample, stored client-major.
 
-    ``x_obs`` maps every client id to that client's (n_k, |obs|) float64
-    array: the observed coordinates of its rows, in ascending row order, one
-    read-only C-contiguous array per client. ``client_ids`` and ``y`` stay in
-    sample row order. No (n, d) matrix is held: ``x_filled`` builds the
-    zero-filled one on access, and ``from_filled`` builds a dataset from one.
-
-    Rows are grouped by client once, on construction: ``shard_rows`` maps
-    each id that owns rows, in ascending id order, to its ascending row
-    indices (read-only arrays), and every per-client accessor reads it.
-    Fits that need only second moments read ``local_moments`` instead.
+    ``x_obs`` maps every client id to one read-only C-contiguous (n_k, |obs|)
+    float64 array: the observed coordinates of that client's n_k rows. A
+    client given no block drew no rows and gets a (0, |obs|) one. ``y`` holds
+    the responses client by client, in ``clients`` order, each client's rows
+    in its block's order; it is read-only too. So ``rows_of`` is one
+    contiguous range and ``y_of`` a view of ``y``. Rows have no order across
+    clients, and no (n, d) matrix is held. Fits that need only second
+    moments read ``local_moments`` instead.
     """
 
     clients: tuple[ClientSpec, ...]
-    client_ids: np.ndarray
     x_obs: Mapping[int, np.ndarray]
     y: np.ndarray
 
     def __post_init__(self) -> None:
         clients = validate_federation(self.clients)
         object.__setattr__(self, "clients", clients)
-        ids = np.asarray(self.client_ids, dtype=np.int64)
-        y = np.asarray(self.y, dtype=np.float64)
-        if y.ndim != 1 or ids.ndim != 1:
-            raise ValueError("client_ids and y must be 1-d")
-        if len(ids) != len(y):
-            raise ValueError("row counts disagree across client_ids and y")
         by_id = {c.id: c for c in clients}
-        shard_rows = group_rows(ids)
-        if not shard_rows.keys() <= by_id.keys():
-            raise ValueError(f"rows reference unknown client ids {sorted(shard_rows.keys() - by_id.keys())}")
         if not self.x_obs.keys() <= by_id.keys():
             raise ValueError(f"x_obs has blocks for unknown client ids {sorted(self.x_obs.keys() - by_id.keys())}")
-        blocks = {}
+        blocks, rows, n = {}, {}, 0
         for c in clients:
-            want = (len(shard_rows.get(c.id, _NO_ROWS)), c.pattern.size)
-            block = self.x_obs.get(c.id, np.empty(want) if not want[0] else None)
+            block = self.x_obs.get(c.id, np.empty((0, c.pattern.size)))
             block = np.ascontiguousarray(block, dtype=np.float64).view()
-            if block.shape != want:
-                raise ValueError(f"client {c.id}: observed block must be {want}, got {block.shape}")
+            if block.ndim != 2 or block.shape[1] != c.pattern.size:
+                raise ValueError(f"client {c.id}: observed block must be (n_k, {c.pattern.size}), got {block.shape}")
             block.flags.writeable = False
             blocks[c.id] = block
-        object.__setattr__(self, "client_ids", ids)
+            rows[c.id] = range(n, n + len(block))
+            n += len(block)
+        y = np.asarray(self.y, dtype=np.float64).view()
+        if y.shape != (n,):
+            raise ValueError(f"y must hold the {n} responses of the blocks, got shape {y.shape}")
+        y.flags.writeable = False
         object.__setattr__(self, "x_obs", blocks)
         object.__setattr__(self, "y", y)
-        object.__setattr__(self, "shard_rows", shard_rows)
+        object.__setattr__(self, "_rows", rows)
         object.__setattr__(self, "_by_id", by_id)
-
-    @classmethod
-    def from_filled(cls, clients, client_ids, x_filled, y) -> "Dataset":
-        """The dataset whose rows are those of an (n, d) matrix: each row keeps
-        the coordinates its client observes, and the rest are ignored."""
-        clients = validate_federation(clients)
-        x = np.asarray(x_filled, dtype=np.float64)
-        ids = np.asarray(client_ids, dtype=np.int64)
-        d = clients[0].pattern.d
-        if x.ndim != 2 or x.shape[1] != d:
-            raise ValueError(f"x_filled must be (n, {d}), got {x.shape}")
-        if ids.shape != (x.shape[0],):
-            raise ValueError("row counts disagree across client_ids and x_filled")
-        shard_rows = group_rows(ids)
-        x_obs = {c.id: x[np.ix_(rows, list(c.pattern.observed))]
-                 for c in clients if (rows := shard_rows.get(c.id)) is not None}
-        return cls(clients=clients, client_ids=ids, x_obs=x_obs, y=y)
 
     @property
     def n(self) -> int:
@@ -284,9 +241,10 @@ class Dataset:
         except KeyError:
             raise KeyError(f"no client with id {client_id}") from None
 
-    def rows_of(self, client_id: int) -> np.ndarray:
+    def rows_of(self, client_id: int) -> range:
+        """The contiguous range of one client's rows in ``y``."""
         self.client_by_id(client_id)
-        return self.shard_rows.get(client_id, _NO_ROWS)
+        return self._rows[client_id]
 
     def x_obs_of(self, client_id: int) -> np.ndarray:
         """(n_k, |obs|) observed block of one client's rows, as stored."""
@@ -294,17 +252,9 @@ class Dataset:
         return self.x_obs[client_id]
 
     def y_of(self, client_id: int) -> np.ndarray:
-        return self.y[self.rows_of(client_id)]
-
-    @property
-    def x_filled(self) -> np.ndarray:
-        """The (n, d) matrix with each row's observed coordinates and zeros
-        elsewhere, built on each access."""
-        x = np.zeros((self.n, self.d))
-        for c in self.clients:
-            if c.pattern.observed:
-                x[np.ix_(self.rows_of(c.id), list(c.pattern.observed))] = self.x_obs[c.id]
-        return x
+        """One client's responses, a view of ``y``."""
+        rows = self.rows_of(client_id)
+        return self.y[rows.start:rows.stop]
 
     @cached_property
     def local_moments(self) -> dict[int, LocalMoments]:
@@ -389,9 +339,6 @@ class ClientwisePredictor:
         if self.trunc_m is not None and self.trunc_m < 0:
             raise ValueError(f"truncation level must be >= 0, got {self.trunc_m}")
         object.__setattr__(self, "unidentifiable", frozenset(self.unidentifiable))
-
-    def predict(self, client_id: int, x_obs: np.ndarray) -> float:
-        return float(self.predict_many(client_id, np.asarray(x_obs)[None, :])[0])
 
     def predict_many(self, client_id: int, x_obs: np.ndarray) -> np.ndarray:
         """Predict rows of a (m, |obs(k)|) observed block for one client."""

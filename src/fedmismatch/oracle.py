@@ -154,7 +154,6 @@ class ImputedPopulation:
     the imputed features.
     """
 
-    kind: ImputerKind
     sigma: np.ndarray
     gamma: np.ndarray
     theta_prime: np.ndarray
@@ -186,7 +185,7 @@ def imputed_population_covariance(pop: PopulationSpec, clients, kind: ImputerKin
         sigma_i += c.rho * gram
         gamma_i += c.rho * cross
     theta_prime = SymEig(sigma_i).solve(gamma_i) if kind == ImputerKind.ZERO else pop.theta_star.copy()
-    return ImputedPopulation(kind, sigma_i, gamma_i, theta_prime)
+    return ImputedPopulation(sigma_i, gamma_i, theta_prime)
 
 
 def imputed_oracle_risk(pop: PopulationSpec, ip: ImputedPopulation) -> float:
@@ -202,7 +201,6 @@ class BoundReport:
     ``bound_value`` = r_star_reference + b_lambda + (8 m^2 / n) d_lambda.
     """
 
-    kind: ImputerKind
     lam: float
     n: int
     m: float
@@ -237,7 +235,6 @@ def itr_bound(
     b = ridge_bias(factor, ip.theta_prime, lam)
     d_eff = effective_dimension(factor, lam)
     return BoundReport(
-        kind=kind,
         lam=float(lam),
         n=int(n),
         m=float(m),

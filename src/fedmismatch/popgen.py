@@ -4,8 +4,8 @@ The data model: a full covariate vector X in R^d with E[X X^T] = sigma, a
 response Y = theta_star . X + eps with E[eps] = 0, Var(eps) = sigma2, and a
 client label H drawn independently of (X, Y) with P(H = k) = rho_k. Each
 stored sample keeps only the coordinates observed by its client: a sample is
-a ``Dataset`` of per-client observed blocks, and no (n, d) matrix of it is
-ever held.
+a client-major ``Dataset`` of per-client observed blocks and one response
+vector in the same order, and no (n, d) matrix of it is ever held.
 
 Determinism: every sampler takes a numpy Generator and touches it in a fixed
 documented order, so equal seeds give bitwise-equal datasets. A sample is
@@ -16,7 +16,8 @@ call for all of them would. Each block is transformed, gives its rows'
 noise-free responses, and writes its rows' observed coordinates into the
 clients' arrays at offsets fixed by the labels; pool threads may do this
 while the next block is drawn, and since the writes are disjoint the result
-does not depend on the thread count. Replicate-level parallelism should
+does not depend on the thread count. Once the noise is added, one stable
+sort of the labels puts the responses in the same client-major order. Replicate-level parallelism should
 derive child seeds with ``numpy.random.SeedSequence(root, spawn_key=...)``,
 which is stable across processes.
 
@@ -32,14 +33,13 @@ import numpy as np
 
 from ._linalg import SymEig
 from ._parallel import BLOCK_ROWS, map_ordered
-from .model import ClientSpec, FeaturePattern, Dataset, MomentPair, validate_federation
+from .model import ClientSpec, FeaturePattern, Dataset, validate_federation
 
 __all__ = [
     "PopulationSpec",
     "draw_bernoulli_patterns",
     "sample_dataset",
     "population_gamma",
-    "population_moment_pair",
 ]
 
 
@@ -160,7 +160,9 @@ def _draw_noise(pop: PopulationSpec, n: int, rng: np.random.Generator) -> np.nda
 
 def _draw_rows(pop: PopulationSpec, clients: tuple[ClientSpec, ...], positions: np.ndarray,
                rng: np.random.Generator) -> Dataset:
-    """One row per entry of ``positions`` (an index into ``clients``).
+    """One row per entry of ``positions`` (an index into ``clients``),
+    stored client-major: clients in ``clients`` order, each client's rows in
+    draw order.
 
     The calling thread draws the covariates block by block (``_row_blocks``),
     then all noise, so the stream is consumed exactly as by one call for all
@@ -169,7 +171,9 @@ def _draw_rows(pop: PopulationSpec, clients: tuple[ClientSpec, ...], positions: 
     go. Each block is then transformed, its noise-free responses written,
     its rows stably sorted by client and each client's observed columns
     copied to that client's array; with a ``_parallel.workers`` pool, pool
-    threads do this while the next block is drawn.
+    threads do this while the next block is drawn. The responses are
+    computed in draw order, and after the noise is added one stable argsort
+    of ``positions`` reorders them client-major.
     """
     if clients[0].pattern.d != pop.d:
         raise ValueError("clients and population disagree on dimension")
@@ -202,9 +206,8 @@ def _draw_rows(pop: PopulationSpec, clients: tuple[ClientSpec, ...], positions: 
     else:
         write(next(draws))
     response += _draw_noise(pop, n, rng)
-    ids = np.array([c.id for c in clients], dtype=np.int64)
-    return Dataset(clients=clients, client_ids=ids[positions],
-                   x_obs={c.id: block for c, block in zip(clients, x_obs)}, y=response)
+    return Dataset(clients=clients, x_obs={c.id: block for c, block in zip(clients, x_obs)},
+                   y=response[np.argsort(positions, kind="stable")])
 
 
 def sample_dataset(
@@ -231,9 +234,3 @@ def sample_dataset(
 def population_gamma(pop: PopulationSpec) -> np.ndarray:
     """Cross-moment E[X Y] = sigma theta_star."""
     return pop.sigma @ pop.theta_star
-
-
-def population_moment_pair(pop: PopulationSpec) -> MomentPair:
-    """Exact moments as a MomentPair, for oracle-driven estimators."""
-    return MomentPair(pop.sigma, population_gamma(pop))
-

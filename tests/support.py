@@ -65,10 +65,41 @@ def mixed_federation(seed, n=240):
     patterns = [FeaturePattern.full(d), FeaturePattern.empty(d), random_pattern(rng, d)]
     patterns += [random_pattern(rng, d, nonempty=False) for _ in range(3)]
     clients = tuple(ClientSpec(id=10 - i, pattern=p, rho=1 / 6) for i, p in enumerate(patterns))
-    drawn = sample_dataset(pop, clients, n, rng)
-    keep = drawn.client_ids != 8
-    data = Dataset.from_filled(clients=clients, client_ids=drawn.client_ids[keep], x_filled=drawn.x_filled[keep], y=drawn.y[keep])
-    return rng, data
+    return rng, without_rows(sample_dataset(pop, clients, n, rng), 8)
+
+
+def without_rows(data, client_id) -> Dataset:
+    """``data`` with the rows of one client dropped, as if it drew none."""
+    kept = [c.id for c in data.clients if c.id != client_id]
+    return Dataset(data.clients, {k: data.x_obs_of(k) for k in kept}, np.concatenate([data.y_of(k) for k in kept]))
+
+
+def from_filled(clients, client_ids, x_filled, y) -> Dataset:
+    """The client-major dataset of the rows of an (n, d) matrix: row i
+    belongs to client ``client_ids[i]`` and keeps the coordinates that client
+    observes. Each client keeps its rows in their order here, and the
+    clients follow ``clients`` order, as the dataset's ``y`` does."""
+    clients = validate_federation(clients)
+    ids = np.asarray(client_ids, dtype=np.int64)
+    x = np.asarray(x_filled, dtype=np.float64)
+    y = np.asarray(y, dtype=np.float64)
+    if x.shape != (len(ids), clients[0].pattern.d) or y.shape != ids.shape:
+        raise ValueError(f"shapes disagree: client_ids {ids.shape}, x_filled {x.shape}, y {y.shape}")
+    rows = [np.flatnonzero(ids == c.id) for c in clients]
+    if sum(map(len, rows)) != len(ids):
+        raise ValueError(f"rows reference unknown client ids {sorted(set(ids.tolist()) - {c.id for c in clients})}")
+    x_obs = {c.id: x[np.ix_(r, c.pattern.observed)] for c, r in zip(clients, rows)}
+    return Dataset(clients, x_obs, y[np.concatenate(rows)])
+
+
+def x_filled(data) -> np.ndarray:
+    """The (n, d) matrix of ``data``'s rows in its client-major order, with
+    each row's observed coordinates and zeros elsewhere."""
+    x = np.zeros((data.n, data.d))
+    for c in data.clients:
+        if c.pattern.observed:
+            x[np.ix_(data.rows_of(c.id), c.pattern.observed)] = data.x_obs_of(c.id)
+    return x
 
 
 def sample_counts(data) -> np.ndarray:
@@ -77,8 +108,9 @@ def sample_counts(data) -> np.ndarray:
 
 
 def completed_rows(data, imputer) -> np.ndarray:
-    """The (n, d) design of ``data`` completed by ``imputer``, in row order:
-    the rows the fits stand for, built only to check them."""
+    """The (n, d) design of ``data`` completed by ``imputer``, in its
+    client-major row order: the rows the fits stand for, built only to check
+    them."""
     x = np.empty((data.n, data.d))
     for c in data.clients:
         x[data.rows_of(c.id)] = imputer.complete(c.pattern, data.x_obs_of(c.id))
@@ -92,8 +124,7 @@ def sharded(x, y, bounds):
     x = np.asarray(x, dtype=np.float64)
     k = len(bounds) - 1
     clients = tuple(ClientSpec(id=i + 1, pattern=FeaturePattern.full(x.shape[1]), rho=1 / k) for i in range(k))
-    ids = np.repeat(np.arange(1, k + 1), np.diff(bounds))
-    data = Dataset.from_filled(clients=clients, client_ids=ids, x_filled=x, y=np.asarray(y, dtype=np.float64))
+    data = Dataset(clients, {i + 1: x[bounds[i]:bounds[i + 1]] for i in range(k)}, y)
     return data, fit_zero_imputer(clients)
 
 
@@ -256,7 +287,7 @@ def reference_draw_rows(pop: PopulationSpec, clients, positions: np.ndarray, rng
     """The one-shot sampler the blocked ``popgen._draw_rows`` must reproduce
     bytewise: all covariates in one call (a sphere design scales each row of
     the product by sqrt(d) / ||z||), then all noise, the response, then each
-    row's observed coordinates kept from the (n, d) matrix."""
+    row's observed coordinates kept from the (n, d) matrix, client-major."""
     n = len(positions)
     z = rng.standard_normal((n, pop.d))
     x = z @ pop.sqrt_sigma
@@ -270,7 +301,7 @@ def reference_draw_rows(pop: PopulationSpec, clients, positions: np.ndarray, rng
         eps = np.sqrt(pop.sigma2) * rng.standard_normal(n)
     y = x @ pop.theta_star + eps
     ids = np.array([c.id for c in clients], dtype=np.int64)
-    return Dataset.from_filled(clients=clients, client_ids=ids[positions], x_filled=x, y=y)
+    return from_filled(clients, ids[positions], x, y)
 
 
 def reference_ice(data, rounds: int):
@@ -310,7 +341,8 @@ def reference_fedavg(data, imputer, lam: float, rounds: int, local_steps: int = 
     Returns (theta, objective_trace, diverged, rounds_run).
     """
     x = completed_rows(data, imputer)
-    shards = [(x[rows], data.y[rows]) for rows in data.shard_rows.values()]
+    ranges = [data.rows_of(c.id) for c in sorted(data.clients, key=lambda c: c.id)]
+    shards = [(x[rows], data.y[rows]) for rows in ranges if len(rows)]
     n, d = data.n, data.d
     sigma = sum((xk.T @ xk for xk, _ in shards), np.zeros((d, d))) / n
     step = 1.0 / (float(np.max(np.abs(np.linalg.eigvalsh((sigma + sigma.T) / 2.0)))) + lam)

@@ -21,7 +21,7 @@ from fedmismatch.impute import (
     fit_optimal_imputer,
     fit_zero_imputer,
 )
-from fedmismatch.model import ClientSpec, Dataset, FeaturePattern, crop_matrix, validate_federation
+from fedmismatch.model import ClientSpec, FeaturePattern, crop_matrix, validate_federation
 from fedmismatch.moments import (
     aggregate_zero_imputed,
     co_observation,
@@ -50,6 +50,7 @@ from support import (
     brute_effective_dimension,
     brute_schur,
     completion_matrix,
+    from_filled,
     gd_penalized_distance,
     gd_quadratic_min,
     random_clients,
@@ -405,7 +406,7 @@ def test_c08_fedavg_reaches_closed_form():
     x = rng.standard_normal((n, d))
     y = x @ rng.standard_normal(d) + 0.3 * rng.standard_normal(n)
     clients = (ClientSpec(id=1, pattern=FeaturePattern.full(d), rho=1.0),)
-    pooled = Dataset.from_filled(clients=clients, client_ids=np.ones(n, dtype=int), x_filled=x, y=y)
+    pooled = from_filled(clients=clients, client_ids=np.ones(n, dtype=int), x_filled=x, y=y)
     want = ridge_closed_form(pooled, fit_zero_imputer(clients), lam)
     worst_err = 0.0
     worst_rounds = 0

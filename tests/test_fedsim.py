@@ -10,12 +10,21 @@ from fedmismatch.fedsim import (
 )
 from fedmismatch.impute import fit_zero_imputer
 from fedmismatch.impute import federated_ice as ice_in_memory
-from fedmismatch.model import ClientSpec, Dataset, FeaturePattern
+from fedmismatch.model import ClientSpec, FeaturePattern
 from fedmismatch.moments import aggregate_zero_imputed
 from fedmismatch.popgen import sample_dataset
 from fedmismatch.ridge import fedavg_ridge, ridge_closed_form
 
-from support import completed_rows, random_clients, random_population, sample_counts, seeded
+from support import (
+    completed_rows,
+    from_filled,
+    random_clients,
+    random_population,
+    sample_counts,
+    seeded,
+    without_rows,
+    x_filled,
+)
 from test_popgen import section3_clients
 
 
@@ -42,11 +51,7 @@ def _sparse_federation(seed, d=4):
         ClientSpec(id=3, pattern=FeaturePattern.empty(d), rho=0.25),
         ClientSpec(id=4, pattern=FeaturePattern.from_one_based([2, 3, 4], d), rho=0.25),
     )
-    drawn = sample_dataset(pop, clients, 90, rng)
-    keep = drawn.client_ids != 2
-    data = Dataset.from_filled(
-        clients=clients, client_ids=drawn.client_ids[keep], x_filled=drawn.x_filled[keep], y=drawn.y[keep]
-    )
+    data = without_rows(sample_dataset(pop, clients, 90, rng), 2)
     assert len(data.rows_of(2)) == 0 and len(data.rows_of(3)) > 0
     return data
 
@@ -113,7 +118,8 @@ class TestTransportTransparency:
             assert np.array_equal(res.artifact.counts, counts)
             assert res.artifact.n == data.n == sum(lm.count for lm in data.local_moments.values())
             # N[l, j] counts the rows observing both l and j, row by row
-            row_masks = np.array([data.client_by_id(int(cid)).pattern.mask() for cid in data.client_ids], dtype=np.int64)
+            row_masks = np.array([c.pattern.mask() for c in data.clients for _ in data.rows_of(c.id)], dtype=np.int64)
+            assert len(row_masks) == data.n
             assert np.array_equal(res.artifact.counts, row_masks.T @ row_masks)
         elif kind == "federated_ice":
             assert np.array_equal(completed_rows(data, res.artifact), completed_rows(data, want))
@@ -227,7 +233,7 @@ class TestPinnedTotals:
             ClientSpec(id=1, pattern=FeaturePattern.full(3), rho=0.5),
             ClientSpec(id=2, pattern=FeaturePattern.full(3), rho=0.5),
         )
-        data = Dataset.from_filled(
+        data = from_filled(
             clients=clients,
             client_ids=np.array([1, 1, 1, 2, 2, 2]),
             x_filled=np.vstack([np.eye(3), np.eye(3)]),
@@ -260,7 +266,7 @@ class TestPinnedTotals:
         res = run_protocol(ProtocolSpec(kind="federated_ice", ice_rounds=0), data)
         assert res.comm.total_floats() == 0
         assert res.comm.total_bits() == 2 * 4
-        assert np.array_equal(completed_rows(data, res.artifact), data.x_filled)
+        assert np.array_equal(completed_rows(data, res.artifact), x_filled(data))
 
 
 class TestSpecValidation:

@@ -31,6 +31,7 @@ from support import (
     random_psd,
     reference_ice,
     seeded,
+    x_filled,
 )
 from test_popgen import section3_clients
 
@@ -129,7 +130,7 @@ class TestApplyImputer:
         rng = seeded(203)
         pop = random_population(rng, 4)
         data = sample_dataset(pop, section3_clients(), 50, rng)
-        assert np.array_equal(completed_rows(data, fit_zero_imputer(data.clients)), data.x_filled)
+        assert np.array_equal(completed_rows(data, fit_zero_imputer(data.clients)), x_filled(data))
 
     def test_observed_coordinates_bitwise_preserved(self):
         rng = seeded(204)
@@ -140,14 +141,14 @@ class TestApplyImputer:
         for c in clients:
             rows = data.rows_of(c.id)
             obs = list(c.pattern.observed)
-            assert np.array_equal(x[np.ix_(rows, obs)], data.x_filled[np.ix_(rows, obs)])
+            assert np.array_equal(x[np.ix_(rows, obs)], x_filled(data)[np.ix_(rows, obs)])
 
     def test_full_pattern_identity(self):
         rng = seeded(205)
         pop = random_population(rng, 3)
         clients = _one_client(FeaturePattern.full(3))
         data = sample_dataset(pop, clients, 40, rng)
-        assert np.array_equal(completed_rows(data, fit_optimal_imputer(pop.sigma, clients)), data.x_filled)
+        assert np.array_equal(completed_rows(data, fit_optimal_imputer(pop.sigma, clients)), x_filled(data))
 
     def test_missing_block_matches_map(self):
         rng = seeded(206)
@@ -182,7 +183,7 @@ class TestApplyImputer:
         ids = sorted(c.id for c in data.clients)
         assert len(sums) == len(ids)
         for cid, lm in zip(ids, sums):
-            rows = np.flatnonzero(data.client_ids == cid)
+            rows = data.rows_of(cid)
             assert lm.count == len(rows)
             assert_rel_close(lm.sigma_sum, x[rows].T @ x[rows])
             assert_rel_close(lm.gamma_sum, x[rows].T @ data.y[rows])
@@ -193,7 +194,7 @@ class TestFederatedIce:
         rng = seeded(209)
         pop = random_population(rng, 4)
         data = sample_dataset(pop, section3_clients(), 50, rng)
-        assert np.array_equal(completed_rows(data, federated_ice(data, rounds=0)), data.x_filled)
+        assert np.array_equal(completed_rows(data, federated_ice(data, rounds=0)), x_filled(data))
 
     def test_full_pattern_trace_constant(self):
         # Nothing is missing, so every round re-estimates the same matrix
@@ -205,7 +206,7 @@ class TestFederatedIce:
         for rounds in range(1, 4):
             res = federated_ice(data, rounds)
             assert np.array_equal(imputed_data_moments(data, res).sigma, first)
-            assert np.array_equal(completed_rows(data, res), data.x_filled)
+            assert np.array_equal(completed_rows(data, res), x_filled(data))
 
     def test_single_client_any_init_is_fixed_point(self):
         # With one client the refreshed map is S sigma_oo sigma_oo^+ = S:
@@ -221,7 +222,7 @@ class TestFederatedIce:
         for init in (fit_optimal_imputer(pop.sigma, clients), fit_zero_imputer(clients)):
             sigma = imputed_data_moments(data, init).sigma
             np.testing.assert_allclose(fit_optimal_imputer(sigma, clients).maps[pattern], init.maps[pattern], atol=1e-10)
-        assert np.allclose(completed_rows(data, federated_ice(data, rounds=3)), data.x_filled, atol=1e-10)
+        assert np.allclose(completed_rows(data, federated_ice(data, rounds=3)), x_filled(data), atol=1e-10)
 
     def test_converged_state_is_self_consistent(self):
         rng = seeded(216)
@@ -291,8 +292,9 @@ class TestSufficientStatistics:
             pair = imputed_data_moments(data, res)
             assert_rel_close(pair.sigma, trace[rounds])
             x, full = completed_rows(data, res), FeaturePattern.full(data.d)
+            shards = [data.rows_of(c.id) for c in sorted(data.clients, key=lambda c: c.id)]
             rows_pair = aggregate_zero_imputed(
-                local_zero_imputed_moments(x[rows], data.y[rows], full) for rows in data.shard_rows.values()
+                local_zero_imputed_moments(x[rows], data.y[rows], full) for rows in shards if len(rows)
             )
             assert_rel_close(pair.sigma, rows_pair.sigma)
             assert_rel_close(pair.gamma, rows_pair.gamma)

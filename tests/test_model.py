@@ -14,6 +14,8 @@ from fedmismatch import (
     validate_federation,
 )
 
+from support import from_filled, x_filled
+
 
 class TestFeaturePattern:
     def test_one_based_roundtrip(self):
@@ -129,25 +131,42 @@ class TestFederation:
 
 class TestDataset:
     def _data(self):
-        clients = _two_clients()
-        ids = np.array([1, 2, 2, 1])
-        x = np.array(
-            [
-                [1.0, 0.0, 2.0, 0.0],
-                [0.0, 3.0, 4.0, 5.0],
-                [0.0, 6.0, 7.0, 8.0],
-                [9.0, 0.0, 10.0, 0.0],
-            ]
+        """Client 1 owns rows 0-1 and client 2 rows 2-3, in ``clients`` order."""
+        return Dataset(
+            clients=_two_clients(),
+            x_obs={1: np.array([[1.0, 2.0], [9.0, 10.0]]), 2: np.array([[3.0, 4.0, 5.0], [6.0, 7.0, 8.0]])},
+            y=np.array([0.1, 0.4, 0.2, 0.3]),
         )
-        y = np.array([0.1, 0.2, 0.3, 0.4])
-        return Dataset.from_filled(clients=clients, client_ids=ids, x_filled=x, y=y)
 
     def test_accessors(self):
         ds = self._data()
         assert ds.n == 4 and ds.d == 4
-        np.testing.assert_array_equal(ds.rows_of(2), [1, 2])
+        assert ds.rows_of(2) == range(2, 4)
         np.testing.assert_array_equal(ds.x_obs_of(1), [[1.0, 2.0], [9.0, 10.0]])
         np.testing.assert_array_equal(ds.y_of(2), [0.2, 0.3])
+
+    def test_rows_tile_the_sample_in_clients_order(self):
+        # clients declared out of id order, client 9 drew no rows
+        clients = (
+            ClientSpec(id=5, pattern=FeaturePattern.from_one_based([1, 3], 3), rho=0.4),
+            ClientSpec(id=2, pattern=FeaturePattern.from_one_based([2], 3), rho=0.4),
+            ClientSpec(id=9, pattern=FeaturePattern.full(3), rho=0.2),
+        )
+        rng = np.random.default_rng(0)
+        ds = Dataset(clients, {5: rng.standard_normal((4, 2)), 2: rng.standard_normal((3, 1))}, rng.standard_normal(7))
+        assert [ds.rows_of(c.id) for c in clients] == [range(0, 4), range(4, 7), range(7, 7)]
+        assert list(ds.x_obs) == [5, 2, 9]
+        for c in clients:
+            rows, y_k = ds.rows_of(c.id), ds.y_of(c.id)
+            assert len(ds.x_obs_of(c.id)) == len(rows)
+            assert y_k.tobytes() == ds.y[rows].tobytes()
+            assert np.shares_memory(y_k, ds.y) == bool(len(rows))
+            assert not y_k.flags.writeable
+        with pytest.raises(ValueError):
+            ds.y[:] = 0
+        for accessor in (ds.rows_of, ds.x_obs_of, ds.y_of, ds.client_by_id):
+            with pytest.raises(KeyError):
+                accessor(7)
 
     def test_index_matches_row_scan(self):
         # interleaved ids, clients declared out of id order, client 9 drew no rows
@@ -158,28 +177,33 @@ class TestDataset:
         )
         ids = np.array([5, 2, 2, 5, 2, 5, 5])
         rng = np.random.default_rng(0)
-        ds = Dataset.from_filled(clients=clients, client_ids=ids, x_filled=rng.standard_normal((7, 3)), y=rng.standard_normal(7))
-        assert list(ds.shard_rows) == [2, 5]
+        x, y = rng.standard_normal((7, 3)), rng.standard_normal(7)
+        ds = from_filled(clients=clients, client_ids=ids, x_filled=x, y=y)
+        filled = x_filled(ds)
         for c in clients:
-            rows = ds.rows_of(c.id)
-            np.testing.assert_array_equal(rows, np.flatnonzero(ids == c.id))
-            np.testing.assert_array_equal(ds.x_obs_of(c.id), ds.x_filled[np.ix_(rows, list(c.pattern.observed))])
-            np.testing.assert_array_equal(ds.y_of(c.id), ds.y[rows])
-            with pytest.raises(ValueError):
-                rows[:] = 0
-        for accessor in (ds.rows_of, ds.x_obs_of, ds.y_of, ds.client_by_id):
-            with pytest.raises(KeyError):
-                accessor(7)
+            scan, rows = np.flatnonzero(ids == c.id), ds.rows_of(c.id)
+            np.testing.assert_array_equal(ds.x_obs_of(c.id), x[np.ix_(scan, list(c.pattern.observed))])
+            np.testing.assert_array_equal(ds.y_of(c.id), y[scan])
+            np.testing.assert_array_equal(filled[rows][:, list(c.pattern.observed)], ds.x_obs_of(c.id))
+            np.testing.assert_array_equal(filled[rows][:, list(c.pattern.missing)], 0.0)
 
     def test_unknown_client_rows_rejected(self):
         clients = _two_clients()
         with pytest.raises(ValueError, match="unknown client"):
-            Dataset.from_filled(clients=clients, client_ids=np.array([7]), x_filled=np.zeros((1, 4)), y=np.zeros(1))
+            Dataset(clients=clients, x_obs={7: np.zeros((1, 1))}, y=np.zeros(1))
+        with pytest.raises(ValueError, match="unknown client"):
+            from_filled(clients=clients, client_ids=np.array([7]), x_filled=np.zeros((1, 4)), y=np.zeros(1))
 
     def test_row_count_mismatch(self):
         clients = _two_clients()
+        block = {1: np.zeros((1, 2))}
+        for n in (0, 2):
+            with pytest.raises(ValueError, match="responses"):
+                Dataset(clients=clients, x_obs=block, y=np.zeros(n))
+        with pytest.raises(ValueError, match="responses"):
+            Dataset(clients=clients, x_obs=block, y=np.zeros((1, 1)))
         with pytest.raises(ValueError):
-            Dataset.from_filled(clients=clients, client_ids=np.array([1, 2]), x_filled=np.zeros((1, 4)), y=np.zeros(1))
+            from_filled(clients=clients, client_ids=np.array([1, 2]), x_filled=np.zeros((1, 4)), y=np.zeros(1))
 
     def test_stores_one_read_only_block_per_client(self):
         ds = self._data()
@@ -188,19 +212,25 @@ class TestDataset:
             block = ds.x_obs_of(c.id)
             assert block is ds.x_obs[c.id]
             assert block.flags.c_contiguous and not block.flags.writeable
-        again = Dataset(clients=ds.clients, client_ids=ds.client_ids, x_obs=ds.x_obs, y=ds.y)
-        assert again.x_filled.tobytes() == ds.x_filled.tobytes()
-        np.testing.assert_array_equal(ds.x_filled[1], [0.0, 3.0, 4.0, 5.0])
+        again = Dataset(clients=ds.clients, x_obs=ds.x_obs, y=ds.y)
+        assert x_filled(again).tobytes() == x_filled(ds).tobytes()
+        np.testing.assert_array_equal(x_filled(ds)[2], [0.0, 3.0, 4.0, 5.0])
 
     def test_blocks_checked_against_rows_and_patterns(self):
         clients = _two_clients()
-        ids, y = np.array([1, 2, 2]), np.zeros(3)
         good = {1: np.zeros((1, 2)), 2: np.zeros((2, 3))}
-        # a client that drew no rows may leave its block out
-        assert Dataset(clients=clients, client_ids=np.array([2, 2]), x_obs={2: good[2]}, y=y[:2]).x_obs_of(1).shape == (0, 2)
-        for blocks in ({**good, 1: np.zeros((2, 2))}, {**good, 2: np.zeros((2, 4))}, {2: good[2]}, {**good, 7: np.zeros((0, 1))}):
-            with pytest.raises(ValueError):
-                Dataset(clients=clients, client_ids=ids, x_obs=blocks, y=y)
+        # a client without a block drew no rows and gets a (0, |O_k|) one
+        empty = Dataset(clients=clients, x_obs={2: good[2]}, y=np.zeros(2)).x_obs_of(1)
+        assert empty.shape == (0, 2) and not empty.flags.writeable
+        assert Dataset(clients=clients, x_obs={}, y=np.zeros(0)).n == 0
+        for blocks in ({**good, 2: np.zeros((2, 4))}, {**good, 1: np.zeros(2)}, {**good, 1: np.zeros((1, 1, 2))}):
+            with pytest.raises(ValueError, match="observed block"):
+                Dataset(clients=clients, x_obs=blocks, y=np.zeros(3))
+        with pytest.raises(ValueError, match="unknown client"):
+            Dataset(clients=clients, x_obs={**good, 7: np.zeros((0, 1))}, y=np.zeros(3))
+        # y holds one response per block row
+        with pytest.raises(ValueError, match="the 3 responses"):
+            Dataset(clients=clients, x_obs=good, y=np.zeros(2))
 
 
 class TestMomentPair:
@@ -231,16 +261,16 @@ class TestMomentPair:
 class TestClientwisePredictor:
     def test_predict_and_clip(self):
         pred = ClientwisePredictor(thetas={1: np.array([2.0])}, trunc_m=1.0)
-        assert pred.predict(1, np.array([0.3])) == pytest.approx(0.6)
-        assert pred.predict(1, np.array([5.0])) == 1.0
-        assert pred.predict(1, np.array([-5.0])) == -1.0
+        assert pred.predict_many(1, np.array([[0.3]])) == pytest.approx([0.6])
+        assert pred.predict_many(1, np.array([[5.0]])).tolist() == [1.0]
+        assert pred.predict_many(1, np.array([[-5.0]])).tolist() == [-1.0]
 
     def test_unknown_and_unidentifiable(self):
         pred = ClientwisePredictor(thetas={1: np.zeros(1)}, unidentifiable=frozenset({9}))
         with pytest.raises(KeyError):
-            pred.predict(3, np.zeros(1))
+            pred.predict_many(3, np.zeros((1, 1)))
         with pytest.raises(ValueError, match="unidentifiable"):
-            pred.predict(9, np.zeros(1))
+            pred.predict_many(9, np.zeros((1, 1)))
 
     def test_block_shape_check(self):
         pred = ClientwisePredictor(thetas={1: np.zeros(2)})

@@ -14,10 +14,9 @@ from fedmismatch import (
     sample_dataset,
 )
 from fedmismatch.impute import fit_zero_imputer
-from fedmismatch.model import Dataset
 from fedmismatch.moments import imputed_data_moments
 
-from support import sample_counts, seeded
+from support import from_filled, sample_counts, seeded, x_filled
 from test_popgen import section3_clients
 
 
@@ -117,7 +116,7 @@ class TestEmpiricalCoobservation:
         clients = section3_clients()
         n = 1000
         ids = np.array([1] * 500 + [2] * 500)
-        ds = Dataset.from_filled(clients=clients, client_ids=ids, x_filled=np.zeros((n, 4)), y=np.zeros(n))
+        ds = from_filled(clients=clients, client_ids=ids, x_filled=np.zeros((n, 4)), y=np.zeros(n))
         counts = sample_counts(ds)
         assert counts.dtype == np.float64
         assert counts[0, 2] / ds.n == 0.5
@@ -132,7 +131,7 @@ class TestEmpiricalCoobservation:
             ClientSpec(id=1, pattern=FeaturePattern.from_one_based([2], 2), rho=0.5),
             ClientSpec(id=2, pattern=FeaturePattern.full(2), rho=0.5),
         )
-        ds = Dataset.from_filled(clients=clients, client_ids=np.array([1]), x_filled=np.zeros((1, 2)), y=np.zeros(1))
+        ds = from_filled(clients=clients, client_ids=np.array([1]), x_filled=np.zeros((1, 2)), y=np.zeros(1))
         np.testing.assert_array_equal(sample_counts(ds) / ds.n, [[0.0, 0.0], [0.0, 1.0]])
 
 
@@ -218,18 +217,16 @@ class TestComponentWise:
         ds = sample_dataset(pop, clients, 80, seeded(9))
         pair = aggregate_zero_imputed(ds.local_moments.values())
         cw = cw_moments(pair, sample_counts(ds), ds.n)
-        masks = {c.id: c.pattern.mask() for c in clients}
+        row_masks = [c.pattern.mask() for c in ds.clients for _ in ds.rows_of(c.id)]
+        assert len(row_masks) == ds.n
+        x = x_filled(ds)
         for l in range(3):
             for j in range(3):
-                rows = [
-                    i
-                    for i in range(ds.n)
-                    if masks[int(ds.client_ids[i])][l] and masks[int(ds.client_ids[i])][j]
-                ]
+                rows = [i for i in range(ds.n) if row_masks[i][l] and row_masks[i][j]]
                 if not rows:
                     assert cw.sigma[l, j] == 0.0
                     continue
-                direct = np.mean([ds.x_filled[i, l] * ds.x_filled[i, j] for i in rows])
+                direct = np.mean([x[i, l] * x[i, j] for i in rows])
                 assert cw.sigma[l, j] == pytest.approx(direct, abs=1e-12)
 
 
@@ -240,14 +237,14 @@ class TestImputedDataMoments:
         y = rng.standard_normal(40)
         ids = rng.integers(1, 4, size=40)
         clients = tuple(ClientSpec(id=k, pattern=FeaturePattern.full(3), rho=1 / 3) for k in (1, 2, 3))
-        data = Dataset.from_filled(clients=clients, client_ids=ids, x_filled=x, y=y)
+        data = from_filled(clients=clients, client_ids=ids, x_filled=x, y=y)
         pair = imputed_data_moments(data, fit_zero_imputer(clients))
         np.testing.assert_allclose(pair.sigma, x.T @ x / 40, atol=1e-13)
         np.testing.assert_allclose(pair.gamma, x.T @ y / 40, atol=1e-13)
 
     def test_no_rows_rejected(self):
         clients = (ClientSpec(id=1, pattern=FeaturePattern.full(2), rho=1.0),)
-        empty = Dataset.from_filled(clients=clients, client_ids=np.zeros(0), x_filled=np.zeros((0, 2)), y=np.zeros(0))
+        empty = from_filled(clients=clients, client_ids=np.zeros(0), x_filled=np.zeros((0, 2)), y=np.zeros(0))
         with pytest.raises(ValueError):
             imputed_data_moments(empty, fit_zero_imputer(clients))
 

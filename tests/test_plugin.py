@@ -9,9 +9,9 @@ from fedmismatch.moments import (
 )
 from fedmismatch.oracle import best_local_coefficients
 from fedmismatch.plugin import build_clientwise_plugin, crop_predictor
-from fedmismatch.popgen import population_moment_pair, sample_dataset
+from fedmismatch.popgen import population_gamma, sample_dataset
 
-from support import random_clients, random_population, sample_counts, seeded
+from support import random_clients, random_population, sample_counts, seeded, x_filled
 from test_popgen import section3_clients
 
 
@@ -38,7 +38,7 @@ class TestCropPredictor:
     def test_full_pattern_solves_whole_system(self):
         rng = seeded(101)
         pop = random_population(rng, 4)
-        pair = population_moment_pair(pop)
+        pair = MomentPair(pop.sigma, population_gamma(pop))
         theta = crop_predictor(pair, FeaturePattern.full(4))
         assert np.allclose(pair.sigma @ theta, pair.gamma, atol=1e-10)
 
@@ -53,7 +53,7 @@ class TestCropPredictor:
             d = int(rng.integers(1, 6))
             pop = random_population(rng, d)
             pattern = random_clients(rng, d, 1)[0].pattern
-            got = crop_predictor(population_moment_pair(pop), pattern)
+            got = crop_predictor(MomentPair(pop.sigma, population_gamma(pop)), pattern)
             want = best_local_coefficients(pop, pattern)
             assert np.allclose(got, want, atol=1e-10)
 
@@ -93,7 +93,7 @@ class TestBuildClientwisePlugin:
         rng = seeded(105)
         pop = random_population(rng, 3)
         clients = random_clients(rng, 3, 4)
-        pred = build_clientwise_plugin(population_moment_pair(pop), clients)
+        pred = build_clientwise_plugin(MomentPair(pop.sigma, population_gamma(pop)), clients)
         assert not pred.unidentifiable
         assert set(pred.thetas) == {c.id for c in clients}
 
@@ -104,7 +104,7 @@ class TestBuildClientwisePlugin:
         data = sample_dataset(pop, clients, 400, rng)
         agg = aggregate_zero_imputed(data.local_moments.values())
         pred = build_clientwise_plugin(agg, clients)
-        x, y = data.x_filled, data.y
+        x, y = x_filled(data), data.y
         ols, *_ = np.linalg.lstsq(x.T @ x / 400, x.T @ y / 400, rcond=None)
         assert np.allclose(pred.thetas[1], ols, atol=1e-8)
 

@@ -18,7 +18,7 @@ from fedmismatch import popgen
 from fedmismatch._parallel import BLOCK_ROWS, workers
 from fedmismatch.model import Dataset
 
-from support import fail_second_block, random_clients, reference_draw_rows, seeded
+from support import fail_second_block, random_clients, reference_draw_rows, seeded, x_filled
 
 
 def section3_clients(d=4):
@@ -109,22 +109,22 @@ class TestSampleDataset:
             ClientSpec(id=2, pattern=FeaturePattern.full(2), rho=0.7),
         )
         ds = sample_dataset(pop, clients, 100_000, seeded(4))
-        share = np.mean(ds.client_ids == 1)
+        share = len(ds.y_of(1)) / ds.n
         assert abs(share - 0.3) <= 0.005
 
     def test_masking_zeroes_unobserved(self):
         pop = PopulationSpec.gaussian(np.eye(4), np.ones(4))
         ds = sample_dataset(pop, section3_clients(), 200, seeded(5))
         rows1 = ds.rows_of(1)
-        assert np.all(ds.x_filled[np.ix_(rows1, [1, 3])] == 0.0)
-        assert np.all(ds.x_filled[np.ix_(rows1, [0, 2])] != 0.0)
+        assert np.all(x_filled(ds)[np.ix_(rows1, [1, 3])] == 0.0)
+        assert np.all(x_filled(ds)[np.ix_(rows1, [0, 2])] != 0.0)
 
     def test_deterministic_given_seed(self):
         pop = PopulationSpec.gaussian(np.eye(3), np.ones(3))
         clients = (ClientSpec(id=1, pattern=FeaturePattern.from_one_based([1, 2], 3), rho=1.0),)
         a = sample_dataset(pop, clients, 50, seeded(6))
         b = sample_dataset(pop, clients, 50, seeded(6))
-        np.testing.assert_array_equal(a.x_filled, b.x_filled)
+        np.testing.assert_array_equal(x_filled(a), x_filled(b))
         np.testing.assert_array_equal(a.y, b.y)
 
     def test_sphere_design_bounds_response(self):
@@ -133,7 +133,8 @@ class TestSampleDataset:
         ds = sample_dataset(pop, clients, 20_000, seeded(7))
         assert np.max(np.abs(ds.y)) <= pop.m_bound
         # sphere normalization keeps E[X X^T] = sigma exactly; check by MC
-        emp = ds.x_filled.T @ ds.x_filled / ds.n
+        x = x_filled(ds)
+        emp = x.T @ x / ds.n
         assert np.max(np.abs(emp - pop.sigma)) < 0.05
 
 
@@ -160,11 +161,14 @@ class TestSampleDataset:
         else:
             eps = np.sqrt(0.7) * rng.standard_normal(3000)
         y = x @ pop.theta_star + eps
+        start = 0
         for k, c in enumerate(clients):
             rows = np.flatnonzero(positions == k)
+            assert ds.rows_of(c.id) == range(start, start + len(rows))
             assert ds.x_obs_of(c.id).tobytes() == x[np.ix_(rows, list(c.pattern.observed))].tobytes()
-        assert ds.y.tobytes() == y.tobytes()
-        assert ds.client_ids.tolist() == [clients[i].id for i in positions]
+            assert ds.y_of(c.id).tobytes() == y[rows].tobytes()
+            start += len(rows)
+        assert ds.n == start
 
 
 @pytest.fixture
@@ -233,8 +237,9 @@ class TestBlockedSampler:
                 assert block.shape == (len(want.rows_of(c.id)), c.pattern.size)
                 assert block.flags.c_contiguous and not block.flags.writeable
                 assert block.tobytes() == want.x_obs_of(c.id).tobytes()
-            for field in ("y", "client_ids"):
-                assert getattr(got, field).tobytes() == getattr(want, field).tobytes()
+                assert got.rows_of(c.id) == want.rows_of(c.id)
+                assert got.y_of(c.id).tobytes() == want.y_of(c.id).tobytes()
+            assert got.y.tobytes() == want.y.tobytes()
             assert got_rng.standard_normal(4).tobytes() == rng.standard_normal(4).tobytes()
             assert len(pooled) == max(1, n // BLOCK_ROWS)
             assert any(pooled) == (threads > 1 and n >= 2 * BLOCK_ROWS)
@@ -274,7 +279,7 @@ class TestBlockedSampler:
         drawn = sample_dataset(pop, clients, 3 * BLOCK_ROWS + 5, seeded(13))
 
         def fresh():
-            return Dataset.from_filled(clients=clients, client_ids=drawn.client_ids, x_filled=drawn.x_filled, y=drawn.y)
+            return Dataset(clients=clients, x_obs=drawn.x_obs, y=drawn.y)
 
         serial = fresh().local_moments
         with workers(threads):

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from fedmismatch.impute import fit_optimal_imputer, fit_zero_imputer
-from fedmismatch.model import ClientSpec, ClientwisePredictor, Dataset, FeaturePattern
+from fedmismatch.model import ClientSpec, ClientwisePredictor, FeaturePattern
 from fedmismatch.moments import completed_sums
 from fedmismatch.oracle import best_local_coefficients
 from fedmismatch.popgen import PopulationSpec, sample_dataset
@@ -18,6 +18,7 @@ from fedmismatch.ridge import (
 
 from support import (
     completed_rows,
+    from_filled,
     gd_ridge_fit,
     mixed_federation,
     random_clients,
@@ -34,7 +35,7 @@ def _completed(x, y, d=None):
     x = np.asarray(x, dtype=float)
     d = d if d is not None else x.shape[1]
     clients = (ClientSpec(id=1, pattern=FeaturePattern.full(d), rho=1.0),)
-    data = Dataset.from_filled(clients=clients, client_ids=np.ones(len(y), dtype=int), x_filled=x, y=np.asarray(y, dtype=float))
+    data = from_filled(clients=clients, client_ids=np.ones(len(y), dtype=int), x_filled=x, y=np.asarray(y, dtype=float))
     return data, fit_zero_imputer(clients)
 
 
@@ -110,8 +111,8 @@ class TestFedAvg:
         # sigma_hat = 0 and lambda = 0 make the objective constant, so the
         # step size is 0 rather than 1 / 0.
         clients = tuple(ClientSpec(id=i, pattern=FeaturePattern.empty(2), rho=0.5) for i in (1, 2))
-        data = Dataset.from_filled(clients=clients, client_ids=np.array([1, 2, 2]),
-                                   x_filled=np.ones((3, 2)), y=np.array([1.0, -2.0, 3.0]))
+        data = from_filled(clients=clients, client_ids=np.array([1, 2, 2]),
+                           x_filled=np.ones((3, 2)), y=np.array([1.0, -2.0, 3.0]))
         res = fedavg_ridge(data, fit_zero_imputer(clients), lam=0.0, rounds=4)
         assert np.array_equal(res.theta, np.zeros(2))
         assert not res.diverged and res.rounds_run == 4
@@ -130,7 +131,7 @@ class TestFedAvg:
             ClientSpec(id=3, pattern=FeaturePattern.full(2), rho=0.5),
             ClientSpec(id=1, pattern=FeaturePattern.full(2), rho=0.5),
         )
-        data = Dataset.from_filled(
+        data = from_filled(
             clients=clients,
             client_ids=np.array([3, 3, 3]),
             x_filled=np.arange(6.0).reshape(3, 2),
@@ -264,7 +265,7 @@ class TestItrPredictor:
     def test_zero_truncation_kills_predictions(self):
         clients = section3_clients()
         pred = itr_predictor(fit_zero_imputer(clients), np.ones(4), clients, trunc_m=0.0)
-        assert pred.predict(1, np.array([5.0, -2.0])) == 0.0
+        assert pred.predict_many(1, np.array([[5.0, -2.0]])).tolist() == [0.0]
 
     def test_theta_shape_validated(self):
         clients = section3_clients()
@@ -300,7 +301,7 @@ class TestLocalLearning:
             ClientSpec(id=1, pattern=FeaturePattern.full(2), rho=0.5),
             ClientSpec(id=2, pattern=FeaturePattern.from_one_based([1], 2), rho=0.5),
         )
-        data = Dataset.from_filled(
+        data = from_filled(
             clients=clients,
             client_ids=np.array([1, 1, 1]),
             x_filled=np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]]),
