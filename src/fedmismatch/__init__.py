@@ -68,7 +68,6 @@ from .oracle import (
     oracle_global_risk,
     oracle_local_risk,
     ridge_bias,
-    schur_complement,
     typical_case_lambda_prime,
 )
 from .fedsim import (

@@ -26,7 +26,9 @@ fields; what can still fail is a sampled degenerate case, such as a client
 that drew no rows. ``population.d`` is capped at ``MAX_D`` (1024),
 ``clients.k`` at ``MAX_K`` (10,000) and ``seeds.replicates`` at
 ``MAX_REPLICATES`` (10,000); each ``grid.n`` entry and ``mc.n_test`` may
-ask for at most ``MAX_CELLS`` (10**8) float64 cells of n x d data.
+ask for at most ``MAX_CELLS`` (10**8) float64 cells of n x d data. The
+three sweeps stratify ``mc.n_test`` draws over their clients, one draw at
+least each, so they need ``mc.n_test`` >= ``clients.k``.
 
 Every work item (replicate x grid point) derives its generators from
 ``SeedSequence(root_seed, spawn_key=(replicate, grid_index))`` and splits
@@ -346,6 +348,9 @@ def _parse_config(raw: dict) -> tuple[ExperimentConfig | None, list[str]]:
             params[name] = collect(_number, raw_params.get(name, default), f"scenario_params.{name}",
                                    integer=True, lo=lo)
         params.update(collect(entry.check, raw_params, pop, fed, axes) or {})
+    # A sweep's Monte-Carlo strata are its k clients, and each needs a draw.
+    if entry is not None and entry.rows is _mc_rows and fed is not None and n_test is not None and n_test < fed.k:
+        problems.append(f"mc.n_test: {n_test} draws cannot cover {fed.k} clients; need at least clients.k")
     if fed is not None and axes["tau"] and fed.pattern_kind != "bernoulli":
         problems.append("grid.tau: only meaningful with bernoulli patterns")
     if fed is not None and fed.pattern_kind == "bernoulli" and not axes["tau"] and fed.tau is None:

@@ -94,10 +94,6 @@ class FeaturePattern:
         return len(self.observed)
 
     @property
-    def is_full(self) -> bool:
-        return len(self.observed) == self.d
-
-    @property
     def is_empty(self) -> bool:
         return not self.observed
 

@@ -6,9 +6,9 @@ dimension that drive excess-risk bounds, and the population moments of
 imputed features. ``monte_carlo_risk`` is the bridge to finite-sample
 evaluation of fitted predictors. The imputed-population moments are the
 rho-weighted fold of ``ImputationMap.complete_moments`` over the population
-moments, the same completion algebra the fits apply to client sums, and
-every regression of missing on observed coordinates is
-``impute.optimal_block_map``.
+moments, the same completion algebra the fits apply to client sums. A
+client's oracle depends on it only through its pattern, so the closed forms
+of each distinct pattern are computed once (``_local_oracle``).
 
 Key facts used throughout (all checkable against brute force, and checked in
 the test suite):
@@ -31,13 +31,12 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from ._linalg import SymEig
-from .impute import ImputerKind, _factor_and_block_map, fit_optimal_imputer, fit_zero_imputer, optimal_block_map
+from .impute import ImputerKind, _factor_and_block_map, fit_optimal_imputer, fit_zero_imputer
 from .model import FeaturePattern, validate_federation, ClientwisePredictor
 from .popgen import PopulationSpec, _draw_rows, population_gamma
 
 __all__ = [
     "best_local_coefficients",
-    "schur_complement",
     "oracle_local_risk",
     "oracle_global_risk",
     "effective_dimension",
@@ -61,61 +60,47 @@ def best_local_coefficients(pop: PopulationSpec, pattern: FeaturePattern) -> np.
 
     Returns sigma[O,O]^+ gamma[O] from one ``eigh`` of sigma[O,O]. When
     |w|min / |w|max > 1e-4 on that factor, the equivalent representation
-    theta_obs + S^T theta_mis, with S the ``optimal_block_map`` of the
-    pattern, is also evaluated and must agree to 1e-10; disagreement means
-    the inputs are inconsistent and raises.
+    theta_obs + S^T theta_mis, with S = sigma[M,O] sigma[O,O]^+, is also
+    evaluated and must agree to 1e-10; disagreement means the inputs are
+    inconsistent and raises.
     """
     return _local_oracle(pop, pattern)[0]
 
 
+def oracle_local_risk(pop: PopulationSpec, pattern: FeaturePattern) -> float:
+    """Best attainable squared-error risk when only this block is seen."""
+    return _local_oracle(pop, pattern)[1]
+
+
 def _local_oracle(pop: PopulationSpec, pattern: FeaturePattern) -> tuple[np.ndarray, float, SymEig]:
     """(``best_local_coefficients``, ``oracle_local_risk``, ``SymEig`` of
-    sigma[O,O]) of one pattern; that one factor feeds the coefficients, the
-    conditioning guard and the ``optimal_block_map`` S alike."""
-    obs = list(pattern.observed)
+    sigma[O,O]) of one pattern, the only place its closed forms are computed.
+
+    One ``_factor_and_block_map`` gives the factor and S = sigma[M,O]
+    sigma[O,O]^+. The factor feeds the coefficients and the conditioning
+    guard; S feeds their cross-check and the risk sigma2 + theta_M . V
+    theta_M, V = sym(sigma[M,M] - S sigma[O,M]) the Schur complement.
+    """
+    obs, mis = list(pattern.observed), list(pattern.missing)
     factor, s_map = _factor_and_block_map(pop.sigma, pattern)
     theta1 = factor.solve(population_gamma(pop)[obs])
+    t_mis = pop.theta_star[mis]
     # An empty block has nothing to cross-check.
     w = np.abs(factor.w)
     if w.size and w.min() > 1e-4 * w.max():
-        theta2 = pop.theta_star[obs] + s_map.T @ pop.theta_star[list(pattern.missing)]
+        theta2 = pop.theta_star[obs] + s_map.T @ t_mis
         if np.max(np.abs(theta1 - theta2)) > 1e-10 * max(1.0, float(np.max(np.abs(theta2)))):
             raise RuntimeError("the two closed forms for local coefficients disagree")
-    return theta1, _attainable_risk(pop, pattern, s_map), factor
-
-
-def schur_complement(sigma: np.ndarray, pattern: FeaturePattern) -> np.ndarray:
-    """sigma[M,M] - S sigma[O,M] over the missing set, with S =
-    sigma[M,O] sigma[O,O]^+ the ``optimal_block_map`` of the pattern.
-
-    Full patterns give a 0 x 0 matrix; an empty observed set gives
-    sigma[M,M] itself.
-    """
-    sigma = np.asarray(sigma, dtype=np.float64)
-    return _schur(sigma, pattern, optimal_block_map(sigma, pattern))
-
-
-def _schur(sigma: np.ndarray, pattern: FeaturePattern, s_map: np.ndarray) -> np.ndarray:
-    mis = list(pattern.missing)
-    v = sigma[np.ix_(mis, mis)] - s_map @ sigma[np.ix_(list(pattern.observed), mis)]
-    return (v + v.T) / 2.0
-
-
-def oracle_local_risk(pop: PopulationSpec, pattern: FeaturePattern) -> float:
-    """Best attainable squared-error risk when only this block is seen."""
-    return _attainable_risk(pop, pattern, optimal_block_map(pop.sigma, pattern))
-
-
-def _attainable_risk(pop: PopulationSpec, pattern: FeaturePattern, s_map: np.ndarray) -> float:
-    """sigma2 + theta_mis . V theta_mis, V the Schur complement from S = ``s_map``."""
-    t_mis = pop.theta_star[list(pattern.missing)]
-    return float(pop.sigma2 + t_mis @ _schur(pop.sigma, pattern, s_map) @ t_mis)
+    v = pop.sigma[np.ix_(mis, mis)] - s_map @ pop.sigma[np.ix_(obs, mis)]
+    return theta1, float(pop.sigma2 + t_mis @ ((v + v.T) / 2.0) @ t_mis), factor
 
 
 def oracle_global_risk(pop: PopulationSpec, clients) -> float:
-    """Share-weighted best attainable risk across the federation."""
+    """Share-weighted best attainable risk across the federation, with one
+    ``oracle_local_risk`` per distinct pattern folded in client order."""
     clients = validate_federation(clients)
-    return float(sum(c.rho * oracle_local_risk(pop, c.pattern) for c in clients))
+    risks = {p: _local_oracle(pop, p)[1] for p in dict.fromkeys(c.pattern for c in clients)}
+    return float(sum(c.rho * risks[c.pattern] for c in clients))
 
 
 def effective_dimension(sigma: np.ndarray | SymEig, lam: float) -> float:
@@ -201,9 +186,6 @@ class BoundReport:
     ``bound_value`` = r_star_reference + b_lambda + (8 m^2 / n) d_lambda.
     """
 
-    lam: float
-    n: int
-    m: float
     r_star_reference: float
     b_lambda: float
     d_lambda: float
@@ -235,9 +217,6 @@ def itr_bound(
     b = ridge_bias(factor, ip.theta_prime, lam)
     d_eff = effective_dimension(factor, lam)
     return BoundReport(
-        lam=float(lam),
-        n=int(n),
-        m=float(m),
         r_star_reference=r_ref,
         b_lambda=b,
         d_lambda=d_eff,
@@ -255,9 +234,6 @@ class LocalLearningBounds:
     fits.
     """
 
-    lam: float
-    n: int
-    m: float
     e0: float
     sum_local_dims: float
     weighted_local_floor: float
@@ -268,9 +244,10 @@ class LocalLearningBounds:
 def local_bound_terms(pop: PopulationSpec, clients, lam: float, n: int, m: float) -> LocalLearningBounds:
     """Assemble the local-learning risk floor and ceiling.
 
-    Per client, from one ``eigh`` of sigma[O_k, O_k]: attainable risk, ridge
-    bias and effective dimension of the observed block at penalty lam /
-    rho_k. The map in ``per_client`` stores (r_star_k, b_k, d_k, lam_k).
+    Per client: attainable risk, ridge bias and effective dimension of the
+    observed block at penalty lam / rho_k, read from ``_local_oracle`` and its
+    ``eigh`` of sigma[O, O], computed once per distinct pattern. The map in
+    ``per_client`` stores (r_star_k, b_k, d_k, lam_k).
 
     ``weighted_local_floor`` is sum_k rho_k (r_star_k + b_k), the optimum of
     local learning in which client k fits alone at penalty lam / rho_k. That
@@ -285,9 +262,10 @@ def local_bound_terms(pop: PopulationSpec, clients, lam: float, n: int, m: float
     per_client: dict[int, tuple[float, float, float, float]] = {}
     sum_d = 0.0
     floor = 0.0
+    oracles = {p: _local_oracle(pop, p) for p in dict.fromkeys(c.pattern for c in clients)}
     for c in clients:
         lam_k = lam / c.rho
-        theta_k, r_k, s_oo = _local_oracle(pop, c.pattern)
+        theta_k, r_k, s_oo = oracles[c.pattern]
         b_k = ridge_bias(s_oo, theta_k, lam_k)
         d_k = effective_dimension(s_oo, lam_k)
         per_client[c.id] = (r_k, b_k, d_k, lam_k)
@@ -295,9 +273,6 @@ def local_bound_terms(pop: PopulationSpec, clients, lam: float, n: int, m: float
         floor += c.rho * (r_k + b_k)
     upper = e0 + 16.0 * m * m / n * sum_d + floor
     return LocalLearningBounds(
-        lam=float(lam),
-        n=int(n),
-        m=float(m),
         e0=e0,
         sum_local_dims=sum_d,
         weighted_local_floor=floor,

@@ -99,12 +99,9 @@ def test_c01_closed_form_oracle_agreement():
         theta_gd = gd_quadratic_min(pop.sigma[np.ix_(obs, obs)], gamma[obs])
         worst = max(worst, float(np.max(np.abs(theta - theta_gd))))
 
-        v = oracle.schur_complement(pop.sigma, pattern)
-        v_brute = brute_schur(pop.sigma, pattern)
-        if v.size:
-            worst = max(worst, float(np.max(np.abs(v - v_brute))))
-
         r = oracle.oracle_local_risk(pop, pattern)
+        t_mis = pop.theta_star[list(pattern.missing)]
+        worst = max(worst, abs(r - (pop.sigma2 + t_mis @ brute_schur(pop.sigma, pattern) @ t_mis)))
         worst = max(worst, abs(r - block_risk(pop, pattern, theta_gd)))
 
         lam = float(rng.random() * 2 + 0.01)

@@ -142,8 +142,10 @@ ABORTING_PROBES = {
 # Malformed JSON values: the first ten made validation raise (the ninth and
 # tenth from numpy and from 1.0 / k), the next four passed a bool or a
 # truncated float as an integer, the next three validated, then made the
-# run fail converting n or n_test, or run on past a minute, and the last two
-# were also reported as a missing axis. Each must be reported exactly once.
+# run fail converting n or n_test, or run on past a minute, the next two
+# were also reported as a missing axis, and the last validated, then made the
+# run fail stratifying fewer test draws than clients. Each must be reported
+# exactly once.
 FIELD_PROBES = {
     "patterns_not_object": ("consistency_sweep.json", [("clients.patterns", "x")], "clients.patterns"),
     "noise_not_object": ("consistency_sweep.json", [("population.noise", "gauss")], "population.noise"),
@@ -168,6 +170,12 @@ FIELD_PROBES = {
     "replicates_beyond_cap": ("consistency_sweep.json", [("seeds.replicates", 10**400)], "seeds.replicates"),
     "grid_n_only_entry_beyond_cells": ("consistency_sweep.json", [("grid.n", [10**9])], "grid.n"),
     "grid_n_empty": ("consistency_sweep.json", [("grid.n", [])], "grid.n"),
+    "n_test_below_k": (
+        "local_vs_federated.json",
+        [("clients.k", 50), ("methods", ["local", "itr_zero", "itr_cw", "plugin_cw", "itr_ice", "fedavg"]),
+         ("mc.n_test", 20)],
+        "mc.n_test",
+    ),
 }
 ALL_PROBES = {**SCENARIO_PROBES, **FIELD_PROBES, **PREFIX_PROBES}
 
@@ -525,6 +533,18 @@ class TestMain:
         rc = main(["run", _write(tmp_path, _sweep_config(scenario="nope"))])
         assert rc == 1
         assert "invalid:" in capsys.readouterr().err
+
+    def test_n_test_equal_to_k_runs_to_complete_csv(self, tmp_path):
+        # The n_test_below_k probe with one test draw per client: it validates
+        # and writes every work item x method row, each with a Monte-Carlo risk.
+        _, edits, _ = FIELD_PROBES["n_test_below_k"]
+        cfg = _probe("local_vs_federated.json", *edits[:-1], ("mc.n_test", 50))
+        assert validate_config(cfg) == []
+        assert main(["run", _write(tmp_path, cfg), "--out", str(tmp_path / "out")]) == 0
+        rows = _read_rows(tmp_path / "out" / "local_vs_federated_results.csv")
+        # 3 replicates x 2 n x 1 lambda x 6 methods.
+        assert len(rows) == 36
+        assert all(r["k"] == "50" and r["mc_risk"] for r in rows)
 
     @pytest.mark.parametrize("name", ABORTING_PROBES)
     def test_run_rejects_probe_before_running(self, name, tmp_path, capsys):

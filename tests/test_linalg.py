@@ -13,6 +13,7 @@ from hypothesis import given, strategies as st
 from fedmismatch import oracle
 from fedmismatch._linalg import SymEig, pinv
 from fedmismatch.impute import ImputerKind
+from fedmismatch.model import ClientSpec, FeaturePattern
 
 from support import random_clients, random_population, seeded
 
@@ -156,15 +157,34 @@ def eigh_calls(monkeypatch):
     return calls
 
 
+def _repeating_federation(rng):
+    """Seven clients on d = 5 that share three patterns, in an interleaved
+    order, with distinct random shares."""
+    patterns = [c.pattern for c in random_clients(rng, 5, 3, nonempty=True)]
+    patterns[2] = FeaturePattern.full(5)
+    return tuple(ClientSpec(id=c.id, pattern=patterns[i % 3], rho=c.rho)
+                 for i, c in enumerate(random_clients(rng, 5, 7)))
+
+
 class TestOneFactorPerBlock:
-    def test_local_bound_terms_factors_each_client_once(self, eigh_calls):
+    def test_local_bound_terms_factors_each_pattern_once(self, eigh_calls):
         rng = seeded(1601)
         pop = random_population(rng, 5)
-        clients = random_clients(rng, 5, 7, nonempty=True)
+        clients = _repeating_federation(rng)
         eigh_calls.clear()
         bounds = oracle.local_bound_terms(pop, clients, lam=0.4, n=50, m=1.0)
-        assert len(eigh_calls) == len(clients)
+        assert len(eigh_calls) == len({c.pattern for c in clients}) < len(clients)
         assert bounds.sum_local_dims > 0 and bounds.weighted_local_floor > 0
+
+    def test_oracle_global_risk_factors_each_pattern_once(self, eigh_calls):
+        rng = seeded(1603)
+        pop = random_population(rng, 5)
+        clients = _repeating_federation(rng)
+        eigh_calls.clear()
+        risk = oracle.oracle_global_risk(pop, clients)
+        assert len(eigh_calls) == len({c.pattern for c in clients}) < len(clients)
+        # The per-client fold keeps its terms and their order.
+        assert risk == float(sum(c.rho * oracle.oracle_local_risk(pop, c.pattern) for c in clients))
 
     @pytest.mark.parametrize("kind", list(ImputerKind))
     def test_itr_bound_reads_bias_and_dimension_from_one_factor(self, eigh_calls, kind):

@@ -26,7 +26,6 @@ class TestFeaturePattern:
         assert p.size == 2
 
     def test_full_and_empty(self):
-        assert FeaturePattern.full(3).is_full
         assert FeaturePattern.empty(3).is_empty
         assert FeaturePattern.full(3).missing == ()
         assert FeaturePattern.empty(3).missing == (0, 1, 2)

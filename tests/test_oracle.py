@@ -16,7 +16,6 @@ from fedmismatch.oracle import (
     oracle_global_risk,
     oracle_local_risk,
     ridge_bias,
-    schur_complement,
     typical_case_lambda_prime,
 )
 from fedmismatch.popgen import PopulationSpec
@@ -78,20 +77,26 @@ class TestBestLocalCoefficients:
 
 
 class TestSchurComplement:
+    """The Schur complement V = sigma[M,M] - S sigma[O,M] as it enters the
+    risk sigma2 + t_mis . V t_mis: V is 1 for the identity, 0.75 for CORR2,
+    0 x 0 for a full pattern and sigma itself for an empty one."""
+
     def test_identity(self):
-        v = schur_complement(np.eye(2), FeaturePattern.from_one_based([1], 2))
-        assert v == pytest.approx(np.array([[1.0]]))
+        pop = _pop(np.eye(2), [1.0, 2.0], sigma2=0.5)
+        assert oracle_local_risk(pop, FeaturePattern.from_one_based([1], 2)) == pytest.approx(4.5)
 
     def test_correlated_pair(self):
-        v = schur_complement(CORR2, FeaturePattern.from_one_based([1], 2))
-        assert v == pytest.approx(np.array([[0.75]]))
+        pop = _pop(CORR2, [0.0, 2.0], sigma2=0.5)
+        assert oracle_local_risk(pop, FeaturePattern.from_one_based([1], 2)) == pytest.approx(3.5)
 
     def test_full_pattern_empty_block(self):
-        assert schur_complement(np.eye(3), FeaturePattern.full(3)).shape == (0, 0)
+        pop = _pop(np.eye(3), [1.0, 2.0, 3.0], sigma2=0.7)
+        assert oracle_local_risk(pop, FeaturePattern.full(3)) == 0.7
 
     def test_empty_pattern_returns_whole_matrix(self):
-        sigma = random_population(seeded(403), 3).sigma
-        assert np.array_equal(schur_complement(sigma, FeaturePattern.empty(3)), sigma)
+        pop = random_population(seeded(403), 3)
+        want = float(pop.sigma2 + pop.theta_star @ pop.sigma @ pop.theta_star)
+        assert oracle_local_risk(pop, FeaturePattern.empty(3)) == want
 
     def test_matches_dense_solve(self):
         rng = seeded(404)
@@ -99,9 +104,9 @@ class TestSchurComplement:
             d = int(rng.integers(2, 7))
             pop = random_population(rng, d)
             pattern = random_clients(rng, d, 1)[0].pattern
-            got = schur_complement(pop.sigma, pattern)
-            want = brute_schur(pop.sigma, pattern)
-            assert np.allclose(got, want, atol=1e-9)
+            t_mis = pop.theta_star[list(pattern.missing)]
+            want = pop.sigma2 + t_mis @ brute_schur(pop.sigma, pattern) @ t_mis
+            assert oracle_local_risk(pop, pattern) == pytest.approx(want, rel=0, abs=1e-9)
 
 
 class TestOracleRisks:

@@ -67,7 +67,7 @@ class TestPopulationSpec:
 class TestBernoulliPatterns:
     def test_tau_one_gives_full_patterns(self):
         pats = draw_bernoulli_patterns(3, 4, 1.0, seeded(0))
-        assert all(p.is_full for p in pats)
+        assert all(not p.missing for p in pats)
 
     def test_inclusion_frequency(self):
         # binomial concentration: per-coordinate frequency within 3 stderr
@@ -82,7 +82,7 @@ class TestBernoulliPatterns:
         rng = seeded(2)
         for _ in range(reps):
             (p,) = draw_bernoulli_patterns(1, 1, 0.5, rng)
-            hits += p.is_full
+            hits += not p.missing
         assert abs(hits / reps - 0.5) <= 3 * np.sqrt(0.25 / reps)
 
     def test_tau_validated(self):
