@@ -205,7 +205,10 @@ def _build_sigma(spec: dict, d: int) -> np.ndarray:
         idx = np.arange(d)
         return decay ** np.abs(idx[:, None] - idx[None, :])
     if kind == "explicit":
-        return _array(spec.get("rows"), (d, d), "population.sigma.rows", f"need a {d}x{d} matrix")
+        rows = _array(spec.get("rows"), (d, d), "population.sigma.rows", f"need a {d}x{d} matrix")
+        if np.max(np.abs(rows - rows.T)) > 1e-12 * np.max(np.abs(rows)):
+            raise _Invalid("population.sigma.rows: not symmetric")
+        return rows
     raise _Invalid(f"population.sigma.kind: unknown kind {kind!r}")
 
 
@@ -280,6 +283,28 @@ def _parse_federation(raw: dict, d: int | None) -> FederationConfig | None:
     raise _Invalid(f"clients.patterns.kind: need 'explicit' or 'bernoulli', got {kind!r}")
 
 
+# The keys each fixed-shape object may hold, by path ("" is the top level). The
+# kind-dependent objects (population.sigma, .theta_star, .noise and
+# clients.patterns) are not checked; scenario_params are checked per scenario.
+_KEYS = {
+    "": ("scenario", "population", "clients", "methods", "grid", "mc", "seeds", "output", "scenario_params"),
+    "population": ("d", "sigma", "theta_star", "noise", "design"),
+    "clients": ("k", "rho", "patterns"),
+    "grid": ("n", "lam", "tau"),
+    "mc": ("n_test",),
+    "seeds": ("root", "replicates"),
+    "output": ("prefix",),
+}
+
+
+def _unknown_keys(obj, path: str, known) -> list[str]:
+    """One problem per key of ``obj`` that the parser does not read; none when ``obj`` is not an object."""
+    if not isinstance(obj, dict):
+        return []
+    prefix = f"{path}." if path else ""
+    return [f"{prefix}{key}: unknown key" for key in obj if key not in known]
+
+
 def _parse_config(raw: dict) -> tuple[ExperimentConfig | None, list[str]]:
     problems: list[str] = []
 
@@ -294,6 +319,8 @@ def _parse_config(raw: dict) -> tuple[ExperimentConfig | None, list[str]]:
     entry = _SCENARIOS.get(scenario) if isinstance(scenario, str) else None
     if entry is None:
         problems.append(f"scenario: need one of {tuple(_SCENARIOS)}, got {scenario!r}")
+    for path, known in _KEYS.items():
+        problems += _unknown_keys(raw.get(path) if path else raw, path, known)
     pop = collect(_parse_population, raw)
     fed = collect(_parse_federation, raw, pop.d if pop else None)
     grid = collect(_obj, raw, "grid") or {}
@@ -338,6 +365,8 @@ def _parse_config(raw: dict) -> tuple[ExperimentConfig | None, list[str]]:
 
     params: dict = {}
     if entry is not None:
+        extra = ("new_pattern",) if scenario == "new_client_generalization" else ()
+        problems += _unknown_keys(raw_params, "scenario_params", (*entry.params, *extra))
         for m in methods:
             if m not in entry.methods:
                 problems.append(f"methods: unknown method {m!r} for scenario {scenario}, need some of {entry.methods}")
@@ -403,8 +432,8 @@ def _build_clients(cfg: ExperimentConfig, tau: float | None, rng: np.random.Gene
 
 @dataclass
 class _Context:
-    """One work item's fitting inputs. Plug-ins are fitted on ``clients`` and served to ``served``, which
-    every risk is taken over; ``moments`` runs the one-shot moment protocol once, on first use."""
+    """One work item's fitting inputs. Plug-ins are fitted on ``clients`` and served to ``served``, which every
+    risk is taken over; ``moments`` (the one-shot protocol) and ``oracle_risk`` run once, on first use."""
 
     pop: PopulationSpec
     clients: tuple[ClientSpec, ...]
@@ -416,6 +445,10 @@ class _Context:
     @cached_property
     def moments(self) -> ProtocolResult:
         return run_protocol(ProtocolSpec(kind="one_shot_moments"), self.data)
+
+    @cached_property
+    def oracle_risk(self) -> float:
+        return oracle.oracle_global_risk(self.pop, self.served)
 
 
 @dataclass(frozen=True)
@@ -442,7 +475,7 @@ _PLUGIN_PAIRS = {"plugin_debias": _debiased, "plugin_cw": _componentwise}
 
 def _fit_plugin(pair_of, ctx: _Context) -> _Fit:
     predictor = build_clientwise_plugin(pair_of(ctx.moments.artifact, ctx.clients), ctx.served)
-    return _Fit(predictor, oracle.oracle_global_risk(ctx.pop, ctx.served), protocols=(ctx.moments,))
+    return _Fit(predictor, ctx.oracle_risk, protocols=(ctx.moments,))
 
 
 def _itr(imputer, ctx: _Context, bound_kind=None, protocols=()) -> _Fit:
@@ -453,7 +486,7 @@ def _itr(imputer, ctx: _Context, bound_kind=None, protocols=()) -> _Fit:
     predictor = itr_predictor(imputer, ridge.artifact, clients, trunc_m=m_hat)
     protocols = protocols + (ridge,)
     if bound_kind is None:
-        return _Fit(predictor, oracle.oracle_global_risk(pop, clients), protocols=protocols)
+        return _Fit(predictor, ctx.oracle_risk, protocols=protocols)
     report = oracle.itr_bound(pop, clients, bound_kind, lam, data.n, m_hat)
     return _Fit(predictor, report.r_star_reference, report.bound_value, protocols)
 
@@ -493,7 +526,7 @@ def _fit_local(ctx: _Context) -> _Fit:
     bound = None
     if pop.m_bound is not None:
         bound = oracle.local_bound_terms(pop, ctx.clients, ctx.lam, data.n, pop.m_bound).upper_bound
-    return _Fit(predictor, oracle.oracle_global_risk(pop, ctx.clients), bound)
+    return _Fit(predictor, ctx.oracle_risk, bound)
 
 
 # Every predictor-producing method, in the order configs list them.

@@ -7,14 +7,14 @@ S = sigma[mis, obs] sigma[obs, obs]^+ for one pattern
 (``optimal_block_map``), with sigma = 0 for the zero map, so clients that
 share a pattern share a map and each distinct pattern's map is formed once.
 
-A completed row is x_obs B, with B = [I | S^T] placed into d columns.
-``ImputationMap.complete_moments`` maps any (sigma, gamma) to (B^T sigma B,
-B^T gamma): on a client's observed sums G_k = x_obs^T x_obs and
-g_k = x_obs^T y (``Dataset.local_moments``) it gives the completed-data sums
-every fit (closed-form ridge, FedAvg, ICE) reads (``moments.completed_sums``,
-which takes the masked ``Dataset`` and the map side by side), and on
-population moments the oracle's imputed-population moments. No fit builds a
-completed row.
+A completed row is x_obs B, with B = [I | S^T] placed into d columns and
+built once per pattern by the map. ``ImputationMap.complete_moments`` maps
+any (sigma, gamma) to (B^T sigma B, B^T gamma): on a client's observed sums
+G_k = x_obs^T x_obs and g_k = x_obs^T y (``Dataset.local_moments``) it gives
+the completed-data sums every fit (closed-form ridge, FedAvg, ICE) reads
+(``moments.completed_sums``, which takes the masked ``Dataset`` and the map
+side by side), and on population moments the oracle's imputed-population
+moments. No fit builds a completed row.
 
 ``federated_ice`` starts from zero imputation and, for a fixed number of
 rounds, alternates between re-estimating the full second-moment matrix of
@@ -62,31 +62,33 @@ class ImputationMap:
 
     def __post_init__(self) -> None:
         maps = {p: np.asarray(s, dtype=np.float64) for p, s in self.maps.items()}
+        completions = {}
         for p, s in maps.items():
             want = (len(p.missing), p.size)
             if s.shape != want:
                 raise ValueError(f"pattern {p.one_based()}: map shape {s.shape}, expected {want}")
+            b = np.diag(p.mask().astype(np.float64))
+            b[:, list(p.missing)] = b[:, list(p.observed)] @ s.T
+            completions[p] = b
         object.__setattr__(self, "maps", maps)
+        object.__setattr__(self, "_completions", completions)
+
+    def _completion(self, pattern: FeaturePattern) -> np.ndarray:
+        if pattern not in self._completions:
+            raise KeyError(f"no imputation map for pattern {pattern.one_based()} of d={pattern.d}")
+        return self._completions[pattern]
 
     def complete(self, pattern: FeaturePattern, x_obs: np.ndarray) -> np.ndarray:
         """Fill one observed vector, or each row of an (m, |obs|) block, out to
-        all d coordinates."""
-        if pattern not in self.maps:
-            raise KeyError(f"no imputation map for pattern {pattern.one_based()} of d={pattern.d}")
-        x_obs = np.asarray(x_obs, dtype=np.float64)
-        out = np.zeros(x_obs.shape[:-1] + (pattern.d,))
-        if pattern.observed:
-            out[..., list(pattern.observed)] = x_obs
-        if pattern.missing:
-            out[..., list(pattern.missing)] = x_obs @ self.maps[pattern].T
-        return out
+        all d coordinates: x_obs B[obs]."""
+        return np.asarray(x_obs, dtype=np.float64) @ self._completion(pattern)[list(pattern.observed)]
 
     def complete_moments(self, pattern: FeaturePattern, sigma: np.ndarray,
                          gamma: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(sym(B^T sigma B), B^T gamma), B the pattern's completion in d
-        coordinates: row j completes e_j, and rows at missing j are zero, so
-        only the observed blocks of ``sigma`` and ``gamma`` are read."""
-        b = self.complete(pattern, np.eye(pattern.d)[:, list(pattern.observed)])
+        """(sym(B^T sigma B), B^T gamma), B the pattern's d x d completion
+        matrix, built once by the map: row j completes e_j, and rows at
+        missing j are zero, so only the observed blocks are read."""
+        b = self._completion(pattern)
         block = b.T @ sigma @ b
         return (block + block.T) / 2.0, b.T @ gamma
 

@@ -93,15 +93,10 @@ class FeaturePattern:
     def size(self) -> int:
         return len(self.observed)
 
-    @property
-    def is_empty(self) -> bool:
-        return not self.observed
-
     def mask(self) -> np.ndarray:
         """Boolean bitmask of length d, True at observed coordinates."""
         m = np.zeros(self.d, dtype=bool)
-        if self.observed:
-            m[list(self.observed)] = True
+        m[list(self.observed)] = True
         return m
 
 
@@ -110,7 +105,7 @@ def crop_vector(v: np.ndarray, pattern: FeaturePattern) -> np.ndarray:
     v = np.asarray(v)
     if v.shape != (pattern.d,):
         raise ValueError(f"expected shape ({pattern.d},), got {v.shape}")
-    return v[list(pattern.observed)] if pattern.observed else v[:0]
+    return v[list(pattern.observed)]
 
 
 def crop_matrix(a: np.ndarray, rows: FeaturePattern, cols: FeaturePattern) -> np.ndarray:
@@ -309,8 +304,6 @@ class MomentPair:
     def covers(self, pattern: FeaturePattern) -> bool:
         """True when every pair inside the pattern is identified."""
         if self.coverage is None:
-            return True
-        if pattern.is_empty:
             return True
         idx = list(pattern.observed)
         return bool(self.coverage[np.ix_(idx, idx)].all())

@@ -65,13 +65,12 @@ def local_zero_imputed_moments(x_obs: np.ndarray, y: np.ndarray, pattern: Featur
     d = pattern.d
     sigma_sum = np.zeros((d, d))
     gamma_sum = np.zeros(d)
-    if x_obs.shape[0] and pattern.observed:
-        idx = list(pattern.observed)
-        # Symmetrized at the source, so the packed upper-triangle wire format
-        # loses nothing.
-        block = x_obs.T @ x_obs
-        sigma_sum[np.ix_(idx, idx)] = (block + block.T) / 2.0
-        gamma_sum[idx] = x_obs.T @ y
+    idx = list(pattern.observed)
+    # Symmetrized at the source, so the packed upper-triangle wire format
+    # loses nothing.
+    block = x_obs.T @ x_obs
+    sigma_sum[np.ix_(idx, idx)] = (block + block.T) / 2.0
+    gamma_sum[idx] = x_obs.T @ y
     return LocalMoments(sigma_sum=sigma_sum, gamma_sum=gamma_sum, count=x_obs.shape[0])
 
 

@@ -148,10 +148,10 @@ def imputed_population_covariance(pop: PopulationSpec, clients, kind: ImputerKin
     """Exact moments of the imputed feature vector under a population-fitted map.
 
     sigma_I and gamma_I are the rho-weighted fold, in the given client order,
-    of ``complete_moments(c.pattern, pop.sigma, gamma)`` under
-    ``fit_zero_imputer`` (ZERO; this equals (Pi . sigma, diag(Pi) . gamma))
-    or ``fit_optimal_imputer(pop.sigma, ...)`` (OPTIMAL_LINEAR). For ZERO,
-    theta_prime is the minimum-norm solution of sigma_I t = gamma_I; for
+    of ``complete_moments(p, pop.sigma, gamma)``, once per distinct pattern p,
+    under ``fit_zero_imputer`` (ZERO; this equals (Pi . sigma, diag(Pi) .
+    gamma)) or ``fit_optimal_imputer(pop.sigma, ...)`` (OPTIMAL_LINEAR). For
+    ZERO, theta_prime is the minimum-norm solution of sigma_I t = gamma_I; for
     OPTIMAL_LINEAR, theta_star itself stays optimal, so theta_prime =
     theta_star.
     """
@@ -165,8 +165,9 @@ def imputed_population_covariance(pop: PopulationSpec, clients, kind: ImputerKin
     gamma = population_gamma(pop)
     sigma_i = np.zeros((pop.d, pop.d))
     gamma_i = np.zeros(pop.d)
+    completed = {p: imputer.complete_moments(p, pop.sigma, gamma) for p in imputer.maps}
     for c in clients:
-        gram, cross = imputer.complete_moments(c.pattern, pop.sigma, gamma)
+        gram, cross = completed[c.pattern]
         sigma_i += c.rho * gram
         gamma_i += c.rho * cross
     theta_prime = SymEig(sigma_i).solve(gamma_i) if kind == ImputerKind.ZERO else pop.theta_star.copy()

@@ -35,17 +35,17 @@ def crop_predictor(moments: MomentPair, pattern: FeaturePattern) -> np.ndarray:
 def build_clientwise_plugin(moments: MomentPair, clients) -> ClientwisePredictor:
     """Plug-in coefficients for every client from one shared moment pair.
 
-    Clients whose pattern touches an uncovered moment entry are flagged
-    unidentifiable instead of receiving coefficients. Adding a client later
+    Coverage and coefficients are computed once per distinct pattern, and
+    its clients share that array. Clients whose pattern touches an uncovered
+    moment entry are flagged unidentifiable instead. Adding a client later
     is just another call with the extended list; nothing is fitted jointly.
     """
-    thetas: dict[int, np.ndarray] = {}
-    bad: set[int] = set()
+    clients = tuple(clients)
     for c in clients:
         if c.pattern.d != moments.d:
             raise ValueError(f"client {c.id} dimension {c.pattern.d} != moments {moments.d}")
-        if moments.covers(c.pattern):
-            thetas[c.id] = crop_predictor(moments, c.pattern)
-        else:
-            bad.add(c.id)
-    return ClientwisePredictor(thetas=thetas, unidentifiable=frozenset(bad))
+    patterns = dict.fromkeys(c.pattern for c in clients)
+    solved = {p: crop_predictor(moments, p) for p in patterns if moments.covers(p)}
+    thetas = {c.id: solved[c.pattern] for c in clients if c.pattern in solved}
+    bad = frozenset(c.id for c in clients if c.pattern not in solved)
+    return ClientwisePredictor(thetas=thetas, unidentifiable=bad)

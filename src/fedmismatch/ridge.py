@@ -143,24 +143,20 @@ def itr_predictor(imputer: ImputationMap, theta: np.ndarray, clients,
     """Compose impute-then-regress into effective coefficients for each of
     ``clients``.
 
-    Predicting theta . complete(x_obs) equals (theta_obs + S^T theta_mis)
-    . x_obs, S the map of the client's pattern, so each client gets that
-    folded vector; truncation happens at prediction time. A client whose
-    pattern has no map raises ``KeyError``.
+    Predicting theta . complete(x_obs) equals (theta_obs + S^T theta_mis) .
+    x_obs, S the map of the client's pattern, so that vector is folded once
+    per distinct pattern and shared by its clients; truncation happens at
+    prediction time. A pattern without a map raises ``KeyError``.
     """
     theta = np.asarray(theta, dtype=np.float64)
-    thetas: dict[int, np.ndarray] = {}
-    for c in clients:
-        pattern, s = c.pattern, imputer.maps[c.pattern]
-        if theta.shape != (pattern.d,):
-            raise ValueError(f"theta must be ({pattern.d},), got {theta.shape}")
-        obs = list(pattern.observed)
-        mis = list(pattern.missing)
-        eff = theta[obs] if obs else np.zeros(0)
-        if mis:
-            eff = eff + s.T @ theta[mis]
-        thetas[c.id] = eff
-    return ClientwisePredictor(thetas=thetas, trunc_m=trunc_m)
+    clients = tuple(clients)
+    if clients and theta.shape != (clients[0].pattern.d,):
+        raise ValueError(f"theta must be ({clients[0].pattern.d},), got {theta.shape}")
+    folded = {}
+    for p in dict.fromkeys(c.pattern for c in clients):
+        eff = theta[list(p.observed)]
+        folded[p] = eff + imputer.maps[p].T @ theta[list(p.missing)] if p.missing else eff
+    return ClientwisePredictor(thetas={c.id: folded[c.pattern] for c in clients}, trunc_m=trunc_m)
 
 
 def local_learning(data: Dataset, lam: float, trunc_m: float | None = None) -> ClientwisePredictor:

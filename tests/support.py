@@ -56,6 +56,17 @@ def random_population(rng: np.random.Generator, d: int, ridge: float = 0.3) -> P
     )
 
 
+def repeating_clients(rng: np.random.Generator, d: int) -> tuple[ClientSpec, ...]:
+    """Eight clients on d coordinates, two per pattern, interleaved: the full
+    pattern, the empty one and two random ones (which may repeat those)."""
+    patterns = [FeaturePattern.full(d), FeaturePattern.empty(d),
+                random_pattern(rng, d, nonempty=False), random_pattern(rng, d)]
+    w = rng.random(8) + 0.2
+    return validate_federation(
+        ClientSpec(id=i + 1, pattern=patterns[i % 4], rho=float(r)) for i, r in enumerate(w / w.sum())
+    )
+
+
 def mixed_federation(seed, n=240):
     """Six clients on random d: one full, one observing nothing, one that
     drew no rows, three random patterns (one of them possibly empty)."""
@@ -218,6 +229,31 @@ def completion_matrix(sigma: np.ndarray, pattern: FeaturePattern) -> np.ndarray:
         s = sigma[np.ix_(mis, obs)] @ np.linalg.solve(sigma[np.ix_(obs, obs)], np.eye(len(obs)))
         t[np.ix_(mis, obs)] = s
     return t
+
+
+def reference_complete_moments(imputer, pattern: FeaturePattern, sigma: np.ndarray,
+                               gamma: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(sym(B^T sigma B), B^T gamma) with B completed from the identity the
+    way a block of rows is: I[:, obs] at the observed columns and
+    I[:, obs] S^T at the missing ones, built anew on every call."""
+    d, obs, mis = pattern.d, list(pattern.observed), list(pattern.missing)
+    unit = np.eye(d)[:, obs]
+    b = np.zeros((d, d))
+    b[:, obs] = unit
+    b[:, mis] = unit @ imputer.maps[pattern].T
+    block = b.T @ sigma @ b
+    return (block + block.T) / 2.0, b.T @ gamma
+
+
+def reference_itr_coefficients(imputer, theta: np.ndarray, clients) -> dict[int, np.ndarray]:
+    """Each client's folded impute-then-regress coefficients
+    theta_O + S^T theta_M, computed client by client."""
+    out = {}
+    for c in clients:
+        obs, mis = list(c.pattern.observed), list(c.pattern.missing)
+        eff = theta[obs] if obs else np.zeros(0)
+        out[c.id] = eff + imputer.maps[c.pattern].T @ theta[mis] if mis else eff
+    return out
 
 
 def reference_imputed_population(pop: PopulationSpec, clients, kind: ImputerKind) -> tuple[np.ndarray, np.ndarray]:

@@ -5,6 +5,7 @@ import os
 import threading
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -94,8 +95,9 @@ def _probe(preset, *edits):
 
 
 # Configs that name a method, parameter or pattern their scenario cannot run,
-# as (preset, edits, field the report must name). All but the last passed
-# validation and then aborted the run; the last ran and ignored its methods.
+# as (preset, edits, field the report must name). All but the last two passed
+# validation and then aborted the run; the second to last ran and ignored its
+# methods, and the last ran on the default ice_rounds.
 SCENARIO_PROBES = {
     "new_client_itr_method": ("new_client.json", [("methods", ["itr_zero"])], "methods"),
     "comm_audit_plugin_method": ("comm_audit.json", [("methods", ["plugin_cw"])], "methods"),
@@ -125,6 +127,11 @@ SCENARIO_PROBES = {
     ),
     "typical_case_tiny_tau": ("typical_case.json", [("grid.tau", [1e-300])], "grid.tau"),
     "typical_case_foreign_methods": ("typical_case.json", [("methods", ["local", "fedavg"])], "methods"),
+    "ice_rounds_misspelled": (
+        "local_vs_federated.json",
+        [("methods", ["itr_ice"]), ("scenario_params.ice_round", 2)],
+        "scenario_params.ice_round",
+    ),
 }
 
 # Output prefixes that are paths, not file names. The first validated, ran
@@ -143,9 +150,11 @@ ABORTING_PROBES = {
 # tenth from numpy and from 1.0 / k), the next four passed a bool or a
 # truncated float as an integer, the next three validated, then made the
 # run fail converting n or n_test, or run on past a minute, the next two
-# were also reported as a missing axis, and the last validated, then made the
-# run fail stratifying fewer test draws than clients. Each must be reported
-# exactly once.
+# were also reported as a missing axis, the next validated, then made the
+# run fail stratifying fewer test draws than clients, the next two validated
+# and ran on the defaults of a misspelled key, and the last validated and ran
+# on the average of a non-symmetric sigma and its transpose. Each must be
+# reported exactly once.
 FIELD_PROBES = {
     "patterns_not_object": ("consistency_sweep.json", [("clients.patterns", "x")], "clients.patterns"),
     "noise_not_object": ("consistency_sweep.json", [("population.noise", "gauss")], "population.noise"),
@@ -175,6 +184,13 @@ FIELD_PROBES = {
         [("clients.k", 50), ("methods", ["local", "itr_zero", "itr_cw", "plugin_cw", "itr_ice", "fedavg"]),
          ("mc.n_test", 20)],
         "mc.n_test",
+    ),
+    "mc_key_misspelled": ("consistency_sweep.json", [("mc.ntest", 500)], "mc.ntest"),
+    "grid_key_misspelled": ("consistency_sweep.json", [("grid.lamda", [0.1])], "grid.lamda"),
+    "sigma_rows_not_symmetric": (
+        "typical_case.json",
+        [("population.d", 2), ("population.sigma", {"kind": "explicit", "rows": [[1, 0.9], [0, 1]]})],
+        "population.sigma.rows",
     ),
 }
 ALL_PROBES = {**SCENARIO_PROBES, **FIELD_PROBES, **PREFIX_PROBES}
@@ -506,6 +522,30 @@ class TestRunExperiment:
             assert float(r["oracle_risk"]) > 0
             assert float(r["bound_value"]) > 0
             assert r["tau"] in ("0.5", "0.90000000000000002")
+
+    def test_plugin_sweep_item_evaluates_the_oracle_once(self, monkeypatch):
+        # Both plug-ins report the one oracle value of the work item: one
+        # closed form (one eigh) per distinct pattern, not one per method.
+        from fedmismatch import cli, oracle
+
+        observed = [[1, 3], [2, 3, 4], [1, 3], [1, 2, 3, 4], [2, 3, 4]]
+        cfg = parse_config(_probe("consistency_sweep.json", ("clients.k", 5), ("clients.patterns.observed", observed)))
+        assert cfg.methods == ("plugin_debias", "plugin_cw")
+        clients = cli._build_clients(cfg, None, np.random.default_rng(0))
+        calls, local_oracle = [], oracle._local_oracle
+
+        def counting(pop, pattern):
+            calls.append(pattern)
+            return local_oracle(pop, pattern)
+
+        monkeypatch.setattr(oracle, "_local_oracle", counting)
+        data_ss, mc_ss = np.random.SeedSequence(7).spawn(2)
+        item = cli._WorkItem(rep=0, gi=0, n=200, lam=0.0, tau=None)
+        rows = cli._mc_rows(cfg, item, clients, data_ss, mc_ss)
+        assert calls == list(dict.fromkeys(c.pattern for c in clients)) and len(calls) == 3
+        monkeypatch.undo()
+        want = oracle.oracle_global_risk(cfg.population, clients)
+        assert [r["oracle_risk"] for r in rows] == [want, want]
 
 
 class TestMain:

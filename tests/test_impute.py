@@ -29,7 +29,9 @@ from support import (
     random_clients,
     random_population,
     random_psd,
+    reference_complete_moments,
     reference_ice,
+    repeating_clients,
     seeded,
     x_filled,
 )
@@ -258,7 +260,29 @@ class TestCompleteMoments:
                 want_gram, want_cross = np.zeros((d, d)), np.zeros(d)
                 want_gram[np.ix_(obs, obs)] = sigma[np.ix_(obs, obs)]
                 want_cross[obs] = gamma[obs]
-                assert np.array_equal(gram, want_gram) and np.array_equal(cross, want_cross)
+                assert gram.shape == want_gram.shape and gram.tobytes() == want_gram.tobytes()
+            assert cross.shape == want_cross.shape and cross.tobytes() == want_cross.tobytes()
+
+    def test_reads_the_map_built_completion_bitwise(self, monkeypatch):
+        # Each map builds its patterns' B once; complete_moments only reads
+        # it, and gives the bytes of a B built anew from the identity.
+        rng = seeded(239)
+        cases = []
+        for _ in range(20):
+            d = int(rng.integers(1, 7))
+            clients = repeating_clients(rng, d)
+            sigma, gamma = random_psd(rng, d), rng.standard_normal(d)
+            for imp in (fit_zero_imputer(clients), fit_optimal_imputer(random_psd(rng, d), clients)):
+                cases += [(imp, p, sigma, gamma, reference_complete_moments(imp, p, sigma, gamma)) for p in imp.maps]
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("complete_moments built an identity matrix")
+
+        monkeypatch.setattr(np, "eye", forbidden)
+        for imp, p, sigma, gamma, (want_gram, want_cross) in cases:
+            gram, cross = imp.complete_moments(p, sigma, gamma)
+            assert gram.shape == want_gram.shape and gram.tobytes() == want_gram.tobytes()
+            assert cross.shape == want_cross.shape and cross.tobytes() == want_cross.tobytes()
 
     @pytest.mark.parametrize("seed", [236, 237, 238])
     def test_equals_moments_of_completed_rows(self, seed):

@@ -13,7 +13,9 @@ from hypothesis import given, strategies as st
 from fedmismatch import oracle
 from fedmismatch._linalg import SymEig, pinv
 from fedmismatch.impute import ImputerKind
-from fedmismatch.model import ClientSpec, FeaturePattern
+from fedmismatch.model import ClientSpec, FeaturePattern, MomentPair
+from fedmismatch.plugin import build_clientwise_plugin
+from fedmismatch.popgen import population_gamma
 
 from support import random_clients, random_population, seeded
 
@@ -185,6 +187,25 @@ class TestOneFactorPerBlock:
         assert len(eigh_calls) == len({c.pattern for c in clients}) < len(clients)
         # The per-client fold keeps its terms and their order.
         assert risk == float(sum(c.rho * oracle.oracle_local_risk(pop, c.pattern) for c in clients))
+
+    def test_build_clientwise_plugin_factors_each_covered_pattern_once(self, eigh_calls):
+        rng = seeded(1604)
+        pop = random_population(rng, 5)
+        observed = ([1, 3], [2, 3, 4], [1, 2, 3, 4, 5])
+        clients = tuple(ClientSpec(id=c.id, pattern=FeaturePattern.from_one_based(observed[i % 3], 5), rho=c.rho)
+                        for i, c in enumerate(random_clients(rng, 5, 7)))
+        patterns = list(dict.fromkeys(c.pattern for c in clients))
+        # Features 1 and 2 are never observed together, so the full pattern
+        # is not identified and the other two are.
+        coverage = np.ones((5, 5), dtype=bool)
+        coverage[0, 1] = coverage[1, 0] = False
+        moments = MomentPair(pop.sigma, population_gamma(pop), coverage)
+        covered = [p for p in patterns if moments.covers(p)]
+        eigh_calls.clear()
+        predictor = build_clientwise_plugin(moments, clients)
+        assert len(eigh_calls) == len(covered) == 2
+        assert sorted(predictor.thetas) == [c.id for c in clients if c.pattern != patterns[2]]
+        assert predictor.unidentifiable == {c.id for c in clients if c.pattern == patterns[2]}
 
     @pytest.mark.parametrize("kind", list(ImputerKind))
     def test_itr_bound_reads_bias_and_dimension_from_one_factor(self, eigh_calls, kind):

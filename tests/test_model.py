@@ -26,7 +26,7 @@ class TestFeaturePattern:
         assert p.size == 2
 
     def test_full_and_empty(self):
-        assert FeaturePattern.empty(3).is_empty
+        assert not FeaturePattern.empty(3).observed
         assert FeaturePattern.full(3).missing == ()
         assert FeaturePattern.empty(3).missing == (0, 1, 2)
 

@@ -2,7 +2,7 @@
 import numpy as np
 import pytest
 
-from fedmismatch.impute import ImputerKind
+from fedmismatch.impute import ImputationMap, ImputerKind, fit_optimal_imputer, fit_zero_imputer
 from fedmismatch.model import ClientSpec, ClientwisePredictor, FeaturePattern
 from fedmismatch.oracle import (
     _apportion,
@@ -18,7 +18,7 @@ from fedmismatch.oracle import (
     ridge_bias,
     typical_case_lambda_prime,
 )
-from fedmismatch.popgen import PopulationSpec
+from fedmismatch.popgen import PopulationSpec, population_gamma
 
 from support import (
     assert_rel_close,
@@ -31,6 +31,7 @@ from support import (
     random_clients,
     random_population,
     reference_imputed_population,
+    repeating_clients,
     seeded,
 )
 from test_popgen import section3_clients
@@ -276,6 +277,31 @@ class TestImputedPopulation:
             rel = 1e-9 if rank_deficient else 1e-12
             assert_rel_close(ip.sigma, sigma, rel)
             assert_rel_close(ip.gamma, gamma, rel)
+
+    @pytest.mark.parametrize("kind", list(ImputerKind))
+    def test_completes_each_pattern_once(self, kind, monkeypatch):
+        rng = seeded(423)
+        pop = random_population(rng, 5)
+        clients = repeating_clients(rng, 5)
+        imputer = fit_zero_imputer(clients) if kind == ImputerKind.ZERO else fit_optimal_imputer(pop.sigma, clients)
+        gamma = population_gamma(pop)
+        # The fold keeps its per-client terms and their order.
+        want_sigma, want_gamma = np.zeros((5, 5)), np.zeros(5)
+        for c in clients:
+            gram, cross = imputer.complete_moments(c.pattern, pop.sigma, gamma)
+            want_sigma += c.rho * gram
+            want_gamma += c.rho * cross
+        calls, complete_moments = [], ImputationMap.complete_moments
+
+        def counting(self, pattern, sigma, gamma):
+            calls.append(pattern)
+            return complete_moments(self, pattern, sigma, gamma)
+
+        monkeypatch.setattr(ImputationMap, "complete_moments", counting)
+        ip = imputed_population_covariance(pop, clients, kind)
+        assert calls == list(dict.fromkeys(c.pattern for c in clients))
+        assert len(calls) < len(clients)
+        assert np.array_equal(ip.sigma, want_sigma) and np.array_equal(ip.gamma, want_gamma)
 
     def test_unknown_kind_has_no_population_moments(self):
         pop = random_population(seeded(414), 2)

@@ -25,6 +25,8 @@ from support import (
     random_population,
     random_psd,
     reference_fedavg,
+    reference_itr_coefficients,
+    repeating_clients,
     seeded,
     sharded,
 )
@@ -261,6 +263,23 @@ class TestItrPredictor:
         for c in clients:
             want = best_local_coefficients(pop, c.pattern)
             assert np.allclose(pred.thetas[c.id], want, atol=1e-10)
+
+    def test_folds_once_per_pattern_bitwise(self):
+        # Clients that share a pattern share one folded array, with the
+        # bytes of the per-client fold theta_O + S^T theta_M.
+        rng = seeded(307)
+        for _ in range(20):
+            d = int(rng.integers(1, 7))
+            clients = repeating_clients(rng, d)
+            theta = rng.standard_normal(d)
+            for imp in (fit_zero_imputer(clients), fit_optimal_imputer(random_psd(rng, d), clients)):
+                pred = itr_predictor(imp, theta, clients)
+                want = reference_itr_coefficients(imp, theta, clients)
+                first = {}
+                for c in clients:
+                    got = pred.thetas[c.id]
+                    assert got.shape == want[c.id].shape and got.tobytes() == want[c.id].tobytes()
+                    assert pred.thetas[c.id] is first.setdefault(c.pattern, pred.thetas[c.id])
 
     def test_zero_truncation_kills_predictions(self):
         clients = section3_clients()
