@@ -54,41 +54,49 @@ class ImputerKind(enum.Enum):
     OPTIMAL_LINEAR = "optimal_linear"
 
 
+class _ByPattern(dict):
+    """A dict keyed by pattern whose missing pattern raises a ``KeyError`` naming it."""
+
+    def __missing__(self, pattern: FeaturePattern):
+        raise KeyError(f"no imputation map for pattern {pattern.one_based()} of d={pattern.d}")
+
+
 @dataclass(frozen=True)
 class ImputationMap:
-    """Linear completion maps keyed by pattern; ``maps[p]`` is (|mis(p)|, |obs(p)|)."""
+    """Linear completion maps keyed by pattern; ``maps[p]`` is a read-only (|mis(p)|, |obs(p)|) copy."""
 
     maps: Mapping[FeaturePattern, np.ndarray]
 
     def __post_init__(self) -> None:
-        maps = {p: np.asarray(s, dtype=np.float64) for p, s in self.maps.items()}
-        completions = {}
-        for p, s in maps.items():
+        maps, completions = _ByPattern(), _ByPattern()
+        for p, s in self.maps.items():
+            s = np.array(s, dtype=np.float64)
             want = (len(p.missing), p.size)
             if s.shape != want:
                 raise ValueError(f"pattern {p.one_based()}: map shape {s.shape}, expected {want}")
             b = np.diag(p.mask().astype(np.float64))
             b[:, list(p.missing)] = b[:, list(p.observed)] @ s.T
+            s.flags.writeable = b.flags.writeable = False
+            maps[p] = s
             completions[p] = b
         object.__setattr__(self, "maps", maps)
         object.__setattr__(self, "_completions", completions)
 
-    def _completion(self, pattern: FeaturePattern) -> np.ndarray:
-        if pattern not in self._completions:
-            raise KeyError(f"no imputation map for pattern {pattern.one_based()} of d={pattern.d}")
-        return self._completions[pattern]
-
     def complete(self, pattern: FeaturePattern, x_obs: np.ndarray) -> np.ndarray:
         """Fill one observed vector, or each row of an (m, |obs|) block, out to
-        all d coordinates: x_obs B[obs]."""
-        return np.asarray(x_obs, dtype=np.float64) @ self._completion(pattern)[list(pattern.observed)]
+        all d coordinates: observed ones are copied, missing ones are x_obs S^T."""
+        x_obs = np.asarray(x_obs, dtype=np.float64)
+        out = np.zeros(x_obs.shape[:-1] + (pattern.d,))
+        out[..., list(pattern.observed)] = x_obs
+        out[..., list(pattern.missing)] = x_obs @ self.maps[pattern].T
+        return out
 
     def complete_moments(self, pattern: FeaturePattern, sigma: np.ndarray,
                          gamma: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(sym(B^T sigma B), B^T gamma), B the pattern's d x d completion
         matrix, built once by the map: row j completes e_j, and rows at
         missing j are zero, so only the observed blocks are read."""
-        b = self._completion(pattern)
+        b = self._completions[pattern]
         block = b.T @ sigma @ b
         return (block + block.T) / 2.0, b.T @ gamma
 

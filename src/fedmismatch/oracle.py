@@ -211,7 +211,6 @@ def itr_bound(
         raise ValueError(f"n must be >= 1, got {n}")
     if m < 0:
         raise ValueError(f"m must be >= 0, got {m}")
-    clients = validate_federation(clients)
     ip = imputed_population_covariance(pop, clients, kind)
     r_ref = imputed_oracle_risk(pop, ip)
     factor = SymEig(ip.sigma)

@@ -144,18 +144,19 @@ def itr_predictor(imputer: ImputationMap, theta: np.ndarray, clients,
     ``clients``.
 
     Predicting theta . complete(x_obs) equals (theta_obs + S^T theta_mis) .
-    x_obs, S the map of the client's pattern, so that vector is folded once
-    per distinct pattern and shared by its clients; truncation happens at
-    prediction time. A pattern without a map raises ``KeyError``.
+    x_obs, S the map of the client's pattern: one vector per distinct pattern,
+    shared by its clients (theta's shape is checked there too); truncation
+    happens at prediction time. A pattern without a map raises ``KeyError``.
     """
     theta = np.asarray(theta, dtype=np.float64)
     clients = tuple(clients)
-    if clients and theta.shape != (clients[0].pattern.d,):
-        raise ValueError(f"theta must be ({clients[0].pattern.d},), got {theta.shape}")
     folded = {}
     for p in dict.fromkeys(c.pattern for c in clients):
+        s = imputer.maps[p]
+        if theta.shape != (p.d,):
+            raise ValueError(f"theta must be ({p.d},), got {theta.shape}")
         eff = theta[list(p.observed)]
-        folded[p] = eff + imputer.maps[p].T @ theta[list(p.missing)] if p.missing else eff
+        folded[p] = eff + s.T @ theta[list(p.missing)] if p.missing else eff
     return ClientwisePredictor(thetas={c.id: folded[c.pattern] for c in clients}, trunc_m=trunc_m)
 
 

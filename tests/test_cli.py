@@ -339,6 +339,39 @@ class TestValidate:
         for p in paths:
             assert validate_config(json.loads(p.read_text(encoding="utf-8"))) == [], p.name
 
+    def test_known_keys_are_the_keys_the_parser_reads(self):
+        # validate rejects a key its object's known-key list lacks, so the
+        # lists must name exactly the keys the parser reads: over every
+        # preset and benchmark config, each read is listed and each listed
+        # key is read.
+        from fedmismatch.cli import _KEYS, _SCENARIOS, _preset_paths
+
+        reads, seen = {}, {}
+
+        class Recorder(dict):
+            def __init__(self, node, path):
+                super().__init__({k: Recorder(v, f"{path}.{k}".lstrip(".")) if isinstance(v, dict) else v
+                                  for k, v in node.items()})
+                self.path = path
+
+            def get(self, key, default=None):
+                reads.setdefault(self.path, set()).add(key)
+                return super().get(key, default)
+
+        paths = _preset_paths() + sorted((Path(__file__).parent.parent / "perfbench" / "configs").glob("*.json"))
+        for p in paths:
+            raw = json.loads(p.read_text(encoding="utf-8"))
+            reads.clear()
+            assert validate_config(Recorder(raw, "")) == [], p.name
+            for path, known in _KEYS.items():
+                assert reads.get(path, set()) <= set(known), (p.name, path)
+            extra = {"new_pattern"} if raw["scenario"] == "new_client_generalization" else set()
+            assert reads.get("scenario_params", set()) <= set(_SCENARIOS[raw["scenario"]].params) | extra
+            for path, keys in reads.items():
+                seen.setdefault(path, set()).update(keys)
+        for path, known in _KEYS.items():
+            assert set(known) <= seen[path], path
+
 
 class TestRunExperiment:
     def test_row_shape_and_order(self, tmp_path):

@@ -65,6 +65,31 @@ class TestZeroImputer:
         with pytest.raises(KeyError, match=r"pattern \(1,\)"):
             imp.complete(FeaturePattern.from_one_based([1], 2), np.zeros(1))
 
+    def test_complete_copies_observed_coordinates(self):
+        # Observed coordinates are copied, not multiplied through the
+        # completion matrix: a non-finite entry stays in its own coordinate
+        # and -0.0 keeps its sign.
+        pattern = FeaturePattern.from_one_based([1, 3], 4)
+        imp = fit_optimal_imputer(random_psd(seeded(215), 4), _one_client(pattern))
+        x = np.array([[np.inf, -0.0], [1.5, 2.0]])
+        rows = imp.complete(pattern, x)
+        assert rows[:, [0, 2]].tobytes() == x.tobytes()
+        assert rows[1, [1, 3]].tobytes() == (x @ imp.maps[pattern].T)[1].tobytes()
+
+    def test_maps_are_read_only_copies(self):
+        # complete and itr_predictor read S, complete_moments reads the B
+        # built from it; neither can be written, nor follows the caller's array.
+        pattern = FeaturePattern.from_one_based([2], 3)
+        s = np.array([[0.5], [-1.0]])
+        imp = ImputationMap({pattern: s})
+        s[0, 0] = 9.0
+        assert imp.maps[pattern].tolist() == [[0.5], [-1.0]]
+        with pytest.raises(ValueError, match="read-only"):
+            imp.maps[pattern][0, 0] = 9.0
+        _, cross = imp.complete_moments(pattern, np.eye(3), np.array([0.0, 1.0, 0.0]))
+        assert cross.tolist() == [0.5, 1.0, -1.0]
+        assert imp.complete(pattern, np.array([2.0])).tolist() == [1.0, 2.0, -2.0]
+
 
 class TestOptimalImputer:
     def test_identity_covariance_gives_zero_maps(self):
@@ -261,7 +286,7 @@ class TestCompleteMoments:
                 want_gram[np.ix_(obs, obs)] = sigma[np.ix_(obs, obs)]
                 want_cross[obs] = gamma[obs]
                 assert gram.shape == want_gram.shape and gram.tobytes() == want_gram.tobytes()
-            assert cross.shape == want_cross.shape and cross.tobytes() == want_cross.tobytes()
+                assert cross.shape == want_cross.shape and cross.tobytes() == want_cross.tobytes()
 
     def test_reads_the_map_built_completion_bitwise(self, monkeypatch):
         # Each map builds its patterns' B once; complete_moments only reads

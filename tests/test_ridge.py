@@ -3,7 +3,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from fedmismatch.impute import fit_optimal_imputer, fit_zero_imputer
+from fedmismatch.impute import ImputationMap, fit_optimal_imputer, fit_zero_imputer
 from fedmismatch.model import ClientSpec, ClientwisePredictor, FeaturePattern
 from fedmismatch.moments import completed_sums
 from fedmismatch.oracle import best_local_coefficients
@@ -290,6 +290,20 @@ class TestItrPredictor:
         clients = section3_clients()
         with pytest.raises(ValueError, match="theta"):
             itr_predictor(fit_zero_imputer(clients), np.ones(3), clients)
+
+    def test_theta_shape_checked_for_every_pattern(self):
+        # The check runs once per distinct pattern, against that pattern's d.
+        narrow, wide = FeaturePattern.from_one_based([1], 3), FeaturePattern.from_one_based([1], 4)
+        clients = (ClientSpec(id=1, pattern=narrow, rho=1.0), ClientSpec(id=2, pattern=wide, rho=1.0))
+        imp = ImputationMap({narrow: np.zeros((2, 1)), wide: np.zeros((3, 1))})
+        with pytest.raises(ValueError, match=r"theta must be \(4,\)"):
+            itr_predictor(imp, np.ones(3), clients)
+
+    def test_full_pattern_without_a_map_raises(self):
+        full = FeaturePattern.full(3)
+        clients = (ClientSpec(id=1, pattern=full, rho=1.0),)
+        with pytest.raises(KeyError, match="no imputation map"):
+            itr_predictor(ImputationMap({}), np.ones(3), clients)
 
 
 class TestLocalLearning:
