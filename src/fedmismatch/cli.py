@@ -49,6 +49,7 @@ import json
 import os
 import sys
 import time
+from collections import Counter
 from dataclasses import dataclass, field, replace
 from functools import cached_property, partial
 from importlib import resources
@@ -107,8 +108,7 @@ class ConfigError(ValueError):
 class FederationConfig:
     k: int
     rho: tuple[float, ...]
-    pattern_kind: str  # "explicit" | "bernoulli"
-    explicit: tuple[FeaturePattern, ...] = ()
+    explicit: tuple[FeaturePattern, ...] = ()  # one pattern per client; empty for bernoulli patterns
     tau: float | None = None
 
 
@@ -141,6 +141,26 @@ def load_config(path: str) -> dict:
 
 class _Invalid(Exception):
     """One field-level problem; it ends the parse of the part of the config it occurs in."""
+
+
+class _Reads(dict):
+    """A config object, nested objects included, that records each key the parser reads through ``get``;
+    ``unread`` reports every other key, at any depth, as unknown."""
+
+    def __init__(self, raw: dict):
+        super().__init__((k, _Reads(v) if isinstance(v, dict) else v) for k, v in raw.items())
+        self.read: set = set()
+
+    def get(self, key, default=None):
+        self.read.add(key)
+        return super().get(key, default)
+
+    def unread(self, prefix: str = ""):
+        for key, value in self.items():
+            if key not in self.read:
+                yield f"{prefix}{key}: unknown key"
+            elif isinstance(value, _Reads):
+                yield from value.unread(f"{prefix}{key}.")
 
 
 def _obj(parent: dict, path: str, required: bool = False) -> dict:
@@ -236,16 +256,13 @@ def _parse_population(raw: dict) -> PopulationSpec:
     nkind = noise.get("kind", "gaussian")
     if nkind not in ("gaussian", "uniform"):
         raise _Invalid(f"population.noise.kind: unknown kind {nkind!r}")
-    key = "sigma2" if nkind == "gaussian" else "halfwidth"
+    uniform = nkind == "uniform"
+    key = "halfwidth" if uniform else "sigma2"
     value = _number(noise.get(key, 1.0), f"population.noise.{key}")
     try:
-        if nkind == "gaussian":
-            return PopulationSpec(d=d, sigma=sigma, theta_star=theta, sigma2=value, design=design)
-        if design == "sphere":
-            return PopulationSpec.bounded(sigma, theta, noise_halfwidth=value)
         return PopulationSpec(
-            d=d, sigma=sigma, theta_star=theta, sigma2=value * value / 3.0,
-            noise="uniform", design=design, noise_halfwidth=value,
+            d=d, sigma=sigma, theta_star=theta, sigma2=value * value / 3.0 if uniform else value,
+            noise=nkind, design=design, noise_halfwidth=value if uniform else None,
         )
     except ValueError as exc:
         raise _Invalid(f"population: {exc}") from exc
@@ -274,38 +291,17 @@ def _parse_federation(raw: dict, d: int | None) -> FederationConfig | None:
         if not isinstance(obs_lists, list) or len(obs_lists) != k:
             raise _Invalid(f"clients.patterns.observed: need {k} index lists")
         pats = tuple(_pattern(obs, d, f"clients.patterns.observed[{i}]") for i, obs in enumerate(obs_lists))
-        return FederationConfig(k=k, rho=rho, pattern_kind="explicit", explicit=pats)
+        return FederationConfig(k=k, rho=rho, explicit=pats)
     if kind == "bernoulli":
         tau = pat.get("tau")
         if tau is not None and not (0.0 < _number(tau, "clients.patterns.tau") <= 1.0):
             raise _Invalid(f"clients.patterns.tau: must lie in (0, 1], got {tau}")
-        return FederationConfig(k=k, rho=rho, pattern_kind="bernoulli", tau=None if tau is None else float(tau))
+        return FederationConfig(k=k, rho=rho, tau=None if tau is None else float(tau))
     raise _Invalid(f"clients.patterns.kind: need 'explicit' or 'bernoulli', got {kind!r}")
 
 
-# The keys each fixed-shape object may hold, by path ("" is the top level). The
-# kind-dependent objects (population.sigma, .theta_star, .noise and
-# clients.patterns) are not checked; scenario_params are checked per scenario.
-_KEYS = {
-    "": ("scenario", "population", "clients", "methods", "grid", "mc", "seeds", "output", "scenario_params"),
-    "population": ("d", "sigma", "theta_star", "noise", "design"),
-    "clients": ("k", "rho", "patterns"),
-    "grid": ("n", "lam", "tau"),
-    "mc": ("n_test",),
-    "seeds": ("root", "replicates"),
-    "output": ("prefix",),
-}
-
-
-def _unknown_keys(obj, path: str, known) -> list[str]:
-    """One problem per key of ``obj`` that the parser does not read; none when ``obj`` is not an object."""
-    if not isinstance(obj, dict):
-        return []
-    prefix = f"{path}." if path else ""
-    return [f"{prefix}{key}: unknown key" for key in obj if key not in known]
-
-
 def _parse_config(raw: dict) -> tuple[ExperimentConfig | None, list[str]]:
+    raw = _Reads(raw)
     problems: list[str] = []
 
     def collect(parse, *args, **kwargs):
@@ -319,8 +315,6 @@ def _parse_config(raw: dict) -> tuple[ExperimentConfig | None, list[str]]:
     entry = _SCENARIOS.get(scenario) if isinstance(scenario, str) else None
     if entry is None:
         problems.append(f"scenario: need one of {tuple(_SCENARIOS)}, got {scenario!r}")
-    for path, known in _KEYS.items():
-        problems += _unknown_keys(raw.get(path) if path else raw, path, known)
     pop = collect(_parse_population, raw)
     fed = collect(_parse_federation, raw, pop.d if pop else None)
     grid = collect(_obj, raw, "grid") or {}
@@ -340,6 +334,8 @@ def _parse_config(raw: dict) -> tuple[ExperimentConfig | None, list[str]]:
     for t in axes["tau"]:
         if not (0.0 < t <= 1.0):
             problems.append(f"grid.tau: entry {t} outside (0, 1]")
+    for key, values in axes.items():
+        problems += [f"grid.{key}: entry {v} listed twice" for v, count in Counter(values).items() if count > 1]
 
     methods_raw = raw.get("methods")
     if methods_raw is None:
@@ -349,6 +345,7 @@ def _parse_config(raw: dict) -> tuple[ExperimentConfig | None, list[str]]:
     else:
         problems.append("methods: must be a non-empty list when given")
         methods = ()
+    problems += [f"methods: {m!r} listed twice" for m, count in Counter(methods).items() if count > 1]
 
     mc = collect(_obj, raw, "mc") or {}
     n_test = collect(_number, mc.get("n_test", 10_000), "mc.n_test", integer=True, lo=2, hi=max_rows)
@@ -365,8 +362,6 @@ def _parse_config(raw: dict) -> tuple[ExperimentConfig | None, list[str]]:
 
     params: dict = {}
     if entry is not None:
-        extra = ("new_pattern",) if scenario == "new_client_generalization" else ()
-        problems += _unknown_keys(raw_params, "scenario_params", (*entry.params, *extra))
         for m in methods:
             if m not in entry.methods:
                 problems.append(f"methods: unknown method {m!r} for scenario {scenario}, need some of {entry.methods}")
@@ -380,11 +375,13 @@ def _parse_config(raw: dict) -> tuple[ExperimentConfig | None, list[str]]:
     # A sweep's Monte-Carlo strata are its k clients, and each needs a draw.
     if entry is not None and entry.rows is _mc_rows and fed is not None and n_test is not None and n_test < fed.k:
         problems.append(f"mc.n_test: {n_test} draws cannot cover {fed.k} clients; need at least clients.k")
-    if fed is not None and axes["tau"] and fed.pattern_kind != "bernoulli":
+    if fed is not None and axes["tau"] and fed.explicit:
         problems.append("grid.tau: only meaningful with bernoulli patterns")
-    if fed is not None and fed.pattern_kind == "bernoulli" and not axes["tau"] and fed.tau is None:
+    if fed is not None and not fed.explicit and not axes["tau"] and fed.tau is None:
         problems.append("clients.patterns.tau: required when grid.tau is absent")
 
+    # A parse that stopped at a problem never read the keys after it, so unread keys count only when clean.
+    problems = problems or list(raw.unread())
     if problems:
         return None, problems
     cfg = ExperimentConfig(
@@ -419,7 +416,7 @@ def parse_config(raw: dict) -> ExperimentConfig:
 
 def _build_clients(cfg: ExperimentConfig, tau: float | None, rng: np.random.Generator) -> tuple[ClientSpec, ...]:
     fed = cfg.federation
-    if fed.pattern_kind == "explicit":
+    if fed.explicit:
         pats = fed.explicit
     else:
         t = tau if tau is not None else fed.tau
@@ -618,7 +615,7 @@ def _check_new_client(raw_params, pop, fed, axes) -> dict:
     if pop is None:
         return {}
     pattern = _pattern(value, pop.d, "scenario_params.new_pattern")
-    if fed is not None and fed.pattern_kind == "explicit":
+    if fed is not None and fed.explicit:
         covered = co_observation(fed.explicit, [1.0] * len(fed.explicit))
         if not covered[np.ix_(pattern.observed, pattern.observed)].all():
             raise _Invalid("scenario_params.new_pattern: holds a feature pair that no client observes together")
@@ -626,7 +623,7 @@ def _check_new_client(raw_params, pop, fed, axes) -> dict:
 
 
 def _check_typical(raw_params, pop, fed, axes) -> dict:
-    if fed is not None and fed.pattern_kind != "bernoulli":
+    if fed is not None and fed.explicit:
         raise _Invalid("clients.patterns: typical_case_sweep needs bernoulli patterns")
     if pop is not None and np.max(np.abs(np.diag(pop.sigma) - 1.0)) > 1e-12:
         raise _Invalid("population.sigma: typical_case_sweep needs unit diagonal")
@@ -686,7 +683,7 @@ def _run_item(cfg: ExperimentConfig, item: _WorkItem) -> list[dict]:
         "n": item.n,
         "d": cfg.population.d,
         "k": cfg.federation.k,
-        "tau": item.tau if cfg.federation.pattern_kind == "bernoulli" else None,
+        "tau": item.tau,
         "lambda": item.lam,
     }
     rows = _SCENARIOS[cfg.scenario].rows(cfg, item, clients, data_ss, mc_ss)

@@ -152,9 +152,11 @@ ABORTING_PROBES = {
 # run fail converting n or n_test, or run on past a minute, the next two
 # were also reported as a missing axis, the next validated, then made the
 # run fail stratifying fewer test draws than clients, the next two validated
-# and ran on the defaults of a misspelled key, and the last validated and ran
-# on the average of a non-symmetric sigma and its transpose. Each must be
-# reported exactly once.
+# and ran on the defaults of a misspelled key, the next validated and ran
+# on the average of a non-symmetric sigma and its transpose, the next six
+# validated and ignored a key of a kind-dependent object (misspelled, or read
+# only by another kind), and the last two validated and wrote repeated rows.
+# Each must be reported exactly once.
 FIELD_PROBES = {
     "patterns_not_object": ("consistency_sweep.json", [("clients.patterns", "x")], "clients.patterns"),
     "noise_not_object": ("consistency_sweep.json", [("population.noise", "gauss")], "population.noise"),
@@ -192,6 +194,20 @@ FIELD_PROBES = {
         [("population.d", 2), ("population.sigma", {"kind": "explicit", "rows": [[1, 0.9], [0, 1]]})],
         "population.sigma.rows",
     ),
+    "noise_key_misspelled": ("consistency_sweep.json", [("population.noise.sigma_2", 2)], "population.noise.sigma_2"),
+    "halfwidth_with_gaussian_noise": (
+        "consistency_sweep.json", [("population.noise.halfwidth", 2.0)], "population.noise.halfwidth"
+    ),
+    "rho_with_toeplitz_sigma": ("consistency_sweep.json", [("population.sigma.rho", 0.3)], "population.sigma.rho"),
+    "values_with_ones_theta": (
+        "local_vs_federated.json", [("population.theta_star.values", [1] * 8)], "population.theta_star.values"
+    ),
+    "tau_with_explicit_patterns": ("consistency_sweep.json", [("clients.patterns.tau", 0.5)], "clients.patterns.tau"),
+    "observed_with_bernoulli_patterns": (
+        "local_vs_federated.json", [("clients.patterns.observed", [[1]] * 6)], "clients.patterns.observed"
+    ),
+    "method_listed_twice": ("consistency_sweep.json", [("methods", ["plugin_cw", "plugin_cw"])], "methods"),
+    "grid_n_listed_twice": ("consistency_sweep.json", [("grid.n", [200, 200])], "grid.n"),
 }
 ALL_PROBES = {**SCENARIO_PROBES, **FIELD_PROBES, **PREFIX_PROBES}
 
@@ -339,38 +355,23 @@ class TestValidate:
         for p in paths:
             assert validate_config(json.loads(p.read_text(encoding="utf-8"))) == [], p.name
 
-    def test_known_keys_are_the_keys_the_parser_reads(self):
-        # validate rejects a key its object's known-key list lacks, so the
-        # lists must name exactly the keys the parser reads: over every
-        # preset and benchmark config, each read is listed and each listed
-        # key is read.
-        from fedmismatch.cli import _KEYS, _SCENARIOS, _preset_paths
+    def test_unknown_key_waits_for_the_other_problems(self):
+        # A parse that stops at population.d never reads the keys after it,
+        # so none of them may be reported as unknown.
+        cfg = _probe("consistency_sweep.json", ("mc.ntest", 500), ("population.d", 0))
+        problems = validate_config(cfg)
+        assert [p.split(":")[0] for p in problems] == ["population.d"], problems
 
-        reads, seen = {}, {}
-
-        class Recorder(dict):
-            def __init__(self, node, path):
-                super().__init__({k: Recorder(v, f"{path}.{k}".lstrip(".")) if isinstance(v, dict) else v
-                                  for k, v in node.items()})
-                self.path = path
-
-            def get(self, key, default=None):
-                reads.setdefault(self.path, set()).add(key)
-                return super().get(key, default)
-
-        paths = _preset_paths() + sorted((Path(__file__).parent.parent / "perfbench" / "configs").glob("*.json"))
-        for p in paths:
-            raw = json.loads(p.read_text(encoding="utf-8"))
-            reads.clear()
-            assert validate_config(Recorder(raw, "")) == [], p.name
-            for path, known in _KEYS.items():
-                assert reads.get(path, set()) <= set(known), (p.name, path)
-            extra = {"new_pattern"} if raw["scenario"] == "new_client_generalization" else set()
-            assert reads.get("scenario_params", set()) <= set(_SCENARIOS[raw["scenario"]].params) | extra
-            for path, keys in reads.items():
-                seen.setdefault(path, set()).update(keys)
-        for path, known in _KEYS.items():
-            assert set(known) <= seen[path], path
+    # A value listed three times is one problem; 0 and 0.0 are one value.
+    @pytest.mark.parametrize(
+        ("field", "values", "want"),
+        [("methods", ["plugin_cw", "plugin_debias", "plugin_cw", "plugin_cw"], ["'plugin_cw'"]),
+         ("grid.n", [200, 800, 200, 800], ["entry 200", "entry 800"]),
+         ("grid.lam", [0, 0.0], ["entry 0.0"])],
+    )
+    def test_each_repeated_value_is_reported_once(self, field, values, want):
+        problems = validate_config(_probe("bound_verification.json", (field, values)))
+        assert problems == [f"{field}: {w} listed twice" for w in want]
 
 
 class TestRunExperiment:
