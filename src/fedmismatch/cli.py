@@ -595,15 +595,12 @@ def _audit_rows(cfg: ExperimentConfig, item: _WorkItem, clients, data_ss, mc_ss)
     for kind in cfg.methods:
         spec = ProtocolSpec(kind=kind, lam=item.lam, ice_rounds=cfg.params["ice_rounds"], rounds=cfg.params["rounds"])
         res = run_protocol(spec, data, imputer)
-        predicted = replay_comm_schedule(spec, _senders(kind, data), pop.d)
-        got_up = res.comm.total_floats("up")
-        got_down = res.comm.total_floats("down")
-        if (got_up, got_down) != (predicted.up_floats, predicted.down_floats):
-            raise RuntimeError(
-                f"comm audit mismatch for {kind}: logged ({got_up}, {got_down}), "
-                f"predicted ({predicted.up_floats}, {predicted.down_floats})"
-            )
-        rows.append({"n": n, "method": kind, "comm_floats_up": got_up, "comm_floats_down": got_down})
+        predicted = replay_comm_schedule(spec, [c.pattern for c in _senders(kind, data)])
+        got = (res.comm.total_floats("up"), res.comm.total_floats("down"), res.comm.total_bits())
+        want = (predicted.up_floats, predicted.down_floats, predicted.registration_bits)
+        if got != want:
+            raise RuntimeError(f"comm audit mismatch for {kind}: logged (up, down, bits) {got}, predicted {want}")
+        rows.append({"n": n, "method": kind, "comm_floats_up": got[0], "comm_floats_down": got[1]})
     return rows
 
 

@@ -8,31 +8,31 @@ message it implies:
   ``aggregate_zero_imputed`` and the registered bitmasks by
   ``co_observation`` with n_k weights; the pooled zero-imputed
   MomentPair, the co-observation count matrix and n out.
-* one_shot_ridge: ``ridge.ridge_closed_form``; with an ``ImputationMap``,
-  whose completion each client applies to upload B_k^T G_k B_k and
-  B_k^T g_k, closed-form ridge coefficients out.
+* one_shot_ridge: ``ridge.ridge_closed_form``; each client uploads its
+  observed sums, which the server completes with the ``ImputationMap`` to
+  B_k^T G_k B_k and B_k^T g_k; closed-form ridge coefficients out.
 * federated_ice: ``impute.federated_ice``; the iterated
-  ``ImputationMap`` out; each of its ``ice_rounds`` rounds uploads
-  B_k^T G_k B_k.
+  ``ImputationMap`` out; each of its ``ice_rounds`` rounds uploads every
+  client's observed Gram G_k, which the server completes to B_k^T G_k B_k
+  with the current map.
 * fedavg_ridge: ``ridge.fedavg_ridge``; with an ``ImputationMap``, whose
   clients run local steps from their completed sums B_k^T G_k B_k and
   B_k^T g_k, iteratively averaged coefficients out.
 
-Every message carries only aggregates whose size depends on d (and rounds),
-never on the local sample count. Each transfer is logged with its exact
-float64 slot count; pattern bitmasks sent at registration are counted in
-bits, separately from floats. ``replay_comm_schedule`` predicts the totals
-in closed form and the logged totals must match it exactly, which the test
-suite enforces.
+No message size depends on the local sample count. Each transfer is logged
+with its exact float64 slot count, read off the payload; pattern bitmasks
+sent at registration are counted in bits, separately from floats.
+``replay_comm_schedule`` predicts the totals in closed form from the
+senders' patterns, and the logged totals must match it exactly.
 
-Uplink payload layout for one_shot_moments (wire format v2, shared with the
-moments module): [n_k][upper-tri sigma sums][gamma sums], d(d+1)/2 + d + 1
-floats per client. Aggregated-moment and coefficient broadcasts are counted
-once (a broadcast channel); fedavg coefficient exchanges are counted per
-client in both directions. Masked-data protocols log every client of the
-federation, including those that drew no rows; completed-data protocols log
-only the clients that drew rows, those whose observed block is not empty.
-Shard sizes, client ids, and round indices are session metadata, not counted.
+A moment upload (wire format v3, shared with the moments module) is
+[n_k][packed upper triangle of the observed Gram][observed cross-moments];
+an ICE upload is the packed triangle alone. The server places each upload
+by the sender's registered pattern. Broadcasts are counted once; fedavg
+coefficient exchanges (d floats) are counted per client in both directions.
+Masked-data protocols log every client of the federation, including those
+that drew no rows; completed-data protocols log only the clients that drew
+rows. Shard sizes, client ids and round indices are uncounted metadata.
 """
 from __future__ import annotations
 
@@ -41,7 +41,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .impute import ImputationMap, federated_ice
-from .model import CommLog, Dataset, MomentPair
+from .model import ClientSpec, CommLog, Dataset, MomentPair
 from .moments import aggregate_zero_imputed, co_observation
 from .ridge import fedavg_ridge, ridge_closed_form
 
@@ -107,71 +107,80 @@ class SchedulePrediction:
     registration_bits: int
 
 
-def replay_comm_schedule(spec: ProtocolSpec, k: int, d: int) -> SchedulePrediction:
+def replay_comm_schedule(spec: ProtocolSpec, patterns) -> SchedulePrediction:
     """Predict exact float/bit totals without running anything.
 
-    ``k`` is the federation size for masked-data protocols
-    (one_shot_moments, federated_ice) and the number of clients that drew
-    rows for completed-data protocols (one_shot_ridge, fedavg_ridge):
-    ``_senders``, the count ``run_protocol`` logs.
+    ``patterns`` are the senders' (``_senders``): every client for
+    masked-data protocols (one_shot_moments, federated_ice), the clients
+    that drew rows for completed-data ones. Raises ``ValueError`` when there
+    is no sender or the patterns disagree on d.
     """
-    if k < 1 or d < 1:
-        raise ValueError("need k >= 1 and d >= 1")
-    tri = d * (d + 1) // 2
+    patterns = list(patterns)
+    if not patterns:
+        raise ValueError("no senders: need at least one pattern")
+    d = patterns[0].d
+    if any(p.d != d for p in patterns):
+        raise ValueError(f"sender patterns disagree on d: {sorted({p.d for p in patterns})}")
+    k, moments = len(patterns), sum((p.size + 1) * (p.size + 2) // 2 for p in patterns)
     if spec.kind == "one_shot_moments":
-        return SchedulePrediction(k * (tri + d + 1), tri + d, k * d)
+        return SchedulePrediction(moments, _tri(d) + d, k * d)
     if spec.kind == "one_shot_ridge":
-        return SchedulePrediction(k * (tri + d + 1), d, 0)
+        return SchedulePrediction(moments, d, k * d)
     if spec.kind == "federated_ice":
         t = spec.ice_rounds
-        return SchedulePrediction(k * t * tri, t * tri, k * d)
+        return SchedulePrediction(t * sum(_tri(p.size) for p in patterns), t * _tri(d), k * d)
     t = spec.rounds
     return SchedulePrediction(t * k * d, t * k * d, 0)
 
 
-def _senders(kind: str, data: Dataset) -> int:
-    """How many clients a run of protocol ``kind`` on ``data`` logs: the
-    whole federation for masked-data protocols, else the clients whose
-    observed block is not empty."""
+def _tri(m: int) -> int:
+    """Slots of the packed upper triangle of an m x m matrix."""
+    return m * (m + 1) // 2
+
+
+def _senders(kind: str, data: Dataset) -> tuple[ClientSpec, ...]:
+    """The clients a run of protocol ``kind`` on ``data`` logs: the whole
+    federation for masked-data protocols, else the clients that drew rows."""
     if kind in MASKED_PROTOCOLS:
-        return len(data.clients)
-    return sum(1 for block in data.x_obs.values() if len(block))
+        return data.clients
+    return tuple(c for c in data.clients if len(data.x_obs[c.id]))
+
+
+def _log_moment_uploads(data: Dataset, senders, comm: CommLog) -> None:
+    """One [n_k][packed G_k][g_k] upload per sender, sized by its observed sums."""
+    for c in senders:
+        m = len(data.local_moments[c.id].gamma_sum)
+        comm.record(1, "up", 1 + _tri(m) + m)
 
 
 def _one_shot_moments(data: Dataset, comm: CommLog) -> OneShotMomentsArtifact:
-    d = data.d
-    tri = d * (d + 1) // 2
     locals_ = data.local_moments
     pair = aggregate_zero_imputed(locals_.values())
     counts = co_observation([c.pattern for c in data.clients], [locals_[c.id].count for c in data.clients])
-    for _ in data.clients:
-        comm.record(1, "up", 1 + tri + d)
-    comm.record(1, "down", tri + d)
+    _log_moment_uploads(data, data.clients, comm)
+    comm.record(1, "down", _tri(data.d) + data.d)
     return OneShotMomentsArtifact(pair=pair, counts=counts, n=data.n)
 
 
 def _federated_ice(data: Dataset, spec: ProtocolSpec, comm: CommLog) -> ImputationMap:
-    tri = data.d * (data.d + 1) // 2
     imputer = federated_ice(data, spec.ice_rounds)
     for t in range(1, spec.ice_rounds + 1):
-        for _ in data.clients:
-            comm.record(t, "up", tri)
-        comm.record(t, "down", tri)
+        for c in data.clients:
+            comm.record(t, "up", _tri(len(data.local_moments[c.id].sigma_sum)))
+        comm.record(t, "down", _tri(data.d))
     return imputer
 
 
 def _one_shot_ridge(data: Dataset, imputer: ImputationMap, spec: ProtocolSpec, comm: CommLog):
-    d = data.d
     theta = ridge_closed_form(data, imputer, spec.lam)
-    for _ in range(_senders(spec.kind, data)):
-        comm.record(1, "up", 1 + d * (d + 1) // 2 + d)
-    comm.record(1, "down", d)
+    _log_moment_uploads(data, _senders(spec.kind, data), comm)
+    comm.record(1, "down", data.d)
     return theta
 
 
 def _fedavg_ridge(data: Dataset, imputer: ImputationMap, spec: ProtocolSpec, comm: CommLog):
     res = fedavg_ridge(data, imputer, spec.lam, spec.rounds, spec.local_steps)
-    floats = _senders(spec.kind, data) * data.d
+    floats = len(_senders(spec.kind, data)) * data.d
     for t in range(1, res.rounds_run + 1):
         comm.record(t, "down", floats)
         comm.record(t, "up", floats)
@@ -182,17 +191,18 @@ def run_protocol(spec: ProtocolSpec, data: Dataset, imputer: ImputationMap | Non
     """Run one protocol's library algorithm on a masked ``Dataset`` and log
     every transfer.
 
-    one_shot_moments and federated_ice start with one pattern registration
-    per client and ignore ``imputer``; one_shot_ridge and fedavg_ridge
-    complete the data with ``imputer`` and raise ``TypeError`` without one.
-    The artifact is exactly what the library function returns.
+    one_shot_moments and federated_ice ignore ``imputer``; one_shot_ridge
+    and fedavg_ridge complete the data with ``imputer`` and raise
+    ``TypeError`` without one. All but fedavg_ridge start with one pattern
+    registration per sender. The artifact is exactly what the library
+    function returns.
     """
-    comm = CommLog()
-    if spec.kind in MASKED_PROTOCOLS:
-        for _ in data.clients:
-            comm.record(0, "up", 0, bits=data.d)
-    elif imputer is None:
+    if spec.kind not in MASKED_PROTOCOLS and imputer is None:
         raise TypeError(f"{spec.kind} needs an ImputationMap")
+    comm = CommLog()
+    if spec.kind != "fedavg_ridge":
+        for _ in _senders(spec.kind, data):
+            comm.record(0, "up", 0, bits=data.d)
     if spec.kind == "one_shot_moments":
         artifact = _one_shot_moments(data, comm)
     elif spec.kind == "federated_ice":

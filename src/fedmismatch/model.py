@@ -89,6 +89,13 @@ class FeaturePattern:
         obs = set(self.observed)
         return tuple(i for i in range(self.d) if i not in obs)
 
+    @cached_property
+    def scatter_index(self) -> tuple[np.ndarray, np.ndarray]:
+        """Positions of the observed coordinates in a length-d vector and of
+        the observed block in a raveled d x d matrix, built once."""
+        obs = np.array(self.observed, dtype=np.intp)
+        return obs, (obs[:, None] * self.d + obs).ravel()
+
     @property
     def size(self) -> int:
         return len(self.observed)
@@ -151,7 +158,8 @@ def validate_federation(clients) -> tuple[ClientSpec, ...]:
 
 @dataclass(frozen=True)
 class LocalMoments:
-    """One client's contribution: moment *sums* plus the sample count.
+    """One client's contribution: moment *sums* over ``pattern``'s observed
+    coordinates, (|obs|, |obs|) and (|obs|,), plus the sample count.
 
     Sums (not averages) are what travels in the simulated wire format;
     ``sigma`` / ``gamma`` expose the local averages, with the n_k = 0
@@ -161,10 +169,19 @@ class LocalMoments:
     sigma_sum: np.ndarray
     gamma_sum: np.ndarray
     count: int
+    pattern: FeaturePattern
 
     @property
     def d(self) -> int:
-        return self.sigma_sum.shape[0]
+        return self.pattern.d
+
+    def padded(self) -> tuple[np.ndarray, np.ndarray]:
+        """(d x d, d) zero-filled copies of the sums: the zero-imputed sums."""
+        vec, mat = self.pattern.scatter_index
+        sigma, gamma = np.zeros(self.d * self.d), np.zeros(self.d)
+        sigma[mat] = self.sigma_sum.ravel()
+        gamma[vec] = self.gamma_sum
+        return sigma.reshape(self.d, self.d), gamma
 
     @property
     def sigma(self) -> np.ndarray:
@@ -250,7 +267,7 @@ class Dataset:
     @cached_property
     def local_moments(self) -> dict[int, LocalMoments]:
         """Each client's observed sums (n_k, G_k = x_obs^T x_obs, g_k = x_obs^T y)
-        in d coordinates, in ascending id order: one fold per client, on first
+        over its observed block, in ascending id order: one fold per client, on first
         use, spread over the ``_parallel.workers`` pool if one is current and
         the sample holds more than ``BLOCK_ROWS`` rows; the arrays are
         read-only and shared."""

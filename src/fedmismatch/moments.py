@@ -1,12 +1,13 @@
 """Moment estimators computable from masked data, and their wire format.
 
-Each client uploads its moment sums (``local_zero_imputed_moments``), and
-one fold, ``aggregate_zero_imputed``, pools any such uploads: observed sums
-into the zero-imputed estimator, completed sums (``completed_sums``) into
-the completed-data moments (``imputed_data_moments``). The pattern bitmasks
-m_k go through one other fold, ``co_observation``: sum_k w_k m_k m_k^T, the
-population co-observation matrix Pi with w_k = rho_k and the count matrix N
-with w_k = n_k.
+Each client uploads its observed block's moment sums
+(``local_zero_imputed_moments``), and one fold, ``aggregate_zero_imputed``,
+pools any such uploads: observed sums into the zero-imputed estimator,
+completed sums (``completed_sums``) into the completed-data moments
+(``imputed_data_moments``). The pattern bitmasks m_k go through one other
+fold, ``co_observation``: sum_k w_k m_k m_k^T, the population
+co-observation matrix Pi with w_k = rho_k and the count matrix N with
+w_k = n_k.
 
 Three estimators of (E[X X^T], E[X Y]) from blockwise-masked samples:
 
@@ -23,11 +24,12 @@ Three estimators of (E[X X^T], E[X Y]) from blockwise-masked samples:
 Entries whose (empirical or population) co-observation weight is zero are
 left at 0.0 and marked uncovered in the coverage mask.
 
-Wire format (version 2): each client uploads sums, not averages, so
-aggregation is exact and associative. Payload slots, in order:
-``[n_k] [upper-tri sigma sums, row-major] [gamma sums]``, which is
-d(d+1)/2 + d + 1 floats. The pattern bitmask itself is sent once at
-registration and accounted as d bits, separately from float counts.
+Wire format (version 3): each client uploads sums, not averages, so
+aggregation is exact and associative. Payload slots, in order: ``[n_k]
+[packed upper triangle of the observed Gram, row-major] [observed
+cross-moments]``, which is (|O_k|+1)(|O_k|+2)/2 floats. The pattern bitmask
+is sent once at registration, accounted as d bits separately from float
+counts, and tells the server where each upload's block goes.
 """
 from __future__ import annotations
 
@@ -50,11 +52,11 @@ __all__ = [
 
 
 def local_zero_imputed_moments(x_obs: np.ndarray, y: np.ndarray, pattern: FeaturePattern) -> LocalMoments:
-    """Moment sums of one client's samples, embedded into d x d coordinates.
+    """Moment sums of one client's samples over its observed block.
 
     ``x_obs`` is (n_k, |obs|) over the pattern's observed columns. Unobserved
-    coordinates contribute structural zeros, which is exactly the
-    zero-imputation convention.
+    coordinates are the structural zeros of zero imputation, which
+    ``aggregate_zero_imputed`` and ``LocalMoments.padded`` restore.
     """
     x_obs = np.asarray(x_obs, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
@@ -62,20 +64,16 @@ def local_zero_imputed_moments(x_obs: np.ndarray, y: np.ndarray, pattern: Featur
         raise ValueError(f"x_obs must be (n_k, {pattern.size}), got {x_obs.shape}")
     if y.shape != (x_obs.shape[0],):
         raise ValueError(f"y must be ({x_obs.shape[0]},), got {y.shape}")
-    d = pattern.d
-    sigma_sum = np.zeros((d, d))
-    gamma_sum = np.zeros(d)
-    idx = list(pattern.observed)
     # Symmetrized at the source, so the packed upper-triangle wire format
     # loses nothing.
     block = x_obs.T @ x_obs
-    sigma_sum[np.ix_(idx, idx)] = (block + block.T) / 2.0
-    gamma_sum[idx] = x_obs.T @ y
-    return LocalMoments(sigma_sum=sigma_sum, gamma_sum=gamma_sum, count=x_obs.shape[0])
+    return LocalMoments((block + block.T) / 2.0, x_obs.T @ y, x_obs.shape[0], pattern)
 
 
 def aggregate_zero_imputed(locals_: Iterable[LocalMoments]) -> MomentPair:
-    """Pool moment sums, folded in the given order, into their averages.
+    """Pool moment sums, scatter-added in the given order into one d x d
+    accumulator, into their averages. It starts at +0.0, so never holds
+    -0.0, and adding a padded block's zeros would change no bit.
 
     Sums are divided once by the total count, so the result is independent
     of how the samples were sharded. This is the one server-side fold: it
@@ -86,18 +84,19 @@ def aggregate_zero_imputed(locals_: Iterable[LocalMoments]) -> MomentPair:
     if not items:
         raise ValueError("nothing to aggregate")
     d = items[0].d
-    sigma_sum = np.zeros((d, d))
+    sigma_sum = np.zeros(d * d)
     gamma_sum = np.zeros(d)
     n = 0
     for lm in items:
         if lm.d != d:
             raise ValueError("local moments disagree on dimension")
-        sigma_sum += lm.sigma_sum
-        gamma_sum += lm.gamma_sum
+        vec, mat = lm.pattern.scatter_index
+        sigma_sum[mat] += lm.sigma_sum.ravel()
+        gamma_sum[vec] += lm.gamma_sum
         n += lm.count
     if n == 0:
         raise ValueError("no rows: the total sample count is zero")
-    return MomentPair(sigma_sum / n, gamma_sum / n)
+    return MomentPair(sigma_sum.reshape(d, d) / n, gamma_sum / n)
 
 
 def co_observation(patterns: Iterable[FeaturePattern], weights: Iterable[float]) -> np.ndarray:
@@ -110,6 +109,8 @@ def co_observation(patterns: Iterable[FeaturePattern], weights: Iterable[float])
     patterns. Only patterns and weights are read, never covariate values.
     """
     patterns = list(patterns)
+    if not patterns:
+        raise ValueError("co_observation: no pattern was given")
     d = patterns[0].d
     pi = np.zeros((d, d))
     for p, w in zip(patterns, weights, strict=True):
@@ -159,13 +160,13 @@ def completed_sums(data, imputer) -> Iterator[LocalMoments]:
     masked ``Dataset`` under an ``ImputationMap``, in ascending id order,
     clients without rows included (as zero sums). A row completed by its
     pattern's S is x_obs B_k, so these are ``ImputationMap.complete_moments``
-    of the client's observed sums, O(d^3) whatever n_k; a pattern without a
-    map raises ``KeyError``. The population oracle folds the same maps over
-    the population moments.
+    of the client's observed sums padded on demand, O(d^3) whatever n_k; a
+    pattern without a map raises ``KeyError``. The population oracle folds
+    the same maps over the population moments.
     """
-    for cid, lm in data.local_moments.items():
-        pattern = data.client_by_id(cid).pattern
-        yield LocalMoments(*imputer.complete_moments(pattern, lm.sigma_sum, lm.gamma_sum), lm.count)
+    full = FeaturePattern.full(data.d)
+    for lm in data.local_moments.values():
+        yield LocalMoments(*imputer.complete_moments(lm.pattern, *lm.padded()), lm.count, full)
 
 
 def imputed_data_moments(data, imputer) -> MomentPair:

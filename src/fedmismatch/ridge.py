@@ -36,7 +36,7 @@ import numpy as np
 
 from ._linalg import SymEig
 from .impute import ImputationMap
-from .model import ClientwisePredictor, Dataset, crop_matrix, crop_vector
+from .model import ClientwisePredictor, Dataset
 from .moments import aggregate_zero_imputed, completed_sums, imputed_data_moments
 
 __all__ = [
@@ -175,7 +175,5 @@ def local_learning(data: Dataset, lam: float, trunc_m: float | None = None) -> C
         if lm.count == 0:
             thetas[c.id] = np.zeros(c.pattern.size)
             continue
-        sigma_k = crop_matrix(lm.sigma, c.pattern, c.pattern)
-        gamma_k = crop_vector(lm.gamma, c.pattern)
-        thetas[c.id] = SymEig(sigma_k).solve(gamma_k, lam / c.rho)
+        thetas[c.id] = SymEig(lm.sigma).solve(lm.gamma, lam / c.rho)
     return ClientwisePredictor(thetas=thetas, trunc_m=trunc_m)

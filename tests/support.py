@@ -17,6 +17,7 @@ from fedmismatch import (
     Dataset,
     FeaturePattern,
     ImputerKind,
+    LocalMoments,
     PopulationSpec,
     co_observation,
     fit_zero_imputer,
@@ -116,6 +117,46 @@ def x_filled(data) -> np.ndarray:
 def sample_counts(data) -> np.ndarray:
     """N = ``co_observation`` with each client's row count n_k as its weight."""
     return co_observation([c.pattern for c in data.clients], [data.local_moments[c.id].count for c in data.clients])
+
+
+def reference_padded_sums(data) -> list[tuple[np.ndarray, np.ndarray, int]]:
+    """Each client's (sigma_sum, gamma_sum, n_k) zero-padded to d
+    coordinates, in ascending id order: the symmetrized observed Gram and the
+    cross-moments written into d x d and d zeros, the zero-padded uploads the
+    server's scatter-add must reproduce bit for bit."""
+    out = []
+    for c in sorted(data.clients, key=lambda c: c.id):
+        x, y, idx = data.x_obs_of(c.id), data.y_of(c.id), list(c.pattern.observed)
+        sigma, gamma = np.zeros((data.d, data.d)), np.zeros(data.d)
+        block = x.T @ x
+        sigma[np.ix_(idx, idx)] = (block + block.T) / 2.0
+        gamma[idx] = x.T @ y
+        out.append((sigma, gamma, len(y)))
+    return out
+
+
+def reference_completed_sums(data, imputer) -> list[LocalMoments]:
+    """``ImputationMap.complete_moments`` of each client's zero-padded sums,
+    as d-coordinate ``LocalMoments`` in ascending id order."""
+    full = FeaturePattern.full(data.d)
+    patterns = [c.pattern for c in sorted(data.clients, key=lambda c: c.id)]
+    return [LocalMoments(*imputer.complete_moments(p, sigma, gamma), n, full)
+            for p, (sigma, gamma, n) in zip(patterns, reference_padded_sums(data))]
+
+
+def reference_fold(sums) -> tuple[np.ndarray, np.ndarray]:
+    """The pooled averages of zero-padded (sigma_sum, gamma_sum, n_k) sums:
+    whole d x d arrays added in the given order, divided once by n, and
+    symmetrized as ``MomentPair`` does."""
+    sums = list(sums)
+    d = len(sums[0][1])
+    sigma, gamma = np.zeros((d, d)), np.zeros(d)
+    for s, g, _ in sums:
+        sigma += s
+        gamma += g
+    n = sum(k for _, _, k in sums)
+    sigma = sigma / n
+    return (sigma + sigma.T) / 2.0, gamma / n
 
 
 def completed_rows(data, imputer) -> np.ndarray:

@@ -540,7 +540,7 @@ def test_c10_empty_client_risk_floor():
 def test_c11_communication_audit():
     """Logged transfer totals equal the closed-form schedule for all four
     protocols across a (K, d, rounds) grid, and the one-shot moment uplink
-    stays within a factor two of K d^2 floats."""
+    stays within a factor two of sum_k (|O_k| + 1)^2 floats."""
     t0 = time.perf_counter()
     rng = seeded(111)
     all_exact = True
@@ -551,18 +551,19 @@ def test_c11_communication_audit():
             clients = random_clients(rng, d, k)
             data = sample_dataset(pop, clients, 30, rng)
             imputer = fit_zero_imputer(clients)
-            nonempty = sum(1 for c in clients if len(data.rows_of(c.id)))
+            everyone = [c.pattern for c in clients]
+            nonempty = [c.pattern for c in clients if len(data.rows_of(c.id))]
             specs = [
-                (ProtocolSpec(kind="one_shot_moments"), k),
+                (ProtocolSpec(kind="one_shot_moments"), everyone),
                 (ProtocolSpec(kind="one_shot_ridge", lam=0.1), nonempty),
             ]
             for t in (0, 2, 5):
-                specs.append((ProtocolSpec(kind="federated_ice", ice_rounds=t), k))
+                specs.append((ProtocolSpec(kind="federated_ice", ice_rounds=t), everyone))
             for r in (1, 5):
                 specs.append((ProtocolSpec(kind="fedavg_ridge", lam=0.1, rounds=r), nonempty))
-            for spec, k_replay in specs:
+            for spec, senders in specs:
                 res = run_protocol(spec, data, imputer)
-                pred = replay_comm_schedule(spec, k_replay, d)
+                pred = replay_comm_schedule(spec, senders)
                 if (
                     res.comm.total_floats("up") != pred.up_floats
                     or res.comm.total_floats("down") != pred.down_floats
@@ -571,7 +572,8 @@ def test_c11_communication_audit():
                     all_exact = False
                 if spec.kind == "one_shot_moments":
                     up = res.comm.total_floats("up")
-                    if not (k * d * d / 2 <= up <= 2 * k * d * d):
+                    scale = sum((p.size + 1) ** 2 for p in everyone)
+                    if not (scale / 2 <= up <= 2 * scale):
                         theta_scaling = False
     elapsed = time.perf_counter() - t0
     ok = all_exact and theta_scaling

@@ -3,6 +3,7 @@ import csv
 import json
 import os
 import threading
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -486,6 +487,22 @@ class TestRunExperiment:
             for method, lines in got.items():
                 assert lines == full[method], (name, method)
 
+    def test_comm_audit_holds_registration_bits_to_the_schedule(self, tmp_path, monkeypatch):
+        # One registration bit more in the replay than in the log fails the
+        # audit, as a float total off by one does.
+        from fedmismatch import cli
+
+        real = cli.replay_comm_schedule
+
+        def one_bit_more(spec, patterns):
+            want = real(spec, patterns)
+            return replace(want, registration_bits=want.registration_bits + 1)
+
+        monkeypatch.setattr(cli, "replay_comm_schedule", one_bit_more)
+        cfg = json.loads(Path(cli.__file__).with_name("presets").joinpath("comm_audit.json").read_text())
+        with pytest.raises(RuntimeError, match="comm audit mismatch for one_shot_moments"):
+            run_experiment(cfg, str(tmp_path))
+
     def test_comm_audit_rows(self, tmp_path):
         cfg = {
             "scenario": "comm_audit",
@@ -502,12 +519,14 @@ class TestRunExperiment:
         }
         results, _ = run_experiment(cfg, str(tmp_path))
         rows = {r["method"]: r for r in _read_rows(results)}
+        # obs {1,2}, {2,3,4}, {1,4}: moment uploads (m+1)(m+2)/2 = 6, 10, 6
+        # floats; ICE uploads tri(m) = 3, 6, 3 per round.
         tri = 4 * 5 // 2
-        assert int(rows["one_shot_moments"]["comm_floats_up"]) == 3 * (tri + 4 + 1)
+        assert int(rows["one_shot_moments"]["comm_floats_up"]) == 6 + 10 + 6
         assert int(rows["one_shot_moments"]["comm_floats_down"]) == tri + 4
-        assert int(rows["one_shot_ridge"]["comm_floats_up"]) == 3 * (tri + 4 + 1)
+        assert int(rows["one_shot_ridge"]["comm_floats_up"]) == 6 + 10 + 6
         assert int(rows["one_shot_ridge"]["comm_floats_down"]) == 4
-        assert int(rows["federated_ice"]["comm_floats_up"]) == 3 * 2 * tri
+        assert int(rows["federated_ice"]["comm_floats_up"]) == 2 * (3 + 6 + 3)
         assert int(rows["federated_ice"]["comm_floats_down"]) == 2 * tri
         assert int(rows["fedavg_ridge"]["comm_floats_up"]) == 2 * 3 * 4
         assert int(rows["fedavg_ridge"]["comm_floats_down"]) == 2 * 3 * 4

@@ -1,6 +1,11 @@
 """Tests for the federation simulator: transparency and exact accounting."""
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+
+from fedmismatch import ridge
 
 from fedmismatch.fedsim import (
     PROTOCOL_KINDS,
@@ -8,10 +13,10 @@ from fedmismatch.fedsim import (
     replay_comm_schedule,
     run_protocol,
 )
-from fedmismatch.impute import fit_zero_imputer
+from fedmismatch.impute import fit_optimal_imputer, fit_zero_imputer
 from fedmismatch.impute import federated_ice as ice_in_memory
-from fedmismatch.model import ClientSpec, FeaturePattern
-from fedmismatch.moments import aggregate_zero_imputed
+from fedmismatch.model import ClientSpec, Dataset, FeaturePattern
+from fedmismatch.moments import aggregate_zero_imputed, imputed_data_moments
 from fedmismatch.popgen import sample_dataset
 from fedmismatch.ridge import fedavg_ridge, ridge_closed_form
 
@@ -20,6 +25,10 @@ from support import (
     from_filled,
     random_clients,
     random_population,
+    random_psd,
+    reference_completed_sums,
+    reference_fold,
+    reference_padded_sums,
     sample_counts,
     seeded,
     without_rows,
@@ -129,11 +138,19 @@ class TestTransportTransparency:
         else:
             assert np.array_equal(res.artifact, want)
         # Masked-data protocols log all four clients; completed-data ones
-        # log the three non-empty shards.
-        pred = replay_comm_schedule(spec, 4 if masked else 3, data.d)
-        assert res.comm.total_floats("up") == pred.up_floats
-        assert res.comm.total_floats("down") == pred.down_floats
-        assert res.comm.total_bits() == pred.registration_bits
+        # log the three that drew rows. Patterns {1,3}, {2,4}, {} and {2,3,4}
+        # (m = 2, 2, 0, 3 observed features) upload (m+1)(m+2)/2 = 6, 6, 1, 10
+        # floats of moments or m(m+1)/2 = 3, 3, 0, 6 per ICE round; tri(4) = 10.
+        want = {
+            "one_shot_moments": (6 + 6 + 1 + 10, 10 + 4, 4 * 4),
+            "one_shot_ridge": (6 + 1 + 10, 4, 3 * 4),
+            "federated_ice": (3 * (3 + 3 + 0 + 6), 3 * 10, 4 * 4),
+            "fedavg_ridge": (4 * 3 * 4, 4 * 3 * 4, 0),
+        }[kind]
+        assert (res.comm.total_floats("up"), res.comm.total_floats("down"), res.comm.total_bits()) == want
+        senders = data.clients if masked else [c for c in data.clients if c.id != 2]
+        pred = replay_comm_schedule(spec, [c.pattern for c in senders])
+        assert (pred.up_floats, pred.down_floats, pred.registration_bits) == want
 
 
 class TestPayloadAudit:
@@ -150,30 +167,91 @@ class TestPayloadAudit:
             ]
 
     def test_moment_upload_size(self):
+        # Each client uploads 1 + tri(m) + m floats for its m observed
+        # features, whatever d: obs(1) = {1,3} gives 1 + 3 + 2 = 6 and
+        # obs(2) = {2,3,4} gives 1 + 6 + 3 = 10, in client order.
         data = _masked(508, d=5)
         res = run_protocol(ProtocolSpec(kind="one_shot_moments"), data)
-        tri = 5 * 6 // 2
-        for e in res.comm.events:
-            if e.direction == "up" and e.floats:
-                assert e.floats == tri + 5 + 1
+        assert [e.floats for e in res.comm.events if e.direction == "up" and e.floats] == [6, 10]
 
     def test_every_event_has_its_message_size(self):
-        # Per message: registrations carry d bits and no floats, and every
-        # float payload has the size its contents dictate.
+        # Per message, in logged order: registrations carry d bits and no
+        # floats, and every float payload has the size its contents dictate.
+        # obs(1) = {1,3} and obs(2) = {2,3,4} upload 6 and 10 moment floats,
+        # 3 and 6 Gram floats per ICE round; broadcasts are d-sized.
         d, tri = 4, 4 * 5 // 2
         clients = section3_clients(d)
         k = len(clients)
+        register = {(0, "up"): [(0, d), (0, d)]}
         sizes = {
-            "one_shot_moments": {(0, "up"): (0, d), (1, "up"): (tri + d + 1, 0), (1, "down"): (tri + d, 0)},
-            "one_shot_ridge": {(1, "up"): (tri + d + 1, 0), (1, "down"): (d, 0)},
-            "federated_ice": {(0, "up"): (0, d), **{(t, io): (tri, 0) for t in (1, 2) for io in ("up", "down")}},
-            "fedavg_ridge": {(t, io): (k * d, 0) for t in (1, 2) for io in ("up", "down")},
+            "one_shot_moments": {**register, (1, "up"): [(6, 0), (10, 0)], (1, "down"): [(tri + d, 0)]},
+            "one_shot_ridge": {**register, (1, "up"): [(6, 0), (10, 0)], (1, "down"): [(d, 0)]},
+            "federated_ice": {**register, **{(t, "up"): [(3, 0), (6, 0)] for t in (1, 2)},
+                              **{(t, "down"): [(tri, 0)] for t in (1, 2)}},
+            "fedavg_ridge": {(t, io): [(k * d, 0)] for t in (1, 2) for io in ("up", "down")},
         }
         for kind, want in sizes.items():
             res = run_protocol(ProtocolSpec(kind=kind, lam=0.1, ice_rounds=2, rounds=2), *_completed(516, d, 60, clients))
-            assert {(e.round, e.direction) for e in res.comm.events} == set(want), kind
+            got = {}
             for e in res.comm.events:
-                assert (e.floats, e.bits) == want[(e.round, e.direction)], (kind, e)
+                got.setdefault((e.round, e.direction), []).append((e.floats, e.bits))
+            assert got == want, kind
+
+
+@st.composite
+def _federations(draw):
+    """A Dataset of 1-6 clients on d <= 8 coordinates with random patterns,
+    empty ones included, and 0-5 rows each (at least one row in all)."""
+    d = draw(st.integers(1, 8))
+    masks = draw(st.lists(st.lists(st.booleans(), min_size=d, max_size=d), min_size=1, max_size=6))
+    rows = draw(st.lists(st.integers(0, 5), min_size=len(masks), max_size=len(masks)).filter(any))
+    rng = seeded(draw(st.integers(0, 2**32 - 1)))
+    patterns = [FeaturePattern(tuple(np.flatnonzero(m).tolist()), d) for m in masks]
+    clients = tuple(ClientSpec(id=i + 1, pattern=p, rho=1 / len(masks)) for i, p in enumerate(patterns))
+    blocks = {c.id: rng.standard_normal((n, c.pattern.size)) for c, n in zip(clients, rows)}
+    return Dataset(clients, blocks, rng.standard_normal(sum(rows))), rng
+
+
+def _bytes_equal(got, want):
+    return all(a.shape == b.shape and a.tobytes() == b.tobytes() for a, b in zip(got, want))
+
+
+class TestPatternSizedUploads:
+    """Observed-block uploads, scattered and completed by the server, give
+    the zero-padded fold's estimates bit for bit, and each logged upload has
+    the size of its sender's pattern."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(_federations())
+    def test_same_bits_as_zero_padded_fold(self, drawn):
+        data, rng = drawn
+        pair = aggregate_zero_imputed(data.local_moments.values())
+        assert _bytes_equal((pair.sigma, pair.gamma), reference_fold(reference_padded_sums(data)))
+        for imputer in (fit_zero_imputer(data.clients), fit_optimal_imputer(random_psd(rng, data.d), data.clients)):
+            pair = imputed_data_moments(data, imputer)
+            want = reference_fold((lm.sigma_sum, lm.gamma_sum, lm.count) for lm in reference_completed_sums(data, imputer))
+            assert _bytes_equal((pair.sigma, pair.gamma), want)
+            theta = fedavg_ridge(data, imputer, lam=0.1, rounds=3).theta
+            with mock.patch.object(ridge, "completed_sums", reference_completed_sums):
+                assert _bytes_equal((theta,), (fedavg_ridge(data, imputer, lam=0.1, rounds=3).theta,))
+
+    @settings(max_examples=40, deadline=None)
+    @given(_federations())
+    def test_every_upload_is_pattern_sized(self, drawn):
+        data, _ = drawn
+        sizes = [c.pattern.size for c in data.clients]
+        with_rows = [c.pattern.size for c in data.clients if len(data.rows_of(c.id))]
+        # (uplink floats in logged order, pattern registrations)
+        want = {
+            "one_shot_moments": ([(m + 1) * (m + 2) // 2 for m in sizes], len(sizes)),
+            "one_shot_ridge": ([(m + 1) * (m + 2) // 2 for m in with_rows], len(with_rows)),
+            "federated_ice": ([m * (m + 1) // 2 for m in sizes] * 2, len(sizes)),
+            "fedavg_ridge": ([len(with_rows) * data.d] * 2, 0),
+        }
+        for kind, (floats, senders) in want.items():
+            res = run_protocol(ProtocolSpec(kind=kind, lam=0.1, ice_rounds=2, rounds=2), data, fit_zero_imputer(data.clients))
+            assert [e.floats for e in res.comm.events if e.direction == "up" and e.round > 0] == floats, kind
+            assert [e.bits for e in res.comm.events if e.round == 0] == [data.d] * senders, kind
 
 
 class TestReplayMatchesRun:
@@ -185,36 +263,41 @@ class TestReplayMatchesRun:
                 clients = random_clients(rng, d, k)
                 data = sample_dataset(pop, clients, 40, rng)
                 imputer = fit_zero_imputer(clients)
-                nonempty = sum(1 for c in clients if len(data.rows_of(c.id)))
+                everyone = [c.pattern for c in clients]
+                with_rows = [c.pattern for c in clients if len(data.rows_of(c.id))]
                 cases = [
-                    (ProtocolSpec(kind="one_shot_moments"), k),
-                    (ProtocolSpec(kind="federated_ice", ice_rounds=0), k),
-                    (ProtocolSpec(kind="federated_ice", ice_rounds=3), k),
-                    (ProtocolSpec(kind="one_shot_ridge", lam=0.1), nonempty),
-                    (ProtocolSpec(kind="fedavg_ridge", lam=0.1, rounds=4), nonempty),
+                    (ProtocolSpec(kind="one_shot_moments"), everyone),
+                    (ProtocolSpec(kind="federated_ice", ice_rounds=0), everyone),
+                    (ProtocolSpec(kind="federated_ice", ice_rounds=3), everyone),
+                    (ProtocolSpec(kind="one_shot_ridge", lam=0.1), with_rows),
+                    (ProtocolSpec(kind="fedavg_ridge", lam=0.1, rounds=4), with_rows),
                 ]
-                for spec, k_replay in cases:
+                for spec, senders in cases:
                     res = run_protocol(spec, data, imputer)
-                    pred = replay_comm_schedule(spec, k_replay, d)
+                    pred = replay_comm_schedule(spec, senders)
                     assert res.comm.total_floats("up") == pred.up_floats, spec.kind
                     assert res.comm.total_floats("down") == pred.down_floats, spec.kind
                     assert res.comm.total_bits() == pred.registration_bits, spec.kind
 
     def test_replay_validation(self):
-        with pytest.raises(ValueError):
-            replay_comm_schedule(ProtocolSpec(kind="one_shot_moments"), 0, 3)
-        with pytest.raises(ValueError):
-            replay_comm_schedule(ProtocolSpec(kind="one_shot_moments"), 2, 0)
+        # No sender, or senders whose patterns disagree on d, have no schedule.
+        for kind in PROTOCOL_KINDS:
+            with pytest.raises(ValueError, match="no senders"):
+                replay_comm_schedule(ProtocolSpec(kind=kind), [])
+            with pytest.raises(ValueError, match="disagree on d"):
+                replay_comm_schedule(ProtocolSpec(kind=kind), [FeaturePattern.full(3), FeaturePattern.full(4)])
 
 
 class TestPinnedTotals:
     def test_one_shot_moments_k3_d4(self):
-        # 3 clients * (10 upper-tri + 4 gamma + count) = 45 up,
-        # 10 + 4 = 14 down, 3 * 4 registration bits.
+        # Patterns with m = 4, 3, 2 observed features upload count + tri(m)
+        # + m = 15, 10 and 6 floats: 31 up; 10 + 4 = 14 down, 3 * 4
+        # registration bits.
         clients = random_clients(seeded(510), 4, 3)
+        assert [c.pattern.one_based() for c in clients] == [(1, 2, 3, 4), (2, 3, 4), (3, 4)]
         data = _masked(510, 4, 90, clients)
         res = run_protocol(ProtocolSpec(kind="one_shot_moments"), data)
-        assert res.comm.total_floats("up") == 45
+        assert res.comm.total_floats("up") == 31
         assert res.comm.total_floats("down") == 14
         assert res.comm.total_bits("up") == 12
 
@@ -244,14 +327,15 @@ class TestPinnedTotals:
         assert res.comm.total_floats("down") == 7 * 2 * 3
 
     def test_ice_comm_totals(self):
-        # Every client uploads its second-moment sums each round: K * T * tri
-        # up, one T * tri broadcast down.
+        # Every client uploads its observed Gram each round, tri(2) = 3 and
+        # tri(3) = 6 floats for obs {1,3} and {2,3,4}: T * (3 + 6) up, one
+        # T * tri(4) broadcast down.
         rng = seeded(213)
         pop = random_population(rng, 4)
         data = sample_dataset(pop, section3_clients(), 40, rng)
         res = run_protocol(ProtocolSpec(kind="federated_ice", ice_rounds=3), data)
         tri = 4 * 5 // 2
-        assert res.comm.total_floats("up") == 2 * 3 * tri
+        assert res.comm.total_floats("up") == 3 * (3 + 6)
         assert res.comm.total_floats("down") == 3 * tri
 
     def test_ice_round_totals(self):
@@ -259,7 +343,7 @@ class TestPinnedTotals:
         res = run_protocol(ProtocolSpec(kind="federated_ice", ice_rounds=3), data)
         tri = 4 * 5 // 2
         assert res.comm.total_floats("down") == 3 * tri
-        assert res.comm.total_floats("up") == 2 * 3 * tri
+        assert res.comm.total_floats("up") == 3 * (3 + 6)
 
     def test_ice_zero_rounds_only_registers(self):
         data = _masked(513, 4, 50)

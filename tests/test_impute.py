@@ -318,7 +318,7 @@ class TestCompleteMoments:
             for cid, lm in data.local_moments.items():
                 p = data.client_by_id(cid).pattern
                 rows = imp.complete(p, data.x_obs_of(cid))
-                gram, cross = imp.complete_moments(p, lm.sigma_sum, lm.gamma_sum)
+                gram, cross = imp.complete_moments(p, *lm.padded())
                 assert_rel_close(gram, rows.T @ rows)
                 assert_rel_close(cross, rows.T @ data.y_of(cid))
 

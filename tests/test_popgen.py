@@ -326,6 +326,11 @@ class TestCoObservation:
         with pytest.raises(ValueError):
             co_observation(patterns, [0.5, 0.5])
 
+    def test_no_pattern(self):
+        # With no pattern there is no d to shape Pi by.
+        with pytest.raises(ValueError, match="no pattern was given"):
+            co_observation([], [])
+
 
 class TestPopulationMoments:
     def test_gamma_examples(self):
