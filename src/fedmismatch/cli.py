@@ -528,8 +528,7 @@ def _fit_local(ctx: _Context) -> _Fit:
 
 # Every predictor-producing method, in the order configs list them.
 _METHOD_FITS = {
-    "plugin_debias": partial(_fit_plugin, _debiased),
-    "plugin_cw": partial(_fit_plugin, _componentwise),
+    **{method: partial(_fit_plugin, pair_of) for method, pair_of in _PLUGIN_PAIRS.items()},
     "itr_zero": _fit_itr_zero,
     "itr_opt": _fit_itr_opt,
     "itr_cw": _fit_itr_cw,

@@ -9,15 +9,15 @@ message it implies:
   ``co_observation`` with n_k weights; the pooled zero-imputed
   MomentPair, the co-observation count matrix and n out.
 * one_shot_ridge: ``ridge.ridge_closed_form``; each client uploads its
-  observed sums, which the server completes with the ``ImputationMap`` to
-  B_k^T G_k B_k and B_k^T g_k; closed-form ridge coefficients out.
+  observed sums, which the server completes with the ``ImputationMap``
+  (``ImputationMap.complete_moments``); closed-form ridge coefficients out.
 * federated_ice: ``impute.federated_ice``; the iterated
   ``ImputationMap`` out; each of its ``ice_rounds`` rounds uploads every
-  client's observed Gram G_k, which the server completes to B_k^T G_k B_k
-  with the current map.
+  client's observed Gram G_k, which the server completes with the current
+  map.
 * fedavg_ridge: ``ridge.fedavg_ridge``; with an ``ImputationMap``, whose
-  clients run local steps from their completed sums B_k^T G_k B_k and
-  B_k^T g_k, iteratively averaged coefficients out.
+  clients run local steps from their completed sums, iteratively averaged
+  coefficients out.
 
 No message size depends on the local sample count. Each transfer is logged
 with its exact float64 slot count, read off the payload; pattern bitmasks

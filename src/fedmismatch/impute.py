@@ -7,20 +7,20 @@ S = sigma[mis, obs] sigma[obs, obs]^+ for one pattern
 (``optimal_block_map``), with sigma = 0 for the zero map, so clients that
 share a pattern share a map and each distinct pattern's map is formed once.
 
-A completed row is x_obs B, with B = [I | S^T] placed into d columns and
-built once per pattern by the map. ``ImputationMap.complete_moments`` maps
-any (sigma, gamma) to (B^T sigma B, B^T gamma): on a client's observed sums
+A completed row is (x_obs, S x_obs) in observed-then-missing order, so
+``ImputationMap.complete_moments`` completes moments (G, g) over a
+pattern's observed block in block form, from S alone: on a client's sums
 G_k = x_obs^T x_obs and g_k = x_obs^T y (``Dataset.local_moments``) it gives
 the completed-data sums every fit (closed-form ridge, FedAvg, ICE) reads
-(``moments.completed_sums``, which takes the masked ``Dataset`` and the map
-side by side), and on population moments the oracle's imputed-population
-moments. No fit builds a completed row.
+(``moments.completed_sums``), and on the population moments cropped to the
+pattern the oracle's imputed-population moments. No fit builds a completed
+row, and no d x d array is stored per pattern.
 
 ``federated_ice`` starts from zero imputation and, for a fixed number of
 rounds, alternates between re-estimating the full second-moment matrix of
 the currently completed data and refreshing every pattern's map from it.
 Raw (uncentered) second moments are used throughout, matching the
-zero-imputation start. Each round every client reports B_k^T G_k B_k for its
+zero-imputation start. Each round every client's G_k is completed under its
 pattern's current map and the server folds them in client-id order; no
 client re-reads its rows. ``fedsim.run_protocol`` runs this same function
 and logs the messages it implies.
@@ -68,37 +68,41 @@ class ImputationMap:
     maps: Mapping[FeaturePattern, np.ndarray]
 
     def __post_init__(self) -> None:
-        maps, completions = _ByPattern(), _ByPattern()
+        maps = _ByPattern()
         for p, s in self.maps.items():
             s = np.array(s, dtype=np.float64)
             want = (len(p.missing), p.size)
             if s.shape != want:
                 raise ValueError(f"pattern {p.one_based()}: map shape {s.shape}, expected {want}")
-            b = np.diag(p.mask().astype(np.float64))
-            b[:, list(p.missing)] = b[:, list(p.observed)] @ s.T
-            s.flags.writeable = b.flags.writeable = False
+            s.flags.writeable = False
             maps[p] = s
-            completions[p] = b
         object.__setattr__(self, "maps", maps)
-        object.__setattr__(self, "_completions", completions)
 
     def complete(self, pattern: FeaturePattern, x_obs: np.ndarray) -> np.ndarray:
         """Fill one observed vector, or each row of an (m, |obs|) block, out to
         all d coordinates: observed ones are copied, missing ones are x_obs S^T."""
         x_obs = np.asarray(x_obs, dtype=np.float64)
-        out = np.zeros(x_obs.shape[:-1] + (pattern.d,))
-        out[..., list(pattern.observed)] = x_obs
-        out[..., list(pattern.missing)] = x_obs @ self.maps[pattern].T
-        return out
+        return np.concatenate((x_obs, x_obs @ self.maps[pattern].T), axis=-1)[..., pattern.block_position]
 
-    def complete_moments(self, pattern: FeaturePattern, sigma: np.ndarray,
-                         gamma: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(sym(B^T sigma B), B^T gamma), B the pattern's d x d completion
-        matrix, built once by the map: row j completes e_j, and rows at
-        missing j are zero, so only the observed blocks are read."""
-        b = self._completions[pattern]
-        block = b.T @ sigma @ b
-        return (block + block.T) / 2.0, b.T @ gamma
+    def complete_moments(self, pattern: FeaturePattern, gram: np.ndarray,
+                         cross: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Completed (d x d, d) moments from symmetric G (|obs| x |obs|) and g
+        over the pattern's observed block, reading its S alone: the blocks
+        G, S G, (S G)^T, sym(S G S^T) and (g, S g) in observed-then-missing
+        order, put back in place by the pattern's ``block_position``."""
+        s, o = self.maps[pattern], pattern.size
+        if np.shape(gram) != (o, o) or np.shape(cross) != (o,):
+            raise ValueError(f"pattern {pattern.one_based()}: moments {np.shape(gram)}, {np.shape(cross)}, "
+                             f"not ({o}, {o}), ({o},)")
+        s_gram = s @ gram
+        missing = s_gram @ s.T
+        ordered = np.empty((pattern.d, pattern.d))
+        ordered[:o, :o] = gram
+        ordered[o:, :o] = s_gram
+        ordered[:o, o:] = s_gram.T
+        ordered[o:, o:] = (missing + missing.T) / 2.0
+        back = pattern.block_position
+        return ordered[back[:, None], back], self.complete(pattern, cross)
 
 
 def fit_zero_imputer(clients) -> ImputationMap:
@@ -140,11 +144,10 @@ def federated_ice(data: Dataset, rounds: int) -> ImputationMap:
     """Iterated conditional-expectation completion over a federation.
 
     Iteration starts from zero maps and runs exactly ``rounds`` rounds. Each
-    round the clients' completed Gram sums B_k^T G_k B_k under their current
-    maps, computed from their observed Grams G_k, are folded in ascending id
-    order into the raw second-moment estimate, and every pattern's optimal
-    block map is refreshed from it; no completed row is built. Clients
-    without rows add zero sums. ``rounds`` = 0 returns the zero maps.
+    round the clients' Grams G_k, completed under their current maps, are
+    folded in ascending id order into the raw second-moment estimate, which
+    refreshes every pattern's optimal block map; no row is completed.
+    Clients without rows add zero sums. ``rounds`` = 0 returns the zero maps.
     """
     if rounds < 0:
         raise ValueError(f"rounds must be >= 0, got {rounds}")

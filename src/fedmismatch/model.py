@@ -96,6 +96,11 @@ class FeaturePattern:
         obs = np.array(self.observed, dtype=np.intp)
         return obs, (obs[:, None] * self.d + obs).ravel()
 
+    @cached_property
+    def block_position(self) -> np.ndarray:
+        """Each coordinate's place in the observed-then-missing order (its inverse permutation), built once."""
+        return np.argsort(np.array(self.observed + self.missing, dtype=np.intp))
+
     @property
     def size(self) -> int:
         return len(self.observed)
@@ -174,14 +179,6 @@ class LocalMoments:
     @property
     def d(self) -> int:
         return self.pattern.d
-
-    def padded(self) -> tuple[np.ndarray, np.ndarray]:
-        """(d x d, d) zero-filled copies of the sums: the zero-imputed sums."""
-        vec, mat = self.pattern.scatter_index
-        sigma, gamma = np.zeros(self.d * self.d), np.zeros(self.d)
-        sigma[mat] = self.sigma_sum.ravel()
-        gamma[vec] = self.gamma_sum
-        return sigma.reshape(self.d, self.d), gamma
 
     @property
     def sigma(self) -> np.ndarray:

@@ -56,7 +56,7 @@ def local_zero_imputed_moments(x_obs: np.ndarray, y: np.ndarray, pattern: Featur
 
     ``x_obs`` is (n_k, |obs|) over the pattern's observed columns. Unobserved
     coordinates are the structural zeros of zero imputation, which
-    ``aggregate_zero_imputed`` and ``LocalMoments.padded`` restore.
+    ``aggregate_zero_imputed`` restores.
     """
     x_obs = np.asarray(x_obs, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
@@ -156,17 +156,16 @@ def _divide_covered(sigma: np.ndarray, gamma: np.ndarray, weights: np.ndarray) -
 
 
 def completed_sums(data, imputer) -> Iterator[LocalMoments]:
-    """Each client's completed-data sums (B_k^T G_k B_k, B_k^T g_k, n_k) of a
-    masked ``Dataset`` under an ``ImputationMap``, in ascending id order,
-    clients without rows included (as zero sums). A row completed by its
-    pattern's S is x_obs B_k, so these are ``ImputationMap.complete_moments``
-    of the client's observed sums padded on demand, O(d^3) whatever n_k; a
-    pattern without a map raises ``KeyError``. The population oracle folds
-    the same maps over the population moments.
+    """Each client's completed-data sums (d x d, d, n_k) of a masked
+    ``Dataset`` under an ``ImputationMap``, in ascending id order, clients
+    without rows included (as zero sums): ``ImputationMap.complete_moments``
+    of its observed-block sums as they are; a pattern without a map raises
+    ``KeyError``. The population oracle folds the same maps over the
+    population moments.
     """
     full = FeaturePattern.full(data.d)
     for lm in data.local_moments.values():
-        yield LocalMoments(*imputer.complete_moments(lm.pattern, *lm.padded()), lm.count, full)
+        yield LocalMoments(*imputer.complete_moments(lm.pattern, lm.sigma_sum, lm.gamma_sum), lm.count, full)
 
 
 def imputed_data_moments(data, imputer) -> MomentPair:

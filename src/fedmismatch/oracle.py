@@ -6,7 +6,7 @@ dimension that drive excess-risk bounds, and the population moments of
 imputed features. ``monte_carlo_risk`` is the bridge to finite-sample
 evaluation of fitted predictors. The imputed-population moments are the
 rho-weighted fold of ``ImputationMap.complete_moments`` over the population
-moments, the same completion algebra the fits apply to client sums. A
+moments cropped to each pattern, as the fits apply it to client sums. A
 client's oracle depends on it only through its pattern, so the closed forms
 of each distinct pattern are computed once (``_local_oracle``).
 
@@ -32,7 +32,7 @@ import numpy as np
 
 from ._linalg import SymEig
 from .impute import ImputerKind, _factor_and_block_map, fit_optimal_imputer, fit_zero_imputer
-from .model import FeaturePattern, validate_federation, ClientwisePredictor
+from .model import FeaturePattern, validate_federation, ClientwisePredictor, crop_matrix, crop_vector
 from .popgen import PopulationSpec, _draw_rows, population_gamma
 
 __all__ = [
@@ -148,7 +148,7 @@ def imputed_population_covariance(pop: PopulationSpec, clients, kind: ImputerKin
     """Exact moments of the imputed feature vector under a population-fitted map.
 
     sigma_I and gamma_I are the rho-weighted fold, in the given client order,
-    of ``complete_moments(p, pop.sigma, gamma)``, once per distinct pattern p,
+    of ``complete_moments`` on (pop.sigma, gamma) cropped to each distinct pattern,
     under ``fit_zero_imputer`` (ZERO; this equals (Pi . sigma, diag(Pi) .
     gamma)) or ``fit_optimal_imputer(pop.sigma, ...)`` (OPTIMAL_LINEAR). For
     ZERO, theta_prime is the minimum-norm solution of sigma_I t = gamma_I; for
@@ -165,7 +165,8 @@ def imputed_population_covariance(pop: PopulationSpec, clients, kind: ImputerKin
     gamma = population_gamma(pop)
     sigma_i = np.zeros((pop.d, pop.d))
     gamma_i = np.zeros(pop.d)
-    completed = {p: imputer.complete_moments(p, pop.sigma, gamma) for p in imputer.maps}
+    completed = {p: imputer.complete_moments(p, crop_matrix(pop.sigma, p, p), crop_vector(gamma, p))
+                 for p in imputer.maps}
     for c in clients:
         gram, cross = completed[c.pattern]
         sigma_i += c.rho * gram

@@ -136,11 +136,12 @@ def reference_padded_sums(data) -> list[tuple[np.ndarray, np.ndarray, int]]:
 
 
 def reference_completed_sums(data, imputer) -> list[LocalMoments]:
-    """``ImputationMap.complete_moments`` of each client's zero-padded sums,
-    as d-coordinate ``LocalMoments`` in ascending id order."""
+    """``reference_complete_moments`` of each client's zero-padded sums, the
+    d x d completion B^T G B, as d-coordinate ``LocalMoments`` in ascending
+    id order."""
     full = FeaturePattern.full(data.d)
     patterns = [c.pattern for c in sorted(data.clients, key=lambda c: c.id)]
-    return [LocalMoments(*imputer.complete_moments(p, sigma, gamma), n, full)
+    return [LocalMoments(*reference_complete_moments(imputer, p, sigma, gamma), n, full)
             for p, (sigma, gamma, n) in zip(patterns, reference_padded_sums(data))]
 
 

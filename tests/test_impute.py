@@ -12,7 +12,7 @@ from fedmismatch.impute import (
     fit_zero_imputer,
     optimal_block_map,
 )
-from fedmismatch.model import ClientSpec, FeaturePattern
+from fedmismatch.model import ClientSpec, FeaturePattern, crop_matrix, crop_vector
 from fedmismatch.moments import (
     aggregate_zero_imputed,
     completed_sums,
@@ -77,8 +77,8 @@ class TestZeroImputer:
         assert rows[1, [1, 3]].tobytes() == (x @ imp.maps[pattern].T)[1].tobytes()
 
     def test_maps_are_read_only_copies(self):
-        # complete and itr_predictor read S, complete_moments reads the B
-        # built from it; neither can be written, nor follows the caller's array.
+        # complete, complete_moments and itr_predictor all read S, which can
+        # be neither written nor reached through the caller's array.
         pattern = FeaturePattern.from_one_based([2], 3)
         s = np.array([[0.5], [-1.0]])
         imp = ImputationMap({pattern: s})
@@ -86,9 +86,30 @@ class TestZeroImputer:
         assert imp.maps[pattern].tolist() == [[0.5], [-1.0]]
         with pytest.raises(ValueError, match="read-only"):
             imp.maps[pattern][0, 0] = 9.0
-        _, cross = imp.complete_moments(pattern, np.eye(3), np.array([0.0, 1.0, 0.0]))
+        _, cross = imp.complete_moments(pattern, np.eye(1), np.array([1.0]))
         assert cross.tolist() == [0.5, 1.0, -1.0]
         assert imp.complete(pattern, np.array([2.0])).tolist() == [1.0, 2.0, -2.0]
+
+
+class TestStorage:
+    def test_a_map_holds_only_its_blocks(self):
+        # An ImputationMap stores each pattern's S and no d x d array per
+        # pattern: 30 distinct patterns at d = 256 would add ~15.7 MB.
+        rng, d = seeded(216), 256
+        patterns = {}
+        while len(patterns) < 30:
+            patterns[FeaturePattern(tuple(np.flatnonzero(rng.random(d) < 0.7)), d)] = None
+        clients = tuple(ClientSpec(id=i + 1, pattern=p, rho=1 / 30) for i, p in enumerate(patterns))
+        blocks = sum(8 * len(p.missing) * p.size for p in patterns)
+        sigma = random_psd(rng, d)
+        for fit in (fit_zero_imputer, lambda cs: fit_optimal_imputer(sigma, cs)):
+            tracemalloc.start()
+            try:
+                imp = fit(clients)
+                held, _ = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert len(imp.maps) == 30 and held < 2 * blocks, (held, blocks)
 
 
 class TestOptimalImputer:
@@ -280,8 +301,8 @@ class TestCompleteMoments:
             sigma, gamma = random_psd(rng, d), rng.standard_normal(d)
             imp = fit_zero_imputer(random_clients(rng, d, int(rng.integers(1, 5)), nonempty=False))
             for p in imp.maps:
-                gram, cross = imp.complete_moments(p, sigma, gamma)
                 obs = list(p.observed)
+                gram, cross = imp.complete_moments(p, sigma[np.ix_(obs, obs)], gamma[obs])
                 want_gram, want_cross = np.zeros((d, d)), np.zeros(d)
                 want_gram[np.ix_(obs, obs)] = sigma[np.ix_(obs, obs)]
                 want_cross[obs] = gamma[obs]
@@ -289,25 +310,39 @@ class TestCompleteMoments:
                 assert cross.shape == want_cross.shape and cross.tobytes() == want_cross.tobytes()
 
     def test_reads_the_map_built_completion_bitwise(self, monkeypatch):
-        # Each map builds its patterns' B once; complete_moments only reads
-        # it, and gives the bytes of a B built anew from the identity.
+        # complete_moments reads only S, in block form, and gives
+        # B^T sigma B for a B built anew from the identity: its bytes under
+        # the zero map, to rounding under a nonzero one.
         rng = seeded(239)
         cases = []
         for _ in range(20):
             d = int(rng.integers(1, 7))
             clients = repeating_clients(rng, d)
             sigma, gamma = random_psd(rng, d), rng.standard_normal(d)
-            for imp in (fit_zero_imputer(clients), fit_optimal_imputer(random_psd(rng, d), clients)):
-                cases += [(imp, p, sigma, gamma, reference_complete_moments(imp, p, sigma, gamma)) for p in imp.maps]
+            zero, optimal = fit_zero_imputer(clients), fit_optimal_imputer(random_psd(rng, d), clients)
+            for imp, bitwise in ((zero, True), (optimal, False)):
+                cases += [(imp, p, sigma, gamma, bitwise, reference_complete_moments(imp, p, sigma, gamma))
+                          for p in imp.maps]
 
         def forbidden(*args, **kwargs):
             raise AssertionError("complete_moments built an identity matrix")
 
         monkeypatch.setattr(np, "eye", forbidden)
-        for imp, p, sigma, gamma, (want_gram, want_cross) in cases:
-            gram, cross = imp.complete_moments(p, sigma, gamma)
-            assert gram.shape == want_gram.shape and gram.tobytes() == want_gram.tobytes()
-            assert cross.shape == want_cross.shape and cross.tobytes() == want_cross.tobytes()
+        for imp, p, sigma, gamma, bitwise, (want_gram, want_cross) in cases:
+            gram, cross = imp.complete_moments(p, crop_matrix(sigma, p, p), crop_vector(gamma, p))
+            assert gram.shape == want_gram.shape and cross.shape == want_cross.shape
+            if bitwise:
+                assert gram.tobytes() == want_gram.tobytes() and cross.tobytes() == want_cross.tobytes()
+            else:
+                assert_rel_close(gram, want_gram)
+                assert_rel_close(cross, want_cross)
+
+    def test_moments_must_be_over_the_observed_block(self):
+        pattern = FeaturePattern.from_one_based([1, 3], 4)
+        imp = fit_zero_imputer(_one_client(pattern))
+        for gram, cross in ((np.eye(4), np.zeros(4)), (np.eye(2), np.zeros(4)), (np.eye(3), np.zeros(2))):
+            with pytest.raises(ValueError, match=r"pattern \(1, 3\): moments .*, not \(2, 2\), \(2,\)"):
+                imp.complete_moments(pattern, gram, cross)
 
     @pytest.mark.parametrize("seed", [236, 237, 238])
     def test_equals_moments_of_completed_rows(self, seed):
@@ -318,7 +353,7 @@ class TestCompleteMoments:
             for cid, lm in data.local_moments.items():
                 p = data.client_by_id(cid).pattern
                 rows = imp.complete(p, data.x_obs_of(cid))
-                gram, cross = imp.complete_moments(p, *lm.padded())
+                gram, cross = imp.complete_moments(p, lm.sigma_sum, lm.gamma_sum)
                 assert_rel_close(gram, rows.T @ rows)
                 assert_rel_close(cross, rows.T @ data.y_of(cid))
 

@@ -27,9 +27,9 @@ class TestLocalMoments:
         )
         np.testing.assert_array_equal(lm.sigma, [[4.0]])
         np.testing.assert_array_equal(lm.gamma, [6.0])
-        sigma_sum, gamma_sum = lm.padded()
-        np.testing.assert_array_equal(sigma_sum, [[4.0, 0.0], [0.0, 0.0]])
-        np.testing.assert_array_equal(gamma_sum, [6.0, 0.0])
+        np.testing.assert_array_equal(lm.sigma_sum, [[4.0]])
+        np.testing.assert_array_equal(lm.gamma_sum, [6.0])
+        assert lm.pattern == FeaturePattern.from_one_based([1], 2)
         assert lm.count == 1
 
     def test_full_pattern_mc(self):

@@ -3,7 +3,7 @@ import numpy as np
 import pytest
 
 from fedmismatch.impute import ImputationMap, ImputerKind, fit_optimal_imputer, fit_zero_imputer
-from fedmismatch.model import ClientSpec, ClientwisePredictor, FeaturePattern
+from fedmismatch.model import ClientSpec, ClientwisePredictor, FeaturePattern, crop_matrix, crop_vector
 from fedmismatch.oracle import (
     _apportion,
     best_local_coefficients,
@@ -288,7 +288,8 @@ class TestImputedPopulation:
         # The fold keeps its per-client terms and their order.
         want_sigma, want_gamma = np.zeros((5, 5)), np.zeros(5)
         for c in clients:
-            gram, cross = imputer.complete_moments(c.pattern, pop.sigma, gamma)
+            p = c.pattern
+            gram, cross = imputer.complete_moments(p, crop_matrix(pop.sigma, p, p), crop_vector(gamma, p))
             want_sigma += c.rho * gram
             want_gamma += c.rho * cross
         calls, complete_moments = [], ImputationMap.complete_moments
