@@ -11,10 +11,10 @@ message it implies:
 * one_shot_ridge: ``ridge.ridge_closed_form``; each client uploads its
   observed sums, which the server completes with the ``ImputationMap``
   (``ImputationMap.complete_moments``); closed-form ridge coefficients out.
-* federated_ice: ``impute.federated_ice``; the iterated
-  ``ImputationMap`` out; each of its ``ice_rounds`` rounds uploads every
-  client's observed Gram G_k, which the server completes with the current
-  map.
+* federated_ice: ``impute.federated_ice`` in one round trip; the iterated
+  ``ImputationMap`` out. With ``ice_rounds`` >= 1 each client uploads its
+  observed Gram G_k once, the server runs every round from these uploads,
+  and it broadcasts the final covariance estimate once; 0 rounds send none.
 * fedavg_ridge: ``ridge.fedavg_ridge``; with an ``ImputationMap``, whose
   clients run local steps from their completed sums, iteratively averaged
   coefficients out.
@@ -127,8 +127,8 @@ def replay_comm_schedule(spec: ProtocolSpec, patterns) -> SchedulePrediction:
     if spec.kind == "one_shot_ridge":
         return SchedulePrediction(moments, d, k * d)
     if spec.kind == "federated_ice":
-        t = spec.ice_rounds
-        return SchedulePrediction(t * sum(_tri(p.size) for p in patterns), t * _tri(d), k * d)
+        trips = min(spec.ice_rounds, 1)
+        return SchedulePrediction(trips * sum(_tri(p.size) for p in patterns), trips * _tri(d), k * d)
     t = spec.rounds
     return SchedulePrediction(t * k * d, t * k * d, 0)
 
@@ -164,10 +164,10 @@ def _one_shot_moments(data: Dataset, comm: CommLog) -> OneShotMomentsArtifact:
 
 def _federated_ice(data: Dataset, spec: ProtocolSpec, comm: CommLog) -> ImputationMap:
     imputer = federated_ice(data, spec.ice_rounds)
-    for t in range(1, spec.ice_rounds + 1):
+    if spec.ice_rounds:
         for c in data.clients:
-            comm.record(t, "up", _tri(len(data.local_moments[c.id].sigma_sum)))
-        comm.record(t, "down", _tri(data.d))
+            comm.record(1, "up", _tri(len(data.local_moments[c.id].sigma_sum)))
+        comm.record(1, "down", _tri(data.d))
     return imputer
 
 

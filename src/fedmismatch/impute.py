@@ -21,9 +21,9 @@ rounds, alternates between re-estimating the full second-moment matrix of
 the currently completed data and refreshing every pattern's map from it.
 Raw (uncentered) second moments are used throughout, matching the
 zero-imputation start. Each round every client's G_k is completed under its
-pattern's current map and the server folds them in client-id order; no
-client re-reads its rows. ``fedsim.run_protocol`` runs this same function
-and logs the messages it implies.
+pattern's current map and the server folds them in client-id order; G_k is
+fixed, so one upload per client serves every round. ``fedsim.run_protocol``
+runs this same function and logs that one round trip.
 """
 from __future__ import annotations
 
@@ -89,14 +89,20 @@ class ImputationMap:
         """Completed (d x d, d) moments from symmetric G (|obs| x |obs|) and g
         over the pattern's observed block, reading its S alone: the blocks
         G, S G, (S G)^T, sym(S G S^T) and (g, S g) in observed-then-missing
-        order, put back in place by the pattern's ``block_position``."""
-        s, o = self.maps[pattern], pattern.size
+        order, put back in place by the pattern's ``block_position``. A zero
+        S completes by a scatter of (G, g) into zeros alone."""
+        s, o, d = self.maps[pattern], pattern.size, pattern.d
         if np.shape(gram) != (o, o) or np.shape(cross) != (o,):
             raise ValueError(f"pattern {pattern.one_based()}: moments {np.shape(gram)}, {np.shape(cross)}, "
                              f"not ({o}, {o}), ({o},)")
+        if not s.any():
+            vec, mat = pattern.scatter_index
+            sigma, gamma = np.zeros(d * d), np.zeros(d)
+            sigma[mat], gamma[vec] = np.ravel(gram), cross
+            return sigma.reshape(d, d), gamma
         s_gram = s @ gram
         missing = s_gram @ s.T
-        ordered = np.empty((pattern.d, pattern.d))
+        ordered = np.empty((d, d))
         ordered[:o, :o] = gram
         ordered[o:, :o] = s_gram
         ordered[:o, o:] = s_gram.T

@@ -520,14 +520,15 @@ class TestRunExperiment:
         results, _ = run_experiment(cfg, str(tmp_path))
         rows = {r["method"]: r for r in _read_rows(results)}
         # obs {1,2}, {2,3,4}, {1,4}: moment uploads (m+1)(m+2)/2 = 6, 10, 6
-        # floats; ICE uploads tri(m) = 3, 6, 3 per round.
+        # floats; ICE uploads tri(m) = 3, 6, 3 once, whatever the rounds, and
+        # receives one tri(d) broadcast.
         tri = 4 * 5 // 2
         assert int(rows["one_shot_moments"]["comm_floats_up"]) == 6 + 10 + 6
         assert int(rows["one_shot_moments"]["comm_floats_down"]) == tri + 4
         assert int(rows["one_shot_ridge"]["comm_floats_up"]) == 6 + 10 + 6
         assert int(rows["one_shot_ridge"]["comm_floats_down"]) == 4
-        assert int(rows["federated_ice"]["comm_floats_up"]) == 2 * (3 + 6 + 3)
-        assert int(rows["federated_ice"]["comm_floats_down"]) == 2 * tri
+        assert int(rows["federated_ice"]["comm_floats_up"]) == 3 + 6 + 3
+        assert int(rows["federated_ice"]["comm_floats_down"]) == tri
         assert int(rows["fedavg_ridge"]["comm_floats_up"]) == 2 * 3 * 4
         assert int(rows["fedavg_ridge"]["comm_floats_down"]) == 2 * 3 * 4
         for r in rows.values():

@@ -141,11 +141,12 @@ class TestTransportTransparency:
         # Masked-data protocols log all four clients; completed-data ones
         # log the three that drew rows. Patterns {1,3}, {2,4}, {} and {2,3,4}
         # (m = 2, 2, 0, 3 observed features) upload (m+1)(m+2)/2 = 6, 6, 1, 10
-        # floats of moments or m(m+1)/2 = 3, 3, 0, 6 per ICE round; tri(4) = 10.
+        # floats of moments, or m(m+1)/2 = 3, 3, 0, 6 once for all three ICE
+        # rounds, which end in one tri(4) = 10 broadcast.
         want = {
             "one_shot_moments": (6 + 6 + 1 + 10, 10 + 4, 4 * 4),
             "one_shot_ridge": (6 + 1 + 10, 4, 3 * 4),
-            "federated_ice": (3 * (3 + 3 + 0 + 6), 3 * 10, 4 * 4),
+            "federated_ice": (3 + 3 + 0 + 6, 10, 4 * 4),
             "fedavg_ridge": (4 * 3 * 4, 4 * 3 * 4, 0),
         }[kind]
         assert (res.comm.total_floats("up"), res.comm.total_floats("down"), res.comm.total_bits()) == want
@@ -179,7 +180,8 @@ class TestPayloadAudit:
         # Per message, in logged order: registrations carry d bits and no
         # floats, and every float payload has the size its contents dictate.
         # obs(1) = {1,3} and obs(2) = {2,3,4} upload 6 and 10 moment floats,
-        # 3 and 6 Gram floats per ICE round; broadcasts are d-sized.
+        # and 3 and 6 Gram floats once for both ICE rounds, which end in one
+        # tri(d) broadcast; other broadcasts are d-sized.
         d, tri = 4, 4 * 5 // 2
         clients = section3_clients(d)
         k = len(clients)
@@ -187,8 +189,7 @@ class TestPayloadAudit:
         sizes = {
             "one_shot_moments": {**register, (1, "up"): [(6, 0), (10, 0)], (1, "down"): [(tri + d, 0)]},
             "one_shot_ridge": {**register, (1, "up"): [(6, 0), (10, 0)], (1, "down"): [(d, 0)]},
-            "federated_ice": {**register, **{(t, "up"): [(3, 0), (6, 0)] for t in (1, 2)},
-                              **{(t, "down"): [(tri, 0)] for t in (1, 2)}},
+            "federated_ice": {**register, (1, "up"): [(3, 0), (6, 0)], (1, "down"): [(tri, 0)]},
             "fedavg_ridge": {(t, io): [(k * d, 0)] for t in (1, 2) for io in ("up", "down")},
         }
         for kind, want in sizes.items():
@@ -254,13 +255,45 @@ class TestPatternSizedUploads:
         want = {
             "one_shot_moments": ([(m + 1) * (m + 2) // 2 for m in sizes], len(sizes)),
             "one_shot_ridge": ([(m + 1) * (m + 2) // 2 for m in with_rows], len(with_rows)),
-            "federated_ice": ([m * (m + 1) // 2 for m in sizes] * 2, len(sizes)),
+            "federated_ice": ([m * (m + 1) // 2 for m in sizes], len(sizes)),
             "fedavg_ridge": ([len(with_rows) * data.d] * 2, 0),
         }
         for kind, (floats, senders) in want.items():
             res = run_protocol(ProtocolSpec(kind=kind, lam=0.1, ice_rounds=2, rounds=2), data, fit_zero_imputer(data.clients))
             assert [e.floats for e in res.comm.events if e.direction == "up" and e.round > 0] == floats, kind
             assert [e.bits for e in res.comm.events if e.round == 0] == [data.d] * senders, kind
+
+
+class TestIceOneRoundTrip:
+    """Federated ICE sends each client's observed Gram once and the final
+    covariance estimate back once, however many rounds the server runs."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(_federations(), st.integers(0, 5))
+    def test_one_upload_per_client_and_one_broadcast(self, drawn, rounds):
+        data, _ = drawn
+        d, k = data.d, len(data.clients)
+        spec = ProtocolSpec(kind="federated_ice", ice_rounds=rounds)
+        res = run_protocol(spec, data)
+        events = [(e.round, e.direction, e.floats, e.bits) for e in res.comm.events]
+        register = [(0, "up", 0, d)] * k
+        uploads = [(1, "up", c.pattern.size * (c.pattern.size + 1) // 2, 0) for c in data.clients]
+        broadcast = [(1, "down", d * (d + 1) // 2, 0)]
+        if rounds:
+            assert events == register + uploads + broadcast
+            once = run_protocol(ProtocolSpec(kind="federated_ice", ice_rounds=1), data)
+            assert [e for e in once.comm.events if e.direction == "up"] == [
+                e for e in res.comm.events if e.direction == "up"]
+        else:
+            assert events == register
+            assert res.comm.total_floats() == 0
+        pred = replay_comm_schedule(spec, [c.pattern for c in data.clients])
+        assert (res.comm.total_floats("up"), res.comm.total_floats("down"), res.comm.total_bits()) == (
+            pred.up_floats, pred.down_floats, pred.registration_bits)
+        want = ice_in_memory(data, rounds)
+        assert list(res.artifact.maps) == list(want.maps)
+        for p, s in want.maps.items():
+            assert res.artifact.maps[p].tobytes() == s.tobytes()
 
 
 class TestReplayMatchesRun:
@@ -336,23 +369,26 @@ class TestPinnedTotals:
         assert res.comm.total_floats("down") == 7 * 2 * 3
 
     def test_ice_comm_totals(self):
-        # Every client uploads its observed Gram each round, tri(2) = 3 and
-        # tri(3) = 6 floats for obs {1,3} and {2,3,4}: T * (3 + 6) up, one
-        # T * tri(4) broadcast down.
+        # Every client uploads its observed Gram once, tri(2) = 3 and
+        # tri(3) = 6 floats for obs {1,3} and {2,3,4}: 3 + 6 up for all T
+        # rounds, and one tri(4) broadcast down.
         rng = seeded(213)
         pop = random_population(rng, 4)
         data = sample_dataset(pop, section3_clients(), 40, rng)
         res = run_protocol(ProtocolSpec(kind="federated_ice", ice_rounds=3), data)
         tri = 4 * 5 // 2
-        assert res.comm.total_floats("up") == 3 * (3 + 6)
-        assert res.comm.total_floats("down") == 3 * tri
+        assert res.comm.total_floats("up") == 3 + 6
+        assert res.comm.total_floats("down") == tri
 
     def test_ice_round_totals(self):
+        # Three refinement rounds are one round trip: registration in round
+        # 0, the Gram uploads and the broadcast in round 1.
         data = _masked(512, 4, 50)
         res = run_protocol(ProtocolSpec(kind="federated_ice", ice_rounds=3), data)
         tri = 4 * 5 // 2
-        assert res.comm.total_floats("down") == 3 * tri
-        assert res.comm.total_floats("up") == 3 * (3 + 6)
+        assert res.comm.total_floats("down") == tri
+        assert res.comm.total_floats("up") == 3 + 6
+        assert sorted({e.round for e in res.comm.events}) == [0, 1]
 
     def test_ice_zero_rounds_only_registers(self):
         data = _masked(513, 4, 50)

@@ -309,6 +309,16 @@ class TestCompleteMoments:
                 assert gram.shape == want_gram.shape and gram.tobytes() == want_gram.tobytes()
                 assert cross.shape == want_cross.shape and cross.tobytes() == want_cross.tobytes()
 
+    def test_zero_map_completes_by_scatter_alone(self):
+        # No product with the zero S: an infinite Gram entry stays in its
+        # cell and leaves every other cell +0.0 (0 * inf would be NaN).
+        pattern = FeaturePattern.from_one_based([1, 3], 4)
+        gram = np.array([[np.inf, 1.0], [1.0, 2.0]])
+        got, _ = fit_zero_imputer(_one_client(pattern)).complete_moments(pattern, gram, np.ones(2))
+        want = np.zeros((4, 4))
+        want[np.ix_([0, 2], [0, 2])] = gram
+        assert got.tobytes() == want.tobytes()
+
     def test_reads_the_map_built_completion_bitwise(self, monkeypatch):
         # complete_moments reads only S, in block form, and gives
         # B^T sigma B for a B built anew from the identity: its bytes under
