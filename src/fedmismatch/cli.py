@@ -476,9 +476,10 @@ def _fit_plugin(pair_of, ctx: _Context) -> _Fit:
 
 
 def _itr(imputer, ctx: _Context, bound_kind=None, protocols=()) -> _Fit:
-    """Closed-form ridge on the data completed by ``imputer``, folded back through it."""
+    """Closed-form ridge on the data completed by ``imputer``, folded back through it. The ridge joins the
+    method's session: it sends only what ``protocols``, the method's earlier runs, did not."""
     pop, clients, data, lam = ctx.pop, ctx.clients, ctx.data, ctx.lam
-    ridge = run_protocol(ProtocolSpec(kind="one_shot_ridge", lam=lam), data, imputer)
+    ridge = run_protocol(ProtocolSpec(kind="one_shot_ridge", lam=lam), data, imputer, [p.spec for p in protocols])
     m_hat = estimate_m(data)
     predictor = itr_predictor(imputer, ridge.artifact, clients, trunc_m=m_hat)
     protocols = protocols + (ridge,)

@@ -25,10 +25,18 @@ sent at registration are counted in bits, separately from floats.
 ``replay_comm_schedule`` predicts the totals in closed form from the
 senders' patterns, and the logged totals must match it exactly.
 
+A fitting method is one server session: the server keeps each sender's
+pattern, n_k, G_k and g_k once received, and a later protocol of the same
+method (passed the earlier specs as ``session``) registers and uploads
+only what it still lacks. So itr_ice's ridge after ICE rounds sends
+[n_k][g_k], and itr_cw's ridge after the moments sends nothing up. A
+standalone run is a session of one.
+
 A moment upload (wire format v3, shared with the moments module) is
 [n_k][packed upper triangle of the observed Gram][observed cross-moments];
-an ICE upload is the packed triangle alone. The server places each upload
-by the sender's registered pattern. Broadcasts are counted once; fedavg
+an ICE upload is the packed triangle alone, and an upload within a session
+drops the parts the server holds. The server places each upload by the
+sender's registered pattern. Broadcasts are counted once; fedavg
 coefficient exchanges (d floats) are counted per client in both directions.
 Masked-data protocols log every client of the federation, including those
 that drew no rows; completed-data protocols log only the clients that drew
@@ -96,6 +104,7 @@ class OneShotMomentsArtifact:
 class ProtocolResult:
     artifact: object
     comm: CommLog
+    spec: ProtocolSpec
 
 
 @dataclass(frozen=True)
@@ -107,13 +116,16 @@ class SchedulePrediction:
     registration_bits: int
 
 
-def replay_comm_schedule(spec: ProtocolSpec, patterns) -> SchedulePrediction:
+def replay_comm_schedule(spec: ProtocolSpec, patterns, session=()) -> SchedulePrediction:
     """Predict exact float/bit totals without running anything.
 
     ``patterns`` are the senders' (``_senders``): every client for
     masked-data protocols (one_shot_moments, federated_ice), the clients
-    that drew rows for completed-data ones. Raises ``ValueError`` when there
-    is no sender or the patterns disagree on d.
+    that drew rows for completed-data ones. ``session`` holds the specs of
+    the protocols the same method ran before, in order; what they sent is
+    not sent again. Raises ``ValueError`` when there is no sender, the
+    patterns disagree on d, or the session order is one ``run_protocol``
+    rejects.
     """
     patterns = list(patterns)
     if not patterns:
@@ -121,16 +133,42 @@ def replay_comm_schedule(spec: ProtocolSpec, patterns) -> SchedulePrediction:
     d = patterns[0].d
     if any(p.d != d for p in patterns):
         raise ValueError(f"sender patterns disagree on d: {sorted({p.d for p in patterns})}")
-    k, moments = len(patterns), sum((p.size + 1) * (p.size + 2) // 2 for p in patterns)
+    missing = _missing(spec, session)
+    k, up = len(patterns), sum(_upload_floats(missing, p.size) for p in patterns)
+    bits = k * d if "pattern" in missing else 0
     if spec.kind == "one_shot_moments":
-        return SchedulePrediction(moments, _tri(d) + d, k * d)
+        return SchedulePrediction(up, _tri(d) + d, bits)
     if spec.kind == "one_shot_ridge":
-        return SchedulePrediction(moments, d, k * d)
+        return SchedulePrediction(up, d, bits)
     if spec.kind == "federated_ice":
-        trips = min(spec.ice_rounds, 1)
-        return SchedulePrediction(trips * sum(_tri(p.size) for p in patterns), trips * _tri(d), k * d)
+        return SchedulePrediction(up, min(spec.ice_rounds, 1) * _tri(d), bits)
     t = spec.rounds
     return SchedulePrediction(t * k * d, t * k * d, 0)
+
+
+def _reads(spec: ProtocolSpec) -> frozenset:
+    """The statistics a protocol reads of each sender: its registered pattern
+    and the parts of its upload, the count n_k, the Gram G_k and the
+    cross-moments g_k. FedAvg reads none; it exchanges coefficients."""
+    if spec.kind == "fedavg_ridge":
+        return frozenset()
+    if spec.kind == "federated_ice":
+        return frozenset(("pattern", "gram") if spec.ice_rounds else ("pattern",))
+    return frozenset(("pattern", "n", "gram", "cross"))
+
+
+def _missing(spec: ProtocolSpec, session) -> frozenset:
+    """What ``spec`` reads of each sender that no earlier protocol of the
+    session sent. The server keeps every statistic it receives during a
+    method, so only the rest goes up."""
+    if spec.kind in MASKED_PROTOCOLS and any(s.kind not in MASKED_PROTOCOLS for s in session):
+        raise ValueError(f"{spec.kind} reads every client, so it cannot follow a completed-data protocol")
+    return _reads(spec).difference(*map(_reads, session))
+
+
+def _upload_floats(missing: frozenset, m: int) -> int:
+    """Slots of one [n_k][packed G_k][g_k] upload cut to the ``missing`` parts."""
+    return ("n" in missing) + ("gram" in missing) * _tri(m) + ("cross" in missing) * m
 
 
 def _tri(m: int) -> int:
@@ -146,36 +184,12 @@ def _senders(kind: str, data: Dataset) -> tuple[ClientSpec, ...]:
     return tuple(c for c in data.clients if len(data.x_obs[c.id]))
 
 
-def _log_moment_uploads(data: Dataset, senders, comm: CommLog) -> None:
-    """One [n_k][packed G_k][g_k] upload per sender, sized by its observed sums."""
-    for c in senders:
-        m = len(data.local_moments[c.id].gamma_sum)
-        comm.record(1, "up", 1 + _tri(m) + m)
-
-
 def _one_shot_moments(data: Dataset, comm: CommLog) -> OneShotMomentsArtifact:
     locals_ = data.local_moments
     pair = aggregate_zero_imputed(locals_.values())
     counts = co_observation([c.pattern for c in data.clients], [locals_[c.id].count for c in data.clients])
-    _log_moment_uploads(data, data.clients, comm)
     comm.record(1, "down", _tri(data.d) + data.d)
     return OneShotMomentsArtifact(pair=pair, counts=counts, n=data.n)
-
-
-def _federated_ice(data: Dataset, spec: ProtocolSpec, comm: CommLog) -> ImputationMap:
-    imputer = federated_ice(data, spec.ice_rounds)
-    if spec.ice_rounds:
-        for c in data.clients:
-            comm.record(1, "up", _tri(len(data.local_moments[c.id].sigma_sum)))
-        comm.record(1, "down", _tri(data.d))
-    return imputer
-
-
-def _one_shot_ridge(data: Dataset, imputer: ImputationMap, spec: ProtocolSpec, comm: CommLog):
-    theta = ridge_closed_form(data, imputer, spec.lam)
-    _log_moment_uploads(data, _senders(spec.kind, data), comm)
-    comm.record(1, "down", data.d)
-    return theta
 
 
 def _fedavg_ridge(data: Dataset, imputer: ImputationMap, spec: ProtocolSpec, comm: CommLog):
@@ -187,28 +201,38 @@ def _fedavg_ridge(data: Dataset, imputer: ImputationMap, spec: ProtocolSpec, com
     return res.theta
 
 
-def run_protocol(spec: ProtocolSpec, data: Dataset, imputer: ImputationMap | None = None) -> ProtocolResult:
+def run_protocol(spec: ProtocolSpec, data: Dataset, imputer: ImputationMap | None = None,
+                 session=()) -> ProtocolResult:
     """Run one protocol's library algorithm on a masked ``Dataset`` and log
     every transfer.
 
     one_shot_moments and federated_ice ignore ``imputer``; one_shot_ridge
     and fedavg_ridge complete the data with ``imputer`` and raise
-    ``TypeError`` without one. All but fedavg_ridge start with one pattern
-    registration per sender. The artifact is exactly what the library
-    function returns.
+    ``TypeError`` without one. ``session`` holds the specs of the protocols
+    the same method ran before on ``data``, in order (empty for a standalone
+    run): a sender registers its pattern and uploads each statistic once
+    per session, so this run logs only what the server still lacks. A
+    masked-data protocol after a completed-data one raises ``ValueError``.
+    The artifact is exactly what the library function returns.
     """
     if spec.kind not in MASKED_PROTOCOLS and imputer is None:
         raise TypeError(f"{spec.kind} needs an ImputationMap")
-    comm = CommLog()
-    if spec.kind != "fedavg_ridge":
-        for _ in _senders(spec.kind, data):
+    comm, missing, senders = CommLog(), _missing(spec, session), _senders(spec.kind, data)
+    if "pattern" in missing:
+        for _ in senders:
             comm.record(0, "up", 0, bits=data.d)
+    if missing - {"pattern"}:
+        for c in senders:
+            comm.record(1, "up", _upload_floats(missing, len(data.local_moments[c.id].gamma_sum)))
     if spec.kind == "one_shot_moments":
         artifact = _one_shot_moments(data, comm)
     elif spec.kind == "federated_ice":
-        artifact = _federated_ice(data, spec, comm)
+        artifact = federated_ice(data, spec.ice_rounds)
+        if spec.ice_rounds:
+            comm.record(1, "down", _tri(data.d))
     elif spec.kind == "one_shot_ridge":
-        artifact = _one_shot_ridge(data, imputer, spec, comm)
+        artifact = ridge_closed_form(data, imputer, spec.lam)
+        comm.record(1, "down", data.d)
     else:
         artifact = _fedavg_ridge(data, imputer, spec, comm)
-    return ProtocolResult(artifact=artifact, comm=comm)
+    return ProtocolResult(artifact=artifact, comm=comm, spec=spec)

@@ -5,9 +5,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fedmismatch import ridge
+from fedmismatch import cli, ridge
 
 from fedmismatch.fedsim import (
+    MASKED_PROTOCOLS,
     PROTOCOL_KINDS,
     ProtocolSpec,
     replay_comm_schedule,
@@ -52,7 +53,7 @@ def _completed(seed, d=4, n=120, clients=None):
 
 
 def _sparse_federation(seed, d=4):
-    """Four clients: client 2 drew no rows and client 3 observes nothing."""
+    """(population, data) of four clients: client 2 drew no rows and client 3 observes nothing."""
     rng = seeded(seed)
     pop = random_population(rng, d)
     clients = (
@@ -63,7 +64,7 @@ def _sparse_federation(seed, d=4):
     )
     data = without_rows(sample_dataset(pop, clients, 90, rng), 2)
     assert len(data.rows_of(2)) == 0 and len(data.rows_of(3)) > 0
-    return data
+    return pop, data
 
 
 def _library_artifact(spec, data, imputer):
@@ -115,7 +116,7 @@ class TestTransportTransparency:
 
     @pytest.mark.parametrize("kind", PROTOCOL_KINDS)
     def test_empty_and_unobserving_clients(self, kind):
-        data = _sparse_federation(515)
+        _, data = _sparse_federation(515)
         spec = ProtocolSpec(kind=kind, lam=0.3, ice_rounds=3, rounds=4)
         masked = kind in ("one_shot_moments", "federated_ice")
         imputer = fit_zero_imputer(data.clients)
@@ -328,6 +329,113 @@ class TestReplayMatchesRun:
                 replay_comm_schedule(ProtocolSpec(kind=kind), [])
             with pytest.raises(ValueError, match="disagree on d"):
                 replay_comm_schedule(ProtocolSpec(kind=kind), [FeaturePattern.full(3), FeaturePattern.full(4)])
+
+
+# The protocols each fitting method runs, in order; its row sums their logs.
+_METHOD_PROTOCOLS = {
+    "local": (),
+    "plugin_debias": ("one_shot_moments",),
+    "plugin_cw": ("one_shot_moments",),
+    "itr_zero": ("one_shot_ridge",),
+    "itr_opt": ("one_shot_ridge",),
+    "itr_cw": ("one_shot_moments", "one_shot_ridge"),
+    "itr_ice": ("federated_ice", "one_shot_ridge"),
+    "fedavg": ("fedavg_ridge",),
+}
+
+
+def _sparse_context(ice_rounds):
+    pop, data = _sparse_federation(515)
+    params = {"ice_rounds": ice_rounds, "rounds": 4, "local_steps": 1}
+    return cli._Context(pop, data.clients, data.clients, data, 0.3, params)
+
+
+def _method_totals(method, ctx):
+    """(up, down, bits) of one method's protocols, as its results row sums them."""
+    fit = cli._METHOD_FITS[method](ctx)
+    logs = [r.comm for r in fit.protocols]
+    up, down = (sum(log.total_floats(way) for log in logs) for way in ("up", "down"))
+    return fit, (up, down, sum(log.total_bits() for log in logs))
+
+
+class TestMethodSessions:
+    """A method is one server session: each sender registers once and uploads
+    each statistic once, however many protocols the method runs."""
+
+    @pytest.mark.parametrize("ice_rounds", [0, 2])
+    @pytest.mark.parametrize("method", sorted(_METHOD_PROTOCOLS))
+    def test_totals_equal_the_closed_form(self, method, ice_rounds):
+        # Patterns {1,3}, {2,4}, {} and {2,3,4} (m = 2, 2, 0, 3); client 2
+        # drew no rows. A full moment upload is (m+1)(m+2)/2 = 6, 6, 1, 10
+        # floats and an ICE upload tri(m) = 3, 3, 0, 6. After ICE's Gram
+        # uploads the ridge needs only [n_k][g_k], 1 + m = 3, 1, 4 from the
+        # clients with rows; after the moments it needs nothing.
+        assert set(_METHOD_PROTOCOLS) == set(cli._METHOD_FITS)
+        ctx = _sparse_context(ice_rounds)
+        fit, got = _method_totals(method, ctx)
+        assert tuple(r.spec.kind for r in fit.protocols) == _METHOD_PROTOCOLS[method]
+        everyone = [c.pattern for c in ctx.data.clients]
+        with_rows = [c.pattern for c in ctx.data.clients if c.id != 2]
+        want = [0, 0, 0]
+        for i, r in enumerate(fit.protocols):
+            senders = everyone if r.spec.kind in MASKED_PROTOCOLS else with_rows
+            pred = replay_comm_schedule(r.spec, senders, [q.spec for q in fit.protocols[:i]])
+            want = [w + v for w, v in zip(want, (pred.up_floats, pred.down_floats, pred.registration_bits))]
+        assert got == tuple(want)
+        pinned = {
+            "local": (0, 0, 0),
+            "plugin_debias": (23, 14, 16),
+            "plugin_cw": (23, 14, 16),
+            "itr_zero": (17, 4, 12),
+            "itr_opt": (17, 4, 12),
+            "itr_cw": (23, 14 + 4, 16),
+            "itr_ice": (12 + 8, 10 + 4, 16) if ice_rounds else (17, 4, 16),
+            "fedavg": (4 * 3 * 4, 4 * 3 * 4, 0),
+        }[method]
+        assert got == pinned
+        if method == "itr_ice" and not ice_rounds:
+            assert got[0] == _method_totals("itr_zero", ctx)[1][0]
+
+    def test_itr_cw_leaves_the_shared_moments_log_alone(self):
+        # plugin_cw and itr_cw share the work item's one moments run; the
+        # ridge's session reads that log and appends to its own.
+        ctx = _sparse_context(2)
+        before = list(ctx.moments.comm.events)
+        fit = cli._METHOD_FITS["itr_cw"](ctx)
+        assert fit.protocols[0] is ctx.moments
+        assert ctx.moments.comm.events == before
+        assert [(e.direction, e.floats, e.bits) for e in fit.protocols[1].comm.events] == [("down", 4, 0)]
+        assert _method_totals("plugin_cw", ctx)[1] == (23, 14, 16)
+
+    def test_ridge_after_ice_sends_counts_and_cross_moments(self):
+        _, data = _sparse_federation(516)
+        ice = run_protocol(ProtocolSpec(kind="federated_ice", ice_rounds=1), data)
+        alone = run_protocol(ProtocolSpec(kind="one_shot_ridge", lam=0.2), data, ice.artifact)
+        joined = run_protocol(ProtocolSpec(kind="one_shot_ridge", lam=0.2), data, ice.artifact, [ice.spec])
+        assert np.array_equal(joined.artifact, alone.artifact)
+        assert [(e.round, e.direction, e.floats, e.bits) for e in joined.comm.events] == [
+            (1, "up", 3, 0), (1, "up", 1, 0), (1, "up", 4, 0), (1, "down", 4, 0)]
+        assert alone.comm.total_floats("up") == 17 and alone.comm.total_bits() == 12
+
+    def test_fedavg_sends_the_same_in_any_session(self):
+        data, imputer = _completed(517)
+        spec = ProtocolSpec(kind="fedavg_ridge", lam=0.2, rounds=3)
+        moments = ProtocolSpec(kind="one_shot_moments")
+        alone = run_protocol(spec, data, imputer)
+        assert run_protocol(spec, data, imputer, [moments]).comm.events == alone.comm.events
+        patterns = [c.pattern for c in data.clients]
+        assert replay_comm_schedule(spec, patterns, [moments]) == replay_comm_schedule(spec, patterns)
+
+    @pytest.mark.parametrize("kind", MASKED_PROTOCOLS)
+    def test_masked_protocol_cannot_follow_a_completed_one(self, kind):
+        # The completed-data protocol heard only from the clients with rows,
+        # so the server would hold a statistic for some senders only.
+        data, imputer = _completed(518)
+        earlier = [ProtocolSpec(kind="one_shot_ridge")]
+        with pytest.raises(ValueError, match="completed-data"):
+            run_protocol(ProtocolSpec(kind=kind, ice_rounds=1), data, imputer, earlier)
+        with pytest.raises(ValueError, match="completed-data"):
+            replay_comm_schedule(ProtocolSpec(kind=kind, ice_rounds=1), [c.pattern for c in data.clients], earlier)
 
 
 class TestPinnedTotals:
