@@ -595,7 +595,7 @@ def _audit_rows(cfg: ExperimentConfig, item: _WorkItem, clients, data_ss, mc_ss)
     for kind in cfg.methods:
         spec = ProtocolSpec(kind=kind, lam=item.lam, ice_rounds=cfg.params["ice_rounds"], rounds=cfg.params["rounds"])
         res = run_protocol(spec, data, imputer)
-        predicted = replay_comm_schedule(spec, [c.pattern for c in _senders(kind, data)])
+        predicted = replay_comm_schedule(spec, [c.pattern for c in _senders(data)])
         got = (res.comm.total_floats("up"), res.comm.total_floats("down"), res.comm.total_bits())
         want = (predicted.up_floats, predicted.down_floats, predicted.registration_bits)
         if got != want:

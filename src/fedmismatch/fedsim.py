@@ -8,15 +8,15 @@ message it implies:
   ``aggregate_zero_imputed`` and the registered bitmasks by
   ``co_observation`` with n_k weights; the pooled zero-imputed
   MomentPair, the co-observation count matrix and n out.
-* one_shot_ridge: ``ridge.ridge_closed_form``; each client uploads its
+* one_shot_ridge: ``ridge.ridge_closed_form``; each sender uploads its
   observed sums, which the server completes with the ``ImputationMap``
   (``ImputationMap.complete_moments``); closed-form ridge coefficients out.
 * federated_ice: ``impute.federated_ice`` in one round trip; the iterated
-  ``ImputationMap`` out. With ``ice_rounds`` >= 1 each client uploads its
+  ``ImputationMap`` out. With ``ice_rounds`` >= 1 each sender uploads its
   observed Gram G_k once, the server runs every round from these uploads,
   and it broadcasts the final covariance estimate once; 0 rounds send none.
 * fedavg_ridge: ``ridge.fedavg_ridge``; with an ``ImputationMap``, whose
-  clients run local steps from their completed sums, iteratively averaged
+  senders run local steps from their completed sums, iteratively averaged
   coefficients out.
 
 No message size depends on the local sample count. Each transfer is logged
@@ -37,10 +37,10 @@ A moment upload (wire format v3, shared with the moments module) is
 an ICE upload is the packed triangle alone, and an upload within a session
 drops the parts the server holds. The server places each upload by the
 sender's registered pattern. Broadcasts are counted once; fedavg
-coefficient exchanges (d floats) are counted per client in both directions.
-Masked-data protocols log every client of the federation, including those
-that drew no rows; completed-data protocols log only the clients that drew
-rows. Shard sizes, client ids and round indices are uncounted metadata.
+coefficient exchanges (d floats) are counted per sender in both directions.
+The senders of every protocol are the clients that drew rows: a client
+without rows has only zero sums, which the server folds in with weight 0
+unsent. Shard sizes, client ids and round indices are uncounted metadata.
 """
 from __future__ import annotations
 
@@ -55,7 +55,6 @@ from .ridge import fedavg_ridge, ridge_closed_form
 
 __all__ = [
     "PROTOCOL_KINDS",
-    "MASKED_PROTOCOLS",
     "ProtocolSpec",
     "ProtocolResult",
     "OneShotMomentsArtifact",
@@ -65,9 +64,6 @@ __all__ = [
 ]
 
 PROTOCOL_KINDS = ("one_shot_moments", "one_shot_ridge", "federated_ice", "fedavg_ridge")
-# The protocols that register patterns and read no imputer; the rest complete
-# the data with one and log only the clients that drew rows.
-MASKED_PROTOCOLS = ("one_shot_moments", "federated_ice")
 
 
 @dataclass(frozen=True)
@@ -119,13 +115,10 @@ class SchedulePrediction:
 def replay_comm_schedule(spec: ProtocolSpec, patterns, session=()) -> SchedulePrediction:
     """Predict exact float/bit totals without running anything.
 
-    ``patterns`` are the senders' (``_senders``): every client for
-    masked-data protocols (one_shot_moments, federated_ice), the clients
-    that drew rows for completed-data ones. ``session`` holds the specs of
-    the protocols the same method ran before, in order; what they sent is
-    not sent again. Raises ``ValueError`` when there is no sender, the
-    patterns disagree on d, or the session order is one ``run_protocol``
-    rejects.
+    ``patterns`` are the senders', the clients that drew rows
+    (``_senders``). ``session`` holds the specs of the protocols the same
+    method ran before, in order; what they sent is not sent again. Raises
+    ``ValueError`` when there is no sender or the patterns disagree on d.
     """
     patterns = list(patterns)
     if not patterns:
@@ -161,8 +154,6 @@ def _missing(spec: ProtocolSpec, session) -> frozenset:
     """What ``spec`` reads of each sender that no earlier protocol of the
     session sent. The server keeps every statistic it receives during a
     method, so only the rest goes up."""
-    if spec.kind in MASKED_PROTOCOLS and any(s.kind not in MASKED_PROTOCOLS for s in session):
-        raise ValueError(f"{spec.kind} reads every client, so it cannot follow a completed-data protocol")
     return _reads(spec).difference(*map(_reads, session))
 
 
@@ -176,11 +167,8 @@ def _tri(m: int) -> int:
     return m * (m + 1) // 2
 
 
-def _senders(kind: str, data: Dataset) -> tuple[ClientSpec, ...]:
-    """The clients a run of protocol ``kind`` on ``data`` logs: the whole
-    federation for masked-data protocols, else the clients that drew rows."""
-    if kind in MASKED_PROTOCOLS:
-        return data.clients
+def _senders(data: Dataset) -> tuple[ClientSpec, ...]:
+    """The clients every protocol run on ``data`` logs: those that drew rows."""
     return tuple(c for c in data.clients if len(data.x_obs[c.id]))
 
 
@@ -194,7 +182,7 @@ def _one_shot_moments(data: Dataset, comm: CommLog) -> OneShotMomentsArtifact:
 
 def _fedavg_ridge(data: Dataset, imputer: ImputationMap, spec: ProtocolSpec, comm: CommLog):
     res = fedavg_ridge(data, imputer, spec.lam, spec.rounds, spec.local_steps)
-    floats = len(_senders(spec.kind, data)) * data.d
+    floats = len(_senders(data)) * data.d
     for t in range(1, res.rounds_run + 1):
         comm.record(t, "down", floats)
         comm.record(t, "up", floats)
@@ -211,13 +199,12 @@ def run_protocol(spec: ProtocolSpec, data: Dataset, imputer: ImputationMap | Non
     ``TypeError`` without one. ``session`` holds the specs of the protocols
     the same method ran before on ``data``, in order (empty for a standalone
     run): a sender registers its pattern and uploads each statistic once
-    per session, so this run logs only what the server still lacks. A
-    masked-data protocol after a completed-data one raises ``ValueError``.
-    The artifact is exactly what the library function returns.
+    per session, so this run logs only what the server still lacks. The
+    artifact is exactly what the library function returns.
     """
-    if spec.kind not in MASKED_PROTOCOLS and imputer is None:
+    if spec.kind in ("one_shot_ridge", "fedavg_ridge") and imputer is None:
         raise TypeError(f"{spec.kind} needs an ImputationMap")
-    comm, missing, senders = CommLog(), _missing(spec, session), _senders(spec.kind, data)
+    comm, missing, senders = CommLog(), _missing(spec, session), _senders(data)
     if "pattern" in missing:
         for _ in senders:
             comm.record(0, "up", 0, bits=data.d)

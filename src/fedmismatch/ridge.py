@@ -130,12 +130,11 @@ def fedavg_ridge(
     return FedAvgResult(theta=theta, objective_trace=tuple(trace), diverged=increases >= 10, rounds_run=len(trace) - 1)
 
 
-def estimate_m(data) -> float:
-    """Data-driven truncation level: the largest observed |y|."""
-    y = np.asarray(data.y if hasattr(data, "y") else data, dtype=np.float64)
-    if y.size == 0:
+def estimate_m(data: Dataset) -> float:
+    """Data-driven truncation level: the largest |y| of ``data``."""
+    if data.y.size == 0:
         raise ValueError("cannot estimate a truncation level from no responses")
-    return float(np.max(np.abs(y)))
+    return float(np.max(np.abs(data.y)))
 
 
 def itr_predictor(imputer: ImputationMap, theta: np.ndarray, clients,

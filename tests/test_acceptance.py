@@ -551,17 +551,11 @@ def test_c11_communication_audit():
             clients = random_clients(rng, d, k)
             data = sample_dataset(pop, clients, 30, rng)
             imputer = fit_zero_imputer(clients)
-            everyone = [c.pattern for c in clients]
-            nonempty = [c.pattern for c in clients if len(data.rows_of(c.id))]
-            specs = [
-                (ProtocolSpec(kind="one_shot_moments"), everyone),
-                (ProtocolSpec(kind="one_shot_ridge", lam=0.1), nonempty),
-            ]
-            for t in (0, 2, 5):
-                specs.append((ProtocolSpec(kind="federated_ice", ice_rounds=t), everyone))
-            for r in (1, 5):
-                specs.append((ProtocolSpec(kind="fedavg_ridge", lam=0.1, rounds=r), nonempty))
-            for spec, senders in specs:
+            senders = [c.pattern for c in clients if len(data.rows_of(c.id))]
+            specs = [ProtocolSpec(kind="one_shot_moments"), ProtocolSpec(kind="one_shot_ridge", lam=0.1)]
+            specs += [ProtocolSpec(kind="federated_ice", ice_rounds=t) for t in (0, 2, 5)]
+            specs += [ProtocolSpec(kind="fedavg_ridge", lam=0.1, rounds=r) for r in (1, 5)]
+            for spec in specs:
                 res = run_protocol(spec, data, imputer)
                 pred = replay_comm_schedule(spec, senders)
                 if (
@@ -572,7 +566,7 @@ def test_c11_communication_audit():
                     all_exact = False
                 if spec.kind == "one_shot_moments":
                     up = res.comm.total_floats("up")
-                    scale = sum((p.size + 1) ** 2 for p in everyone)
+                    scale = sum((p.size + 1) ** 2 for p in senders)
                     if not (scale / 2 <= up <= 2 * scale):
                         theta_scaling = False
     elapsed = time.perf_counter() - t0

@@ -8,7 +8,6 @@ from hypothesis import given, settings, strategies as st
 from fedmismatch import cli, ridge
 
 from fedmismatch.fedsim import (
-    MASKED_PROTOCOLS,
     PROTOCOL_KINDS,
     ProtocolSpec,
     replay_comm_schedule,
@@ -118,7 +117,6 @@ class TestTransportTransparency:
     def test_empty_and_unobserving_clients(self, kind):
         _, data = _sparse_federation(515)
         spec = ProtocolSpec(kind=kind, lam=0.3, ice_rounds=3, rounds=4)
-        masked = kind in ("one_shot_moments", "federated_ice")
         imputer = fit_zero_imputer(data.clients)
         res = run_protocol(spec, data, imputer)
         want = _library_artifact(spec, data, imputer)
@@ -139,20 +137,19 @@ class TestTransportTransparency:
                 assert np.array_equal(res.artifact.maps[p], s)
         else:
             assert np.array_equal(res.artifact, want)
-        # Masked-data protocols log all four clients; completed-data ones
-        # log the three that drew rows. Patterns {1,3}, {2,4}, {} and {2,3,4}
-        # (m = 2, 2, 0, 3 observed features) upload (m+1)(m+2)/2 = 6, 6, 1, 10
-        # floats of moments, or m(m+1)/2 = 3, 3, 0, 6 once for all three ICE
-        # rounds, which end in one tri(4) = 10 broadcast.
+        # Every protocol logs the three clients that drew rows; client 2
+        # sends nothing. Patterns {1,3}, {} and {2,3,4} (m = 2, 0, 3 observed
+        # features) upload (m+1)(m+2)/2 = 6, 1, 10 floats of moments, or
+        # m(m+1)/2 = 3, 0, 6 once for all three ICE rounds, which end in one
+        # tri(4) = 10 broadcast.
         want = {
-            "one_shot_moments": (6 + 6 + 1 + 10, 10 + 4, 4 * 4),
+            "one_shot_moments": (6 + 1 + 10, 10 + 4, 3 * 4),
             "one_shot_ridge": (6 + 1 + 10, 4, 3 * 4),
-            "federated_ice": (3 + 3 + 0 + 6, 10, 4 * 4),
+            "federated_ice": (3 + 0 + 6, 10, 3 * 4),
             "fedavg_ridge": (4 * 3 * 4, 4 * 3 * 4, 0),
         }[kind]
         assert (res.comm.total_floats("up"), res.comm.total_floats("down"), res.comm.total_bits()) == want
-        senders = data.clients if masked else [c for c in data.clients if c.id != 2]
-        pred = replay_comm_schedule(spec, [c.pattern for c in senders])
+        pred = replay_comm_schedule(spec, [c.pattern for c in data.clients if c.id != 2])
         assert (pred.up_floats, pred.down_floats, pred.registration_bits) == want
 
 
@@ -250,14 +247,13 @@ class TestPatternSizedUploads:
     @given(_federations())
     def test_every_upload_is_pattern_sized(self, drawn):
         data, _ = drawn
-        sizes = [c.pattern.size for c in data.clients]
-        with_rows = [c.pattern.size for c in data.clients if len(data.rows_of(c.id))]
+        sizes = [c.pattern.size for c in data.clients if len(data.rows_of(c.id))]
         # (uplink floats in logged order, pattern registrations)
         want = {
             "one_shot_moments": ([(m + 1) * (m + 2) // 2 for m in sizes], len(sizes)),
-            "one_shot_ridge": ([(m + 1) * (m + 2) // 2 for m in with_rows], len(with_rows)),
+            "one_shot_ridge": ([(m + 1) * (m + 2) // 2 for m in sizes], len(sizes)),
             "federated_ice": ([m * (m + 1) // 2 for m in sizes], len(sizes)),
-            "fedavg_ridge": ([len(with_rows) * data.d] * 2, 0),
+            "fedavg_ridge": ([len(sizes) * data.d] * 2, 0),
         }
         for kind, (floats, senders) in want.items():
             res = run_protocol(ProtocolSpec(kind=kind, lam=0.1, ice_rounds=2, rounds=2), data, fit_zero_imputer(data.clients))
@@ -273,12 +269,12 @@ class TestIceOneRoundTrip:
     @given(_federations(), st.integers(0, 5))
     def test_one_upload_per_client_and_one_broadcast(self, drawn, rounds):
         data, _ = drawn
-        d, k = data.d, len(data.clients)
+        d, senders = data.d, [c.pattern for c in data.clients if len(data.rows_of(c.id))]
         spec = ProtocolSpec(kind="federated_ice", ice_rounds=rounds)
         res = run_protocol(spec, data)
         events = [(e.round, e.direction, e.floats, e.bits) for e in res.comm.events]
-        register = [(0, "up", 0, d)] * k
-        uploads = [(1, "up", c.pattern.size * (c.pattern.size + 1) // 2, 0) for c in data.clients]
+        register = [(0, "up", 0, d)] * len(senders)
+        uploads = [(1, "up", p.size * (p.size + 1) // 2, 0) for p in senders]
         broadcast = [(1, "down", d * (d + 1) // 2, 0)]
         if rounds:
             assert events == register + uploads + broadcast
@@ -288,7 +284,7 @@ class TestIceOneRoundTrip:
         else:
             assert events == register
             assert res.comm.total_floats() == 0
-        pred = replay_comm_schedule(spec, [c.pattern for c in data.clients])
+        pred = replay_comm_schedule(spec, senders)
         assert (res.comm.total_floats("up"), res.comm.total_floats("down"), res.comm.total_bits()) == (
             pred.up_floats, pred.down_floats, pred.registration_bits)
         want = ice_in_memory(data, rounds)
@@ -306,16 +302,15 @@ class TestReplayMatchesRun:
                 clients = random_clients(rng, d, k)
                 data = sample_dataset(pop, clients, 40, rng)
                 imputer = fit_zero_imputer(clients)
-                everyone = [c.pattern for c in clients]
-                with_rows = [c.pattern for c in clients if len(data.rows_of(c.id))]
-                cases = [
-                    (ProtocolSpec(kind="one_shot_moments"), everyone),
-                    (ProtocolSpec(kind="federated_ice", ice_rounds=0), everyone),
-                    (ProtocolSpec(kind="federated_ice", ice_rounds=3), everyone),
-                    (ProtocolSpec(kind="one_shot_ridge", lam=0.1), with_rows),
-                    (ProtocolSpec(kind="fedavg_ridge", lam=0.1, rounds=4), with_rows),
+                senders = [c.pattern for c in clients if len(data.rows_of(c.id))]
+                specs = [
+                    ProtocolSpec(kind="one_shot_moments"),
+                    ProtocolSpec(kind="federated_ice", ice_rounds=0),
+                    ProtocolSpec(kind="federated_ice", ice_rounds=3),
+                    ProtocolSpec(kind="one_shot_ridge", lam=0.1),
+                    ProtocolSpec(kind="fedavg_ridge", lam=0.1, rounds=4),
                 ]
-                for spec, senders in cases:
+                for spec in specs:
                     res = run_protocol(spec, data, imputer)
                     pred = replay_comm_schedule(spec, senders)
                     assert res.comm.total_floats("up") == pred.up_floats, spec.kind
@@ -358,6 +353,14 @@ def _method_totals(method, ctx):
     return fit, (up, down, sum(log.total_bits() for log in logs))
 
 
+def _replayed_totals(fit, senders):
+    """(up, down, bits) that ``replay_comm_schedule`` predicts for a method's
+    protocols, each run in the session of the ones before it."""
+    preds = [replay_comm_schedule(r.spec, senders, [q.spec for q in fit.protocols[:i]])
+             for i, r in enumerate(fit.protocols)]
+    return tuple(sum(getattr(p, f) for p in preds) for f in ("up_floats", "down_floats", "registration_bits"))
+
+
 class TestMethodSessions:
     """A method is one server session: each sender registers once and uploads
     each statistic once, however many protocols the method runs."""
@@ -366,35 +369,26 @@ class TestMethodSessions:
     @pytest.mark.parametrize("method", sorted(_METHOD_PROTOCOLS))
     def test_totals_equal_the_closed_form(self, method, ice_rounds):
         # Patterns {1,3}, {2,4}, {} and {2,3,4} (m = 2, 2, 0, 3); client 2
-        # drew no rows. A full moment upload is (m+1)(m+2)/2 = 6, 6, 1, 10
-        # floats and an ICE upload tri(m) = 3, 3, 0, 6. After ICE's Gram
-        # uploads the ridge needs only [n_k][g_k], 1 + m = 3, 1, 4 from the
-        # clients with rows; after the moments it needs nothing.
+        # drew no rows, so it sends nothing. A full moment upload of the
+        # other three is (m+1)(m+2)/2 = 6, 1, 10 floats and an ICE upload
+        # tri(m) = 3, 0, 6. After ICE's Gram uploads the ridge needs only
+        # [n_k][g_k], 1 + m = 3, 1, 4; after the moments it needs nothing.
         assert set(_METHOD_PROTOCOLS) == set(cli._METHOD_FITS)
         ctx = _sparse_context(ice_rounds)
         fit, got = _method_totals(method, ctx)
         assert tuple(r.spec.kind for r in fit.protocols) == _METHOD_PROTOCOLS[method]
-        everyone = [c.pattern for c in ctx.data.clients]
-        with_rows = [c.pattern for c in ctx.data.clients if c.id != 2]
-        want = [0, 0, 0]
-        for i, r in enumerate(fit.protocols):
-            senders = everyone if r.spec.kind in MASKED_PROTOCOLS else with_rows
-            pred = replay_comm_schedule(r.spec, senders, [q.spec for q in fit.protocols[:i]])
-            want = [w + v for w, v in zip(want, (pred.up_floats, pred.down_floats, pred.registration_bits))]
-        assert got == tuple(want)
+        assert got == _replayed_totals(fit, [c.pattern for c in ctx.data.clients if c.id != 2])
         pinned = {
             "local": (0, 0, 0),
-            "plugin_debias": (23, 14, 16),
-            "plugin_cw": (23, 14, 16),
+            "plugin_debias": (17, 14, 12),
+            "plugin_cw": (17, 14, 12),
             "itr_zero": (17, 4, 12),
             "itr_opt": (17, 4, 12),
-            "itr_cw": (23, 14 + 4, 16),
-            "itr_ice": (12 + 8, 10 + 4, 16) if ice_rounds else (17, 4, 16),
+            "itr_cw": (17, 14 + 4, 12),
+            "itr_ice": (9 + 8, 10 + 4, 12) if ice_rounds else (17, 4, 12),
             "fedavg": (4 * 3 * 4, 4 * 3 * 4, 0),
         }[method]
         assert got == pinned
-        if method == "itr_ice" and not ice_rounds:
-            assert got[0] == _method_totals("itr_zero", ctx)[1][0]
 
     def test_itr_cw_leaves_the_shared_moments_log_alone(self):
         # plugin_cw and itr_cw share the work item's one moments run; the
@@ -405,7 +399,7 @@ class TestMethodSessions:
         assert fit.protocols[0] is ctx.moments
         assert ctx.moments.comm.events == before
         assert [(e.direction, e.floats, e.bits) for e in fit.protocols[1].comm.events] == [("down", 4, 0)]
-        assert _method_totals("plugin_cw", ctx)[1] == (23, 14, 16)
+        assert _method_totals("plugin_cw", ctx)[1] == (17, 14, 12)
 
     def test_ridge_after_ice_sends_counts_and_cross_moments(self):
         _, data = _sparse_federation(516)
@@ -426,16 +420,44 @@ class TestMethodSessions:
         patterns = [c.pattern for c in data.clients]
         assert replay_comm_schedule(spec, patterns, [moments]) == replay_comm_schedule(spec, patterns)
 
-    @pytest.mark.parametrize("kind", MASKED_PROTOCOLS)
-    def test_masked_protocol_cannot_follow_a_completed_one(self, kind):
-        # The completed-data protocol heard only from the clients with rows,
-        # so the server would hold a statistic for some senders only.
-        data, imputer = _completed(518)
-        earlier = [ProtocolSpec(kind="one_shot_ridge")]
-        with pytest.raises(ValueError, match="completed-data"):
-            run_protocol(ProtocolSpec(kind=kind, ice_rounds=1), data, imputer, earlier)
-        with pytest.raises(ValueError, match="completed-data"):
-            replay_comm_schedule(ProtocolSpec(kind=kind, ice_rounds=1), [c.pattern for c in data.clients], earlier)
+    def test_moments_after_the_ridge_send_only_their_broadcast(self):
+        # Both protocols hear from the same senders, so the moments run
+        # after the ridge finds every statistic it reads on the server.
+        _, data = _sparse_federation(518)
+        ridge_spec, spec = ProtocolSpec(kind="one_shot_ridge", lam=0.2), ProtocolSpec(kind="one_shot_moments")
+        res = run_protocol(spec, data, session=[ridge_spec])
+        alone = run_protocol(spec, data)
+        assert [(e.round, e.direction, e.floats, e.bits) for e in res.comm.events] == [(1, "down", 10 + 4, 0)]
+        assert np.array_equal(res.artifact.pair.sigma, alone.artifact.pair.sigma)
+        assert np.array_equal(res.artifact.counts, alone.artifact.counts)
+        pred = replay_comm_schedule(spec, [c.pattern for c in data.clients if c.id != 2], [ridge_spec])
+        assert (pred.up_floats, pred.down_floats, pred.registration_bits) == (0, 10 + 4, 0)
+
+
+# The fitting methods that read the moment triple of every sender once.
+_MOMENT_METHODS = ("plugin_debias", "plugin_cw", "itr_zero", "itr_opt", "itr_cw", "itr_ice")
+
+
+class TestMethodInvariant:
+    """On any federation, empty clients and empty patterns included, a
+    method's totals are the replayed schedule of its protocols, and every
+    moment-based method uploads each sender's triple exactly once."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(_federations())
+    def test_every_method_on_any_federation(self, drawn):
+        data, rng = drawn
+        pop = random_population(rng, data.d)
+        senders = [c.pattern for c in data.clients if len(data.rows_of(c.id))]
+        triples = sum((p.size + 1) * (p.size + 2) // 2 for p in senders)
+        for ice_rounds in (0, 2):
+            params = {"ice_rounds": ice_rounds, "rounds": 3, "local_steps": 1}
+            ctx = cli._Context(pop, data.clients, data.clients, data, 0.3, params)
+            for method in cli._METHOD_FITS:
+                fit, got = _method_totals(method, ctx)
+                assert got == _replayed_totals(fit, senders), (method, ice_rounds)
+                if method in _MOMENT_METHODS:
+                    assert got[0] == triples, (method, ice_rounds)
 
 
 class TestPinnedTotals:

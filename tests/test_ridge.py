@@ -224,15 +224,17 @@ class TestTruncate:
 
 class TestEstimateM:
     def test_largest_absolute_response(self):
-        assert estimate_m(np.array([1.0, -4.0, 2.0])) == 4.0
+        data, _ = _completed([[1.0], [1.0], [1.0]], [1.0, -4.0, 2.0])
+        assert estimate_m(data) == 4.0
 
     def test_accepts_dataset_like(self):
         data, _ = _completed([[1.0], [1.0]], [3.0, -5.0])
         assert estimate_m(data) == 5.0
 
     def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            estimate_m(np.zeros(0))
+        data, _ = _completed(np.zeros((0, 1)), [])
+        with pytest.raises(ValueError, match="no responses"):
+            estimate_m(data)
 
     def test_bounded_population_respects_m(self):
         rng = seeded(305)
