@@ -6,8 +6,10 @@ message it implies:
 
 * one_shot_moments: ``Dataset.local_moments`` folded by
   ``aggregate_zero_imputed`` and the registered bitmasks by
-  ``co_observation`` with n_k weights; the pooled zero-imputed
-  MomentPair, the co-observation count matrix and n out.
+  ``co_observation`` with n_k weights into the pooled zero-imputed
+  MomentPair, the co-observation count matrix N and the row count n. N and
+  n stay on the server, which broadcasts the method's pair (tri(d) + d
+  floats).
 * one_shot_ridge: ``ridge.ridge_closed_form``; each sender uploads its
   observed sums, which the server completes with the ``ImputationMap``
   (``ImputationMap.complete_moments``); closed-form ridge coefficients out.
@@ -17,7 +19,10 @@ message it implies:
   and it broadcasts the final covariance estimate once; 0 rounds send none.
 * fedavg_ridge: ``ridge.fedavg_ridge``; with an ``ImputationMap``, whose
   senders run local steps from their completed sums, iteratively averaged
-  coefficients out.
+  coefficients out. A round sees sender k only through its observed block
+  (the identity in ``fedavg_ridge``'s docstring): the server sends it
+  phi_k = B_k^T theta, it returns the |O_k|-vector v_k, and the server
+  applies the shrinkage from its pattern, registered at 0 rounds too.
 
 No message size depends on the local sample count. Each transfer is logged
 with its exact float64 slot count, read off the payload; pattern bitmasks
@@ -37,7 +42,8 @@ A moment upload (wire format v3, shared with the moments module) is
 an ICE upload is the packed triangle alone, and an upload within a session
 drops the parts the server holds. The server places each upload by the
 sender's registered pattern. Broadcasts are counted once; fedavg
-coefficient exchanges (d floats) are counted per sender in both directions.
+exchanges (|O_k| floats) are counted per sender in both directions, and a
+sender that observes nothing exchanges none.
 The senders of every protocol are the clients that drew rows: a client
 without rows has only zero sums, which the server folds in with weight 0
 unsent. Shard sizes, client ids and round indices are uncounted metadata.
@@ -135,16 +141,18 @@ def replay_comm_schedule(spec: ProtocolSpec, patterns, session=()) -> SchedulePr
         return SchedulePrediction(up, d, bits)
     if spec.kind == "federated_ice":
         return SchedulePrediction(up, min(spec.ice_rounds, 1) * _tri(d), bits)
-    t = spec.rounds
-    return SchedulePrediction(t * k * d, t * k * d, 0)
+    exchanged = spec.rounds * sum(p.size for p in patterns)
+    return SchedulePrediction(exchanged, exchanged, bits)
 
 
 def _reads(spec: ProtocolSpec) -> frozenset:
     """The statistics a protocol reads of each sender: its registered pattern
     and the parts of its upload, the count n_k, the Gram G_k and the
-    cross-moments g_k. FedAvg reads none; it exchanges coefficients."""
+    cross-moments g_k. FedAvg reads the pattern alone, at any number of
+    rounds as ICE does at 0: the server sizes each round's exchange and
+    applies the shrinkage from it."""
     if spec.kind == "fedavg_ridge":
-        return frozenset()
+        return frozenset(("pattern",))
     if spec.kind == "federated_ice":
         return frozenset(("pattern", "gram") if spec.ice_rounds else ("pattern",))
     return frozenset(("pattern", "n", "gram", "cross"))
@@ -182,10 +190,11 @@ def _one_shot_moments(data: Dataset, comm: CommLog) -> OneShotMomentsArtifact:
 
 def _fedavg_ridge(data: Dataset, imputer: ImputationMap, spec: ProtocolSpec, comm: CommLog):
     res = fedavg_ridge(data, imputer, spec.lam, spec.rounds, spec.local_steps)
-    floats = len(_senders(data)) * data.d
+    sizes = [c.pattern.size for c in _senders(data) if c.pattern.size]
     for t in range(1, res.rounds_run + 1):
-        comm.record(t, "down", floats)
-        comm.record(t, "up", floats)
+        for direction in ("down", "up"):
+            for m in sizes:
+                comm.record(t, direction, m)
     return res.theta
 
 

@@ -85,12 +85,28 @@ def fedavg_ridge(
     and eta = 0 keeps theta at 0. Ten consecutive objective increases abort
     the run with ``diverged`` set.
 
-    Client k's local step is theta -> M_k theta + eta g_k / n_k with
-    M_k = I - eta (G_k / n_k + lambda I), where G_k and g_k are its
-    ``completed_sums``; its s local steps are the affine map A_k = M_k^s,
-    b_k = sum_{j<s} M_k^j eta g_k / n_k, and a round is their n_k / n
-    weighted average, computed once. The objective needs only the pooled
-    sums: (theta^T sigma theta - 2 gamma^T theta + y^T y) / (2n) + lambda/2 ||theta||^2.
+    Client k's completed sums (``completed_sums``) are B_k G_k B_k^T and
+    B_k g_k, where (n_k, G_k, g_k) are its observed-block sums and
+    B_k = [I; S_k] is its completion map placed in d coordinates
+    (d x |O_k|; S_k = 0 under the zero map). Its local step is
+    theta -> M_k theta + eta B_k g_k / n_k with
+    M_k = I - eta (B_k G_k B_k^T / n_k + lambda I); its s local steps are
+    the affine map A_k = M_k^s, b_k = sum_{j<s} M_k^j eta B_k g_k / n_k
+    (``_local_steps``), and a round is their n_k / n weighted average,
+    computed once. The objective needs only the pooled sums:
+    (theta^T sigma theta - 2 gamma^T theta + y^T y) / (2n) + lambda/2 ||theta||^2.
+
+    A round sees a client only through its observed block. With
+    a = 1 - eta lambda, phi = B_k^T theta and C_k = B_k^T B_k,
+
+        A_k theta + b_k = a^s theta - eta B_k v_s,
+        v_0 = 0,  v_{j+1} = a v_j + (G_k (a^j phi - eta C_k v_j) - g_k) / n_k,
+
+    so v_s is an |O_k|-vector that the client computes from phi, C_k and
+    its own sums. A round can therefore send each client phi and take back
+    v_s, |O_k| floats each way, with the server applying the shrinkage a^s
+    itself; and a move of theta by delta with B_k^T delta = 0 moves the
+    client's result by a^s delta.
     """
     if rounds < 0 or local_steps < 1:
         raise ValueError("need rounds >= 0 and local_steps >= 1")
@@ -100,19 +116,13 @@ def fedavg_ridge(
     d, n = data.d, data.n
     curvature = SymEig(sigma).radius() + lam
     step_size = 1.0 / curvature if curvature > 0 else 0.0
-    eye = np.eye(d)
     a_bar = np.zeros((d, d))
     b_bar = np.zeros(d)
     for lm in sums:
-        n_k = lm.count
-        if n_k == 0:
-            continue
-        m_k = eye - step_size * (lm.sigma_sum / n_k + lam * eye)
-        a_k, b_k = eye, np.zeros(d)
-        for _ in range(local_steps):
-            a_k, b_k = m_k @ a_k, m_k @ b_k + step_size * lm.gamma_sum / n_k
-        a_bar += n_k / n * a_k
-        b_bar += n_k / n * b_k
+        if lm.count:
+            a_k, b_k = _local_steps(lm, step_size, lam, local_steps)
+            a_bar += lm.count / n * a_k
+            b_bar += lm.count / n * b_k
     yy = float(data.y @ data.y) / n
 
     def objective(theta: np.ndarray) -> float:
@@ -128,6 +138,17 @@ def fedavg_ridge(
         if increases >= 10:
             break
     return FedAvgResult(theta=theta, objective_trace=tuple(trace), diverged=increases >= 10, rounds_run=len(trace) - 1)
+
+
+def _local_steps(lm, step_size: float, lam: float, local_steps: int) -> tuple[np.ndarray, np.ndarray]:
+    """One client's ``local_steps`` gradient steps from its completed sums
+    ``lm`` (n_k >= 1) as the affine map theta -> A_k theta + b_k."""
+    n_k, eye = lm.count, np.eye(len(lm.gamma_sum))
+    m_k = eye - step_size * (lm.sigma_sum / n_k + lam * eye)
+    a_k, b_k = eye, np.zeros(len(eye))
+    for _ in range(local_steps):
+        a_k, b_k = m_k @ a_k, m_k @ b_k + step_size * lm.gamma_sum / n_k
+    return a_k, b_k
 
 
 def estimate_m(data: Dataset) -> float:

@@ -521,7 +521,8 @@ class TestRunExperiment:
         rows = {r["method"]: r for r in _read_rows(results)}
         # obs {1,2}, {2,3,4}, {1,4}: moment uploads (m+1)(m+2)/2 = 6, 10, 6
         # floats; ICE uploads tri(m) = 3, 6, 3 once, whatever the rounds, and
-        # receives one tri(d) broadcast.
+        # receives one tri(d) broadcast. Each FedAvg round exchanges m = 2, 3,
+        # 2 floats each way.
         tri = 4 * 5 // 2
         assert int(rows["one_shot_moments"]["comm_floats_up"]) == 6 + 10 + 6
         assert int(rows["one_shot_moments"]["comm_floats_down"]) == tri + 4
@@ -529,8 +530,8 @@ class TestRunExperiment:
         assert int(rows["one_shot_ridge"]["comm_floats_down"]) == 4
         assert int(rows["federated_ice"]["comm_floats_up"]) == 3 + 6 + 3
         assert int(rows["federated_ice"]["comm_floats_down"]) == tri
-        assert int(rows["fedavg_ridge"]["comm_floats_up"]) == 2 * 3 * 4
-        assert int(rows["fedavg_ridge"]["comm_floats_down"]) == 2 * 3 * 4
+        assert int(rows["fedavg_ridge"]["comm_floats_up"]) == 2 * (2 + 3 + 2)
+        assert int(rows["fedavg_ridge"]["comm_floats_down"]) == 2 * (2 + 3 + 2)
         for r in rows.values():
             assert r["mc_risk"] == ""
 
@@ -703,6 +704,7 @@ class TestMain:
     def test_fedavg_at_zero_lambda_with_nothing_observed(self, tmp_path, capsys):
         # sigma_hat = 0 and lambda = 0 leave FedAvg's objective constant, so
         # theta stays 0 for every round instead of the step size dividing by 0.
+        # Senders that observe nothing exchange no coefficients in any round.
         cfg = {
             "scenario": "local_vs_federated",
             "population": {"d": 2},
@@ -717,7 +719,7 @@ class TestMain:
         capsys.readouterr()
         [row] = _read_rows(tmp_path / "out" / "fedavg0_results.csv")
         assert row["method"] == "fedavg" and float(row["oracle_risk"]) == 3.0
-        assert (row["comm_floats_up"], row["comm_floats_down"]) == ("800", "800")
+        assert (row["comm_floats_up"], row["comm_floats_down"]) == ("0", "0")
 
     def test_presets_list(self, capsys):
         rc = main(["presets", "list"])

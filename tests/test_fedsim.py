@@ -141,12 +141,13 @@ class TestTransportTransparency:
         # sends nothing. Patterns {1,3}, {} and {2,3,4} (m = 2, 0, 3 observed
         # features) upload (m+1)(m+2)/2 = 6, 1, 10 floats of moments, or
         # m(m+1)/2 = 3, 0, 6 once for all three ICE rounds, which end in one
-        # tri(4) = 10 broadcast.
+        # tri(4) = 10 broadcast. Each of FedAvg's four rounds exchanges m =
+        # 2, 0, 3 floats each way, and all three senders register.
         want = {
             "one_shot_moments": (6 + 1 + 10, 10 + 4, 3 * 4),
             "one_shot_ridge": (6 + 1 + 10, 4, 3 * 4),
             "federated_ice": (3 + 0 + 6, 10, 3 * 4),
-            "fedavg_ridge": (4 * 3 * 4, 4 * 3 * 4, 0),
+            "fedavg_ridge": (4 * (2 + 0 + 3), 4 * (2 + 0 + 3), 3 * 4),
         }[kind]
         assert (res.comm.total_floats("up"), res.comm.total_floats("down"), res.comm.total_bits()) == want
         pred = replay_comm_schedule(spec, [c.pattern for c in data.clients if c.id != 2])
@@ -179,16 +180,17 @@ class TestPayloadAudit:
         # floats, and every float payload has the size its contents dictate.
         # obs(1) = {1,3} and obs(2) = {2,3,4} upload 6 and 10 moment floats,
         # and 3 and 6 Gram floats once for both ICE rounds, which end in one
-        # tri(d) broadcast; other broadcasts are d-sized.
+        # tri(d) broadcast; other broadcasts are d-sized. Each FedAvg round
+        # sends each sender its 2 and 3 observed coefficients and hears back
+        # as many.
         d, tri = 4, 4 * 5 // 2
         clients = section3_clients(d)
-        k = len(clients)
         register = {(0, "up"): [(0, d), (0, d)]}
         sizes = {
             "one_shot_moments": {**register, (1, "up"): [(6, 0), (10, 0)], (1, "down"): [(tri + d, 0)]},
             "one_shot_ridge": {**register, (1, "up"): [(6, 0), (10, 0)], (1, "down"): [(d, 0)]},
             "federated_ice": {**register, (1, "up"): [(3, 0), (6, 0)], (1, "down"): [(tri, 0)]},
-            "fedavg_ridge": {(t, io): [(k * d, 0)] for t in (1, 2) for io in ("up", "down")},
+            "fedavg_ridge": {**register, **{(t, io): [(2, 0), (3, 0)] for t in (1, 2) for io in ("up", "down")}},
         }
         for kind, want in sizes.items():
             res = run_protocol(ProtocolSpec(kind=kind, lam=0.1, ice_rounds=2, rounds=2), *_completed(516, d, 60, clients))
@@ -253,12 +255,91 @@ class TestPatternSizedUploads:
             "one_shot_moments": ([(m + 1) * (m + 2) // 2 for m in sizes], len(sizes)),
             "one_shot_ridge": ([(m + 1) * (m + 2) // 2 for m in sizes], len(sizes)),
             "federated_ice": ([m * (m + 1) // 2 for m in sizes], len(sizes)),
-            "fedavg_ridge": ([len(sizes) * data.d] * 2, 0),
+            "fedavg_ridge": ([m for m in sizes if m] * 2, len(sizes)),
         }
         for kind, (floats, senders) in want.items():
             res = run_protocol(ProtocolSpec(kind=kind, lam=0.1, ice_rounds=2, rounds=2), data, fit_zero_imputer(data.clients))
             assert [e.floats for e in res.comm.events if e.direction == "up" and e.round > 0] == floats, kind
             assert [e.bits for e in res.comm.events if e.round == 0] == [data.d] * senders, kind
+
+
+def _client_message(phi, c_k, lm, eta, lam, steps):
+    """The |O_k|-vector v_s a sender returns for phi = B_k^T theta, from C_k =
+    B_k^T B_k and its own observed-block sums ``lm`` alone:
+    v_{j+1} = a v_j + (G_k (a^j phi - eta C_k v_j) - g_k) / n_k, a = 1 - eta lam."""
+    a, v = 1.0 - eta * lam, np.zeros(len(phi))
+    for j in range(steps):
+        v = a * v + (lm.sigma_sum @ (a**j * phi - eta * (c_k @ v)) - lm.gamma_sum) / lm.count
+    return v
+
+
+def _step_magnitude(theta, b_k, lm, eta, lam, steps):
+    """The largest entry of the s-step recursion run on absolute values,
+    mag <- (1 + eta lam) mag + eta (|B_k||G_k||B_k|^T mag + |B_k||g_k|) / n_k
+    from |theta|: no term that either side of the identity sums is larger."""
+    gram = np.abs(b_k) @ np.abs(lm.sigma_sum) @ np.abs(b_k).T
+    mag = np.abs(theta)
+    for _ in range(steps):
+        mag = (1.0 + eta * lam) * mag + eta * (gram @ mag + np.abs(b_k) @ np.abs(lm.gamma_sum)) / lm.count
+    return float(np.max(mag, initial=0.0))
+
+
+def _max_abs(x):
+    return float(np.max(np.abs(x), initial=0.0))
+
+
+class TestFedAvgPatternMessages:
+    """A FedAvg round sees each sender only through its observed block. With
+    B_k = [I; S_k] in d coordinates and a = 1 - eta lambda, sender k's s
+    local steps from any theta are a^s theta - eta B_k v_k, where v_k is the
+    |O_k|-vector ``_client_message`` computes from phi_k = B_k^T theta, C_k
+    and the sender's own (n_k, G_k, g_k). So a round sends phi_k down and v_k
+    up, |O_k| floats each way, and a move of theta along the null space of
+    B_k^T reaches the sender's result only as the shrinkage a^s.
+
+    ``fedavg_ridge`` builds the d x d map M_k^s and the identity's side sums
+    the same terms in another order, so the two agree to rounding only. Each
+    output of a step sums at most d + 2 products, so either side is off by
+    at most about s (d + 2) eps times ``_step_magnitude``; the tolerance is
+    four times that (the largest error seen over 1,500 drawn cases was 1.4
+    eps times the magnitude). The round check adds one term per sender."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(_federations(), st.integers(1, 3), st.sampled_from([0.0, 0.05, 0.7, 4.0]))
+    def test_local_steps_rebuilt_from_pattern_sized_messages(self, drawn, local_steps, lam):
+        data, rng = drawn
+        d, s, eps = data.d, local_steps, np.finfo(np.float64).eps
+        senders = [lm for lm in data.local_moments.values() if lm.count]
+        imputers = (fit_zero_imputer(data.clients), fit_optimal_imputer(random_psd(rng, d), data.clients),
+                    ice_in_memory(data, rounds=2))
+        for imputer in imputers:
+            # Each sender's (eta, (A_k, b_k)) as fedavg_ridge forms them, in its fold order.
+            calls, local_map = [], ridge._local_steps
+
+            def spy(*args):
+                calls.append((args[1], local_map(*args)))
+                return calls[-1][1]
+
+            with mock.patch.object(ridge, "_local_steps", spy):
+                theta_1 = fedavg_ridge(data, imputer, lam, rounds=1, local_steps=s).theta
+            assert len(calls) == len(senders)
+            first_round, first_mag = np.zeros(d), 0.0
+            for lm, (eta, (a_k, b_k)) in zip(senders, calls):
+                p, shrink = lm.pattern, (1.0 - eta * lam) ** s
+                b = imputer.complete(p, np.eye(p.size)).T
+                theta, delta = rng.standard_normal(d), np.zeros(d)
+                delta[list(p.missing)] = rng.standard_normal(len(p.missing))
+                delta[list(p.observed)] = -imputer.maps[p].T @ delta[list(p.missing)]
+                tol = 4 * s * (d + 2) * eps * _step_magnitude(np.abs(theta) + np.abs(delta), b, lm, eta, lam, s)
+                got = a_k @ theta + b_k
+                v = _client_message(b.T @ theta, b.T @ b, lm, eta, lam, s)
+                assert _max_abs(got - (shrink * theta - eta * b @ v)) <= tol
+                assert _max_abs(a_k @ (theta + delta) + b_k - got - shrink * delta) <= tol
+                v_0 = _client_message(np.zeros(p.size), b.T @ b, lm, eta, lam, s)
+                first_round -= lm.count / data.n * eta * b @ v_0
+                first_mag += lm.count / data.n * _step_magnitude(np.zeros(d), b, lm, eta, lam, s)
+            # From theta = 0, round one is the n_k / n weighted rebuild.
+            assert _max_abs(theta_1 - first_round) <= 4 * s * (d + 2 + len(senders)) * eps * first_mag
 
 
 class TestIceOneRoundTrip:
@@ -373,6 +454,7 @@ class TestMethodSessions:
         # other three is (m+1)(m+2)/2 = 6, 1, 10 floats and an ICE upload
         # tri(m) = 3, 0, 6. After ICE's Gram uploads the ridge needs only
         # [n_k][g_k], 1 + m = 3, 1, 4; after the moments it needs nothing.
+        # Each of FedAvg's four rounds exchanges m = 2, 0, 3 floats each way.
         assert set(_METHOD_PROTOCOLS) == set(cli._METHOD_FITS)
         ctx = _sparse_context(ice_rounds)
         fit, got = _method_totals(method, ctx)
@@ -386,7 +468,7 @@ class TestMethodSessions:
             "itr_opt": (17, 4, 12),
             "itr_cw": (17, 14 + 4, 12),
             "itr_ice": (9 + 8, 10 + 4, 12) if ice_rounds else (17, 4, 12),
-            "fedavg": (4 * 3 * 4, 4 * 3 * 4, 0),
+            "fedavg": (4 * (2 + 0 + 3), 4 * (2 + 0 + 3), 12),
         }[method]
         assert got == pinned
 
@@ -412,13 +494,19 @@ class TestMethodSessions:
         assert alone.comm.total_floats("up") == 17 and alone.comm.total_bits() == 12
 
     def test_fedavg_sends_the_same_in_any_session(self):
+        # FedAvg reads only each sender's pattern; after the moments the
+        # server holds it, so the same rounds go without registration.
         data, imputer = _completed(517)
         spec = ProtocolSpec(kind="fedavg_ridge", lam=0.2, rounds=3)
         moments = ProtocolSpec(kind="one_shot_moments")
         alone = run_protocol(spec, data, imputer)
-        assert run_protocol(spec, data, imputer, [moments]).comm.events == alone.comm.events
+        register = [e for e in alone.comm.events if e.round == 0]
+        assert [(e.direction, e.floats, e.bits) for e in register] == [("up", 0, 4)] * 2
+        assert run_protocol(spec, data, imputer, [moments]).comm.events == alone.comm.events[len(register):]
         patterns = [c.pattern for c in data.clients]
-        assert replay_comm_schedule(spec, patterns, [moments]) == replay_comm_schedule(spec, patterns)
+        joined, pred = replay_comm_schedule(spec, patterns, [moments]), replay_comm_schedule(spec, patterns)
+        assert (joined.up_floats, joined.down_floats, joined.registration_bits) == (3 * (2 + 3), 3 * (2 + 3), 0)
+        assert (pred.up_floats, pred.down_floats, pred.registration_bits) == (3 * (2 + 3), 3 * (2 + 3), 2 * 4)
 
     def test_moments_after_the_ridge_send_only_their_broadcast(self):
         # Both protocols hear from the same senders, so the moments run
