@@ -39,7 +39,6 @@ from .moments import (
 from .plugin import build_clientwise_plugin, crop_predictor
 from .impute import (
     ImputationMap,
-    ImputerKind,
     federated_ice,
     fit_optimal_imputer,
     fit_zero_imputer,

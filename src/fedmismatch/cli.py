@@ -59,7 +59,7 @@ import numpy as np
 
 from . import oracle
 from ._parallel import workers
-from .impute import ImputerKind, fit_optimal_imputer, fit_zero_imputer
+from .impute import fit_optimal_imputer, fit_zero_imputer
 from .model import ClientSpec, ClientwisePredictor, Dataset, FeaturePattern, MomentPair, validate_federation
 from .moments import co_observation, cw_moments, debias_moments
 from .plugin import build_clientwise_plugin
@@ -475,26 +475,27 @@ def _fit_plugin(pair_of, ctx: _Context) -> _Fit:
     return _Fit(predictor, ctx.oracle_risk, protocols=(ctx.moments,))
 
 
-def _itr(imputer, ctx: _Context, bound_kind=None, protocols=()) -> _Fit:
+def _itr(imputer, ctx: _Context, certify=False, protocols=()) -> _Fit:
     """Closed-form ridge on the data completed by ``imputer``, folded back through it. The ridge joins the
-    method's session: it sends only what ``protocols``, the method's earlier runs, did not."""
+    method's session: it sends only what ``protocols``, the method's earlier runs, did not. ``certify``
+    reports ``oracle.itr_bound`` of ``imputer`` itself, which only a map fixed before sampling may ask for."""
     pop, clients, data, lam = ctx.pop, ctx.clients, ctx.data, ctx.lam
     ridge = run_protocol(ProtocolSpec(kind="one_shot_ridge", lam=lam), data, imputer, [p.spec for p in protocols])
     m_hat = estimate_m(data)
     predictor = itr_predictor(imputer, ridge.artifact, clients, trunc_m=m_hat)
     protocols = protocols + (ridge,)
-    if bound_kind is None:
+    if not certify:
         return _Fit(predictor, ctx.oracle_risk, protocols=protocols)
-    report = oracle.itr_bound(pop, clients, bound_kind, lam, data.n, m_hat)
+    report = oracle.itr_bound(pop, clients, imputer, lam, data.n, m_hat)
     return _Fit(predictor, report.r_star_reference, report.bound_value, protocols)
 
 
 def _fit_itr_zero(ctx: _Context) -> _Fit:
-    return _itr(fit_zero_imputer(ctx.clients), ctx, ImputerKind.ZERO)
+    return _itr(fit_zero_imputer(ctx.clients), ctx, certify=True)
 
 
 def _fit_itr_opt(ctx: _Context) -> _Fit:
-    return _itr(fit_optimal_imputer(ctx.pop.sigma, ctx.clients), ctx, ImputerKind.OPTIMAL_LINEAR)
+    return _itr(fit_optimal_imputer(ctx.pop.sigma, ctx.clients), ctx, certify=True)
 
 
 def _fit_itr_cw(ctx: _Context) -> _Fit:
@@ -513,8 +514,8 @@ def _fit_fedavg(ctx: _Context) -> _Fit:
         kind="fedavg_ridge", lam=ctx.lam, rounds=ctx.params["rounds"], local_steps=ctx.params["local_steps"]
     )
     res = run_protocol(spec, ctx.data, imputer)
-    predictor = itr_predictor(imputer, res.artifact, ctx.clients, trunc_m=estimate_m(ctx.data))
-    ip = oracle.imputed_population_covariance(ctx.pop, ctx.clients, ImputerKind.ZERO)
+    predictor = itr_predictor(imputer, res.artifact.theta, ctx.clients, trunc_m=estimate_m(ctx.data))
+    ip = oracle.imputed_population_covariance(ctx.pop, ctx.clients, imputer)
     return _Fit(predictor, oracle.imputed_oracle_risk(ctx.pop, ip), protocols=(res,))
 
 
@@ -577,8 +578,8 @@ def _new_client_rows(cfg: ExperimentConfig, item: _WorkItem, clients, data_ss, m
 def _typical_rows(cfg: ExperimentConfig, item: _WorkItem, clients, data_ss, mc_ss) -> list[dict]:
     """Zero-imputed optimum against the typical-case penalty-inflation bound; no sampling."""
     pop = cfg.population
-    ip = oracle.imputed_population_covariance(pop, clients, ImputerKind.ZERO)
-    lhs = oracle.imputed_oracle_risk(pop, ip) + oracle.ridge_bias(ip.sigma, ip.theta_prime, item.lam)
+    ip = oracle.imputed_population_covariance(pop, clients, fit_zero_imputer(clients))
+    lhs = oracle.imputed_oracle_risk(pop, ip) + oracle.ridge_bias(ip.factor, ip.theta_prime, item.lam)
     lam_prime = oracle.typical_case_lambda_prime(item.lam, item.tau)
     rhs = pop.sigma2 + oracle.ridge_bias(pop.sigma, pop.theta_star, lam_prime)
     return [{"method": "typical_zero_bias", "oracle_risk": lhs, "bound_value": rhs,
@@ -595,7 +596,9 @@ def _audit_rows(cfg: ExperimentConfig, item: _WorkItem, clients, data_ss, mc_ss)
     for kind in cfg.methods:
         spec = ProtocolSpec(kind=kind, lam=item.lam, ice_rounds=cfg.params["ice_rounds"], rounds=cfg.params["rounds"])
         res = run_protocol(spec, data, imputer)
-        predicted = replay_comm_schedule(spec, [c.pattern for c in _senders(data)])
+        # FedAvg stops early on divergence; the schedule is that of the rounds the server ran.
+        ran = replace(spec, rounds=res.artifact.rounds_run) if kind == "fedavg_ridge" else spec
+        predicted = replay_comm_schedule(ran, [c.pattern for c in _senders(data)])
         got = (res.comm.total_floats("up"), res.comm.total_floats("down"), res.comm.total_bits())
         want = (predicted.up_floats, predicted.down_floats, predicted.registration_bits)
         if got != want:

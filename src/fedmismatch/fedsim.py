@@ -18,11 +18,12 @@ message it implies:
   observed Gram G_k once, the server runs every round from these uploads,
   and it broadcasts the final covariance estimate once; 0 rounds send none.
 * fedavg_ridge: ``ridge.fedavg_ridge``; with an ``ImputationMap``, whose
-  senders run local steps from their completed sums, iteratively averaged
-  coefficients out. A round sees sender k only through its observed block
-  (the identity in ``fedavg_ridge``'s docstring): the server sends it
-  phi_k = B_k^T theta, it returns the |O_k|-vector v_k, and the server
-  applies the shrinkage from its pattern, registered at 0 rounds too.
+  senders run local steps from their completed sums, its ``FedAvgResult``
+  out, whose ``rounds_run`` are the rounds logged. A round sees sender k
+  only through its observed block (the identity in ``fedavg_ridge``'s
+  docstring): the server sends it phi_k = B_k^T theta, it returns the
+  |O_k|-vector v_k, and the server applies the shrinkage from its pattern,
+  registered at 0 rounds too.
 
 No message size depends on the local sample count. Each transfer is logged
 with its exact float64 slot count, read off the payload; pattern bitmasks
@@ -195,7 +196,7 @@ def _fedavg_ridge(data: Dataset, imputer: ImputationMap, spec: ProtocolSpec, com
         for direction in ("down", "up"):
             for m in sizes:
                 comm.record(t, direction, m)
-    return res.theta
+    return res
 
 
 def run_protocol(spec: ProtocolSpec, data: Dataset, imputer: ImputationMap | None = None,

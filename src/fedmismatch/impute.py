@@ -13,8 +13,8 @@ pattern's observed block in block form, from S alone: on a client's sums
 G_k = x_obs^T x_obs and g_k = x_obs^T y (``Dataset.local_moments``) it gives
 the completed-data sums every fit (closed-form ridge, FedAvg, ICE) reads
 (``moments.completed_sums``), and on the population moments cropped to the
-pattern the oracle's imputed-population moments. No fit builds a completed
-row, and no d x d array is stored per pattern.
+pattern the imputed-population moments ``oracle`` reads for the map a method
+fitted. No fit builds a completed row, and no d x d array is stored per pattern.
 
 ``federated_ice`` starts from zero imputation and, for a fixed number of
 rounds, alternates between re-estimating the full second-moment matrix of
@@ -27,7 +27,6 @@ runs this same function and logs that one round trip.
 """
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
 from typing import Mapping
 
@@ -38,20 +37,12 @@ from .model import Dataset, FeaturePattern, validate_federation
 from .moments import imputed_data_moments
 
 __all__ = [
-    "ImputerKind",
     "ImputationMap",
     "fit_zero_imputer",
     "fit_optimal_imputer",
     "optimal_block_map",
     "federated_ice",
 ]
-
-
-class ImputerKind(enum.Enum):
-    """The population-fitted maps the oracle evaluates (``oracle.itr_bound``)."""
-
-    ZERO = "zero"
-    OPTIMAL_LINEAR = "optimal_linear"
 
 
 class _ByPattern(dict):

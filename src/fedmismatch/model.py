@@ -89,11 +89,12 @@ class FeaturePattern:
         obs = set(self.observed)
         return tuple(i for i in range(self.d) if i not in obs)
 
-    @cached_property
+    @property
     def scatter_index(self) -> tuple[np.ndarray | slice, np.ndarray | slice]:
         """Positions of the observed coordinates in a length-d vector and of
-        the observed block in a raveled d x d matrix, built once; a full
-        pattern's select everything, so its scatter is a plain copy or add."""
+        the observed block in a raveled d x d matrix, rebuilt on each read so
+        no pattern keeps |obs|^2 indices; a full pattern's select everything,
+        so its scatter is a plain copy or add."""
         if self.size == self.d:
             return slice(None), slice(None)
         obs = np.array(self.observed, dtype=np.intp)

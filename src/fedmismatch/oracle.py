@@ -6,9 +6,10 @@ dimension that drive excess-risk bounds, and the population moments of
 imputed features. ``monte_carlo_risk`` is the bridge to finite-sample
 evaluation of fitted predictors. The imputed-population moments are the
 rho-weighted fold of ``ImputationMap.complete_moments`` over the population
-moments cropped to each pattern, as the fits apply it to client sums. A
-client's oracle depends on it only through its pattern, so the closed forms
-of each distinct pattern are computed once (``_local_oracle``).
+moments cropped to each pattern under the ``ImputationMap`` the method itself
+fitted, as the fits apply it to client sums. A client's oracle depends on it
+only through its pattern, so the closed forms of each distinct pattern are
+computed once (``_local_oracle``).
 
 Key facts used throughout (all checkable against brute force, and checked in
 the test suite):
@@ -19,8 +20,8 @@ the test suite):
 * ridge bias inf_t ||t - ref||_sigma^2 + lam ||t||^2 has value
   lam * ref . sigma (sigma + lam I)^{-1} ref;
 * zero-imputed population moments are (Pi . sigma, diag(Pi) . gamma);
-* optimal-linear imputation reproduces sigma on observed blocks and leaves
-  theta_star optimal, with covariance dominated by sigma.
+* optimal-linear imputation reproduces sigma on observed blocks, with
+  covariance dominated by sigma, and theta_star solves sigma_I t = gamma_I.
 """
 from __future__ import annotations
 
@@ -31,7 +32,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from ._linalg import SymEig
-from .impute import ImputerKind, _factor_and_block_map, fit_optimal_imputer, fit_zero_imputer
+from .impute import ImputationMap, _factor_and_block_map
 from .model import FeaturePattern, validate_federation, ClientwisePredictor, crop_matrix, crop_vector
 from .popgen import PopulationSpec, _draw_rows, population_gamma
 
@@ -133,46 +134,40 @@ def ridge_bias(sigma: np.ndarray | SymEig, theta_ref: np.ndarray, lam: float) ->
 
 @dataclass(frozen=True)
 class ImputedPopulation:
-    """Population moments of imputed features and the optimal coefficients.
-
-    ``theta_prime`` minimizes the population risk over predictors linear in
-    the imputed features.
-    """
+    """Population moments of imputed features, the one ``SymEig`` of sigma,
+    and theta_prime read from it: the minimum-norm solution of sigma t =
+    gamma, which minimizes the risk over predictors linear in the features."""
 
     sigma: np.ndarray
     gamma: np.ndarray
+    factor: SymEig
     theta_prime: np.ndarray
 
 
-def imputed_population_covariance(pop: PopulationSpec, clients, kind: ImputerKind) -> ImputedPopulation:
-    """Exact moments of the imputed feature vector under a population-fitted map.
+def imputed_population_covariance(pop: PopulationSpec, clients, imputer: ImputationMap) -> ImputedPopulation:
+    """Exact moments of the imputed feature vector under ``imputer``, the map
+    a method fitted.
 
     sigma_I and gamma_I are the rho-weighted fold, in the given client order,
-    of ``complete_moments`` on (pop.sigma, gamma) cropped to each distinct pattern,
-    under ``fit_zero_imputer`` (ZERO; this equals (Pi . sigma, diag(Pi) .
-    gamma)) or ``fit_optimal_imputer(pop.sigma, ...)`` (OPTIMAL_LINEAR). For
-    ZERO, theta_prime is the minimum-norm solution of sigma_I t = gamma_I; for
-    OPTIMAL_LINEAR, theta_star itself stays optimal, so theta_prime =
-    theta_star.
+    of ``imputer.complete_moments`` on (pop.sigma, gamma) cropped to each
+    distinct pattern of ``clients``; a pattern without a map raises the
+    ``KeyError`` that names it. Under the zero map this equals (Pi . sigma,
+    diag(Pi) . gamma); under the population-optimal map
+    (``fit_optimal_imputer(pop.sigma, ...)``) theta_star also solves
+    sigma_I t = gamma_I.
     """
     clients = validate_federation(clients)
-    if kind == ImputerKind.ZERO:
-        imputer = fit_zero_imputer(clients)
-    elif kind == ImputerKind.OPTIMAL_LINEAR:
-        imputer = fit_optimal_imputer(pop.sigma, clients)
-    else:
-        raise ValueError(f"no population moments for imputer kind {kind}")
     gamma = population_gamma(pop)
     sigma_i = np.zeros((pop.d, pop.d))
     gamma_i = np.zeros(pop.d)
     completed = {p: imputer.complete_moments(p, crop_matrix(pop.sigma, p, p), crop_vector(gamma, p))
-                 for p in imputer.maps}
+                 for p in dict.fromkeys(c.pattern for c in clients)}
     for c in clients:
         gram, cross = completed[c.pattern]
         sigma_i += c.rho * gram
         gamma_i += c.rho * cross
-    theta_prime = SymEig(sigma_i).solve(gamma_i) if kind == ImputerKind.ZERO else pop.theta_star.copy()
-    return ImputedPopulation(sigma_i, gamma_i, theta_prime)
+    factor = SymEig(sigma_i)
+    return ImputedPopulation(sigma_i, gamma_i, factor, factor.solve(gamma_i))
 
 
 def imputed_oracle_risk(pop: PopulationSpec, ip: ImputedPopulation) -> float:
@@ -197,26 +192,27 @@ class BoundReport:
 def itr_bound(
     pop: PopulationSpec,
     clients,
-    kind: ImputerKind,
+    imputer: ImputationMap,
     lam: float,
     n: int,
     m: float,
 ) -> BoundReport:
-    """Risk certificate for truncated ridge on imputed data.
+    """Risk certificate for truncated ridge on data completed by ``imputer``.
 
     The certified claim: expected risk of the fitted predictor is at most
     r_star_reference + b_lambda + (8 m^2 / n) d_lambda, where the reference
-    is the best risk attainable with these imputed features.
+    is the best risk attainable with these imputed features. It holds only
+    for a map that does not depend on the sample: ``cli`` passes the zero
+    and population-optimal maps. All three terms read one factor of sigma_I.
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     if m < 0:
         raise ValueError(f"m must be >= 0, got {m}")
-    ip = imputed_population_covariance(pop, clients, kind)
+    ip = imputed_population_covariance(pop, clients, imputer)
     r_ref = imputed_oracle_risk(pop, ip)
-    factor = SymEig(ip.sigma)
-    b = ridge_bias(factor, ip.theta_prime, lam)
-    d_eff = effective_dimension(factor, lam)
+    b = ridge_bias(ip.factor, ip.theta_prime, lam)
+    d_eff = effective_dimension(ip.factor, lam)
     return BoundReport(
         r_star_reference=r_ref,
         b_lambda=b,

@@ -18,7 +18,7 @@ centralized gradient descent for any sharding, so the iterates converge to
 the closed-form solution; with more local steps the fixed point can drift by
 the usual client heterogeneity bias, which is why local_steps defaults to 1.
 It runs every requested round unless the objective rises ten rounds in a
-row, which it reports as divergence.
+row or stops being finite, which it reports as divergence.
 
 ``local_learning`` is the no-sharing baseline: each client ridge-regresses
 on its own observed block with penalty lambda / rho_k, from its observed
@@ -82,8 +82,9 @@ def fedavg_ridge(
     The step size eta = 1 / (lambda_max(sigma_hat) + lambda) guarantees a
     non-increasing objective for single local steps; when that sum is 0
     (lambda = 0 and no client observes anything) the objective is constant
-    and eta = 0 keeps theta at 0. Ten consecutive objective increases abort
-    the run with ``diverged`` set.
+    and eta = 0 keeps theta at 0. Ten consecutive objective increases, or an
+    objective that overflows to inf or NaN, abort the run with ``diverged``
+    set.
 
     Client k's completed sums (``completed_sums``) are B_k G_k B_k^T and
     B_k g_k, where (n_k, G_k, g_k) are its observed-block sums and
@@ -130,14 +131,15 @@ def fedavg_ridge(
 
     theta = np.zeros(d)
     trace = [objective(theta)]
-    increases = 0
+    increases, diverged = 0, False
     for _ in range(rounds):
         theta = a_bar @ theta + b_bar
         trace.append(objective(theta))
         increases = increases + 1 if trace[-1] > trace[-2] else 0
-        if increases >= 10:
+        diverged = increases >= 10 or not np.isfinite(trace[-1])
+        if diverged:
             break
-    return FedAvgResult(theta=theta, objective_trace=tuple(trace), diverged=increases >= 10, rounds_run=len(trace) - 1)
+    return FedAvgResult(theta=theta, objective_trace=tuple(trace), diverged=diverged, rounds_run=len(trace) - 1)
 
 
 def _local_steps(lm, step_size: float, lam: float, local_steps: int) -> tuple[np.ndarray, np.ndarray]:

@@ -16,7 +16,6 @@ from fedmismatch import (
     ClientSpec,
     Dataset,
     FeaturePattern,
-    ImputerKind,
     LocalMoments,
     PopulationSpec,
     co_observation,
@@ -181,6 +180,17 @@ def sharded(x, y, bounds):
     return data, fit_zero_imputer(clients)
 
 
+def blow_up_federation():
+    """(data, zero imputer) on which FedAvg diverges: d = 2, client 1 holds
+    the single row 30 e1 and client 2 holds 200 rows near e2, y = x . (1, 1).
+    At lambda = 0 the step 1 / lambda_max of the pooled Gram is about 201
+    times too long for client 1's curvature 900, so each of its local steps
+    multiplies theta's e1 part by about -200. Over 50 rounds, 3 local steps
+    raise the objective ten rounds in a row; 10 overflow it at round 8."""
+    x = np.vstack([[30.0, 0.0], [0.0, 1.0] + 0.01 * np.random.default_rng(0).standard_normal((200, 2))])
+    return sharded(x, x @ np.ones(2), [0, 1, 201])
+
+
 def gd_quadratic_min(a: np.ndarray, b: np.ndarray, iters: int = 2000) -> np.ndarray:
     """Minimize t . A t - 2 b . t by gradient descent from zero.
 
@@ -298,32 +308,29 @@ def reference_itr_coefficients(imputer, theta: np.ndarray, clients) -> dict[int,
     return out
 
 
-def reference_imputed_population(pop: PopulationSpec, clients, kind: ImputerKind) -> tuple[np.ndarray, np.ndarray]:
-    """(sigma_I, gamma_I) of the imputed feature vector, assembled block by block.
+def reference_imputed_population(pop: PopulationSpec, clients, imputer) -> tuple[np.ndarray, np.ndarray]:
+    """(sigma_I, gamma_I) of the vector completed by ``imputer``, assembled block by block.
 
-    ZERO: (Pi . sigma, diag(Pi) . gamma) with Pi = sum_k rho_k m_k m_k^T.
-    OPTIMAL_LINEAR: the rho-weighted mixture of [sigma_oo, sigma_om; sigma_mo,
-    sigma_mo sigma_oo^+ sigma_om] and of [gamma_o; sigma_mo sigma_oo^+ gamma_o],
-    with numpy's pseudoinverse cut at 1e-10 relative, as the package cuts.
+    The rho-weighted mixture of [sigma_oo, sigma_oo S^T; S sigma_oo,
+    S sigma_oo S^T] and of [gamma_o; S gamma_o], S the client's map, each
+    block written into place by index. Under a zero map this is
+    (Pi . sigma, diag(Pi) . gamma) with Pi = sum_k rho_k m_k m_k^T, and
+    under the population-optimal map S sigma_oo = sigma_mo.
     """
     d = pop.d
     gamma = population_gamma(pop)
-    if kind == ImputerKind.ZERO:
-        pi = sum((c.rho * np.outer(c.pattern.mask(), c.pattern.mask()) for c in clients), np.zeros((d, d)))
-        return pi * pop.sigma, np.diag(pi) * gamma
     sigma_i, gamma_i = np.zeros((d, d)), np.zeros(d)
     for c in clients:
         obs, mis = list(c.pattern.observed), list(c.pattern.missing)
+        s, s_oo = imputer.maps[c.pattern], pop.sigma[np.ix_(obs, obs)]
         block, g = np.zeros((d, d)), np.zeros(d)
-        block[np.ix_(obs, obs)] = pop.sigma[np.ix_(obs, obs)]
+        block[np.ix_(obs, obs)] = s_oo
         g[obs] = gamma[obs]
         if obs and mis:
-            s_om = pop.sigma[np.ix_(obs, mis)]
-            s_oo_inv = np.linalg.pinv(pop.sigma[np.ix_(obs, obs)], 1e-10)
-            block[np.ix_(obs, mis)] = s_om
-            block[np.ix_(mis, obs)] = s_om.T
-            block[np.ix_(mis, mis)] = s_om.T @ s_oo_inv @ s_om
-            g[mis] = s_om.T @ s_oo_inv @ gamma[obs]
+            block[np.ix_(mis, obs)] = s @ s_oo
+            block[np.ix_(obs, mis)] = (s @ s_oo).T
+            block[np.ix_(mis, mis)] = s @ s_oo @ s.T
+            g[mis] = s @ gamma[obs]
         sigma_i += c.rho * block
         gamma_i += c.rho * g
     return (sigma_i + sigma_i.T) / 2.0, gamma_i
@@ -442,7 +449,7 @@ def reference_fedavg(data, imputer, lam: float, rounds: int, local_steps: int = 
         theta, run = new, t
         trace.append(objective(theta))
         increases = increases + 1 if trace[-1] > trace[-2] else 0
-        if increases >= 10:
+        if increases >= 10 or not np.isfinite(trace[-1]):
             diverged = True
             break
     return theta, trace, diverged, run

@@ -17,7 +17,6 @@ import numpy as np
 
 from fedmismatch.cli import _preset_paths, run_experiment
 from fedmismatch.impute import (
-    ImputerKind,
     fit_optimal_imputer,
     fit_zero_imputer,
 )
@@ -111,7 +110,7 @@ def test_c01_closed_form_oracle_agreement():
         eff = oracle.effective_dimension(pop.sigma, lam)
         worst = max(worst, abs(eff - brute_effective_dimension(pop.sigma, lam)))
 
-        ip0 = oracle.imputed_population_covariance(pop, clients, ImputerKind.ZERO)
+        ip0 = oracle.imputed_population_covariance(pop, clients, fit_zero_imputer(clients))
         pi = np.zeros((d, d))
         for c in clients:
             m = c.pattern.mask().astype(float)
@@ -120,7 +119,7 @@ def test_c01_closed_form_oracle_agreement():
                     pi[l, j] += c.rho * m[l] * m[j]
         worst = max(worst, float(np.max(np.abs(ip0.sigma - pi * pop.sigma))))
         worst = max(worst, float(np.max(np.abs(ip0.gamma - np.diag(pi) * gamma))))
-        ipo = oracle.imputed_population_covariance(pop, clients, ImputerKind.OPTIMAL_LINEAR)
+        ipo = oracle.imputed_population_covariance(pop, clients, fit_optimal_imputer(pop.sigma, clients))
         mix = np.zeros((d, d))
         for c in clients:
             t = completion_matrix(pop.sigma, c.pattern)
@@ -258,20 +257,15 @@ def test_c04_imputed_ridge_risk_certificates():
     checked = 0
     for lam in (0.1, 1.0):
         for n in (200, 2000):
-            for kind in (ImputerKind.ZERO, ImputerKind.OPTIMAL_LINEAR):
+            for zero, imputer in ((True, fit_zero_imputer(clients)), (False, fit_optimal_imputer(pop.sigma, clients))):
                 for s in range(10):
-                    ss = np.random.SeedSequence(41, spawn_key=(int(lam * 10), n, kind.value == "zero", s))
+                    ss = np.random.SeedSequence(41, spawn_key=(int(lam * 10), n, zero, s))
                     data_rng, mc_rng = (np.random.default_rng(c) for c in ss.spawn(2))
                     data = sample_dataset(pop, clients, n, data_rng)
-                    imputer = (
-                        fit_zero_imputer(clients)
-                        if kind is ImputerKind.ZERO
-                        else fit_optimal_imputer(pop.sigma, clients)
-                    )
                     m_hat = estimate_m(data)
                     predictor = itr_predictor(imputer, ridge_closed_form(data, imputer, lam), clients, trunc_m=m_hat)
                     mc = oracle.monte_carlo_risk([predictor], pop, clients, 100_000, mc_rng)[0]
-                    bound_value = oracle.itr_bound(pop, clients, kind, lam, n, m_hat).bound_value
+                    bound_value = oracle.itr_bound(pop, clients, imputer, lam, n, m_hat).bound_value
                     margin = bound_value + 3 * mc.stderr - mc.risk
                     worst_margin = max(worst_margin, -margin)
                     checked += 1
@@ -297,7 +291,7 @@ def test_c05_optimal_imputation_attains_global_optimum():
         d = int(rng.integers(2, 7))
         pop = random_population(rng, d)
         clients = random_clients(rng, d, int(rng.integers(1, 6)))
-        ip = oracle.imputed_population_covariance(pop, clients, ImputerKind.OPTIMAL_LINEAR)
+        ip = oracle.imputed_population_covariance(pop, clients, fit_optimal_imputer(pop.sigma, clients))
         lhs = oracle.imputed_oracle_risk(pop, ip)
         rhs = oracle.oracle_global_risk(pop, clients)
         worst = max(worst, abs(lhs - rhs))
@@ -330,8 +324,8 @@ def test_c06_comparison_inequalities():
         pop = random_population(rng, d)
         clients = random_clients(rng, d, int(rng.integers(1, 6)))
         lam = (0.01, 0.1, 1.0)[i % 3]
-        ipo = oracle.imputed_population_covariance(pop, clients, ImputerKind.OPTIMAL_LINEAR)
-        ip0 = oracle.imputed_population_covariance(pop, clients, ImputerKind.ZERO)
+        ipo = oracle.imputed_population_covariance(pop, clients, fit_optimal_imputer(pop.sigma, clients))
+        ip0 = oracle.imputed_population_covariance(pop, clients, fit_zero_imputer(clients))
         local = oracle.local_bound_terms(pop, clients, lam, n=10, m=1.0)
         c_max = int(max(sum(c.pattern.mask() for c in clients)))
         zero_optimum = oracle.imputed_oracle_risk(pop, ip0)
@@ -379,7 +373,7 @@ def test_c07_typical_case_penalty_inflation():
             vals = np.zeros(draws)
             for i, pats in enumerate(pattern_sets):
                 clients = _uniform_clients(pats)
-                ip = oracle.imputed_population_covariance(pop, clients, ImputerKind.ZERO)
+                ip = oracle.imputed_population_covariance(pop, clients, fit_zero_imputer(clients))
                 vals[i] = oracle.imputed_oracle_risk(pop, ip) + oracle.ridge_bias(
                     ip.sigma, ip.theta_prime, lam
                 )

@@ -503,6 +503,24 @@ class TestRunExperiment:
         with pytest.raises(RuntimeError, match="comm audit mismatch for one_shot_moments"):
             run_experiment(cfg, str(tmp_path))
 
+    def test_comm_audit_replays_the_rounds_fedavg_ran(self, tmp_path, monkeypatch):
+        # A FedAvg run that stops early, as a diverging one does, logs the
+        # rounds it ran, and the audit holds the log to those: here one of
+        # the preset's two rounds, so half its exchange.
+        from fedmismatch import cli, fedsim, ridge
+
+        cfg = json.loads(Path(cli.__file__).with_name("presets").joinpath("comm_audit.json").read_text())
+        both, _ = run_experiment(cfg, str(tmp_path / "both"))
+
+        def one_round(data, imputer, lam, rounds, local_steps=1):
+            return ridge.fedavg_ridge(data, imputer, lam, min(rounds, 1), local_steps)
+
+        monkeypatch.setattr(fedsim, "fedavg_ridge", one_round)
+        one, _ = run_experiment(cfg, str(tmp_path / "one"))
+        ups = [[int(r["comm_floats_up"]) for r in _read_rows(path) if r["method"] == "fedavg_ridge"]
+               for path in (both, one)]
+        assert ups[0] and ups[0] == [2 * up for up in ups[1]] and min(ups[1]) > 0
+
     def test_comm_audit_rows(self, tmp_path):
         cfg = {
             "scenario": "comm_audit",

@@ -1,4 +1,5 @@
 """Tests for the federation simulator: transparency and exact accounting."""
+from dataclasses import replace
 from unittest import mock
 
 import numpy as np
@@ -22,6 +23,7 @@ from fedmismatch.ridge import fedavg_ridge, ridge_closed_form
 
 from support import (
     assert_rel_close,
+    blow_up_federation,
     completed_rows,
     from_filled,
     random_clients,
@@ -74,7 +76,7 @@ def _library_artifact(spec, data, imputer):
         return ice_in_memory(data, rounds=spec.ice_rounds)
     if spec.kind == "one_shot_ridge":
         return ridge_closed_form(data, imputer, spec.lam)
-    return fedavg_ridge(data, imputer, lam=spec.lam, rounds=spec.rounds).theta
+    return fedavg_ridge(data, imputer, lam=spec.lam, rounds=spec.rounds)
 
 
 class TestTransportTransparency:
@@ -110,7 +112,9 @@ class TestTransportTransparency:
         data = _completed(505)
         res = run_protocol(ProtocolSpec(kind="fedavg_ridge", lam=0.2, rounds=5), *data)
         want = fedavg_ridge(*data, lam=0.2, rounds=5)
-        assert np.array_equal(res.artifact, want.theta)
+        assert np.array_equal(res.artifact.theta, want.theta)
+        assert (res.artifact.objective_trace, res.artifact.diverged, res.artifact.rounds_run) == (
+            want.objective_trace, want.diverged, want.rounds_run)
 
 
     @pytest.mark.parametrize("kind", PROTOCOL_KINDS)
@@ -135,6 +139,9 @@ class TestTransportTransparency:
             assert list(res.artifact.maps) == list(want.maps)
             for p, s in want.maps.items():
                 assert np.array_equal(res.artifact.maps[p], s)
+        elif kind == "fedavg_ridge":
+            assert np.array_equal(res.artifact.theta, want.theta)
+            assert res.artifact.objective_trace == want.objective_trace
         else:
             assert np.array_equal(res.artifact, want)
         # Every protocol logs the three clients that drew rows; client 2
@@ -397,6 +404,18 @@ class TestReplayMatchesRun:
                     assert res.comm.total_floats("up") == pred.up_floats, spec.kind
                     assert res.comm.total_floats("down") == pred.down_floats, spec.kind
                     assert res.comm.total_bits() == pred.registration_bits, spec.kind
+
+    def test_fedavg_that_stops_early_replays_the_rounds_it_ran(self):
+        # FedAvg diverges on this federation and stops after 10 of its 50
+        # rounds; the log holds those 10 rounds of 2 + 2 floats each way,
+        # and the schedule of the rounds run predicts exactly that.
+        data, imputer = blow_up_federation()
+        spec = ProtocolSpec(kind="fedavg_ridge", rounds=50, local_steps=3)
+        res = run_protocol(spec, data, imputer)
+        assert res.artifact.diverged and res.artifact.rounds_run == 10
+        ran = replay_comm_schedule(replace(spec, rounds=res.artifact.rounds_run), [c.pattern for c in data.clients])
+        got = (res.comm.total_floats("up"), res.comm.total_floats("down"), res.comm.total_bits())
+        assert got == (ran.up_floats, ran.down_floats, ran.registration_bits) == (40, 40, 4)
 
     def test_replay_validation(self):
         # No sender, or senders whose patterns disagree on d, have no schedule.

@@ -6,13 +6,16 @@ package: ``np.linalg.pinv`` (hermitian, same relative cutoff), dense
 design: every decomposition in the package is one ``np.linalg.eigh``, and a
 symmetric block that feeds several quantities is decomposed once.
 """
+import json
+from importlib import resources
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from fedmismatch import oracle
+from fedmismatch import cli, impute, oracle
 from fedmismatch._linalg import SymEig, pinv
-from fedmismatch.impute import ImputerKind
+from fedmismatch.impute import fit_optimal_imputer, fit_zero_imputer
 from fedmismatch.model import ClientSpec, FeaturePattern, MomentPair
 from fedmismatch.plugin import build_clientwise_plugin
 from fedmismatch.popgen import population_gamma
@@ -207,16 +210,43 @@ class TestOneFactorPerBlock:
         assert sorted(predictor.thetas) == [c.id for c in clients if c.pattern != patterns[2]]
         assert predictor.unidentifiable == {c.id for c in clients if c.pattern == patterns[2]}
 
-    @pytest.mark.parametrize("kind", list(ImputerKind))
-    def test_itr_bound_reads_bias_and_dimension_from_one_factor(self, eigh_calls, kind):
+    @pytest.mark.parametrize("optimal", [False, True], ids=["zero", "optimal"])
+    def test_itr_bound_reads_bias_and_dimension_from_one_factor(self, eigh_calls, optimal):
         rng = seeded(1602)
         pop = random_population(rng, 5)
         clients = random_clients(rng, 5, 4)
+        imputer = fit_optimal_imputer(pop.sigma, clients) if optimal else fit_zero_imputer(clients)
         eigh_calls.clear()
-        ip = oracle.imputed_population_covariance(pop, clients, kind)
-        moments_calls = len(eigh_calls)
-        eigh_calls.clear()
-        report = oracle.itr_bound(pop, clients, kind, lam=0.3, n=100, m=1.0)
-        assert len(eigh_calls) == moments_calls + 1
-        assert np.array_equal(eigh_calls[-1], ip.sigma)
+        report = oracle.itr_bound(pop, clients, imputer, lam=0.3, n=100, m=1.0)
+        # theta_prime, the bias and the dimension all read one factor of sigma_I.
+        assert len(eigh_calls) == 1
+        ip = oracle.imputed_population_covariance(pop, clients, imputer)
+        assert np.array_equal(eigh_calls[0], ip.sigma)
+        assert report.r_star_reference == oracle.imputed_oracle_risk(pop, ip)
         assert report.b_lambda > 0 and report.d_lambda > 0
+
+    def test_bound_verification_item_fits_and_factors_each_block_once(self, monkeypatch, tmp_path):
+        # One work item of the preset: itr_opt's map is fitted once (one S
+        # per pattern) and the oracle reads that map; each method factors
+        # its ridge's sigma_hat and its sigma_I once.
+        cfg = json.loads(resources.files("fedmismatch").joinpath("presets/bound_verification.json").read_text())
+        cfg["grid"], cfg["seeds"]["replicates"] = {"n": [300], "lam": [0.1]}, 1
+        d = cfg["population"]["d"]
+        blocks, shapes = [], []
+        factor_and_block_map, eigh = impute._factor_and_block_map, np.linalg.eigh
+
+        def counting_map(sigma, pattern):
+            blocks.append(pattern)
+            return factor_and_block_map(sigma, pattern)
+
+        def counting_eigh(a):
+            shapes.append(np.shape(a))
+            return eigh(a)
+
+        for module in (impute, oracle):
+            monkeypatch.setattr(module, "_factor_and_block_map", counting_map)
+        monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+        cli.run_experiment(cfg, str(tmp_path), seed=100)
+        assert len(blocks) == len(set(blocks)) == 3
+        # Four d x d factors, plus the population's own PSD check.
+        assert shapes.count((d, d)) == 4 + 1

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -5,11 +7,13 @@ from hypothesis import given, settings, strategies as st
 from fedmismatch import (
     ClientSpec,
     FeaturePattern,
+    LocalMoments,
     PopulationSpec,
     aggregate_zero_imputed,
     co_observation,
     cw_moments,
     debias_moments,
+    draw_bernoulli_patterns,
     local_zero_imputed_moments,
     sample_dataset,
 )
@@ -78,6 +82,25 @@ class TestAggregate:
         )
         np.testing.assert_allclose(whole.sigma, split.sigma, atol=1e-15)
         np.testing.assert_allclose(whole.gamma, split.gamma, atol=1e-15)
+
+    def test_folding_retains_no_memory_per_pattern(self):
+        # Each scatter builds its pattern's flat |O|^2 index and drops it, so
+        # after folding 30 distinct d = 256 patterns (tau 0.7, ~250 kB of
+        # index each) the fold has retained less than one such index.
+        rng = seeded(60)
+        patterns = draw_bernoulli_patterns(30, 256, 0.7, rng)
+        locals_ = [LocalMoments(np.eye(p.size), np.ones(p.size), 1, p) for p in patterns]
+        one_index = min(p.size for p in patterns) ** 2 * np.dtype(np.intp).itemsize
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            pair = aggregate_zero_imputed(locals_)
+            del pair
+            retained = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert len(set(patterns)) == 30
+        assert retained < one_index
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):

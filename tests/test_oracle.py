@@ -2,7 +2,7 @@
 import numpy as np
 import pytest
 
-from fedmismatch.impute import ImputationMap, ImputerKind, fit_optimal_imputer, fit_zero_imputer
+from fedmismatch.impute import ImputationMap, fit_optimal_imputer, fit_zero_imputer
 from fedmismatch.model import ClientSpec, ClientwisePredictor, FeaturePattern, crop_matrix, crop_vector
 from fedmismatch.oracle import (
     _apportion,
@@ -37,6 +37,10 @@ from support import (
 from test_popgen import section3_clients
 
 CORR2 = np.array([[1.0, 0.5], [0.5, 1.0]])
+
+# The maps a certificate is read for, both fixed before any sample is drawn.
+MAPS = {"zero": lambda pop, clients: fit_zero_imputer(clients),
+        "optimal": lambda pop, clients: fit_optimal_imputer(pop.sigma, clients)}
 
 
 def _pop(sigma, theta, sigma2=1.0):
@@ -212,7 +216,7 @@ class TestImputedPopulation:
     def test_zero_kind_full_pattern_is_identity_map(self):
         pop = random_population(seeded(411), 3)
         clients = (ClientSpec(id=1, pattern=FeaturePattern.full(3), rho=1.0),)
-        ip = imputed_population_covariance(pop, clients, ImputerKind.ZERO)
+        ip = imputed_population_covariance(pop, clients, fit_zero_imputer(clients))
         assert np.allclose(ip.sigma, pop.sigma, atol=1e-12)
         assert np.allclose(ip.gamma, pop.sigma @ pop.theta_star, atol=1e-12)
 
@@ -222,7 +226,7 @@ class TestImputedPopulation:
             ClientSpec(id=1, pattern=FeaturePattern.from_one_based([1], 2), rho=0.5),
             ClientSpec(id=2, pattern=FeaturePattern.full(2), rho=0.5),
         )
-        ip = imputed_population_covariance(pop, clients, ImputerKind.ZERO)
+        ip = imputed_population_covariance(pop, clients, fit_zero_imputer(clients))
         # Pi = [[1, .5], [.5, .5]]: only client 2 ever sees coordinate 2.
         assert ip.sigma == pytest.approx(np.array([[1.0, 0.25], [0.25, 0.5]]))
         assert ip.gamma == pytest.approx(np.array([1.5, 0.75]))
@@ -230,9 +234,16 @@ class TestImputedPopulation:
     def test_optimal_kind_single_client_block(self):
         pop = _pop(CORR2, [1.0, 1.0])
         clients = (ClientSpec(id=1, pattern=FeaturePattern.from_one_based([1], 2), rho=1.0),)
-        ip = imputed_population_covariance(pop, clients, ImputerKind.OPTIMAL_LINEAR)
+        ip = imputed_population_covariance(pop, clients, fit_optimal_imputer(pop.sigma, clients))
         assert ip.sigma == pytest.approx(np.array([[1.0, 0.5], [0.5, 0.25]]))
-        assert np.array_equal(ip.theta_prime, pop.theta_star)
+        # sigma_I has rank 1, so theta_star is one of many solutions of
+        # sigma_I t = gamma_I; theta_prime is the minimum-norm one, and both
+        # attain the same risk.
+        assert np.linalg.matrix_rank(ip.sigma) == 1
+        for theta in (ip.theta_prime, pop.theta_star):
+            np.testing.assert_allclose(ip.sigma @ theta, ip.gamma, atol=1e-12)
+            assert imputed_oracle_risk(pop, ip) == pytest.approx(pop.e_y2 - theta @ ip.sigma @ theta, abs=1e-12)
+        np.testing.assert_allclose(ip.theta_prime, [1.2, 0.6], atol=1e-12)
 
     def test_optimal_kind_matches_completion_mixture(self):
         # Independent construction: sigma_I = sum_k rho_k T_k sigma T_k^T
@@ -242,7 +253,7 @@ class TestImputedPopulation:
             d = int(rng.integers(2, 6))
             pop = random_population(rng, d)
             clients = random_clients(rng, d, int(rng.integers(1, 5)))
-            ip = imputed_population_covariance(pop, clients, ImputerKind.OPTIMAL_LINEAR)
+            ip = imputed_population_covariance(pop, clients, fit_optimal_imputer(pop.sigma, clients))
             want = np.zeros((d, d))
             for c in clients:
                 t = completion_matrix(pop.sigma, c.pattern)
@@ -255,15 +266,15 @@ class TestImputedPopulation:
             d = int(rng.integers(2, 6))
             pop = random_population(rng, d)
             clients = random_clients(rng, d, int(rng.integers(1, 5)))
-            ip = imputed_population_covariance(pop, clients, ImputerKind.OPTIMAL_LINEAR)
+            ip = imputed_population_covariance(pop, clients, fit_optimal_imputer(pop.sigma, clients))
             gap = np.linalg.eigvalsh(pop.sigma - ip.sigma)
             assert gap.min() >= -1e-10
 
-    @pytest.mark.parametrize("kind", [ImputerKind.ZERO, ImputerKind.OPTIMAL_LINEAR])
+    @pytest.mark.parametrize("fit", MAPS.values(), ids=list(MAPS))
     @pytest.mark.parametrize("rank_deficient", [False, True])
-    def test_fold_matches_hand_built_blocks(self, kind, rank_deficient):
-        # The oracle folds ImputationMap.complete_moments; the reference is
-        # the closed-form block formula it replaced.
+    def test_fold_matches_hand_built_blocks(self, fit, rank_deficient):
+        # The oracle folds ImputationMap.complete_moments; the reference
+        # writes each client's completed blocks into place by index.
         rng = seeded(421 + rank_deficient)
         for _ in range(40):
             d = int(rng.integers(2, 7))
@@ -272,18 +283,19 @@ class TestImputedPopulation:
                 a = rng.standard_normal((d, int(rng.integers(1, d))))
                 pop = _pop(a @ a.T, rng.standard_normal(d))
             clients = random_clients(rng, d, int(rng.integers(1, 6)), nonempty=False)
-            ip = imputed_population_covariance(pop, clients, kind)
-            sigma, gamma = reference_imputed_population(pop, clients, kind)
+            imputer = fit(pop, clients)
+            ip = imputed_population_covariance(pop, clients, imputer)
+            sigma, gamma = reference_imputed_population(pop, clients, imputer)
             rel = 1e-9 if rank_deficient else 1e-12
             assert_rel_close(ip.sigma, sigma, rel)
             assert_rel_close(ip.gamma, gamma, rel)
 
-    @pytest.mark.parametrize("kind", list(ImputerKind))
-    def test_completes_each_pattern_once(self, kind, monkeypatch):
+    @pytest.mark.parametrize("fit", MAPS.values(), ids=list(MAPS))
+    def test_completes_each_pattern_once(self, fit, monkeypatch):
         rng = seeded(423)
         pop = random_population(rng, 5)
         clients = repeating_clients(rng, 5)
-        imputer = fit_zero_imputer(clients) if kind == ImputerKind.ZERO else fit_optimal_imputer(pop.sigma, clients)
+        imputer = fit(pop, clients)
         gamma = population_gamma(pop)
         # The fold keeps its per-client terms and their order.
         want_sigma, want_gamma = np.zeros((5, 5)), np.zeros(5)
@@ -299,16 +311,35 @@ class TestImputedPopulation:
             return complete_moments(self, pattern, sigma, gamma)
 
         monkeypatch.setattr(ImputationMap, "complete_moments", counting)
-        ip = imputed_population_covariance(pop, clients, kind)
+        ip = imputed_population_covariance(pop, clients, imputer)
         assert calls == list(dict.fromkeys(c.pattern for c in clients))
         assert len(calls) < len(clients)
         assert np.array_equal(ip.sigma, want_sigma) and np.array_equal(ip.gamma, want_gamma)
 
-    def test_unknown_kind_has_no_population_moments(self):
-        pop = random_population(seeded(414), 2)
-        clients = (ClientSpec(id=1, pattern=FeaturePattern.full(2), rho=1.0),)
-        with pytest.raises(ValueError, match="no population moments"):
-            imputed_population_covariance(pop, clients, "ice")
+    def test_map_without_a_clients_pattern_names_it(self):
+        pop = random_population(seeded(414), 3)
+        fitted = (ClientSpec(id=1, pattern=FeaturePattern.full(3), rho=1.0),)
+        clients = (ClientSpec(id=1, pattern=FeaturePattern.full(3), rho=0.5),
+                   ClientSpec(id=2, pattern=FeaturePattern.from_one_based([1, 3], 3), rho=0.5))
+        for imputer in (fit_zero_imputer(fitted), fit_optimal_imputer(pop.sigma, fitted)):
+            with pytest.raises(KeyError, match=r"no imputation map for pattern \(1, 3\) of d=3"):
+                imputed_population_covariance(pop, clients, imputer)
+            with pytest.raises(KeyError, match=r"pattern \(1, 3\)"):
+                itr_bound(pop, clients, imputer, lam=0.1, n=10, m=1.0)
+
+    def test_theta_star_solves_the_optimal_map_system(self):
+        # Under the population-optimal map theta_star solves sigma_I t =
+        # gamma_I, so it and the minimum-norm theta_prime attain one risk.
+        rng = seeded(424)
+        for _ in range(20):
+            d = int(rng.integers(2, 6))
+            pop = random_population(rng, d)
+            clients = random_clients(rng, d, int(rng.integers(1, 5)))
+            ip = imputed_population_covariance(pop, clients, fit_optimal_imputer(pop.sigma, clients))
+            scale = max(1.0, float(np.max(np.abs(ip.gamma))))
+            np.testing.assert_allclose(ip.sigma @ pop.theta_star, ip.gamma, atol=1e-10 * scale)
+            at_star = pop.e_y2 - pop.theta_star @ ip.sigma @ pop.theta_star
+            assert imputed_oracle_risk(pop, ip) == pytest.approx(at_star, abs=1e-10)
 
     def test_optimal_risk_equals_attainable(self):
         # Optimal-linear imputation then global regression reaches exactly
@@ -318,7 +349,7 @@ class TestImputedPopulation:
             d = int(rng.integers(2, 6))
             pop = random_population(rng, d)
             clients = random_clients(rng, d, int(rng.integers(1, 5)))
-            ip = imputed_population_covariance(pop, clients, ImputerKind.OPTIMAL_LINEAR)
+            ip = imputed_population_covariance(pop, clients, fit_optimal_imputer(pop.sigma, clients))
             assert imputed_oracle_risk(pop, ip) == pytest.approx(
                 oracle_global_risk(pop, clients), abs=1e-9
             )
@@ -331,7 +362,7 @@ class TestItrBound:
         d, n, m = 3, 50, 2.0
         pop = _pop(np.eye(d), np.full(d, 0.5), sigma2=0.4)
         clients = (ClientSpec(id=1, pattern=FeaturePattern.full(d), rho=1.0),)
-        rep = itr_bound(pop, clients, ImputerKind.ZERO, lam=0.0, n=n, m=m)
+        rep = itr_bound(pop, clients, fit_zero_imputer(clients), lam=0.0, n=n, m=m)
         assert rep.bound_value == pytest.approx(0.4 + 8 * m * m * d / n)
         assert rep.b_lambda == 0.0
         assert rep.d_lambda == d
@@ -339,8 +370,8 @@ class TestItrBound:
     def test_reference_risk_by_kind(self):
         pop = random_population(seeded(416), 4)
         clients = section3_clients()
-        zero = itr_bound(pop, clients, ImputerKind.ZERO, lam=0.1, n=100, m=1.0)
-        opt = itr_bound(pop, clients, ImputerKind.OPTIMAL_LINEAR, lam=0.1, n=100, m=1.0)
+        zero = itr_bound(pop, clients, fit_zero_imputer(clients), lam=0.1, n=100, m=1.0)
+        opt = itr_bound(pop, clients, fit_optimal_imputer(pop.sigma, clients), lam=0.1, n=100, m=1.0)
         assert opt.r_star_reference == pytest.approx(oracle_global_risk(pop, clients), abs=1e-9)
         assert zero.r_star_reference >= opt.r_star_reference - 1e-9
 
@@ -348,9 +379,9 @@ class TestItrBound:
         pop = random_population(seeded(418), 2)
         clients = (ClientSpec(id=1, pattern=FeaturePattern.full(2), rho=1.0),)
         with pytest.raises(ValueError):
-            itr_bound(pop, clients, ImputerKind.ZERO, lam=0.1, n=0, m=1.0)
+            itr_bound(pop, clients, fit_zero_imputer(clients), lam=0.1, n=0, m=1.0)
         with pytest.raises(ValueError):
-            itr_bound(pop, clients, ImputerKind.ZERO, lam=0.1, n=10, m=-1.0)
+            itr_bound(pop, clients, fit_zero_imputer(clients), lam=0.1, n=10, m=-1.0)
 
 
 class TestLocalBounds:
@@ -402,7 +433,7 @@ class TestLocalBounds:
         )
         lam = 0.4
         b = local_bound_terms(pop, clients, lam=lam, n=10, m=1.0)
-        ip0 = imputed_population_covariance(pop, clients, ImputerKind.ZERO)
+        ip0 = imputed_population_covariance(pop, clients, fit_zero_imputer(clients))
 
         def at(penalty):
             return imputed_oracle_risk(pop, ip0) + ridge_bias(ip0.sigma, ip0.theta_prime, penalty)

@@ -17,6 +17,7 @@ from fedmismatch.ridge import (
 )
 
 from support import (
+    blow_up_federation,
     completed_rows,
     from_filled,
     gd_ridge_fit,
@@ -176,6 +177,19 @@ class TestFedAvg:
         assert res.diverged and diverged and res.rounds_run == run == 10
         _assert_rel_close(res.theta, theta)
         _assert_rel_close(np.asarray(res.objective_trace), np.asarray(trace))
+
+    def test_overflow_is_divergence(self):
+        # The objective overflows at round 8; the run stops there with
+        # diverged set instead of carrying a non-finite theta to round 50.
+        data = blow_up_federation()
+        with pytest.warns(RuntimeWarning, match="overflow"):
+            res = fedavg_ridge(*data, lam=0.0, rounds=50, local_steps=10)
+        with pytest.warns(RuntimeWarning, match="overflow"):
+            theta, trace, diverged, run = reference_fedavg(*data, 0.0, 50, 10)
+        assert res.diverged and diverged and res.rounds_run == run == 8
+        assert not np.isfinite(res.objective_trace[-1]) and np.isfinite(res.objective_trace[:-1]).all()
+        assert np.isfinite(res.theta).all()
+        _assert_rel_close(res.theta, theta)
 
     def test_long_converged_run_is_not_diverged(self):
         # Near the optimum the objective moves by rounding only and rises now
