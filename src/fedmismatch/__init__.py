@@ -6,7 +6,8 @@ shards (``moments``), plug-in clientwise predictors (``plugin``), linear
 imputation including the iterated federated variant (``impute``), ridge on
 completed data plus the local baseline (``ridge``), closed-form risk and
 bound oracles (``oracle``), protocol runs that log every message of those
-algorithms for exact communication accounting (``fedsim``), and a
+algorithms, and the serving of each fitted predictor, for exact
+communication accounting (``fedsim``), and a
 config-driven experiment runner (``cli``).
 """
 from .model import (
@@ -75,7 +76,9 @@ from .fedsim import (
     ProtocolSpec,
     SchedulePrediction,
     replay_comm_schedule,
+    replay_serve,
     run_protocol,
+    serve_predictor,
 )
 
 __version__ = "0.1.0"

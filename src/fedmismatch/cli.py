@@ -60,12 +60,13 @@ import numpy as np
 from . import oracle
 from ._parallel import workers
 from .impute import fit_optimal_imputer, fit_zero_imputer
-from .model import ClientSpec, ClientwisePredictor, Dataset, FeaturePattern, MomentPair, validate_federation
+from .model import ClientSpec, ClientwisePredictor, CommLog, Dataset, FeaturePattern, MomentPair, validate_federation
 from .moments import co_observation, cw_moments, debias_moments
 from .plugin import build_clientwise_plugin
 from .popgen import PopulationSpec, draw_bernoulli_patterns, sample_dataset
 from .ridge import estimate_m, itr_predictor, local_learning
-from .fedsim import PROTOCOL_KINDS, ProtocolResult, ProtocolSpec, _senders, replay_comm_schedule, run_protocol
+from .fedsim import (PROTOCOL_KINDS, ProtocolResult, ProtocolSpec, _senders, replay_comm_schedule, run_protocol,
+                     serve_predictor)
 
 __all__ = ["ConfigError", "load_config", "validate_config", "run_experiment", "main"]
 
@@ -429,8 +430,9 @@ def _build_clients(cfg: ExperimentConfig, tau: float | None, rng: np.random.Gene
 
 @dataclass
 class _Context:
-    """One work item's fitting inputs. Plug-ins are fitted on ``clients`` and served to ``served``, which every
-    risk is taken over; ``moments`` (the one-shot protocol) and ``oracle_risk`` run once, on first use."""
+    """One work item's fitting inputs. Methods are fitted on ``clients`` and their predictors served to ``served``,
+    which every risk is taken over; ``moments`` (the one-shot protocol) and ``oracle_risk`` run once, on first
+    use."""
 
     pop: PopulationSpec
     clients: tuple[ClientSpec, ...]
@@ -456,6 +458,15 @@ class _Fit:
     oracle_risk: float
     bound_value: float | None = None
     protocols: tuple[ProtocolResult, ...] = ()
+
+
+def _comm_logs(fit: _Fit, ctx: _Context) -> list[CommLog]:
+    """Every log a method's row sums: its protocols', then, when it fitted on the server, the delivery of its
+    predictor to ``ctx.served``."""
+    logs = [r.comm for r in fit.protocols]
+    if fit.protocols:
+        logs.append(serve_predictor(fit.predictor, ctx.served, ctx.data, [r.spec for r in fit.protocols]))
+    return logs
 
 
 def _debiased(art, clients) -> MomentPair:
@@ -561,12 +572,13 @@ def _mc_rows(cfg: ExperimentConfig, item: _WorkItem, clients, data_ss, mc_ss, se
     fits = [_METHOD_FITS[method](ctx) for method in cfg.methods]
     risks = oracle.monte_carlo_risk([f.predictor for f in fits], pop, ctx.served, cfg.n_test,
                                     np.random.default_rng(mc_ss))
+    logs = [_comm_logs(fit, ctx) for fit in fits]
     return [{"method": method, "mc_risk": mc.risk, "mc_stderr": mc.stderr,
              "oracle_risk": fit.oracle_risk, "bound_value": fit.bound_value,
              "excess_risk": mc.risk - fit.oracle_risk,
-             "comm_floats_up": sum(r.comm.total_floats("up") for r in fit.protocols),
-             "comm_floats_down": sum(r.comm.total_floats("down") for r in fit.protocols)}
-            for method, fit, mc in zip(cfg.methods, fits, risks)]
+             "comm_floats_up": sum(log.total_floats("up") for log in fit_logs),
+             "comm_floats_down": sum(log.total_floats("down") for log in fit_logs)}
+            for method, fit, fit_logs, mc in zip(cfg.methods, fits, logs, risks)]
 
 
 def _new_client_rows(cfg: ExperimentConfig, item: _WorkItem, clients, data_ss, mc_ss) -> list[dict]:
@@ -581,7 +593,7 @@ def _typical_rows(cfg: ExperimentConfig, item: _WorkItem, clients, data_ss, mc_s
     ip = oracle.imputed_population_covariance(pop, clients, fit_zero_imputer(clients))
     lhs = oracle.imputed_oracle_risk(pop, ip) + oracle.ridge_bias(ip.factor, ip.theta_prime, item.lam)
     lam_prime = oracle.typical_case_lambda_prime(item.lam, item.tau)
-    rhs = pop.sigma2 + oracle.ridge_bias(pop.sigma, pop.theta_star, lam_prime)
+    rhs = pop.sigma2 + oracle.ridge_bias(pop.sigma_factor, pop.theta_star, lam_prime)
     return [{"method": "typical_zero_bias", "oracle_risk": lhs, "bound_value": rhs,
              "comm_floats_up": 0, "comm_floats_down": 0}]
 

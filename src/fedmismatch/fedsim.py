@@ -7,16 +7,14 @@ message it implies:
 * one_shot_moments: ``Dataset.local_moments`` folded by
   ``aggregate_zero_imputed`` and the registered bitmasks by
   ``co_observation`` with n_k weights into the pooled zero-imputed
-  MomentPair, the co-observation count matrix N and the row count n. N and
-  n stay on the server, which broadcasts the method's pair (tri(d) + d
-  floats).
+  MomentPair, the co-observation count matrix N and the row count n.
 * one_shot_ridge: ``ridge.ridge_closed_form``; each sender uploads its
   observed sums, which the server completes with the ``ImputationMap``
   (``ImputationMap.complete_moments``); closed-form ridge coefficients out.
 * federated_ice: ``impute.federated_ice`` in one round trip; the iterated
   ``ImputationMap`` out. With ``ice_rounds`` >= 1 each sender uploads its
-  observed Gram G_k once, the server runs every round from these uploads,
-  and it broadcasts the final covariance estimate once; 0 rounds send none.
+  observed Gram G_k once and the server runs every round from these
+  uploads; 0 rounds upload none.
 * fedavg_ridge: ``ridge.fedavg_ridge``; with an ``ImputationMap``, whose
   senders run local steps from their completed sums, its ``FedAvgResult``
   out, whose ``rounds_run`` are the rounds logged. A round sees sender k
@@ -25,11 +23,18 @@ message it implies:
   |O_k|-vector v_k, and the server applies the shrinkage from its pattern,
   registered at 0 rounds too.
 
+Every artifact stays on the server. What reaches the clients is the fitted
+predictor, delivered once per method by ``serve_predictor`` in the smaller
+of two exact encodings: one broadcast of the shared model from which each
+client derives its own coefficients (``_shared_floats``), or each served
+client's |O_k| coefficients on their own.
+
 No message size depends on the local sample count. Each transfer is logged
 with its exact float64 slot count, read off the payload; pattern bitmasks
 sent at registration are counted in bits, separately from floats.
-``replay_comm_schedule`` predicts the totals in closed form from the
-senders' patterns, and the logged totals must match it exactly.
+``replay_comm_schedule`` and ``replay_serve`` predict the totals in closed
+form from the senders' patterns and the served coefficient counts, and the
+logged totals must match them exactly.
 
 A fitting method is one server session: the server keeps each sender's
 pattern, n_k, G_k and g_k once received, and a later protocol of the same
@@ -42,7 +47,7 @@ A moment upload (wire format v3, shared with the moments module) is
 [n_k][packed upper triangle of the observed Gram][observed cross-moments];
 an ICE upload is the packed triangle alone, and an upload within a session
 drops the parts the server holds. The server places each upload by the
-sender's registered pattern. Broadcasts are counted once; fedavg
+sender's registered pattern. A broadcast is counted once; fedavg
 exchanges (|O_k| floats) are counted per sender in both directions, and a
 sender that observes nothing exchanges none.
 The senders of every protocol are the clients that drew rows: a client
@@ -56,7 +61,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .impute import ImputationMap, federated_ice
-from .model import ClientSpec, CommLog, Dataset, MomentPair
+from .model import ClientSpec, ClientwisePredictor, CommLog, Dataset, MomentPair
 from .moments import aggregate_zero_imputed, co_observation
 from .ridge import fedavg_ridge, ridge_closed_form
 
@@ -67,7 +72,9 @@ __all__ = [
     "OneShotMomentsArtifact",
     "SchedulePrediction",
     "replay_comm_schedule",
+    "replay_serve",
     "run_protocol",
+    "serve_predictor",
 ]
 
 PROTOCOL_KINDS = ("one_shot_moments", "one_shot_ridge", "federated_ice", "fedavg_ridge")
@@ -136,14 +143,32 @@ def replay_comm_schedule(spec: ProtocolSpec, patterns, session=()) -> SchedulePr
     missing = _missing(spec, session)
     k, up = len(patterns), sum(_upload_floats(missing, p.size) for p in patterns)
     bits = k * d if "pattern" in missing else 0
-    if spec.kind == "one_shot_moments":
-        return SchedulePrediction(up, _tri(d) + d, bits)
-    if spec.kind == "one_shot_ridge":
-        return SchedulePrediction(up, d, bits)
-    if spec.kind == "federated_ice":
-        return SchedulePrediction(up, min(spec.ice_rounds, 1) * _tri(d), bits)
+    if spec.kind != "fedavg_ridge":
+        return SchedulePrediction(up, 0, bits)
     exchanged = spec.rounds * sum(p.size for p in patterns)
     return SchedulePrediction(exchanged, exchanged, bits)
+
+
+def replay_serve(session, d: int, sizes, unregistered: int) -> SchedulePrediction:
+    """Closed form of ``serve_predictor``: min(shared, sum of ``sizes``)
+    floats down. ``sizes`` are the |O_k| of the served clients that have
+    coefficients; the per-client encoding adds d bits for each of the
+    ``unregistered`` served clients.
+    """
+    unicast, shared = sum(sizes), _shared_floats(session, d)
+    if unicast < shared:
+        return SchedulePrediction(0, unicast, unregistered * d)
+    return SchedulePrediction(0, shared, 0)
+
+
+def _shared_floats(session, d: int) -> int:
+    """Slots of the one broadcast from which every client derives its own
+    coefficients after a method that ran ``session``: a d-vector (the ridge
+    or FedAvg theta, or the plug-ins' gamma), after the packed covariance
+    estimate when the server fitted one (the moments run, or ICE with T >=
+    1). The clients hold the zero map and the population map already."""
+    fitted = any(s.kind == "one_shot_moments" or (s.kind == "federated_ice" and s.ice_rounds) for s in session)
+    return d + fitted * _tri(d)
 
 
 def _reads(spec: ProtocolSpec) -> frozenset:
@@ -181,11 +206,10 @@ def _senders(data: Dataset) -> tuple[ClientSpec, ...]:
     return tuple(c for c in data.clients if len(data.x_obs[c.id]))
 
 
-def _one_shot_moments(data: Dataset, comm: CommLog) -> OneShotMomentsArtifact:
+def _one_shot_moments(data: Dataset) -> OneShotMomentsArtifact:
     locals_ = data.local_moments
     pair = aggregate_zero_imputed(locals_.values())
     counts = co_observation([c.pattern for c in data.clients], [locals_[c.id].count for c in data.clients])
-    comm.record(1, "down", _tri(data.d) + data.d)
     return OneShotMomentsArtifact(pair=pair, counts=counts, n=data.n)
 
 
@@ -210,7 +234,8 @@ def run_protocol(spec: ProtocolSpec, data: Dataset, imputer: ImputationMap | Non
     the same method ran before on ``data``, in order (empty for a standalone
     run): a sender registers its pattern and uploads each statistic once
     per session, so this run logs only what the server still lacks. The
-    artifact is exactly what the library function returns.
+    artifact is exactly what the library function returns; it stays on the
+    server, and ``serve_predictor`` logs what reaches the clients.
     """
     if spec.kind in ("one_shot_ridge", "fedavg_ridge") and imputer is None:
         raise TypeError(f"{spec.kind} needs an ImputationMap")
@@ -222,14 +247,40 @@ def run_protocol(spec: ProtocolSpec, data: Dataset, imputer: ImputationMap | Non
         for c in senders:
             comm.record(1, "up", _upload_floats(missing, len(data.local_moments[c.id].gamma_sum)))
     if spec.kind == "one_shot_moments":
-        artifact = _one_shot_moments(data, comm)
+        artifact = _one_shot_moments(data)
     elif spec.kind == "federated_ice":
         artifact = federated_ice(data, spec.ice_rounds)
-        if spec.ice_rounds:
-            comm.record(1, "down", _tri(data.d))
     elif spec.kind == "one_shot_ridge":
         artifact = ridge_closed_form(data, imputer, spec.lam)
-        comm.record(1, "down", data.d)
     else:
         artifact = _fedavg_ridge(data, imputer, spec, comm)
     return ProtocolResult(artifact=artifact, comm=comm, spec=spec)
+
+
+def serve_predictor(predictor: ClientwisePredictor, served, data: Dataset, session) -> CommLog:
+    """Log the delivery of ``predictor`` to each client of ``served``, after a
+    method ran ``session`` (its protocol specs, in order) on ``data``.
+
+    The server sends the smaller of two exact encodings, a tie going to the
+    broadcast: one broadcast of the shared model (``_shared_floats``), or
+    each served client's |O_k| coefficients when it has some (an
+    unidentifiable client has none). For the latter the server needs every
+    served client's pattern, so one that did not register while the method
+    fitted (it drew no rows, or is new) registers first. Registrations are
+    round 0, messages round 1.
+    """
+    served = tuple(served)
+    sizes = [len(predictor.thetas[c.id]) for c in served
+             if c.id in predictor.thetas and c.id not in predictor.unidentifiable]
+    comm, shared = CommLog(), _shared_floats(session, data.d)
+    if sum(sizes) >= shared:
+        comm.record(1, "down", shared)
+        return comm
+    registered = {c.id for c in _senders(data)}
+    for c in served:
+        if c.id not in registered:
+            comm.record(0, "up", 0, bits=data.d)
+    for m in sizes:
+        if m:
+            comm.record(1, "down", m)
+    return comm

@@ -53,7 +53,9 @@ class PopulationSpec:
     bounded by sqrt(d) * ||sigma^{1/2} theta_star||. ``m_bound`` is derived,
     never given: pairing "sphere" with uniform noise on [-a, a] gives the
     almost-sure response bound sqrt(d) * ||sigma^{1/2} theta_star|| + a, and
-    every other design or noise leaves it None (Y is unbounded).
+    every other design or noise leaves it None (Y is unbounded). The one
+    ``SymEig`` of sigma, built for the PSD check, is kept as
+    ``sigma_factor``, and ``sqrt_sigma`` is read from it.
 
     noise "gaussian" has variance sigma2; "uniform" is uniform on
     [-noise_halfwidth, noise_halfwidth] with sigma2 = halfwidth^2 / 3.
@@ -68,6 +70,7 @@ class PopulationSpec:
     noise_halfwidth: float | None = None
     m_bound: float | None = field(init=False)
     sqrt_sigma: np.ndarray = field(init=False, repr=False)
+    sigma_factor: SymEig = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         s = np.asarray(self.sigma, dtype=np.float64)
@@ -95,6 +98,7 @@ class PopulationSpec:
         object.__setattr__(self, "theta_star", t)
         root = factor.sqrt()
         object.__setattr__(self, "sqrt_sigma", root)
+        object.__setattr__(self, "sigma_factor", factor)
         m = None
         if self.design == "sphere" and self.noise == "uniform":
             m = float(np.sqrt(self.d) * np.linalg.norm(root @ t) + self.noise_halfwidth)

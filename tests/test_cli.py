@@ -538,16 +538,15 @@ class TestRunExperiment:
         results, _ = run_experiment(cfg, str(tmp_path))
         rows = {r["method"]: r for r in _read_rows(results)}
         # obs {1,2}, {2,3,4}, {1,4}: moment uploads (m+1)(m+2)/2 = 6, 10, 6
-        # floats; ICE uploads tri(m) = 3, 6, 3 once, whatever the rounds, and
-        # receives one tri(d) broadcast. Each FedAvg round exchanges m = 2, 3,
-        # 2 floats each way.
-        tri = 4 * 5 // 2
+        # floats; ICE uploads tri(m) = 3, 6, 3 once, whatever the rounds. The
+        # one-shot artifacts stay on the server. Each FedAvg round exchanges
+        # m = 2, 3, 2 floats each way.
         assert int(rows["one_shot_moments"]["comm_floats_up"]) == 6 + 10 + 6
-        assert int(rows["one_shot_moments"]["comm_floats_down"]) == tri + 4
+        assert int(rows["one_shot_moments"]["comm_floats_down"]) == 0
         assert int(rows["one_shot_ridge"]["comm_floats_up"]) == 6 + 10 + 6
-        assert int(rows["one_shot_ridge"]["comm_floats_down"]) == 4
+        assert int(rows["one_shot_ridge"]["comm_floats_down"]) == 0
         assert int(rows["federated_ice"]["comm_floats_up"]) == 3 + 6 + 3
-        assert int(rows["federated_ice"]["comm_floats_down"]) == tri
+        assert int(rows["federated_ice"]["comm_floats_down"]) == 0
         assert int(rows["fedavg_ridge"]["comm_floats_up"]) == 2 * (2 + 3 + 2)
         assert int(rows["fedavg_ridge"]["comm_floats_down"]) == 2 * (2 + 3 + 2)
         for r in rows.values():
@@ -576,6 +575,9 @@ class TestRunExperiment:
         assert float(r["excess_risk"]) == pytest.approx(
             float(r["mc_risk"]) - float(r["oracle_risk"]), abs=1e-12
         )
+        # The probe is sent its |{3,4}| = 2 coefficients alone; the moment
+        # uploads are (m+1)(m+2)/2 = 6 and 10 floats.
+        assert (r["comm_floats_up"], r["comm_floats_down"]) == ("16", "2")
 
     def test_typical_case_rows(self, tmp_path):
         cfg = {
@@ -595,6 +597,23 @@ class TestRunExperiment:
             assert float(r["oracle_risk"]) > 0
             assert float(r["bound_value"]) > 0
             assert r["tau"] in ("0.5", "0.90000000000000002")
+
+    def test_typical_case_factors_the_population_once(self, tmp_path, monkeypatch):
+        # One eigh of Sigma_I per work item (3 tau x 2 lambda) and one of
+        # the population Sigma, at parse time, which the bound's ridge bias
+        # reuses.
+        from fedmismatch import cli
+
+        calls, eigh = [], np.linalg.eigh
+
+        def counting(a, *args, **kwargs):
+            calls.append(a.shape)
+            return eigh(a, *args, **kwargs)
+
+        cfg = json.loads(Path(cli.__file__).with_name("presets").joinpath("typical_case.json").read_text())
+        monkeypatch.setattr(np.linalg, "eigh", counting)
+        run_experiment(cfg, str(tmp_path), seed=100)
+        assert calls == [(10, 10)] * 7
 
     def test_plugin_sweep_item_evaluates_the_oracle_once(self, monkeypatch):
         # Both plug-ins report the one oracle value of the work item: one

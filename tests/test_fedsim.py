@@ -12,11 +12,13 @@ from fedmismatch.fedsim import (
     PROTOCOL_KINDS,
     ProtocolSpec,
     replay_comm_schedule,
+    replay_serve,
     run_protocol,
+    serve_predictor,
 )
 from fedmismatch.impute import fit_optimal_imputer, fit_zero_imputer
 from fedmismatch.impute import federated_ice as ice_in_memory
-from fedmismatch.model import ClientSpec, Dataset, FeaturePattern
+from fedmismatch.model import ClientSpec, ClientwisePredictor, Dataset, FeaturePattern
 from fedmismatch.moments import aggregate_zero_imputed, imputed_data_moments
 from fedmismatch.popgen import sample_dataset
 from fedmismatch.ridge import fedavg_ridge, ridge_closed_form
@@ -147,13 +149,14 @@ class TestTransportTransparency:
         # Every protocol logs the three clients that drew rows; client 2
         # sends nothing. Patterns {1,3}, {} and {2,3,4} (m = 2, 0, 3 observed
         # features) upload (m+1)(m+2)/2 = 6, 1, 10 floats of moments, or
-        # m(m+1)/2 = 3, 0, 6 once for all three ICE rounds, which end in one
-        # tri(4) = 10 broadcast. Each of FedAvg's four rounds exchanges m =
-        # 2, 0, 3 floats each way, and all three senders register.
+        # m(m+1)/2 = 3, 0, 6 once for all three ICE rounds. The one-shot
+        # artifacts stay on the server, so nothing comes down. Each of
+        # FedAvg's four rounds exchanges m = 2, 0, 3 floats each way, and all
+        # three senders register.
         want = {
-            "one_shot_moments": (6 + 1 + 10, 10 + 4, 3 * 4),
-            "one_shot_ridge": (6 + 1 + 10, 4, 3 * 4),
-            "federated_ice": (3 + 0 + 6, 10, 3 * 4),
+            "one_shot_moments": (6 + 1 + 10, 0, 3 * 4),
+            "one_shot_ridge": (6 + 1 + 10, 0, 3 * 4),
+            "federated_ice": (3 + 0 + 6, 0, 3 * 4),
             "fedavg_ridge": (4 * (2 + 0 + 3), 4 * (2 + 0 + 3), 3 * 4),
         }[kind]
         assert (res.comm.total_floats("up"), res.comm.total_floats("down"), res.comm.total_bits()) == want
@@ -186,17 +189,16 @@ class TestPayloadAudit:
         # Per message, in logged order: registrations carry d bits and no
         # floats, and every float payload has the size its contents dictate.
         # obs(1) = {1,3} and obs(2) = {2,3,4} upload 6 and 10 moment floats,
-        # and 3 and 6 Gram floats once for both ICE rounds, which end in one
-        # tri(d) broadcast; other broadcasts are d-sized. Each FedAvg round
-        # sends each sender its 2 and 3 observed coefficients and hears back
-        # as many.
-        d, tri = 4, 4 * 5 // 2
+        # and 3 and 6 Gram floats once for both ICE rounds; no one-shot
+        # protocol sends anything down. Each FedAvg round sends each sender
+        # its 2 and 3 observed coefficients and hears back as many.
+        d = 4
         clients = section3_clients(d)
         register = {(0, "up"): [(0, d), (0, d)]}
         sizes = {
-            "one_shot_moments": {**register, (1, "up"): [(6, 0), (10, 0)], (1, "down"): [(tri + d, 0)]},
-            "one_shot_ridge": {**register, (1, "up"): [(6, 0), (10, 0)], (1, "down"): [(d, 0)]},
-            "federated_ice": {**register, (1, "up"): [(3, 0), (6, 0)], (1, "down"): [(tri, 0)]},
+            "one_shot_moments": {**register, (1, "up"): [(6, 0), (10, 0)]},
+            "one_shot_ridge": {**register, (1, "up"): [(6, 0), (10, 0)]},
+            "federated_ice": {**register, (1, "up"): [(3, 0), (6, 0)]},
             "fedavg_ridge": {**register, **{(t, io): [(2, 0), (3, 0)] for t in (1, 2) for io in ("up", "down")}},
         }
         for kind, want in sizes.items():
@@ -350,12 +352,13 @@ class TestFedAvgPatternMessages:
 
 
 class TestIceOneRoundTrip:
-    """Federated ICE sends each client's observed Gram once and the final
-    covariance estimate back once, however many rounds the server runs."""
+    """Federated ICE sends each client's observed Gram once, however many
+    rounds the server runs, and keeps the final covariance estimate on the
+    server."""
 
     @settings(max_examples=60, deadline=None)
     @given(_federations(), st.integers(0, 5))
-    def test_one_upload_per_client_and_one_broadcast(self, drawn, rounds):
+    def test_one_upload_per_client_and_nothing_down(self, drawn, rounds):
         data, _ = drawn
         d, senders = data.d, [c.pattern for c in data.clients if len(data.rows_of(c.id))]
         spec = ProtocolSpec(kind="federated_ice", ice_rounds=rounds)
@@ -363,9 +366,8 @@ class TestIceOneRoundTrip:
         events = [(e.round, e.direction, e.floats, e.bits) for e in res.comm.events]
         register = [(0, "up", 0, d)] * len(senders)
         uploads = [(1, "up", p.size * (p.size + 1) // 2, 0) for p in senders]
-        broadcast = [(1, "down", d * (d + 1) // 2, 0)]
         if rounds:
-            assert events == register + uploads + broadcast
+            assert events == register + uploads
             once = run_protocol(ProtocolSpec(kind="federated_ice", ice_rounds=1), data)
             assert [e for e in once.comm.events if e.direction == "up"] == [
                 e for e in res.comm.events if e.direction == "up"]
@@ -446,18 +448,25 @@ def _sparse_context(ice_rounds):
 
 
 def _method_totals(method, ctx):
-    """(up, down, bits) of one method's protocols, as its results row sums them."""
+    """(up, down, bits) of one method's row: its protocols' logs and the
+    serving of its predictor."""
     fit = cli._METHOD_FITS[method](ctx)
-    logs = [r.comm for r in fit.protocols]
+    logs = cli._comm_logs(fit, ctx)
     up, down = (sum(log.total_floats(way) for log in logs) for way in ("up", "down"))
     return fit, (up, down, sum(log.total_bits() for log in logs))
 
 
-def _replayed_totals(fit, senders):
+def _replayed_totals(fit, ctx):
     """(up, down, bits) that ``replay_comm_schedule`` predicts for a method's
-    protocols, each run in the session of the ones before it."""
-    preds = [replay_comm_schedule(r.spec, senders, [q.spec for q in fit.protocols[:i]])
-             for i, r in enumerate(fit.protocols)]
+    protocols, each run in the session of the ones before it, plus what
+    ``replay_serve`` predicts for serving its predictor to ``ctx.served``."""
+    data, session = ctx.data, [r.spec for r in fit.protocols]
+    senders = [c for c in data.clients if len(data.rows_of(c.id))]
+    preds = [replay_comm_schedule(spec, [c.pattern for c in senders], session[:i]) for i, spec in enumerate(session)]
+    if session:
+        sizes = [c.pattern.size for c in ctx.served if c.id in fit.predictor.thetas]
+        unregistered = sum(c not in senders for c in ctx.served)
+        preds.append(replay_serve(session, data.d, sizes, unregistered))
     return tuple(sum(getattr(p, f) for p in preds) for f in ("up_floats", "down_floats", "registration_bits"))
 
 
@@ -474,20 +483,24 @@ class TestMethodSessions:
         # tri(m) = 3, 0, 6. After ICE's Gram uploads the ridge needs only
         # [n_k][g_k], 1 + m = 3, 1, 4; after the moments it needs nothing.
         # Each of FedAvg's four rounds exchanges m = 2, 0, 3 floats each way.
+        # Serving costs min(shared, 2 + 2 + 0 + 3 = 7) floats: the shared
+        # model is tri(4) + 4 = 14 after a covariance fit (moments, or ICE at
+        # T >= 1) and theta's 4 otherwise. Served one by one, client 2
+        # registers its 4 bits first.
         assert set(_METHOD_PROTOCOLS) == set(cli._METHOD_FITS)
         ctx = _sparse_context(ice_rounds)
         fit, got = _method_totals(method, ctx)
         assert tuple(r.spec.kind for r in fit.protocols) == _METHOD_PROTOCOLS[method]
-        assert got == _replayed_totals(fit, [c.pattern for c in ctx.data.clients if c.id != 2])
+        assert got == _replayed_totals(fit, ctx)
         pinned = {
             "local": (0, 0, 0),
-            "plugin_debias": (17, 14, 12),
-            "plugin_cw": (17, 14, 12),
+            "plugin_debias": (17, 7, 12 + 4),
+            "plugin_cw": (17, 7, 12 + 4),
             "itr_zero": (17, 4, 12),
             "itr_opt": (17, 4, 12),
-            "itr_cw": (17, 14 + 4, 12),
-            "itr_ice": (9 + 8, 10 + 4, 12) if ice_rounds else (17, 4, 12),
-            "fedavg": (4 * (2 + 0 + 3), 4 * (2 + 0 + 3), 12),
+            "itr_cw": (17, 7, 12 + 4),
+            "itr_ice": (9 + 8, 7, 12 + 4) if ice_rounds else (17, 4, 12),
+            "fedavg": (4 * (2 + 0 + 3), 4 * (2 + 0 + 3) + 4, 12),
         }[method]
         assert got == pinned
 
@@ -499,8 +512,8 @@ class TestMethodSessions:
         fit = cli._METHOD_FITS["itr_cw"](ctx)
         assert fit.protocols[0] is ctx.moments
         assert ctx.moments.comm.events == before
-        assert [(e.direction, e.floats, e.bits) for e in fit.protocols[1].comm.events] == [("down", 4, 0)]
-        assert _method_totals("plugin_cw", ctx)[1] == (17, 14, 12)
+        assert fit.protocols[1].comm.events == []
+        assert _method_totals("plugin_cw", ctx)[1] == (17, 7, 16)
 
     def test_ridge_after_ice_sends_counts_and_cross_moments(self):
         _, data = _sparse_federation(516)
@@ -509,7 +522,7 @@ class TestMethodSessions:
         joined = run_protocol(ProtocolSpec(kind="one_shot_ridge", lam=0.2), data, ice.artifact, [ice.spec])
         assert np.array_equal(joined.artifact, alone.artifact)
         assert [(e.round, e.direction, e.floats, e.bits) for e in joined.comm.events] == [
-            (1, "up", 3, 0), (1, "up", 1, 0), (1, "up", 4, 0), (1, "down", 4, 0)]
+            (1, "up", 3, 0), (1, "up", 1, 0), (1, "up", 4, 0)]
         assert alone.comm.total_floats("up") == 17 and alone.comm.total_bits() == 12
 
     def test_fedavg_sends_the_same_in_any_session(self):
@@ -527,18 +540,19 @@ class TestMethodSessions:
         assert (joined.up_floats, joined.down_floats, joined.registration_bits) == (3 * (2 + 3), 3 * (2 + 3), 0)
         assert (pred.up_floats, pred.down_floats, pred.registration_bits) == (3 * (2 + 3), 3 * (2 + 3), 2 * 4)
 
-    def test_moments_after_the_ridge_send_only_their_broadcast(self):
+    def test_moments_after_the_ridge_send_nothing(self):
         # Both protocols hear from the same senders, so the moments run
-        # after the ridge finds every statistic it reads on the server.
+        # after the ridge finds every statistic it reads on the server, and
+        # its pair stays there.
         _, data = _sparse_federation(518)
         ridge_spec, spec = ProtocolSpec(kind="one_shot_ridge", lam=0.2), ProtocolSpec(kind="one_shot_moments")
         res = run_protocol(spec, data, session=[ridge_spec])
         alone = run_protocol(spec, data)
-        assert [(e.round, e.direction, e.floats, e.bits) for e in res.comm.events] == [(1, "down", 10 + 4, 0)]
+        assert res.comm.events == []
         assert np.array_equal(res.artifact.pair.sigma, alone.artifact.pair.sigma)
         assert np.array_equal(res.artifact.counts, alone.artifact.counts)
         pred = replay_comm_schedule(spec, [c.pattern for c in data.clients if c.id != 2], [ridge_spec])
-        assert (pred.up_floats, pred.down_floats, pred.registration_bits) == (0, 10 + 4, 0)
+        assert (pred.up_floats, pred.down_floats, pred.registration_bits) == (0, 0, 0)
 
 
 # The fitting methods that read the moment triple of every sender once.
@@ -562,22 +576,125 @@ class TestMethodInvariant:
             ctx = cli._Context(pop, data.clients, data.clients, data, 0.3, params)
             for method in cli._METHOD_FITS:
                 fit, got = _method_totals(method, ctx)
-                assert got == _replayed_totals(fit, senders), (method, ice_rounds)
+                assert got == _replayed_totals(fit, ctx), (method, ice_rounds)
                 if method in _MOMENT_METHODS:
                     assert got[0] == triples, (method, ice_rounds)
+
+
+def _served_events(method, ctx):
+    """The fitted predictor and the (round, direction, floats, bits) events of its serving."""
+    fit = cli._METHOD_FITS[method](ctx)
+    return fit, [(e.round, e.direction, e.floats, e.bits) for e in cli._comm_logs(fit, ctx)[-1].events]
+
+
+class TestServedDownlinks:
+    """A federated method's row ends with one delivery of its predictor, in
+    the smaller of two exact encodings: one broadcast of the shared model,
+    or each served client's own |O_k| coefficients (a tie goes to the
+    broadcast). The protocols themselves send nothing down but FedAvg's
+    rounds."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(_federations())
+    def test_each_row_adds_the_smaller_encoding(self, drawn):
+        data, rng = drawn
+        pop, d = random_population(rng, data.d), data.d
+        tri = d * (d + 1) // 2
+        senders = [c for c in data.clients if len(data.rows_of(c.id))]
+        for ice_rounds in (0, 2):
+            ctx = cli._Context(pop, data.clients, data.clients, data, 0.3,
+                               {"ice_rounds": ice_rounds, "rounds": 3, "local_steps": 1})
+            ice = tri + d if ice_rounds else d
+            # The shared model: (Sigma_hat, gamma_hat) or (Sigma_hat, theta)
+            # after a covariance fit, theta alone under a map the clients hold.
+            shared = {"plugin_debias": tri + d, "plugin_cw": tri + d, "itr_zero": d, "itr_opt": d,
+                      "itr_cw": tri + d, "itr_ice": ice, "fedavg": d}
+            # Broadcasting every one-shot protocol's artifact: the moments'
+            # pair, ICE's covariance estimate and the ridge's theta.
+            artifacts = {"local": 0, "plugin_debias": tri + d, "plugin_cw": tri + d, "itr_zero": d,
+                         "itr_opt": d, "itr_cw": tri + 2 * d, "itr_ice": ice}
+            for method in cli._METHOD_FITS:
+                fit = cli._METHOD_FITS[method](ctx)
+                logs = cli._comm_logs(fit, ctx)
+                down = sum(log.total_floats("down") for log in logs)
+                if method == "local":
+                    assert logs == [] and down == 0
+                    continue
+                fitting = sum(r.comm.total_floats("down") for r in fit.protocols)
+                coefs = [c for c in ctx.served if c.id in fit.predictor.thetas]
+                assert all(len(fit.predictor.thetas[c.id]) == c.pattern.size for c in coefs)
+                unicast = sum(c.pattern.size for c in coefs)
+                assert down == fitting + min(shared[method], unicast), (method, ice_rounds)
+                events = [(e.direction, e.floats, e.bits) for e in logs[-1].events]
+                if unicast < shared[method]:
+                    register = [("up", 0, d)] * sum(c not in senders for c in ctx.served)
+                    assert events == register + [("down", len(fit.predictor.thetas[c.id]), 0)
+                                                 for c in coefs if c.pattern.size], method
+                else:
+                    assert events == [("down", shared[method], 0)], method
+                if method != "fedavg":
+                    assert down <= artifacts[method], (method, ice_rounds)
+
+    def test_plugin_cw_sends_each_client_its_coefficients(self):
+        # obs {1,3} and {2,3,4} on d = 4 hold 2 + 3 = 5 coefficients, fewer
+        # than the tri(4) + 4 = 14 floats of the shared (Sigma_hat, gamma_hat).
+        rng = seeded(519)
+        pop = random_population(rng, 4)
+        data = sample_dataset(pop, section3_clients(4), 120, rng)
+        ctx = cli._Context(pop, data.clients, data.clients, data, 0.0, {})
+        fit, events = _served_events("plugin_cw", ctx)
+        assert events == [(1, "down", 2, 0), (1, "down", 3, 0)]
+        assert _method_totals("plugin_cw", ctx)[1] == (6 + 10, 2 + 3, 2 * 4)
+
+    @pytest.mark.parametrize("method", ["plugin_debias", "plugin_cw"])
+    def test_new_client_registers_and_receives_its_coefficients(self, method):
+        # A probe new to the federation registers its 4 bits and is sent its
+        # |{3,4}| = 2 coefficients. No client observes features 1 and 2
+        # together, so a probe on {1,2} is unidentifiable: it registers and
+        # receives nothing.
+        rng = seeded(520)
+        pop = random_population(rng, 4)
+        data = sample_dataset(pop, section3_clients(4), 120, rng)
+        for observed, want in (([3, 4], [(0, "up", 0, 4), (1, "down", 2, 0)]), ([1, 2], [(0, "up", 0, 4)])):
+            probe = ClientSpec(id=3, pattern=FeaturePattern.from_one_based(observed, 4), rho=1.0)
+            ctx = cli._Context(pop, data.clients, (probe,), data, 0.0, {})
+            fit, events = _served_events(method, ctx)
+            assert events == want
+            assert (probe.id in fit.predictor.unidentifiable) == (observed == [1, 2])
+
+    def test_ties_go_to_the_broadcast(self):
+        # theta is d = 4 floats. Clients on {1,3} and {2,4} hold 2 + 2 = 4
+        # coefficients, a tie, so theta is broadcast. Served with a new
+        # client on {3}, client 1's 2 and the new client's 1 go one by one,
+        # and the new client registers its 4 bits first.
+        d = 4
+        clients = (ClientSpec(id=1, pattern=FeaturePattern.from_one_based([1, 3], d), rho=0.5),
+                   ClientSpec(id=2, pattern=FeaturePattern.from_one_based([2, 4], d), rho=0.5))
+        probe = ClientSpec(id=3, pattern=FeaturePattern.from_one_based([3], d), rho=1.0)
+        data = _masked(521, d, 60, clients)
+        predictor = ClientwisePredictor({c.id: np.zeros(c.pattern.size) for c in clients + (probe,)})
+        ridge = [ProtocolSpec(kind="one_shot_ridge")]
+        cases = ((clients, [(1, "down", 4, 0)], [2, 2], 0),
+                 ((clients[0], probe), [(0, "up", 0, 4), (1, "down", 2, 0), (1, "down", 1, 0)], [2, 1], 1))
+        for served, want, sizes, unregistered in cases:
+            log = serve_predictor(predictor, served, data, ridge)
+            assert [(e.round, e.direction, e.floats, e.bits) for e in log.events] == want
+            pred = replay_serve(ridge, d, sizes, unregistered)
+            assert (pred.up_floats, pred.down_floats, pred.registration_bits) == (
+                log.total_floats("up"), log.total_floats("down"), log.total_bits())
 
 
 class TestPinnedTotals:
     def test_one_shot_moments_k3_d4(self):
         # Patterns with m = 4, 3, 2 observed features upload count + tri(m)
-        # + m = 15, 10 and 6 floats: 31 up; 10 + 4 = 14 down, 3 * 4
+        # + m = 15, 10 and 6 floats: 31 up; nothing down, 3 * 4
         # registration bits.
         clients = random_clients(seeded(510), 4, 3)
         assert [c.pattern.one_based() for c in clients] == [(1, 2, 3, 4), (2, 3, 4), (3, 4)]
         data = _masked(510, 4, 90, clients)
         res = run_protocol(ProtocolSpec(kind="one_shot_moments"), data)
         assert res.comm.total_floats("up") == 31
-        assert res.comm.total_floats("down") == 14
+        assert res.comm.total_floats("down") == 0
         assert res.comm.total_bits("up") == 12
 
     def test_fedavg_k2_d5_seven_rounds(self):
@@ -608,22 +725,20 @@ class TestPinnedTotals:
     def test_ice_comm_totals(self):
         # Every client uploads its observed Gram once, tri(2) = 3 and
         # tri(3) = 6 floats for obs {1,3} and {2,3,4}: 3 + 6 up for all T
-        # rounds, and one tri(4) broadcast down.
+        # rounds, and nothing down.
         rng = seeded(213)
         pop = random_population(rng, 4)
         data = sample_dataset(pop, section3_clients(), 40, rng)
         res = run_protocol(ProtocolSpec(kind="federated_ice", ice_rounds=3), data)
-        tri = 4 * 5 // 2
         assert res.comm.total_floats("up") == 3 + 6
-        assert res.comm.total_floats("down") == tri
+        assert res.comm.total_floats("down") == 0
 
     def test_ice_round_totals(self):
-        # Three refinement rounds are one round trip: registration in round
-        # 0, the Gram uploads and the broadcast in round 1.
+        # Three refinement rounds are one upload: registration in round 0,
+        # the Gram uploads in round 1, and the estimate stays on the server.
         data = _masked(512, 4, 50)
         res = run_protocol(ProtocolSpec(kind="federated_ice", ice_rounds=3), data)
-        tri = 4 * 5 // 2
-        assert res.comm.total_floats("down") == tri
+        assert res.comm.total_floats("down") == 0
         assert res.comm.total_floats("up") == 3 + 6
         assert sorted({e.round for e in res.comm.events}) == [0, 1]
 
