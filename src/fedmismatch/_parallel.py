@@ -6,7 +6,9 @@ release the GIL (random draws, BLAS products, fancy-index gathers) are worth
 handing over. Outside ``workers``, with ``threads=1``, or on a pool thread
 (a new thread starts with an empty context), ``map_ordered`` runs inline, so
 nested calls cannot deadlock and one thread starts no pool. Callers split
-their work the same way whatever the width, so results do not depend on it.
+their work the same way whatever the width, into units of ``BLOCK_CELLS``
+float64 cells (``block_rows(d)`` rows of d columns), so results do not
+depend on the width and a unit's memory does not depend on d.
 """
 from __future__ import annotations
 
@@ -15,10 +17,23 @@ import concurrent.futures
 import contextlib
 import contextvars
 
-# Rows in one unit of pooled array work; work on fewer rows runs inline. On
-# small arrays the calls are Python-bound, and threads that take turns at the
-# GIL cost more than the array passes save.
-BLOCK_ROWS = 8192
+# Float64 cells in one unit of pooled array work (512 KiB); work that fits in
+# one unit runs inline. On small arrays the calls are Python-bound, and
+# threads that take turns at the GIL cost more than the array passes save.
+BLOCK_CELLS = 2**16
+# A unit's rows are a multiple of this. BLAS matrix-vector kernels take rows
+# in groups (of 4 in OpenBLAS's x86 kernels) and round the last, partial
+# group differently, so a row rounds as in one product over all rows only
+# if its unit starts on a group boundary.
+ROW_GROUP = 16
+
+
+def block_rows(d: int) -> int:
+    """Rows of ``d`` columns in one unit: ``BLOCK_CELLS // d`` rounded down
+    to a multiple of ``ROW_GROUP``, and at least ``ROW_GROUP``, so a unit's
+    memory does not grow with d."""
+    return max(ROW_GROUP, BLOCK_CELLS // d // ROW_GROUP * ROW_GROUP)
+
 
 _ACTIVE: contextvars.ContextVar = contextvars.ContextVar("fedmismatch_workers", default=None)
 

@@ -22,7 +22,7 @@ from typing import Mapping
 
 import numpy as np
 
-from ._parallel import BLOCK_ROWS, map_ordered
+from ._parallel import block_rows, map_ordered
 
 __all__ = [
     "FeaturePattern",
@@ -270,8 +270,8 @@ class Dataset:
         """Each client's observed sums (n_k, G_k = x_obs^T x_obs, g_k = x_obs^T y)
         over its observed block, in ascending id order: one fold per client, on first
         use, spread over the ``_parallel.workers`` pool if one is current and
-        the sample holds more than ``BLOCK_ROWS`` rows; the arrays are
-        read-only and shared."""
+        the sample spans more than one block of ``_parallel.block_rows(d)``
+        rows; the arrays are read-only and shared."""
         from .moments import local_zero_imputed_moments  # moments imports this module
 
         def fold(c: ClientSpec) -> LocalMoments:
@@ -280,7 +280,7 @@ class Dataset:
             return lm
 
         clients = sorted(self.clients, key=lambda c: c.id)
-        folds = map_ordered(fold, clients) if self.n > BLOCK_ROWS else [fold(c) for c in clients]
+        folds = map_ordered(fold, clients) if self.n > block_rows(self.d) else [fold(c) for c in clients]
         return dict(zip([c.id for c in clients], folds))
 
 

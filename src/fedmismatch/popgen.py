@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._linalg import SymEig
-from ._parallel import BLOCK_ROWS, map_ordered
+from ._parallel import block_rows, map_ordered
 from .model import ClientSpec, FeaturePattern, Dataset, validate_federation
 
 __all__ = [
@@ -133,15 +133,20 @@ def draw_bernoulli_patterns(k: int, d: int, tau: float, rng: np.random.Generator
     return [FeaturePattern(tuple(np.flatnonzero(row).tolist()), d) for row in hits]
 
 
-def _row_blocks(n: int) -> list[tuple[int, int]]:
-    """(lo, hi) row ranges of the covariate blocks of an n-row sample.
+def _row_blocks(n: int, d: int) -> list[tuple[int, int]]:
+    """(lo, hi) row ranges of the covariate blocks of an n-row, d-column sample.
 
-    Blocks hold ``BLOCK_ROWS`` rows whatever the thread count, and the last
-    one takes the remainder, so no block is a single row unless the sample
-    is: a one-row product goes through a different BLAS routine and rounds
-    differently from the same row inside a larger one.
+    Blocks hold ``_parallel.block_rows(d)`` rows, about ``BLOCK_CELLS``
+    floats, whatever the thread count, and the last one takes the
+    remainder. So every block starts on a ``ROW_GROUP`` boundary, where
+    each row's response rounds as in one product over all rows, and no
+    block is a single row unless the sample is: a one-row product goes
+    through a different BLAS routine. The sampler holds at most
+    3 * threads + 1 blocks at once, so its working memory beyond the rows
+    it stores does not grow with n.
     """
-    cuts = list(range(BLOCK_ROWS, n - BLOCK_ROWS + 1, BLOCK_ROWS))
+    rows = block_rows(d)
+    cuts = list(range(rows, n - rows + 1, rows))
     return list(zip([0, *cuts], [*cuts, n]))
 
 
@@ -182,7 +187,7 @@ def _draw_rows(pop: PopulationSpec, clients: tuple[ClientSpec, ...], positions: 
     if clients[0].pattern.d != pop.d:
         raise ValueError("clients and population disagree on dimension")
     n = len(positions)
-    blocks = _row_blocks(n)
+    blocks = _row_blocks(n, pop.d)
     counts = np.stack([np.bincount(positions[lo:hi], minlength=len(clients)) for lo, hi in blocks])
     offsets = (np.cumsum(counts, axis=0) - counts).tolist()
     cols = [np.array(c.pattern.observed, dtype=np.intp) for c in clients]

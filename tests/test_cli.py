@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fedmismatch._parallel import BLOCK_ROWS
+from fedmismatch._parallel import block_rows
 from fedmismatch.cli import (
     ConfigError,
     RESULT_COLUMNS,
@@ -61,7 +61,7 @@ def _pipelined_config():
             "design": "sphere",
         },
         "clients": {"k": 4, "rho": "uniform", "patterns": {"kind": "bernoulli", "tau": 0.7}},
-        "grid": {"n": [3 * BLOCK_ROWS + 5], "lam": [0.5]},
+        "grid": {"n": [3 * block_rows(16) + 5], "lam": [0.5]},
         "methods": ["local", "itr_zero", "plugin_cw", "itr_ice"],
         "mc": {"n_test": 2000},
         "seeds": {"root": 4, "replicates": 1},

@@ -15,7 +15,8 @@ from fedmismatch import (
     sample_dataset,
 )
 from fedmismatch import popgen
-from fedmismatch._parallel import BLOCK_ROWS, workers
+from fedmismatch import _parallel
+from fedmismatch._parallel import block_rows, workers
 from fedmismatch.model import Dataset
 
 from support import fail_second_block, random_clients, reference_draw_rows, seeded, x_filled
@@ -183,9 +184,9 @@ def short_switch():
 
 
 class TestBlockedSampler:
-    """Covariates come in blocks of BLOCK_ROWS rows, each transformed and
-    written into the clients' arrays on pool threads while the next block is
-    drawn; the bytes are those of the one-shot draw. Five threads are more
+    """Covariates come in blocks of ``block_rows(d)`` rows, each transformed
+    and written into the clients' arrays on pool threads while the next block
+    is drawn; the bytes are those of the one-shot draw. Five threads are more
     than the cores of a small machine."""
 
     @staticmethod
@@ -209,12 +210,17 @@ class TestBlockedSampler:
             ClientSpec(id=6, pattern=FeaturePattern.from_one_based([2, 5], d), rho=1e-9),
         )
 
+    def test_a_block_is_a_fixed_number_of_cells(self):
+        assert [block_rows(d) for d in (1, 8, 10, 64, 512, 4096, 5000, 10**6)] == [
+            65536, 8192, 6544, 1024, 128, 16, 16, 16]
+        assert popgen._row_blocks(2 * 1024 + 1023, 64) == [(0, 1024), (1024, 3071)]
+        assert popgen._row_blocks(15, 10**6) == [(0, 15)]
+
     @pytest.mark.parametrize("threads", [1, 2, 5])
     @pytest.mark.parametrize("design", ["gaussian", "sphere"])
     def test_matches_one_shot_draw(self, design, threads, monkeypatch, short_switch):
         pop = self.population(design)
         clients = self.federation(pop.d)
-        rho = np.array([c.rho for c in clients])
         transform = popgen._transform_block
         pooled = []
 
@@ -223,26 +229,46 @@ class TestBlockedSampler:
             transform(*args)
 
         monkeypatch.setattr(popgen, "_transform_block", recording)
-        for n in (0, 1, BLOCK_ROWS - 1, BLOCK_ROWS, BLOCK_ROWS + 1, 3 * BLOCK_ROWS + 5):
+        rows = block_rows(pop.d)
+        for n in (0, 1, rows - 1, rows, rows + 1, 3 * rows + 5):
             pooled.clear()
-            got_rng = seeded(11)
-            with workers(threads):
-                got = sample_dataset(pop, clients, n, got_rng)
-            rng = seeded(11)
-            positions = rng.choice(len(clients), size=n, p=rho / rho.sum())
-            want = reference_draw_rows(pop, clients, positions, rng)
-            assert len(got.rows_of(6)) == 0
-            for c in clients:
-                block = got.x_obs_of(c.id)
-                assert block.shape == (len(want.rows_of(c.id)), c.pattern.size)
-                assert block.flags.c_contiguous and not block.flags.writeable
-                assert block.tobytes() == want.x_obs_of(c.id).tobytes()
-                assert got.rows_of(c.id) == want.rows_of(c.id)
-                assert got.y_of(c.id).tobytes() == want.y_of(c.id).tobytes()
-            assert got.y.tobytes() == want.y.tobytes()
-            assert got_rng.standard_normal(4).tobytes() == rng.standard_normal(4).tobytes()
-            assert len(pooled) == max(1, n // BLOCK_ROWS)
-            assert any(pooled) == (threads > 1 and n >= 2 * BLOCK_ROWS)
+            self.assert_one_shot(pop, clients, n, threads)
+            assert len(pooled) == max(1, n // rows)
+            assert any(pooled) == (threads > 1 and n >= 2 * rows)
+
+    @staticmethod
+    def assert_one_shot(pop, clients, n, threads):
+        """Sampling n rows with ``threads`` threads gives the bytes of the
+        one-shot draw and leaves the generator where that draw does."""
+        rho = np.array([c.rho for c in clients])
+        got_rng = seeded(11)
+        with workers(threads):
+            got = sample_dataset(pop, clients, n, got_rng)
+        rng = seeded(11)
+        positions = rng.choice(len(clients), size=n, p=rho / rho.sum())
+        want = reference_draw_rows(pop, clients, positions, rng)
+        assert len(got.rows_of(6)) == 0
+        for c in clients:
+            block = got.x_obs_of(c.id)
+            assert block.shape == (len(want.rows_of(c.id)), c.pattern.size)
+            assert block.flags.c_contiguous and not block.flags.writeable
+            assert block.tobytes() == want.x_obs_of(c.id).tobytes()
+            assert got.rows_of(c.id) == want.rows_of(c.id)
+            assert got.y_of(c.id).tobytes() == want.y_of(c.id).tobytes()
+        assert got.y.tobytes() == want.y.tobytes()
+        assert got_rng.standard_normal(4).tobytes() == rng.standard_normal(4).tobytes()
+
+    @pytest.mark.parametrize("threads", [1, 2, 5])
+    @pytest.mark.parametrize("cells, rows", [(2 * 16, 16), (37 * 16, 32), (2**16, 4096)])
+    def test_bytes_do_not_depend_on_block_size(self, cells, rows, threads, monkeypatch, short_switch):
+        """Room for 2, 37 and 4,096 rows at d = 16 makes blocks of 16, 32 and
+        4,096 rows (a multiple of ROW_GROUP, at least one group), the last
+        one taking the remainder; all give the one-shot draw."""
+        monkeypatch.setattr(_parallel, "BLOCK_CELLS", cells)
+        assert block_rows(16) == rows
+        for design in ("gaussian", "sphere"):
+            pop = self.population(design)
+            self.assert_one_shot(pop, self.federation(pop.d), 2 * 4096 + 5, threads)
 
     def test_failed_block_surfaces_once_no_block_runs(self):
         for design in ("gaussian", "sphere"):
@@ -251,13 +277,13 @@ class TestBlockedSampler:
                 with pytest.MonkeyPatch.context() as mp, workers(threads):
                     running = fail_second_block(mp, delay=0.05)
                     with pytest.raises(RuntimeError, match="block transform failed"):
-                        sample_dataset(pop, self.federation(pop.d), 6 * BLOCK_ROWS, seeded(11))
+                        sample_dataset(pop, self.federation(pop.d), 6 * block_rows(pop.d), seeded(11))
                     assert not running
 
     def test_sampling_holds_no_n_by_d_matrix(self):
         """Sampling and folding the client sums trace less memory than the
         (n, d) matrix of the sample would take."""
-        d, n = 64, 12 * BLOCK_ROWS
+        d, n = 64, 96 * block_rows(64)
         pop = PopulationSpec.gaussian(np.eye(d), np.ones(d), sigma2=1.0)
         clients = tuple(
             ClientSpec(id=k + 1, pattern=FeaturePattern(tuple(range(16 * k, 16 * k + 16)), d), rho=0.25)
@@ -272,11 +298,33 @@ class TestBlockedSampler:
             tracemalloc.stop()
         assert peak < 0.75 * n * d * 8
 
+    @pytest.mark.parametrize("threads", [1, 2, 5])
+    def test_sampling_memory_is_a_few_blocks(self, threads):
+        """At d = 512, where the sample spans 192 blocks of 128 rows, sampling
+        traces beyond the rows it keeps at most 3 * threads + 1 blocks in
+        flight, plus three blocks' worth for the n-long labels and responses,
+        the per-block bookkeeping and first-call caches."""
+        d, n = 512, 3 * 8192
+        pop = PopulationSpec.gaussian(np.eye(d), np.ones(d), sigma2=1.0)
+        clients = tuple(
+            ClientSpec(id=k + 1, pattern=FeaturePattern(tuple(range(8 * k, 8 * k + 8)), d), rho=1 / 64)
+            for k in range(64)
+        )
+        with workers(threads):
+            tracemalloc.start()
+            try:
+                data = sample_dataset(pop, clients, n, seeded(15))
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+        kept = data.y.nbytes + sum(block.nbytes for block in data.x_obs.values())
+        assert peak - kept < (3 * threads + 4) * _parallel.BLOCK_CELLS * 8
+
     @pytest.mark.parametrize("threads", [2, 5])
     def test_local_moments_pooled_equal_serial(self, threads, short_switch):
         pop = self.population("sphere")
         clients = random_clients(seeded(12), pop.d, 5)
-        drawn = sample_dataset(pop, clients, 3 * BLOCK_ROWS + 5, seeded(13))
+        drawn = sample_dataset(pop, clients, 3 * block_rows(pop.d) + 5, seeded(13))
 
         def fresh():
             return Dataset(clients=clients, x_obs=drawn.x_obs, y=drawn.y)
