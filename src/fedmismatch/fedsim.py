@@ -47,12 +47,12 @@ A moment upload (wire format v3, shared with the moments module) is
 [n_k][packed upper triangle of the observed Gram][observed cross-moments];
 an ICE upload is the packed triangle alone, and an upload within a session
 drops the parts the server holds. The server places each upload by the
-sender's registered pattern. A broadcast is counted once; fedavg
-exchanges (|O_k| floats) are counted per sender in both directions, and a
-sender that observes nothing exchanges none.
-The senders of every protocol are the clients that drew rows: a client
-without rows has only zero sums, which the server folds in with weight 0
-unsent. Shard sizes, client ids and round indices are uncounted metadata.
+sender's registered pattern. A broadcast is counted once; each fedavg
+round logs one record per direction of every sender's |O_k|, and a sender
+that observes nothing exchanges none. The senders of every protocol are
+the clients that drew rows: a client without rows has only zero sums,
+which the server folds in with weight 0 unsent. Shard sizes, client ids
+and round indices are uncounted metadata.
 """
 from __future__ import annotations
 
@@ -213,16 +213,6 @@ def _one_shot_moments(data: Dataset) -> OneShotMomentsArtifact:
     return OneShotMomentsArtifact(pair=pair, counts=counts, n=data.n)
 
 
-def _fedavg_ridge(data: Dataset, imputer: ImputationMap, spec: ProtocolSpec, comm: CommLog):
-    res = fedavg_ridge(data, imputer, spec.lam, spec.rounds, spec.local_steps)
-    sizes = [c.pattern.size for c in _senders(data) if c.pattern.size]
-    for t in range(1, res.rounds_run + 1):
-        for direction in ("down", "up"):
-            for m in sizes:
-                comm.record(t, direction, m)
-    return res
-
-
 def run_protocol(spec: ProtocolSpec, data: Dataset, imputer: ImputationMap | None = None,
                  session=()) -> ProtocolResult:
     """Run one protocol's library algorithm on a masked ``Dataset`` and log
@@ -241,11 +231,9 @@ def run_protocol(spec: ProtocolSpec, data: Dataset, imputer: ImputationMap | Non
         raise TypeError(f"{spec.kind} needs an ImputationMap")
     comm, missing, senders = CommLog(), _missing(spec, session), _senders(data)
     if "pattern" in missing:
-        for _ in senders:
-            comm.record(0, "up", 0, bits=data.d)
+        comm.record(0, "up", [0] * len(senders), bits=data.d)
     if missing - {"pattern"}:
-        for c in senders:
-            comm.record(1, "up", _upload_floats(missing, len(data.local_moments[c.id].gamma_sum)))
+        comm.record(1, "up", [_upload_floats(missing, len(data.local_moments[c.id].gamma_sum)) for c in senders])
     if spec.kind == "one_shot_moments":
         artifact = _one_shot_moments(data)
     elif spec.kind == "federated_ice":
@@ -253,7 +241,11 @@ def run_protocol(spec: ProtocolSpec, data: Dataset, imputer: ImputationMap | Non
     elif spec.kind == "one_shot_ridge":
         artifact = ridge_closed_form(data, imputer, spec.lam)
     else:
-        artifact = _fedavg_ridge(data, imputer, spec, comm)
+        artifact = fedavg_ridge(data, imputer, spec.lam, spec.rounds, spec.local_steps)
+        sizes = tuple(c.pattern.size for c in senders if c.pattern.size)
+        for t in range(1, artifact.rounds_run + 1):
+            comm.record(t, "down", sizes)
+            comm.record(t, "up", sizes)
     return ProtocolResult(artifact=artifact, comm=comm, spec=spec)
 
 
@@ -274,13 +266,8 @@ def serve_predictor(predictor: ClientwisePredictor, served, data: Dataset, sessi
              if c.id in predictor.thetas and c.id not in predictor.unidentifiable]
     comm, shared = CommLog(), _shared_floats(session, data.d)
     if sum(sizes) >= shared:
-        comm.record(1, "down", shared)
+        comm.record(1, "down", [shared])
         return comm
-    registered = {c.id for c in _senders(data)}
-    for c in served:
-        if c.id not in registered:
-            comm.record(0, "up", 0, bits=data.d)
-    for m in sizes:
-        if m:
-            comm.record(1, "down", m)
+    comm.record(0, "up", [0] * len({c.id for c in served} - {c.id for c in _senders(data)}), bits=data.d)
+    comm.record(1, "down", [m for m in sizes if m])
     return comm

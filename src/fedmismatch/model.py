@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Mapping
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -384,18 +384,29 @@ class CommEvent:
 
 @dataclass
 class CommLog:
-    """Append-only list of CommEvents with exact totals."""
+    """Append-only log with exact totals. A record is one round, one
+    direction, a tuple of per-message float counts and the bits each message
+    carries, so a FedAvg log grows with rounds plus senders. ``events`` lists
+    one ``CommEvent`` per message, in logged order."""
 
-    events: list[CommEvent] = field(default_factory=list)
+    records: list[tuple[int, str, tuple[int, ...], int]] = field(default_factory=list)
 
-    def record(self, round: int, direction: str, floats: int, bits: int = 0) -> None:
-        self.events.append(CommEvent(round, direction, int(floats), int(bits)))
+    def record(self, round: int, direction: str, floats: Sequence[int], bits: int = 0) -> None:
+        """One message per entry of ``floats``; validated once per batch."""
+        floats = tuple(floats)
+        CommEvent(round, direction, min(floats, default=0), bits)
+        if floats:
+            self.records.append((round, direction, floats, int(bits)))
+
+    @property
+    def events(self) -> list[CommEvent]:
+        return [CommEvent(t, d, m, b) for t, d, sizes, b in self.records for m in sizes]
 
     def total_floats(self, direction: str | None = None) -> int:
-        return sum(e.floats for e in self.events if direction is None or e.direction == direction)
+        return sum(sum(sizes) for _, d, sizes, _ in self.records if direction in (None, d))
 
     def total_bits(self, direction: str | None = None) -> int:
-        return sum(e.bits for e in self.events if direction is None or e.direction == direction)
+        return sum(b * len(sizes) for _, d, sizes, b in self.records if direction in (None, d))
 
     def __len__(self) -> int:
-        return len(self.events)
+        return sum(len(sizes) for _, _, sizes, _ in self.records)

@@ -1,4 +1,5 @@
 """Tests for the federation simulator: transparency and exact accounting."""
+import tracemalloc
 from dataclasses import replace
 from unittest import mock
 
@@ -6,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fedmismatch import cli, ridge
+from fedmismatch import cli, fedsim, ridge
 
 from fedmismatch.fedsim import (
     PROTOCOL_KINDS,
@@ -748,6 +749,39 @@ class TestPinnedTotals:
         assert res.comm.total_floats() == 0
         assert res.comm.total_bits() == 2 * 4
         assert np.array_equal(completed_rows(data, res.artifact), x_filled(data))
+
+
+class TestLogFootprint:
+    K, R, D = 2000, 50, 4
+    BYTES_PER_UNIT = 64  # c in the c * (R + K) bound on the log's retained and peak bytes
+
+    def test_fedavg_log_grows_with_rounds_plus_senders(self, monkeypatch):
+        """One record per round and direction sharing the senders' sizes: a
+        FedAvg log retains O(R + K) bytes, where one object per message would
+        retain O(R * K). FedAvg is stubbed, so only the logging is traced."""
+        rng = seeded(530)
+        clients = random_clients(rng, self.D, self.K, nonempty=False)
+        data = Dataset(clients, {c.id: rng.standard_normal((1, c.pattern.size)) for c in clients},
+                       rng.standard_normal(self.K))
+        stub = ridge.FedAvgResult(np.zeros(self.D), (), False, self.R)
+        monkeypatch.setattr(fedsim, "fedavg_ridge", lambda *args: stub)
+        spec, imputer = ProtocolSpec(kind="fedavg_ridge", rounds=self.R), fit_zero_imputer(clients)
+        observing = sum(1 for c in clients if c.pattern.size)
+        assert 0 < observing < self.K
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            res = run_protocol(spec, data, imputer)
+            retained, peak = (m - before for m in tracemalloc.get_traced_memory())
+        finally:
+            tracemalloc.stop()
+        assert res.artifact is stub
+        bound = self.BYTES_PER_UNIT * (self.R + self.K)
+        assert retained < bound and peak < bound, (retained, peak, bound)
+        assert len(res.comm) == self.K + 2 * self.R * observing
+        assert res.comm.total_bits() == self.K * self.D
+        assert res.comm.total_floats("up") == res.comm.total_floats("down") == self.R * sum(
+            c.pattern.size for c in clients)
 
 
 class TestSpecValidation:

@@ -277,12 +277,16 @@ class TestClientwisePredictor:
             pred.predict_many(1, np.zeros((3, 1)))
 
 
+_BATCHES = st.lists(st.tuples(st.integers(0, 300), st.sampled_from(["up", "down"]),
+                              st.lists(st.integers(0, 400), max_size=6), st.integers(0, 64)), max_size=8)
+
+
 class TestCommLog:
     def test_totals_by_direction(self):
         log = CommLog()
-        log.record(0, "up", 0, bits=4)
-        log.record(1, "up", 10)
-        log.record(1, "down", 7)
+        log.record(0, "up", [0], bits=4)
+        log.record(1, "up", [10])
+        log.record(1, "down", [7])
         assert log.total_floats("up") == 10
         assert log.total_floats("down") == 7
         assert log.total_floats() == 17
@@ -292,4 +296,34 @@ class TestCommLog:
     def test_direction_validated(self):
         log = CommLog()
         with pytest.raises(ValueError):
-            log.record(0, "sideways", 1)
+            log.record(0, "sideways", [1])
+
+    @given(_BATCHES)
+    def test_batches_read_as_their_messages(self, batches):
+        """A batch logs one message per size, in order; every reading equals
+        that of the per-message list."""
+        log = CommLog()
+        for round_, direction, sizes, bits in batches:
+            log.record(round_, direction, sizes, bits=bits)
+        want = [(t, d, m, b) for t, d, sizes, b in batches for m in sizes]
+        assert [(e.round, e.direction, e.floats, e.bits) for e in log.events] == want
+        assert len(log) == len(want)
+        for direction in (None, "up", "down"):
+            kept = [e for e in want if direction in (None, e[1])]
+            assert log.total_floats(direction) == sum(e[2] for e in kept)
+            assert log.total_bits(direction) == sum(e[3] for e in kept)
+
+    @given(_BATCHES, st.lists(st.integers(0, 400), min_size=1, max_size=6), st.data())
+    def test_a_bad_batch_raises_and_logs_nothing(self, batches, sizes, data):
+        log = CommLog()
+        for round_, direction, batch, bits in batches:
+            log.record(round_, direction, batch, bits=bits)
+        before = log.events
+        sizes[data.draw(st.integers(0, len(sizes) - 1))] = data.draw(st.integers(-400, -1))
+        with pytest.raises(ValueError):
+            log.record(1, "up", sizes)
+        with pytest.raises(ValueError):
+            log.record(1, data.draw(st.sampled_from(["sideways", "UP", ""])), [])
+        with pytest.raises(ValueError):
+            log.record(1, "down", [], bits=-1)
+        assert log.events == before
