@@ -38,13 +38,7 @@ from .moments import (
     local_zero_imputed_moments,
 )
 from .plugin import build_clientwise_plugin, crop_predictor
-from .impute import (
-    ImputationMap,
-    federated_ice,
-    fit_optimal_imputer,
-    fit_zero_imputer,
-    optimal_block_map,
-)
+from .impute import ImputationMap, federated_ice, optimal_block_map
 from .ridge import (
     FedAvgResult,
     estimate_m,

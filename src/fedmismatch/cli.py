@@ -59,13 +59,13 @@ import numpy as np
 
 from . import oracle
 from ._parallel import workers
-from .impute import fit_optimal_imputer, fit_zero_imputer
+from .impute import ImputationMap
 from .model import ClientSpec, ClientwisePredictor, CommLog, Dataset, FeaturePattern, MomentPair, validate_federation
 from .moments import co_observation, cw_moments, debias_moments
 from .plugin import build_clientwise_plugin
 from .popgen import PopulationSpec, draw_bernoulli_patterns, sample_dataset
 from .ridge import estimate_m, itr_predictor, local_learning
-from .fedsim import (PROTOCOL_KINDS, ProtocolResult, ProtocolSpec, _senders, replay_comm_schedule, run_protocol,
+from .fedsim import (PROTOCOL_KINDS, ProtocolResult, ProtocolSpec, _uploads, replay_comm_schedule, run_protocol,
                      serve_predictor)
 
 __all__ = ["ConfigError", "load_config", "validate_config", "run_experiment", "main"]
@@ -502,15 +502,15 @@ def _itr(imputer, ctx: _Context, certify=False, protocols=()) -> _Fit:
 
 
 def _fit_itr_zero(ctx: _Context) -> _Fit:
-    return _itr(fit_zero_imputer(ctx.clients), ctx, certify=True)
+    return _itr(ImputationMap(), ctx, certify=True)
 
 
 def _fit_itr_opt(ctx: _Context) -> _Fit:
-    return _itr(fit_optimal_imputer(ctx.pop.sigma, ctx.clients), ctx, certify=True)
+    return _itr(ImputationMap(ctx.pop.sigma), ctx, certify=True)
 
 
 def _fit_itr_cw(ctx: _Context) -> _Fit:
-    imputer = fit_optimal_imputer(_componentwise(ctx.moments.artifact, ctx.clients).sigma, ctx.clients)
+    imputer = ImputationMap(_componentwise(ctx.moments.artifact, ctx.clients).sigma)
     return _itr(imputer, ctx, protocols=(ctx.moments,))
 
 
@@ -520,7 +520,7 @@ def _fit_itr_ice(ctx: _Context) -> _Fit:
 
 
 def _fit_fedavg(ctx: _Context) -> _Fit:
-    imputer = fit_zero_imputer(ctx.clients)
+    imputer = ImputationMap()
     spec = ProtocolSpec(
         kind="fedavg_ridge", lam=ctx.lam, rounds=ctx.params["rounds"], local_steps=ctx.params["local_steps"]
     )
@@ -590,7 +590,7 @@ def _new_client_rows(cfg: ExperimentConfig, item: _WorkItem, clients, data_ss, m
 def _typical_rows(cfg: ExperimentConfig, item: _WorkItem, clients, data_ss, mc_ss) -> list[dict]:
     """Zero-imputed optimum against the typical-case penalty-inflation bound; no sampling."""
     pop = cfg.population
-    ip = oracle.imputed_population_covariance(pop, clients, fit_zero_imputer(clients))
+    ip = oracle.imputed_population_covariance(pop, clients, ImputationMap())
     lhs = oracle.imputed_oracle_risk(pop, ip) + oracle.ridge_bias(ip.factor, ip.theta_prime, item.lam)
     lam_prime = oracle.typical_case_lambda_prime(item.lam, item.tau)
     rhs = pop.sigma2 + oracle.ridge_bias(pop.sigma_factor, pop.theta_star, lam_prime)
@@ -603,14 +603,14 @@ def _audit_rows(cfg: ExperimentConfig, item: _WorkItem, clients, data_ss, mc_ss)
     pop = cfg.population
     n = item.n if item.n is not None else 32
     data = sample_dataset(pop, clients, n, np.random.default_rng(data_ss))
-    imputer = fit_zero_imputer(clients)
+    imputer = ImputationMap()
     rows = []
     for kind in cfg.methods:
         spec = ProtocolSpec(kind=kind, lam=item.lam, ice_rounds=cfg.params["ice_rounds"], rounds=cfg.params["rounds"])
         res = run_protocol(spec, data, imputer)
         # FedAvg stops early on divergence; the schedule is that of the rounds the server ran.
         ran = replace(spec, rounds=res.artifact.rounds_run) if kind == "fedavg_ridge" else spec
-        predicted = replay_comm_schedule(ran, [c.pattern for c in _senders(data)])
+        predicted = replay_comm_schedule(ran, [lm.pattern for lm in _uploads(data).values()])
         got = (res.comm.total_floats("up"), res.comm.total_floats("down"), res.comm.total_bits())
         want = (predicted.up_floats, predicted.down_floats, predicted.registration_bits)
         if got != want:

@@ -1,13 +1,13 @@
 """Federated protocol runs with exact communication accounting.
 
-Each protocol is one library algorithm, already written over per-client
-sums; ``run_protocol`` calls it on a masked ``Dataset`` and logs every
-message it implies:
+Each protocol is one library algorithm, written over the senders' uploads
+(sender id to observed sums, ``_uploads``); ``run_protocol`` builds them
+once from a masked ``Dataset``, calls the algorithm on them alone and logs
+every message it implies:
 
-* one_shot_moments: ``Dataset.local_moments`` folded by
-  ``aggregate_zero_imputed`` and the registered bitmasks by
-  ``co_observation`` with n_k weights into the pooled zero-imputed
-  MomentPair, the co-observation count matrix N and the row count n.
+* one_shot_moments: the uploads folded by ``aggregate_zero_imputed`` and
+  their registered bitmasks by ``co_observation`` with n_k weights into
+  the pooled zero-imputed MomentPair, the count matrix N and the row count n.
 * one_shot_ridge: ``ridge.ridge_closed_form``; each sender uploads its
   observed sums, which the server completes with the ``ImputationMap``
   (``ImputationMap.complete_moments``); closed-form ridge coefficients out.
@@ -21,7 +21,8 @@ message it implies:
   only through its observed block (the identity in ``fedavg_ridge``'s
   docstring): the server sends it phi_k = B_k^T theta, it returns the
   |O_k|-vector v_k, and the server applies the shrinkage from its pattern,
-  registered at 0 rounds too.
+  registered at 0 rounds too. Its objective trace also reads sum y^2,
+  which no message carries.
 
 Every artifact stays on the server. What reaches the clients is the fitted
 predictor, delivered once per method by ``serve_predictor`` in the smaller
@@ -50,18 +51,18 @@ drops the parts the server holds. The server places each upload by the
 sender's registered pattern. A broadcast is counted once; each fedavg
 round logs one record per direction of every sender's |O_k|, and a sender
 that observes nothing exchanges none. The senders of every protocol are
-the clients that drew rows: a client without rows has only zero sums,
-which the server folds in with weight 0 unsent. Shard sizes, client ids
-and round indices are uncounted metadata.
+the clients that drew rows; a client without rows sends nothing and no fit
+reads it. Shard sizes, client ids and round indices are uncounted metadata.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Mapping
 
 import numpy as np
 
 from .impute import ImputationMap, federated_ice
-from .model import ClientSpec, ClientwisePredictor, CommLog, Dataset, MomentPair
+from .model import ClientwisePredictor, CommLog, Dataset, LocalMoments, MomentPair
 from .moments import aggregate_zero_imputed, co_observation
 from .ridge import fedavg_ridge, ridge_closed_form
 
@@ -130,7 +131,7 @@ def replay_comm_schedule(spec: ProtocolSpec, patterns, session=()) -> SchedulePr
     """Predict exact float/bit totals without running anything.
 
     ``patterns`` are the senders', the clients that drew rows
-    (``_senders``). ``session`` holds the specs of the protocols the same
+    (``_uploads``). ``session`` holds the specs of the protocols the same
     method ran before, in order; what they sent is not sent again. Raises
     ``ValueError`` when there is no sender or the patterns disagree on d.
     """
@@ -201,22 +202,23 @@ def _tri(m: int) -> int:
     return m * (m + 1) // 2
 
 
-def _senders(data: Dataset) -> tuple[ClientSpec, ...]:
-    """The clients every protocol run on ``data`` logs: those that drew rows."""
-    return tuple(c for c in data.clients if len(data.x_obs[c.id]))
+def _uploads(data: Dataset) -> dict[int, LocalMoments]:
+    """What the senders of every protocol run on ``data`` send, the clients
+    that drew rows: sender id to its observed sums, in ascending id order."""
+    return {k: lm for k, lm in data.local_moments.items() if lm.count}
 
 
-def _one_shot_moments(data: Dataset) -> OneShotMomentsArtifact:
-    locals_ = data.local_moments
-    pair = aggregate_zero_imputed(locals_.values())
-    counts = co_observation([c.pattern for c in data.clients], [locals_[c.id].count for c in data.clients])
-    return OneShotMomentsArtifact(pair=pair, counts=counts, n=data.n)
+def _one_shot_moments(uploads: Mapping[int, LocalMoments]) -> OneShotMomentsArtifact:
+    sums = uploads.values()
+    pair = aggregate_zero_imputed(sums)
+    counts = co_observation([lm.pattern for lm in sums], [lm.count for lm in sums])
+    return OneShotMomentsArtifact(pair=pair, counts=counts, n=sum(lm.count for lm in sums))
 
 
 def run_protocol(spec: ProtocolSpec, data: Dataset, imputer: ImputationMap | None = None,
                  session=()) -> ProtocolResult:
-    """Run one protocol's library algorithm on a masked ``Dataset`` and log
-    every transfer.
+    """Run one protocol's library algorithm on the uploads of the senders of
+    a masked ``Dataset`` and log every transfer.
 
     one_shot_moments and federated_ice ignore ``imputer``; one_shot_ridge
     and fedavg_ridge complete the data with ``imputer`` and raise
@@ -229,20 +231,22 @@ def run_protocol(spec: ProtocolSpec, data: Dataset, imputer: ImputationMap | Non
     """
     if spec.kind in ("one_shot_ridge", "fedavg_ridge") and imputer is None:
         raise TypeError(f"{spec.kind} needs an ImputationMap")
-    comm, missing, senders = CommLog(), _missing(spec, session), _senders(data)
+    comm, missing, uploads = CommLog(), _missing(spec, session), _uploads(data)
     if "pattern" in missing:
-        comm.record(0, "up", [0] * len(senders), bits=data.d)
+        comm.record(0, "up", [0] * len(uploads), bits=data.d)
     if missing - {"pattern"}:
-        comm.record(1, "up", [_upload_floats(missing, len(data.local_moments[c.id].gamma_sum)) for c in senders])
+        comm.record(1, "up", [_upload_floats(missing, lm.pattern.size) for lm in uploads.values()])
     if spec.kind == "one_shot_moments":
-        artifact = _one_shot_moments(data)
+        artifact = _one_shot_moments(uploads)
     elif spec.kind == "federated_ice":
-        artifact = federated_ice(data, spec.ice_rounds)
+        artifact = federated_ice(uploads, spec.ice_rounds)
     elif spec.kind == "one_shot_ridge":
-        artifact = ridge_closed_form(data, imputer, spec.lam)
+        artifact = ridge_closed_form(uploads, imputer, spec.lam)
     else:
-        artifact = fedavg_ridge(data, imputer, spec.lam, spec.rounds, spec.local_steps)
-        sizes = tuple(c.pattern.size for c in senders if c.pattern.size)
+        # Sum y^2 feeds only the objective trace and travels in no message, like m-hat (ROADMAP item 17).
+        y_sq_sum = float(data.y @ data.y)
+        artifact = fedavg_ridge(uploads, imputer, spec.lam, spec.rounds, spec.local_steps, y_sq_sum=y_sq_sum)
+        sizes = tuple(lm.pattern.size for lm in uploads.values() if lm.pattern.size)
         for t in range(1, artifact.rounds_run + 1):
             comm.record(t, "down", sizes)
             comm.record(t, "up", sizes)
@@ -268,6 +272,6 @@ def serve_predictor(predictor: ClientwisePredictor, served, data: Dataset, sessi
     if sum(sizes) >= shared:
         comm.record(1, "down", [shared])
         return comm
-    comm.record(0, "up", [0] * len({c.id for c in served} - {c.id for c in _senders(data)}), bits=data.d)
+    comm.record(0, "up", [0] * len({c.id for c in served} - _uploads(data).keys()), bits=data.d)
     comm.record(1, "down", [m for m in sizes if m])
     return comm

@@ -1,29 +1,27 @@
 """Linear per-pattern imputation maps and the iterated federated variant.
 
-An imputation map assigns each observation pattern a matrix S of shape
-(|mis|, |obs|); the completed vector keeps observed coordinates verbatim and
-fills missing ones with S x_obs. Every map fitted here is
-S = sigma[mis, obs] sigma[obs, obs]^+ for one pattern
-(``optimal_block_map``), with sigma = 0 for the zero map, so clients that
-share a pattern share a map and each distinct pattern's map is formed once.
+An imputation map is one covariance estimate sigma, or none for the zero
+map (``ImputationMap``). It completes a pattern's vector by keeping the
+observed coordinates and filling the missing ones with S x_obs, where
+S = sigma[mis, obs] sigma[obs, obs]^+ (``optimal_block_map``; zeros under
+the zero map) is formed when the pattern is first read and then kept: any
+pattern of the map's d has one, formed once and shared by its clients.
 
 A completed row is (x_obs, S x_obs) in observed-then-missing order, so
 ``ImputationMap.complete_moments`` completes moments (G, g) over a
-pattern's observed block in block form, from S alone: on a client's sums
-G_k = x_obs^T x_obs and g_k = x_obs^T y (``Dataset.local_moments``) it gives
-the completed-data sums every fit (closed-form ridge, FedAvg, ICE) reads
-(``moments.completed_sums``), and on the population moments cropped to the
-pattern the imputed-population moments ``oracle`` reads for the map a method
-fitted. No fit builds a completed row, and no d x d array is stored per pattern.
+pattern's observed block in block form, from S alone: on a sender's
+uploaded sums G_k = x_obs^T x_obs and g_k = x_obs^T y it gives the
+completed-data sums every server-side fit reads (``moments.completed_sums``),
+and on the population moments cropped to the pattern the imputed-population
+moments ``oracle`` reads. No fit builds a completed row, and no d x d array
+is stored per pattern.
 
-``federated_ice`` starts from zero imputation and, for a fixed number of
-rounds, alternates between re-estimating the full second-moment matrix of
-the currently completed data and refreshing every pattern's map from it.
-Raw (uncentered) second moments are used throughout, matching the
-zero-imputation start. Each round every client's G_k is completed under its
-pattern's current map and the server folds them in client-id order; G_k is
-fixed, so one upload per client serves every round. ``fedsim.run_protocol``
-runs this same function and logs that one round trip.
+``federated_ice`` reads the senders' uploads alone. It starts from the zero
+map and, for a fixed number of rounds, takes the raw (uncentered) second
+moments of the currently completed data as the next map: each round every
+G_k is completed under the current map and the server folds them in
+sender-id order. G_k is fixed, so one upload per sender serves every round;
+``fedsim.run_protocol`` runs this same function and logs that round trip.
 """
 from __future__ import annotations
 
@@ -33,41 +31,50 @@ from typing import Mapping
 import numpy as np
 
 from ._linalg import SymEig, pinv
-from .model import Dataset, FeaturePattern, validate_federation
+from .model import FeaturePattern, LocalMoments
 from .moments import imputed_data_moments
 
-__all__ = [
-    "ImputationMap",
-    "fit_zero_imputer",
-    "fit_optimal_imputer",
-    "optimal_block_map",
-    "federated_ice",
-]
+__all__ = ["ImputationMap", "optimal_block_map", "federated_ice"]
 
 
-class _ByPattern(dict):
-    """A dict keyed by pattern whose missing pattern raises a ``KeyError`` naming it."""
+class _Blocks(dict):
+    """S by pattern, each formed from ``sigma`` (zeros when it is None) on first read and kept read-only."""
 
-    def __missing__(self, pattern: FeaturePattern):
-        raise KeyError(f"no imputation map for pattern {pattern.one_based()} of d={pattern.d}")
+    def __init__(self, sigma: np.ndarray | None) -> None:
+        super().__init__()
+        self.sigma = sigma
+
+    def __missing__(self, pattern: FeaturePattern) -> np.ndarray:
+        if self.sigma is None:
+            s = np.zeros((len(pattern.missing), pattern.size))
+        elif pattern.d != len(self.sigma):
+            raise ValueError(f"pattern {pattern.one_based()} has d={pattern.d}, not the map's d={len(self.sigma)}")
+        else:
+            s = optimal_block_map(self.sigma, pattern)
+        s.flags.writeable = False
+        self[pattern] = s
+        return s
 
 
 @dataclass(frozen=True)
 class ImputationMap:
-    """Linear completion maps keyed by pattern; ``maps[p]`` is a read-only (|mis(p)|, |obs(p)|) copy."""
+    """The completion maps of one covariance estimate, held as a read-only
+    square copy ``sigma`` (None: the zero map): the population covariance
+    or any estimate, used as given (a component-wise one is never
+    PSD-projected). ``maps[p]`` is pattern p's read-only (|mis(p)|, |obs(p)|)
+    S, formed on first read; a pattern whose d is not sigma's raises
+    ``ValueError``."""
 
-    maps: Mapping[FeaturePattern, np.ndarray]
+    sigma: np.ndarray | None = None
 
     def __post_init__(self) -> None:
-        maps = _ByPattern()
-        for p, s in self.maps.items():
-            s = np.array(s, dtype=np.float64)
-            want = (len(p.missing), p.size)
-            if s.shape != want:
-                raise ValueError(f"pattern {p.one_based()}: map shape {s.shape}, expected {want}")
-            s.flags.writeable = False
-            maps[p] = s
-        object.__setattr__(self, "maps", maps)
+        if self.sigma is not None:
+            sigma = np.array(self.sigma, dtype=np.float64)
+            if sigma.ndim != 2 or sigma.shape[0] != sigma.shape[1]:
+                raise ValueError(f"sigma must be a square matrix, got shape {sigma.shape}")
+            sigma.flags.writeable = False
+            object.__setattr__(self, "sigma", sigma)
+        object.__setattr__(self, "maps", _Blocks(self.sigma))
 
     def complete(self, pattern: FeaturePattern, x_obs: np.ndarray) -> np.ndarray:
         """Fill one observed vector, or each row of an (m, |obs|) block, out to
@@ -102,13 +109,6 @@ class ImputationMap:
         return ordered[back[:, None], back], self.complete(pattern, cross)
 
 
-def fit_zero_imputer(clients) -> ImputationMap:
-    """Imputation by zeros: S = 0 for each distinct pattern among ``clients``,
-    in first-seen order."""
-    patterns = dict.fromkeys(c.pattern for c in validate_federation(clients))
-    return ImputationMap({p: np.zeros((len(p.missing), p.size)) for p in patterns})
-
-
 def optimal_block_map(sigma: np.ndarray, pattern: FeaturePattern) -> np.ndarray:
     """S = sigma[mis, obs] sigma[obs, obs]^+ for one pattern."""
     if not pattern.missing or not pattern.observed:
@@ -125,32 +125,21 @@ def _factor_and_block_map(sigma: np.ndarray, pattern: FeaturePattern) -> tuple[S
     return factor, sigma[np.ix_(list(pattern.missing), obs)] @ pinv(factor)
 
 
-def fit_optimal_imputer(sigma: np.ndarray, clients) -> ImputationMap:
-    """Best linear completion maps from a full covariance estimate, one per
-    distinct pattern among ``clients``, in first-seen order.
+def federated_ice(uploads: Mapping[int, LocalMoments], rounds: int) -> ImputationMap:
+    """Iterated conditional-expectation completion from the senders'
+    observed sums ``uploads`` (sender id to ``LocalMoments``, in ascending
+    id order).
 
-    ``sigma`` may be the population covariance or any estimate of it (a
-    component-wise estimate is used as produced, never PSD-projected).
-    Patterns observing nothing get a zero map.
-    """
-    patterns = dict.fromkeys(c.pattern for c in validate_federation(clients))
-    return ImputationMap({p: optimal_block_map(sigma, p) for p in patterns})
-
-
-def federated_ice(data: Dataset, rounds: int) -> ImputationMap:
-    """Iterated conditional-expectation completion over a federation.
-
-    Iteration starts from zero maps and runs exactly ``rounds`` rounds. Each
-    round the clients' Grams G_k, completed under their current maps, are
-    folded in ascending id order into the raw second-moment estimate, which
-    refreshes every pattern's optimal block map; no row is completed.
-    Clients without rows add zero sums. ``rounds`` = 0 returns the zero maps.
+    Iteration starts from the zero map and runs exactly ``rounds`` rounds.
+    Each round the senders' Grams G_k, completed under the current map, are
+    folded in the given order into the raw second-moment estimate, which is
+    the next map; no row is completed. ``rounds`` = 0 returns the zero map.
     """
     if rounds < 0:
         raise ValueError(f"rounds must be >= 0, got {rounds}")
-    if data.n == 0:
+    if not any(lm.count for lm in uploads.values()):
         raise ValueError("no samples across the federation")
-    imputer = fit_zero_imputer(data.clients)
+    imputer = ImputationMap()
     for _ in range(rounds):
-        imputer = fit_optimal_imputer(imputed_data_moments(data, imputer).sigma, data.clients)
+        imputer = ImputationMap(imputed_data_moments(uploads, imputer).sigma)
     return imputer

@@ -4,8 +4,9 @@ Each client uploads its observed block's moment sums
 (``local_zero_imputed_moments``), and one fold, ``aggregate_zero_imputed``,
 pools any such uploads: observed sums into the zero-imputed estimator,
 completed sums (``completed_sums``) into the completed-data moments
-(``imputed_data_moments``). The pattern bitmasks m_k go through one other
-fold, ``co_observation``: sum_k w_k m_k m_k^T, the population
+(``imputed_data_moments``); both read the uploads alone (sender id to
+``LocalMoments``), never a sample. The pattern bitmasks m_k go through one
+other fold, ``co_observation``: sum_k w_k m_k m_k^T, the population
 co-observation matrix Pi with w_k = rho_k and the count matrix N with
 w_k = n_k.
 
@@ -33,7 +34,7 @@ counts, and tells the server where each upload's block goes.
 """
 from __future__ import annotations
 
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Mapping
 
 import numpy as np
 
@@ -155,21 +156,21 @@ def _divide_covered(sigma: np.ndarray, gamma: np.ndarray, weights: np.ndarray) -
                       np.where(diag_ok, gamma, 0.0) / np.where(diag_ok, diag, 1.0), coverage=covered)
 
 
-def completed_sums(data, imputer) -> Iterator[LocalMoments]:
-    """Each client's completed-data sums (d x d, d, n_k) of a masked
-    ``Dataset`` under an ``ImputationMap``, in ascending id order, clients
-    without rows included (as zero sums): ``ImputationMap.complete_moments``
-    of its observed-block sums as they are; a pattern without a map raises
-    ``KeyError``. The population oracle folds the same maps over the
+def completed_sums(uploads: Mapping[int, LocalMoments], imputer) -> Iterator[LocalMoments]:
+    """The completed-data sums (d x d, d, n_k) of the senders' observed sums
+    ``uploads`` (sender id to ``LocalMoments``) under an ``ImputationMap``,
+    in the given order: ``ImputationMap.complete_moments`` of each upload's
+    block as it is. The population oracle folds the same maps over the
     population moments.
     """
-    full = FeaturePattern.full(data.d)
-    for lm in data.local_moments.values():
+    full = None
+    for lm in uploads.values():
+        full = full or FeaturePattern.full(lm.d)
         yield LocalMoments(*imputer.complete_moments(lm.pattern, lm.sigma_sum, lm.gamma_sum), lm.count, full)
 
 
-def imputed_data_moments(data, imputer) -> MomentPair:
-    """Averages (X^T X / n, X^T y / n) of the data completed by ``imputer``:
-    its ``completed_sums`` pooled by ``aggregate_zero_imputed``, as a server
-    folds uploads."""
-    return aggregate_zero_imputed(completed_sums(data, imputer))
+def imputed_data_moments(uploads: Mapping[int, LocalMoments], imputer) -> MomentPair:
+    """Averages (X^T X / n, X^T y / n) of the senders' data completed by
+    ``imputer``: its ``completed_sums`` pooled by ``aggregate_zero_imputed``,
+    as a server folds uploads."""
+    return aggregate_zero_imputed(completed_sums(uploads, imputer))

@@ -150,11 +150,9 @@ def imputed_population_covariance(pop: PopulationSpec, clients, imputer: Imputat
 
     sigma_I and gamma_I are the rho-weighted fold, in the given client order,
     of ``imputer.complete_moments`` on (pop.sigma, gamma) cropped to each
-    distinct pattern of ``clients``; a pattern without a map raises the
-    ``KeyError`` that names it. Under the zero map this equals (Pi . sigma,
-    diag(Pi) . gamma); under the population-optimal map
-    (``fit_optimal_imputer(pop.sigma, ...)``) theta_star also solves
-    sigma_I t = gamma_I.
+    distinct pattern of ``clients``. Under the zero map this equals
+    (Pi . sigma, diag(Pi) . gamma); under the population-optimal map
+    (``ImputationMap(pop.sigma)``) theta_star also solves sigma_I t = gamma_I.
     """
     clients = validate_federation(clients)
     gamma = population_gamma(pop)

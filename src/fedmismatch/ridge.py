@@ -1,7 +1,8 @@
 """Ridge regression on completed data, federated averaging, local baseline.
 
-Every completed-data fit takes the masked ``Dataset`` and an
-``ImputationMap`` side by side and reads the clients' completed sums
+Every completed-data fit runs on the server and reads only what the
+senders sent: their observed sums (``uploads``, sender id to
+``LocalMoments``) and an ``ImputationMap``, folded into completed sums
 (``moments.completed_sums``); no completed row is built. The one-shot
 estimator solves (sigma_hat + lambda I) theta = gamma_hat with sigma_hat,
 gamma_hat the raw moments of the completed data, through one ``eigh`` of
@@ -31,12 +32,13 @@ through ``ClientwisePredictor.trunc_m``, the only truncation step.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Mapping
 
 import numpy as np
 
 from ._linalg import SymEig
 from .impute import ImputationMap
-from .model import ClientwisePredictor, Dataset
+from .model import ClientwisePredictor, Dataset, LocalMoments
 from .moments import aggregate_zero_imputed, completed_sums, imputed_data_moments
 
 __all__ = [
@@ -49,15 +51,15 @@ __all__ = [
 ]
 
 
-def ridge_closed_form(data: Dataset, imputer: ImputationMap, lam: float) -> np.ndarray:
-    """One-shot ridge coefficients from the moments of ``data`` completed by
+def ridge_closed_form(uploads: Mapping[int, LocalMoments], imputer: ImputationMap, lam: float) -> np.ndarray:
+    """One-shot ridge coefficients from the senders' ``uploads`` completed by
     ``imputer``.
 
     lambda = 0 returns the minimum-norm least-squares solution.
     """
     if lam < 0:
         raise ValueError(f"lambda must be >= 0, got {lam}")
-    pair = imputed_data_moments(data, imputer)
+    pair = imputed_data_moments(uploads, imputer)
     return SymEig(pair.sigma).solve(pair.gamma, lam)
 
 
@@ -70,14 +72,17 @@ class FedAvgResult:
 
 
 def fedavg_ridge(
-    data: Dataset,
+    uploads: Mapping[int, LocalMoments],
     imputer: ImputationMap,
     lam: float,
     rounds: int,
     local_steps: int = 1,
+    *,
+    y_sq_sum: float,
 ) -> FedAvgResult:
-    """Federated averaging on the global ridge objective over the clients
-    that own rows.
+    """Federated averaging on the global ridge objective over the senders
+    of ``uploads``; ``y_sq_sum`` is sum_i y_i^2 over their rows, which the
+    objective trace alone reads.
 
     The step size eta = 1 / (lambda_max(sigma_hat) + lambda) guarantees a
     non-increasing objective for single local steps; when that sum is 0
@@ -95,7 +100,7 @@ def fedavg_ridge(
     the affine map A_k = M_k^s, b_k = sum_{j<s} M_k^j eta B_k g_k / n_k
     (``_local_steps``), and a round is their n_k / n weighted average,
     computed once. The objective needs only the pooled sums:
-    (theta^T sigma theta - 2 gamma^T theta + y^T y) / (2n) + lambda/2 ||theta||^2.
+    (theta^T sigma theta - 2 gamma^T theta + y_sq_sum) / (2n) + lambda/2 ||theta||^2.
 
     A round sees a client only through its observed block. With
     a = 1 - eta lambda, phi = B_k^T theta and C_k = B_k^T B_k,
@@ -111,10 +116,10 @@ def fedavg_ridge(
     """
     if rounds < 0 or local_steps < 1:
         raise ValueError("need rounds >= 0 and local_steps >= 1")
-    sums = list(completed_sums(data, imputer))
+    sums = list(completed_sums(uploads, imputer))
     pair = aggregate_zero_imputed(sums)
     sigma, gamma = pair.sigma, pair.gamma
-    d, n = data.d, data.n
+    d, n = pair.d, sum(lm.count for lm in sums)
     curvature = SymEig(sigma).radius() + lam
     step_size = 1.0 / curvature if curvature > 0 else 0.0
     a_bar = np.zeros((d, d))
@@ -124,7 +129,7 @@ def fedavg_ridge(
             a_k, b_k = _local_steps(lm, step_size, lam, local_steps)
             a_bar += lm.count / n * a_k
             b_bar += lm.count / n * b_k
-    yy = float(data.y @ data.y) / n
+    yy = y_sq_sum / n
 
     def objective(theta: np.ndarray) -> float:
         return (float(theta @ sigma @ theta) - 2 * float(gamma @ theta) + yy) / 2 + lam / 2 * float(theta @ theta)
@@ -168,7 +173,7 @@ def itr_predictor(imputer: ImputationMap, theta: np.ndarray, clients,
     Predicting theta . complete(x_obs) equals (theta_obs + S^T theta_mis) .
     x_obs, S the map of the client's pattern: one vector per distinct pattern,
     shared by its clients (theta's shape is checked there too); truncation
-    happens at prediction time. A pattern without a map raises ``KeyError``.
+    happens at prediction time.
     """
     theta = np.asarray(theta, dtype=np.float64)
     clients = tuple(clients)

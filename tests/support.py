@@ -16,15 +16,19 @@ from fedmismatch import (
     ClientSpec,
     Dataset,
     FeaturePattern,
+    ImputationMap,
     LocalMoments,
     PopulationSpec,
     co_observation,
-    fit_zero_imputer,
+    fedavg_ridge,
     population_gamma,
+    ridge_closed_form,
     sample_dataset,
     validate_federation,
 )
 from fedmismatch import popgen
+# What the senders of a sample send, which every server-side fit reads.
+from fedmismatch.fedsim import _uploads as uploads
 
 
 def random_psd(rng: np.random.Generator, d: int, ridge: float = 0.3) -> np.ndarray:
@@ -144,6 +148,17 @@ def reference_completed_sums(data, imputer) -> list[LocalMoments]:
             for p, (sigma, gamma, n) in zip(patterns, reference_padded_sums(data))]
 
 
+def ridge_on(data, imputer, lam):
+    """``ridge_closed_form`` on the uploads of ``data``."""
+    return ridge_closed_form(uploads(data), imputer, lam)
+
+
+def fedavg_on(data, imputer, *args, **kwargs):
+    """``fedavg_ridge`` on the uploads of ``data`` and its responses' sum of
+    squares, as ``fedsim.run_protocol`` calls it."""
+    return fedavg_ridge(uploads(data), imputer, *args, y_sq_sum=float(data.y @ data.y), **kwargs)
+
+
 def reference_fold(sums) -> tuple[np.ndarray, np.ndarray]:
     """The pooled averages of zero-padded (sigma_sum, gamma_sum, n_k) sums:
     whole d x d arrays added in the given order, divided once by n, and
@@ -177,7 +192,7 @@ def sharded(x, y, bounds):
     k = len(bounds) - 1
     clients = tuple(ClientSpec(id=i + 1, pattern=FeaturePattern.full(x.shape[1]), rho=1 / k) for i in range(k))
     data = Dataset(clients, {i + 1: x[bounds[i]:bounds[i + 1]] for i in range(k)}, y)
-    return data, fit_zero_imputer(clients)
+    return data, ImputationMap()
 
 
 def blow_up_federation():

@@ -16,10 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from fedmismatch.cli import _preset_paths, run_experiment
-from fedmismatch.impute import (
-    fit_optimal_imputer,
-    fit_zero_imputer,
-)
+from fedmismatch.impute import ImputationMap
 from fedmismatch.model import ClientSpec, FeaturePattern, crop_matrix, validate_federation
 from fedmismatch.moments import (
     aggregate_zero_imputed,
@@ -38,7 +35,6 @@ from fedmismatch.popgen import (
 )
 from fedmismatch.ridge import (
     estimate_m,
-    fedavg_ridge,
     itr_predictor,
     local_learning,
     ridge_closed_form,
@@ -49,6 +45,7 @@ from support import (
     brute_effective_dimension,
     brute_schur,
     completion_matrix,
+    fedavg_on,
     from_filled,
     gd_penalized_distance,
     gd_quadratic_min,
@@ -57,6 +54,7 @@ from support import (
     sample_counts,
     seeded,
     sharded,
+    uploads,
 )
 
 import json
@@ -110,7 +108,7 @@ def test_c01_closed_form_oracle_agreement():
         eff = oracle.effective_dimension(pop.sigma, lam)
         worst = max(worst, abs(eff - brute_effective_dimension(pop.sigma, lam)))
 
-        ip0 = oracle.imputed_population_covariance(pop, clients, fit_zero_imputer(clients))
+        ip0 = oracle.imputed_population_covariance(pop, clients, ImputationMap())
         pi = np.zeros((d, d))
         for c in clients:
             m = c.pattern.mask().astype(float)
@@ -119,7 +117,7 @@ def test_c01_closed_form_oracle_agreement():
                     pi[l, j] += c.rho * m[l] * m[j]
         worst = max(worst, float(np.max(np.abs(ip0.sigma - pi * pop.sigma))))
         worst = max(worst, float(np.max(np.abs(ip0.gamma - np.diag(pi) * gamma))))
-        ipo = oracle.imputed_population_covariance(pop, clients, fit_optimal_imputer(pop.sigma, clients))
+        ipo = oracle.imputed_population_covariance(pop, clients, ImputationMap(pop.sigma))
         mix = np.zeros((d, d))
         for c in clients:
             t = completion_matrix(pop.sigma, c.pattern)
@@ -257,13 +255,13 @@ def test_c04_imputed_ridge_risk_certificates():
     checked = 0
     for lam in (0.1, 1.0):
         for n in (200, 2000):
-            for zero, imputer in ((True, fit_zero_imputer(clients)), (False, fit_optimal_imputer(pop.sigma, clients))):
+            for zero, imputer in ((True, ImputationMap()), (False, ImputationMap(pop.sigma))):
                 for s in range(10):
                     ss = np.random.SeedSequence(41, spawn_key=(int(lam * 10), n, zero, s))
                     data_rng, mc_rng = (np.random.default_rng(c) for c in ss.spawn(2))
                     data = sample_dataset(pop, clients, n, data_rng)
                     m_hat = estimate_m(data)
-                    predictor = itr_predictor(imputer, ridge_closed_form(data, imputer, lam), clients, trunc_m=m_hat)
+                    predictor = itr_predictor(imputer, ridge_closed_form(uploads(data), imputer, lam), clients, trunc_m=m_hat)
                     mc = oracle.monte_carlo_risk([predictor], pop, clients, 100_000, mc_rng)[0]
                     bound_value = oracle.itr_bound(pop, clients, imputer, lam, n, m_hat).bound_value
                     margin = bound_value + 3 * mc.stderr - mc.risk
@@ -291,7 +289,7 @@ def test_c05_optimal_imputation_attains_global_optimum():
         d = int(rng.integers(2, 7))
         pop = random_population(rng, d)
         clients = random_clients(rng, d, int(rng.integers(1, 6)))
-        ip = oracle.imputed_population_covariance(pop, clients, fit_optimal_imputer(pop.sigma, clients))
+        ip = oracle.imputed_population_covariance(pop, clients, ImputationMap(pop.sigma))
         lhs = oracle.imputed_oracle_risk(pop, ip)
         rhs = oracle.oracle_global_risk(pop, clients)
         worst = max(worst, abs(lhs - rhs))
@@ -324,8 +322,8 @@ def test_c06_comparison_inequalities():
         pop = random_population(rng, d)
         clients = random_clients(rng, d, int(rng.integers(1, 6)))
         lam = (0.01, 0.1, 1.0)[i % 3]
-        ipo = oracle.imputed_population_covariance(pop, clients, fit_optimal_imputer(pop.sigma, clients))
-        ip0 = oracle.imputed_population_covariance(pop, clients, fit_zero_imputer(clients))
+        ipo = oracle.imputed_population_covariance(pop, clients, ImputationMap(pop.sigma))
+        ip0 = oracle.imputed_population_covariance(pop, clients, ImputationMap())
         local = oracle.local_bound_terms(pop, clients, lam, n=10, m=1.0)
         c_max = int(max(sum(c.pattern.mask() for c in clients)))
         zero_optimum = oracle.imputed_oracle_risk(pop, ip0)
@@ -373,7 +371,7 @@ def test_c07_typical_case_penalty_inflation():
             vals = np.zeros(draws)
             for i, pats in enumerate(pattern_sets):
                 clients = _uniform_clients(pats)
-                ip = oracle.imputed_population_covariance(pop, clients, fit_zero_imputer(clients))
+                ip = oracle.imputed_population_covariance(pop, clients, ImputationMap())
                 vals[i] = oracle.imputed_oracle_risk(pop, ip) + oracle.ridge_bias(
                     ip.sigma, ip.theta_prime, lam
                 )
@@ -398,7 +396,7 @@ def test_c08_fedavg_reaches_closed_form():
     y = x @ rng.standard_normal(d) + 0.3 * rng.standard_normal(n)
     clients = (ClientSpec(id=1, pattern=FeaturePattern.full(d), rho=1.0),)
     pooled = from_filled(clients=clients, client_ids=np.ones(n, dtype=int), x_filled=x, y=y)
-    want = ridge_closed_form(pooled, fit_zero_imputer(clients), lam)
+    want = ridge_closed_form(uploads(pooled), ImputationMap(), lam)
     worst_err = 0.0
     worst_rounds = 0
     monotone = True
@@ -407,7 +405,7 @@ def test_c08_fedavg_reaches_closed_form():
         k = int(rng.integers(1, 7))
         cuts = np.sort(rng.choice(np.arange(1, n), size=k - 1, replace=False)) if k > 1 else np.array([], dtype=int)
         bounds = [0, *cuts.tolist(), n]
-        res = fedavg_ridge(*sharded(x, y, bounds), lam=lam, rounds=10_000)
+        res = fedavg_on(*sharded(x, y, bounds), lam=lam, rounds=10_000)
         err = float(np.linalg.norm(res.theta - want))
         worst_err = max(worst_err, err)
         worst_rounds = max(worst_rounds, res.rounds_run)
@@ -430,8 +428,8 @@ def _tuned_test_risk(method, pop, clients, data, lam_grid, valid_rng, test_rng, 
     best = None
     for lam in lam_grid:
         if method == "itr_zero":
-            imputer = fit_zero_imputer(clients)
-            predictor = itr_predictor(imputer, ridge_closed_form(data, imputer, lam), clients, trunc_m=m_hat)
+            imputer = ImputationMap()
+            predictor = itr_predictor(imputer, ridge_closed_form(uploads(data), imputer, lam), clients, trunc_m=m_hat)
         else:
             predictor = local_learning(data, lam, trunc_m=m_hat)
         score = oracle.monte_carlo_risk([predictor], pop, clients, n_eval, valid_rng)[0].risk
@@ -544,7 +542,7 @@ def test_c11_communication_audit():
             pop = random_population(rng, d)
             clients = random_clients(rng, d, k)
             data = sample_dataset(pop, clients, 30, rng)
-            imputer = fit_zero_imputer(clients)
+            imputer = ImputationMap()
             senders = [c.pattern for c in clients if len(data.rows_of(c.id))]
             specs = [ProtocolSpec(kind="one_shot_moments"), ProtocolSpec(kind="one_shot_ridge", lam=0.1)]
             specs += [ProtocolSpec(kind="federated_ice", ice_rounds=t) for t in (0, 2, 5)]

@@ -512,8 +512,8 @@ class TestRunExperiment:
         cfg = json.loads(Path(cli.__file__).with_name("presets").joinpath("comm_audit.json").read_text())
         both, _ = run_experiment(cfg, str(tmp_path / "both"))
 
-        def one_round(data, imputer, lam, rounds, local_steps=1):
-            return ridge.fedavg_ridge(data, imputer, lam, min(rounds, 1), local_steps)
+        def one_round(sent, imputer, lam, rounds, local_steps=1, *, y_sq_sum):
+            return ridge.fedavg_ridge(sent, imputer, lam, min(rounds, 1), local_steps, y_sq_sum=y_sq_sum)
 
         monkeypatch.setattr(fedsim, "fedavg_ridge", one_round)
         one, _ = run_experiment(cfg, str(tmp_path / "one"))

@@ -1,4 +1,5 @@
 """Tests for the federation simulator: transparency and exact accounting."""
+import inspect
 import tracemalloc
 from dataclasses import replace
 from unittest import mock
@@ -17,19 +18,22 @@ from fedmismatch.fedsim import (
     run_protocol,
     serve_predictor,
 )
-from fedmismatch.impute import fit_optimal_imputer, fit_zero_imputer
+from fedmismatch.impute import ImputationMap, optimal_block_map
 from fedmismatch.impute import federated_ice as ice_in_memory
 from fedmismatch.model import ClientSpec, ClientwisePredictor, Dataset, FeaturePattern
-from fedmismatch.moments import aggregate_zero_imputed, imputed_data_moments
+from fedmismatch.moments import (aggregate_zero_imputed, completed_sums, imputed_data_moments,
+                                 local_zero_imputed_moments)
 from fedmismatch.popgen import sample_dataset
-from fedmismatch.ridge import fedavg_ridge, ridge_closed_form
+from fedmismatch.ridge import itr_predictor, ridge_closed_form
 
 from support import (
     assert_rel_close,
     blow_up_federation,
     completed_rows,
+    fedavg_on,
     from_filled,
     random_clients,
+    random_pattern,
     random_population,
     random_psd,
     reference_completed_sums,
@@ -37,6 +41,7 @@ from support import (
     reference_padded_sums,
     sample_counts,
     seeded,
+    uploads,
     without_rows,
     x_filled,
 )
@@ -53,7 +58,7 @@ def _masked(seed, d=4, n=120, clients=None):
 def _completed(seed, d=4, n=120, clients=None):
     """(masked data, zero imputer): what every protocol kind accepts."""
     data = _masked(seed, d, n, clients)
-    return data, fit_zero_imputer(data.clients)
+    return data, ImputationMap()
 
 
 def _sparse_federation(seed, d=4):
@@ -76,10 +81,10 @@ def _library_artifact(spec, data, imputer):
     if spec.kind == "one_shot_moments":
         return aggregate_zero_imputed(data.local_moments.values()), sample_counts(data)
     if spec.kind == "federated_ice":
-        return ice_in_memory(data, rounds=spec.ice_rounds)
+        return ice_in_memory(uploads(data), rounds=spec.ice_rounds)
     if spec.kind == "one_shot_ridge":
-        return ridge_closed_form(data, imputer, spec.lam)
-    return fedavg_ridge(data, imputer, lam=spec.lam, rounds=spec.rounds)
+        return ridge_closed_form(uploads(data), imputer, spec.lam)
+    return fedavg_on(data, imputer, lam=spec.lam, rounds=spec.rounds)
 
 
 class TestTransportTransparency:
@@ -96,25 +101,26 @@ class TestTransportTransparency:
         assert res.artifact.n == data.n
 
     def test_one_shot_ridge(self):
-        data = _completed(502)
-        res = run_protocol(ProtocolSpec(kind="one_shot_ridge", lam=0.4), *data)
-        assert np.array_equal(res.artifact, ridge_closed_form(*data, 0.4))
+        data, imputer = _completed(502)
+        res = run_protocol(ProtocolSpec(kind="one_shot_ridge", lam=0.4), data, imputer)
+        assert np.array_equal(res.artifact, ridge_closed_form(uploads(data), imputer, 0.4))
 
     def test_one_shot_ridge_min_norm(self):
-        data = _completed(503)
-        res = run_protocol(ProtocolSpec(kind="one_shot_ridge", lam=0.0), *data)
-        assert np.array_equal(res.artifact, ridge_closed_form(*data, 0.0))
+        data, imputer = _completed(503)
+        res = run_protocol(ProtocolSpec(kind="one_shot_ridge", lam=0.0), data, imputer)
+        assert np.array_equal(res.artifact, ridge_closed_form(uploads(data), imputer, 0.0))
 
     def test_federated_ice(self):
         data = _masked(504)
         res = run_protocol(ProtocolSpec(kind="federated_ice", ice_rounds=3), data)
-        want = ice_in_memory(data, rounds=3)
+        want = ice_in_memory(uploads(data), rounds=3)
+        assert res.artifact.sigma.tobytes() == want.sigma.tobytes()
         assert np.array_equal(completed_rows(data, res.artifact), completed_rows(data, want))
 
     def test_fedavg(self):
         data = _completed(505)
         res = run_protocol(ProtocolSpec(kind="fedavg_ridge", lam=0.2, rounds=5), *data)
-        want = fedavg_ridge(*data, lam=0.2, rounds=5)
+        want = fedavg_on(*data, lam=0.2, rounds=5)
         assert np.array_equal(res.artifact.theta, want.theta)
         assert (res.artifact.objective_trace, res.artifact.diverged, res.artifact.rounds_run) == (
             want.objective_trace, want.diverged, want.rounds_run)
@@ -124,7 +130,7 @@ class TestTransportTransparency:
     def test_empty_and_unobserving_clients(self, kind):
         _, data = _sparse_federation(515)
         spec = ProtocolSpec(kind=kind, lam=0.3, ice_rounds=3, rounds=4)
-        imputer = fit_zero_imputer(data.clients)
+        imputer = ImputationMap()
         res = run_protocol(spec, data, imputer)
         want = _library_artifact(spec, data, imputer)
         if kind == "one_shot_moments":
@@ -138,8 +144,9 @@ class TestTransportTransparency:
             assert len(row_masks) == data.n
             assert np.array_equal(res.artifact.counts, row_masks.T @ row_masks)
         elif kind == "federated_ice":
+            assert res.artifact.sigma.tobytes() == want.sigma.tobytes()
             assert np.array_equal(completed_rows(data, res.artifact), completed_rows(data, want))
-            assert list(res.artifact.maps) == list(want.maps)
+            assert list(res.artifact.maps) == list(want.maps) == list(dict.fromkeys(c.pattern for c in data.clients))
             for p, s in want.maps.items():
                 assert np.array_equal(res.artifact.maps[p], s)
         elif kind == "fedavg_ridge":
@@ -241,13 +248,13 @@ class TestPatternSizedUploads:
         data, rng = drawn
         pair = aggregate_zero_imputed(data.local_moments.values())
         assert _bytes_equal((pair.sigma, pair.gamma), reference_fold(reference_padded_sums(data)))
-        zero, optimal = fit_zero_imputer(data.clients), fit_optimal_imputer(random_psd(rng, data.d), data.clients)
+        zero, optimal = ImputationMap(), ImputationMap(random_psd(rng, data.d))
         for imputer, bitwise in ((zero, True), (optimal, False)):
-            pair = imputed_data_moments(data, imputer)
+            pair = imputed_data_moments(uploads(data), imputer)
             want = reference_fold((lm.sigma_sum, lm.gamma_sum, lm.count) for lm in reference_completed_sums(data, imputer))
-            theta = fedavg_ridge(data, imputer, lam=0.1, rounds=3).theta
-            with mock.patch.object(ridge, "completed_sums", reference_completed_sums):
-                want_theta = fedavg_ridge(data, imputer, lam=0.1, rounds=3).theta
+            theta = fedavg_on(data, imputer, lam=0.1, rounds=3).theta
+            with mock.patch.object(ridge, "completed_sums", lambda _, imp: reference_completed_sums(data, imp)):
+                want_theta = fedavg_on(data, imputer, lam=0.1, rounds=3).theta
             if bitwise:
                 assert _bytes_equal((pair.sigma, pair.gamma), want)
                 assert _bytes_equal((theta,), (want_theta,))
@@ -268,7 +275,7 @@ class TestPatternSizedUploads:
             "fedavg_ridge": ([m for m in sizes if m] * 2, len(sizes)),
         }
         for kind, (floats, senders) in want.items():
-            res = run_protocol(ProtocolSpec(kind=kind, lam=0.1, ice_rounds=2, rounds=2), data, fit_zero_imputer(data.clients))
+            res = run_protocol(ProtocolSpec(kind=kind, lam=0.1, ice_rounds=2, rounds=2), data, ImputationMap())
             assert [e.floats for e in res.comm.events if e.direction == "up" and e.round > 0] == floats, kind
             assert [e.bits for e in res.comm.events if e.round == 0] == [data.d] * senders, kind
 
@@ -320,8 +327,8 @@ class TestFedAvgPatternMessages:
         data, rng = drawn
         d, s, eps = data.d, local_steps, np.finfo(np.float64).eps
         senders = [lm for lm in data.local_moments.values() if lm.count]
-        imputers = (fit_zero_imputer(data.clients), fit_optimal_imputer(random_psd(rng, d), data.clients),
-                    ice_in_memory(data, rounds=2))
+        imputers = (ImputationMap(), ImputationMap(random_psd(rng, d)),
+                    ice_in_memory(uploads(data), rounds=2))
         for imputer in imputers:
             # Each sender's (eta, (A_k, b_k)) as fedavg_ridge forms them, in its fold order.
             calls, local_map = [], ridge._local_steps
@@ -331,7 +338,7 @@ class TestFedAvgPatternMessages:
                 return calls[-1][1]
 
             with mock.patch.object(ridge, "_local_steps", spy):
-                theta_1 = fedavg_ridge(data, imputer, lam, rounds=1, local_steps=s).theta
+                theta_1 = fedavg_on(data, imputer, lam, rounds=1, local_steps=s).theta
             assert len(calls) == len(senders)
             first_round, first_mag = np.zeros(d), 0.0
             for lm, (eta, (a_k, b_k)) in zip(senders, calls):
@@ -366,9 +373,9 @@ class TestIceOneRoundTrip:
         res = run_protocol(spec, data)
         events = [(e.round, e.direction, e.floats, e.bits) for e in res.comm.events]
         register = [(0, "up", 0, d)] * len(senders)
-        uploads = [(1, "up", p.size * (p.size + 1) // 2, 0) for p in senders]
+        grams = [(1, "up", p.size * (p.size + 1) // 2, 0) for p in senders]
         if rounds:
-            assert events == register + uploads
+            assert events == register + grams
             once = run_protocol(ProtocolSpec(kind="federated_ice", ice_rounds=1), data)
             assert [e for e in once.comm.events if e.direction == "up"] == [
                 e for e in res.comm.events if e.direction == "up"]
@@ -378,10 +385,74 @@ class TestIceOneRoundTrip:
         pred = replay_comm_schedule(spec, senders)
         assert (res.comm.total_floats("up"), res.comm.total_floats("down"), res.comm.total_bits()) == (
             pred.up_floats, pred.down_floats, pred.registration_bits)
-        want = ice_in_memory(data, rounds)
-        assert list(res.artifact.maps) == list(want.maps)
-        for p, s in want.maps.items():
-            assert res.artifact.maps[p].tobytes() == s.tobytes()
+        want = ice_in_memory(uploads(data), rounds)
+        assert (res.artifact.sigma is None) == (want.sigma is None) == (rounds == 0)
+        if rounds:
+            assert res.artifact.sigma.tobytes() == want.sigma.tobytes()
+        for p in {c.pattern for c in data.clients}:
+            assert res.artifact.maps[p].tobytes() == want.maps[p].tobytes()
+
+
+class TestServerReadsOnlyUploads:
+    """Every server-side fit reads the senders' uploads (sender id to
+    observed sums), never a ``Dataset``: sums built by hand, with no
+    ``Dataset`` anywhere, give what ``run_protocol`` gives on a sample
+    holding the same blocks plus a client that drew no rows, bit for bit."""
+
+    FITS = (completed_sums, imputed_data_moments, ridge_closed_form, ridge.fedavg_ridge, ice_in_memory,
+            fedsim._one_shot_moments)
+
+    def test_no_fit_takes_a_dataset(self):
+        for fit in self.FITS:
+            params = list(inspect.signature(fit).parameters.values())
+            assert params[0].name == "uploads", fit.__name__
+            assert not any("Dataset" in str(p.annotation) for p in params), fit.__name__
+
+    @pytest.mark.parametrize("seed", [540, 541, 542])
+    def test_hand_built_uploads_give_the_protocol_artifacts(self, seed):
+        # Client 3 draws no rows and shares its pattern with no sender.
+        rng, d, ids = seeded(seed), 5, (1, 2, 4, 5)
+        lone, sent = FeaturePattern.from_one_based([2, 5], d), []
+        while len(sent) < len(ids):
+            p = random_pattern(rng, d, nonempty=False)
+            sent += [p] if p != lone else []
+        blocks = {k: rng.standard_normal((int(rng.integers(1, 9)), p.size)) for k, p in zip(ids, sent)}
+        ys = {k: rng.standard_normal(len(x)) for k, x in blocks.items()}
+        hand = {k: local_zero_imputed_moments(blocks[k], ys[k], p) for k, p in zip(ids, sent)}
+        y = np.concatenate([ys[k] for k in ids])
+        clients = [ClientSpec(id=k, pattern=p, rho=0.2) for k, p in zip(ids, sent)]
+        clients.insert(2, ClientSpec(id=3, pattern=lone, rho=0.2))
+        data = Dataset(tuple(clients), blocks, y)
+        assert list(fedsim._uploads(data)) == list(hand) == list(ids)
+
+        moments = run_protocol(ProtocolSpec(kind="one_shot_moments"), data).artifact
+        got = fedsim._one_shot_moments(hand)
+        assert _bytes_equal((got.pair.sigma, got.pair.gamma, got.counts),
+                            (moments.pair.sigma, moments.pair.gamma, moments.counts))
+        assert got.n == moments.n == data.n
+        ices = [run_protocol(ProtocolSpec(kind="federated_ice", ice_rounds=t), data).artifact for t in range(4)]
+        for t in range(1, 4):
+            assert ice_in_memory(hand, t).sigma.tobytes() == ices[t].sigma.tobytes()
+            assert imputed_data_moments(hand, ices[t - 1]).sigma.tobytes() == ices[t].sigma.tobytes()
+        for imputer in (ImputationMap(), ImputationMap(random_psd(rng, d)), ices[3]):
+            want = list(completed_sums(fedsim._uploads(data), imputer))
+            got = list(completed_sums(hand, imputer))
+            assert [lm.count for lm in got] == [lm.count for lm in want]
+            assert all(_bytes_equal((g.sigma_sum, g.gamma_sum), (w.sigma_sum, w.gamma_sum)) for g, w in zip(got, want))
+            ridge_fit = run_protocol(ProtocolSpec(kind="one_shot_ridge", lam=0.3), data, imputer).artifact
+            assert ridge_closed_form(hand, imputer, 0.3).tobytes() == ridge_fit.tobytes()
+            spec = ProtocolSpec(kind="fedavg_ridge", lam=0.3, rounds=6, local_steps=2)
+            fedavg = run_protocol(spec, data, imputer).artifact
+            got = ridge.fedavg_ridge(hand, imputer, 0.3, 6, 2, y_sq_sum=float(y @ y))
+            assert got.theta.tobytes() == fedavg.theta.tobytes()
+            assert (got.objective_trace, got.diverged, got.rounds_run) == (
+                fedavg.objective_trace, fedavg.diverged, fedavg.rounds_run)
+        # The ICE map serves the client that sent nothing from its sigma.
+        ice, theta = ices[3], rng.standard_normal(d)
+        s = optimal_block_map(ice.sigma, lone)
+        assert ice.maps[lone].tobytes() == s.tobytes()
+        served = itr_predictor(ice, theta, clients).thetas[3]
+        assert served.tobytes() == (theta[list(lone.observed)] + s.T @ theta[list(lone.missing)]).tobytes()
 
 
 class TestReplayMatchesRun:
@@ -392,7 +463,7 @@ class TestReplayMatchesRun:
                 pop = random_population(rng, d)
                 clients = random_clients(rng, d, k)
                 data = sample_dataset(pop, clients, 40, rng)
-                imputer = fit_zero_imputer(clients)
+                imputer = ImputationMap()
                 senders = [c.pattern for c in clients if len(data.rows_of(c.id))]
                 specs = [
                     ProtocolSpec(kind="one_shot_moments"),
@@ -719,7 +790,7 @@ class TestPinnedTotals:
             x_filled=np.vstack([np.eye(3), np.eye(3)]),
             y=np.ones(6),
         )
-        res = run_protocol(ProtocolSpec(kind="fedavg_ridge", lam=0.1, rounds=7), data, fit_zero_imputer(clients))
+        res = run_protocol(ProtocolSpec(kind="fedavg_ridge", lam=0.1, rounds=7), data, ImputationMap())
         assert res.comm.total_floats("up") == 7 * 2 * 3
         assert res.comm.total_floats("down") == 7 * 2 * 3
 
@@ -758,16 +829,18 @@ class TestLogFootprint:
     def test_fedavg_log_grows_with_rounds_plus_senders(self, monkeypatch):
         """One record per round and direction sharing the senders' sizes: a
         FedAvg log retains O(R + K) bytes, where one object per message would
-        retain O(R * K). FedAvg is stubbed, so only the logging is traced."""
+        retain O(R * K). FedAvg is stubbed, so only the logging and the
+        server's index of the uploads are traced."""
         rng = seeded(530)
         clients = random_clients(rng, self.D, self.K, nonempty=False)
         data = Dataset(clients, {c.id: rng.standard_normal((1, c.pattern.size)) for c in clients},
                        rng.standard_normal(self.K))
         stub = ridge.FedAvgResult(np.zeros(self.D), (), False, self.R)
-        monkeypatch.setattr(fedsim, "fedavg_ridge", lambda *args: stub)
-        spec, imputer = ProtocolSpec(kind="fedavg_ridge", rounds=self.R), fit_zero_imputer(clients)
+        monkeypatch.setattr(fedsim, "fedavg_ridge", lambda *args, **kwargs: stub)
+        spec, imputer = ProtocolSpec(kind="fedavg_ridge", rounds=self.R), ImputationMap()
         observing = sum(1 for c in clients if c.pattern.size)
         assert 0 < observing < self.K
+        assert len(data.local_moments) == self.K  # the clients' sums exist before the run, which reads them
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]

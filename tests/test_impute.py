@@ -5,13 +5,7 @@ import numpy as np
 import pytest
 
 import fedmismatch.impute as impute
-from fedmismatch.impute import (
-    ImputationMap,
-    federated_ice,
-    fit_optimal_imputer,
-    fit_zero_imputer,
-    optimal_block_map,
-)
+from fedmismatch.impute import ImputationMap, federated_ice, optimal_block_map
 from fedmismatch.model import ClientSpec, FeaturePattern, crop_matrix, crop_vector
 from fedmismatch.moments import (
     aggregate_zero_imputed,
@@ -33,6 +27,7 @@ from support import (
     reference_ice,
     repeating_clients,
     seeded,
+    uploads,
     x_filled,
 )
 from test_popgen import section3_clients
@@ -45,47 +40,52 @@ def _one_client(pattern, cid=1):
 class TestZeroImputer:
     def test_maps_are_zero(self):
         clients = section3_clients()
-        imp = fit_zero_imputer(clients)
+        imp = ImputationMap()
         for c in clients:
             s = imp.maps[c.pattern]
             assert s.shape == (len(c.pattern.missing), c.pattern.size)
             assert not s.any()
 
     def test_full_pattern_map_is_empty(self):
-        imp = fit_zero_imputer(_one_client(FeaturePattern.full(3)))
+        imp = ImputationMap()
         assert imp.maps[FeaturePattern.full(3)].shape == (0, 3)
 
     def test_complete_pads_with_zeros(self):
         pattern = FeaturePattern.from_one_based([1], 3)
-        imp = fit_zero_imputer(_one_client(pattern))
+        imp = ImputationMap()
         assert imp.complete(pattern, np.array([2.0])) == pytest.approx([2.0, 0.0, 0.0])
 
     def test_complete_unknown_pattern(self):
-        imp = fit_zero_imputer(_one_client(FeaturePattern.full(2)))
-        with pytest.raises(KeyError, match=r"pattern \(1,\)"):
-            imp.complete(FeaturePattern.from_one_based([1], 2), np.zeros(1))
+        # A map is one covariance (none for the zero map), so it completes
+        # any pattern, of any d under the zero map.
+        imp = ImputationMap()
+        assert imp.complete(FeaturePattern.from_one_based([2], 2), np.array([3.0])).tolist() == [0.0, 3.0]
+        assert imp.complete(FeaturePattern.from_one_based([1, 3], 5), np.ones(2)).tolist() == [1, 0, 1, 0, 0]
 
     def test_complete_copies_observed_coordinates(self):
         # Observed coordinates are copied, not multiplied through the
         # completion matrix: a non-finite entry stays in its own coordinate
         # and -0.0 keeps its sign.
         pattern = FeaturePattern.from_one_based([1, 3], 4)
-        imp = fit_optimal_imputer(random_psd(seeded(215), 4), _one_client(pattern))
+        imp = ImputationMap(random_psd(seeded(215), 4))
         x = np.array([[np.inf, -0.0], [1.5, 2.0]])
         rows = imp.complete(pattern, x)
         assert rows[:, [0, 2]].tobytes() == x.tobytes()
         assert rows[1, [1, 3]].tobytes() == (x @ imp.maps[pattern].T)[1].tobytes()
 
     def test_maps_are_read_only_copies(self):
-        # complete, complete_moments and itr_predictor all read S, which can
-        # be neither written nor reached through the caller's array.
+        # complete, complete_moments and itr_predictor all read S, formed
+        # from the map's sigma; neither can be written, and neither is
+        # reached through the caller's array.
         pattern = FeaturePattern.from_one_based([2], 3)
-        s = np.array([[0.5], [-1.0]])
-        imp = ImputationMap({pattern: s})
-        s[0, 0] = 9.0
+        sigma = np.array([[1.0, 0.5, 0.0], [0.5, 1.0, -1.0], [0.0, -1.0, 2.0]])
+        imp = ImputationMap(sigma)
+        sigma[0, 1] = 9.0
+        assert imp.sigma[0, 1] == 0.5
         assert imp.maps[pattern].tolist() == [[0.5], [-1.0]]
-        with pytest.raises(ValueError, match="read-only"):
-            imp.maps[pattern][0, 0] = 9.0
+        for array in (imp.sigma, imp.maps[pattern]):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0, 0] = 9.0
         _, cross = imp.complete_moments(pattern, np.eye(1), np.array([1.0]))
         assert cross.tolist() == [0.5, 1.0, -1.0]
         assert imp.complete(pattern, np.array([2.0])).tolist() == [1.0, 2.0, -2.0]
@@ -93,39 +93,52 @@ class TestZeroImputer:
 
 class TestStorage:
     def test_a_map_holds_only_its_blocks(self):
-        # An ImputationMap stores each pattern's S and no d x d array per
-        # pattern: 30 distinct patterns at d = 256 would add ~15.7 MB.
+        # An ImputationMap holds one sigma and forms each pattern's S on its
+        # first read. Once 30 patterns at d = 256 are read it holds their 30
+        # S blocks and no d x d array per pattern, which would add ~15.7 MB.
         rng, d = seeded(216), 256
         patterns = {}
         while len(patterns) < 30:
             patterns[FeaturePattern(tuple(np.flatnonzero(rng.random(d) < 0.7)), d)] = None
-        clients = tuple(ClientSpec(id=i + 1, pattern=p, rho=1 / 30) for i, p in enumerate(patterns))
         blocks = sum(8 * len(p.missing) * p.size for p in patterns)
         sigma = random_psd(rng, d)
-        for fit in (fit_zero_imputer, lambda cs: fit_optimal_imputer(sigma, cs)):
+        for imp in (ImputationMap(), ImputationMap(sigma)):
+            assert len(imp.maps) == 0
             tracemalloc.start()
             try:
-                imp = fit(clients)
+                for p in patterns:
+                    imp.complete(p, np.ones(p.size))
                 held, _ = tracemalloc.get_traced_memory()
             finally:
                 tracemalloc.stop()
-            assert len(imp.maps) == 30 and held < 2 * blocks, (held, blocks)
+            assert list(imp.maps) == list(patterns) and held < 2 * blocks, (held, blocks)
+            assert all(imp.maps[p].shape == (len(p.missing), p.size) for p in patterns)
+
+    def test_ice_map_forms_no_block_until_read(self):
+        # federated_ice's rounds read the senders' patterns of each round's
+        # map; the map it returns has formed none of its own.
+        rng, data = mixed_federation(240)
+        for rounds in (0, 1, 3):
+            imp = federated_ice(uploads(data), rounds)
+            assert len(imp.maps) == 0
+            imp.maps[data.client_by_id(8).pattern]
+            assert list(imp.maps) == [data.client_by_id(8).pattern]
 
 
 class TestOptimalImputer:
     def test_identity_covariance_gives_zero_maps(self):
         # Independent coordinates carry no information about each other.
         clients = random_clients(seeded(201), 5, 3)
-        imp = fit_optimal_imputer(np.eye(5), clients)
-        for s in imp.maps.values():
-            assert not s.any()
+        imp = ImputationMap(np.eye(5))
+        for c in clients:
+            assert not imp.maps[c.pattern].any()
 
     def test_correlated_pair(self):
         sigma = np.array([[1.0, 0.5], [0.5, 1.0]])
         pattern = FeaturePattern.from_one_based([1], 2)
         s = optimal_block_map(sigma, pattern)
         assert s == pytest.approx(np.array([[0.5]]))
-        imp = fit_optimal_imputer(sigma, _one_client(pattern))
+        imp = ImputationMap(sigma)
         assert imp.complete(pattern, np.array([2.0])) == pytest.approx([2.0, 1.0])
 
     def test_empty_pattern_gets_zero_map(self):
@@ -133,7 +146,7 @@ class TestOptimalImputer:
             ClientSpec(id=1, pattern=FeaturePattern.empty(2), rho=0.5),
             ClientSpec(id=2, pattern=FeaturePattern.full(2), rho=0.5),
         )
-        imp = fit_optimal_imputer(np.array([[1.0, 0.5], [0.5, 1.0]]), clients)
+        imp = ImputationMap(np.array([[1.0, 0.5], [0.5, 1.0]]))
         empty = FeaturePattern.empty(2)
         assert imp.maps[empty].shape == (2, 0)
         assert imp.complete(empty, np.zeros(0)) == pytest.approx([0.0, 0.0])
@@ -148,8 +161,9 @@ class TestOptimalImputer:
             return pinv(a)
 
         monkeypatch.setattr(impute, "pinv", counting)
-        imp = fit_optimal_imputer(random_psd(seeded(217), 4), clients)
-        assert list(imp.maps) == [pattern]
+        imp = ImputationMap(random_psd(seeded(217), 4))
+        rows = [imp.complete(c.pattern, np.ones(2)) for c in clients]
+        assert list(imp.maps) == [pattern] and rows[0].tobytes() == rows[1].tobytes()
         assert len(calls) == 1
 
     def test_residual_mean_is_zero_gaussian(self):
@@ -168,9 +182,24 @@ class TestOptimalImputer:
         assert np.all(np.abs(resid.mean(axis=0)) <= 3 * stderr + 1e-12)
 
     def test_map_shape_validation(self):
-        pattern = FeaturePattern.from_one_based([1], 3)
-        with pytest.raises(ValueError, match="map shape"):
-            ImputationMap(maps={pattern: np.zeros((1, 1))})
+        # A map's sigma is one square matrix.
+        for sigma in (np.zeros((3, 2)), np.zeros(3), np.zeros((2, 2, 2))):
+            with pytest.raises(ValueError, match="sigma must be a square matrix"):
+                ImputationMap(sigma)
+
+    def test_pattern_of_another_dimension_rejected(self):
+        # A 4 x 4 sigma has no map for a d = 3 client observing (1, 2):
+        # cropped by that pattern's indices it would give a 1 x 2 S that
+        # reads the wrong coordinates, without an error.
+        sigma = np.array([[2.0, 0.5, 0.3, 0.1], [0.5, 1.0, 0.2, 0.4], [0.3, 0.2, 1.5, 0.0], [0.1, 0.4, 0.0, 1.0]])
+        imp = ImputationMap(sigma)
+        pattern = FeaturePattern.from_one_based([1, 2], 3)
+        with pytest.raises(ValueError, match=r"pattern \(1, 2\) has d=3, not the map's d=4"):
+            imp.maps[pattern]
+        with pytest.raises(ValueError, match=r"pattern \(1, 2\)"):
+            imp.complete(pattern, np.ones(2))
+        assert len(imp.maps) == 0
+        assert imp.maps[FeaturePattern.from_one_based([1, 2], 4)].shape == (2, 2)
 
 
 class TestApplyImputer:
@@ -178,14 +207,14 @@ class TestApplyImputer:
         rng = seeded(203)
         pop = random_population(rng, 4)
         data = sample_dataset(pop, section3_clients(), 50, rng)
-        assert np.array_equal(completed_rows(data, fit_zero_imputer(data.clients)), x_filled(data))
+        assert np.array_equal(completed_rows(data, ImputationMap()), x_filled(data))
 
     def test_observed_coordinates_bitwise_preserved(self):
         rng = seeded(204)
         pop = random_population(rng, 4)
         clients = section3_clients()
         data = sample_dataset(pop, clients, 80, rng)
-        x = completed_rows(data, fit_optimal_imputer(pop.sigma, clients))
+        x = completed_rows(data, ImputationMap(pop.sigma))
         for c in clients:
             rows = data.rows_of(c.id)
             obs = list(c.pattern.observed)
@@ -196,7 +225,7 @@ class TestApplyImputer:
         pop = random_population(rng, 3)
         clients = _one_client(FeaturePattern.full(3))
         data = sample_dataset(pop, clients, 40, rng)
-        assert np.array_equal(completed_rows(data, fit_optimal_imputer(pop.sigma, clients)), x_filled(data))
+        assert np.array_equal(completed_rows(data, ImputationMap(pop.sigma)), x_filled(data))
 
     def test_missing_block_matches_map(self):
         rng = seeded(206)
@@ -204,7 +233,7 @@ class TestApplyImputer:
         pattern = FeaturePattern.from_one_based([2, 4], 4)
         clients = _one_client(pattern)
         data = sample_dataset(pop, clients, 30, rng)
-        imp = fit_optimal_imputer(pop.sigma, clients)
+        imp = ImputationMap(pop.sigma)
         x_obs = data.x_obs_of(1)
         assert np.allclose(completed_rows(data, imp)[:, [0, 2]], x_obs @ imp.maps[pattern].T)
 
@@ -213,22 +242,21 @@ class TestApplyImputer:
         pop = random_population(rng, 3)
         clients = _one_client(FeaturePattern.from_one_based([1, 2], 3))
         data = sample_dataset(pop, clients, 10, rng)
-        # Maps are keyed by pattern, so a map fitted for another pattern is
-        # simply absent for this client's.
-        other = fit_zero_imputer(_one_client(FeaturePattern.from_one_based([1, 3], 3)))
-        with pytest.raises(KeyError, match="no imputation map"):
-            list(completed_sums(data, other))
-        with pytest.raises(KeyError, match="no imputation map"):
-            ridge_closed_form(data, other, 0.1)
+        # A map of another dimension has no S for this client's pattern.
+        other = ImputationMap(random_psd(rng, 4))
+        with pytest.raises(ValueError, match=r"pattern \(1, 2\) has d=3"):
+            list(completed_sums(uploads(data), other))
+        with pytest.raises(ValueError, match=r"pattern \(1, 2\) has d=3"):
+            ridge_closed_form(uploads(data), other, 0.1)
 
     def test_shard_splits_by_client(self):
         rng = seeded(208)
         pop = random_population(rng, 4)
         data = sample_dataset(pop, section3_clients(), 60, rng)
-        imp = fit_zero_imputer(data.clients)
-        sums = list(completed_sums(data, imp))
+        imp = ImputationMap()
+        sums = list(completed_sums(uploads(data), imp))
         x = completed_rows(data, imp)
-        ids = sorted(c.id for c in data.clients)
+        ids = sorted(c.id for c in data.clients if len(data.rows_of(c.id)))
         assert len(sums) == len(ids)
         for cid, lm in zip(ids, sums):
             rows = data.rows_of(cid)
@@ -242,7 +270,7 @@ class TestFederatedIce:
         rng = seeded(209)
         pop = random_population(rng, 4)
         data = sample_dataset(pop, section3_clients(), 50, rng)
-        assert np.array_equal(completed_rows(data, federated_ice(data, rounds=0)), x_filled(data))
+        assert np.array_equal(completed_rows(data, federated_ice(uploads(data), rounds=0)), x_filled(data))
 
     def test_full_pattern_trace_constant(self):
         # Nothing is missing, so every round re-estimates the same matrix
@@ -250,10 +278,10 @@ class TestFederatedIce:
         rng = seeded(210)
         pop = random_population(rng, 3)
         data = sample_dataset(pop, _one_client(FeaturePattern.full(3)), 60, rng)
-        first = imputed_data_moments(data, federated_ice(data, rounds=0)).sigma
+        first = imputed_data_moments(uploads(data), federated_ice(uploads(data), rounds=0)).sigma
         for rounds in range(1, 4):
-            res = federated_ice(data, rounds)
-            assert np.array_equal(imputed_data_moments(data, res).sigma, first)
+            res = federated_ice(uploads(data), rounds)
+            assert np.array_equal(imputed_data_moments(uploads(data), res).sigma, first)
             assert np.array_equal(completed_rows(data, res), x_filled(data))
 
     def test_single_client_any_init_is_fixed_point(self):
@@ -267,19 +295,18 @@ class TestFederatedIce:
         pattern = FeaturePattern.from_one_based([1, 3], 4)
         clients = _one_client(pattern)
         data = sample_dataset(pop, clients, 500, rng)
-        for init in (fit_optimal_imputer(pop.sigma, clients), fit_zero_imputer(clients)):
-            sigma = imputed_data_moments(data, init).sigma
-            np.testing.assert_allclose(fit_optimal_imputer(sigma, clients).maps[pattern], init.maps[pattern], atol=1e-10)
-        assert np.allclose(completed_rows(data, federated_ice(data, rounds=3)), x_filled(data), atol=1e-10)
+        for init in (ImputationMap(pop.sigma), ImputationMap()):
+            sigma = imputed_data_moments(uploads(data), init).sigma
+            np.testing.assert_allclose(ImputationMap(sigma).maps[pattern], init.maps[pattern], atol=1e-10)
+        assert np.allclose(completed_rows(data, federated_ice(uploads(data), rounds=3)), x_filled(data), atol=1e-10)
 
     def test_converged_state_is_self_consistent(self):
         rng = seeded(216)
         pop = random_population(rng, 4)
         clients = section3_clients()
         data = sample_dataset(pop, clients, 300, rng)
-        res = federated_ice(data, rounds=500)
-        sigma = imputed_data_moments(data, res).sigma
-        imp = ImputationMap({c.pattern: optimal_block_map(sigma, c.pattern) for c in clients})
+        res = federated_ice(uploads(data), rounds=500)
+        imp = ImputationMap(imputed_data_moments(uploads(data), res).sigma)
         assert np.allclose(completed_rows(data, imp), completed_rows(data, res), atol=1e-9)
 
     def test_negative_rounds_rejected(self):
@@ -287,7 +314,7 @@ class TestFederatedIce:
         pop = random_population(rng, 3)
         data = sample_dataset(pop, _one_client(FeaturePattern.full(3)), 10, rng)
         with pytest.raises(ValueError, match="rounds"):
-            federated_ice(data, rounds=-1)
+            federated_ice(uploads(data), rounds=-1)
 
 
 class TestCompleteMoments:
@@ -299,8 +326,9 @@ class TestCompleteMoments:
         for _ in range(30):
             d = int(rng.integers(1, 7))
             sigma, gamma = random_psd(rng, d), rng.standard_normal(d)
-            imp = fit_zero_imputer(random_clients(rng, d, int(rng.integers(1, 5)), nonempty=False))
-            for p in imp.maps:
+            imp = ImputationMap()
+            clients = random_clients(rng, d, int(rng.integers(1, 5)), nonempty=False)
+            for p in dict.fromkeys(c.pattern for c in clients):
                 obs = list(p.observed)
                 gram, cross = imp.complete_moments(p, sigma[np.ix_(obs, obs)], gamma[obs])
                 want_gram, want_cross = np.zeros((d, d)), np.zeros(d)
@@ -314,7 +342,7 @@ class TestCompleteMoments:
         # cell and leaves every other cell +0.0 (0 * inf would be NaN).
         pattern = FeaturePattern.from_one_based([1, 3], 4)
         gram = np.array([[np.inf, 1.0], [1.0, 2.0]])
-        got, _ = fit_zero_imputer(_one_client(pattern)).complete_moments(pattern, gram, np.ones(2))
+        got, _ = ImputationMap().complete_moments(pattern, gram, np.ones(2))
         want = np.zeros((4, 4))
         want[np.ix_([0, 2], [0, 2])] = gram
         assert got.tobytes() == want.tobytes()
@@ -329,10 +357,10 @@ class TestCompleteMoments:
             d = int(rng.integers(1, 7))
             clients = repeating_clients(rng, d)
             sigma, gamma = random_psd(rng, d), rng.standard_normal(d)
-            zero, optimal = fit_zero_imputer(clients), fit_optimal_imputer(random_psd(rng, d), clients)
+            zero, optimal = ImputationMap(), ImputationMap(random_psd(rng, d))
             for imp, bitwise in ((zero, True), (optimal, False)):
                 cases += [(imp, p, sigma, gamma, bitwise, reference_complete_moments(imp, p, sigma, gamma))
-                          for p in imp.maps]
+                          for p in dict.fromkeys(c.pattern for c in clients)]
 
         def forbidden(*args, **kwargs):
             raise AssertionError("complete_moments built an identity matrix")
@@ -349,7 +377,7 @@ class TestCompleteMoments:
 
     def test_moments_must_be_over_the_observed_block(self):
         pattern = FeaturePattern.from_one_based([1, 3], 4)
-        imp = fit_zero_imputer(_one_client(pattern))
+        imp = ImputationMap()
         for gram, cross in ((np.eye(4), np.zeros(4)), (np.eye(2), np.zeros(4)), (np.eye(3), np.zeros(2))):
             with pytest.raises(ValueError, match=r"pattern \(1, 3\): moments .*, not \(2, 2\), \(2,\)"):
                 imp.complete_moments(pattern, gram, cross)
@@ -359,7 +387,7 @@ class TestCompleteMoments:
         rng, data = mixed_federation(seed)
         assert len(data.rows_of(8)) == 0
         pop = random_population(rng, data.d)
-        for imp in (fit_zero_imputer(data.clients), fit_optimal_imputer(pop.sigma, data.clients)):
+        for imp in (ImputationMap(), ImputationMap(pop.sigma)):
             for cid, lm in data.local_moments.items():
                 p = data.client_by_id(cid).pattern
                 rows = imp.complete(p, data.x_obs_of(cid))
@@ -378,12 +406,12 @@ class TestSufficientStatistics:
         assert len(data.rows_of(8)) == 0 and len(data.rows_of(9)) > 0
         trace, _ = reference_ice(data, 6)
         for rounds in range(6):
-            res = federated_ice(data, rounds)
+            res = federated_ice(uploads(data), rounds)
             _, maps = reference_ice(data, rounds)
             for cid, s in maps.items():
                 np.testing.assert_allclose(res.maps[data.client_by_id(cid).pattern], s, rtol=1e-9, atol=1e-12)
             # The estimate of round rounds + 1 is the moment matrix of this completion.
-            pair = imputed_data_moments(data, res)
+            pair = imputed_data_moments(uploads(data), res)
             assert_rel_close(pair.sigma, trace[rounds])
             x, full = completed_rows(data, res), FeaturePattern.full(data.d)
             shards = [data.rows_of(c.id) for c in sorted(data.clients, key=lambda c: c.id)]
@@ -400,8 +428,8 @@ class TestSufficientStatistics:
         data = sample_dataset(random_population(rng, d), clients, n, rng)
         tracemalloc.start()
         try:
-            res = federated_ice(data, rounds=3)
-            ridge_closed_form(data, res, 0.5)
+            res = federated_ice(uploads(data), rounds=3)
+            ridge_closed_form(uploads(data), res, 0.5)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()

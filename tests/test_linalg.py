@@ -15,7 +15,7 @@ from hypothesis import given, strategies as st
 
 from fedmismatch import cli, impute, oracle
 from fedmismatch._linalg import SymEig, pinv
-from fedmismatch.impute import fit_optimal_imputer, fit_zero_imputer
+from fedmismatch.impute import ImputationMap
 from fedmismatch.model import ClientSpec, FeaturePattern, MomentPair
 from fedmismatch.plugin import build_clientwise_plugin
 from fedmismatch.popgen import population_gamma
@@ -215,7 +215,9 @@ class TestOneFactorPerBlock:
         rng = seeded(1602)
         pop = random_population(rng, 5)
         clients = random_clients(rng, 5, 4)
-        imputer = fit_optimal_imputer(pop.sigma, clients) if optimal else fit_zero_imputer(clients)
+        imputer = ImputationMap(pop.sigma) if optimal else ImputationMap()
+        for c in clients:  # a fitted map has formed its clients' S, one eigh of sigma_OO each
+            imputer.maps[c.pattern]
         eigh_calls.clear()
         report = oracle.itr_bound(pop, clients, imputer, lam=0.3, n=100, m=1.0)
         # theta_prime, the bias and the dimension all read one factor of sigma_I.

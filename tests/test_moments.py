@@ -17,10 +17,10 @@ from fedmismatch import (
     local_zero_imputed_moments,
     sample_dataset,
 )
-from fedmismatch.impute import fit_zero_imputer
+from fedmismatch.impute import ImputationMap
 from fedmismatch.moments import imputed_data_moments
 
-from support import from_filled, sample_counts, seeded, x_filled
+from support import from_filled, sample_counts, seeded, uploads, x_filled
 from test_popgen import section3_clients
 
 
@@ -264,7 +264,7 @@ class TestImputedDataMoments:
         ids = rng.integers(1, 4, size=40)
         clients = tuple(ClientSpec(id=k, pattern=FeaturePattern.full(3), rho=1 / 3) for k in (1, 2, 3))
         data = from_filled(clients=clients, client_ids=ids, x_filled=x, y=y)
-        pair = imputed_data_moments(data, fit_zero_imputer(clients))
+        pair = imputed_data_moments(uploads(data), ImputationMap())
         np.testing.assert_allclose(pair.sigma, x.T @ x / 40, atol=1e-13)
         np.testing.assert_allclose(pair.gamma, x.T @ y / 40, atol=1e-13)
 
@@ -272,5 +272,5 @@ class TestImputedDataMoments:
         clients = (ClientSpec(id=1, pattern=FeaturePattern.full(2), rho=1.0),)
         empty = from_filled(clients=clients, client_ids=np.zeros(0), x_filled=np.zeros((0, 2)), y=np.zeros(0))
         with pytest.raises(ValueError):
-            imputed_data_moments(empty, fit_zero_imputer(clients))
+            imputed_data_moments(uploads(empty), ImputationMap())
 

@@ -2,7 +2,7 @@
 import numpy as np
 import pytest
 
-from fedmismatch.impute import ImputationMap, fit_optimal_imputer, fit_zero_imputer
+from fedmismatch.impute import ImputationMap
 from fedmismatch.model import ClientSpec, ClientwisePredictor, FeaturePattern, crop_matrix, crop_vector
 from fedmismatch.oracle import (
     _apportion,
@@ -30,6 +30,7 @@ from support import (
     gd_quadratic_min,
     random_clients,
     random_population,
+    random_psd,
     reference_imputed_population,
     repeating_clients,
     seeded,
@@ -39,8 +40,8 @@ from test_popgen import section3_clients
 CORR2 = np.array([[1.0, 0.5], [0.5, 1.0]])
 
 # The maps a certificate is read for, both fixed before any sample is drawn.
-MAPS = {"zero": lambda pop, clients: fit_zero_imputer(clients),
-        "optimal": lambda pop, clients: fit_optimal_imputer(pop.sigma, clients)}
+MAPS = {"zero": lambda pop, clients: ImputationMap(),
+        "optimal": lambda pop, clients: ImputationMap(pop.sigma)}
 
 
 def _pop(sigma, theta, sigma2=1.0):
@@ -216,7 +217,7 @@ class TestImputedPopulation:
     def test_zero_kind_full_pattern_is_identity_map(self):
         pop = random_population(seeded(411), 3)
         clients = (ClientSpec(id=1, pattern=FeaturePattern.full(3), rho=1.0),)
-        ip = imputed_population_covariance(pop, clients, fit_zero_imputer(clients))
+        ip = imputed_population_covariance(pop, clients, ImputationMap())
         assert np.allclose(ip.sigma, pop.sigma, atol=1e-12)
         assert np.allclose(ip.gamma, pop.sigma @ pop.theta_star, atol=1e-12)
 
@@ -226,7 +227,7 @@ class TestImputedPopulation:
             ClientSpec(id=1, pattern=FeaturePattern.from_one_based([1], 2), rho=0.5),
             ClientSpec(id=2, pattern=FeaturePattern.full(2), rho=0.5),
         )
-        ip = imputed_population_covariance(pop, clients, fit_zero_imputer(clients))
+        ip = imputed_population_covariance(pop, clients, ImputationMap())
         # Pi = [[1, .5], [.5, .5]]: only client 2 ever sees coordinate 2.
         assert ip.sigma == pytest.approx(np.array([[1.0, 0.25], [0.25, 0.5]]))
         assert ip.gamma == pytest.approx(np.array([1.5, 0.75]))
@@ -234,7 +235,7 @@ class TestImputedPopulation:
     def test_optimal_kind_single_client_block(self):
         pop = _pop(CORR2, [1.0, 1.0])
         clients = (ClientSpec(id=1, pattern=FeaturePattern.from_one_based([1], 2), rho=1.0),)
-        ip = imputed_population_covariance(pop, clients, fit_optimal_imputer(pop.sigma, clients))
+        ip = imputed_population_covariance(pop, clients, ImputationMap(pop.sigma))
         assert ip.sigma == pytest.approx(np.array([[1.0, 0.5], [0.5, 0.25]]))
         # sigma_I has rank 1, so theta_star is one of many solutions of
         # sigma_I t = gamma_I; theta_prime is the minimum-norm one, and both
@@ -253,7 +254,7 @@ class TestImputedPopulation:
             d = int(rng.integers(2, 6))
             pop = random_population(rng, d)
             clients = random_clients(rng, d, int(rng.integers(1, 5)))
-            ip = imputed_population_covariance(pop, clients, fit_optimal_imputer(pop.sigma, clients))
+            ip = imputed_population_covariance(pop, clients, ImputationMap(pop.sigma))
             want = np.zeros((d, d))
             for c in clients:
                 t = completion_matrix(pop.sigma, c.pattern)
@@ -266,7 +267,7 @@ class TestImputedPopulation:
             d = int(rng.integers(2, 6))
             pop = random_population(rng, d)
             clients = random_clients(rng, d, int(rng.integers(1, 5)))
-            ip = imputed_population_covariance(pop, clients, fit_optimal_imputer(pop.sigma, clients))
+            ip = imputed_population_covariance(pop, clients, ImputationMap(pop.sigma))
             gap = np.linalg.eigvalsh(pop.sigma - ip.sigma)
             assert gap.min() >= -1e-10
 
@@ -317,15 +318,22 @@ class TestImputedPopulation:
         assert np.array_equal(ip.sigma, want_sigma) and np.array_equal(ip.gamma, want_gamma)
 
     def test_map_without_a_clients_pattern_names_it(self):
+        # A map forms S for any pattern of its d, so it serves a client
+        # whose pattern no client it was fitted on had; only a map of
+        # another d has none, and the error names the client's pattern.
         pop = random_population(seeded(414), 3)
-        fitted = (ClientSpec(id=1, pattern=FeaturePattern.full(3), rho=1.0),)
-        clients = (ClientSpec(id=1, pattern=FeaturePattern.full(3), rho=0.5),
-                   ClientSpec(id=2, pattern=FeaturePattern.from_one_based([1, 3], 3), rho=0.5))
-        for imputer in (fit_zero_imputer(fitted), fit_optimal_imputer(pop.sigma, fitted)):
-            with pytest.raises(KeyError, match=r"no imputation map for pattern \(1, 3\) of d=3"):
-                imputed_population_covariance(pop, clients, imputer)
-            with pytest.raises(KeyError, match=r"pattern \(1, 3\)"):
-                itr_bound(pop, clients, imputer, lam=0.1, n=10, m=1.0)
+        clients = (ClientSpec(id=1, pattern=FeaturePattern.from_one_based([1, 3], 3), rho=0.5),
+                   ClientSpec(id=2, pattern=FeaturePattern.full(3), rho=0.5))
+        for imputer in (ImputationMap(), ImputationMap(pop.sigma)):
+            ip = imputed_population_covariance(pop, clients, imputer)
+            sigma, gamma = reference_imputed_population(pop, clients, imputer)
+            assert_rel_close(ip.sigma, sigma)
+            assert_rel_close(ip.gamma, gamma)
+        other = ImputationMap(random_psd(seeded(415), 4))
+        with pytest.raises(ValueError, match=r"pattern \(1, 3\) has d=3"):
+            imputed_population_covariance(pop, clients, other)
+        with pytest.raises(ValueError, match=r"pattern \(1, 3\) has d=3"):
+            itr_bound(pop, clients, other, lam=0.1, n=10, m=1.0)
 
     def test_theta_star_solves_the_optimal_map_system(self):
         # Under the population-optimal map theta_star solves sigma_I t =
@@ -335,7 +343,7 @@ class TestImputedPopulation:
             d = int(rng.integers(2, 6))
             pop = random_population(rng, d)
             clients = random_clients(rng, d, int(rng.integers(1, 5)))
-            ip = imputed_population_covariance(pop, clients, fit_optimal_imputer(pop.sigma, clients))
+            ip = imputed_population_covariance(pop, clients, ImputationMap(pop.sigma))
             scale = max(1.0, float(np.max(np.abs(ip.gamma))))
             np.testing.assert_allclose(ip.sigma @ pop.theta_star, ip.gamma, atol=1e-10 * scale)
             at_star = pop.e_y2 - pop.theta_star @ ip.sigma @ pop.theta_star
@@ -349,7 +357,7 @@ class TestImputedPopulation:
             d = int(rng.integers(2, 6))
             pop = random_population(rng, d)
             clients = random_clients(rng, d, int(rng.integers(1, 5)))
-            ip = imputed_population_covariance(pop, clients, fit_optimal_imputer(pop.sigma, clients))
+            ip = imputed_population_covariance(pop, clients, ImputationMap(pop.sigma))
             assert imputed_oracle_risk(pop, ip) == pytest.approx(
                 oracle_global_risk(pop, clients), abs=1e-9
             )
@@ -362,7 +370,7 @@ class TestItrBound:
         d, n, m = 3, 50, 2.0
         pop = _pop(np.eye(d), np.full(d, 0.5), sigma2=0.4)
         clients = (ClientSpec(id=1, pattern=FeaturePattern.full(d), rho=1.0),)
-        rep = itr_bound(pop, clients, fit_zero_imputer(clients), lam=0.0, n=n, m=m)
+        rep = itr_bound(pop, clients, ImputationMap(), lam=0.0, n=n, m=m)
         assert rep.bound_value == pytest.approx(0.4 + 8 * m * m * d / n)
         assert rep.b_lambda == 0.0
         assert rep.d_lambda == d
@@ -370,8 +378,8 @@ class TestItrBound:
     def test_reference_risk_by_kind(self):
         pop = random_population(seeded(416), 4)
         clients = section3_clients()
-        zero = itr_bound(pop, clients, fit_zero_imputer(clients), lam=0.1, n=100, m=1.0)
-        opt = itr_bound(pop, clients, fit_optimal_imputer(pop.sigma, clients), lam=0.1, n=100, m=1.0)
+        zero = itr_bound(pop, clients, ImputationMap(), lam=0.1, n=100, m=1.0)
+        opt = itr_bound(pop, clients, ImputationMap(pop.sigma), lam=0.1, n=100, m=1.0)
         assert opt.r_star_reference == pytest.approx(oracle_global_risk(pop, clients), abs=1e-9)
         assert zero.r_star_reference >= opt.r_star_reference - 1e-9
 
@@ -379,9 +387,9 @@ class TestItrBound:
         pop = random_population(seeded(418), 2)
         clients = (ClientSpec(id=1, pattern=FeaturePattern.full(2), rho=1.0),)
         with pytest.raises(ValueError):
-            itr_bound(pop, clients, fit_zero_imputer(clients), lam=0.1, n=0, m=1.0)
+            itr_bound(pop, clients, ImputationMap(), lam=0.1, n=0, m=1.0)
         with pytest.raises(ValueError):
-            itr_bound(pop, clients, fit_zero_imputer(clients), lam=0.1, n=10, m=-1.0)
+            itr_bound(pop, clients, ImputationMap(), lam=0.1, n=10, m=-1.0)
 
 
 class TestLocalBounds:
@@ -433,7 +441,7 @@ class TestLocalBounds:
         )
         lam = 0.4
         b = local_bound_terms(pop, clients, lam=lam, n=10, m=1.0)
-        ip0 = imputed_population_covariance(pop, clients, fit_zero_imputer(clients))
+        ip0 = imputed_population_covariance(pop, clients, ImputationMap())
 
         def at(penalty):
             return imputed_oracle_risk(pop, ip0) + ridge_bias(ip0.sigma, ip0.theta_prime, penalty)

@@ -3,7 +3,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from fedmismatch.impute import ImputationMap, fit_optimal_imputer, fit_zero_imputer
+from fedmismatch.impute import ImputationMap
 from fedmismatch.model import ClientSpec, ClientwisePredictor, FeaturePattern
 from fedmismatch.moments import completed_sums
 from fedmismatch.oracle import best_local_coefficients
@@ -13,12 +13,12 @@ from fedmismatch.ridge import (
     fedavg_ridge,
     itr_predictor,
     local_learning,
-    ridge_closed_form,
 )
 
 from support import (
     blow_up_federation,
     completed_rows,
+    fedavg_on,
     from_filled,
     gd_ridge_fit,
     mixed_federation,
@@ -28,8 +28,10 @@ from support import (
     reference_fedavg,
     reference_itr_coefficients,
     repeating_clients,
+    ridge_on,
     seeded,
     sharded,
+    uploads,
 )
 from test_popgen import section3_clients
 
@@ -39,16 +41,16 @@ def _completed(x, y, d=None):
     d = d if d is not None else x.shape[1]
     clients = (ClientSpec(id=1, pattern=FeaturePattern.full(d), rho=1.0),)
     data = from_filled(clients=clients, client_ids=np.ones(len(y), dtype=int), x_filled=x, y=np.asarray(y, dtype=float))
-    return data, fit_zero_imputer(clients)
+    return data, ImputationMap()
 
 
 class TestRidgeClosedForm:
     def test_scalar_pins(self):
         # One sample x = 2, y = 4: sigma_hat = 4, gamma_hat = 8.
         data = _completed([[2.0]], [4.0])
-        assert ridge_closed_form(*data, 0.0) == pytest.approx([2.0])
-        assert ridge_closed_form(*data, 4.0) == pytest.approx([1.0])
-        heavy = ridge_closed_form(*data, 1e8)
+        assert ridge_on(*data, 0.0) == pytest.approx([2.0])
+        assert ridge_on(*data, 4.0) == pytest.approx([1.0])
+        heavy = ridge_on(*data, 1e8)
         assert np.linalg.norm(heavy) <= 1e-6
 
     def test_matches_gradient_descent(self):
@@ -56,7 +58,7 @@ class TestRidgeClosedForm:
         for lam in (0.05, 0.5, 2.0):
             x = rng.standard_normal((60, 4))
             y = rng.standard_normal(60)
-            got = ridge_closed_form(*_completed(x, y), lam)
+            got = ridge_on(*_completed(x, y), lam)
             want = gd_ridge_fit(x, y, lam)
             assert np.allclose(got, want, atol=1e-7)
 
@@ -66,12 +68,12 @@ class TestRidgeClosedForm:
         # the weight equally.
         x = np.array([[1.0, 1.0], [2.0, 2.0], [3.0, 3.0]])
         y = np.array([2.0, 4.0, 6.0])
-        theta = ridge_closed_form(*_completed(x, y), 0.0)
+        theta = ridge_on(*_completed(x, y), 0.0)
         assert theta == pytest.approx([1.0, 1.0])
 
     def test_negative_lambda_rejected(self):
         with pytest.raises(ValueError):
-            ridge_closed_form(*_completed([[1.0]], [1.0]), -0.1)
+            ridge_on(*_completed([[1.0]], [1.0]), -0.1)
 
 
 class TestFedAvg:
@@ -80,9 +82,9 @@ class TestFedAvg:
         x = rng.standard_normal((80, 3))
         y = rng.standard_normal(80)
         data = _completed(x, y)
-        res = fedavg_ridge(*data, lam=0.3, rounds=1_000)
+        res = fedavg_on(*data, lam=0.3, rounds=1_000)
         assert not res.diverged
-        assert np.allclose(res.theta, ridge_closed_form(*data, 0.3), atol=1e-8)
+        assert np.allclose(res.theta, ridge_on(*data, 0.3), atol=1e-8)
 
     def test_sharding_invariant_fixed_point(self):
         # One local step per round makes the averaged update identical to
@@ -91,21 +93,21 @@ class TestFedAvg:
         rng = seeded(303)
         x = rng.standard_normal((90, 4))
         y = rng.standard_normal(90)
-        want = ridge_closed_form(*_completed(x, y), 0.1)
+        want = ridge_on(*_completed(x, y), 0.1)
         for cuts in ([30, 60], [10, 25, 70], [45]):
-            res = fedavg_ridge(*sharded(x, y, [0, *cuts, 90]), lam=0.1, rounds=1_000)
+            res = fedavg_on(*sharded(x, y, [0, *cuts, 90]), lam=0.1, rounds=1_000)
             assert np.allclose(res.theta, want, atol=1e-6)
 
     def test_objective_trace_non_increasing(self):
         rng = seeded(304)
         x = rng.standard_normal((50, 3))
         y = rng.standard_normal(50)
-        res = fedavg_ridge(*sharded(x, y, [0, 25, 50]), lam=0.2, rounds=200)
+        res = fedavg_on(*sharded(x, y, [0, 25, 50]), lam=0.2, rounds=200)
         trace = np.asarray(res.objective_trace)
         assert np.all(np.diff(trace) <= 1e-12)
 
     def test_zero_rounds_returns_zeros(self):
-        res = fedavg_ridge(*sharded(np.eye(2), np.ones(2), [0, 2]), lam=0.1, rounds=0)
+        res = fedavg_on(*sharded(np.eye(2), np.ones(2), [0, 2]), lam=0.1, rounds=0)
         assert res.theta == pytest.approx([0.0, 0.0])
         assert res.rounds_run == 0
         assert len(res.objective_trace) == 1
@@ -116,18 +118,23 @@ class TestFedAvg:
         clients = tuple(ClientSpec(id=i, pattern=FeaturePattern.empty(2), rho=0.5) for i in (1, 2))
         data = from_filled(clients=clients, client_ids=np.array([1, 2, 2]),
                            x_filled=np.ones((3, 2)), y=np.array([1.0, -2.0, 3.0]))
-        res = fedavg_ridge(data, fit_zero_imputer(clients), lam=0.0, rounds=4)
+        res = fedavg_on(data, ImputationMap(), lam=0.0, rounds=4)
         assert np.array_equal(res.theta, np.zeros(2))
         assert not res.diverged and res.rounds_run == 4
 
     def test_empty_clients_skipped_no_rows_rejected(self):
         x, y = np.arange(6.0).reshape(3, 2), np.array([1.0, 2.0, 3.0])
-        with_empty = fedavg_ridge(*sharded(x, y, [0, 0, 3, 3]), lam=0.1, rounds=5)
-        alone = fedavg_ridge(*sharded(x, y, [0, 3]), lam=0.1, rounds=5)
+        with_empty = fedavg_on(*sharded(x, y, [0, 0, 3, 3]), lam=0.1, rounds=5)
+        alone = fedavg_on(*sharded(x, y, [0, 3]), lam=0.1, rounds=5)
         assert np.array_equal(with_empty.theta, alone.theta)
         assert with_empty.objective_trace == alone.objective_trace
+        # With no rows there is no sender, so nothing to fold; sums of
+        # clients without rows fold to no rows.
+        empty, imputer = sharded(np.zeros((0, 2)), np.zeros(0), [0, 0])
+        with pytest.raises(ValueError, match="nothing to aggregate"):
+            fedavg_on(empty, imputer, lam=0.1, rounds=1)
         with pytest.raises(ValueError, match="no rows"):
-            fedavg_ridge(*sharded(np.zeros((0, 2)), np.zeros(0), [0, 0]), lam=0.1, rounds=1)
+            fedavg_ridge(empty.local_moments, imputer, 0.1, 1, y_sq_sum=0.0)
 
     def test_split_by_client_skips_empty_and_sorts(self):
         clients = (
@@ -140,10 +147,12 @@ class TestFedAvg:
             x_filled=np.arange(6.0).reshape(3, 2),
             y=np.array([1.0, 2.0, 3.0]),
         )
-        imputer = fit_zero_imputer(clients)
-        first, third = completed_sums(data, imputer)
+        imputer = ImputationMap()
+        first, third = completed_sums(data.local_moments, imputer)
         assert (first.count, third.count) == (0, 3)
         assert not first.sigma_sum.any()
+        (sent,) = completed_sums(uploads(data), imputer)
+        assert sent.count == 3 and sent.sigma_sum.tobytes() == third.sigma_sum.tobytes()
         x = completed_rows(data, imputer)
         assert np.array_equal(third.sigma_sum, x.T @ x)
 
@@ -152,11 +161,11 @@ class TestFedAvg:
         # Federations with a full client, an empty-pattern client and a
         # client without rows, under zero and regression imputation.
         rng, masked = mixed_federation(seed)
-        imputers = [fit_zero_imputer(masked.clients), fit_optimal_imputer(random_psd(rng, masked.d), masked.clients)]
+        imputers = [ImputationMap(), ImputationMap(random_psd(rng, masked.d))]
         for imputer in imputers:
             for local_steps in (1, 2, 5):
                 for rounds in (0, 1, 7, 60):
-                    res = fedavg_ridge(masked, imputer, 0.3, rounds, local_steps)
+                    res = fedavg_on(masked, imputer, 0.3, rounds, local_steps)
                     theta, trace, diverged, run = reference_fedavg(masked, imputer, 0.3, rounds, local_steps)
                     assert (res.rounds_run, res.diverged) == (run, diverged)
                     _assert_rel_close(res.theta, theta)
@@ -172,7 +181,7 @@ class TestFedAvg:
         y = rng.standard_normal(60)
         x[:3] *= 30.0
         data = sharded(x, y, [0, 3, 60])
-        res = fedavg_ridge(*data, 0.1, 200, local_steps)
+        res = fedavg_on(*data, 0.1, 200, local_steps)
         theta, trace, diverged, run = reference_fedavg(*data, 0.1, 200, local_steps)
         assert res.diverged and diverged and res.rounds_run == run == 10
         _assert_rel_close(res.theta, theta)
@@ -183,7 +192,7 @@ class TestFedAvg:
         # diverged set instead of carrying a non-finite theta to round 50.
         data = blow_up_federation()
         with pytest.warns(RuntimeWarning, match="overflow"):
-            res = fedavg_ridge(*data, lam=0.0, rounds=50, local_steps=10)
+            res = fedavg_on(*data, lam=0.0, rounds=50, local_steps=10)
         with pytest.warns(RuntimeWarning, match="overflow"):
             theta, trace, diverged, run = reference_fedavg(*data, 0.0, 50, 10)
         assert res.diverged and diverged and res.rounds_run == run == 8
@@ -197,11 +206,11 @@ class TestFedAvg:
         rng = seeded(306)
         clients = random_clients(rng, 8, 300, nonempty=False)
         masked = sample_dataset(random_population(rng, 8), clients, 3000, rng)
-        imputer = fit_optimal_imputer(random_psd(rng, 8), clients)
-        res = fedavg_ridge(masked, imputer, lam=0.05, rounds=3000)
+        imputer = ImputationMap(random_psd(rng, 8))
+        res = fedavg_on(masked, imputer, lam=0.05, rounds=3000)
         assert not res.diverged and res.rounds_run == 3000
         assert np.any(np.diff(res.objective_trace) > 0)
-        assert np.allclose(res.theta, ridge_closed_form(masked, imputer, 0.05), atol=1e-10)
+        assert np.allclose(res.theta, ridge_on(masked, imputer, 0.05), atol=1e-10)
 
 
 def _assert_rel_close(got, want, rel=1e-12):
@@ -261,7 +270,7 @@ class TestEstimateM:
 class TestItrPredictor:
     def test_zero_imputer_crops_theta(self):
         clients = section3_clients()
-        imp = fit_zero_imputer(clients)
+        imp = ImputationMap()
         theta = np.array([1.0, 2.0, 3.0, 4.0])
         pred = itr_predictor(imp, theta, clients)
         assert pred.thetas[1] == pytest.approx([1.0, 3.0])
@@ -274,7 +283,7 @@ class TestItrPredictor:
         rng = seeded(306)
         pop = random_population(rng, 4)
         clients = random_clients(rng, 4, 3)
-        imp = fit_optimal_imputer(pop.sigma, clients)
+        imp = ImputationMap(pop.sigma)
         pred = itr_predictor(imp, pop.theta_star, clients)
         for c in clients:
             want = best_local_coefficients(pop, c.pattern)
@@ -288,7 +297,7 @@ class TestItrPredictor:
             d = int(rng.integers(1, 7))
             clients = repeating_clients(rng, d)
             theta = rng.standard_normal(d)
-            for imp in (fit_zero_imputer(clients), fit_optimal_imputer(random_psd(rng, d), clients)):
+            for imp in (ImputationMap(), ImputationMap(random_psd(rng, d))):
                 pred = itr_predictor(imp, theta, clients)
                 want = reference_itr_coefficients(imp, theta, clients)
                 first = {}
@@ -299,27 +308,28 @@ class TestItrPredictor:
 
     def test_zero_truncation_kills_predictions(self):
         clients = section3_clients()
-        pred = itr_predictor(fit_zero_imputer(clients), np.ones(4), clients, trunc_m=0.0)
+        pred = itr_predictor(ImputationMap(), np.ones(4), clients, trunc_m=0.0)
         assert pred.predict_many(1, np.array([[5.0, -2.0]])).tolist() == [0.0]
 
     def test_theta_shape_validated(self):
         clients = section3_clients()
         with pytest.raises(ValueError, match="theta"):
-            itr_predictor(fit_zero_imputer(clients), np.ones(3), clients)
+            itr_predictor(ImputationMap(), np.ones(3), clients)
 
     def test_theta_shape_checked_for_every_pattern(self):
         # The check runs once per distinct pattern, against that pattern's d.
         narrow, wide = FeaturePattern.from_one_based([1], 3), FeaturePattern.from_one_based([1], 4)
         clients = (ClientSpec(id=1, pattern=narrow, rho=1.0), ClientSpec(id=2, pattern=wide, rho=1.0))
-        imp = ImputationMap({narrow: np.zeros((2, 1)), wide: np.zeros((3, 1))})
         with pytest.raises(ValueError, match=r"theta must be \(4,\)"):
-            itr_predictor(imp, np.ones(3), clients)
+            itr_predictor(ImputationMap(), np.ones(3), clients)
 
     def test_full_pattern_without_a_map_raises(self):
+        # A map serves every pattern of its own d; a 4 x 4 sigma has no map
+        # for a d = 3 pattern, and the error names it.
         full = FeaturePattern.full(3)
         clients = (ClientSpec(id=1, pattern=full, rho=1.0),)
-        with pytest.raises(KeyError, match="no imputation map"):
-            itr_predictor(ImputationMap({}), np.ones(3), clients)
+        with pytest.raises(ValueError, match=r"pattern \(1, 2, 3\) has d=3"):
+            itr_predictor(ImputationMap(np.eye(4)), np.ones(3), clients)
 
 
 class TestLocalLearning:
@@ -329,7 +339,7 @@ class TestLocalLearning:
         clients = (ClientSpec(id=1, pattern=FeaturePattern.full(3), rho=1.0),)
         data = sample_dataset(pop, clients, 100, rng)
         pred = local_learning(data, lam=0.4)
-        assert np.allclose(pred.thetas[1], ridge_closed_form(data, fit_zero_imputer(clients), 0.4), atol=1e-12)
+        assert np.allclose(pred.thetas[1], ridge_on(data, ImputationMap(), 0.4), atol=1e-12)
 
     def test_share_scales_penalty(self):
         # Client 1 holds half the population, so its effective penalty is
