@@ -60,13 +60,12 @@ import numpy as np
 from . import oracle
 from ._parallel import workers
 from .impute import ImputationMap
-from .model import ClientSpec, ClientwisePredictor, CommLog, Dataset, FeaturePattern, MomentPair, validate_federation
+from .model import ClientSpec, ClientwisePredictor, CommLog, FeaturePattern, MomentPair, validate_federation
 from .moments import co_observation, cw_moments, debias_moments
 from .plugin import build_clientwise_plugin
 from .popgen import PopulationSpec, draw_bernoulli_patterns, sample_dataset
 from .ridge import estimate_m, itr_predictor, local_learning
-from .fedsim import (PROTOCOL_KINDS, ProtocolResult, ProtocolSpec, _uploads, replay_comm_schedule, run_protocol,
-                     serve_predictor)
+from .fedsim import PROTOCOL_KINDS, ProtocolResult, ProtocolSpec, replay_comm_schedule, run_protocol, serve_predictor
 
 __all__ = ["ConfigError", "load_config", "validate_config", "run_experiment", "main"]
 
@@ -430,20 +429,23 @@ def _build_clients(cfg: ExperimentConfig, tau: float | None, rng: np.random.Gene
 
 @dataclass
 class _Context:
-    """One work item's fitting inputs. Methods are fitted on ``clients`` and their predictors served to ``served``,
-    which every risk is taken over; ``moments`` (the one-shot protocol) and ``oracle_risk`` run once, on first
-    use."""
+    """One work item's fitting inputs, no row among them: the senders' ``Dataset.uploads``, ``n``, m-hat and sum y^2.
+    Methods are fitted on ``clients`` and their predictors served to ``served``, which every risk is taken over;
+    ``moments`` (the one-shot protocol) and ``oracle_risk`` run once, on first use."""
 
     pop: PopulationSpec
     clients: tuple[ClientSpec, ...]
     served: tuple[ClientSpec, ...]
-    data: Dataset
+    uploads: dict
+    n: int
+    m_hat: float
+    y_sq_sum: float
     lam: float
     params: dict
 
     @cached_property
     def moments(self) -> ProtocolResult:
-        return run_protocol(ProtocolSpec(kind="one_shot_moments"), self.data)
+        return run_protocol(ProtocolSpec(kind="one_shot_moments"), self.uploads)
 
     @cached_property
     def oracle_risk(self) -> float:
@@ -465,7 +467,7 @@ def _comm_logs(fit: _Fit, ctx: _Context) -> list[CommLog]:
     predictor to ``ctx.served``."""
     logs = [r.comm for r in fit.protocols]
     if fit.protocols:
-        logs.append(serve_predictor(fit.predictor, ctx.served, ctx.data, [r.spec for r in fit.protocols]))
+        logs.append(serve_predictor(fit.predictor, ctx.served, ctx.uploads, [r.spec for r in fit.protocols]))
     return logs
 
 
@@ -490,14 +492,13 @@ def _itr(imputer, ctx: _Context, certify=False, protocols=()) -> _Fit:
     """Closed-form ridge on the data completed by ``imputer``, folded back through it. The ridge joins the
     method's session: it sends only what ``protocols``, the method's earlier runs, did not. ``certify``
     reports ``oracle.itr_bound`` of ``imputer`` itself, which only a map fixed before sampling may ask for."""
-    pop, clients, data, lam = ctx.pop, ctx.clients, ctx.data, ctx.lam
-    ridge = run_protocol(ProtocolSpec(kind="one_shot_ridge", lam=lam), data, imputer, [p.spec for p in protocols])
-    m_hat = estimate_m(data)
-    predictor = itr_predictor(imputer, ridge.artifact, clients, trunc_m=m_hat)
+    session = [p.spec for p in protocols]
+    ridge = run_protocol(ProtocolSpec(kind="one_shot_ridge", lam=ctx.lam), ctx.uploads, imputer, session)
+    predictor = itr_predictor(imputer, ridge.artifact, ctx.clients, trunc_m=ctx.m_hat)
     protocols = protocols + (ridge,)
     if not certify:
         return _Fit(predictor, ctx.oracle_risk, protocols=protocols)
-    report = oracle.itr_bound(pop, clients, imputer, lam, data.n, m_hat)
+    report = oracle.itr_bound(ctx.pop, ctx.clients, imputer, ctx.lam, ctx.n, ctx.m_hat)
     return _Fit(predictor, report.r_star_reference, report.bound_value, protocols)
 
 
@@ -515,7 +516,7 @@ def _fit_itr_cw(ctx: _Context) -> _Fit:
 
 
 def _fit_itr_ice(ctx: _Context) -> _Fit:
-    ice = run_protocol(ProtocolSpec(kind="federated_ice", ice_rounds=ctx.params["ice_rounds"]), ctx.data)
+    ice = run_protocol(ProtocolSpec(kind="federated_ice", ice_rounds=ctx.params["ice_rounds"]), ctx.uploads)
     return _itr(ice.artifact, ctx, protocols=(ice,))
 
 
@@ -524,18 +525,17 @@ def _fit_fedavg(ctx: _Context) -> _Fit:
     spec = ProtocolSpec(
         kind="fedavg_ridge", lam=ctx.lam, rounds=ctx.params["rounds"], local_steps=ctx.params["local_steps"]
     )
-    res = run_protocol(spec, ctx.data, imputer)
-    predictor = itr_predictor(imputer, res.artifact.theta, ctx.clients, trunc_m=estimate_m(ctx.data))
+    res = run_protocol(spec, ctx.uploads, imputer, y_sq_sum=ctx.y_sq_sum)
+    predictor = itr_predictor(imputer, res.artifact.theta, ctx.clients, trunc_m=ctx.m_hat)
     ip = oracle.imputed_population_covariance(ctx.pop, ctx.clients, imputer)
     return _Fit(predictor, oracle.imputed_oracle_risk(ctx.pop, ip), protocols=(res,))
 
 
 def _fit_local(ctx: _Context) -> _Fit:
-    pop, data = ctx.pop, ctx.data
-    predictor = local_learning(data, ctx.lam, trunc_m=estimate_m(data))
+    predictor = local_learning(ctx.clients, ctx.uploads, ctx.lam, trunc_m=ctx.m_hat)
     bound = None
-    if pop.m_bound is not None:
-        bound = oracle.local_bound_terms(pop, ctx.clients, ctx.lam, data.n, pop.m_bound).upper_bound
+    if ctx.pop.m_bound is not None:
+        bound = oracle.local_bound_terms(ctx.pop, ctx.clients, ctx.lam, ctx.n, ctx.pop.m_bound).upper_bound
     return _Fit(predictor, ctx.oracle_risk, bound)
 
 
@@ -568,7 +568,10 @@ def _mc_rows(cfg: ExperimentConfig, item: _WorkItem, clients, data_ss, mc_ss, se
     """
     pop = cfg.population
     data = sample_dataset(pop, clients, item.n, np.random.default_rng(data_ss))
-    ctx = _Context(pop, clients, served or clients, data, item.lam, cfg.params)
+    # The only reads of the responses, once each per item: m-hat and sum y^2, in no message (ROADMAP item 17).
+    m_hat, y_sq_sum = estimate_m(data), float(data.y @ data.y)
+    ctx = _Context(pop, clients, served or clients, data.uploads, data.n, m_hat, y_sq_sum, item.lam, cfg.params)
+    del data  # no fit reads a row, so the sample is freed before the first one
     fits = [_METHOD_FITS[method](ctx) for method in cfg.methods]
     risks = oracle.monte_carlo_risk([f.predictor for f in fits], pop, ctx.served, cfg.n_test,
                                     np.random.default_rng(mc_ss))
@@ -603,14 +606,14 @@ def _audit_rows(cfg: ExperimentConfig, item: _WorkItem, clients, data_ss, mc_ss)
     pop = cfg.population
     n = item.n if item.n is not None else 32
     data = sample_dataset(pop, clients, n, np.random.default_rng(data_ss))
-    imputer = ImputationMap()
+    uploads, y_sq_sum, imputer = data.uploads, float(data.y @ data.y), ImputationMap()
     rows = []
     for kind in cfg.methods:
         spec = ProtocolSpec(kind=kind, lam=item.lam, ice_rounds=cfg.params["ice_rounds"], rounds=cfg.params["rounds"])
-        res = run_protocol(spec, data, imputer)
+        res = run_protocol(spec, uploads, imputer, y_sq_sum=y_sq_sum)
         # FedAvg stops early on divergence; the schedule is that of the rounds the server ran.
         ran = replace(spec, rounds=res.artifact.rounds_run) if kind == "fedavg_ridge" else spec
-        predicted = replay_comm_schedule(ran, [lm.pattern for lm in _uploads(data).values()])
+        predicted = replay_comm_schedule(ran, [lm.pattern for lm in uploads.values()])
         got = (res.comm.total_floats("up"), res.comm.total_floats("down"), res.comm.total_bits())
         want = (predicted.up_floats, predicted.down_floats, predicted.registration_bits)
         if got != want:
@@ -714,12 +717,7 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def run_experiment(
-    raw: dict,
-    out_dir: str,
-    seed: int | None = None,
-    threads: int = 1,
-) -> tuple[str, str]:
+def run_experiment(raw: dict, out_dir: str, seed: int | None = None, threads: int = 1) -> tuple[str, str]:
     """Run one experiment config; returns (results_path, timings_path)."""
     cfg = parse_config(raw)
     try:

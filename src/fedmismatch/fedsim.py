@@ -1,9 +1,9 @@
 """Federated protocol runs with exact communication accounting.
 
 Each protocol is one library algorithm, written over the senders' uploads
-(sender id to observed sums, ``_uploads``); ``run_protocol`` builds them
-once from a masked ``Dataset``, calls the algorithm on them alone and logs
-every message it implies:
+(sender id to observed sums, ``Dataset.uploads``) and never over rows:
+``run_protocol`` takes the uploads, calls the algorithm on them alone and
+logs every message it implies:
 
 * one_shot_moments: the uploads folded by ``aggregate_zero_imputed`` and
   their registered bitmasks by ``co_observation`` with n_k weights into
@@ -22,7 +22,7 @@ every message it implies:
   docstring): the server sends it phi_k = B_k^T theta, it returns the
   |O_k|-vector v_k, and the server applies the shrinkage from its pattern,
   registered at 0 rounds too. Its objective trace also reads sum y^2,
-  which no message carries.
+  which the caller passes as ``y_sq_sum`` and no message carries.
 
 Every artifact stays on the server. What reaches the clients is the fitted
 predictor, delivered once per method by ``serve_predictor`` in the smaller
@@ -62,7 +62,7 @@ from typing import Mapping
 import numpy as np
 
 from .impute import ImputationMap, federated_ice
-from .model import ClientwisePredictor, CommLog, Dataset, LocalMoments, MomentPair
+from .model import ClientwisePredictor, CommLog, LocalMoments, MomentPair
 from .moments import aggregate_zero_imputed, co_observation
 from .ridge import fedavg_ridge, ridge_closed_form
 
@@ -131,8 +131,8 @@ def replay_comm_schedule(spec: ProtocolSpec, patterns, session=()) -> SchedulePr
     """Predict exact float/bit totals without running anything.
 
     ``patterns`` are the senders', the clients that drew rows
-    (``_uploads``). ``session`` holds the specs of the protocols the same
-    method ran before, in order; what they sent is not sent again. Raises
+    (``Dataset.uploads``). ``session`` holds the specs of the protocols the
+    same method ran before, in order; what they sent is not sent again. Raises
     ``ValueError`` when there is no sender or the patterns disagree on d.
     """
     patterns = list(patterns)
@@ -202,10 +202,9 @@ def _tri(m: int) -> int:
     return m * (m + 1) // 2
 
 
-def _uploads(data: Dataset) -> dict[int, LocalMoments]:
-    """What the senders of every protocol run on ``data`` send, the clients
-    that drew rows: sender id to its observed sums, in ascending id order."""
-    return {k: lm for k, lm in data.local_moments.items() if lm.count}
+def _dim(uploads: Mapping[int, LocalMoments]) -> int:
+    """d, read off the senders' patterns (0 without a sender)."""
+    return next((lm.d for lm in uploads.values()), 0)
 
 
 def _one_shot_moments(uploads: Mapping[int, LocalMoments]) -> OneShotMomentsArtifact:
@@ -215,25 +214,28 @@ def _one_shot_moments(uploads: Mapping[int, LocalMoments]) -> OneShotMomentsArti
     return OneShotMomentsArtifact(pair=pair, counts=counts, n=sum(lm.count for lm in sums))
 
 
-def run_protocol(spec: ProtocolSpec, data: Dataset, imputer: ImputationMap | None = None,
-                 session=()) -> ProtocolResult:
-    """Run one protocol's library algorithm on the uploads of the senders of
-    a masked ``Dataset`` and log every transfer.
+def run_protocol(spec: ProtocolSpec, uploads: Mapping[int, LocalMoments], imputer: ImputationMap | None = None,
+                 session=(), *, y_sq_sum: float | None = None) -> ProtocolResult:
+    """Run one protocol's library algorithm on the senders' ``uploads``
+    (sender id to observed sums, ``Dataset.uploads``) and log every transfer.
 
     one_shot_moments and federated_ice ignore ``imputer``; one_shot_ridge
     and fedavg_ridge complete the data with ``imputer`` and raise
-    ``TypeError`` without one. ``session`` holds the specs of the protocols
-    the same method ran before on ``data``, in order (empty for a standalone
-    run): a sender registers its pattern and uploads each statistic once
-    per session, so this run logs only what the server still lacks. The
-    artifact is exactly what the library function returns; it stays on the
-    server, and ``serve_predictor`` logs what reaches the clients.
+    ``TypeError`` without one, and fedavg_ridge without ``y_sq_sum`` too.
+    ``session`` holds the specs of the protocols the same method ran before
+    on these senders, in order (empty for a standalone run): a sender
+    registers its pattern and uploads each statistic once per session, so
+    this run logs only what the server still lacks. The artifact is exactly
+    what the library function returns; it stays on the server, and
+    ``serve_predictor`` logs what reaches the clients.
     """
     if spec.kind in ("one_shot_ridge", "fedavg_ridge") and imputer is None:
         raise TypeError(f"{spec.kind} needs an ImputationMap")
-    comm, missing, uploads = CommLog(), _missing(spec, session), _uploads(data)
+    if spec.kind == "fedavg_ridge" and y_sq_sum is None:
+        raise TypeError("fedavg_ridge needs y_sq_sum")
+    comm, missing = CommLog(), _missing(spec, session)
     if "pattern" in missing:
-        comm.record(0, "up", [0] * len(uploads), bits=data.d)
+        comm.record(0, "up", [0] * len(uploads), bits=_dim(uploads))
     if missing - {"pattern"}:
         comm.record(1, "up", [_upload_floats(missing, lm.pattern.size) for lm in uploads.values()])
     if spec.kind == "one_shot_moments":
@@ -243,8 +245,6 @@ def run_protocol(spec: ProtocolSpec, data: Dataset, imputer: ImputationMap | Non
     elif spec.kind == "one_shot_ridge":
         artifact = ridge_closed_form(uploads, imputer, spec.lam)
     else:
-        # Sum y^2 feeds only the objective trace and travels in no message, like m-hat (ROADMAP item 17).
-        y_sq_sum = float(data.y @ data.y)
         artifact = fedavg_ridge(uploads, imputer, spec.lam, spec.rounds, spec.local_steps, y_sq_sum=y_sq_sum)
         sizes = tuple(lm.pattern.size for lm in uploads.values() if lm.pattern.size)
         for t in range(1, artifact.rounds_run + 1):
@@ -253,9 +253,10 @@ def run_protocol(spec: ProtocolSpec, data: Dataset, imputer: ImputationMap | Non
     return ProtocolResult(artifact=artifact, comm=comm, spec=spec)
 
 
-def serve_predictor(predictor: ClientwisePredictor, served, data: Dataset, session) -> CommLog:
+def serve_predictor(predictor: ClientwisePredictor, served, uploads: Mapping[int, LocalMoments], session) -> CommLog:
     """Log the delivery of ``predictor`` to each client of ``served``, after a
-    method ran ``session`` (its protocol specs, in order) on ``data``.
+    method ran ``session`` (its protocol specs, in order) on the senders'
+    ``uploads``.
 
     The server sends the smaller of two exact encodings, a tie going to the
     broadcast: one broadcast of the shared model (``_shared_floats``), or
@@ -268,10 +269,11 @@ def serve_predictor(predictor: ClientwisePredictor, served, data: Dataset, sessi
     served = tuple(served)
     sizes = [len(predictor.thetas[c.id]) for c in served
              if c.id in predictor.thetas and c.id not in predictor.unidentifiable]
-    comm, shared = CommLog(), _shared_floats(session, data.d)
+    comm, d = CommLog(), _dim(uploads)
+    shared = _shared_floats(session, d)
     if sum(sizes) >= shared:
         comm.record(1, "down", [shared])
         return comm
-    comm.record(0, "up", [0] * len({c.id for c in served} - _uploads(data).keys()), bits=data.d)
+    comm.record(0, "up", [0] * len({c.id for c in served} - uploads.keys()), bits=d)
     comm.record(1, "down", [m for m in sizes if m])
     return comm

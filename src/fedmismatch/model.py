@@ -204,7 +204,7 @@ class Dataset:
     in its block's order; it is read-only too. So ``rows_of`` is one
     contiguous range and ``y_of`` a view of ``y``. Rows have no order across
     clients, and no (n, d) matrix is held. Fits that need only second
-    moments read ``local_moments`` instead.
+    moments read ``uploads`` instead.
     """
 
     clients: tuple[ClientSpec, ...]
@@ -266,12 +266,12 @@ class Dataset:
         return self.y[rows.start:rows.stop]
 
     @cached_property
-    def local_moments(self) -> dict[int, LocalMoments]:
-        """Each client's observed sums (n_k, G_k = x_obs^T x_obs, g_k = x_obs^T y)
-        over its observed block, in ascending id order: one fold per client, on first
-        use, spread over the ``_parallel.workers`` pool if one is current and
-        the sample spans more than one block of ``_parallel.block_rows(d)``
-        rows; the arrays are read-only and shared."""
+    def uploads(self) -> dict[int, LocalMoments]:
+        """What the senders, the clients that drew rows, send: sender id to its observed
+        sums (n_k, G_k = x_obs^T x_obs, g_k = x_obs^T y), in ascending id order. One
+        fold per sender, on first use, spread over the ``_parallel.workers`` pool if
+        one is current and the sample spans more than one block of
+        ``_parallel.block_rows(d)`` rows; the arrays are read-only and shared."""
         from .moments import local_zero_imputed_moments  # moments imports this module
 
         def fold(c: ClientSpec) -> LocalMoments:
@@ -279,9 +279,9 @@ class Dataset:
             lm.sigma_sum.flags.writeable = lm.gamma_sum.flags.writeable = False
             return lm
 
-        clients = sorted(self.clients, key=lambda c: c.id)
-        folds = map_ordered(fold, clients) if self.n > block_rows(self.d) else [fold(c) for c in clients]
-        return dict(zip([c.id for c in clients], folds))
+        senders = sorted((c for c in self.clients if self._rows[c.id]), key=lambda c: c.id)
+        folds = map_ordered(fold, senders) if self.n > block_rows(self.d) else [fold(c) for c in senders]
+        return dict(zip([c.id for c in senders], folds))
 
 
 @dataclass(frozen=True)

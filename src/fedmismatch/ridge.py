@@ -23,7 +23,7 @@ row or stops being finite, which it reports as divergence.
 
 ``local_learning`` is the no-sharing baseline: each client ridge-regresses
 on its own observed block with penalty lambda / rho_k, from its observed
-sums (``Dataset.local_moments``), and clients that drew no samples predict
+sums (its entry of ``uploads``), and clients that drew no samples predict
 zero.
 
 ``estimate_m`` gives the truncation level max |y|; predictors clip to it
@@ -187,20 +187,16 @@ def itr_predictor(imputer: ImputationMap, theta: np.ndarray, clients,
     return ClientwisePredictor(thetas={c.id: folded[c.pattern] for c in clients}, trunc_m=trunc_m)
 
 
-def local_learning(data: Dataset, lam: float, trunc_m: float | None = None) -> ClientwisePredictor:
-    """Per-client ridge on own samples only, penalty lambda / rho_k with the
-    declared share rho_k.
-
-    Clients with no samples predict zero. lambda = 0 uses the minimum-norm
-    solution per client.
-    """
+def local_learning(clients, uploads: Mapping[int, LocalMoments], lam: float,
+                   trunc_m: float | None = None) -> ClientwisePredictor:
+    """Ridge of each of ``clients`` on its own upload alone (``uploads``: sender
+    id to ``LocalMoments``), penalty lambda / rho_k with the declared share
+    rho_k. A client without an upload predicts zero; lambda = 0 uses the
+    minimum-norm solution per client."""
     if lam < 0:
         raise ValueError(f"lambda must be >= 0, got {lam}")
     thetas: dict[int, np.ndarray] = {}
-    for c in data.clients:
-        lm = data.local_moments[c.id]
-        if lm.count == 0:
-            thetas[c.id] = np.zeros(c.pattern.size)
-            continue
-        thetas[c.id] = SymEig(lm.sigma).solve(lm.gamma, lam / c.rho)
+    for c in clients:
+        lm = uploads.get(c.id)
+        thetas[c.id] = np.zeros(c.pattern.size) if lm is None else SymEig(lm.sigma).solve(lm.gamma, lam / c.rho)
     return ClientwisePredictor(thetas=thetas, trunc_m=trunc_m)

@@ -23,12 +23,11 @@ from fedmismatch import (
     fedavg_ridge,
     population_gamma,
     ridge_closed_form,
+    run_protocol,
     sample_dataset,
     validate_federation,
 )
 from fedmismatch import popgen
-# What the senders of a sample send, which every server-side fit reads.
-from fedmismatch.fedsim import _uploads as uploads
 
 
 def random_psd(rng: np.random.Generator, d: int, ridge: float = 0.3) -> np.ndarray:
@@ -119,7 +118,7 @@ def x_filled(data) -> np.ndarray:
 
 def sample_counts(data) -> np.ndarray:
     """N = ``co_observation`` with each client's row count n_k as its weight."""
-    return co_observation([c.pattern for c in data.clients], [data.local_moments[c.id].count for c in data.clients])
+    return co_observation([c.pattern for c in data.clients], [len(data.rows_of(c.id)) for c in data.clients])
 
 
 def reference_padded_sums(data) -> list[tuple[np.ndarray, np.ndarray, int]]:
@@ -150,13 +149,24 @@ def reference_completed_sums(data, imputer) -> list[LocalMoments]:
 
 def ridge_on(data, imputer, lam):
     """``ridge_closed_form`` on the uploads of ``data``."""
-    return ridge_closed_form(uploads(data), imputer, lam)
+    return ridge_closed_form(data.uploads, imputer, lam)
+
+
+def y_sq_sum(data) -> float:
+    """Sum y^2 over ``data``'s responses, as ``cli`` reads it once per work item."""
+    return float(data.y @ data.y)
 
 
 def fedavg_on(data, imputer, *args, **kwargs):
     """``fedavg_ridge`` on the uploads of ``data`` and its responses' sum of
-    squares, as ``fedsim.run_protocol`` calls it."""
-    return fedavg_ridge(uploads(data), imputer, *args, y_sq_sum=float(data.y @ data.y), **kwargs)
+    squares."""
+    return fedavg_ridge(data.uploads, imputer, *args, y_sq_sum=y_sq_sum(data), **kwargs)
+
+
+def run_on(spec, data, imputer=None, session=()):
+    """``run_protocol`` on the uploads of ``data``, with its responses' sum of
+    squares for FedAvg."""
+    return run_protocol(spec, data.uploads, imputer, session, y_sq_sum=y_sq_sum(data))
 
 
 def reference_fold(sums) -> tuple[np.ndarray, np.ndarray]:

@@ -26,7 +26,7 @@ from fedmismatch.moments import (
     local_zero_imputed_moments,
 )
 from fedmismatch import oracle
-from fedmismatch.fedsim import ProtocolSpec, replay_comm_schedule, run_protocol
+from fedmismatch.fedsim import ProtocolSpec, replay_comm_schedule
 from fedmismatch.plugin import crop_predictor
 from fedmismatch.popgen import (
     PopulationSpec,
@@ -51,10 +51,10 @@ from support import (
     gd_quadratic_min,
     random_clients,
     random_population,
+    run_on,
     sample_counts,
     seeded,
     sharded,
-    uploads,
 )
 
 import json
@@ -218,7 +218,7 @@ def test_c03_plugin_consistency_and_new_pattern():
         errs = np.zeros((len(eval_patterns), seeds))
         for s in range(seeds):
             data = sample_dataset(pop, clients, n, seeded(3000 + 7 * s + j))
-            pair0 = aggregate_zero_imputed(data.local_moments.values())
+            pair0 = aggregate_zero_imputed(data.uploads.values())
             pair = cw_moments(pair0, sample_counts(data), data.n)
             for i, (p, tgt) in enumerate(zip(eval_patterns, targets)):
                 errs[i, s] = float(np.linalg.norm(crop_predictor(pair, p) - tgt))
@@ -261,7 +261,7 @@ def test_c04_imputed_ridge_risk_certificates():
                     data_rng, mc_rng = (np.random.default_rng(c) for c in ss.spawn(2))
                     data = sample_dataset(pop, clients, n, data_rng)
                     m_hat = estimate_m(data)
-                    predictor = itr_predictor(imputer, ridge_closed_form(uploads(data), imputer, lam), clients, trunc_m=m_hat)
+                    predictor = itr_predictor(imputer, ridge_closed_form(data.uploads, imputer, lam), clients, trunc_m=m_hat)
                     mc = oracle.monte_carlo_risk([predictor], pop, clients, 100_000, mc_rng)[0]
                     bound_value = oracle.itr_bound(pop, clients, imputer, lam, n, m_hat).bound_value
                     margin = bound_value + 3 * mc.stderr - mc.risk
@@ -396,7 +396,7 @@ def test_c08_fedavg_reaches_closed_form():
     y = x @ rng.standard_normal(d) + 0.3 * rng.standard_normal(n)
     clients = (ClientSpec(id=1, pattern=FeaturePattern.full(d), rho=1.0),)
     pooled = from_filled(clients=clients, client_ids=np.ones(n, dtype=int), x_filled=x, y=y)
-    want = ridge_closed_form(uploads(pooled), ImputationMap(), lam)
+    want = ridge_closed_form(pooled.uploads, ImputationMap(), lam)
     worst_err = 0.0
     worst_rounds = 0
     monotone = True
@@ -429,9 +429,9 @@ def _tuned_test_risk(method, pop, clients, data, lam_grid, valid_rng, test_rng, 
     for lam in lam_grid:
         if method == "itr_zero":
             imputer = ImputationMap()
-            predictor = itr_predictor(imputer, ridge_closed_form(uploads(data), imputer, lam), clients, trunc_m=m_hat)
+            predictor = itr_predictor(imputer, ridge_closed_form(data.uploads, imputer, lam), clients, trunc_m=m_hat)
         else:
-            predictor = local_learning(data, lam, trunc_m=m_hat)
+            predictor = local_learning(data.clients, data.uploads, lam, trunc_m=m_hat)
         score = oracle.monte_carlo_risk([predictor], pop, clients, n_eval, valid_rng)[0].risk
         if best is None or score < best[0]:
             best = (score, predictor)
@@ -515,7 +515,7 @@ def test_c10_empty_client_risk_floor():
         ss = np.random.SeedSequence(101, spawn_key=(s,))
         data_rng, mc_rng = (np.random.default_rng(c) for c in ss.spawn(2))
         data = sample_dataset(pop, clients, n, data_rng)
-        predictor = local_learning(data, 0.5, trunc_m=estimate_m(data))
+        predictor = local_learning(data.clients, data.uploads, 0.5, trunc_m=estimate_m(data))
         risks.append(oracle.monte_carlo_risk([predictor], pop, clients, 4000, mc_rng)[0].risk)
     mean_risk = float(np.mean(risks))
     stderr = float(np.std(risks, ddof=1) / np.sqrt(len(risks)))
@@ -548,7 +548,7 @@ def test_c11_communication_audit():
             specs += [ProtocolSpec(kind="federated_ice", ice_rounds=t) for t in (0, 2, 5)]
             specs += [ProtocolSpec(kind="fedavg_ridge", lam=0.1, rounds=r) for r in (1, 5)]
             for spec in specs:
-                res = run_protocol(spec, data, imputer)
+                res = run_on(spec, data, imputer)
                 pred = replay_comm_schedule(spec, senders)
                 if (
                     res.comm.total_floats("up") != pred.up_floats

@@ -3,6 +3,7 @@ import csv
 import json
 import os
 import threading
+import weakref
 from dataclasses import replace
 from pathlib import Path
 
@@ -453,9 +454,9 @@ class TestRunExperiment:
 
         kinds = []
 
-        def counting(spec, data):
+        def counting(spec, uploads):
             kinds.append(spec.kind)
-            return run_protocol(spec, data)
+            return run_protocol(spec, uploads)
 
         run_protocol = cli.run_protocol
         monkeypatch.setattr(cli, "run_protocol", counting)
@@ -463,6 +464,40 @@ class TestRunExperiment:
         results, _ = run_experiment(cfg, str(tmp_path))
         assert [r["method"] for r in _read_rows(results)] == ["plugin_cw", "plugin_debias"]
         assert kinds == ["one_shot_moments"]
+
+    def test_sample_is_freed_before_scoring_and_m_hat_read_once(self, tmp_path, monkeypatch):
+        # No fit reads a row: a work item keeps the senders' sums, n, m-hat
+        # and sum y^2, and drops its sample before the first fit, so the
+        # sample is gone when the Monte-Carlo scoring runs. m-hat is read
+        # once per item, whichever of the eight methods need it.
+        from fedmismatch import cli, oracle
+
+        samples, m_reads, alive = [], [], []
+        sample, estimate, score = cli.sample_dataset, cli.estimate_m, oracle.monte_carlo_risk
+
+        def sampling(*args, **kwargs):
+            data = sample(*args, **kwargs)
+            samples.append(weakref.ref(data))
+            return data
+
+        def estimating(data):
+            m_reads.append(data.n)
+            return estimate(data)
+
+        def scoring(*args, **kwargs):
+            alive.append(samples[-1]() is not None)
+            return score(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "sample_dataset", sampling)
+        monkeypatch.setattr(cli, "estimate_m", estimating)
+        monkeypatch.setattr(oracle, "monte_carlo_risk", scoring)
+        methods = ["local", "itr_zero", "itr_opt", "itr_cw", "itr_ice", "fedavg", "plugin_debias", "plugin_cw"]
+        cfg = _sweep_config(scenario="local_vs_federated", methods=methods, grid={"n": [60, 120, 240], "lam": [0.3]},
+                            scenario_params={"rounds": 20})
+        results, _ = run_experiment(cfg, str(tmp_path))
+        assert len(_read_rows(results)) == 6 * len(methods)
+        assert len(samples) == len(alive) == 6 and m_reads == [60, 120, 240] * 2
+        assert alive == [False] * 6
 
     def test_rows_do_not_depend_on_the_other_listed_methods(self, tmp_path):
         methods = ["local", "itr_zero", "itr_opt", "itr_cw", "itr_ice", "fedavg", "plugin_debias", "plugin_cw"]

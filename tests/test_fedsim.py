@@ -1,7 +1,7 @@
 """Tests for the federation simulator: transparency and exact accounting."""
 import inspect
 import tracemalloc
-from dataclasses import replace
+from dataclasses import fields, replace
 from unittest import mock
 
 import numpy as np
@@ -40,9 +40,10 @@ from support import (
     reference_fold,
     reference_padded_sums,
     sample_counts,
+    run_on,
     seeded,
-    uploads,
     without_rows,
+    y_sq_sum,
     x_filled,
 )
 from test_popgen import section3_clients
@@ -79,11 +80,11 @@ def _sparse_federation(seed, d=4):
 def _library_artifact(spec, data, imputer):
     """What the library function returns for the arguments run_protocol gets."""
     if spec.kind == "one_shot_moments":
-        return aggregate_zero_imputed(data.local_moments.values()), sample_counts(data)
+        return aggregate_zero_imputed(data.uploads.values()), sample_counts(data)
     if spec.kind == "federated_ice":
-        return ice_in_memory(uploads(data), rounds=spec.ice_rounds)
+        return ice_in_memory(data.uploads, rounds=spec.ice_rounds)
     if spec.kind == "one_shot_ridge":
-        return ridge_closed_form(uploads(data), imputer, spec.lam)
+        return ridge_closed_form(data.uploads, imputer, spec.lam)
     return fedavg_on(data, imputer, lam=spec.lam, rounds=spec.rounds)
 
 
@@ -93,8 +94,8 @@ class TestTransportTransparency:
 
     def test_one_shot_moments(self):
         data = _masked(501)
-        res = run_protocol(ProtocolSpec(kind="one_shot_moments"), data)
-        want = aggregate_zero_imputed(data.local_moments.values())
+        res = run_on(ProtocolSpec(kind="one_shot_moments"), data)
+        want = aggregate_zero_imputed(data.uploads.values())
         assert np.array_equal(res.artifact.pair.sigma, want.sigma)
         assert np.array_equal(res.artifact.pair.gamma, want.gamma)
         assert np.array_equal(res.artifact.counts, sample_counts(data))
@@ -102,24 +103,24 @@ class TestTransportTransparency:
 
     def test_one_shot_ridge(self):
         data, imputer = _completed(502)
-        res = run_protocol(ProtocolSpec(kind="one_shot_ridge", lam=0.4), data, imputer)
-        assert np.array_equal(res.artifact, ridge_closed_form(uploads(data), imputer, 0.4))
+        res = run_on(ProtocolSpec(kind="one_shot_ridge", lam=0.4), data, imputer)
+        assert np.array_equal(res.artifact, ridge_closed_form(data.uploads, imputer, 0.4))
 
     def test_one_shot_ridge_min_norm(self):
         data, imputer = _completed(503)
-        res = run_protocol(ProtocolSpec(kind="one_shot_ridge", lam=0.0), data, imputer)
-        assert np.array_equal(res.artifact, ridge_closed_form(uploads(data), imputer, 0.0))
+        res = run_on(ProtocolSpec(kind="one_shot_ridge", lam=0.0), data, imputer)
+        assert np.array_equal(res.artifact, ridge_closed_form(data.uploads, imputer, 0.0))
 
     def test_federated_ice(self):
         data = _masked(504)
-        res = run_protocol(ProtocolSpec(kind="federated_ice", ice_rounds=3), data)
-        want = ice_in_memory(uploads(data), rounds=3)
+        res = run_on(ProtocolSpec(kind="federated_ice", ice_rounds=3), data)
+        want = ice_in_memory(data.uploads, rounds=3)
         assert res.artifact.sigma.tobytes() == want.sigma.tobytes()
         assert np.array_equal(completed_rows(data, res.artifact), completed_rows(data, want))
 
     def test_fedavg(self):
         data = _completed(505)
-        res = run_protocol(ProtocolSpec(kind="fedavg_ridge", lam=0.2, rounds=5), *data)
+        res = run_on(ProtocolSpec(kind="fedavg_ridge", lam=0.2, rounds=5), *data)
         want = fedavg_on(*data, lam=0.2, rounds=5)
         assert np.array_equal(res.artifact.theta, want.theta)
         assert (res.artifact.objective_trace, res.artifact.diverged, res.artifact.rounds_run) == (
@@ -131,14 +132,14 @@ class TestTransportTransparency:
         _, data = _sparse_federation(515)
         spec = ProtocolSpec(kind=kind, lam=0.3, ice_rounds=3, rounds=4)
         imputer = ImputationMap()
-        res = run_protocol(spec, data, imputer)
+        res = run_on(spec, data, imputer)
         want = _library_artifact(spec, data, imputer)
         if kind == "one_shot_moments":
             pair, counts = want
             assert np.array_equal(res.artifact.pair.sigma, pair.sigma)
             assert np.array_equal(res.artifact.pair.gamma, pair.gamma)
             assert np.array_equal(res.artifact.counts, counts)
-            assert res.artifact.n == data.n == sum(lm.count for lm in data.local_moments.values())
+            assert res.artifact.n == data.n == sum(lm.count for lm in data.uploads.values())
             # N[l, j] counts the rows observing both l and j, row by row
             row_masks = np.array([c.pattern.mask() for c in data.clients for _ in data.rows_of(c.id)], dtype=np.int64)
             assert len(row_masks) == data.n
@@ -179,8 +180,8 @@ class TestPayloadAudit:
         clients = section3_clients()
         for kind in PROTOCOL_KINDS:
             spec = ProtocolSpec(kind=kind, lam=0.1, ice_rounds=2, rounds=2)
-            small = run_protocol(spec, *_completed(506, 4, 30, clients))
-            large = run_protocol(spec, *_completed(507, 4, 300, clients))
+            small = run_on(spec, *_completed(506, 4, 30, clients))
+            large = run_on(spec, *_completed(507, 4, 300, clients))
             assert [(e.round, e.direction, e.floats, e.bits) for e in small.comm.events] == [
                 (e.round, e.direction, e.floats, e.bits) for e in large.comm.events
             ]
@@ -190,7 +191,7 @@ class TestPayloadAudit:
         # features, whatever d: obs(1) = {1,3} gives 1 + 3 + 2 = 6 and
         # obs(2) = {2,3,4} gives 1 + 6 + 3 = 10, in client order.
         data = _masked(508, d=5)
-        res = run_protocol(ProtocolSpec(kind="one_shot_moments"), data)
+        res = run_on(ProtocolSpec(kind="one_shot_moments"), data)
         assert [e.floats for e in res.comm.events if e.direction == "up" and e.floats] == [6, 10]
 
     def test_every_event_has_its_message_size(self):
@@ -210,7 +211,7 @@ class TestPayloadAudit:
             "fedavg_ridge": {**register, **{(t, io): [(2, 0), (3, 0)] for t in (1, 2) for io in ("up", "down")}},
         }
         for kind, want in sizes.items():
-            res = run_protocol(ProtocolSpec(kind=kind, lam=0.1, ice_rounds=2, rounds=2), *_completed(516, d, 60, clients))
+            res = run_on(ProtocolSpec(kind=kind, lam=0.1, ice_rounds=2, rounds=2), *_completed(516, d, 60, clients))
             got = {}
             for e in res.comm.events:
                 got.setdefault((e.round, e.direction), []).append((e.floats, e.bits))
@@ -246,11 +247,11 @@ class TestPatternSizedUploads:
     @given(_federations())
     def test_same_bits_as_zero_padded_fold(self, drawn):
         data, rng = drawn
-        pair = aggregate_zero_imputed(data.local_moments.values())
+        pair = aggregate_zero_imputed(data.uploads.values())
         assert _bytes_equal((pair.sigma, pair.gamma), reference_fold(reference_padded_sums(data)))
         zero, optimal = ImputationMap(), ImputationMap(random_psd(rng, data.d))
         for imputer, bitwise in ((zero, True), (optimal, False)):
-            pair = imputed_data_moments(uploads(data), imputer)
+            pair = imputed_data_moments(data.uploads, imputer)
             want = reference_fold((lm.sigma_sum, lm.gamma_sum, lm.count) for lm in reference_completed_sums(data, imputer))
             theta = fedavg_on(data, imputer, lam=0.1, rounds=3).theta
             with mock.patch.object(ridge, "completed_sums", lambda _, imp: reference_completed_sums(data, imp)):
@@ -275,7 +276,7 @@ class TestPatternSizedUploads:
             "fedavg_ridge": ([m for m in sizes if m] * 2, len(sizes)),
         }
         for kind, (floats, senders) in want.items():
-            res = run_protocol(ProtocolSpec(kind=kind, lam=0.1, ice_rounds=2, rounds=2), data, ImputationMap())
+            res = run_on(ProtocolSpec(kind=kind, lam=0.1, ice_rounds=2, rounds=2), data, ImputationMap())
             assert [e.floats for e in res.comm.events if e.direction == "up" and e.round > 0] == floats, kind
             assert [e.bits for e in res.comm.events if e.round == 0] == [data.d] * senders, kind
 
@@ -326,9 +327,9 @@ class TestFedAvgPatternMessages:
     def test_local_steps_rebuilt_from_pattern_sized_messages(self, drawn, local_steps, lam):
         data, rng = drawn
         d, s, eps = data.d, local_steps, np.finfo(np.float64).eps
-        senders = [lm for lm in data.local_moments.values() if lm.count]
+        senders = [lm for lm in data.uploads.values() if lm.count]
         imputers = (ImputationMap(), ImputationMap(random_psd(rng, d)),
-                    ice_in_memory(uploads(data), rounds=2))
+                    ice_in_memory(data.uploads, rounds=2))
         for imputer in imputers:
             # Each sender's (eta, (A_k, b_k)) as fedavg_ridge forms them, in its fold order.
             calls, local_map = [], ridge._local_steps
@@ -370,13 +371,13 @@ class TestIceOneRoundTrip:
         data, _ = drawn
         d, senders = data.d, [c.pattern for c in data.clients if len(data.rows_of(c.id))]
         spec = ProtocolSpec(kind="federated_ice", ice_rounds=rounds)
-        res = run_protocol(spec, data)
+        res = run_on(spec, data)
         events = [(e.round, e.direction, e.floats, e.bits) for e in res.comm.events]
         register = [(0, "up", 0, d)] * len(senders)
         grams = [(1, "up", p.size * (p.size + 1) // 2, 0) for p in senders]
         if rounds:
             assert events == register + grams
-            once = run_protocol(ProtocolSpec(kind="federated_ice", ice_rounds=1), data)
+            once = run_on(ProtocolSpec(kind="federated_ice", ice_rounds=1), data)
             assert [e for e in once.comm.events if e.direction == "up"] == [
                 e for e in res.comm.events if e.direction == "up"]
         else:
@@ -385,7 +386,7 @@ class TestIceOneRoundTrip:
         pred = replay_comm_schedule(spec, senders)
         assert (res.comm.total_floats("up"), res.comm.total_floats("down"), res.comm.total_bits()) == (
             pred.up_floats, pred.down_floats, pred.registration_bits)
-        want = ice_in_memory(uploads(data), rounds)
+        want = ice_in_memory(data.uploads, rounds)
         assert (res.artifact.sigma is None) == (want.sigma is None) == (rounds == 0)
         if rounds:
             assert res.artifact.sigma.tobytes() == want.sigma.tobytes()
@@ -394,10 +395,11 @@ class TestIceOneRoundTrip:
 
 
 class TestServerReadsOnlyUploads:
-    """Every server-side fit reads the senders' uploads (sender id to
-    observed sums), never a ``Dataset``: sums built by hand, with no
-    ``Dataset`` anywhere, give what ``run_protocol`` gives on a sample
-    holding the same blocks plus a client that drew no rows, bit for bit."""
+    """The server reads the senders' uploads (sender id to observed sums),
+    never a ``Dataset``: every server-side fit, ``run_protocol``,
+    ``serve_predictor`` and ``local_learning`` take them. Sums built by hand,
+    with no ``Dataset`` anywhere, give what a sample holding the same blocks
+    plus a client that drew no rows gives, bit for bit."""
 
     FITS = (completed_sums, imputed_data_moments, ridge_closed_form, ridge.fedavg_ridge, ice_in_memory,
             fedsim._one_shot_moments)
@@ -407,6 +409,19 @@ class TestServerReadsOnlyUploads:
             params = list(inspect.signature(fit).parameters.values())
             assert params[0].name == "uploads", fit.__name__
             assert not any("Dataset" in str(p.annotation) for p in params), fit.__name__
+
+    def test_no_entry_point_takes_a_dataset(self):
+        # fedsim's public functions and the local baseline take uploads, fedsim
+        # imports no Dataset, and a work item's context holds none.
+        public = [f for f in map(vars(fedsim).get, fedsim.__all__) if inspect.isfunction(f)]
+        assert {run_protocol, serve_predictor} <= set(public)
+        for f in public + [ridge.local_learning]:
+            params = inspect.signature(f).parameters.values()
+            assert not any("Dataset" in str(p.annotation) or p.name == "data" for p in params), f.__name__
+        for f in (run_protocol, serve_predictor, ridge.local_learning):
+            assert "uploads" in inspect.signature(f).parameters, f.__name__
+        assert "Dataset" not in vars(fedsim)
+        assert not any("Dataset" in str(f.type) for f in fields(cli._Context))
 
     @pytest.mark.parametrize("seed", [540, 541, 542])
     def test_hand_built_uploads_give_the_protocol_artifacts(self, seed):
@@ -423,27 +438,40 @@ class TestServerReadsOnlyUploads:
         clients = [ClientSpec(id=k, pattern=p, rho=0.2) for k, p in zip(ids, sent)]
         clients.insert(2, ClientSpec(id=3, pattern=lone, rho=0.2))
         data = Dataset(tuple(clients), blocks, y)
-        assert list(fedsim._uploads(data)) == list(hand) == list(ids)
+        assert list(data.uploads) == list(hand) == list(ids)
 
-        moments = run_protocol(ProtocolSpec(kind="one_shot_moments"), data).artifact
-        got = fedsim._one_shot_moments(hand)
+        def same_run(got, want):
+            assert got.comm.records == want.comm.records
+            return got.artifact, want.artifact
+
+        spec = ProtocolSpec(kind="one_shot_moments")
+        got, moments = same_run(run_protocol(spec, hand), run_on(spec, data))
         assert _bytes_equal((got.pair.sigma, got.pair.gamma, got.counts),
                             (moments.pair.sigma, moments.pair.gamma, moments.counts))
         assert got.n == moments.n == data.n
-        ices = [run_protocol(ProtocolSpec(kind="federated_ice", ice_rounds=t), data).artifact for t in range(4)]
+        ices = []
+        for t in range(4):
+            spec = ProtocolSpec(kind="federated_ice", ice_rounds=t)
+            got, want = same_run(run_protocol(spec, hand), run_on(spec, data))
+            if t:
+                assert got.sigma.tobytes() == want.sigma.tobytes()
+            else:
+                assert got.sigma is None and want.sigma is None
+            ices.append(want)
         for t in range(1, 4):
             assert ice_in_memory(hand, t).sigma.tobytes() == ices[t].sigma.tobytes()
             assert imputed_data_moments(hand, ices[t - 1]).sigma.tobytes() == ices[t].sigma.tobytes()
         for imputer in (ImputationMap(), ImputationMap(random_psd(rng, d)), ices[3]):
-            want = list(completed_sums(fedsim._uploads(data), imputer))
+            want = list(completed_sums(data.uploads, imputer))
             got = list(completed_sums(hand, imputer))
             assert [lm.count for lm in got] == [lm.count for lm in want]
             assert all(_bytes_equal((g.sigma_sum, g.gamma_sum), (w.sigma_sum, w.gamma_sum)) for g, w in zip(got, want))
-            ridge_fit = run_protocol(ProtocolSpec(kind="one_shot_ridge", lam=0.3), data, imputer).artifact
-            assert ridge_closed_form(hand, imputer, 0.3).tobytes() == ridge_fit.tobytes()
+            spec = ProtocolSpec(kind="one_shot_ridge", lam=0.3)
+            got, ridge_fit = same_run(run_protocol(spec, hand, imputer), run_on(spec, data, imputer))
+            assert got.tobytes() == ridge_closed_form(hand, imputer, 0.3).tobytes() == ridge_fit.tobytes()
             spec = ProtocolSpec(kind="fedavg_ridge", lam=0.3, rounds=6, local_steps=2)
-            fedavg = run_protocol(spec, data, imputer).artifact
-            got = ridge.fedavg_ridge(hand, imputer, 0.3, 6, 2, y_sq_sum=float(y @ y))
+            got, fedavg = same_run(run_protocol(spec, hand, imputer, y_sq_sum=float(y @ y)),
+                                   run_on(spec, data, imputer))
             assert got.theta.tobytes() == fedavg.theta.tobytes()
             assert (got.objective_trace, got.diverged, got.rounds_run) == (
                 fedavg.objective_trace, fedavg.diverged, fedavg.rounds_run)
@@ -453,6 +481,17 @@ class TestServerReadsOnlyUploads:
         assert ice.maps[lone].tobytes() == s.tobytes()
         served = itr_predictor(ice, theta, clients).thetas[3]
         assert served.tobytes() == (theta[list(lone.observed)] + s.T @ theta[list(lone.missing)]).tobytes()
+        # The local baseline fits each sender from its own upload and gives
+        # client 3, which sent none, zeros; served alone, client 3 registers
+        # first and receives its two coefficients, fewer than theta's five.
+        local = ridge.local_learning(clients, hand, 0.3)
+        want = ridge.local_learning(data.clients, data.uploads, 0.3)
+        assert all(local.thetas[c.id].tobytes() == want.thetas[c.id].tobytes() for c in clients)
+        assert local.thetas[3].tobytes() == np.zeros(2).tobytes()
+        session = [ProtocolSpec(kind="one_shot_ridge")]
+        log = serve_predictor(local, [clients[2]], hand, session)
+        assert log.records == serve_predictor(want, [clients[2]], data.uploads, session).records
+        assert [(e.round, e.direction, e.floats, e.bits) for e in log.events] == [(0, "up", 0, d), (1, "down", 2, 0)]
 
 
 class TestReplayMatchesRun:
@@ -473,7 +512,7 @@ class TestReplayMatchesRun:
                     ProtocolSpec(kind="fedavg_ridge", lam=0.1, rounds=4),
                 ]
                 for spec in specs:
-                    res = run_protocol(spec, data, imputer)
+                    res = run_on(spec, data, imputer)
                     pred = replay_comm_schedule(spec, senders)
                     assert res.comm.total_floats("up") == pred.up_floats, spec.kind
                     assert res.comm.total_floats("down") == pred.down_floats, spec.kind
@@ -485,7 +524,7 @@ class TestReplayMatchesRun:
         # and the schedule of the rounds run predicts exactly that.
         data, imputer = blow_up_federation()
         spec = ProtocolSpec(kind="fedavg_ridge", rounds=50, local_steps=3)
-        res = run_protocol(spec, data, imputer)
+        res = run_on(spec, data, imputer)
         assert res.artifact.diverged and res.artifact.rounds_run == 10
         ran = replay_comm_schedule(replace(spec, rounds=res.artifact.rounds_run), [c.pattern for c in data.clients])
         got = (res.comm.total_floats("up"), res.comm.total_floats("down"), res.comm.total_bits())
@@ -513,10 +552,16 @@ _METHOD_PROTOCOLS = {
 }
 
 
+def _context(pop, data, served, lam, params):
+    """The ``cli._Context`` a work item builds from its sample ``data``."""
+    return cli._Context(pop, data.clients, served, data.uploads, data.n, ridge.estimate_m(data), y_sq_sum(data),
+                        lam, params)
+
+
 def _sparse_context(ice_rounds):
     pop, data = _sparse_federation(515)
     params = {"ice_rounds": ice_rounds, "rounds": 4, "local_steps": 1}
-    return cli._Context(pop, data.clients, data.clients, data, 0.3, params)
+    return _context(pop, data, data.clients, 0.3, params)
 
 
 def _method_totals(method, ctx):
@@ -532,13 +577,13 @@ def _replayed_totals(fit, ctx):
     """(up, down, bits) that ``replay_comm_schedule`` predicts for a method's
     protocols, each run in the session of the ones before it, plus what
     ``replay_serve`` predicts for serving its predictor to ``ctx.served``."""
-    data, session = ctx.data, [r.spec for r in fit.protocols]
-    senders = [c for c in data.clients if len(data.rows_of(c.id))]
+    session = [r.spec for r in fit.protocols]
+    senders = [c for c in ctx.clients if c.id in ctx.uploads]
     preds = [replay_comm_schedule(spec, [c.pattern for c in senders], session[:i]) for i, spec in enumerate(session)]
     if session:
         sizes = [c.pattern.size for c in ctx.served if c.id in fit.predictor.thetas]
         unregistered = sum(c not in senders for c in ctx.served)
-        preds.append(replay_serve(session, data.d, sizes, unregistered))
+        preds.append(replay_serve(session, ctx.pop.d, sizes, unregistered))
     return tuple(sum(getattr(p, f) for p in preds) for f in ("up_floats", "down_floats", "registration_bits"))
 
 
@@ -589,9 +634,9 @@ class TestMethodSessions:
 
     def test_ridge_after_ice_sends_counts_and_cross_moments(self):
         _, data = _sparse_federation(516)
-        ice = run_protocol(ProtocolSpec(kind="federated_ice", ice_rounds=1), data)
-        alone = run_protocol(ProtocolSpec(kind="one_shot_ridge", lam=0.2), data, ice.artifact)
-        joined = run_protocol(ProtocolSpec(kind="one_shot_ridge", lam=0.2), data, ice.artifact, [ice.spec])
+        ice = run_on(ProtocolSpec(kind="federated_ice", ice_rounds=1), data)
+        alone = run_on(ProtocolSpec(kind="one_shot_ridge", lam=0.2), data, ice.artifact)
+        joined = run_on(ProtocolSpec(kind="one_shot_ridge", lam=0.2), data, ice.artifact, [ice.spec])
         assert np.array_equal(joined.artifact, alone.artifact)
         assert [(e.round, e.direction, e.floats, e.bits) for e in joined.comm.events] == [
             (1, "up", 3, 0), (1, "up", 1, 0), (1, "up", 4, 0)]
@@ -603,10 +648,10 @@ class TestMethodSessions:
         data, imputer = _completed(517)
         spec = ProtocolSpec(kind="fedavg_ridge", lam=0.2, rounds=3)
         moments = ProtocolSpec(kind="one_shot_moments")
-        alone = run_protocol(spec, data, imputer)
+        alone = run_on(spec, data, imputer)
         register = [e for e in alone.comm.events if e.round == 0]
         assert [(e.direction, e.floats, e.bits) for e in register] == [("up", 0, 4)] * 2
-        assert run_protocol(spec, data, imputer, [moments]).comm.events == alone.comm.events[len(register):]
+        assert run_on(spec, data, imputer, [moments]).comm.events == alone.comm.events[len(register):]
         patterns = [c.pattern for c in data.clients]
         joined, pred = replay_comm_schedule(spec, patterns, [moments]), replay_comm_schedule(spec, patterns)
         assert (joined.up_floats, joined.down_floats, joined.registration_bits) == (3 * (2 + 3), 3 * (2 + 3), 0)
@@ -618,8 +663,8 @@ class TestMethodSessions:
         # its pair stays there.
         _, data = _sparse_federation(518)
         ridge_spec, spec = ProtocolSpec(kind="one_shot_ridge", lam=0.2), ProtocolSpec(kind="one_shot_moments")
-        res = run_protocol(spec, data, session=[ridge_spec])
-        alone = run_protocol(spec, data)
+        res = run_on(spec, data, session=[ridge_spec])
+        alone = run_on(spec, data)
         assert res.comm.events == []
         assert np.array_equal(res.artifact.pair.sigma, alone.artifact.pair.sigma)
         assert np.array_equal(res.artifact.counts, alone.artifact.counts)
@@ -645,7 +690,7 @@ class TestMethodInvariant:
         triples = sum((p.size + 1) * (p.size + 2) // 2 for p in senders)
         for ice_rounds in (0, 2):
             params = {"ice_rounds": ice_rounds, "rounds": 3, "local_steps": 1}
-            ctx = cli._Context(pop, data.clients, data.clients, data, 0.3, params)
+            ctx = _context(pop, data, data.clients, 0.3, params)
             for method in cli._METHOD_FITS:
                 fit, got = _method_totals(method, ctx)
                 assert got == _replayed_totals(fit, ctx), (method, ice_rounds)
@@ -674,8 +719,7 @@ class TestServedDownlinks:
         tri = d * (d + 1) // 2
         senders = [c for c in data.clients if len(data.rows_of(c.id))]
         for ice_rounds in (0, 2):
-            ctx = cli._Context(pop, data.clients, data.clients, data, 0.3,
-                               {"ice_rounds": ice_rounds, "rounds": 3, "local_steps": 1})
+            ctx = _context(pop, data, data.clients, 0.3, {"ice_rounds": ice_rounds, "rounds": 3, "local_steps": 1})
             ice = tri + d if ice_rounds else d
             # The shared model: (Sigma_hat, gamma_hat) or (Sigma_hat, theta)
             # after a covariance fit, theta alone under a map the clients hold.
@@ -713,7 +757,7 @@ class TestServedDownlinks:
         rng = seeded(519)
         pop = random_population(rng, 4)
         data = sample_dataset(pop, section3_clients(4), 120, rng)
-        ctx = cli._Context(pop, data.clients, data.clients, data, 0.0, {})
+        ctx = _context(pop, data, data.clients, 0.0, {})
         fit, events = _served_events("plugin_cw", ctx)
         assert events == [(1, "down", 2, 0), (1, "down", 3, 0)]
         assert _method_totals("plugin_cw", ctx)[1] == (6 + 10, 2 + 3, 2 * 4)
@@ -729,7 +773,7 @@ class TestServedDownlinks:
         data = sample_dataset(pop, section3_clients(4), 120, rng)
         for observed, want in (([3, 4], [(0, "up", 0, 4), (1, "down", 2, 0)]), ([1, 2], [(0, "up", 0, 4)])):
             probe = ClientSpec(id=3, pattern=FeaturePattern.from_one_based(observed, 4), rho=1.0)
-            ctx = cli._Context(pop, data.clients, (probe,), data, 0.0, {})
+            ctx = _context(pop, data, (probe,), 0.0, {})
             fit, events = _served_events(method, ctx)
             assert events == want
             assert (probe.id in fit.predictor.unidentifiable) == (observed == [1, 2])
@@ -749,7 +793,7 @@ class TestServedDownlinks:
         cases = ((clients, [(1, "down", 4, 0)], [2, 2], 0),
                  ((clients[0], probe), [(0, "up", 0, 4), (1, "down", 2, 0), (1, "down", 1, 0)], [2, 1], 1))
         for served, want, sizes, unregistered in cases:
-            log = serve_predictor(predictor, served, data, ridge)
+            log = serve_predictor(predictor, served, data.uploads, ridge)
             assert [(e.round, e.direction, e.floats, e.bits) for e in log.events] == want
             pred = replay_serve(ridge, d, sizes, unregistered)
             assert (pred.up_floats, pred.down_floats, pred.registration_bits) == (
@@ -764,7 +808,7 @@ class TestPinnedTotals:
         clients = random_clients(seeded(510), 4, 3)
         assert [c.pattern.one_based() for c in clients] == [(1, 2, 3, 4), (2, 3, 4), (3, 4)]
         data = _masked(510, 4, 90, clients)
-        res = run_protocol(ProtocolSpec(kind="one_shot_moments"), data)
+        res = run_on(ProtocolSpec(kind="one_shot_moments"), data)
         assert res.comm.total_floats("up") == 31
         assert res.comm.total_floats("down") == 0
         assert res.comm.total_bits("up") == 12
@@ -775,7 +819,7 @@ class TestPinnedTotals:
             ClientSpec(id=2, pattern=FeaturePattern.full(5), rho=0.5),
         )
         data = _completed(511, 5, 60, clients)
-        res = run_protocol(ProtocolSpec(kind="fedavg_ridge", lam=0.1, rounds=7), *data)
+        res = run_on(ProtocolSpec(kind="fedavg_ridge", lam=0.1, rounds=7), *data)
         assert res.comm.total_floats("up") == 7 * 2 * 5
         assert res.comm.total_floats("down") == 7 * 2 * 5
 
@@ -790,7 +834,7 @@ class TestPinnedTotals:
             x_filled=np.vstack([np.eye(3), np.eye(3)]),
             y=np.ones(6),
         )
-        res = run_protocol(ProtocolSpec(kind="fedavg_ridge", lam=0.1, rounds=7), data, ImputationMap())
+        res = run_on(ProtocolSpec(kind="fedavg_ridge", lam=0.1, rounds=7), data, ImputationMap())
         assert res.comm.total_floats("up") == 7 * 2 * 3
         assert res.comm.total_floats("down") == 7 * 2 * 3
 
@@ -801,7 +845,7 @@ class TestPinnedTotals:
         rng = seeded(213)
         pop = random_population(rng, 4)
         data = sample_dataset(pop, section3_clients(), 40, rng)
-        res = run_protocol(ProtocolSpec(kind="federated_ice", ice_rounds=3), data)
+        res = run_on(ProtocolSpec(kind="federated_ice", ice_rounds=3), data)
         assert res.comm.total_floats("up") == 3 + 6
         assert res.comm.total_floats("down") == 0
 
@@ -809,14 +853,14 @@ class TestPinnedTotals:
         # Three refinement rounds are one upload: registration in round 0,
         # the Gram uploads in round 1, and the estimate stays on the server.
         data = _masked(512, 4, 50)
-        res = run_protocol(ProtocolSpec(kind="federated_ice", ice_rounds=3), data)
+        res = run_on(ProtocolSpec(kind="federated_ice", ice_rounds=3), data)
         assert res.comm.total_floats("down") == 0
         assert res.comm.total_floats("up") == 3 + 6
         assert sorted({e.round for e in res.comm.events}) == [0, 1]
 
     def test_ice_zero_rounds_only_registers(self):
         data = _masked(513, 4, 50)
-        res = run_protocol(ProtocolSpec(kind="federated_ice", ice_rounds=0), data)
+        res = run_on(ProtocolSpec(kind="federated_ice", ice_rounds=0), data)
         assert res.comm.total_floats() == 0
         assert res.comm.total_bits() == 2 * 4
         assert np.array_equal(completed_rows(data, res.artifact), x_filled(data))
@@ -829,8 +873,7 @@ class TestLogFootprint:
     def test_fedavg_log_grows_with_rounds_plus_senders(self, monkeypatch):
         """One record per round and direction sharing the senders' sizes: a
         FedAvg log retains O(R + K) bytes, where one object per message would
-        retain O(R * K). FedAvg is stubbed, so only the logging and the
-        server's index of the uploads are traced."""
+        retain O(R * K). FedAvg is stubbed, so only the logging is traced."""
         rng = seeded(530)
         clients = random_clients(rng, self.D, self.K, nonempty=False)
         data = Dataset(clients, {c.id: rng.standard_normal((1, c.pattern.size)) for c in clients},
@@ -840,11 +883,12 @@ class TestLogFootprint:
         spec, imputer = ProtocolSpec(kind="fedavg_ridge", rounds=self.R), ImputationMap()
         observing = sum(1 for c in clients if c.pattern.size)
         assert 0 < observing < self.K
-        assert len(data.local_moments) == self.K  # the clients' sums exist before the run, which reads them
+        uploads, squares = data.uploads, y_sq_sum(data)  # the senders' sums exist before the run, which reads them
+        assert len(uploads) == self.K
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
-            res = run_protocol(spec, data, imputer)
+            res = run_protocol(spec, uploads, imputer, y_sq_sum=squares)
             retained, peak = (m - before for m in tracemalloc.get_traced_memory())
         finally:
             tracemalloc.stop()
@@ -879,8 +923,11 @@ class TestSpecValidation:
         )
 
     def test_wrong_payload_type(self):
-        # The completed-data protocols need an imputer beside the masked data.
+        # The completed-data protocols need an imputer beside the uploads.
         masked = _masked(514)
         for kind in ("one_shot_ridge", "fedavg_ridge"):
             with pytest.raises(TypeError, match="needs an ImputationMap"):
-                run_protocol(ProtocolSpec(kind=kind), masked)
+                run_on(ProtocolSpec(kind=kind), masked)
+        # FedAvg also needs sum y^2, which travels in no message, from the caller.
+        with pytest.raises(TypeError, match="needs y_sq_sum"):
+            run_protocol(ProtocolSpec(kind="fedavg_ridge", rounds=2), masked.uploads, ImputationMap())

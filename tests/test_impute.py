@@ -27,7 +27,6 @@ from support import (
     reference_ice,
     repeating_clients,
     seeded,
-    uploads,
     x_filled,
 )
 from test_popgen import section3_clients
@@ -119,7 +118,7 @@ class TestStorage:
         # map; the map it returns has formed none of its own.
         rng, data = mixed_federation(240)
         for rounds in (0, 1, 3):
-            imp = federated_ice(uploads(data), rounds)
+            imp = federated_ice(data.uploads, rounds)
             assert len(imp.maps) == 0
             imp.maps[data.client_by_id(8).pattern]
             assert list(imp.maps) == [data.client_by_id(8).pattern]
@@ -245,16 +244,16 @@ class TestApplyImputer:
         # A map of another dimension has no S for this client's pattern.
         other = ImputationMap(random_psd(rng, 4))
         with pytest.raises(ValueError, match=r"pattern \(1, 2\) has d=3"):
-            list(completed_sums(uploads(data), other))
+            list(completed_sums(data.uploads, other))
         with pytest.raises(ValueError, match=r"pattern \(1, 2\) has d=3"):
-            ridge_closed_form(uploads(data), other, 0.1)
+            ridge_closed_form(data.uploads, other, 0.1)
 
     def test_shard_splits_by_client(self):
         rng = seeded(208)
         pop = random_population(rng, 4)
         data = sample_dataset(pop, section3_clients(), 60, rng)
         imp = ImputationMap()
-        sums = list(completed_sums(uploads(data), imp))
+        sums = list(completed_sums(data.uploads, imp))
         x = completed_rows(data, imp)
         ids = sorted(c.id for c in data.clients if len(data.rows_of(c.id)))
         assert len(sums) == len(ids)
@@ -270,7 +269,7 @@ class TestFederatedIce:
         rng = seeded(209)
         pop = random_population(rng, 4)
         data = sample_dataset(pop, section3_clients(), 50, rng)
-        assert np.array_equal(completed_rows(data, federated_ice(uploads(data), rounds=0)), x_filled(data))
+        assert np.array_equal(completed_rows(data, federated_ice(data.uploads, rounds=0)), x_filled(data))
 
     def test_full_pattern_trace_constant(self):
         # Nothing is missing, so every round re-estimates the same matrix
@@ -278,10 +277,10 @@ class TestFederatedIce:
         rng = seeded(210)
         pop = random_population(rng, 3)
         data = sample_dataset(pop, _one_client(FeaturePattern.full(3)), 60, rng)
-        first = imputed_data_moments(uploads(data), federated_ice(uploads(data), rounds=0)).sigma
+        first = imputed_data_moments(data.uploads, federated_ice(data.uploads, rounds=0)).sigma
         for rounds in range(1, 4):
-            res = federated_ice(uploads(data), rounds)
-            assert np.array_equal(imputed_data_moments(uploads(data), res).sigma, first)
+            res = federated_ice(data.uploads, rounds)
+            assert np.array_equal(imputed_data_moments(data.uploads, res).sigma, first)
             assert np.array_equal(completed_rows(data, res), x_filled(data))
 
     def test_single_client_any_init_is_fixed_point(self):
@@ -296,17 +295,17 @@ class TestFederatedIce:
         clients = _one_client(pattern)
         data = sample_dataset(pop, clients, 500, rng)
         for init in (ImputationMap(pop.sigma), ImputationMap()):
-            sigma = imputed_data_moments(uploads(data), init).sigma
+            sigma = imputed_data_moments(data.uploads, init).sigma
             np.testing.assert_allclose(ImputationMap(sigma).maps[pattern], init.maps[pattern], atol=1e-10)
-        assert np.allclose(completed_rows(data, federated_ice(uploads(data), rounds=3)), x_filled(data), atol=1e-10)
+        assert np.allclose(completed_rows(data, federated_ice(data.uploads, rounds=3)), x_filled(data), atol=1e-10)
 
     def test_converged_state_is_self_consistent(self):
         rng = seeded(216)
         pop = random_population(rng, 4)
         clients = section3_clients()
         data = sample_dataset(pop, clients, 300, rng)
-        res = federated_ice(uploads(data), rounds=500)
-        imp = ImputationMap(imputed_data_moments(uploads(data), res).sigma)
+        res = federated_ice(data.uploads, rounds=500)
+        imp = ImputationMap(imputed_data_moments(data.uploads, res).sigma)
         assert np.allclose(completed_rows(data, imp), completed_rows(data, res), atol=1e-9)
 
     def test_negative_rounds_rejected(self):
@@ -314,7 +313,7 @@ class TestFederatedIce:
         pop = random_population(rng, 3)
         data = sample_dataset(pop, _one_client(FeaturePattern.full(3)), 10, rng)
         with pytest.raises(ValueError, match="rounds"):
-            federated_ice(uploads(data), rounds=-1)
+            federated_ice(data.uploads, rounds=-1)
 
 
 class TestCompleteMoments:
@@ -388,7 +387,7 @@ class TestCompleteMoments:
         assert len(data.rows_of(8)) == 0
         pop = random_population(rng, data.d)
         for imp in (ImputationMap(), ImputationMap(pop.sigma)):
-            for cid, lm in data.local_moments.items():
+            for cid, lm in data.uploads.items():
                 p = data.client_by_id(cid).pattern
                 rows = imp.complete(p, data.x_obs_of(cid))
                 gram, cross = imp.complete_moments(p, lm.sigma_sum, lm.gamma_sum)
@@ -406,12 +405,12 @@ class TestSufficientStatistics:
         assert len(data.rows_of(8)) == 0 and len(data.rows_of(9)) > 0
         trace, _ = reference_ice(data, 6)
         for rounds in range(6):
-            res = federated_ice(uploads(data), rounds)
+            res = federated_ice(data.uploads, rounds)
             _, maps = reference_ice(data, rounds)
             for cid, s in maps.items():
                 np.testing.assert_allclose(res.maps[data.client_by_id(cid).pattern], s, rtol=1e-9, atol=1e-12)
             # The estimate of round rounds + 1 is the moment matrix of this completion.
-            pair = imputed_data_moments(uploads(data), res)
+            pair = imputed_data_moments(data.uploads, res)
             assert_rel_close(pair.sigma, trace[rounds])
             x, full = completed_rows(data, res), FeaturePattern.full(data.d)
             shards = [data.rows_of(c.id) for c in sorted(data.clients, key=lambda c: c.id)]
@@ -428,8 +427,8 @@ class TestSufficientStatistics:
         data = sample_dataset(random_population(rng, d), clients, n, rng)
         tracemalloc.start()
         try:
-            res = federated_ice(uploads(data), rounds=3)
-            ridge_closed_form(uploads(data), res, 0.5)
+            res = federated_ice(data.uploads, rounds=3)
+            ridge_closed_form(data.uploads, res, 0.5)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()

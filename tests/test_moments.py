@@ -20,7 +20,7 @@ from fedmismatch import (
 from fedmismatch.impute import ImputationMap
 from fedmismatch.moments import imputed_data_moments
 
-from support import from_filled, sample_counts, seeded, uploads, x_filled
+from support import from_filled, sample_counts, seeded, x_filled
 from test_popgen import section3_clients
 
 
@@ -120,7 +120,7 @@ class TestAggregate:
         acc2 = np.zeros((2, 2))
         for _ in range(reps):
             ds = sample_dataset(pop, clients, 25, rng)
-            s = aggregate_zero_imputed(ds.local_moments.values()).sigma
+            s = aggregate_zero_imputed(ds.uploads.values()).sigma
             acc += s
             acc2 += s * s
         mean = acc / reps
@@ -203,7 +203,7 @@ class TestDebias:
         acc2 = np.zeros((2, 2))
         for _ in range(reps):
             ds = sample_dataset(pop, clients, 30, rng)
-            s = debias_moments(aggregate_zero_imputed(ds.local_moments.values()), pi).sigma
+            s = debias_moments(aggregate_zero_imputed(ds.uploads.values()), pi).sigma
             acc += s
             acc2 += s * s
         mean = acc / reps
@@ -216,7 +216,7 @@ class TestComponentWise:
         pop = PopulationSpec.gaussian(np.eye(2), np.ones(2))
         clients = (ClientSpec(id=1, pattern=FeaturePattern.full(2), rho=1.0),)
         ds = sample_dataset(pop, clients, 60, seeded(7))
-        pair = aggregate_zero_imputed(ds.local_moments.values())
+        pair = aggregate_zero_imputed(ds.uploads.values())
         cw = cw_moments(pair, sample_counts(ds), ds.n)
         np.testing.assert_allclose(cw.sigma, pair.sigma, atol=1e-14)
         np.testing.assert_allclose(cw.gamma, pair.gamma, atol=1e-14)
@@ -228,7 +228,7 @@ class TestComponentWise:
         )
         pop = PopulationSpec.gaussian(np.eye(2), np.zeros(2))
         ds = sample_dataset(pop, clients, 40, seeded(8))
-        pair = aggregate_zero_imputed(ds.local_moments.values())
+        pair = aggregate_zero_imputed(ds.uploads.values())
         cw = cw_moments(pair, sample_counts(ds), ds.n)
         assert cw.sigma[0, 1] == 0.0
         assert not cw.coverage[0, 1]
@@ -241,7 +241,7 @@ class TestComponentWise:
             ClientSpec(id=2, pattern=FeaturePattern.from_one_based([2, 3], 3), rho=0.5),
         )
         ds = sample_dataset(pop, clients, 80, seeded(9))
-        pair = aggregate_zero_imputed(ds.local_moments.values())
+        pair = aggregate_zero_imputed(ds.uploads.values())
         cw = cw_moments(pair, sample_counts(ds), ds.n)
         row_masks = [c.pattern.mask() for c in ds.clients for _ in ds.rows_of(c.id)]
         assert len(row_masks) == ds.n
@@ -264,7 +264,7 @@ class TestImputedDataMoments:
         ids = rng.integers(1, 4, size=40)
         clients = tuple(ClientSpec(id=k, pattern=FeaturePattern.full(3), rho=1 / 3) for k in (1, 2, 3))
         data = from_filled(clients=clients, client_ids=ids, x_filled=x, y=y)
-        pair = imputed_data_moments(uploads(data), ImputationMap())
+        pair = imputed_data_moments(data.uploads, ImputationMap())
         np.testing.assert_allclose(pair.sigma, x.T @ x / 40, atol=1e-13)
         np.testing.assert_allclose(pair.gamma, x.T @ y / 40, atol=1e-13)
 
@@ -272,5 +272,5 @@ class TestImputedDataMoments:
         clients = (ClientSpec(id=1, pattern=FeaturePattern.full(2), rho=1.0),)
         empty = from_filled(clients=clients, client_ids=np.zeros(0), x_filled=np.zeros((0, 2)), y=np.zeros(0))
         with pytest.raises(ValueError):
-            imputed_data_moments(uploads(empty), ImputationMap())
+            imputed_data_moments(empty.uploads, ImputationMap())
 

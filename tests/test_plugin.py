@@ -77,7 +77,7 @@ class TestBuildClientwisePlugin:
         clients = section3_clients()
         pop = random_population(seeded(103), 4)
         data = sample_dataset(pop, clients, 600, seeded(104))
-        agg = aggregate_zero_imputed(data.local_moments.values())
+        agg = aggregate_zero_imputed(data.uploads.values())
         pihat = sample_counts(data) / data.n
         moments = debias_moments(agg, pihat)
         probes = clients + (
@@ -102,7 +102,7 @@ class TestBuildClientwisePlugin:
         pop = random_population(rng, 3)
         clients = (ClientSpec(id=1, pattern=FeaturePattern.full(3), rho=1.0),)
         data = sample_dataset(pop, clients, 400, rng)
-        agg = aggregate_zero_imputed(data.local_moments.values())
+        agg = aggregate_zero_imputed(data.uploads.values())
         pred = build_clientwise_plugin(agg, clients)
         x, y = x_filled(data), data.y
         ols, *_ = np.linalg.lstsq(x.T @ x / 400, x.T @ y / 400, rcond=None)

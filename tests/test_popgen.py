@@ -292,7 +292,7 @@ class TestBlockedSampler:
         tracemalloc.start()
         try:
             data = sample_dataset(pop, clients, n, seeded(14))
-            assert sorted(data.local_moments) == [1, 2, 3, 4]
+            assert sorted(data.uploads) == [1, 2, 3, 4]
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -321,7 +321,7 @@ class TestBlockedSampler:
         assert peak - kept < (3 * threads + 4) * _parallel.BLOCK_CELLS * 8
 
     @pytest.mark.parametrize("threads", [2, 5])
-    def test_local_moments_pooled_equal_serial(self, threads, short_switch):
+    def test_uploads_pooled_equal_serial(self, threads, short_switch):
         pop = self.population("sphere")
         clients = random_clients(seeded(12), pop.d, 5)
         drawn = sample_dataset(pop, clients, 3 * block_rows(pop.d) + 5, seeded(13))
@@ -329,9 +329,9 @@ class TestBlockedSampler:
         def fresh():
             return Dataset(clients=clients, x_obs=drawn.x_obs, y=drawn.y)
 
-        serial = fresh().local_moments
+        serial = fresh().uploads
         with workers(threads):
-            pooled = fresh().local_moments
+            pooled = fresh().uploads
         assert list(pooled) == list(serial) == sorted(c.id for c in clients)
         for cid, lm in serial.items():
             assert pooled[cid].count == lm.count

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from fedmismatch.impute import ImputationMap
-from fedmismatch.model import ClientSpec, ClientwisePredictor, FeaturePattern
+from fedmismatch.model import ClientSpec, ClientwisePredictor, FeaturePattern, LocalMoments
 from fedmismatch.moments import completed_sums
 from fedmismatch.oracle import best_local_coefficients
 from fedmismatch.popgen import PopulationSpec, sample_dataset
@@ -31,7 +31,6 @@ from support import (
     ridge_on,
     seeded,
     sharded,
-    uploads,
 )
 from test_popgen import section3_clients
 
@@ -133,28 +132,26 @@ class TestFedAvg:
         empty, imputer = sharded(np.zeros((0, 2)), np.zeros(0), [0, 0])
         with pytest.raises(ValueError, match="nothing to aggregate"):
             fedavg_on(empty, imputer, lam=0.1, rounds=1)
+        nothing = {1: LocalMoments(np.zeros((2, 2)), np.zeros(2), 0, FeaturePattern.full(2))}
         with pytest.raises(ValueError, match="no rows"):
-            fedavg_ridge(empty.local_moments, imputer, 0.1, 1, y_sq_sum=0.0)
+            fedavg_ridge(nothing, imputer, 0.1, 1, y_sq_sum=0.0)
 
     def test_split_by_client_skips_empty_and_sorts(self):
-        clients = (
-            ClientSpec(id=3, pattern=FeaturePattern.full(2), rho=0.5),
-            ClientSpec(id=1, pattern=FeaturePattern.full(2), rho=0.5),
-        )
+        # Client 1 drew no rows, so it sends nothing; the senders 2 and 3 come in id order.
+        clients = tuple(ClientSpec(id=k, pattern=FeaturePattern.full(2), rho=1 / 3) for k in (3, 1, 2))
         data = from_filled(
             clients=clients,
-            client_ids=np.array([3, 3, 3]),
-            x_filled=np.arange(6.0).reshape(3, 2),
-            y=np.array([1.0, 2.0, 3.0]),
+            client_ids=np.array([3, 3, 3, 2]),
+            x_filled=np.arange(8.0).reshape(4, 2),
+            y=np.array([1.0, 2.0, 3.0, 4.0]),
         )
         imputer = ImputationMap()
-        first, third = completed_sums(data.local_moments, imputer)
-        assert (first.count, third.count) == (0, 3)
-        assert not first.sigma_sum.any()
-        (sent,) = completed_sums(uploads(data), imputer)
-        assert sent.count == 3 and sent.sigma_sum.tobytes() == third.sigma_sum.tobytes()
+        assert list(data.uploads) == [2, 3]
+        second, third = completed_sums(data.uploads, imputer)
+        assert (second.count, third.count) == (1, 3)
         x = completed_rows(data, imputer)
-        assert np.array_equal(third.sigma_sum, x.T @ x)
+        assert np.array_equal(third.sigma_sum, x[:3].T @ x[:3])
+        assert np.array_equal(second.sigma_sum, x[3:].T @ x[3:])
 
     @pytest.mark.parametrize("seed", [240, 241, 242, 243])
     def test_affine_map_matches_per_step_reference(self, seed):
@@ -338,7 +335,7 @@ class TestLocalLearning:
         pop = random_population(rng, 3)
         clients = (ClientSpec(id=1, pattern=FeaturePattern.full(3), rho=1.0),)
         data = sample_dataset(pop, clients, 100, rng)
-        pred = local_learning(data, lam=0.4)
+        pred = local_learning(data.clients, data.uploads, lam=0.4)
         assert np.allclose(pred.thetas[1], ridge_on(data, ImputationMap(), 0.4), atol=1e-12)
 
     def test_share_scales_penalty(self):
@@ -348,7 +345,7 @@ class TestLocalLearning:
         pop = random_population(rng, 4)
         clients = section3_clients()
         data = sample_dataset(pop, clients, 200, rng)
-        pred = local_learning(data, lam=0.6)
+        pred = local_learning(data.clients, data.uploads, lam=0.6)
         x = data.x_obs_of(1)
         y = data.y_of(1)
         n1 = len(y)
@@ -366,7 +363,7 @@ class TestLocalLearning:
             x_filled=np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]]),
             y=np.array([1.0, 1.0, 2.0]),
         )
-        pred = local_learning(data, lam=0.1)
+        pred = local_learning(data.clients, data.uploads, lam=0.1)
         assert pred.thetas[2] == pytest.approx([0.0])
 
     def test_consistency_unpenalized(self):
@@ -377,7 +374,7 @@ class TestLocalLearning:
         pop = PopulationSpec.gaussian(np.eye(d), np.full(d, 0.5), sigma2=0.25)
         clients = section3_clients()
         data = sample_dataset(pop, clients, 60_000, rng)
-        pred = local_learning(data, lam=0.0)
+        pred = local_learning(data.clients, data.uploads, lam=0.0)
         for c in clients:
             want = best_local_coefficients(pop, c.pattern)
             assert np.allclose(pred.thetas[c.id], want, atol=0.03)
@@ -388,4 +385,4 @@ class TestLocalLearning:
         clients = (ClientSpec(id=1, pattern=FeaturePattern.full(2), rho=1.0),)
         data = sample_dataset(pop, clients, 10, rng)
         with pytest.raises(ValueError, match="lambda must be >= 0"):
-            local_learning(data, lam=-1.0)
+            local_learning(data.clients, data.uploads, lam=-1.0)
