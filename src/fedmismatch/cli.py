@@ -429,7 +429,7 @@ def _build_clients(cfg: ExperimentConfig, tau: float | None, rng: np.random.Gene
 
 @dataclass
 class _Context:
-    """One work item's fitting inputs, no row among them: the senders' ``Dataset.uploads``, ``n``, m-hat and sum y^2.
+    """One work item's fitting inputs, no row among them: the senders' ``Dataset.uploads``, ``n`` and m-hat.
     Methods are fitted on ``clients`` and their predictors served to ``served``, which every risk is taken over;
     ``moments`` (the one-shot protocol) and ``oracle_risk`` run once, on first use."""
 
@@ -439,7 +439,6 @@ class _Context:
     uploads: dict
     n: int
     m_hat: float
-    y_sq_sum: float
     lam: float
     params: dict
 
@@ -525,7 +524,7 @@ def _fit_fedavg(ctx: _Context) -> _Fit:
     spec = ProtocolSpec(
         kind="fedavg_ridge", lam=ctx.lam, rounds=ctx.params["rounds"], local_steps=ctx.params["local_steps"]
     )
-    res = run_protocol(spec, ctx.uploads, imputer, y_sq_sum=ctx.y_sq_sum)
+    res = run_protocol(spec, ctx.uploads, imputer)
     predictor = itr_predictor(imputer, res.artifact.theta, ctx.clients, trunc_m=ctx.m_hat)
     ip = oracle.imputed_population_covariance(ctx.pop, ctx.clients, imputer)
     return _Fit(predictor, oracle.imputed_oracle_risk(ctx.pop, ip), protocols=(res,))
@@ -568,9 +567,8 @@ def _mc_rows(cfg: ExperimentConfig, item: _WorkItem, clients, data_ss, mc_ss, se
     """
     pop = cfg.population
     data = sample_dataset(pop, clients, item.n, np.random.default_rng(data_ss))
-    # The only reads of the responses, once each per item: m-hat and sum y^2, in no message (ROADMAP item 17).
-    m_hat, y_sq_sum = estimate_m(data), float(data.y @ data.y)
-    ctx = _Context(pop, clients, served or clients, data.uploads, data.n, m_hat, y_sq_sum, item.lam, cfg.params)
+    # The one read of the responses, once per item: m-hat, in no message (ROADMAP item 17).
+    ctx = _Context(pop, clients, served or clients, data.uploads, data.n, estimate_m(data), item.lam, cfg.params)
     del data  # no fit reads a row, so the sample is freed before the first one
     fits = [_METHOD_FITS[method](ctx) for method in cfg.methods]
     risks = oracle.monte_carlo_risk([f.predictor for f in fits], pop, ctx.served, cfg.n_test,
@@ -605,12 +603,11 @@ def _audit_rows(cfg: ExperimentConfig, item: _WorkItem, clients, data_ss, mc_ss)
     """Run each listed protocol once and hold its logged totals to the closed-form schedule."""
     pop = cfg.population
     n = item.n if item.n is not None else 32
-    data = sample_dataset(pop, clients, n, np.random.default_rng(data_ss))
-    uploads, y_sq_sum, imputer = data.uploads, float(data.y @ data.y), ImputationMap()
+    uploads, imputer = sample_dataset(pop, clients, n, np.random.default_rng(data_ss)).uploads, ImputationMap()
     rows = []
     for kind in cfg.methods:
         spec = ProtocolSpec(kind=kind, lam=item.lam, ice_rounds=cfg.params["ice_rounds"], rounds=cfg.params["rounds"])
-        res = run_protocol(spec, uploads, imputer, y_sq_sum=y_sq_sum)
+        res = run_protocol(spec, uploads, imputer)
         # FedAvg stops early on divergence; the schedule is that of the rounds the server ran.
         ran = replace(spec, rounds=res.artifact.rounds_run) if kind == "fedavg_ridge" else spec
         predicted = replay_comm_schedule(ran, [lm.pattern for lm in uploads.values()])

@@ -14,15 +14,15 @@ logs every message it implies:
 * federated_ice: ``impute.federated_ice`` in one round trip; the iterated
   ``ImputationMap`` out. With ``ice_rounds`` >= 1 each sender uploads its
   observed Gram G_k once and the server runs every round from these
-  uploads; 0 rounds upload none.
+  uploads; 0 rounds upload none. Each round divides by the senders' n_k,
+  which an ICE upload does not carry (ROADMAP item 17).
 * fedavg_ridge: ``ridge.fedavg_ridge``; with an ``ImputationMap``, whose
   senders run local steps from their completed sums, its ``FedAvgResult``
   out, whose ``rounds_run`` are the rounds logged. A round sees sender k
   only through its observed block (the identity in ``fedavg_ridge``'s
   docstring): the server sends it phi_k = B_k^T theta, it returns the
   |O_k|-vector v_k, and the server applies the shrinkage from its pattern,
-  registered at 0 rounds too. Its objective trace also reads sum y^2,
-  which the caller passes as ``y_sq_sum`` and no message carries.
+  registered at 0 rounds too.
 
 Every artifact stays on the server. What reaches the clients is the fitted
 predictor, delivered once per method by ``serve_predictor`` in the smaller
@@ -31,11 +31,13 @@ client derives its own coefficients (``_shared_floats``), or each served
 client's |O_k| coefficients on their own.
 
 No message size depends on the local sample count. Each transfer is logged
-with its exact float64 slot count, read off the payload; pattern bitmasks
-sent at registration are counted in bits, separately from floats.
-``replay_comm_schedule`` and ``replay_serve`` predict the totals in closed
-form from the senders' patterns and the served coefficient counts, and the
-logged totals must match them exactly.
+with its float64 slot count; pattern bitmasks sent at registration are
+counted in bits, separately from floats. ``replay_comm_schedule`` and
+``replay_serve`` predict the totals in closed form from the senders'
+patterns and the served coefficient counts. ``run_protocol`` and
+``replay_comm_schedule`` size an upload by the same ``_upload_floats``, so
+matching them checks the registration bits and FedAvg's round count, not
+the upload sizes; the tests check those against hand-written totals.
 
 A fitting method is one server session: the server keeps each sender's
 pattern, n_k, G_k and g_k once received, and a later protocol of the same
@@ -215,13 +217,13 @@ def _one_shot_moments(uploads: Mapping[int, LocalMoments]) -> OneShotMomentsArti
 
 
 def run_protocol(spec: ProtocolSpec, uploads: Mapping[int, LocalMoments], imputer: ImputationMap | None = None,
-                 session=(), *, y_sq_sum: float | None = None) -> ProtocolResult:
+                 session=()) -> ProtocolResult:
     """Run one protocol's library algorithm on the senders' ``uploads``
     (sender id to observed sums, ``Dataset.uploads``) and log every transfer.
 
     one_shot_moments and federated_ice ignore ``imputer``; one_shot_ridge
     and fedavg_ridge complete the data with ``imputer`` and raise
-    ``TypeError`` without one, and fedavg_ridge without ``y_sq_sum`` too.
+    ``TypeError`` without one.
     ``session`` holds the specs of the protocols the same method ran before
     on these senders, in order (empty for a standalone run): a sender
     registers its pattern and uploads each statistic once per session, so
@@ -231,8 +233,6 @@ def run_protocol(spec: ProtocolSpec, uploads: Mapping[int, LocalMoments], impute
     """
     if spec.kind in ("one_shot_ridge", "fedavg_ridge") and imputer is None:
         raise TypeError(f"{spec.kind} needs an ImputationMap")
-    if spec.kind == "fedavg_ridge" and y_sq_sum is None:
-        raise TypeError("fedavg_ridge needs y_sq_sum")
     comm, missing = CommLog(), _missing(spec, session)
     if "pattern" in missing:
         comm.record(0, "up", [0] * len(uploads), bits=_dim(uploads))
@@ -245,7 +245,7 @@ def run_protocol(spec: ProtocolSpec, uploads: Mapping[int, LocalMoments], impute
     elif spec.kind == "one_shot_ridge":
         artifact = ridge_closed_form(uploads, imputer, spec.lam)
     else:
-        artifact = fedavg_ridge(uploads, imputer, spec.lam, spec.rounds, spec.local_steps, y_sq_sum=y_sq_sum)
+        artifact = fedavg_ridge(uploads, imputer, spec.lam, spec.rounds, spec.local_steps)
         sizes = tuple(lm.pattern.size for lm in uploads.values() if lm.pattern.size)
         for t in range(1, artifact.rounds_run + 1):
             comm.record(t, "down", sizes)

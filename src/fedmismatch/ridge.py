@@ -19,7 +19,9 @@ centralized gradient descent for any sharding, so the iterates converge to
 the closed-form solution; with more local steps the fixed point can drift by
 the usual client heterogeneity bias, which is why local_steps defaults to 1.
 It runs every requested round unless the objective rises ten rounds in a
-row or stops being finite, which it reports as divergence.
+row or stops being finite, which it reports as divergence. Its trace
+leaves out the constant y^T y / 2n, which no message carries and no
+stopping decision depends on.
 
 ``local_learning`` is the no-sharing baseline: each client ridge-regresses
 on its own observed block with penalty lambda / rho_k, from its observed
@@ -71,18 +73,10 @@ class FedAvgResult:
     rounds_run: int
 
 
-def fedavg_ridge(
-    uploads: Mapping[int, LocalMoments],
-    imputer: ImputationMap,
-    lam: float,
-    rounds: int,
-    local_steps: int = 1,
-    *,
-    y_sq_sum: float,
-) -> FedAvgResult:
+def fedavg_ridge(uploads: Mapping[int, LocalMoments], imputer: ImputationMap, lam: float, rounds: int,
+                 local_steps: int = 1) -> FedAvgResult:
     """Federated averaging on the global ridge objective over the senders
-    of ``uploads``; ``y_sq_sum`` is sum_i y_i^2 over their rows, which the
-    objective trace alone reads.
+    of ``uploads``.
 
     The step size eta = 1 / (lambda_max(sigma_hat) + lambda) guarantees a
     non-increasing objective for single local steps; when that sum is 0
@@ -99,8 +93,9 @@ def fedavg_ridge(
     M_k = I - eta (B_k G_k B_k^T / n_k + lambda I); its s local steps are
     the affine map A_k = M_k^s, b_k = sum_{j<s} M_k^j eta B_k g_k / n_k
     (``_local_steps``), and a round is their n_k / n weighted average,
-    computed once. The objective needs only the pooled sums:
-    (theta^T sigma theta - 2 gamma^T theta + y_sq_sum) / (2n) + lambda/2 ||theta||^2.
+    computed once. The trace is the objective less its constant y^T y / 2n,
+    so it needs only the pooled sums:
+    theta^T sigma theta / 2 - gamma^T theta + lambda/2 ||theta||^2.
 
     A round sees a client only through its observed block. With
     a = 1 - eta lambda, phi = B_k^T theta and C_k = B_k^T B_k,
@@ -129,10 +124,9 @@ def fedavg_ridge(
             a_k, b_k = _local_steps(lm, step_size, lam, local_steps)
             a_bar += lm.count / n * a_k
             b_bar += lm.count / n * b_k
-    yy = y_sq_sum / n
 
     def objective(theta: np.ndarray) -> float:
-        return (float(theta @ sigma @ theta) - 2 * float(gamma @ theta) + yy) / 2 + lam / 2 * float(theta @ theta)
+        return float(theta @ sigma @ theta) / 2 - float(gamma @ theta) + lam / 2 * float(theta @ theta)
 
     theta = np.zeros(d)
     trace = [objective(theta)]

@@ -152,21 +152,14 @@ def ridge_on(data, imputer, lam):
     return ridge_closed_form(data.uploads, imputer, lam)
 
 
-def y_sq_sum(data) -> float:
-    """Sum y^2 over ``data``'s responses, as ``cli`` reads it once per work item."""
-    return float(data.y @ data.y)
-
-
 def fedavg_on(data, imputer, *args, **kwargs):
-    """``fedavg_ridge`` on the uploads of ``data`` and its responses' sum of
-    squares."""
-    return fedavg_ridge(data.uploads, imputer, *args, y_sq_sum=y_sq_sum(data), **kwargs)
+    """``fedavg_ridge`` on the uploads of ``data``."""
+    return fedavg_ridge(data.uploads, imputer, *args, **kwargs)
 
 
 def run_on(spec, data, imputer=None, session=()):
-    """``run_protocol`` on the uploads of ``data``, with its responses' sum of
-    squares for FedAvg."""
-    return run_protocol(spec, data.uploads, imputer, session, y_sq_sum=y_sq_sum(data))
+    """``run_protocol`` on the uploads of ``data``."""
+    return run_protocol(spec, data.uploads, imputer, session)
 
 
 def reference_fold(sums) -> tuple[np.ndarray, np.ndarray]:
@@ -445,8 +438,9 @@ def reference_fedavg(data, imputer, lam: float, rounds: int, local_steps: int = 
     client that owns rows takes ``local_steps`` full-batch gradient steps on
     its own completed block from the server iterate, the server averages
     them with weights n_k / n in ascending id order, and the objective sums
-    every client's squared residuals. Step size and divergence rule are those
-    of ``ridge.fedavg_ridge``.
+    every client's squared residuals less y_k^T y_k, the constant
+    ``ridge.fedavg_ridge`` leaves out of its trace. Step size and divergence
+    rule are those of ``ridge.fedavg_ridge``.
 
     Returns (theta, objective_trace, diverged, rounds_run).
     """
@@ -458,8 +452,8 @@ def reference_fedavg(data, imputer, lam: float, rounds: int, local_steps: int = 
     step = 1.0 / (float(np.max(np.abs(np.linalg.eigvalsh((sigma + sigma.T) / 2.0)))) + lam)
 
     def objective(theta):
-        residual = sum(float(np.sum((yk - xk @ theta) ** 2)) for xk, yk in shards)
-        return residual / (2 * n) + lam / 2 * float(theta @ theta)
+        fitted = sum(float(np.sum((xk @ theta) ** 2)) - 2 * float(yk @ (xk @ theta)) for xk, yk in shards)
+        return fitted / (2 * n) + lam / 2 * float(theta @ theta)
 
     theta = np.zeros(d)
     trace = [objective(theta)]

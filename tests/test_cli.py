@@ -466,8 +466,8 @@ class TestRunExperiment:
         assert kinds == ["one_shot_moments"]
 
     def test_sample_is_freed_before_scoring_and_m_hat_read_once(self, tmp_path, monkeypatch):
-        # No fit reads a row: a work item keeps the senders' sums, n, m-hat
-        # and sum y^2, and drops its sample before the first fit, so the
+        # No fit reads a row: a work item keeps the senders' sums, n and
+        # m-hat, and drops its sample before the first fit, so the
         # sample is gone when the Monte-Carlo scoring runs. m-hat is read
         # once per item, whichever of the eight methods need it.
         from fedmismatch import cli, oracle
@@ -547,14 +547,36 @@ class TestRunExperiment:
         cfg = json.loads(Path(cli.__file__).with_name("presets").joinpath("comm_audit.json").read_text())
         both, _ = run_experiment(cfg, str(tmp_path / "both"))
 
-        def one_round(sent, imputer, lam, rounds, local_steps=1, *, y_sq_sum):
-            return ridge.fedavg_ridge(sent, imputer, lam, min(rounds, 1), local_steps, y_sq_sum=y_sq_sum)
+        def one_round(sent, imputer, lam, rounds, local_steps=1):
+            return ridge.fedavg_ridge(sent, imputer, lam, min(rounds, 1), local_steps)
 
         monkeypatch.setattr(fedsim, "fedavg_ridge", one_round)
         one, _ = run_experiment(cfg, str(tmp_path / "one"))
         ups = [[int(r["comm_floats_up"]) for r in _read_rows(path) if r["method"] == "fedavg_ridge"]
                for path in (both, one)]
         assert ups[0] and ups[0] == [2 * up for up in ups[1]] and min(ups[1]) > 0
+
+    def test_comm_audit_drops_its_sample_before_any_protocol(self, tmp_path, monkeypatch):
+        # The audit keeps only the senders' uploads of each sample.
+        from fedmismatch import cli
+
+        samples, alive = [], []
+        sample, run = cli.sample_dataset, cli.run_protocol
+
+        def sampling(*args, **kwargs):
+            data = sample(*args, **kwargs)
+            samples.append(weakref.ref(data))
+            return data
+
+        def running(*args, **kwargs):
+            alive.append(samples[-1]() is not None)
+            return run(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "sample_dataset", sampling)
+        monkeypatch.setattr(cli, "run_protocol", running)
+        cfg = json.loads(Path(cli.__file__).with_name("presets").joinpath("comm_audit.json").read_text())
+        run_experiment(cfg, str(tmp_path))
+        assert samples and alive and not any(alive)
 
     def test_comm_audit_rows(self, tmp_path):
         cfg = {

@@ -43,7 +43,6 @@ from support import (
     run_on,
     seeded,
     without_rows,
-    y_sq_sum,
     x_filled,
 )
 from test_popgen import section3_clients
@@ -470,8 +469,7 @@ class TestServerReadsOnlyUploads:
             got, ridge_fit = same_run(run_protocol(spec, hand, imputer), run_on(spec, data, imputer))
             assert got.tobytes() == ridge_closed_form(hand, imputer, 0.3).tobytes() == ridge_fit.tobytes()
             spec = ProtocolSpec(kind="fedavg_ridge", lam=0.3, rounds=6, local_steps=2)
-            got, fedavg = same_run(run_protocol(spec, hand, imputer, y_sq_sum=float(y @ y)),
-                                   run_on(spec, data, imputer))
+            got, fedavg = same_run(run_protocol(spec, hand, imputer), run_on(spec, data, imputer))
             assert got.theta.tobytes() == fedavg.theta.tobytes()
             assert (got.objective_trace, got.diverged, got.rounds_run) == (
                 fedavg.objective_trace, fedavg.diverged, fedavg.rounds_run)
@@ -492,6 +490,28 @@ class TestServerReadsOnlyUploads:
         log = serve_predictor(local, [clients[2]], hand, session)
         assert log.records == serve_predictor(want, [clients[2]], data.uploads, session).records
         assert [(e.round, e.direction, e.floats, e.bits) for e in log.events] == [(0, "up", 0, d), (1, "down", 2, 0)]
+
+    def test_fedavg_is_a_function_of_its_uploads(self):
+        # Client 2 holds a row that is zero in every observed column, so its
+        # response enters no upload: two samples that differ only there send
+        # the same sums, and FedAvg, trace included, must not tell them apart.
+        rng, d = seeded(560), 5
+        clients = random_clients(rng, d, 4)
+        blocks = {c.id: rng.standard_normal((int(rng.integers(2, 9)), c.pattern.size)) for c in clients}
+        blocks[2][0] = 0.0
+        y = rng.standard_normal(sum(len(x) for x in blocks.values()))
+        other = y.copy()
+        other[sum(len(blocks[c.id]) for c in clients if c.id < 2)] += 3.0
+        first, second = Dataset(clients, blocks, y), Dataset(clients, blocks, other)
+        assert list(first.uploads) == list(second.uploads) == [1, 2, 3, 4]
+        for a, b in zip(first.uploads.values(), second.uploads.values()):
+            assert a.count == b.count and _bytes_equal((a.sigma_sum, a.gamma_sum), (b.sigma_sum, b.gamma_sum))
+        spec = ProtocolSpec(kind="fedavg_ridge", lam=0.3, rounds=20)
+        got, want = (run_on(spec, data, ImputationMap()) for data in (first, second))
+        assert got.comm.records == want.comm.records
+        assert got.artifact.theta.tobytes() == want.artifact.theta.tobytes()
+        assert (got.artifact.objective_trace, got.artifact.diverged, got.artifact.rounds_run) == (
+            want.artifact.objective_trace, want.artifact.diverged, want.artifact.rounds_run)
 
 
 class TestReplayMatchesRun:
@@ -554,8 +574,7 @@ _METHOD_PROTOCOLS = {
 
 def _context(pop, data, served, lam, params):
     """The ``cli._Context`` a work item builds from its sample ``data``."""
-    return cli._Context(pop, data.clients, served, data.uploads, data.n, ridge.estimate_m(data), y_sq_sum(data),
-                        lam, params)
+    return cli._Context(pop, data.clients, served, data.uploads, data.n, ridge.estimate_m(data), lam, params)
 
 
 def _sparse_context(ice_rounds):
@@ -868,7 +887,10 @@ class TestPinnedTotals:
 
 class TestLogFootprint:
     K, R, D = 2000, 50, 4
-    BYTES_PER_UNIT = 64  # c in the c * (R + K) bound on the log's retained and peak bytes
+    # c in the c * (R + K) bound on the log's retained and peak bytes: the
+    # call peaks near 20 * (R + K), and a rebuild of the senders' K-entry
+    # mapping inside it would take it past 50 * (R + K).
+    BYTES_PER_UNIT = 32
 
     def test_fedavg_log_grows_with_rounds_plus_senders(self, monkeypatch):
         """One record per round and direction sharing the senders' sizes: a
@@ -883,12 +905,12 @@ class TestLogFootprint:
         spec, imputer = ProtocolSpec(kind="fedavg_ridge", rounds=self.R), ImputationMap()
         observing = sum(1 for c in clients if c.pattern.size)
         assert 0 < observing < self.K
-        uploads, squares = data.uploads, y_sq_sum(data)  # the senders' sums exist before the run, which reads them
+        uploads = data.uploads  # the senders' sums exist before the run, which reads them
         assert len(uploads) == self.K
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
-            res = run_protocol(spec, uploads, imputer, y_sq_sum=squares)
+            res = run_protocol(spec, uploads, imputer)
             retained, peak = (m - before for m in tracemalloc.get_traced_memory())
         finally:
             tracemalloc.stop()
@@ -928,6 +950,3 @@ class TestSpecValidation:
         for kind in ("one_shot_ridge", "fedavg_ridge"):
             with pytest.raises(TypeError, match="needs an ImputationMap"):
                 run_on(ProtocolSpec(kind=kind), masked)
-        # FedAvg also needs sum y^2, which travels in no message, from the caller.
-        with pytest.raises(TypeError, match="needs y_sq_sum"):
-            run_protocol(ProtocolSpec(kind="fedavg_ridge", rounds=2), masked.uploads, ImputationMap())

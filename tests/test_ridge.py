@@ -134,7 +134,7 @@ class TestFedAvg:
             fedavg_on(empty, imputer, lam=0.1, rounds=1)
         nothing = {1: LocalMoments(np.zeros((2, 2)), np.zeros(2), 0, FeaturePattern.full(2))}
         with pytest.raises(ValueError, match="no rows"):
-            fedavg_ridge(nothing, imputer, 0.1, 1, y_sq_sum=0.0)
+            fedavg_ridge(nothing, imputer, 0.1, 1)
 
     def test_split_by_client_skips_empty_and_sorts(self):
         # Client 1 drew no rows, so it sends nothing; the senders 2 and 3 come in id order.
