@@ -35,6 +35,12 @@ def block_rows(d: int) -> int:
     return max(ROW_GROUP, BLOCK_CELLS // d // ROW_GROUP * ROW_GROUP)
 
 
+def pooled(rows: int, d: int) -> bool:
+    """Whether work over ``rows`` rows of ``d`` columns goes to the pool: when
+    it spans two or more units, the last unit taking the remainder."""
+    return rows >= 2 * block_rows(d)
+
+
 _ACTIVE: contextvars.ContextVar = contextvars.ContextVar("fedmismatch_workers", default=None)
 
 

@@ -30,7 +30,7 @@ from typing import Mapping
 
 import numpy as np
 
-from ._linalg import SymEig, pinv
+from ._linalg import pinv
 from .model import FeaturePattern, LocalMoments
 from .moments import imputed_data_moments
 
@@ -110,19 +110,13 @@ class ImputationMap:
 
 
 def optimal_block_map(sigma: np.ndarray, pattern: FeaturePattern) -> np.ndarray:
-    """S = sigma[mis, obs] sigma[obs, obs]^+ for one pattern."""
+    """S = sigma[mis, obs] sigma[obs, obs]^+ for one pattern, from the cutoff
+    pseudo-inverse of sigma[obs, obs]; the only place S is formed."""
     if not pattern.missing or not pattern.observed:
         return np.zeros((len(pattern.missing), pattern.size))
-    return _factor_and_block_map(sigma, pattern)[1]
-
-
-def _factor_and_block_map(sigma: np.ndarray, pattern: FeaturePattern) -> tuple[SymEig, np.ndarray]:
-    """(the ``SymEig`` factor of sigma[obs, obs], S from its pseudo-inverse);
-    the only place S is formed."""
     sigma = np.asarray(sigma, dtype=np.float64)
     obs = list(pattern.observed)
-    factor = SymEig(sigma[np.ix_(obs, obs)])
-    return factor, sigma[np.ix_(list(pattern.missing), obs)] @ pinv(factor)
+    return sigma[np.ix_(list(pattern.missing), obs)] @ pinv(sigma[np.ix_(obs, obs)])
 
 
 def federated_ice(uploads: Mapping[int, LocalMoments], rounds: int) -> ImputationMap:

@@ -22,7 +22,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from ._parallel import block_rows, map_ordered
+from ._parallel import map_ordered, pooled
 
 __all__ = [
     "FeaturePattern",
@@ -270,8 +270,8 @@ class Dataset:
         """What the senders, the clients that drew rows, send: sender id to its observed
         sums (n_k, G_k = x_obs^T x_obs, g_k = x_obs^T y), in ascending id order. One
         fold per sender, on first use, spread over the ``_parallel.workers`` pool if
-        one is current and the sample spans more than one block of
-        ``_parallel.block_rows(d)`` rows; the arrays are read-only and shared."""
+        one is current and the sample has two or more blocks (``_parallel.pooled``);
+        the arrays are read-only and shared."""
         from .moments import local_zero_imputed_moments  # moments imports this module
 
         def fold(c: ClientSpec) -> LocalMoments:
@@ -280,7 +280,7 @@ class Dataset:
             return lm
 
         senders = sorted((c for c in self.clients if self._rows[c.id]), key=lambda c: c.id)
-        folds = map_ordered(fold, senders) if self.n > block_rows(self.d) else [fold(c) for c in senders]
+        folds = map_ordered(fold, senders) if pooled(self.n, self.d) else [fold(c) for c in senders]
         return dict(zip([c.id for c in senders], folds))
 
 

@@ -41,7 +41,6 @@ import numpy as np
 from .model import FeaturePattern, LocalMoments, MomentPair
 
 __all__ = [
-    "LocalMoments",
     "local_zero_imputed_moments",
     "aggregate_zero_imputed",
     "co_observation",

@@ -15,8 +15,8 @@ Key facts used throughout (all checkable against brute force, and checked in
 the test suite):
 
 * best coefficients over an observed block O: sigma[O,O]^+ gamma[O];
-* attainable risk for that block: sigma2 + theta_mis . V theta_mis with V
-  the Schur complement of sigma[O,O];
+* attainable risk for that block: the risk of those coefficients placed on
+  O (zeros elsewhere), sigma2 + r . sigma r with r = theta_star - theta;
 * ridge bias inf_t ||t - ref||_sigma^2 + lam ||t||^2 has value
   lam * ref . sigma (sigma + lam I)^{-1} ref;
 * zero-imputed population moments are (Pi . sigma, diag(Pi) . gamma);
@@ -32,7 +32,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from ._linalg import SymEig
-from .impute import ImputationMap, _factor_and_block_map
+from .impute import ImputationMap
 from .model import FeaturePattern, validate_federation, ClientwisePredictor, crop_matrix, crop_vector
 from .popgen import PopulationSpec, _draw_rows, population_gamma
 
@@ -57,14 +57,8 @@ __all__ = [
 
 
 def best_local_coefficients(pop: PopulationSpec, pattern: FeaturePattern) -> np.ndarray:
-    """Population-optimal linear coefficients over one observed block.
-
-    Returns sigma[O,O]^+ gamma[O] from one ``eigh`` of sigma[O,O]. When
-    |w|min / |w|max > 1e-4 on that factor, the equivalent representation
-    theta_obs + S^T theta_mis, with S = sigma[M,O] sigma[O,O]^+, is also
-    evaluated and must agree to 1e-10; disagreement means the inputs are
-    inconsistent and raises.
-    """
+    """Population-optimal linear coefficients over one observed block:
+    sigma[O,O]^+ gamma[O] from one ``eigh`` of sigma[O,O]."""
     return _local_oracle(pop, pattern)[0]
 
 
@@ -77,23 +71,15 @@ def _local_oracle(pop: PopulationSpec, pattern: FeaturePattern) -> tuple[np.ndar
     """(``best_local_coefficients``, ``oracle_local_risk``, ``SymEig`` of
     sigma[O,O]) of one pattern, the only place its closed forms are computed.
 
-    One ``_factor_and_block_map`` gives the factor and S = sigma[M,O]
-    sigma[O,O]^+. The factor feeds the coefficients and the conditioning
-    guard; S feeds their cross-check and the risk sigma2 + theta_M . V
-    theta_M, V = sym(sigma[M,M] - S sigma[O,M]) the Schur complement.
+    The risk is that of the coefficients themselves: sigma2 + r . sigma r,
+    with r = theta_star - theta and theta placed on O, zeros elsewhere.
     """
-    obs, mis = list(pattern.observed), list(pattern.missing)
-    factor, s_map = _factor_and_block_map(pop.sigma, pattern)
-    theta1 = factor.solve(population_gamma(pop)[obs])
-    t_mis = pop.theta_star[mis]
-    # An empty block has nothing to cross-check.
-    w = np.abs(factor.w)
-    if w.size and w.min() > 1e-4 * w.max():
-        theta2 = pop.theta_star[obs] + s_map.T @ t_mis
-        if np.max(np.abs(theta1 - theta2)) > 1e-10 * max(1.0, float(np.max(np.abs(theta2)))):
-            raise RuntimeError("the two closed forms for local coefficients disagree")
-    v = pop.sigma[np.ix_(mis, mis)] - s_map @ pop.sigma[np.ix_(obs, mis)]
-    return theta1, float(pop.sigma2 + t_mis @ ((v + v.T) / 2.0) @ t_mis), factor
+    obs = list(pattern.observed)
+    factor = SymEig(pop.sigma[np.ix_(obs, obs)])
+    theta = factor.solve(population_gamma(pop)[obs])
+    r = pop.theta_star.copy()
+    r[obs] -= theta
+    return theta, float(pop.sigma2 + r @ pop.sigma @ r), factor
 
 
 def oracle_global_risk(pop: PopulationSpec, clients) -> float:

@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._linalg import SymEig
-from ._parallel import block_rows, map_ordered
+from ._parallel import block_rows, map_ordered, pooled
 from .model import ClientSpec, FeaturePattern, Dataset, validate_federation
 
 __all__ = [
@@ -179,10 +179,11 @@ def _draw_rows(pop: PopulationSpec, clients: tuple[ClientSpec, ...], positions: 
     of each block every client owns and where in that client's array they
     go. Each block is then transformed, its noise-free responses written,
     its rows stably sorted by client and each client's observed columns
-    copied to that client's array; with a ``_parallel.workers`` pool, pool
-    threads do this while the next block is drawn. The responses are
-    computed in draw order, and after the noise is added one stable argsort
-    of ``positions`` reorders them client-major.
+    copied to that client's array; with a ``_parallel.workers`` pool and two
+    or more blocks (``_parallel.pooled``), pool threads do this while the
+    next block is drawn. The responses are computed in draw order, and after
+    the noise is added one stable argsort of ``positions`` reorders them
+    client-major.
     """
     if clients[0].pattern.d != pop.d:
         raise ValueError("clients and population disagree on dimension")
@@ -210,7 +211,7 @@ def _draw_rows(pop: PopulationSpec, clients: tuple[ClientSpec, ...], positions: 
                 z[start:end].take(cols[k], axis=1, out=x_obs[k][at:at + end - start], mode="clip")
 
     draws = ((b, rng.standard_normal((hi - lo, pop.d))) for b, (lo, hi) in enumerate(blocks))
-    if len(blocks) > 1:
+    if pooled(n, pop.d):
         map_ordered(write, draws)
     else:
         write(next(draws))

@@ -12,21 +12,12 @@ import time
 
 import numpy as np
 
-from fedmismatch import (
-    ClientSpec,
-    Dataset,
-    FeaturePattern,
-    ImputationMap,
-    LocalMoments,
-    PopulationSpec,
-    co_observation,
-    fedavg_ridge,
-    population_gamma,
-    ridge_closed_form,
-    run_protocol,
-    sample_dataset,
-    validate_federation,
-)
+from fedmismatch.model import ClientSpec, Dataset, FeaturePattern, LocalMoments, validate_federation
+from fedmismatch.popgen import PopulationSpec, population_gamma, sample_dataset
+from fedmismatch.moments import co_observation
+from fedmismatch.impute import ImputationMap
+from fedmismatch.ridge import fedavg_ridge, ridge_closed_form
+from fedmismatch.fedsim import run_protocol
 from fedmismatch import popgen
 
 

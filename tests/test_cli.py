@@ -15,6 +15,7 @@ from fedmismatch._parallel import block_rows
 from fedmismatch.cli import (
     ConfigError,
     RESULT_COLUMNS,
+    _preset_paths,
     load_config,
     main,
     parse_config,
@@ -426,6 +427,30 @@ class TestRunExperiment:
         assert capsys.readouterr().err == "error: block transform failed\n"
         assert not running
         assert threading.active_count() == before
+
+    @pytest.mark.parametrize("preset", [p.name for p in _preset_paths()])
+    def test_scale_law(self, preset, tmp_path):
+        """Doubling theta_star's scale and the noise's (sigma2 x 4, or the
+        uniform halfwidth x 2) doubles every response exactly, so every risk
+        cell is exactly 4 times the original and every other cell, the comm
+        counts included, is unchanged."""
+        cfg = _probe(preset)
+        theta, noise = cfg["population"].get("theta_star", {}), cfg["population"].get("noise", {})
+        edits = [("population.theta_star.scale", 2 * theta.get("scale", 1.0))]
+        if noise.get("kind", "gaussian") == "uniform":
+            edits.append(("population.noise.halfwidth", 2 * noise.get("halfwidth", 1.0)))
+        else:
+            edits.append(("population.noise.sigma2", 4 * noise.get("sigma2", 1.0)))
+        rows = _read_rows(run_experiment(cfg, str(tmp_path / "base"), seed=100)[0])
+        scaled = _read_rows(run_experiment(_probe(preset, *edits), str(tmp_path / "scaled"), seed=100)[0])
+        assert rows and len(scaled) == len(rows)
+        risks = ("mc_risk", "mc_stderr", "oracle_risk", "bound_value", "excess_risk")
+        for row, big in zip(rows, scaled):
+            for col in RESULT_COLUMNS:
+                if col in risks and row[col]:
+                    assert float(big[col]) == 4 * float(row[col]), (row["method"], col)
+                else:
+                    assert big[col] == row[col], (row["method"], col)
 
     def test_seed_override_matches_inline_seed(self, tmp_path):
         cfg = _sweep_config()

@@ -235,18 +235,17 @@ class TestOneFactorPerBlock:
         cfg["grid"], cfg["seeds"]["replicates"] = {"n": [300], "lam": [0.1]}, 1
         d = cfg["population"]["d"]
         blocks, shapes = [], []
-        factor_and_block_map, eigh = impute._factor_and_block_map, np.linalg.eigh
+        optimal_block_map, eigh = impute.optimal_block_map, np.linalg.eigh
 
         def counting_map(sigma, pattern):
             blocks.append(pattern)
-            return factor_and_block_map(sigma, pattern)
+            return optimal_block_map(sigma, pattern)
 
         def counting_eigh(a):
             shapes.append(np.shape(a))
             return eigh(a)
 
-        for module in (impute, oracle):
-            monkeypatch.setattr(module, "_factor_and_block_map", counting_map)
+        monkeypatch.setattr(impute, "optimal_block_map", counting_map)
         monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
         cli.run_experiment(cfg, str(tmp_path), seed=100)
         assert len(blocks) == len(set(blocks)) == 3

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from fedmismatch import (
+from fedmismatch.model import (
     ClientSpec,
     ClientwisePredictor,
     CommLog,

@@ -4,21 +4,17 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fedmismatch import (
-    ClientSpec,
-    FeaturePattern,
-    LocalMoments,
-    PopulationSpec,
+from fedmismatch.model import ClientSpec, FeaturePattern, LocalMoments
+from fedmismatch.popgen import PopulationSpec, draw_bernoulli_patterns, sample_dataset
+from fedmismatch.moments import (
     aggregate_zero_imputed,
     co_observation,
     cw_moments,
     debias_moments,
-    draw_bernoulli_patterns,
+    imputed_data_moments,
     local_zero_imputed_moments,
-    sample_dataset,
 )
 from fedmismatch.impute import ImputationMap
-from fedmismatch.moments import imputed_data_moments
 
 from support import from_filled, sample_counts, seeded, x_filled
 from test_popgen import section3_clients

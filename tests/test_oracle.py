@@ -83,9 +83,11 @@ class TestBestLocalCoefficients:
 
 
 class TestSchurComplement:
-    """The Schur complement V = sigma[M,M] - S sigma[O,M] as it enters the
-    risk sigma2 + t_mis . V t_mis: V is 1 for the identity, 0.75 for CORR2,
-    0 x 0 for a full pattern and sigma itself for an empty one."""
+    """The local risk, computed as the risk of the best local coefficients,
+    equals sigma2 + t_mis . V t_mis with V = sigma[M,M] - sigma[M,O]
+    sigma[O,O]^-1 sigma[O,M] the Schur complement, formed by dense solves in
+    ``support.brute_schur``: V is 1 for the identity, 0.75 for CORR2, 0 x 0
+    for a full pattern and sigma itself for an empty one."""
 
     def test_identity(self):
         pop = _pop(np.eye(2), [1.0, 2.0], sigma2=0.5)

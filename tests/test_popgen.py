@@ -5,19 +5,17 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from fedmismatch import (
-    ClientSpec,
-    FeaturePattern,
+from fedmismatch.model import ClientSpec, Dataset, FeaturePattern
+from fedmismatch.popgen import (
     PopulationSpec,
-    co_observation,
     draw_bernoulli_patterns,
     population_gamma,
     sample_dataset,
 )
-from fedmismatch import popgen
+from fedmismatch.moments import co_observation
+from fedmismatch import model, popgen
 from fedmismatch import _parallel
 from fedmismatch._parallel import block_rows, workers
-from fedmismatch.model import Dataset
 
 from support import fail_second_block, random_clients, reference_draw_rows, seeded, x_filled
 
@@ -235,6 +233,25 @@ class TestBlockedSampler:
             self.assert_one_shot(pop, clients, n, threads)
             assert len(pooled) == max(1, n // rows)
             assert any(pooled) == (threads > 1 and n >= 2 * rows)
+
+    def test_sampling_and_folding_pool_by_one_rule(self, monkeypatch):
+        """Drawing a sample and folding its uploads go to the pool at the
+        same sizes: when the sample has two or more blocks."""
+        pop = self.population("sphere")
+        clients = self.federation(pop.d)
+        rows = block_rows(pop.d)
+        calls = []
+        for module in (popgen, model):
+            def counting(fn, items, name=module.__name__, original=module.map_ordered):
+                calls.append(name)
+                return original(fn, items)
+
+            monkeypatch.setattr(module, "map_ordered", counting)
+        for n in (rows, rows + 1, 2 * rows - 1, 2 * rows):
+            calls.clear()
+            with workers(2):
+                assert sample_dataset(pop, clients, n, seeded(11)).uploads
+            assert calls == (["fedmismatch.popgen", "fedmismatch.model"] if n >= 2 * rows else []), n
 
     @staticmethod
     def assert_one_shot(pop, clients, n, threads):
