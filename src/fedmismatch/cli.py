@@ -15,7 +15,9 @@ FEDMISMATCH_OUT environment variable, else the working directory):
 * ``<prefix>_timings.csv``: wall-clock milliseconds per work item. Timing
   is inherently nondeterministic, so it lives outside the results file.
 * ``<prefix>_manifest.json``: the parsed config echoed back with the root
-  seed actually used.
+  seed actually used, and the numeric environment that the bytes of a run at
+  large d depend on: numpy's version, its BLAS build and the BLAS thread
+  variables.
 
 What a scenario accepts lives in one table, ``_SCENARIOS``: the methods a
 config may list and their defaults, the grid keys it needs, its integer
@@ -438,7 +440,7 @@ class _Context:
     served: tuple[ClientSpec, ...]
     uploads: dict
     n: int
-    m_hat: float
+    m_hat: float | None
     lam: float
     params: dict
 
@@ -471,11 +473,11 @@ def _comm_logs(fit: _Fit, ctx: _Context) -> list[CommLog]:
 
 
 def _debiased(art, clients) -> MomentPair:
-    return debias_moments(art.pair, co_observation([c.pattern for c in clients], [c.rho for c in clients]))
+    return debias_moments(art.pooled, co_observation([c.pattern for c in clients], [c.rho for c in clients]))
 
 
 def _componentwise(art, clients) -> MomentPair:
-    return cw_moments(art.pair, art.counts, art.n)
+    return cw_moments(art.pooled, art.counts)
 
 
 # Moment-pair estimator behind each plug-in method.
@@ -567,8 +569,10 @@ def _mc_rows(cfg: ExperimentConfig, item: _WorkItem, clients, data_ss, mc_ss, se
     """
     pop = cfg.population
     data = sample_dataset(pop, clients, item.n, np.random.default_rng(data_ss))
-    # The one read of the responses, once per item: m-hat, in no message (ROADMAP item 17).
-    ctx = _Context(pop, clients, served or clients, data.uploads, data.n, estimate_m(data), item.lam, cfg.params)
+    # The one read of the responses, once per item and only if a listed method clips (the plug-ins never do):
+    # m-hat, in no message (ROADMAP item 17).
+    m_hat = estimate_m(data) if set(cfg.methods) - _PLUGIN_PAIRS.keys() else None
+    ctx = _Context(pop, clients, served or clients, data.uploads, data.n, m_hat, item.lam, cfg.params)
     del data  # no fit reads a row, so the sample is freed before the first one
     fits = [_METHOD_FITS[method](ctx) for method in cfg.methods]
     risks = oracle.monte_carlo_risk([f.predictor for f in fits], pop, ctx.served, cfg.n_test,
@@ -705,8 +709,6 @@ def _run_item(cfg: ExperimentConfig, item: _WorkItem) -> list[dict]:
 def _fmt(value) -> str:
     if value is None:
         return ""
-    if isinstance(value, (bool, np.bool_)):
-        return str(bool(value))
     if isinstance(value, (int, np.integer)):
         return str(int(value))
     if isinstance(value, (float, np.floating)):
@@ -758,7 +760,10 @@ def run_experiment(raw: dict, out_dir: str, seed: int | None = None, threads: in
 
     manifest_path = os.path.join(out_dir, f"{cfg.prefix}_manifest.json")
     with open(manifest_path, "w", encoding="utf-8") as fh:
-        json.dump({"config": raw, "root_seed": cfg.root_seed, "scenario": cfg.scenario},
+        blas = np.show_config(mode="dicts")["Build Dependencies"].get("blas", {})
+        numeric = {"numpy": np.__version__, "blas": {key: blas.get(key) for key in ("name", "version")},
+                   **{var: os.environ.get(var) for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}}
+        json.dump({"config": raw, "root_seed": cfg.root_seed, "scenario": cfg.scenario, "numeric": numeric},
                   fh, indent=2, sort_keys=True)
         fh.write("\n")
     return results_path, timings_path

@@ -5,17 +5,16 @@ Each protocol is one library algorithm, written over the senders' uploads
 ``run_protocol`` takes the uploads, calls the algorithm on them alone and
 logs every message it implies:
 
-* one_shot_moments: the uploads folded by ``aggregate_zero_imputed`` and
-  their registered bitmasks by ``co_observation`` with n_k weights into
-  the pooled zero-imputed MomentPair, the count matrix N and the row count n.
+* one_shot_moments: the uploads folded by ``aggregate_zero_imputed`` into
+  the pooled zero-imputed sums (G, g, n), and their registered bitmasks by
+  ``co_observation`` with n_k weights into the count matrix N.
 * one_shot_ridge: ``ridge.ridge_closed_form``; each sender uploads its
   observed sums, which the server completes with the ``ImputationMap``
   (``ImputationMap.complete_moments``); closed-form ridge coefficients out.
 * federated_ice: ``impute.federated_ice`` in one round trip; the iterated
   ``ImputationMap`` out. With ``ice_rounds`` >= 1 each sender uploads its
   observed Gram G_k once and the server runs every round from these
-  uploads; 0 rounds upload none. Each round divides by the senders' n_k,
-  which an ICE upload does not carry (ROADMAP item 17).
+  uploads; 0 rounds upload none. No round reads an n_k.
 * fedavg_ridge: ``ridge.fedavg_ridge``; with an ``ImputationMap``, whose
   senders run local steps from their completed sums, its ``FedAvgResult``
   out, whose ``rounds_run`` are the rounds logged. A round sees sender k
@@ -64,7 +63,7 @@ from typing import Mapping
 import numpy as np
 
 from .impute import ImputationMap, federated_ice
-from .model import ClientwisePredictor, CommLog, LocalMoments, MomentPair
+from .model import ClientwisePredictor, CommLog, LocalMoments
 from .moments import aggregate_zero_imputed, co_observation
 from .ridge import fedavg_ridge, ridge_closed_form
 
@@ -105,12 +104,11 @@ class ProtocolSpec:
 
 @dataclass(frozen=True)
 class OneShotMomentsArtifact:
-    """The pooled zero-imputed pair, the count matrix N[l, j] of rows
-    observing both l and j, and the total row count n."""
+    """The pooled zero-imputed sums, whose count is the total row count n,
+    and the count matrix N[l, j] of rows observing both l and j."""
 
-    pair: MomentPair
+    pooled: LocalMoments
     counts: np.ndarray
-    n: int
 
 
 @dataclass(frozen=True)
@@ -209,13 +207,6 @@ def _dim(uploads: Mapping[int, LocalMoments]) -> int:
     return next((lm.d for lm in uploads.values()), 0)
 
 
-def _one_shot_moments(uploads: Mapping[int, LocalMoments]) -> OneShotMomentsArtifact:
-    sums = uploads.values()
-    pair = aggregate_zero_imputed(sums)
-    counts = co_observation([lm.pattern for lm in sums], [lm.count for lm in sums])
-    return OneShotMomentsArtifact(pair=pair, counts=counts, n=sum(lm.count for lm in sums))
-
-
 def run_protocol(spec: ProtocolSpec, uploads: Mapping[int, LocalMoments], imputer: ImputationMap | None = None,
                  session=()) -> ProtocolResult:
     """Run one protocol's library algorithm on the senders' ``uploads``
@@ -239,7 +230,9 @@ def run_protocol(spec: ProtocolSpec, uploads: Mapping[int, LocalMoments], impute
     if missing - {"pattern"}:
         comm.record(1, "up", [_upload_floats(missing, lm.pattern.size) for lm in uploads.values()])
     if spec.kind == "one_shot_moments":
-        artifact = _one_shot_moments(uploads)
+        sums = uploads.values()
+        counts = co_observation([lm.pattern for lm in sums], [lm.count for lm in sums])
+        artifact = OneShotMomentsArtifact(aggregate_zero_imputed(sums), counts)
     elif spec.kind == "federated_ice":
         artifact = federated_ice(uploads, spec.ice_rounds)
     elif spec.kind == "one_shot_ridge":

@@ -16,12 +16,14 @@ and on the population moments cropped to the pattern the imputed-population
 moments ``oracle`` reads. No fit builds a completed row, and no d x d array
 is stored per pattern.
 
-``federated_ice`` reads the senders' uploads alone. It starts from the zero
-map and, for a fixed number of rounds, takes the raw (uncentered) second
-moments of the currently completed data as the next map: each round every
-G_k is completed under the current map and the server folds them in
-sender-id order. G_k is fixed, so one upload per sender serves every round;
-``fedsim.run_protocol`` runs this same function and logs that round trip.
+``federated_ice`` reads the senders' Grams alone. It starts from the zero
+map and, for a fixed number of rounds, takes the raw (uncentered) Gram sum
+of the currently completed data as the next map: S's pseudo-inverse cuts
+eigenvalues relative to the largest, so S does not depend on sigma's scale
+and no count is read. Each round every G_k is completed under the current
+map and the server folds them in sender-id order. G_k is fixed, so one
+upload per sender serves every round; ``fedsim.run_protocol`` runs this
+same function and logs that round trip.
 """
 from __future__ import annotations
 
@@ -60,10 +62,10 @@ class _Blocks(dict):
 class ImputationMap:
     """The completion maps of one covariance estimate, held as a read-only
     square copy ``sigma`` (None: the zero map): the population covariance
-    or any estimate, used as given (a component-wise one is never
-    PSD-projected). ``maps[p]`` is pattern p's read-only (|mis(p)|, |obs(p)|)
-    S, formed on first read; a pattern whose d is not sigma's raises
-    ``ValueError``."""
+    or any estimate at any scale (ICE's is a Gram sum), used as given (a
+    component-wise one is never PSD-projected). ``maps[p]`` is pattern p's
+    read-only (|mis(p)|, |obs(p)|) S, formed on first read; a pattern whose
+    d is not sigma's raises ``ValueError``."""
 
     sigma: np.ndarray | None = None
 
@@ -121,19 +123,17 @@ def optimal_block_map(sigma: np.ndarray, pattern: FeaturePattern) -> np.ndarray:
 
 def federated_ice(uploads: Mapping[int, LocalMoments], rounds: int) -> ImputationMap:
     """Iterated conditional-expectation completion from the senders'
-    observed sums ``uploads`` (sender id to ``LocalMoments``, in ascending
+    observed Grams ``uploads`` (sender id to ``LocalMoments``, in ascending
     id order).
 
     Iteration starts from the zero map and runs exactly ``rounds`` rounds.
     Each round the senders' Grams G_k, completed under the current map, are
-    folded in the given order into the raw second-moment estimate, which is
-    the next map; no row is completed. ``rounds`` = 0 returns the zero map.
+    folded in the given order into the raw Gram sum, which is the next map;
+    no row is completed and no n_k is read. ``rounds`` = 0 returns the zero map.
     """
     if rounds < 0:
         raise ValueError(f"rounds must be >= 0, got {rounds}")
-    if not any(lm.count for lm in uploads.values()):
-        raise ValueError("no samples across the federation")
     imputer = ImputationMap()
     for _ in range(rounds):
-        imputer = ImputationMap(imputed_data_moments(uploads, imputer).sigma)
+        imputer = ImputationMap(imputed_data_moments(uploads, imputer).sigma_sum)
     return imputer

@@ -167,12 +167,12 @@ def validate_federation(clients) -> tuple[ClientSpec, ...]:
 
 @dataclass(frozen=True)
 class LocalMoments:
-    """One client's contribution: moment *sums* over ``pattern``'s observed
-    coordinates, (|obs|, |obs|) and (|obs|,), plus the sample count.
+    """Moment *sums* over ``pattern``'s observed coordinates, (|obs|, |obs|)
+    and (|obs|,), plus the sample count: one client's upload, or the server's
+    fold of many over the full pattern (``moments.aggregate_zero_imputed``).
 
-    Sums (not averages) are what travels in the simulated wire format;
-    ``sigma`` / ``gamma`` expose the local averages, with the n_k = 0
-    convention of all-zero moments.
+    Sums (not averages) travel and are pooled; ``sigma`` / ``gamma`` are the
+    one place a server average is formed, with all-zero moments at count 0.
     """
 
     sigma_sum: np.ndarray

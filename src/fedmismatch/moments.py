@@ -2,13 +2,15 @@
 
 Each client uploads its observed block's moment sums
 (``local_zero_imputed_moments``), and one fold, ``aggregate_zero_imputed``,
-pools any such uploads: observed sums into the zero-imputed estimator,
-completed sums (``completed_sums``) into the completed-data moments
+pools any such uploads into one ``LocalMoments`` of sums over the full
+pattern: observed sums into the zero-imputed sums, completed sums
+(``completed_sums``) into the completed-data sums
 (``imputed_data_moments``); both read the uploads alone (sender id to
-``LocalMoments``), never a sample. The pattern bitmasks m_k go through one
-other fold, ``co_observation``: sum_k w_k m_k m_k^T, the population
-co-observation matrix Pi with w_k = rho_k and the count matrix N with
-w_k = n_k.
+``LocalMoments``), never a sample. Sums stay sums on the server: only
+``LocalMoments.sigma`` and ``.gamma`` divide them by the count. The pattern
+bitmasks m_k go through one other fold, ``co_observation``: sum_k w_k m_k
+m_k^T, the population co-observation matrix Pi with w_k = rho_k and the
+count matrix N with w_k = n_k.
 
 Three estimators of (E[X X^T], E[X Y]) from blockwise-masked samples:
 
@@ -17,10 +19,9 @@ Three estimators of (E[X X^T], E[X Y]) from blockwise-masked samples:
   co-observation matrix.
 * debiased: entrywise division of the zero-imputed moments by the known Pi
   (inverse-propensity weighting). Unbiased where Pi > 0.
-* component-wise: entrywise division by the empirical co-observation
-  frequencies; equivalently, each entry is the average over the samples that
-  observe both coordinates. Unbiased given the counts, but NOT guaranteed
-  PSD.
+* component-wise: entrywise division of the zero-imputed sums by the count
+  matrix N; each entry is the average over the samples that observe both
+  coordinates. Unbiased given the counts, but NOT guaranteed PSD.
 
 Entries whose (empirical or population) co-observation weight is zero are
 left at 0.0 and marked uncovered in the coverage mask.
@@ -70,15 +71,16 @@ def local_zero_imputed_moments(x_obs: np.ndarray, y: np.ndarray, pattern: Featur
     return LocalMoments((block + block.T) / 2.0, x_obs.T @ y, x_obs.shape[0], pattern)
 
 
-def aggregate_zero_imputed(locals_: Iterable[LocalMoments]) -> MomentPair:
+def aggregate_zero_imputed(locals_: Iterable[LocalMoments]) -> LocalMoments:
     """Pool moment sums, scatter-added in the given order into one d x d
-    accumulator, into their averages. It starts at +0.0, so never holds
-    -0.0, and adding a padded block's zeros would change no bit.
+    accumulator, into the sums (G, g, n) over the full pattern. It starts at
+    +0.0, so never holds -0.0, and adding a padded block's zeros would change
+    no bit; an entry and its mirror take the same adds, so G stays symmetric.
 
-    Sums are divided once by the total count, so the result is independent
-    of how the samples were sharded. This is the one server-side fold: it
-    pools observed sums into the zero-imputed estimator and completed sums
-    into the completed-data moments (``imputed_data_moments``).
+    The averages, the result's ``sigma`` and ``gamma``, divide once by the
+    total count, so they do not depend on how the samples were sharded. This
+    is the one server-side fold, of observed and of completed sums
+    (``imputed_data_moments``).
     """
     items = list(locals_)
     if not items:
@@ -96,7 +98,7 @@ def aggregate_zero_imputed(locals_: Iterable[LocalMoments]) -> MomentPair:
         n += lm.count
     if n == 0:
         raise ValueError("no rows: the total sample count is zero")
-    return MomentPair(sigma_sum.reshape(d, d) / n, gamma_sum / n)
+    return LocalMoments(sigma_sum.reshape(d, d), gamma_sum, n, FeaturePattern.full(d))
 
 
 def co_observation(patterns: Iterable[FeaturePattern], weights: Iterable[float]) -> np.ndarray:
@@ -119,35 +121,34 @@ def co_observation(patterns: Iterable[FeaturePattern], weights: Iterable[float])
     return pi
 
 
-def debias_moments(zero: MomentPair, pi: np.ndarray) -> MomentPair:
-    """Divide zero-imputed moments entrywise by the co-observation matrix.
+def debias_moments(zero: LocalMoments, pi: np.ndarray) -> MomentPair:
+    """Divide the zero-imputed moments, the averages of the pooled sums
+    ``zero``, entrywise by the co-observation matrix.
 
     Entries with Pi[l, j] = 0 are unidentifiable; they stay 0.0 and the
     coverage mask marks them. Requires population (or otherwise known) Pi.
     """
-    pi = np.asarray(pi, dtype=np.float64)
-    if pi.shape != zero.sigma.shape:
-        raise ValueError(f"pi shape {pi.shape} != sigma shape {zero.sigma.shape}")
-    return _divide_covered(zero.sigma, zero.gamma, pi)
+    return _divide_covered(zero.sigma, zero.gamma, pi, "pi")
 
 
-def cw_moments(zero: MomentPair, counts: np.ndarray, n: int) -> MomentPair:
+def cw_moments(pooled: LocalMoments, counts: np.ndarray) -> MomentPair:
     """Component-wise estimator: each entry averaged over co-observing rows.
 
-    ``counts`` is N (``co_observation`` with n_k weights) and ``n`` the total
-    row count. Computed as (n * zero-imputed entry) / N[l, j], which is the
-    per-pair sum divided by the per-pair count. Uncovered pairs (N = 0) stay
-    0.0. The result need not be PSD.
+    ``pooled`` holds the zero-imputed sums and ``counts`` is N
+    (``co_observation`` with n_k weights): each per-pair sum is divided by
+    its per-pair count. Uncovered pairs (N = 0) stay 0.0. The result need
+    not be PSD.
     """
-    counts = np.asarray(counts, dtype=np.float64)
-    if counts.shape != zero.sigma.shape:
-        raise ValueError(f"counts shape {counts.shape} != sigma shape {zero.sigma.shape}")
-    return _divide_covered(n * zero.sigma, n * zero.gamma, counts)
+    return _divide_covered(pooled.sigma_sum, pooled.gamma_sum, counts, "counts")
 
 
-def _divide_covered(sigma: np.ndarray, gamma: np.ndarray, weights: np.ndarray) -> MomentPair:
+def _divide_covered(sigma: np.ndarray, gamma: np.ndarray, weights: np.ndarray, name: str) -> MomentPair:
     """sigma / weights and gamma / diag(weights) entrywise where the weight is
-    positive, 0.0 elsewhere; the positive entries of ``weights`` are the coverage."""
+    positive, 0.0 elsewhere; the positive entries of ``weights`` (called
+    ``name`` in the shape error) are the coverage."""
+    weights = np.asarray(weights, dtype=np.float64)
+    if weights.shape != sigma.shape:
+        raise ValueError(f"{name} shape {weights.shape} != sigma shape {sigma.shape}")
     covered = weights > 0
     diag = np.diag(weights)
     diag_ok = diag > 0
@@ -168,8 +169,9 @@ def completed_sums(uploads: Mapping[int, LocalMoments], imputer) -> Iterator[Loc
         yield LocalMoments(*imputer.complete_moments(lm.pattern, lm.sigma_sum, lm.gamma_sum), lm.count, full)
 
 
-def imputed_data_moments(uploads: Mapping[int, LocalMoments], imputer) -> MomentPair:
-    """Averages (X^T X / n, X^T y / n) of the senders' data completed by
-    ``imputer``: its ``completed_sums`` pooled by ``aggregate_zero_imputed``,
-    as a server folds uploads."""
+def imputed_data_moments(uploads: Mapping[int, LocalMoments], imputer) -> LocalMoments:
+    """The pooled sums (X^T X, X^T y, n) of the senders' data completed by
+    ``imputer``, whose ``sigma`` and ``gamma`` are the averages: its
+    ``completed_sums`` pooled by ``aggregate_zero_imputed``, as a server
+    folds uploads."""
     return aggregate_zero_imputed(completed_sums(uploads, imputer))

@@ -112,9 +112,8 @@ def fedavg_ridge(uploads: Mapping[int, LocalMoments], imputer: ImputationMap, la
     if rounds < 0 or local_steps < 1:
         raise ValueError("need rounds >= 0 and local_steps >= 1")
     sums = list(completed_sums(uploads, imputer))
-    pair = aggregate_zero_imputed(sums)
-    sigma, gamma = pair.sigma, pair.gamma
-    d, n = pair.d, sum(lm.count for lm in sums)
+    pooled = aggregate_zero_imputed(sums)
+    sigma, gamma, d, n = pooled.sigma, pooled.gamma, pooled.d, pooled.count
     curvature = SymEig(sigma).radius() + lam
     step_size = 1.0 / curvature if curvature > 0 else 0.0
     a_bar = np.zeros((d, d))

@@ -219,7 +219,7 @@ def test_c03_plugin_consistency_and_new_pattern():
         for s in range(seeds):
             data = sample_dataset(pop, clients, n, seeded(3000 + 7 * s + j))
             pair0 = aggregate_zero_imputed(data.uploads.values())
-            pair = cw_moments(pair0, sample_counts(data), data.n)
+            pair = cw_moments(pair0, sample_counts(data))
             for i, (p, tgt) in enumerate(zip(eval_patterns, targets)):
                 errs[i, s] = float(np.linalg.norm(crop_predictor(pair, p) - tgt))
         medians[:, j] = np.median(errs, axis=1)

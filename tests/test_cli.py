@@ -469,6 +469,18 @@ class TestRunExperiment:
         assert manifest["root_seed"] == 5
         assert manifest["config"]["grid"] == cfg["grid"]
 
+    def test_manifest_names_the_numeric_environment(self, tmp_path, monkeypatch):
+        # At large d the result bytes depend on numpy's BLAS build and its
+        # thread count, so the manifest records both.
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+        monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
+        monkeypatch.setenv("MKL_NUM_THREADS", "2")
+        run_experiment(_sweep_config(), str(tmp_path))
+        numeric = json.loads((tmp_path / "sweeptest_manifest.json").read_text())["numeric"]
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        assert numeric == {"numpy": np.__version__, "blas": {"name": blas["name"], "version": blas["version"]},
+                           "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": None, "MKL_NUM_THREADS": "2"}
+
     @pytest.mark.parametrize("threads", [0, -1])
     def test_thread_count_below_one_rejected(self, tmp_path, threads):
         with pytest.raises(ValueError, match="threads"):
@@ -523,6 +535,32 @@ class TestRunExperiment:
         assert len(_read_rows(results)) == 6 * len(methods)
         assert len(samples) == len(alive) == 6 and m_reads == [60, 120, 240] * 2
         assert alive == [False] * 6
+
+    def test_m_hat_is_read_only_when_a_listed_method_clips(self, tmp_path, monkeypatch):
+        # The plug-ins never clip, so a plug-in-only run reads no response
+        # and writes the bytes it writes with m-hat read; a run that lists
+        # a clipping method, such as local, still reads it.
+        from fedmismatch import cli
+
+        plugins = _sweep_config(grid={"n": [60]})
+        want = Path(run_experiment(plugins, str(tmp_path / "read"))[0]).read_bytes()
+        new_client = _probe("new_client.json")
+        want_new = Path(run_experiment(new_client, str(tmp_path / "read"))[0]).read_bytes()
+        reads = []
+
+        def refusing(data):
+            reads.append(data.n)
+            raise RuntimeError("m-hat read")
+
+        monkeypatch.setattr(cli, "estimate_m", refusing)
+        assert Path(run_experiment(plugins, str(tmp_path / "unread"))[0]).read_bytes() == want
+        assert Path(run_experiment(new_client, str(tmp_path / "unread"))[0]).read_bytes() == want_new
+        assert reads == []
+        local = _sweep_config(scenario="local_vs_federated", methods=["plugin_cw", "local"],
+                              grid={"n": [60], "lam": [0.3]})
+        with pytest.raises(RuntimeError, match="m-hat read"):
+            run_experiment(local, str(tmp_path / "local"))
+        assert reads == [60]
 
     def test_rows_do_not_depend_on_the_other_listed_methods(self, tmp_path):
         methods = ["local", "itr_zero", "itr_opt", "itr_cw", "itr_ice", "fedavg", "plugin_debias", "plugin_cw"]

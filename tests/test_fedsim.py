@@ -95,10 +95,10 @@ class TestTransportTransparency:
         data = _masked(501)
         res = run_on(ProtocolSpec(kind="one_shot_moments"), data)
         want = aggregate_zero_imputed(data.uploads.values())
-        assert np.array_equal(res.artifact.pair.sigma, want.sigma)
-        assert np.array_equal(res.artifact.pair.gamma, want.gamma)
+        assert np.array_equal(res.artifact.pooled.sigma, want.sigma)
+        assert np.array_equal(res.artifact.pooled.gamma, want.gamma)
         assert np.array_equal(res.artifact.counts, sample_counts(data))
-        assert res.artifact.n == data.n
+        assert res.artifact.pooled.count == data.n
 
     def test_one_shot_ridge(self):
         data, imputer = _completed(502)
@@ -135,10 +135,10 @@ class TestTransportTransparency:
         want = _library_artifact(spec, data, imputer)
         if kind == "one_shot_moments":
             pair, counts = want
-            assert np.array_equal(res.artifact.pair.sigma, pair.sigma)
-            assert np.array_equal(res.artifact.pair.gamma, pair.gamma)
+            assert np.array_equal(res.artifact.pooled.sigma, pair.sigma)
+            assert np.array_equal(res.artifact.pooled.gamma, pair.gamma)
             assert np.array_equal(res.artifact.counts, counts)
-            assert res.artifact.n == data.n == sum(lm.count for lm in data.uploads.values())
+            assert res.artifact.pooled.count == data.n == sum(lm.count for lm in data.uploads.values())
             # N[l, j] counts the rows observing both l and j, row by row
             row_masks = np.array([c.pattern.mask() for c in data.clients for _ in data.rows_of(c.id)], dtype=np.int64)
             assert len(row_masks) == data.n
@@ -400,8 +400,7 @@ class TestServerReadsOnlyUploads:
     with no ``Dataset`` anywhere, give what a sample holding the same blocks
     plus a client that drew no rows gives, bit for bit."""
 
-    FITS = (completed_sums, imputed_data_moments, ridge_closed_form, ridge.fedavg_ridge, ice_in_memory,
-            fedsim._one_shot_moments)
+    FITS = (completed_sums, imputed_data_moments, ridge_closed_form, ridge.fedavg_ridge, ice_in_memory)
 
     def test_no_fit_takes_a_dataset(self):
         for fit in self.FITS:
@@ -445,9 +444,9 @@ class TestServerReadsOnlyUploads:
 
         spec = ProtocolSpec(kind="one_shot_moments")
         got, moments = same_run(run_protocol(spec, hand), run_on(spec, data))
-        assert _bytes_equal((got.pair.sigma, got.pair.gamma, got.counts),
-                            (moments.pair.sigma, moments.pair.gamma, moments.counts))
-        assert got.n == moments.n == data.n
+        assert _bytes_equal((got.pooled.sigma, got.pooled.gamma, got.counts),
+                            (moments.pooled.sigma, moments.pooled.gamma, moments.counts))
+        assert got.pooled.count == moments.pooled.count == data.n
         ices = []
         for t in range(4):
             spec = ProtocolSpec(kind="federated_ice", ice_rounds=t)
@@ -459,7 +458,7 @@ class TestServerReadsOnlyUploads:
             ices.append(want)
         for t in range(1, 4):
             assert ice_in_memory(hand, t).sigma.tobytes() == ices[t].sigma.tobytes()
-            assert imputed_data_moments(hand, ices[t - 1]).sigma.tobytes() == ices[t].sigma.tobytes()
+            assert imputed_data_moments(hand, ices[t - 1]).sigma_sum.tobytes() == ices[t].sigma.tobytes()
         for imputer in (ImputationMap(), ImputationMap(random_psd(rng, d)), ices[3]):
             want = list(completed_sums(data.uploads, imputer))
             got = list(completed_sums(hand, imputer))
@@ -685,7 +684,7 @@ class TestMethodSessions:
         res = run_on(spec, data, session=[ridge_spec])
         alone = run_on(spec, data)
         assert res.comm.events == []
-        assert np.array_equal(res.artifact.pair.sigma, alone.artifact.pair.sigma)
+        assert np.array_equal(res.artifact.pooled.sigma, alone.artifact.pooled.sigma)
         assert np.array_equal(res.artifact.counts, alone.artifact.counts)
         pred = replay_comm_schedule(spec, [c.pattern for c in data.clients if c.id != 2], [ridge_spec])
         assert (pred.up_floats, pred.down_floats, pred.registration_bits) == (0, 0, 0)

@@ -1,5 +1,6 @@
 """Tests for per-client linear completion and iterated federated fitting."""
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -314,6 +315,18 @@ class TestFederatedIce:
         data = sample_dataset(pop, _one_client(FeaturePattern.full(3)), 10, rng)
         with pytest.raises(ValueError, match="rounds"):
             federated_ice(data.uploads, rounds=-1)
+
+    def test_map_reads_no_count(self):
+        # An ICE upload is G_k alone, and S is scale-free, so each round's
+        # map is the completed Gram sum: one sender's n_k raised by 5, its
+        # sums unchanged, leaves every map bit for bit.
+        rng = seeded(217)
+        pop = random_population(rng, 4)
+        data = sample_dataset(pop, section3_clients(), 300, rng)
+        first = min(data.uploads)
+        uploads = {**data.uploads, first: replace(data.uploads[first], count=data.uploads[first].count + 5)}
+        for rounds in (1, 3):
+            assert federated_ice(uploads, rounds).sigma.tobytes() == federated_ice(data.uploads, rounds).sigma.tobytes()
 
 
 class TestCompleteMoments:

@@ -213,7 +213,7 @@ class TestComponentWise:
         clients = (ClientSpec(id=1, pattern=FeaturePattern.full(2), rho=1.0),)
         ds = sample_dataset(pop, clients, 60, seeded(7))
         pair = aggregate_zero_imputed(ds.uploads.values())
-        cw = cw_moments(pair, sample_counts(ds), ds.n)
+        cw = cw_moments(pair, sample_counts(ds))
         np.testing.assert_allclose(cw.sigma, pair.sigma, atol=1e-14)
         np.testing.assert_allclose(cw.gamma, pair.gamma, atol=1e-14)
 
@@ -225,7 +225,7 @@ class TestComponentWise:
         pop = PopulationSpec.gaussian(np.eye(2), np.zeros(2))
         ds = sample_dataset(pop, clients, 40, seeded(8))
         pair = aggregate_zero_imputed(ds.uploads.values())
-        cw = cw_moments(pair, sample_counts(ds), ds.n)
+        cw = cw_moments(pair, sample_counts(ds))
         assert cw.sigma[0, 1] == 0.0
         assert not cw.coverage[0, 1]
 
@@ -238,7 +238,7 @@ class TestComponentWise:
         )
         ds = sample_dataset(pop, clients, 80, seeded(9))
         pair = aggregate_zero_imputed(ds.uploads.values())
-        cw = cw_moments(pair, sample_counts(ds), ds.n)
+        cw = cw_moments(pair, sample_counts(ds))
         row_masks = [c.pattern.mask() for c in ds.clients for _ in ds.rows_of(c.id)]
         assert len(row_masks) == ds.n
         x = x_filled(ds)

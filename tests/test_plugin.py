@@ -103,7 +103,7 @@ class TestBuildClientwisePlugin:
         clients = (ClientSpec(id=1, pattern=FeaturePattern.full(3), rho=1.0),)
         data = sample_dataset(pop, clients, 400, rng)
         agg = aggregate_zero_imputed(data.uploads.values())
-        pred = build_clientwise_plugin(agg, clients)
+        pred = build_clientwise_plugin(MomentPair(agg.sigma, agg.gamma), clients)
         x, y = x_filled(data), data.y
         ols, *_ = np.linalg.lstsq(x.T @ x / 400, x.T @ y / 400, rcond=None)
         assert np.allclose(pred.thetas[1], ols, atol=1e-8)
