@@ -18,16 +18,16 @@ logs every message it implies:
 * fedavg_ridge: ``ridge.fedavg_ridge``; with an ``ImputationMap``, whose
   senders run local steps from their completed sums, its ``FedAvgResult``
   out, whose ``rounds_run`` are the rounds logged. A round sees sender k
-  only through its observed block (the identity in ``fedavg_ridge``'s
-  docstring): the server sends it phi_k = B_k^T theta, it returns the
-  |O_k|-vector v_k, and the server applies the shrinkage from its pattern,
-  registered at 0 rounds too.
+  only through its observed block (``fedavg_ridge``'s docstring): sender k,
+  which holds the map (the zero map in every ``cli`` run), forms
+  phi_k = B_k^T theta and returns the |O_k|-vector v_k, and the server
+  applies the shrinkage from its pattern, registered at 0 rounds too.
 
-Every artifact stays on the server. What reaches the clients is the fitted
-predictor, delivered once per method by ``serve_predictor`` in the smaller
-of two exact encodings: one broadcast of the shared model from which each
-client derives its own coefficients (``_shared_floats``), or each served
-client's |O_k| coefficients on their own.
+Every artifact stays on the server. The fitted predictor reaches the
+clients once per method (``serve_predictor``), and theta each FedAvg round,
+in the smaller of two exact encodings (``_smaller_encoding``): one broadcast
+of the shared model (``_shared_floats``; theta's d floats in a round), or
+each client's own |O_k| floats, its coefficients or its phi_k.
 
 No message size depends on the local sample count. Each transfer is logged
 with its float64 slot count; pattern bitmasks sent at registration are
@@ -35,8 +35,8 @@ counted in bits, separately from floats. ``replay_comm_schedule`` and
 ``replay_serve`` predict the totals in closed form from the senders'
 patterns and the served coefficient counts. ``run_protocol`` and
 ``replay_comm_schedule`` size an upload by the same ``_upload_floats``, so
-matching them checks the registration bits and FedAvg's round count, not
-the upload sizes; the tests check those against hand-written totals.
+matching them checks the registration bits and FedAvg's rounds and their
+encoding, not the upload sizes; the tests check those against hand-written totals.
 
 A fitting method is one server session: the server keeps each sender's
 pattern, n_k, G_k and g_k once received, and a later protocol of the same
@@ -50,10 +50,10 @@ A moment upload (wire format v3, shared with the moments module) is
 an ICE upload is the packed triangle alone, and an upload within a session
 drops the parts the server holds. The server places each upload by the
 sender's registered pattern. A broadcast is counted once; each fedavg
-round logs one record per direction of every sender's |O_k|, and a sender
-that observes nothing exchanges none. The senders of every protocol are
-the clients that drew rows; a client without rows sends nothing and no fit
-reads it. Shard sizes, client ids and round indices are uncounted metadata.
+round logs one record per direction, and a sender that observes nothing
+exchanges nothing. The senders of every protocol are the clients that drew
+rows; a client without rows sends nothing and no fit reads it. Shard
+sizes, client ids and round indices are uncounted metadata.
 """
 from __future__ import annotations
 
@@ -132,8 +132,9 @@ def replay_comm_schedule(spec: ProtocolSpec, patterns, session=()) -> SchedulePr
 
     ``patterns`` are the senders', the clients that drew rows
     (``Dataset.uploads``). ``session`` holds the specs of the protocols the
-    same method ran before, in order; what they sent is not sent again. Raises
-    ``ValueError`` when there is no sender or the patterns disagree on d.
+    same method ran before, in order; what they sent is not sent again.
+    FedAvg's R rounds send R sum|O_k| floats up and R min(d, sum|O_k|) down.
+    Raises ``ValueError`` when there is no sender or the patterns disagree on d.
     """
     patterns = list(patterns)
     if not patterns:
@@ -146,8 +147,8 @@ def replay_comm_schedule(spec: ProtocolSpec, patterns, session=()) -> SchedulePr
     bits = k * d if "pattern" in missing else 0
     if spec.kind != "fedavg_ridge":
         return SchedulePrediction(up, 0, bits)
-    exchanged = spec.rounds * sum(p.size for p in patterns)
-    return SchedulePrediction(exchanged, exchanged, bits)
+    observed = sum(p.size for p in patterns)
+    return SchedulePrediction(spec.rounds * observed, spec.rounds * min(d, observed), bits)
 
 
 def replay_serve(session, d: int, sizes, unregistered: int) -> SchedulePrediction:
@@ -157,9 +158,12 @@ def replay_serve(session, d: int, sizes, unregistered: int) -> SchedulePredictio
     ``unregistered`` served clients.
     """
     unicast, shared = sum(sizes), _shared_floats(session, d)
-    if unicast < shared:
-        return SchedulePrediction(0, unicast, unregistered * d)
-    return SchedulePrediction(0, shared, 0)
+    return SchedulePrediction(0, min(unicast, shared), unregistered * d if unicast < shared else 0)
+
+
+def _smaller_encoding(sizes, shared: int) -> tuple[int, ...]:
+    """One delivery's messages: ``shared`` floats once, or each nonzero entry of ``sizes`` if they total fewer."""
+    return (shared,) if sum(sizes) >= shared else tuple(m for m in sizes if m)
 
 
 def _shared_floats(session, d: int) -> int:
@@ -240,8 +244,9 @@ def run_protocol(spec: ProtocolSpec, uploads: Mapping[int, LocalMoments], impute
     else:
         artifact = fedavg_ridge(uploads, imputer, spec.lam, spec.rounds, spec.local_steps)
         sizes = tuple(lm.pattern.size for lm in uploads.values() if lm.pattern.size)
+        down = _smaller_encoding(sizes, _dim(uploads))
         for t in range(1, artifact.rounds_run + 1):
-            comm.record(t, "down", sizes)
+            comm.record(t, "down", down)
             comm.record(t, "up", sizes)
     return ProtocolResult(artifact=artifact, comm=comm, spec=spec)
 
@@ -251,22 +256,21 @@ def serve_predictor(predictor: ClientwisePredictor, served, uploads: Mapping[int
     method ran ``session`` (its protocol specs, in order) on the senders'
     ``uploads``.
 
-    The server sends the smaller of two exact encodings, a tie going to the
-    broadcast: one broadcast of the shared model (``_shared_floats``), or
-    each served client's |O_k| coefficients when it has some (an
-    unidentifiable client has none). For the latter the server needs every
-    served client's pattern, so one that did not register while the method
-    fitted (it drew no rows, or is new) registers first. Registrations are
-    round 0, messages round 1.
+    The server sends the smaller of two exact encodings
+    (``_smaller_encoding``): one broadcast of the shared model
+    (``_shared_floats``), or each served client's |O_k| coefficients when it
+    has some (an unidentifiable client has none). For the latter the server
+    needs every served client's pattern, so one that did not register while
+    the method fitted (it drew no rows, or is new) registers first.
+    Registrations are round 0, messages round 1.
     """
     served = tuple(served)
     sizes = [len(predictor.thetas[c.id]) for c in served
              if c.id in predictor.thetas and c.id not in predictor.unidentifiable]
     comm, d = CommLog(), _dim(uploads)
     shared = _shared_floats(session, d)
-    if sum(sizes) >= shared:
-        comm.record(1, "down", [shared])
-        return comm
-    comm.record(0, "up", [0] * len({c.id for c in served} - uploads.keys()), bits=d)
-    comm.record(1, "down", [m for m in sizes if m])
+    down = _smaller_encoding(sizes, shared)
+    if down != (shared,):  # the per-client encoding
+        comm.record(0, "up", [0] * len({c.id for c in served} - uploads.keys()), bits=d)
+    comm.record(1, "down", down)
     return comm

@@ -104,10 +104,11 @@ def fedavg_ridge(uploads: Mapping[int, LocalMoments], imputer: ImputationMap, la
         v_0 = 0,  v_{j+1} = a v_j + (G_k (a^j phi - eta C_k v_j) - g_k) / n_k,
 
     so v_s is an |O_k|-vector that the client computes from phi, C_k and
-    its own sums. A round can therefore send each client phi and take back
-    v_s, |O_k| floats each way, with the server applying the shrinkage a^s
-    itself; and a move of theta by delta with B_k^T delta = 0 moves the
-    client's result by a^s delta.
+    its own sums. A round can therefore broadcast theta, which a client
+    holding its map turns into phi, or send each client its phi, whichever
+    totals fewer (``fedsim``); it takes back v_s, |O_k| floats, and the
+    server applies the shrinkage a^s itself. A move of theta by delta with
+    B_k^T delta = 0 moves the client's result by a^s delta.
     """
     if rounds < 0 or local_steps < 1:
         raise ValueError("need rounds >= 0 and local_steps >= 1")

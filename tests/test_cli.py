@@ -659,8 +659,9 @@ class TestRunExperiment:
         rows = {r["method"]: r for r in _read_rows(results)}
         # obs {1,2}, {2,3,4}, {1,4}: moment uploads (m+1)(m+2)/2 = 6, 10, 6
         # floats; ICE uploads tri(m) = 3, 6, 3 once, whatever the rounds. The
-        # one-shot artifacts stay on the server. Each FedAvg round exchanges
-        # m = 2, 3, 2 floats each way.
+        # one-shot artifacts stay on the server. Each FedAvg round takes
+        # m = 2, 3, 2 floats up and broadcasts theta's d = 4 floats down,
+        # fewer than the 2 + 3 + 2 = 7 of the senders' phi_k.
         assert int(rows["one_shot_moments"]["comm_floats_up"]) == 6 + 10 + 6
         assert int(rows["one_shot_moments"]["comm_floats_down"]) == 0
         assert int(rows["one_shot_ridge"]["comm_floats_up"]) == 6 + 10 + 6
@@ -668,7 +669,7 @@ class TestRunExperiment:
         assert int(rows["federated_ice"]["comm_floats_up"]) == 3 + 6 + 3
         assert int(rows["federated_ice"]["comm_floats_down"]) == 0
         assert int(rows["fedavg_ridge"]["comm_floats_up"]) == 2 * (2 + 3 + 2)
-        assert int(rows["fedavg_ridge"]["comm_floats_down"]) == 2 * (2 + 3 + 2)
+        assert int(rows["fedavg_ridge"]["comm_floats_down"]) == 2 * 4
         for r in rows.values():
             assert r["mc_risk"] == ""
 

@@ -23,7 +23,7 @@ from fedmismatch.impute import federated_ice as ice_in_memory
 from fedmismatch.model import ClientSpec, ClientwisePredictor, Dataset, FeaturePattern
 from fedmismatch.moments import (aggregate_zero_imputed, completed_sums, imputed_data_moments,
                                  local_zero_imputed_moments)
-from fedmismatch.popgen import sample_dataset
+from fedmismatch.popgen import draw_bernoulli_patterns, sample_dataset
 from fedmismatch.ridge import itr_predictor, ridge_closed_form
 
 from support import (
@@ -159,13 +159,14 @@ class TestTransportTransparency:
         # features) upload (m+1)(m+2)/2 = 6, 1, 10 floats of moments, or
         # m(m+1)/2 = 3, 0, 6 once for all three ICE rounds. The one-shot
         # artifacts stay on the server, so nothing comes down. Each of
-        # FedAvg's four rounds exchanges m = 2, 0, 3 floats each way, and all
-        # three senders register.
+        # FedAvg's four rounds takes m = 2, 0, 3 floats up and broadcasts
+        # theta's d = 4, fewer than the 2 + 0 + 3 = 5 of the senders' phi_k,
+        # and all three senders register.
         want = {
             "one_shot_moments": (6 + 1 + 10, 0, 3 * 4),
             "one_shot_ridge": (6 + 1 + 10, 0, 3 * 4),
             "federated_ice": (3 + 0 + 6, 0, 3 * 4),
-            "fedavg_ridge": (4 * (2 + 0 + 3), 4 * (2 + 0 + 3), 3 * 4),
+            "fedavg_ridge": (4 * (2 + 0 + 3), 4 * 4, 3 * 4),
         }[kind]
         assert (res.comm.total_floats("up"), res.comm.total_floats("down"), res.comm.total_bits()) == want
         pred = replay_comm_schedule(spec, [c.pattern for c in data.clients if c.id != 2])
@@ -198,16 +199,18 @@ class TestPayloadAudit:
         # floats, and every float payload has the size its contents dictate.
         # obs(1) = {1,3} and obs(2) = {2,3,4} upload 6 and 10 moment floats,
         # and 3 and 6 Gram floats once for both ICE rounds; no one-shot
-        # protocol sends anything down. Each FedAvg round sends each sender
-        # its 2 and 3 observed coefficients and hears back as many.
+        # protocol sends anything down. Each FedAvg round broadcasts theta's
+        # d = 4 floats, fewer than the senders' 2 + 3 = 5 phi_k floats, and
+        # hears back 2 and 3.
         d = 4
         clients = section3_clients(d)
         register = {(0, "up"): [(0, d), (0, d)]}
+        rounds = {(t, "down"): [(d, 0)] for t in (1, 2)} | {(t, "up"): [(2, 0), (3, 0)] for t in (1, 2)}
         sizes = {
             "one_shot_moments": {**register, (1, "up"): [(6, 0), (10, 0)]},
             "one_shot_ridge": {**register, (1, "up"): [(6, 0), (10, 0)]},
             "federated_ice": {**register, (1, "up"): [(3, 0), (6, 0)]},
-            "fedavg_ridge": {**register, **{(t, io): [(2, 0), (3, 0)] for t in (1, 2) for io in ("up", "down")}},
+            "fedavg_ridge": {**register, **rounds},
         }
         for kind, want in sizes.items():
             res = run_on(ProtocolSpec(kind=kind, lam=0.1, ice_rounds=2, rounds=2), *_completed(516, d, 60, clients))
@@ -310,9 +313,10 @@ class TestFedAvgPatternMessages:
     B_k = [I; S_k] in d coordinates and a = 1 - eta lambda, sender k's s
     local steps from any theta are a^s theta - eta B_k v_k, where v_k is the
     |O_k|-vector ``_client_message`` computes from phi_k = B_k^T theta, C_k
-    and the sender's own (n_k, G_k, g_k). So a round sends phi_k down and v_k
-    up, |O_k| floats each way, and a move of theta along the null space of
-    B_k^T reaches the sender's result only as the shrinkage a^s.
+    and the sender's own (n_k, G_k, g_k). So a round takes v_k up, |O_k|
+    floats, from phi_k, which a sender holding its map forms from a theta
+    broadcast, and a move of theta along the null space of B_k^T reaches the
+    sender's result only as the shrinkage a^s.
 
     ``fedavg_ridge`` builds the d x d map M_k^s and the identity's side sums
     the same terms in another order, so the two agree to rounding only. Each
@@ -539,15 +543,16 @@ class TestReplayMatchesRun:
 
     def test_fedavg_that_stops_early_replays_the_rounds_it_ran(self):
         # FedAvg diverges on this federation and stops after 10 of its 50
-        # rounds; the log holds those 10 rounds of 2 + 2 floats each way,
-        # and the schedule of the rounds run predicts exactly that.
+        # rounds; the log holds those 10 rounds of 2 + 2 floats up and a
+        # d = 2 theta broadcast down, and the schedule of the rounds run
+        # predicts exactly that.
         data, imputer = blow_up_federation()
         spec = ProtocolSpec(kind="fedavg_ridge", rounds=50, local_steps=3)
         res = run_on(spec, data, imputer)
         assert res.artifact.diverged and res.artifact.rounds_run == 10
         ran = replay_comm_schedule(replace(spec, rounds=res.artifact.rounds_run), [c.pattern for c in data.clients])
         got = (res.comm.total_floats("up"), res.comm.total_floats("down"), res.comm.total_bits())
-        assert got == (ran.up_floats, ran.down_floats, ran.registration_bits) == (40, 40, 4)
+        assert got == (ran.up_floats, ran.down_floats, ran.registration_bits) == (40, 20, 4)
 
     def test_replay_validation(self):
         # No sender, or senders whose patterns disagree on d, have no schedule.
@@ -617,7 +622,8 @@ class TestMethodSessions:
         # other three is (m+1)(m+2)/2 = 6, 1, 10 floats and an ICE upload
         # tri(m) = 3, 0, 6. After ICE's Gram uploads the ridge needs only
         # [n_k][g_k], 1 + m = 3, 1, 4; after the moments it needs nothing.
-        # Each of FedAvg's four rounds exchanges m = 2, 0, 3 floats each way.
+        # Each of FedAvg's four rounds takes m = 2, 0, 3 floats up and
+        # broadcasts theta's 4, fewer than the 2 + 0 + 3 = 5 of each phi_k.
         # Serving costs min(shared, 2 + 2 + 0 + 3 = 7) floats: the shared
         # model is tri(4) + 4 = 14 after a covariance fit (moments, or ICE at
         # T >= 1) and theta's 4 otherwise. Served one by one, client 2
@@ -635,7 +641,7 @@ class TestMethodSessions:
             "itr_opt": (17, 4, 12),
             "itr_cw": (17, 7, 12 + 4),
             "itr_ice": (9 + 8, 7, 12 + 4) if ice_rounds else (17, 4, 12),
-            "fedavg": (4 * (2 + 0 + 3), 4 * (2 + 0 + 3) + 4, 12),
+            "fedavg": (4 * (2 + 0 + 3), 4 * 4 + 4, 12),
         }[method]
         assert got == pinned
 
@@ -662,7 +668,8 @@ class TestMethodSessions:
 
     def test_fedavg_sends_the_same_in_any_session(self):
         # FedAvg reads only each sender's pattern; after the moments the
-        # server holds it, so the same rounds go without registration.
+        # server holds it, so the same rounds go without registration. Each
+        # round takes 2 + 3 floats up and broadcasts theta's d = 4 down.
         data, imputer = _completed(517)
         spec = ProtocolSpec(kind="fedavg_ridge", lam=0.2, rounds=3)
         moments = ProtocolSpec(kind="one_shot_moments")
@@ -672,8 +679,8 @@ class TestMethodSessions:
         assert run_on(spec, data, imputer, [moments]).comm.events == alone.comm.events[len(register):]
         patterns = [c.pattern for c in data.clients]
         joined, pred = replay_comm_schedule(spec, patterns, [moments]), replay_comm_schedule(spec, patterns)
-        assert (joined.up_floats, joined.down_floats, joined.registration_bits) == (3 * (2 + 3), 3 * (2 + 3), 0)
-        assert (pred.up_floats, pred.down_floats, pred.registration_bits) == (3 * (2 + 3), 3 * (2 + 3), 2 * 4)
+        assert (joined.up_floats, joined.down_floats, joined.registration_bits) == (3 * (2 + 3), 3 * 4, 0)
+        assert (pred.up_floats, pred.down_floats, pred.registration_bits) == (3 * (2 + 3), 3 * 4, 2 * 4)
 
     def test_moments_after_the_ridge_send_nothing(self):
         # Both protocols hear from the same senders, so the moments run
@@ -744,9 +751,10 @@ class TestServedDownlinks:
             shared = {"plugin_debias": tri + d, "plugin_cw": tri + d, "itr_zero": d, "itr_opt": d,
                       "itr_cw": tri + d, "itr_ice": ice, "fedavg": d}
             # Broadcasting every one-shot protocol's artifact: the moments'
-            # pair, ICE's covariance estimate and the ridge's theta.
+            # pair, ICE's covariance estimate and the ridge's theta; for
+            # FedAvg, theta in each of its 3 rounds and at the serve.
             artifacts = {"local": 0, "plugin_debias": tri + d, "plugin_cw": tri + d, "itr_zero": d,
-                         "itr_opt": d, "itr_cw": tri + 2 * d, "itr_ice": ice}
+                         "itr_opt": d, "itr_cw": tri + 2 * d, "itr_ice": ice, "fedavg": (3 + 1) * d}
             for method in cli._METHOD_FITS:
                 fit = cli._METHOD_FITS[method](ctx)
                 logs = cli._comm_logs(fit, ctx)
@@ -766,8 +774,7 @@ class TestServedDownlinks:
                                                  for c in coefs if c.pattern.size], method
                 else:
                     assert events == [("down", shared[method], 0)], method
-                if method != "fedavg":
-                    assert down <= artifacts[method], (method, ice_rounds)
+                assert down <= artifacts[method], (method, ice_rounds)
 
     def test_plugin_cw_sends_each_client_its_coefficients(self):
         # obs {1,3} and {2,3,4} on d = 4 hold 2 + 3 = 5 coefficients, fewer
@@ -838,8 +845,9 @@ class TestPinnedTotals:
         )
         data = _completed(511, 5, 60, clients)
         res = run_on(ProtocolSpec(kind="fedavg_ridge", lam=0.1, rounds=7), *data)
+        # Each round: both senders' 5 floats up, one 5-float theta down.
         assert res.comm.total_floats("up") == 7 * 2 * 5
-        assert res.comm.total_floats("down") == 7 * 2 * 5
+        assert res.comm.total_floats("down") == 7 * 5
 
     def test_fedavg_comm_per_round(self):
         clients = (
@@ -853,8 +861,9 @@ class TestPinnedTotals:
             y=np.ones(6),
         )
         res = run_on(ProtocolSpec(kind="fedavg_ridge", lam=0.1, rounds=7), data, ImputationMap())
+        # Each round: both senders' 3 floats up, one 3-float theta down.
         assert res.comm.total_floats("up") == 7 * 2 * 3
-        assert res.comm.total_floats("down") == 7 * 2 * 3
+        assert res.comm.total_floats("down") == 7 * 3
 
     def test_ice_comm_totals(self):
         # Every client uploads its observed Gram once, tri(2) = 3 and
@@ -884,6 +893,56 @@ class TestPinnedTotals:
         assert np.array_equal(completed_rows(data, res.artifact), x_filled(data))
 
 
+def _one_sender_each(patterns, rng, rows=3):
+    """A Dataset with one client per pattern, each drawing ``rows`` Gaussian rows."""
+    clients = tuple(ClientSpec(id=i + 1, pattern=p, rho=1 / len(patterns)) for i, p in enumerate(patterns))
+    blocks = {c.id: rng.standard_normal((rows, c.pattern.size)) for c in clients}
+    return Dataset(clients, blocks, rng.standard_normal(rows * len(clients)))
+
+
+class TestFedAvgRoundEncoding:
+    """Each FedAvg round sends theta down in the serve step's smaller
+    encoding: one d-float broadcast, or each sender's |O_k|-float phi_k when
+    those total fewer, a tie going to the broadcast. Every sender's |O_k|
+    still goes up. The log, event by event, equals the replayed schedule."""
+
+    R = 3
+
+    @pytest.mark.parametrize("d, observed, down", [
+        (4, [[1, 3], [2, 3, 4]], [4]),  # 2 + 3 > d: theta is broadcast
+        (7, [[2, 5]], [2]),  # one sender on 2 of 7: its phi_k alone
+        (4, [[1, 3], [2, 4]], [4]),  # 2 + 2 = d: a tie goes to the broadcast
+        (4, [[], [1, 2]], [2]),  # the sender that observes nothing is sent nothing
+        (3, [[], []], []),  # no sender observes anything: nothing goes either way
+    ], ids=["above_d", "below_d", "tie", "unobserving_sender", "no_sender_observes"])
+    def test_each_side_of_the_choice(self, d, observed, down):
+        patterns = [FeaturePattern.from_one_based(o, d) for o in observed]
+        spec = ProtocolSpec(kind="fedavg_ridge", lam=0.2, rounds=self.R)
+        res = run_on(spec, _one_sender_each(patterns, seeded(540)), ImputationMap())
+        up = [p.size for p in patterns if p.size]
+        events = [(e.round, e.direction, e.floats) for e in res.comm.events if e.round]
+        assert events == [(t, way, m) for t in range(1, self.R + 1)
+                          for way, sizes in (("down", down), ("up", up)) for m in sizes]
+        pred = replay_comm_schedule(spec, patterns)
+        got = (res.comm.total_floats("up"), res.comm.total_floats("down"), res.comm.total_bits())
+        assert got == (pred.up_floats, pred.down_floats, pred.registration_bits) == (
+            self.R * sum(up), self.R * sum(down), len(patterns) * d)
+
+    @pytest.mark.parametrize("k", [10, 100, 1000])
+    def test_down_total_does_not_grow_with_senders(self, k):
+        # Bernoulli(0.6) patterns on d = 8: the senders observe far more
+        # than d coordinates in all, so each round broadcasts theta once.
+        d, rng = 8, seeded(541)
+        patterns = draw_bernoulli_patterns(k, d, 0.6, rng)
+        spec = ProtocolSpec(kind="fedavg_ridge", lam=0.2, rounds=self.R)
+        res = run_on(spec, _one_sender_each(patterns, rng, rows=2), ImputationMap())
+        pred = replay_comm_schedule(spec, patterns)
+        observed = sum(p.size for p in patterns)
+        assert (res.comm.total_floats("up"), res.comm.total_floats("down")) == (
+            pred.up_floats, pred.down_floats) == (self.R * observed, self.R * d)
+        assert [e.floats for e in res.comm.events if e.direction == "down"] == [d] * self.R
+
+
 class TestLogFootprint:
     K, R, D = 2000, 50, 4
     # c in the c * (R + K) bound on the log's retained and peak bytes: the
@@ -894,7 +953,9 @@ class TestLogFootprint:
     def test_fedavg_log_grows_with_rounds_plus_senders(self, monkeypatch):
         """One record per round and direction sharing the senders' sizes: a
         FedAvg log retains O(R + K) bytes, where one object per message would
-        retain O(R * K). FedAvg is stubbed, so only the logging is traced."""
+        retain O(R * K). Each round sends one D-float theta broadcast down, as
+        the senders observe more than D coordinates in all. FedAvg is
+        stubbed, so only the logging is traced."""
         rng = seeded(530)
         clients = random_clients(rng, self.D, self.K, nonempty=False)
         data = Dataset(clients, {c.id: rng.standard_normal((1, c.pattern.size)) for c in clients},
@@ -916,10 +977,10 @@ class TestLogFootprint:
         assert res.artifact is stub
         bound = self.BYTES_PER_UNIT * (self.R + self.K)
         assert retained < bound and peak < bound, (retained, peak, bound)
-        assert len(res.comm) == self.K + 2 * self.R * observing
+        assert len(res.comm) == self.K + self.R * observing + self.R
         assert res.comm.total_bits() == self.K * self.D
-        assert res.comm.total_floats("up") == res.comm.total_floats("down") == self.R * sum(
-            c.pattern.size for c in clients)
+        assert res.comm.total_floats("up") == self.R * sum(c.pattern.size for c in clients)
+        assert res.comm.total_floats("down") == self.R * self.D
 
 
 class TestSpecValidation:
